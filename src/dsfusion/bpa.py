@@ -144,7 +144,7 @@ def modified_median_threshold(
     return sorted(values)[k - 1]
 
 
-def sigmoid_mass(value: float, bpa: SigmoidBpa, frame: Frame = BINARY_FRAME) -> MassFunction:
+def sigmoid_mass(value: float, bpa: SigmoidBpa) -> MassFunction:
     """m(normal) = 1 / (1 + e^(value - threshold)); the rest goes to abnormal.
 
     Saturation is clamped to ``MASS_EPS`` so both singletons stay focal.
@@ -153,38 +153,36 @@ def sigmoid_mass(value: float, bpa: SigmoidBpa, frame: Frame = BINARY_FRAME) -> 
         raise ValueError(f"feature value must be finite, got {value}")
     m_normal = _logistic(bpa.threshold - value)
     m_normal = min(max(m_normal, MASS_EPS), 1.0 - MASS_EPS)
-    return MassFunction(frame, {1: m_normal, 2: 1.0 - m_normal})
+    return MassFunction(BINARY_FRAME, {1: m_normal, 2: 1.0 - m_normal})
 
 
-def scaled_sigmoid_mass(
-    value: float, bpa: ScaledSigmoidBpa, frame: Frame = BINARY_FRAME
-) -> MassFunction:
+def scaled_sigmoid_mass(value: float, bpa: ScaledSigmoidBpa) -> MassFunction:
     """Sigmoid mass between floor and ceiling, with fixed ignorance mass."""
     if value < 0:
         raise ValueError(f"signal value must be non-negative, got {value}")
     m_normal = (bpa.ceiling - bpa.floor) * _logistic(bpa.threshold - value) + bpa.floor
-    return _scaled_mass_cached(m_normal, bpa.theta_mass, frame)
+    return _scaled_mass_cached(m_normal, bpa.theta_mass)
 
 
 @lru_cache(maxsize=8192)
-def _scaled_mass_cached(m_normal: float, theta_mass: float, frame: Frame) -> MassFunction:
+def _scaled_mass_cached(m_normal: float, theta_mass: float) -> MassFunction:
     # The sigmoid saturates outside a narrow band, so sweeps over wide value
     # ranges produce few distinct masses; keying on the computed value keeps
     # the cache small.
-    return MassFunction(frame, {1: m_normal, 2: 1.0 - m_normal - theta_mass, 3: theta_mass})
+    return MassFunction(BINARY_FRAME, {1: m_normal, 2: 1.0 - m_normal - theta_mass, 3: theta_mass})
 
 
-def table_mass(signal_value: int, bpa: TableBpa, frame: Frame = BINARY_FRAME) -> MassFunction:
+def table_mass(signal_value: int, bpa: TableBpa) -> MassFunction:
     """Exact row lookup for a binary signal."""
     if signal_value not in (0, 1):
         raise ValueError(f"binary signal value must be 0 or 1, got {signal_value!r}")
-    return _table_mass_cached(signal_value, bpa, frame)
+    return _table_mass_cached(signal_value, bpa)
 
 
 @lru_cache(maxsize=None)
-def _table_mass_cached(signal_value: int, bpa: TableBpa, frame: Frame) -> MassFunction:
+def _table_mass_cached(signal_value: int, bpa: TableBpa) -> MassFunction:
     m_normal, m_abnormal, m_theta = bpa.rows[signal_value]
-    return MassFunction(frame, {1: m_normal, 2: m_abnormal, 3: m_theta})
+    return MassFunction(BINARY_FRAME, {1: m_normal, 2: m_abnormal, 3: m_theta})
 
 
 def fit_boundaries(samples: Sequence[Sample], n_features: int, n_classes: int = 3) -> BoundaryModel:

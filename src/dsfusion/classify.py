@@ -36,6 +36,7 @@ from .evidence import (
     belief,
     combine,
     combine_all,
+    make_frame,
 )
 
 Sample = tuple[Sequence[float], int]
@@ -276,8 +277,6 @@ def classifier_from_dict(data: Mapping) -> Classifier:
         bpas = tuple(bpa_from_dict(b) for b in data["bpas"])
         return BinaryModel(bpas, float(data["normal_fraction"]))  # type: ignore[arg-type]
     if kind == "three_class":
-        from .evidence import make_frame
-
         return ThreeClassModel(
             make_frame(data["labels"]),
             bpa_from_dict(data["boundaries"]),  # type: ignore[arg-type]

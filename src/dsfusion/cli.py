@@ -2,8 +2,10 @@
 and ad-hoc evidence combination.
 
 Exit codes: 0 success, 2 usage errors, 3 input/data errors, 4 computation
-errors (e.g. total conflict). Results go to stdout; timing goes to stderr
-so identical flags produce identical stdout.
+errors (e.g. total conflict). Results go to stdout and timing to stderr,
+so identical flags produce identical stdout except for the run time a
+report carries: the ``runtime_seconds`` field of a JSON report and the
+``runtime:`` line of a text report are the only bytes that vary.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import data as harness
-from .classify import classify_email, email_model_default
+from .classify import classifier_to_dict, classify_email, email_model_default
 from .data import (
     DataFormatError,
     EmailGenConfig,
@@ -33,8 +35,8 @@ from .data import (
 )
 from .evidence import (
     EvidenceError,
-    TotalConflictError,
     belief_interval,
+    combine,
     combine_all,
     conflict,
     make_frame,
@@ -132,14 +134,7 @@ def _emit(report, args) -> None:
 
 
 def _dump_model(dataset, task: str, path: Path) -> None:
-    from .classify import classifier_to_dict, train_binary, train_three_class
-    from .evidence import make_frame
-
-    samples = dataset.samples()
-    if task == "wbcd":
-        model = train_binary([s[0] for s in samples], [s[1] for s in samples])
-    else:
-        model = train_three_class(samples, make_frame(dataset.label_names))
+    model = harness.TASKS[task].train(dataset.samples(), dataset)
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 
@@ -206,9 +201,9 @@ def _cmd_email(args, parser) -> int:
     else:
         parser.error("email needs --data PATH or --generate")
     report = evaluate(dataset, "email", signals=signals, seed=args.seed)
-    worm_ids = [r.id for r in dataset if r.label == 1]
-    missed = [rid for rid in report.misclassified if rid in set(worm_ids)]
-    false_pos = [rid for rid in report.misclassified if rid not in set(worm_ids)]
+    worm_ids = {r.id for r in dataset if r.label == 1}
+    missed = [rid for rid in report.misclassified if rid in worm_ids]
+    false_pos = [rid for rid in report.misclassified if rid not in worm_ids]
     detected = len(worm_ids) - len(missed)
     print(f"signals: {''.join(map(str, signals))}")
     print(f"worms detected: {detected}/{len(worm_ids)}, missed: "
@@ -263,8 +258,11 @@ def _cmd_combine(args, parser) -> int:
     except EvidenceError as exc:
         parser.error(f"bad frame: {exc}")
     masses = [_parse_mass_spec(spec, frame, parser) for spec in args.mass]
-    final_k = conflict(combine_all(masses[:-1]), masses[-1]) if len(masses) > 1 else 0.0
-    combined = combine_all(masses)
+    if len(masses) > 1:
+        head = combine_all(masses[:-1])
+        final_k, combined = conflict(head, masses[-1]), combine(head, masses[-1])
+    else:
+        final_k, combined = 0.0, masses[0]
     intervals = {
         label: belief_interval(combined, frame.singleton(label)) for label in frame.labels
     }
@@ -287,10 +285,6 @@ def _cmd_combine(args, parser) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     handlers = {
         "wbcd": _cmd_wbcd,
         "iris": _cmd_iris,
@@ -299,19 +293,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "combine": _cmd_combine,
     }
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # argparse, also parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    # DataFormatError is a ValueError, so it must be caught first.
+    except (FileNotFoundError, IsADirectoryError, PermissionError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_EXIT
-    except TotalConflictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return COMPUTE_EXIT
-    except (EvidenceError, ValueError) as exc:
+    except ValueError as exc:  # EvidenceError, TotalConflictError included
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_EXIT
 

@@ -14,12 +14,13 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bpa import BINARY_FRAME
 from .classify import (
+    EMAIL_SIGNALS,
     Prediction,
     classify_binary,
     classify_email,
@@ -280,8 +281,10 @@ def load_email(path: str | Path) -> RecordSet:
                 flags = tuple(int(v) for v in row[2:5])
             except ValueError:
                 raise DataFormatError(f"{path}:{i}: malformed numeric field") from None
-            if interval < 0:
-                raise DataFormatError(f"{path}:{i}: negative interval {interval}")
+            if not math.isfinite(interval) or interval < 0:
+                raise DataFormatError(
+                    f"{path}:{i}: interval must be a finite non-negative number, got {interval}"
+                )
             if any(flag not in (0, 1) for flag in flags):
                 raise DataFormatError(f"{path}:{i}: flags must be 0 or 1, got {flags}")
             if row[5] == "worm":
@@ -291,6 +294,8 @@ def load_email(path: str | Path) -> RecordSet:
             else:
                 raise DataFormatError(f"{path}:{i}: unknown label {row[5]!r}")
             records.append(Record(rid, (interval, *map(float, flags)), label))
+    if not records:
+        raise DataFormatError(f"{path}: no records after the header")
     return RecordSet(tuple(records), EMAIL_FEATURES, ("normal", "worm"))
 
 
@@ -380,6 +385,73 @@ def _matrix_confusion(pairs: Sequence[tuple[int, int]], labels: Sequence[str]) -
     return {"labels": list(labels), "matrix": matrix}
 
 
+def _classify_wbcd(record: Sequence[float | None], model, subset: Sequence[int]) -> Prediction:
+    # A record whose selected features are all missing carries no evidence,
+    # so nothing says abnormal and the tie rule classifies it normal.
+    if subset and all(record[f] is None for f in subset):
+        return Prediction(
+            "normal", vacuous_mass(BINARY_FRAME), {"features": [], "fallback": "no-evidence"}
+        )
+    return classify_binary(record, model, subset)
+
+
+def _all_features(dataset: RecordSet) -> tuple[int, ...]:
+    return tuple(range(len(dataset.feature_names)))
+
+
+@dataclass(frozen=True)
+class Task:
+    """Everything that differs between the benchmark tasks.
+
+    ``train(samples, dataset)`` fits a model on a fold's (features, label)
+    pairs; ``classify(features, model, subset)`` labels one record with the
+    given feature or signal subset. ``key`` names that subset in the report
+    config, ``describe(dataset, subset)`` writes it there, and
+    ``default(dataset)`` is the subset used when none is given.
+    """
+
+    train: Callable
+    classify: Callable
+    key: str
+    describe: Callable
+    default: Callable
+    cross_validates: bool
+
+
+# The entries reach the trainers and classifiers through this module's
+# globals at call time, so rebinding those names (e.g. to trace them)
+# reaches every task.
+TASKS = {
+    "wbcd": Task(
+        train=lambda samples, dataset: train_binary(
+            [features for features, _ in samples], [label for _, label in samples]
+        ),
+        classify=_classify_wbcd,
+        key="features",
+        describe=lambda dataset, subset: "".join(dataset.feature_names[f] for f in subset),
+        default=_all_features,
+        cross_validates=True,
+    ),
+    "iris": Task(
+        train=lambda samples, dataset: train_three_class(samples, make_frame(dataset.label_names)),
+        classify=lambda record, model, subset: classify_three_class(record, model),
+        key="features",
+        describe=lambda dataset, subset: list(subset),
+        default=_all_features,
+        cross_validates=True,
+    ),
+    "email": Task(
+        # The email settings are expert-chosen, so there is no training phase.
+        train=lambda samples, dataset: email_model_default(),
+        classify=lambda record, model, subset: classify_email(record, model, subset),
+        key="signals",
+        describe=lambda dataset, subset: "".join(str(s) for s in subset),
+        default=lambda dataset: EMAIL_SIGNALS,
+        cross_validates=False,
+    ),
+}
+
+
 def evaluate(
     dataset: RecordSet,
     task: str,
@@ -390,51 +462,36 @@ def evaluate(
 ) -> EvalReport:
     """Run one benchmark task and collect its report.
 
-    ``wbcd`` and ``iris`` cross-validate with the given fold plan;
-    ``email`` classifies every record with the fixed default model
-    (its settings are expert-chosen, so there is no training phase).
+    ``wbcd`` and ``iris`` cross-validate with the given fold plan and read
+    ``features``; ``email`` classifies every record as one fold with the
+    fixed default model and reads ``signals``.
     """
     start = time.perf_counter()
-    if task in ("wbcd", "iris"):
-        if folds is None:
-            raise ValueError(f"task {task!r} needs a fold plan")
-        report = _evaluate_cv(dataset, task, folds, features)
-    elif task == "email":
-        if folds is not None:
-            raise ValueError("the email task does not cross-validate")
-        report = _evaluate_email(dataset, signals, seed)
-    else:
+    spec = TASKS.get(task)
+    if spec is None:
         raise ValueError(f"unknown task {task!r}")
-    return replace(report, runtime_seconds=time.perf_counter() - start)
-
-
-def _evaluate_cv(
-    dataset: RecordSet, task: str, folds: FoldPlan, features: Sequence[int] | None
-) -> EvalReport:
+    if not spec.cross_validates:
+        if folds is not None:
+            raise ValueError(f"the {task} task does not cross-validate")
+        folds = FoldPlan(1, (0,) * len(dataset), seed)
+    elif folds is None:
+        raise ValueError(f"task {task!r} needs a fold plan")
     if len(folds.assignment) != len(dataset):
         raise ValueError("fold plan does not cover this dataset")
-    feature_tuple = tuple(range(len(dataset.feature_names))) if features is None else tuple(features)
-    iris_frame = make_frame(IRIS_CLASSES)
+    subset = features if spec.key == "features" else signals
+    subset = spec.default(dataset) if subset is None else tuple(subset)
     per_fold = []
     pairs = []
     misclassified = []
     details = []
     for fold in range(folds.k):
-        train = dataset.samples(folds.train_indices(fold))
-        if task == "wbcd":
-            model = train_binary([s[0] for s in train], [s[1] for s in train])
-        else:
-            model = train_three_class(train, iris_frame)
+        model = spec.train(dataset.samples(folds.train_indices(fold)), dataset)
         correct = 0
         test_indices = folds.test_indices(fold)
         for i in test_indices:
             record = dataset.records[i]
-            if task == "wbcd":
-                pred = _classify_binary_or_default(record.features, model, feature_tuple)
-                predicted = 0 if pred.label == "normal" else 1
-            else:
-                pred = classify_three_class(record.features, model)
-                predicted = iris_frame.labels.index(pred.label)
+            pred = spec.classify(record.features, model, subset)
+            predicted = pred.mass.frame.labels.index(pred.label)
             pairs.append((record.label, predicted))
             if predicted == record.label:
                 correct += 1
@@ -443,57 +500,20 @@ def _evaluate_cv(
                 details.append(_error_detail(dataset, record, pred))
         per_fold.append(correct / len(test_indices))
     config = {
-        "features": "".join(dataset.feature_names[f] for f in feature_tuple)
-        if task == "wbcd"
-        else list(feature_tuple),
+        spec.key: spec.describe(dataset, subset),
         "k": folds.k,
         "seed": folds.seed,
         "rng": RNG_ID,
     }
     confusion = (
-        _binary_confusion(pairs) if task == "wbcd" else _matrix_confusion(pairs, IRIS_CLASSES)
+        _binary_confusion(pairs)
+        if len(dataset.label_names) == 2
+        else _matrix_confusion(pairs, dataset.label_names)
     )
     accuracy = (len(dataset) - len(misclassified)) / len(dataset)
     return EvalReport(
-        task, config, accuracy, tuple(per_fold), confusion,
-        tuple(sorted(misclassified)), 0.0, tuple(details),
-    )
-
-
-def _classify_binary_or_default(features, model, feature_tuple):
-    # A record whose selected features are all missing carries no evidence,
-    # so nothing says abnormal and the tie rule classifies it normal.
-    try:
-        return classify_binary(features, model, feature_tuple)
-    except ValueError:
-        return Prediction(
-            "normal", vacuous_mass(BINARY_FRAME), {"features": [], "fallback": "no-evidence"}
-        )
-
-
-def _evaluate_email(dataset: RecordSet, signals: Sequence[int] | None, seed: int) -> EvalReport:
-    model = email_model_default()
-    active = tuple(signals) if signals is not None else (1, 2, 3, 4)
-    pairs = []
-    misclassified = []
-    details = []
-    for record in dataset:
-        pred = classify_email(record.features, model, active)
-        predicted = 1 if pred.label == "abnormal" else 0
-        pairs.append((record.label, predicted))
-        if predicted != record.label:
-            misclassified.append(record.id)
-            details.append(_error_detail(dataset, record, pred))
-    config = {
-        "signals": "".join(str(s) for s in active),
-        "k": 1,
-        "seed": seed,
-        "rng": RNG_ID,
-    }
-    accuracy = (len(dataset) - len(misclassified)) / len(dataset)
-    return EvalReport(
-        "email", config, accuracy, (accuracy,), _binary_confusion(pairs),
-        tuple(sorted(misclassified)), 0.0, tuple(details),
+        task, config, accuracy, tuple(per_fold), confusion, tuple(sorted(misclassified)),
+        time.perf_counter() - start, tuple(details),
     )
 
 
@@ -517,13 +537,8 @@ def ablation(
     """One evaluation per feature (or signal) subset, reusing the fold plan."""
     table = []
     for subset in subsets:
-        if task == "email":
-            report = evaluate(dataset, task, signals=subset, seed=seed)
-            label = "".join(str(s) for s in subset)
-        else:
-            report = evaluate(dataset, task, folds=folds, features=subset, seed=seed)
-            label = "".join(dataset.feature_names[f] for f in subset)
-        table.append((label, report.accuracy))
+        report = evaluate(dataset, task, folds=folds, features=subset, signals=subset, seed=seed)
+        table.append((report.config[TASKS[task].key], report.accuracy))
     return table
 
 

@@ -119,12 +119,6 @@ class HypothesisSet:
     def is_theta(self) -> bool:
         return self.bits == self.frame.full_mask
 
-    def intersects(self, other: "HypothesisSet") -> bool:
-        return self.bits & other.bits != 0
-
-    def issubset(self, other: "HypothesisSet") -> bool:
-        return self.bits & ~other.bits == 0
-
     def __str__(self) -> str:
         return self.frame.describe(self.bits)
 
@@ -182,9 +176,6 @@ class MassFunction:
     def items(self) -> Iterator[tuple[HypothesisSet, float]]:
         for bits, value in self._masses.items():
             yield HypothesisSet(self.frame, bits), value
-
-    def focal_sets(self) -> tuple[HypothesisSet, ...]:
-        return tuple(HypothesisSet(self.frame, bits) for bits in self._masses)
 
     def mass(self, subset: HypothesisSet) -> float:
         _require_same_frame(self.frame, subset.frame)
@@ -246,15 +237,26 @@ def vacuous_mass(frame: Frame) -> MassFunction:
     return MassFunction(frame, {frame.full_mask: 1.0})
 
 
+def _intersect(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]:
+    # Product masses accumulated on each nonempty intersection, and the
+    # conflict K: the product mass falling on empty intersections.
+    _require_same_frame(m1.frame, m2.frame)
+    acc: dict[int, float] = {}
+    k = 0.0
+    right = m2._masses.items()
+    for b, vb in m1._masses.items():
+        for c, vc in right:
+            inter = b & c
+            if inter:
+                acc[inter] = acc.get(inter, 0.0) + vb * vc
+            else:
+                k += vb * vc
+    return acc, k
+
+
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
     """The conflict mass K: total product mass falling on empty intersections."""
-    _require_same_frame(m1.frame, m2.frame)
-    k = 0.0
-    for b, vb in m1._masses.items():
-        for c, vc in m2._masses.items():
-            if b & c == 0:
-                k += vb * vc
-    return k
+    return _intersect(m1, m2)[1]
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -263,17 +265,7 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises TotalConflictError when the conflict K reaches 1, where the
     rule is undefined.
     """
-    _require_same_frame(m1.frame, m2.frame)
-    acc: dict[int, float] = {}
-    k = 0.0
-    for b, vb in m1._masses.items():
-        for c, vc in m2._masses.items():
-            inter = b & c
-            p = vb * vc
-            if inter:
-                acc[inter] = acc.get(inter, 0.0) + p
-            else:
-                k += p
+    acc, k = _intersect(m1, m2)
     if k >= 1.0 - IDENTITY_TOL:
         raise TotalConflictError(f"total conflict between sources (K={k!r})")
     norm = 1.0 - k

@@ -1,12 +1,19 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dsfusion.cli import main
+from dsfusion.data import EMAIL_HEADER
 
 from conftest import IRIS_PATH, WBCD_PATH
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +148,22 @@ class TestEmailCommand:
         code2, out2, _ = run_cli(capsys, "email", "--data", str(saved), "--seed", "3")
         assert code2 == 0
         assert "worms detected: 42/42" in out2
+
+    @pytest.mark.parametrize("rows", ["1,nan,1,1,0,worm\n", "1,inf,1,1,0,worm\n", ""])
+    def test_bad_csv_exits_3_without_traceback(self, tmp_path, rows):
+        # A separate interpreter, so an uncaught exception would print its
+        # traceback to stderr instead of failing inside the test.
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(EMAIL_HEADER) + "\n" + rows)
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        result = subprocess.run(
+            [sys.executable, "-c", "from dsfusion.cli import run; run()",
+             "email", "--data", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
 
 
 class TestGenerateEmailCommand:

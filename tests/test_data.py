@@ -2,12 +2,15 @@
 report emission."""
 
 import json
+import math
 
 import pytest
 
 from dsfusion import (
     DataFormatError,
     EmailGenConfig,
+    Record,
+    RecordSet,
     ablation,
     evaluate,
     generate_email,
@@ -172,6 +175,24 @@ class TestEmailCsv:
         with pytest.raises(DataFormatError):
             load_email(path)
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "-inf"])
+    def test_non_finite_interval_rejected(self, tmp_path, interval):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,interval_seconds,spoofed,dangerous_attachment,benign_attachment,label\n"
+            f"1,{interval},0,0,0,normal\n"
+        )
+        with pytest.raises(DataFormatError, match="finite"):
+            load_email(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(
+            "id,interval_seconds,spoofed,dangerous_attachment,benign_attachment,label\n"
+        )
+        with pytest.raises(DataFormatError, match="no records"):
+            load_email(path)
+
     def test_worm_label_maps_to_abnormal_class(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text(
@@ -241,6 +262,24 @@ class TestEvaluate:
         assert report.config["signals"] == "1234"
         with pytest.raises(ValueError):
             evaluate(generate_email(), "email", folds=make_folds(132, 10, 0))
+
+    def test_all_missing_record_falls_back_to_normal(self):
+        records = [Record(1, (None, 5.0), 1)] + [
+            Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(2, 12)
+        ]
+        dataset = RecordSet(tuple(records), ("A", "B"), ("normal", "abnormal"))
+        report = evaluate(dataset, "wbcd", folds=make_folds(11, 2, 0), features=(0,))
+        (detail,) = [d for d in report.details if d["id"] == 1]
+        assert detail["predicted"] == "normal"
+        assert detail["trace"] == {"features": [], "fallback": "no-evidence"}
+
+    def test_nan_feature_is_an_error_not_missing(self):
+        records = [Record(1, (1.0, 1.0), 0), Record(2, (math.nan, 9.0), 1)] + [
+            Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(3, 13)
+        ]
+        dataset = RecordSet(tuple(records), ("A", "B"), ("normal", "abnormal"))
+        with pytest.raises(ValueError, match="feature value must be finite"):
+            evaluate(dataset, "wbcd", folds=make_folds(12, 2, 0))
 
     def test_unknown_task_rejected(self, iris_dataset):
         with pytest.raises(ValueError):

@@ -1,0 +1,74 @@
+"""Golden-output tests: the CLI's deterministic stdout and model dumps,
+byte for byte, against reference files under ``tests/golden/``.
+
+The run time is the only part of stdout that varies between runs (the
+``runtime_seconds`` field of a JSON report and the ``runtime:`` line of a
+text report), so it is removed before comparing. Regenerate the files after
+an intended output change with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from dsfusion.cli import main
+
+from conftest import IRIS_PATH, WBCD_PATH
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+WBCD, IRIS = str(WBCD_PATH), str(IRIS_PATH)
+
+STDOUT_CASES = {
+    "wbcd_json.out": ["wbcd", "--data", WBCD, "--format", "json"],
+    "wbcd_ablate.out": ["wbcd", "--data", WBCD, "--ablate", "A,D,I,ADI,BCF,ABCDEFGHI"],
+    "iris_runs3.out": ["iris", "--data", IRIS, "--runs", "3"],
+    "email_json.out": ["email", "--generate", "--seed", "7", "--format", "json"],
+    "email_134_text.out": ["email", "--generate", "--seed", "7", "--signals", "134",
+                           "--format", "text"],
+}
+MODEL_CASES = {
+    "wbcd_model.json": ["wbcd", "--data", WBCD, "--ablate", "A"],
+    "iris_model.json": ["iris", "--data", IRIS, "--runs", "1"],
+}
+
+_RUNTIME = re.compile(r',\n  "runtime_seconds": [^\n]*|^runtime: [^\n]*\n', re.MULTILINE)
+
+
+def stable_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == 0, f"{argv}: exit code {code}"
+    return _RUNTIME.sub("", out.getvalue())
+
+
+def dumped_model(argv: list[str], path: Path) -> str:
+    stable_stdout(argv + ["--dump-model", str(path)])
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_matches_golden(name):
+    expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert stable_stdout(STDOUT_CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_model_dump_matches_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert dumped_model(MODEL_CASES[name], tmp_path / name) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in STDOUT_CASES.items():
+        (GOLDEN_DIR / name).write_text(stable_stdout(argv), encoding="utf-8")
+    for name, argv in MODEL_CASES.items():
+        (GOLDEN_DIR / name).write_text(dumped_model(argv, GOLDEN_DIR / name), encoding="utf-8")
+    sys.stdout.write(f"wrote {len(STDOUT_CASES) + len(MODEL_CASES)} files to {GOLDEN_DIR}\n")
