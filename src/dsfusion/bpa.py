@@ -11,7 +11,7 @@ feature-selection scores from labelled samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -113,18 +113,6 @@ class BoundaryModel:
         return self.bounds[feature]
 
 
-@dataclass(frozen=True)
-class DistanceModel:
-    """Per-class mean of one feature, for nearest-mean assignment."""
-
-    feature: int
-    means: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(not math.isfinite(m) for m in self.means):
-            raise ValueError(f"class means must be finite: {self.means}")
-
-
 def modified_median_threshold(
     values: Sequence[float], normal_count: int, total_count: int
 ) -> float:
@@ -185,18 +173,17 @@ def _table_mass_cached(signal_value: int, bpa: TableBpa) -> MassFunction:
     return MassFunction(BINARY_FRAME, {1: m_normal, 2: m_abnormal, 3: m_theta})
 
 
-def fit_boundaries(samples: Sequence[Sample], n_features: int, n_classes: int = 3) -> BoundaryModel:
-    """Observed (min, max) per feature and class over labelled samples."""
-    per_class: list[list[list[float]]] = [
-        [[] for _ in range(n_classes)] for _ in range(n_features)
-    ]
+def fit_boundaries(samples: Sequence[Sample]) -> BoundaryModel:
+    """Observed (min, max) per feature and class over samples labelled 0..2."""
+    n_features = len(samples[0][0])
+    per_class: list[list[list[float]]] = [[[] for _ in range(3)] for _ in range(n_features)]
     for features, label in samples:
         for f in range(n_features):
             per_class[f][label].append(features[f])
     bounds = []
     for f in range(n_features):
         row = []
-        for c in range(n_classes):
+        for c in range(3):
             values = per_class[f][c]
             if not values:
                 raise ValueError(f"class {c} has no training records")
@@ -278,75 +265,50 @@ def select_feature(samples: Sequence[Sample], classes: Sequence[int]) -> int:
 
 
 def distance_mass(
-    value: float, model: DistanceModel, frame: Frame, confidence: float = 0.8
+    value: float, means: Sequence[float], frame: Frame, confidence: float = 0.8
 ) -> MassFunction:
     """Mass on the class whose mean is nearest to the value; rest on the frame.
 
     Ties go to the lowest class index.
     """
-    if len(model.means) != 3 or frame.size != 3:
+    if len(means) != 3 or frame.size != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
-    diffs = [abs(value - mean) for mean in model.means]
+    diffs = [abs(value - mean) for mean in means]
     nearest = min(range(3), key=lambda c: (diffs[c], c))
     return MassFunction(frame, {1 << nearest: confidence, frame.full_mask: 1.0 - confidence})
 
 
-BpaModel = SigmoidBpa | ScaledSigmoidBpa | TableBpa | BoundaryModel | DistanceModel
+BpaModel = SigmoidBpa | ScaledSigmoidBpa | TableBpa | BoundaryModel
 
+# The JSON kind tag of every bpa model; its dict holds the dataclass fields.
 _BPA_KINDS = {
-    SigmoidBpa: "sigmoid",
-    ScaledSigmoidBpa: "scaled_sigmoid",
-    TableBpa: "table",
-    BoundaryModel: "boundary",
-    DistanceModel: "distance",
+    "sigmoid": SigmoidBpa,
+    "scaled_sigmoid": ScaledSigmoidBpa,
+    "table": TableBpa,
+    "boundary": BoundaryModel,
 }
+_BPA_TAGS = {cls: kind for kind, cls in _BPA_KINDS.items()}
+
+
+def _to_json(value):
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _from_json(value):
+    return tuple(_from_json(v) for v in value) if isinstance(value, list) else float(value)
 
 
 def bpa_to_dict(model: BpaModel) -> dict:
-    """JSON-ready dict for a bpa model: a kind tag plus the numeric fields."""
-    kind = _BPA_KINDS.get(type(model))
+    """JSON-ready dict for a bpa model: a kind tag, then its fields in order."""
+    kind = _BPA_TAGS.get(type(model))
     if kind is None:
         raise TypeError(f"not a bpa model: {type(model).__name__}")
-    if isinstance(model, SigmoidBpa):
-        return {"kind": kind, "threshold": model.threshold}
-    if isinstance(model, ScaledSigmoidBpa):
-        return {
-            "kind": kind,
-            "threshold": model.threshold,
-            "floor": model.floor,
-            "ceiling": model.ceiling,
-            "theta_mass": model.theta_mass,
-        }
-    if isinstance(model, TableBpa):
-        return {"kind": kind, "rows": [list(row) for row in model.rows]}
-    if isinstance(model, BoundaryModel):
-        return {
-            "kind": kind,
-            "bounds": [[list(rng) for rng in per_class] for per_class in model.bounds],
-        }
-    return {"kind": kind, "feature": model.feature, "means": list(model.means)}
+    return {"kind": kind, **{f.name: _to_json(getattr(model, f.name)) for f in fields(model)}}
 
 
 def bpa_from_dict(data: Mapping) -> BpaModel:
-    """Inverse of :func:`bpa_to_dict`."""
-    kind = data.get("kind")
-    if kind == "sigmoid":
-        return SigmoidBpa(float(data["threshold"]))
-    if kind == "scaled_sigmoid":
-        return ScaledSigmoidBpa(
-            float(data["threshold"]),
-            float(data["floor"]),
-            float(data["ceiling"]),
-            float(data["theta_mass"]),
-        )
-    if kind == "table":
-        rows = tuple(tuple(float(v) for v in row) for row in data["rows"])
-        return TableBpa(rows)  # type: ignore[arg-type]
-    if kind == "boundary":
-        bounds = tuple(
-            tuple((float(lo), float(hi)) for lo, hi in per_class) for per_class in data["bounds"]
-        )
-        return BoundaryModel(bounds)
-    if kind == "distance":
-        return DistanceModel(int(data["feature"]), tuple(float(m) for m in data["means"]))
-    raise ValueError(f"unknown bpa kind {kind!r}")
+    """Inverse of :func:`bpa_to_dict`; arrays come back as tuples of floats."""
+    cls = _BPA_KINDS.get(data.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown bpa kind {data.get('kind')!r}")
+    return cls(**{f.name: _from_json(data[f.name]) for f in fields(cls)})

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 from .bpa import (
     BoundaryModel,
-    DistanceModel,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
@@ -135,12 +134,14 @@ class ThreeClassModel:
             raise ValueError("three-class model needs a frame of exactly 3 labels")
         if len(self.means) != self.boundaries.n_features:
             raise ValueError("means and boundaries must cover the same features")
+        if not all(math.isfinite(m) for row in self.means for m in row):
+            raise ValueError(f"class means must be finite: {self.means}")
 
 
 def train_three_class(samples: Sequence[Sample], frame: Frame) -> ThreeClassModel:
     """Fit boundaries, class means, and the per-class-group feature choices."""
     n_features = len(samples[0][0])
-    boundaries = fit_boundaries(samples, n_features, 3)
+    boundaries = fit_boundaries(samples)
     means = []
     for f in range(n_features):
         per_class = []
@@ -176,7 +177,7 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
         return Prediction(candidate.labels[0], step1, {"decided": "step1"})
     group_bits = frame.full_mask if candidate.is_theta else candidate.bits
     feature = model.selected[group_bits]
-    step2 = distance_mass(record[feature], DistanceModel(feature, model.means[feature]), frame)
+    step2 = distance_mass(record[feature], model.means[feature], frame)
     final = combine(step1, step2)
     beliefs = [belief(final, frame.singleton(label)) for label in frame.labels]
     winner = max(range(3), key=lambda c: (beliefs[c], -c))

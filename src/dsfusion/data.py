@@ -464,12 +464,16 @@ def evaluate(
 
     ``wbcd`` and ``iris`` cross-validate with the given fold plan and read
     ``features``; ``email`` classifies every record as one fold with the
-    fixed default model and reads ``signals``.
+    fixed default model and reads ``signals``. A training fold the
+    trainer cannot fit (e.g. too few records of a class) is an input
+    error, raised as :class:`DataFormatError`.
     """
     start = time.perf_counter()
     spec = TASKS.get(task)
     if spec is None:
         raise ValueError(f"unknown task {task!r}")
+    if not dataset.records:
+        raise DataFormatError("the record set is empty: there are no records to evaluate")
     if not spec.cross_validates:
         if folds is not None:
             raise ValueError(f"the {task} task does not cross-validate")
@@ -485,7 +489,14 @@ def evaluate(
     misclassified = []
     details = []
     for fold in range(folds.k):
-        model = spec.train(dataset.samples(folds.train_indices(fold)), dataset)
+        train = dataset.samples(folds.train_indices(fold))
+        try:
+            model = spec.train(train, dataset)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"fold {fold + 1} of {folds.k}: cannot train on its "
+                f"{len(train)} training records: {exc}"
+            ) from exc
         correct = 0
         test_indices = folds.test_indices(fold)
         for i in test_indices:

@@ -1,5 +1,6 @@
 """Unit and property tests for the mass-assignment builders."""
 
+import json
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from dsfusion import (
     BINARY_FRAME,
     BoundaryModel,
-    DistanceModel,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
@@ -171,22 +171,22 @@ class TestTableMass:
 class TestFitBoundaries:
     def test_single_record_per_class(self):
         samples = [((1.0, 5.0), 0), ((2.0, 6.0), 1), ((3.0, 7.0), 2)]
-        model = fit_boundaries(samples, 2, 3)
+        model = fit_boundaries(samples)
         assert model.feature_bounds(0) == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
 
     def test_min_max_observed(self):
         samples = [((4.3,), 0), ((5.8,), 0), ((5.0,), 0), ((4.9,), 1), ((6.9,), 1),
                    ((4.9,), 2), ((7.9,), 2)]
-        model = fit_boundaries(samples, 1, 3)
+        model = fit_boundaries(samples)
         assert model.feature_bounds(0) == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_boundaries([((1.0,), 0), ((2.0,), 1)], 1, 3)
+            fit_boundaries([((1.0,), 0), ((2.0,), 1)])
 
     def test_identical_classes_identical_ranges(self):
         samples = [((1.0,), 0), ((2.0,), 0), ((1.0,), 1), ((2.0,), 1), ((1.0,), 2), ((2.0,), 2)]
-        model = fit_boundaries(samples, 1, 3)
+        model = fit_boundaries(samples)
         assert model.feature_bounds(0)[0] == model.feature_bounds(0)[1]
 
 
@@ -306,43 +306,49 @@ class TestSelectFeature:
 
 
 class TestDistanceMass:
-    MODEL = DistanceModel(0, (1.0, 2.0, 3.0))
+    MEANS = (1.0, 2.0, 3.0)
 
     def test_exact_mean_wins(self):
-        m = distance_mass(1.0, self.MODEL, THREE)
+        m = distance_mass(1.0, self.MEANS, THREE)
         assert m.mass_bits(0b001) == 0.8
         assert m.mass_bits(0b111) == pytest.approx(0.2)
 
     def test_nearest_mean_wins(self):
-        m = distance_mass(2.4, self.MODEL, THREE)
+        m = distance_mass(2.4, self.MEANS, THREE)
         assert m.mass_bits(0b010) == 0.8
 
     def test_tie_goes_to_lowest_class(self):
-        model = DistanceModel(0, (1.0, 3.0, 100.0))
-        m = distance_mass(2.0, model, THREE)
+        m = distance_mass(2.0, (1.0, 3.0, 100.0), THREE)
         assert m.mass_bits(0b001) == 0.8
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_translation_invariance(self, shift):
-        m1 = distance_mass(2.4, self.MODEL, THREE)
-        shifted_model = DistanceModel(0, tuple(v + shift for v in self.MODEL.means))
-        m2 = distance_mass(2.4 + shift, shifted_model, THREE)
+        m1 = distance_mass(2.4, self.MEANS, THREE)
+        m2 = distance_mass(2.4 + shift, tuple(v + shift for v in self.MEANS), THREE)
         assert {s.bits for s, _ in m1.items()} == {s.bits for s, _ in m2.items()}
 
 
+# One model of every bpa kind.
+BPA_MODELS = [
+    SigmoidBpa(4.5),
+    ScaledSigmoidBpa(30.0, 0.3, 0.7, 0.01),
+    TableBpa(((0.9, 0.09, 0.01), (0.1, 0.89, 0.01))),
+    BoundaryModel(TRAINING_BOUNDS),
+]
+
+
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            SigmoidBpa(4.5),
-            ScaledSigmoidBpa(30.0, 0.3, 0.7, 0.01),
-            TableBpa(((0.9, 0.09, 0.01), (0.1, 0.89, 0.01))),
-            BoundaryModel(TRAINING_BOUNDS),
-            DistanceModel(2, (1.464, 4.26, 5.552)),
-        ],
-    )
+    @pytest.mark.parametrize("model", BPA_MODELS)
     def test_round_trip(self, model):
         assert bpa_from_dict(bpa_to_dict(model)) == model
+
+    @pytest.mark.parametrize("model", BPA_MODELS)
+    def test_round_trip_through_json_text(self, model):
+        # JSON has no tuples: the arrays must come back as tuples of floats
+        # for the model to compare equal and stay hashable.
+        restored = bpa_from_dict(json.loads(json.dumps(bpa_to_dict(model))))
+        assert restored == model
+        hash(restored)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -355,7 +361,7 @@ def test_every_builder_output_is_normalized():
         scaled_sigmoid_mass(12.0, ScaledSigmoidBpa(30.0, 0.3, 0.7, 0.01)),
         table_mass(0, TableBpa(((0.6, 0.39, 0.01), (0.4, 0.59, 0.01)))),
         boundary_mass(3.4, TRAINING_BOUNDS[1], THREE),
-        distance_mass(2.4, DistanceModel(0, (1.0, 2.0, 3.0)), THREE),
+        distance_mass(2.4, (1.0, 2.0, 3.0), THREE),
     ]
     for m in outputs:
         assert abs(sum(v for _, v in m.items()) - 1.0) <= 1e-9

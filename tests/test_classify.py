@@ -179,6 +179,18 @@ class TestClassifyThreeClass:
         assert pred.trace["feature"] == 3
         assert pred.label in ("Versicolour", "Virginica")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mean_rejected(self, bad):
+        means = ((5.0, 5.9, 6.6), (3.4, bad, 3.0), (1.5, 4.3, 5.6), (0.2, 1.3, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            ThreeClassModel(IRIS_FRAME, BoundaryModel(TRAINING_BOUNDS), means, {0b111: 1})
+
+    def test_non_finite_mean_rejected_from_json(self):
+        data = classifier_to_dict(three_class_model())
+        data["means"][2][0] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            classifier_from_dict(json.loads(json.dumps(data)))
+
     def test_train_three_class_covers_groups(self, iris_dataset):
         model = train_three_class(iris_dataset.samples(), IRIS_FRAME)
         assert set(model.selected) == {0b011, 0b101, 0b110, 0b111}
@@ -322,6 +334,18 @@ class TestClassifierSerialization:
     def test_email_round_trip(self):
         model = email_model_default()
         assert classifier_from_dict(classifier_to_dict(model)) == model
+
+    def test_every_kind_round_trips_through_json_text(self, iris_dataset):
+        models = [
+            train_binary([(float(i), float(i * 2)) for i in range(10)], [0] * 6 + [1] * 4),
+            train_three_class(iris_dataset.samples(), IRIS_FRAME),
+            email_model_default(),
+        ]
+        for model in models:
+            data = classifier_to_dict(model)
+            restored = classifier_from_dict(json.loads(json.dumps(data)))
+            assert restored == model
+            assert classifier_to_dict(restored) == data
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

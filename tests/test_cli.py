@@ -22,6 +22,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv):
+    # A separate interpreter, so an uncaught exception would print its
+    # traceback to stderr instead of failing inside the test.
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run(
+        [sys.executable, "-c", "from dsfusion.cli import run; run()", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestWbcdCommand:
     def test_full_fusion_accuracy(self, capsys):
         code, out, _ = run_cli(
@@ -116,6 +126,23 @@ class TestIrisCommand:
         assert len(payload["runs_detail"]) == 2
 
 
+    @pytest.mark.parametrize(
+        "folds, cause",
+        [("2", "class 1 has no training records"),
+         ("5", "every class needs at least two values for a sample sd")],
+    )
+    def test_fold_too_small_to_train_exits_3_without_traceback(self, tmp_path, folds, cause):
+        # 5/5/2 records per class: some training fold lacks enough of a class.
+        lines = IRIS_PATH.read_text().splitlines()
+        path = tmp_path / "iris12.data"
+        path.write_text("\n".join(lines[0:5] + lines[50:55] + lines[100:102]) + "\n")
+        result = run_cli_process("iris", "--data", str(path), "--runs", "1", "--folds", folds)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: fold ")
+        assert "training records: " + cause in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestEmailCommand:
     def test_generated_corpus_all_worms_detected(self, capsys):
         code, out, _ = run_cli(capsys, "email", "--generate", "--seed", "7")
@@ -151,16 +178,9 @@ class TestEmailCommand:
 
     @pytest.mark.parametrize("rows", ["1,nan,1,1,0,worm\n", "1,inf,1,1,0,worm\n", ""])
     def test_bad_csv_exits_3_without_traceback(self, tmp_path, rows):
-        # A separate interpreter, so an uncaught exception would print its
-        # traceback to stderr instead of failing inside the test.
         path = tmp_path / "bad.csv"
         path.write_text(",".join(EMAIL_HEADER) + "\n" + rows)
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        result = subprocess.run(
-            [sys.executable, "-c", "from dsfusion.cli import run; run()",
-             "email", "--data", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        result = run_cli_process("email", "--data", str(path))
         assert result.returncode == 3
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr

@@ -281,6 +281,22 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="feature value must be finite"):
             evaluate(dataset, "wbcd", folds=make_folds(12, 2, 0))
 
+    @pytest.mark.parametrize("task", ["wbcd", "iris", "email"])
+    def test_empty_record_set_rejected(self, task):
+        # No fold plan can cover zero records, so none is passed.
+        dataset = RecordSet((), ("A",), ("normal", "abnormal"))
+        with pytest.raises(DataFormatError, match="no records to evaluate"):
+            evaluate(dataset, task)
+
+    def test_untrainable_fold_is_an_input_error(self, iris_dataset):
+        # 5/5/2 records per class: with two folds, one training half lacks a class
+        records = [r for r in iris_dataset if r.id - 50 * r.label <= (5, 5, 2)[r.label]]
+        dataset = RecordSet(tuple(records), iris_dataset.feature_names, iris_dataset.label_names)
+        with pytest.raises(DataFormatError, match=r"^fold \d of 2: .* its 6 training") as info:
+            evaluate(dataset, "iris", folds=make_folds(12, 2, 42))
+        assert str(info.value).endswith("has no training records")
+        assert type(info.value.__cause__) is ValueError
+
     def test_unknown_task_rejected(self, iris_dataset):
         with pytest.raises(ValueError):
             evaluate(iris_dataset, "sonar", folds=make_folds(150, 10, 0))

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from dsfusion import classifier_to_dict, email_model_default
 from dsfusion.cli import main
 
 from conftest import IRIS_PATH, WBCD_PATH
@@ -37,6 +39,10 @@ MODEL_CASES = {
     "iris_model.json": ["iris", "--data", IRIS, "--runs", "1"],
 }
 
+# The email model has no training phase and no --dump-model, so its file is
+# the stock model written the way --dump-model writes a classifier.
+EMAIL_MODEL = "email_model.json"
+
 _RUNTIME = re.compile(r',\n  "runtime_seconds": [^\n]*|^runtime: [^\n]*\n', re.MULTILINE)
 
 
@@ -53,6 +59,10 @@ def dumped_model(argv: list[str], path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def email_model_json() -> str:
+    return json.dumps(classifier_to_dict(email_model_default()), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES))
 def test_stdout_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
@@ -65,10 +75,15 @@ def test_model_dump_matches_golden(name, tmp_path):
     assert dumped_model(MODEL_CASES[name], tmp_path / name) == expected
 
 
+def test_email_model_matches_golden():
+    assert email_model_json() == (GOLDEN_DIR / EMAIL_MODEL).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in STDOUT_CASES.items():
         (GOLDEN_DIR / name).write_text(stable_stdout(argv), encoding="utf-8")
     for name, argv in MODEL_CASES.items():
         (GOLDEN_DIR / name).write_text(dumped_model(argv, GOLDEN_DIR / name), encoding="utf-8")
-    sys.stdout.write(f"wrote {len(STDOUT_CASES) + len(MODEL_CASES)} files to {GOLDEN_DIR}\n")
+    (GOLDEN_DIR / EMAIL_MODEL).write_text(email_model_json(), encoding="utf-8")
+    sys.stdout.write(f"wrote {len(STDOUT_CASES) + len(MODEL_CASES) + 1} files to {GOLDEN_DIR}\n")
