@@ -22,19 +22,22 @@ BINARY_FRAME = make_frame(BINARY_LABELS)
 
 ROW_TOL = 1e-9
 
-# Saturated sigmoids are clamped so both hypotheses keep a sliver of mass;
-# finite precision must not manufacture certainty.
+# sigmoid_mass clamps saturated sigmoids so both hypotheses keep a sliver
+# of mass. The clamp shapes that builder's output only: classify_binary
+# fuses the exact log-odds sum, so the clamp decides no label.
 MASS_EPS = 1e-15
 
 Sample = tuple[Sequence[float], int]
+# One source's (m_normal, m_abnormal, m_theta) over the binary frame.
+MassRow = tuple[float, float, float]
 
 
 class DegenerateFeatureError(ValueError):
     """A feature whose pooled values have zero spread cannot be scored."""
 
 
-def _logistic(x: float) -> float:
-    # 1 / (1 + e^-x) with overflow guards; math.exp overflows past ~709.
+def logistic(x: float) -> float:
+    """1 / (1 + e^-x), saturating to exactly 0 or 1 where ``math.exp`` would overflow."""
     if x > 709:
         return 1.0
     if x < -709:
@@ -83,7 +86,7 @@ class ScaledSigmoidBpa:
 class TableBpa:
     """Per-signal-value rows of (m_normal, m_abnormal, m_theta), indexed 0/1."""
 
-    rows: tuple[tuple[float, float, float], tuple[float, float, float]]
+    rows: tuple[MassRow, MassRow]
 
     def __post_init__(self) -> None:
         for value, row in enumerate(self.rows):
@@ -139,38 +142,47 @@ def sigmoid_mass(value: float, bpa: SigmoidBpa) -> MassFunction:
     """
     if not math.isfinite(value):
         raise ValueError(f"feature value must be finite, got {value}")
-    m_normal = _logistic(bpa.threshold - value)
+    m_normal = logistic(bpa.threshold - value)
     m_normal = min(max(m_normal, MASS_EPS), 1.0 - MASS_EPS)
     return MassFunction(BINARY_FRAME, {1: m_normal, 2: 1.0 - m_normal})
 
 
+def binary_row_mass(row: MassRow) -> MassFunction:
+    """The validated mass function of one (m_normal, m_abnormal, m_theta) row."""
+    m_normal, m_abnormal, m_theta = row
+    return MassFunction(BINARY_FRAME, {1: m_normal, 2: m_abnormal, 3: m_theta})
+
+
+# The classifiers fuse rows directly, so these caches serve only the public
+# mass builders. The sigmoid saturates outside a narrow band, so keying the
+# scaled one on the computed row keeps it small.
+_scaled_mass_cached = lru_cache(maxsize=8192)(binary_row_mass)
+_table_mass_cached = lru_cache(maxsize=None)(binary_row_mass)
+
+
+def scaled_sigmoid_row(value: float, bpa: ScaledSigmoidBpa) -> MassRow:
+    """The row of :func:`scaled_sigmoid_mass`, without building the mass function."""
+    if not value >= 0:
+        raise ValueError(f"signal value must be non-negative, got {value}")
+    m_normal = (bpa.ceiling - bpa.floor) * logistic(bpa.threshold - value) + bpa.floor
+    return m_normal, 1.0 - m_normal - bpa.theta_mass, bpa.theta_mass
+
+
 def scaled_sigmoid_mass(value: float, bpa: ScaledSigmoidBpa) -> MassFunction:
     """Sigmoid mass between floor and ceiling, with fixed ignorance mass."""
-    if value < 0:
-        raise ValueError(f"signal value must be non-negative, got {value}")
-    m_normal = (bpa.ceiling - bpa.floor) * _logistic(bpa.threshold - value) + bpa.floor
-    return _scaled_mass_cached(m_normal, bpa.theta_mass)
+    return _scaled_mass_cached(scaled_sigmoid_row(value, bpa))
 
 
-@lru_cache(maxsize=8192)
-def _scaled_mass_cached(m_normal: float, theta_mass: float) -> MassFunction:
-    # The sigmoid saturates outside a narrow band, so sweeps over wide value
-    # ranges produce few distinct masses; keying on the computed value keeps
-    # the cache small.
-    return MassFunction(BINARY_FRAME, {1: m_normal, 2: 1.0 - m_normal - theta_mass, 3: theta_mass})
+def table_row(signal_value: int, bpa: TableBpa) -> MassRow:
+    """The row of :func:`table_mass`, without building the mass function."""
+    if signal_value not in (0, 1):
+        raise ValueError(f"binary signal value must be 0 or 1, got {signal_value!r}")
+    return bpa.rows[signal_value]
 
 
 def table_mass(signal_value: int, bpa: TableBpa) -> MassFunction:
     """Exact row lookup for a binary signal."""
-    if signal_value not in (0, 1):
-        raise ValueError(f"binary signal value must be 0 or 1, got {signal_value!r}")
-    return _table_mass_cached(signal_value, bpa)
-
-
-@lru_cache(maxsize=None)
-def _table_mass_cached(signal_value: int, bpa: TableBpa) -> MassFunction:
-    m_normal, m_abnormal, m_theta = bpa.rows[signal_value]
-    return MassFunction(BINARY_FRAME, {1: m_normal, 2: m_abnormal, 3: m_theta})
+    return _table_mass_cached(table_row(signal_value, bpa))
 
 
 def fit_boundaries(samples: Sequence[Sample]) -> BoundaryModel:

@@ -13,20 +13,23 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .bpa import (
+    BINARY_FRAME,
     BoundaryModel,
+    MassRow,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
+    binary_row_mass,
     bpa_from_dict,
     bpa_to_dict,
     distance_mass,
     boundary_mass,
     fit_boundaries,
+    logistic,
     modified_median_threshold,
-    scaled_sigmoid_mass,
+    scaled_sigmoid_row,
     select_feature,
-    sigmoid_mass,
-    table_mass,
+    table_row,
 )
 from .evidence import (
     Frame,
@@ -35,6 +38,7 @@ from .evidence import (
     belief,
     combine,
     combine_all,
+    combine_binary,
     make_frame,
 )
 
@@ -103,11 +107,13 @@ def classify_binary(
     """Fuse one sigmoid mass per selected non-missing feature.
 
     With no mass on the whole frame, Dempster's rule over {normal, abnormal}
-    multiplies the features' odds e^(v_f - t_f), so the record is abnormal
-    iff the sum of (v_f - t_f) over the used features is > 0. The sum is
-    taken exactly (``math.fsum`` is correctly rounded, so its sign is
-    exact) and ties go to normal. The reported mass is the pairwise
-    ``combine_all`` fusion of the same sigmoid masses.
+    multiplies the features' odds e^(v_f - t_f), so the fused abnormal mass
+    is logistic(S) for S the sum of (v_f - t_f) over the used features, and
+    the record is abnormal iff S > 0. S is taken exactly (``math.fsum`` is
+    correctly rounded, so its sign is exact) and ties go to normal. The
+    reported mass (logistic(-S), logistic(S)) comes from S alone: no
+    per-feature mass is built, and ``sigmoid_mass``'s saturation clamp
+    cannot turn a log-odds tie into total conflict.
     """
     selected = range(model.n_features) if features is None else features
     if not selected:
@@ -115,9 +121,12 @@ def classify_binary(
     used = [f for f in selected if record[f] is not None]
     if not used:
         raise ValueError("record has no value for any selected feature")
-    combined = combine_all([sigmoid_mass(record[f], model.bpas[f]) for f in used])
+    for f in used:
+        if not math.isfinite(record[f]):
+            raise ValueError(f"feature value must be finite, got {record[f]}")
     score = math.fsum([x for f in used for x in (record[f], -model.bpas[f].threshold)])
-    return Prediction("abnormal" if score > 0 else "normal", combined, {"features": used})
+    mass = combine_binary(BINARY_FRAME, [(logistic(-score), logistic(score), 0.0)])
+    return Prediction("abnormal" if score > 0 else "normal", mass, {"features": used})
 
 
 @dataclass(frozen=True)
@@ -213,29 +222,34 @@ def email_model_default() -> EmailModel:
     )
 
 
-def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) -> MassFunction:
-    """The mass one signal assigns to one message."""
+def email_signal_row(message: Sequence[float], signal: int, model: EmailModel) -> MassRow:
+    """The (m_normal, m_abnormal, m_theta) one signal assigns to one message."""
     interval, spoofed, dangerous, benign = message
     if signal == 1:
-        return scaled_sigmoid_mass(interval, model.interval_bpa)
+        return scaled_sigmoid_row(interval, model.interval_bpa)
     if signal == 2:
-        return table_mass(int(spoofed), model.spoofed_bpa)
+        return table_row(int(spoofed), model.spoofed_bpa)
     if signal == 3:
-        return table_mass(int(dangerous), model.dangerous_bpa)
+        return table_row(int(dangerous), model.dangerous_bpa)
     if signal == 4:
-        return table_mass(int(benign), model.benign_bpa)
+        return table_row(int(benign), model.benign_bpa)
     raise ValueError(f"unknown signal {signal}")
+
+
+def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) -> MassFunction:
+    """The mass one signal assigns to one message."""
+    return binary_row_mass(email_signal_row(message, signal, model))
 
 
 def classify_email(
     message: Sequence[float], model: EmailModel, signals: Sequence[int] | None = None
 ) -> Prediction:
-    """Fuse the active signals' masses; abnormal wins only on strictly
-    greater mass."""
+    """Fuse the active signals' masses in closed form (``combine_binary``);
+    abnormal wins only on strictly greater mass."""
     active = sorted(model.signals) if signals is None else sorted(set(signals))
     if not active or any(s not in EMAIL_SIGNALS for s in active):
         raise ValueError(f"signals must be a nonempty subset of {EMAIL_SIGNALS}, got {signals}")
-    combined = combine_all([email_signal_mass(message, s, model) for s in active])
+    combined = combine_binary(BINARY_FRAME, [email_signal_row(message, s, model) for s in active])
     label = "abnormal" if combined.mass_bits(2) > combined.mass_bits(1) else "normal"
     return Prediction(label, combined, {"signals": active})
 

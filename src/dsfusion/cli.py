@@ -134,7 +134,7 @@ def _emit(report, args) -> None:
 
 
 def _dump_model(dataset, task: str, path: Path) -> None:
-    model = harness.TASKS[task].train(dataset.samples(), dataset)
+    model = harness.TASKS[task].fit(dataset.samples(), dataset, "the model dump")
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 

@@ -417,6 +417,16 @@ class Task:
     default: Callable
     cross_validates: bool
 
+    def fit(self, samples: Sequence, dataset: RecordSet, where: str):
+        """Train on ``samples``; a set the trainer cannot fit (e.g. too few
+        records of a class) is an input error, raised as :class:`DataFormatError`."""
+        try:
+            return self.train(samples, dataset)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{where}: cannot train on its {len(samples)} training records: {exc}"
+            ) from exc
+
 
 # The entries reach the trainers and classifiers through this module's
 # globals at call time, so rebinding those names (e.g. to trace them)
@@ -490,13 +500,7 @@ def evaluate(
     details = []
     for fold in range(folds.k):
         train = dataset.samples(folds.train_indices(fold))
-        try:
-            model = spec.train(train, dataset)
-        except ValueError as exc:
-            raise DataFormatError(
-                f"fold {fold + 1} of {folds.k}: cannot train on its "
-                f"{len(train)} training records: {exc}"
-            ) from exc
+        model = spec.fit(train, dataset, f"fold {fold + 1} of {folds.k}")
         correct = 0
         test_indices = folds.test_indices(fold)
         for i in test_indices:

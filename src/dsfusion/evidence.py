@@ -211,8 +211,9 @@ def _require_same_frame(a: Frame, b: Frame) -> None:
 
 
 def _trusted_mass(frame: Frame, masses: dict[int, float]) -> MassFunction:
-    # Construction for combine's output only: normalized products of valid
-    # mass functions already satisfy the invariants, so skip re-validation.
+    # Construction for the combination rules' output only: normalized
+    # products of valid masses already satisfy the invariants, so skip
+    # re-validation.
     m = object.__new__(MassFunction)
     object.__setattr__(m, "frame", frame)
     object.__setattr__(m, "_masses", masses)
@@ -280,6 +281,36 @@ def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
     for m in masses[1:]:
         result = combine(result, m)
     return result
+
+
+def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> MassFunction:
+    """Dempster's rule over a two-label frame, in closed form.
+
+    Each row is one source's masses (m(label 0), m(label 1), m(Θ)). On two
+    labels the rule multiplies commonalities Q(0) = m_0 + m_Θ,
+    Q(1) = m_1 + m_Θ and Q(Θ) = m_Θ: the fused masses are proportional to
+    ΠQ(0) - ΠQ(Θ), ΠQ(1) - ΠQ(Θ) and ΠQ(Θ), and their sum
+    ΠQ(0) + ΠQ(1) - ΠQ(Θ) is 1 - K (Smets 1990; Barnett 1981). The result
+    is the fold of ``combine`` over the rows' mass functions, in one pass
+    and without building them; rows are trusted to be valid masses.
+    Raises TotalConflictError when the fused K reaches 1 - ``IDENTITY_TOL``,
+    the bound ``combine`` applies to each pair.
+    """
+    if frame.size != 2:
+        raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
+    if not rows:
+        raise EvidenceError("combine_binary needs at least one row")
+    q0 = q1 = qt = 1.0
+    for m0, m1, mt in rows:
+        q0 *= m0 + mt
+        q1 *= m1 + mt
+        qt *= mt
+    norm = q0 + q1 - qt
+    k = 1.0 - norm
+    if k >= 1.0 - IDENTITY_TOL:
+        raise TotalConflictError(f"total conflict between sources (K={k!r})")
+    fused = ((1, (q0 - qt) / norm), (2, (q1 - qt) / norm), (3, qt / norm))
+    return _trusted_mass(frame, {bits: v for bits, v in fused if v > 0})
 
 
 def belief(m: MassFunction, subset: HypothesisSet) -> float:

@@ -61,6 +61,28 @@ def oracle_combine(
     return {s: v / (1.0 - k) for s, v in acc.items()}, k
 
 
+def exact_binary_fold(rows) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
+    """Exact pairwise Dempster fold of (m_0, m_1, m_theta) rows on two labels.
+
+    The float rows are taken as exact rationals and combined one source at
+    a time (intersect, drop the conflict, renormalize) in Fraction
+    arithmetic, with no commonality shortcut. Returns the fused masses and
+    1 - K, the product of the step normalizers (0 under total conflict).
+    """
+    n, a, t = (Fraction(v) for v in rows[0])
+    one_minus_k = n + a + t
+    n, a, t = n / one_minus_k, a / one_minus_k, t / one_minus_k
+    for row in rows[1:]:
+        bn, ba, bt = (Fraction(v) for v in row)
+        n, a, t = n * bn + n * bt + t * bn, a * ba + a * bt + t * ba, t * bt
+        norm = n + a + t
+        one_minus_k *= norm
+        if norm == 0:
+            return (n, a, t), one_minus_k
+        n, a, t = n / norm, a / norm, t / norm
+    return (n, a, t), one_minus_k
+
+
 def oracle_binary_labels(records, features, folds, ties_abnormal=False) -> dict[int, int]:
     """Exact sigmoid-fusion labels (1 = abnormal) for every record, by id.
 

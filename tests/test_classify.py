@@ -2,10 +2,13 @@
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfusion import (
     BINARY_FRAME,
@@ -20,12 +23,13 @@ from dsfusion import (
     classify_three_class,
     email_model_default,
     make_frame,
+    sigmoid_mass,
     train_binary,
     train_three_class,
 )
-from dsfusion.classify import BinaryModel
+from dsfusion.classify import BinaryModel, email_signal_row
 
-from conftest import mass_to_frozensets, oracle_combine
+from conftest import exact_binary_fold, mass_to_frozensets, oracle_combine
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
 
@@ -138,9 +142,56 @@ class TestClassifyBinary:
         with pytest.raises(ValueError):
             classify_binary(record, self.MODEL, (0, 2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, bad):
+        record = (1.0, bad, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="feature value must be finite"):
+            classify_binary(record, self.MODEL)
+
+    def test_saturated_log_odds_tie_gets_an_answer(self):
+        # Alone, each feature saturates its sigmoid. Clamped per-feature
+        # masses fused pairwise put K within 2e-15 of 1, which raised
+        # TotalConflictError for what is a plain tie of the log-odds.
+        model = BinaryModel((SigmoidBpa(0.0), SigmoidBpa(0.0)), 0.5)
+        pred = classify_binary((40.0, -40.0), model)
+        assert pred.label == "normal"
+        assert (pred.mass.mass_bits(1), pred.mass.mass_bits(2)) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("letters", ["ABCDEFGHI", "ADI", "BCF", "A"])
+    def test_masses_match_exact_fold_on_wbcd(self, wbcd_dataset, letters):
+        model = train_binary([r.features for r in wbcd_dataset], [r.label for r in wbcd_dataset])
+        features = ["ABCDEFGHI".index(ch) for ch in letters]
+        for record in wbcd_dataset:
+            rows = []
+            for f in features:
+                if record.features[f] is not None:
+                    m = sigmoid_mass(record.features[f], model.bpas[f])
+                    rows.append((m.mass_bits(1), m.mass_bits(2), 0.0))
+            (normal, abnormal, _), _ = exact_binary_fold(rows)
+            pred = classify_binary(record.features, model, features)
+            assert abs(pred.mass.mass_bits(1) - float(normal)) <= 1e-14
+            assert abs(pred.mass.mass_bits(2) - float(abnormal)) <= 1e-14
+
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             classify_binary((1.0,) * 9, self.MODEL, ())
+
+
+_feature_value = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(_feature_value, _feature_value), min_size=1, max_size=9))
+def test_classify_binary_answers_every_finite_record(pairs):
+    # pairs of (value, threshold); the label is the exact sign of the
+    # log-odds sum, ties to normal, however saturated the features are.
+    model = BinaryModel(tuple(SigmoidBpa(t) for _, t in pairs), 0.5)
+    pred = classify_binary(tuple(v for v, _ in pairs), model)
+    score = sum(Fraction(v) - Fraction(t) for v, t in pairs)
+    assert pred.label == ("abnormal" if score > 0 else "normal")
+    normal, abnormal = pred.mass.mass_bits(1), pred.mass.mass_bits(2)
+    assert abs(normal + abnormal - 1.0) <= 1e-15
+    assert abnormal >= normal if score > 0 else normal >= abnormal
 
 
 class TestClassifyThreeClass:
@@ -265,6 +316,20 @@ class TestClassifyEmail:
         assert set(actual) == set(expected)
         for key, value in expected.items():
             assert actual[key] == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("flags", list(product((0, 1), repeat=3)))
+    def test_masses_match_exact_fold(self, flags):
+        subsets = [c for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
+        for interval in (0.0, 5.0, 29.5, 30.0, 45.0, 300.0, 1e6):
+            message = (interval, *flags)
+            for signals in subsets:
+                rows = [email_signal_row(message, s, self.MODEL) for s in signals]
+                exact, _ = exact_binary_fold(rows)
+                pred = classify_email(message, self.MODEL, signals)
+                for bits, value in zip((1, 2, 3), exact):
+                    assert abs(pred.mass.mass_bits(bits) - float(value)) <= 1e-14
+                if abs(exact[1] - exact[0]) > 1e-12:
+                    assert pred.label == ("abnormal" if exact[1] > exact[0] else "normal")
 
     def test_signal_subset(self):
         pred = classify_email((5.0, 1, 1, 0), self.MODEL, (1, 3, 4))

@@ -143,6 +143,19 @@ class TestIrisCommand:
         assert "Traceback" not in result.stderr
 
 
+    def test_dump_model_on_one_record_class_exits_3_without_traceback(self, tmp_path):
+        # 5/5/1 records per class: the whole set cannot train the model it dumps.
+        lines = IRIS_PATH.read_text().splitlines()
+        path = tmp_path / "iris11.data"
+        path.write_text("\n".join(lines[0:5] + lines[50:55] + lines[100:101]) + "\n")
+        model_path = tmp_path / "model.json"
+        result = run_cli_process("iris", "--data", str(path), "--dump-model", str(model_path))
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: ")
+        assert "every class needs at least two values for a sample sd" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestEmailCommand:
     def test_generated_corpus_all_worms_detected(self, capsys):
         code, out, _ = run_cli(capsys, "email", "--generate", "--seed", "7")

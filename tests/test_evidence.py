@@ -16,6 +16,7 @@ from dsfusion import (
     belief_interval,
     combine,
     combine_all,
+    combine_binary,
     conflict,
     make_frame,
     make_mass,
@@ -226,6 +227,40 @@ class TestCombineAll:
         assert combined.mass(frame.subset(["c2", "c3"])) == pytest.approx(0.0999, abs=1e-9)
         assert combined.mass(frame.subset(["c1", "c3"])) == pytest.approx(0.0009, abs=1e-9)
         assert combined.mass(frame.theta()) == pytest.approx(0.0001, abs=1e-9)
+
+
+class TestCombineBinary:
+    def test_matches_combine_example(self, binary):
+        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        combined = combine_binary(binary, [(0.6, 0.3, 0.1), (0.5, 0.4, 0.1)])
+        assert combined.mass(n) == pytest.approx(0.41 / 0.61, abs=1e-15)
+        assert combined.mass(a) == pytest.approx(0.19 / 0.61, abs=1e-15)
+        assert combined.mass(t) == pytest.approx(0.01 / 0.61, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+         ((1 - 1e-13, 1e-13, 0.0), (1e-13, 1 - 1e-13, 0.0))],
+    )
+    def test_total_conflict_raises_like_combine(self, binary, rows):
+        masses = [MassFunction(binary, {1: m0, 2: m1, 3: mt}) for m0, m1, mt in rows]
+        with pytest.raises(TotalConflictError):
+            combine(*masses)
+        with pytest.raises(TotalConflictError):
+            combine_binary(binary, rows)
+
+    def test_zero_masses_are_not_focal(self, binary):
+        combined = combine_binary(binary, [(0.5, 0.0, 0.5), (0.2, 0.0, 0.8)])
+        assert sorted(s.bits for s, _ in combined.items()) == [1, 3]
+        assert combined.mass_bits(3) == pytest.approx(0.4, abs=1e-15)
+
+    def test_empty_rows_rejected(self, binary):
+        with pytest.raises(EvidenceError):
+            combine_binary(binary, [])
+
+    def test_three_label_frame_rejected(self):
+        with pytest.raises(EvidenceError):
+            combine_binary(make_frame(["c1", "c2", "c3"]), [(0.5, 0.5, 0.0)])
 
 
 class TestBeliefPlausibility:

@@ -7,20 +7,24 @@ and the no-total-conflict guarantee once both sources keep ignorance mass.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsfusion import (
+    BINARY_FRAME,
     MassFunction,
+    TotalConflictError,
     belief,
     combine,
+    combine_all,
+    combine_binary,
     conflict,
     make_frame,
     plausibility,
     vacuous_mass,
 )
 
-from conftest import mass_to_frozensets, oracle_combine, subsets_of
+from conftest import exact_binary_fold, mass_to_frozensets, oracle_combine, subsets_of
 
 FRAMES = (make_frame(["normal", "abnormal"]), make_frame(["c1", "c2", "c3"]))
 
@@ -115,3 +119,49 @@ def test_shared_ignorance_prevents_total_conflict(m1, m2):
         return
     assert conflict(m1, m2) <= 1 - 1e-4
     combine(m1, m2)
+
+
+# A weight is exactly zero often enough that rows with zero entries
+# (dogmatic, one-sided or vacuous sources) are common.
+_weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def binary_rows(draw, max_sources: int):
+    """1..max_sources (m_normal, m_abnormal, m_theta) rows of valid masses."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_sources))):
+        weights = draw(st.tuples(_weight, _weight, _weight).filter(lambda ws: sum(ws) > 1e-3))
+        total = sum(weights)
+        rows.append(tuple(w / total for w in weights))
+    return rows
+
+
+@settings(max_examples=300)
+@given(rows=binary_rows(max_sources=12))
+def test_combine_binary_matches_exact_fold(rows):
+    exact, one_minus_k = exact_binary_fold(rows)
+    try:
+        fused = combine_binary(BINARY_FRAME, rows)
+    except TotalConflictError:
+        # Raised exactly when K reaches 1 - 1e-12, up to the rounding of K.
+        assert one_minus_k <= 1.0001e-12
+        return
+    assert one_minus_k >= 0.9999e-12
+    for bits, value in zip((1, 2, 3), exact):
+        assert abs(fused.mass_bits(bits) - float(value)) <= 1e-14
+
+
+@settings(max_examples=300)
+@given(rows=binary_rows(max_sources=8))
+def test_combine_binary_matches_pairwise_combine(rows):
+    # Pairwise float folding loses accuracy as each step's conflict nears
+    # 1, so the 1e-12 comparison is made where the sources leave some
+    # agreement; the exact-fold test above covers the rest.
+    _, one_minus_k = exact_binary_fold(rows)
+    assume(one_minus_k > 1e-3)
+    masses = [MassFunction(BINARY_FRAME, {1: m0, 2: m1, 3: mt}) for m0, m1, mt in rows]
+    expected = combine_all(masses)
+    fused = combine_binary(BINARY_FRAME, rows)
+    for bits in (1, 2, 3):
+        assert abs(fused.mass_bits(bits) - expected.mass_bits(bits)) <= 1e-12
