@@ -5,7 +5,8 @@ trained threshold (binary frames), a scaled sigmoid with explicit floor,
 ceiling and ignorance mass, a lookup table for binary signals, and two
 three-class assignments driven by per-class value ranges and per-class
 means. Training helpers derive the thresholds, ranges, means and the
-feature-selection scores from labelled samples.
+feature-selection scores from labelled samples; the three-class ones read
+the samples grouped once by feature and class (:func:`class_columns`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ MASS_EPS = 1e-15
 Sample = tuple[Sequence[float], int]
 # One source's (m_normal, m_abnormal, m_theta) over the binary frame.
 MassRow = tuple[float, float, float]
+# Training values grouped by feature, then by class 0..2.
+Columns = list[list[list[float]]]
 
 
 class DegenerateFeatureError(ValueError):
@@ -45,12 +48,14 @@ def logistic(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def _sample_sd(values: Sequence[float]) -> float:
-    # Sample (n-1) standard deviation in plain float arithmetic;
-    # statistics.stdev's exact-fraction path is needlessly slow here.
+def mean_sd(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample (n-1) standard deviation, 0 for a single value, in plain
+    floats: statistics.stdev's exact-fraction path is needlessly slow here."""
     n = len(values)
     mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    if n < 2:
+        return mean, 0.0
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
 @dataclass(frozen=True)
@@ -107,13 +112,6 @@ class BoundaryModel:
             for c, (lo, hi) in enumerate(per_class):
                 if lo > hi:
                     raise ValueError(f"feature {f} class {c}: min {lo} exceeds max {hi}")
-
-    @property
-    def n_features(self) -> int:
-        return len(self.bounds)
-
-    def feature_bounds(self, feature: int) -> tuple[tuple[float, float], ...]:
-        return self.bounds[feature]
 
 
 def modified_median_threshold(
@@ -185,23 +183,24 @@ def table_mass(signal_value: int, bpa: TableBpa) -> MassFunction:
     return _table_mass_cached(table_row(signal_value, bpa))
 
 
-def fit_boundaries(samples: Sequence[Sample]) -> BoundaryModel:
-    """Observed (min, max) per feature and class over samples labelled 0..2."""
-    n_features = len(samples[0][0])
-    per_class: list[list[list[float]]] = [[[] for _ in range(3)] for _ in range(n_features)]
+def class_columns(samples: Sequence[Sample]) -> Columns:
+    """Each feature's values split by class 0..2, in sample order: ``[f][c]``."""
+    columns: Columns = [[[], [], []] for _ in samples[0][0]]
     for features, label in samples:
-        for f in range(n_features):
-            per_class[f][label].append(features[f])
-    bounds = []
-    for f in range(n_features):
-        row = []
-        for c in range(3):
-            values = per_class[f][c]
+        for per_class, value in zip(columns, features):
+            per_class[label].append(value)
+    return columns
+
+
+def fit_boundaries(columns: Columns) -> BoundaryModel:
+    """Observed (min, max) per feature and class over :func:`class_columns`."""
+    for per_class in columns:
+        for c, values in enumerate(per_class):
             if not values:
                 raise ValueError(f"class {c} has no training records")
-            row.append((min(values), max(values)))
-        bounds.append(tuple(row))
-    return BoundaryModel(tuple(bounds))
+    return BoundaryModel(
+        tuple(tuple((min(values), max(values)) for values in per_class) for per_class in columns)
+    )
 
 
 def boundary_mass(
@@ -244,28 +243,27 @@ def fsv(grouped: Sequence[Sequence[float]]) -> float:
     if any(len(values) < 2 for values in grouped):
         raise ValueError("every class needs at least two values for a sample sd")
     union: list[float] = [v for values in grouped for v in values]
-    union_sd = _sample_sd(union)
+    union_sd = mean_sd(union)[1]
     if union_sd == 0:
         raise DegenerateFeatureError("all pooled values identical; feature carries no signal")
     numerator = 1.0
     for values in grouped:
-        numerator *= _sample_sd(values)
+        numerator *= mean_sd(values)[1]
     return numerator / union_sd
 
 
-def select_feature(samples: Sequence[Sample], classes: Sequence[int]) -> int:
+def select_feature(columns: Columns, classes: Sequence[int]) -> int:
     """The feature index with the smallest selection value over the named classes.
 
+    ``columns`` is :func:`class_columns` of the training samples.
     Degenerate features (zero pooled spread) are skipped; ties go to the
     lowest feature index.
     """
-    n_features = len(samples[0][0])
     best_feature = -1
     best_value = math.inf
-    for f in range(n_features):
-        grouped = [[feats[f] for feats, label in samples if label == c] for c in classes]
+    for f, per_class in enumerate(columns):
         try:
-            value = fsv(grouped)
+            value = fsv([per_class[c] for c in classes])
         except DegenerateFeatureError:
             continue
         if value < best_value:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bpa import (
@@ -22,6 +23,7 @@ from .bpa import (
     binary_row_mass,
     bpa_from_dict,
     bpa_to_dict,
+    class_columns,
     distance_mass,
     boundary_mass,
     fit_boundaries,
@@ -110,7 +112,8 @@ def classify_binary(
     multiplies the features' odds e^(v_f - t_f), so the fused abnormal mass
     is logistic(S) for S the sum of (v_f - t_f) over the used features, and
     the record is abnormal iff S > 0. S is taken exactly (``math.fsum`` is
-    correctly rounded, so its sign is exact) and ties go to normal. The
+    correctly rounded, so its sign is exact; a sum beyond the float range is
+    taken with ``Fraction``) and ties go to normal. The
     reported mass (logistic(-S), logistic(S)) comes from S alone: no
     per-feature mass is built, and ``sigmoid_mass``'s saturation clamp
     cannot turn a log-odds tie into total conflict.
@@ -124,7 +127,12 @@ def classify_binary(
     for f in used:
         if not math.isfinite(record[f]):
             raise ValueError(f"feature value must be finite, got {record[f]}")
-    score = math.fsum([x for f in used for x in (record[f], -model.bpas[f].threshold)])
+    terms = [x for f in used for x in (record[f], -model.bpas[f].threshold)]
+    try:
+        score = math.fsum(terms)
+    except OverflowError:
+        # Beyond the float range: logistic saturates past 709, so clamp the exact sum.
+        score = float(min(max(sum(map(Fraction, terms)), -1000), 1000))
     mass = combine_binary(BINARY_FRAME, [(logistic(-score), logistic(score), 0.0)])
     return Prediction("abnormal" if score > 0 else "normal", mass, {"features": used})
 
@@ -141,7 +149,7 @@ class ThreeClassModel:
     def __post_init__(self) -> None:
         if self.frame.size != 3:
             raise ValueError("three-class model needs a frame of exactly 3 labels")
-        if len(self.means) != self.boundaries.n_features:
+        if len(self.means) != len(self.boundaries.bounds):
             raise ValueError("means and boundaries must cover the same features")
         if not all(math.isfinite(m) for row in self.means for m in row):
             raise ValueError(f"class means must be finite: {self.means}")
@@ -149,20 +157,14 @@ class ThreeClassModel:
 
 def train_three_class(samples: Sequence[Sample], frame: Frame) -> ThreeClassModel:
     """Fit boundaries, class means, and the per-class-group feature choices."""
-    n_features = len(samples[0][0])
-    boundaries = fit_boundaries(samples)
-    means = []
-    for f in range(n_features):
-        per_class = []
-        for c in range(3):
-            values = [feats[f] for feats, label in samples if label == c]
-            per_class.append(sum(values) / len(values))
-        means.append(tuple(per_class))
+    columns = class_columns(samples)
+    boundaries = fit_boundaries(columns)  # first, so a class with no records is the first error
+    means = tuple(tuple(sum(values) / len(values) for values in per_class) for per_class in columns)
     groups = ((0, 1), (0, 2), (1, 2), (0, 1, 2))
     selected = {
-        sum(1 << c for c in group): select_feature(samples, group) for group in groups
+        sum(1 << c for c in group): select_feature(columns, group) for group in groups
     }
-    return ThreeClassModel(frame, boundaries, tuple(means), selected)
+    return ThreeClassModel(frame, boundaries, means, selected)
 
 
 def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Prediction:
@@ -177,8 +179,8 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     frame = model.frame
     step1 = combine_all(
         [
-            boundary_mass(record[f], model.boundaries.feature_bounds(f), frame)
-            for f in range(model.boundaries.n_features)
+            boundary_mass(record[f], class_bounds, frame)
+            for f, class_bounds in enumerate(model.boundaries.bounds)
         ]
     )
     candidate = argmax_focal(step1, exclude_theta=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .bpa import BINARY_FRAME
+from .bpa import BINARY_FRAME, mean_sd  # noqa: F401 (mean_sd is re-exported)
 from .classify import (
     EMAIL_SIGNALS,
     Prediction,
@@ -328,7 +328,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if n < k:
-        raise ValueError(f"cannot split {n} records into {k} folds")
+        raise DataFormatError(f"cannot split {n} records into {k} folds")
     order = list(range(n))
     random.Random(seed).shuffle(order)
     assignment = [0] * n
@@ -568,15 +568,6 @@ def repeated_cv(
         evaluate(dataset, task, folds=make_folds(len(dataset), k, seed + i), features=features)
         for i in range(runs)
     ]
-
-
-def mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (0 when a single value)."""
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
 def report_json(report: EvalReport, include_runtime: bool = True) -> str:

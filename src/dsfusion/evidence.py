@@ -269,7 +269,9 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     acc, k = _intersect(m1, m2)
     if k >= 1.0 - IDENTITY_TOL:
         raise TotalConflictError(f"total conflict between sources (K={k!r})")
-    norm = 1.0 - k
+    # The kept products sum to 1 - K; their own sum keeps the result
+    # normalized when K is near 1, where 1.0 - k has lost most digits.
+    norm = sum(acc.values())
     return _trusted_mass(m1.frame, {bits: v / norm for bits, v in acc.items()})
 
 

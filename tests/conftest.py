@@ -10,7 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from dsfusion import Frame, HypothesisSet, MassFunction, load_iris, load_wbcd
+from dsfusion import (
+    BoundaryModel,
+    Frame,
+    HypothesisSet,
+    MassFunction,
+    ThreeClassModel,
+    fsv,
+    load_iris,
+    load_wbcd,
+)
+from dsfusion.bpa import DegenerateFeatureError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WBCD_PATH = DATA_DIR / "breast-cancer-wisconsin.data"
@@ -111,6 +121,38 @@ def oracle_binary_labels(records, features, folds, ties_abnormal=False) -> dict[
             )
             labels[r.id] = int(score > 0 or (ties_abnormal and score == 0))
     return labels
+
+
+def reference_three_class(samples, frame: Frame) -> ThreeClassModel:
+    """The three-class model by per-sample scans, without the grouped trainer.
+
+    Every (feature, class) pair filters the samples anew for its observed
+    (min, max) and its mean sum/len. Each class group's feature is the
+    argmin of the public ``fsv`` over the features, each filtered anew,
+    skipping degenerate features; ties go to the lowest feature index.
+    """
+    n_features = len(samples[0][0])
+    bounds, means = [], []
+    for f in range(n_features):
+        column = [[feats[f] for feats, label in samples if label == c] for c in range(3)]
+        for c, values in enumerate(column):
+            if not values:
+                raise ValueError(f"class {c} has no training records")
+        bounds.append(tuple((min(values), max(values)) for values in column))
+        means.append(tuple(sum(values) / len(values) for values in column))
+    selected = {}
+    for group in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        scores = []
+        for f in range(n_features):
+            grouped = [[feats[f] for feats, label in samples if label == c] for c in group]
+            try:
+                scores.append((fsv(grouped), f))
+            except DegenerateFeatureError:
+                continue
+        if not scores:
+            raise DegenerateFeatureError(f"no usable feature for classes {group}")
+        selected[sum(1 << c for c in group)] = min(scores)[1]
+    return ThreeClassModel(frame, BoundaryModel(tuple(bounds)), tuple(means), selected)
 
 
 def random_mass(frame: Frame, rng: random.Random) -> MassFunction:

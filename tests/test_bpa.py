@@ -16,6 +16,7 @@ from dsfusion import (
     boundary_mass,
     bpa_from_dict,
     bpa_to_dict,
+    class_columns,
     distance_mass,
     fit_boundaries,
     fsv,
@@ -171,23 +172,23 @@ class TestTableMass:
 class TestFitBoundaries:
     def test_single_record_per_class(self):
         samples = [((1.0, 5.0), 0), ((2.0, 6.0), 1), ((3.0, 7.0), 2)]
-        model = fit_boundaries(samples)
-        assert model.feature_bounds(0) == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+        model = fit_boundaries(class_columns(samples))
+        assert model.bounds[0] == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
 
     def test_min_max_observed(self):
         samples = [((4.3,), 0), ((5.8,), 0), ((5.0,), 0), ((4.9,), 1), ((6.9,), 1),
                    ((4.9,), 2), ((7.9,), 2)]
-        model = fit_boundaries(samples)
-        assert model.feature_bounds(0) == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
+        model = fit_boundaries(class_columns(samples))
+        assert model.bounds[0] == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_boundaries([((1.0,), 0), ((2.0,), 1)])
+            fit_boundaries(class_columns([((1.0,), 0), ((2.0,), 1)]))
 
     def test_identical_classes_identical_ranges(self):
         samples = [((1.0,), 0), ((2.0,), 0), ((1.0,), 1), ((2.0,), 1), ((1.0,), 2), ((2.0,), 2)]
-        model = fit_boundaries(samples)
-        assert model.feature_bounds(0)[0] == model.feature_bounds(0)[1]
+        model = fit_boundaries(class_columns(samples))
+        assert model.bounds[0][0] == model.bounds[0][1]
 
 
 class TestBoundaryMass:
@@ -284,16 +285,16 @@ class TestSelectFeature:
             samples.append(((v * 7, 5.0 + v, v), 0))
         for v in (9.0, 9.1, 9.2):
             samples.append(((v, 5.0 + v / 10, v), 1))
-        assert select_feature(samples, (0, 1)) == 2
+        assert select_feature(class_columns(samples), (0, 1)) == 2
 
     def test_tie_goes_to_lowest_index(self):
         samples = [((1.0, 1.0), 0), ((2.0, 2.0), 0), ((7.0, 7.0), 1), ((8.0, 8.0), 1)]
-        assert select_feature(samples, (0, 1)) == 0
+        assert select_feature(class_columns(samples), (0, 1)) == 0
 
     def test_all_degenerate_rejected(self):
         samples = [((2.0,), 0), ((2.0,), 0), ((2.0,), 1), ((2.0,), 1)]
         with pytest.raises(DegenerateFeatureError):
-            select_feature(samples, (0, 1))
+            select_feature(class_columns(samples), (0, 1))
 
     def test_three_class_form(self):
         samples = []
@@ -302,7 +303,7 @@ class TestSelectFeature:
                 samples.append(((center + dv, 100 * (center + dv)), c))
         # feature 1 is feature 0 scaled by 100; scaling law for 3 classes
         # multiplies fsv by 100^2, so feature 0 wins
-        assert select_feature(samples, (0, 1, 2)) == 0
+        assert select_feature(class_columns(samples), (0, 1, 2)) == 0
 
 
 class TestDistanceMass:

@@ -22,6 +22,7 @@ from dsfusion import (
     classify_email,
     classify_three_class,
     email_model_default,
+    make_folds,
     make_frame,
     sigmoid_mass,
     train_binary,
@@ -29,7 +30,7 @@ from dsfusion import (
 )
 from dsfusion.classify import BinaryModel, email_signal_row
 
-from conftest import exact_binary_fold, mass_to_frozensets, oracle_combine
+from conftest import exact_binary_fold, mass_to_frozensets, oracle_combine, reference_three_class
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
 
@@ -177,7 +178,7 @@ class TestClassifyBinary:
             classify_binary((1.0,) * 9, self.MODEL, ())
 
 
-_feature_value = st.floats(min_value=-1e6, max_value=1e6)
+_feature_value = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300)
@@ -245,7 +246,7 @@ class TestClassifyThreeClass:
     def test_train_three_class_covers_groups(self, iris_dataset):
         model = train_three_class(iris_dataset.samples(), IRIS_FRAME)
         assert set(model.selected) == {0b011, 0b101, 0b110, 0b111}
-        assert model.boundaries.n_features == 4
+        assert len(model.boundaries.bounds) == 4
         assert len(model.means) == 4
 
     def test_step1_never_runs_steps_2_3(self, iris_dataset):
@@ -254,6 +255,41 @@ class TestClassifyThreeClass:
             pred = classify_three_class(record.features, model)
             if pred.trace["decided"] == "step1":
                 assert "feature" not in pred.trace
+
+
+def test_train_three_class_matches_per_sample_reference_on_iris(iris_dataset):
+    records = iris_dataset.records
+    for seed in range(42, 52):
+        folds = make_folds(len(records), 10, seed)
+        for fold in range(folds.k):
+            samples = [(records[i].features, records[i].label) for i in folds.train_indices(fold)]
+            model = train_three_class(samples, IRIS_FRAME)
+            expected = reference_three_class(samples, IRIS_FRAME)
+            assert classifier_to_dict(model) == classifier_to_dict(expected)
+
+
+@st.composite
+def _small_three_class_samples(draw):
+    # Few records over few distinct values, so that degenerate features,
+    # one-record classes and fsv ties between features all occur.
+    n_features = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(*[st.sampled_from((0.0, 1.0, 2.0, 4.0))] * n_features)
+    samples = [
+        (draw(row), c) for c in range(3) for _ in range(draw(st.integers(min_value=1, max_value=6)))
+    ]
+    return draw(st.permutations(samples))
+
+
+@settings(max_examples=300)
+@given(samples=_small_three_class_samples())
+def test_train_three_class_matches_per_sample_reference(samples):
+    try:
+        expected = reference_three_class(samples, IRIS_FRAME)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            train_three_class(samples, IRIS_FRAME)
+        return
+    assert classifier_to_dict(train_three_class(samples, IRIS_FRAME)) == classifier_to_dict(expected)
 
 
 class TestEmailModel:

@@ -95,6 +95,15 @@ class TestWbcdCommand:
         assert model.n_features == 9
 
 
+    def test_more_folds_than_records_exits_3_without_traceback(self, tmp_path):
+        path = tmp_path / "wbcd3.data"
+        path.write_text("\n".join(WBCD_PATH.read_text().splitlines()[:3]) + "\n")
+        result = run_cli_process("wbcd", "--data", str(path))
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: cannot split 3 records into 10 folds")
+        assert "Traceback" not in result.stderr
+
+
 class TestIrisCommand:
     def test_ten_runs_mean(self, capsys):
         code, out, _ = run_cli(capsys, "iris", "--data", str(IRIS_PATH), "--runs", "10")
@@ -142,6 +151,14 @@ class TestIrisCommand:
         assert "training records: " + cause in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_more_folds_than_records_exits_3_without_traceback(self, tmp_path):
+        path = tmp_path / "iris2.data"
+        lines = IRIS_PATH.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[50]]) + "\n")
+        result = run_cli_process("iris", "--data", str(path))
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: cannot split 2 records into 10 folds")
+        assert "Traceback" not in result.stderr
 
     def test_dump_model_on_one_record_class_exits_3_without_traceback(self, tmp_path):
         # 5/5/1 records per class: the whole set cannot train the model it dumps.

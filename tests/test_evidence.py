@@ -229,6 +229,18 @@ class TestCombineAll:
         assert combined.mass(frame.theta()) == pytest.approx(0.0001, abs=1e-9)
 
 
+    def test_heavy_conflict_stays_normalized(self, binary):
+        # K comes within ~1e-7 of 1 at every step, where 1 - K keeps few
+        # correct digits; the fused masses must still sum to 1.
+        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        to_normal = make_mass(binary, [(n, 1 - 1e-7), (t, 1e-7)])
+        to_abnormal = make_mass(binary, [(a, 1 - 1e-7), (t, 1e-7)])
+        combined = combine_all([to_normal, to_abnormal, to_normal, to_abnormal])
+        assert combined.mass(n) == pytest.approx(0.5, abs=1e-12)
+        assert combined.mass(a) == pytest.approx(0.5, abs=1e-12)
+        assert abs(sum(value for _, value in combined.items()) - 1.0) <= 1e-12
+
+
 class TestCombineBinary:
     def test_matches_combine_example(self, binary):
         n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
