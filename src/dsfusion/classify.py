@@ -71,9 +71,12 @@ class Prediction:
 
 @dataclass(frozen=True)
 class BinaryModel:
-    """One sigmoid threshold per feature, over the {normal, abnormal} frame."""
+    """One sigmoid threshold per feature, over the {normal, abnormal} frame.
 
-    bpas: tuple[SigmoidBpa, ...]
+    A feature the trainer was not asked to fit holds None.
+    """
+
+    bpas: tuple[SigmoidBpa | None, ...]
     normal_fraction: float
 
     @property
@@ -81,8 +84,11 @@ class BinaryModel:
         return len(self.bpas)
 
 
-def train_binary(rows: Sequence[MaybeRow], labels: Sequence[int]) -> BinaryModel:
-    """Fit per-feature thresholds from labelled rows (label 1 = abnormal).
+def train_binary(
+    rows: Sequence[MaybeRow], labels: Sequence[int], features: Sequence[int] | None = None
+) -> BinaryModel:
+    """Fit thresholds for ``features`` (default all) from labelled rows
+    (label 1 = abnormal); the other features' slots hold None.
 
     Missing cells (None) are dropped from their feature column; the
     threshold rank scales with the values actually present.
@@ -90,16 +96,21 @@ def train_binary(rows: Sequence[MaybeRow], labels: Sequence[int]) -> BinaryModel
     if len(rows) != len(labels):
         raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
     total = len(labels)
-    normal = sum(1 for y in labels if y == 0)
+    normal = labels.count(0)
     if normal in (0, total):
         raise ValueError("training data must contain both normal and abnormal records")
     n_features = len(rows[0])
-    bpas = []
-    for f in range(n_features):
+    bpas: list[SigmoidBpa | None] = [None] * n_features
+    for f in range(n_features) if features is None else features:
+        if not 0 <= f < n_features:
+            raise ValueError(f"feature {f} outside 0..{n_features - 1}")
         values = [row[f] for row in rows if row[f] is not None]
         if not values:
             raise ValueError(f"feature {f} has no non-missing training values")
-        bpas.append(SigmoidBpa(modified_median_threshold(values, normal, total)))
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise ValueError(f"feature value must be finite, got {bad} in feature {f}")
+        bpas[f] = SigmoidBpa(modified_median_threshold(values, normal, total))
     return BinaryModel(tuple(bpas), normal / total)
 
 
@@ -121,6 +132,9 @@ def classify_binary(
     selected = range(model.n_features) if features is None else features
     if not selected:
         raise ValueError("feature subset must be nonempty")
+    for f in selected:
+        if model.bpas[f] is None:
+            raise ValueError(f"feature {f} has no fitted threshold in this model")
     used = [f for f in selected if record[f] is not None]
     if not used:
         raise ValueError("record has no value for any selected feature")
@@ -262,6 +276,11 @@ Classifier = BinaryModel | ThreeClassModel | EmailModel
 def classifier_to_dict(model: Classifier) -> dict:
     """JSON-ready dict for a classifier: a kind tag plus its bpa models."""
     if isinstance(model, BinaryModel):
+        if None in model.bpas:
+            raise ValueError(
+                f"feature {model.bpas.index(None)} has no fitted threshold; "
+                "a model dump must describe every feature"
+            )
         return {
             "kind": "binary",
             "bpas": [bpa_to_dict(b) for b in model.bpas],

@@ -134,7 +134,8 @@ def _emit(report, args) -> None:
 
 
 def _dump_model(dataset, task: str, path: Path) -> None:
-    model = harness.TASKS[task].fit(dataset.samples(), dataset, "the model dump")
+    spec = harness.TASKS[task]
+    model = spec.fit(dataset.samples(), dataset, spec.default(dataset), "the model dump")
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 

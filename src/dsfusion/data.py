@@ -403,11 +403,12 @@ def _all_features(dataset: RecordSet) -> tuple[int, ...]:
 class Task:
     """Everything that differs between the benchmark tasks.
 
-    ``train(samples, dataset)`` fits a model on a fold's (features, label)
-    pairs; ``classify(features, model, subset)`` labels one record with the
-    given feature or signal subset. ``key`` names that subset in the report
-    config, ``describe(dataset, subset)`` writes it there, and
-    ``default(dataset)`` is the subset used when none is given.
+    ``train(samples, dataset, subset)`` fits a model on a fold's (features,
+    label) pairs for the feature or signal subset it will be asked about;
+    ``classify(features, model, subset)`` labels one record with that
+    subset. ``key`` names the subset in the report config,
+    ``describe(dataset, subset)`` writes it there, and ``default(dataset)``
+    is the subset used when none is given.
     """
 
     train: Callable
@@ -417,11 +418,12 @@ class Task:
     default: Callable
     cross_validates: bool
 
-    def fit(self, samples: Sequence, dataset: RecordSet, where: str):
-        """Train on ``samples``; a set the trainer cannot fit (e.g. too few
-        records of a class) is an input error, raised as :class:`DataFormatError`."""
+    def fit(self, samples: Sequence, dataset: RecordSet, subset: Sequence[int], where: str):
+        """Train on ``samples`` for ``subset``; a set the trainer cannot fit
+        (e.g. too few records of a class) is an input error, raised as
+        :class:`DataFormatError`."""
         try:
-            return self.train(samples, dataset)
+            return self.train(samples, dataset, subset)
         except ValueError as exc:
             raise DataFormatError(
                 f"{where}: cannot train on its {len(samples)} training records: {exc}"
@@ -433,8 +435,9 @@ class Task:
 # reaches every task.
 TASKS = {
     "wbcd": Task(
-        train=lambda samples, dataset: train_binary(
-            [features for features, _ in samples], [label for _, label in samples]
+        # Only the fused features are fitted: a one-feature run trains one threshold.
+        train=lambda samples, dataset, subset: train_binary(
+            [features for features, _ in samples], [label for _, label in samples], subset
         ),
         classify=_classify_wbcd,
         key="features",
@@ -443,7 +446,9 @@ TASKS = {
         cross_validates=True,
     ),
     "iris": Task(
-        train=lambda samples, dataset: train_three_class(samples, make_frame(dataset.label_names)),
+        train=lambda samples, dataset, subset: train_three_class(
+            samples, make_frame(dataset.label_names)
+        ),
         classify=lambda record, model, subset: classify_three_class(record, model),
         key="features",
         describe=lambda dataset, subset: list(subset),
@@ -452,7 +457,7 @@ TASKS = {
     ),
     "email": Task(
         # The email settings are expert-chosen, so there is no training phase.
-        train=lambda samples, dataset: email_model_default(),
+        train=lambda samples, dataset, subset: email_model_default(),
         classify=lambda record, model, subset: classify_email(record, model, subset),
         key="signals",
         describe=lambda dataset, subset: "".join(str(s) for s in subset),
@@ -474,9 +479,11 @@ def evaluate(
 
     ``wbcd`` and ``iris`` cross-validate with the given fold plan and read
     ``features``; ``email`` classifies every record as one fold with the
-    fixed default model and reads ``signals``. A training fold the
-    trainer cannot fit (e.g. too few records of a class) is an input
-    error, raised as :class:`DataFormatError`.
+    fixed default model and reads ``signals``. Each fold's model is trained
+    for the evaluated subset only, so on ``wbcd`` a feature outside it needs
+    no training values. A training fold the trainer cannot fit (e.g. too
+    few records of a class) is an input error, raised as
+    :class:`DataFormatError`.
     """
     start = time.perf_counter()
     spec = TASKS.get(task)
@@ -500,7 +507,7 @@ def evaluate(
     details = []
     for fold in range(folds.k):
         train = dataset.samples(folds.train_indices(fold))
-        model = spec.fit(train, dataset, f"fold {fold + 1} of {folds.k}")
+        model = spec.fit(train, dataset, subset, f"fold {fold + 1} of {folds.k}")
         correct = 0
         test_indices = folds.test_indices(fold)
         for i in test_indices:

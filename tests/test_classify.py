@@ -1,6 +1,7 @@
 """Unit tests for the three fusion classifiers."""
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
@@ -76,6 +77,39 @@ class TestTrainBinary:
         with pytest.raises(ValueError):
             train_binary([(1.0, None), (2.0, None)], [0, 1])
 
+    def test_only_listed_features_fitted(self):
+        rows = [(float(i), float(100 - i), None) for i in range(10)]
+        labels = [0] * 5 + [1] * 5
+        model = train_binary(rows, labels, (1,))
+        assert model.n_features == 3
+        assert model.bpas[0] is None and model.bpas[2] is None
+        assert model.bpas[1] == train_binary([row[:2] for row in rows], labels).bpas[1]
+        assert model.normal_fraction == 0.5
+
+    @pytest.mark.parametrize("feature", [1, 5, -1])
+    def test_feature_outside_row_rejected(self, feature):
+        with pytest.raises(ValueError, match=f"feature {feature} outside 0..0"):
+            train_binary([(1.0,), (2.0,)], [0, 1], (feature,))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(math.nan,), (1.0,), (2.0,), (3.0,)],
+            [(1.0,), (math.nan,), (2.0,), (3.0,)],
+            [(3.0,), (2.0,), (1.0,), (math.nan,)],
+            [(1.0,), (math.inf,), (2.0,), (3.0,)],
+        ],
+    )
+    def test_non_finite_training_value_rejected(self, rows):
+        # A sort that meets NaN orders the column by row position, so no
+        # threshold taken from it would be well defined.
+        with pytest.raises(ValueError, match="feature value must be finite"):
+            train_binary(rows, [0, 0, 1, 1])
+
+    def test_non_finite_value_outside_the_fitted_features_ignored(self):
+        rows = [(1.0, math.nan), (2.0, 1.0), (3.0, 2.0), (4.0, 3.0)]
+        assert train_binary(rows, [0, 0, 1, 1], (0,)).bpas[0].threshold == 2.0
+
 
 class TestClassifyBinary:
     MODEL = BinaryModel(tuple(SigmoidBpa(3.0) for _ in range(9)), 0.655)
@@ -110,6 +144,16 @@ class TestClassifyBinary:
         pred = classify_binary(record, model)
         assert pred.label == "normal"
         assert pred.mass.mass_bits(2) == pytest.approx(pred.mass.mass_bits(1), abs=1e-12)
+
+    def test_unfitted_feature_rejected(self):
+        model = BinaryModel((SigmoidBpa(3.0), None), 0.5)
+        assert classify_binary((5.0, 5.0), model, (0,)).label == "abnormal"
+        for features in ((0, 1), None):
+            with pytest.raises(ValueError, match="feature 1 has no fitted threshold"):
+                classify_binary((5.0, 5.0), model, features)
+        # A missing value does not excuse an unfitted selected feature.
+        with pytest.raises(ValueError, match="feature 1 has no fitted threshold"):
+            classify_binary((5.0, None), model, (0, 1))
 
     def test_missing_feature_equivalence(self):
         record = (2.0, None, 8.0, 1.0, None, 6.0, 1.0, 1.0, 1.0)
@@ -424,6 +468,12 @@ class TestClassifierSerialization:
         labels = [0] * 6 + [1] * 4
         model = train_binary(rows, labels)
         assert classifier_from_dict(classifier_to_dict(model)) == model
+
+    def test_partial_binary_model_not_dumped(self):
+        rows = [(float(i), float(i * 2)) for i in range(10)]
+        model = train_binary(rows, [0] * 6 + [1] * 4, (1,))
+        with pytest.raises(ValueError, match="feature 0 has no fitted threshold"):
+            classifier_to_dict(model)
 
     def test_three_class_round_trip(self, iris_dataset):
         model = train_three_class(iris_dataset.samples(), IRIS_FRAME)

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfusion.cli import main
 from dsfusion.data import EMAIL_HEADER
@@ -294,3 +298,73 @@ class TestUsage:
         text = out + err
         for name in ("wbcd", "iris", "email", "combine", "generate-email"):
             assert name in text
+
+
+# Fuzzing: whatever the input, main returns a documented exit code and
+# nothing escapes it.
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+
+
+def run_cli_quietly(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def small_wbcd(fuzz_dir) -> Path:
+    # The parser is under test, not the classifier: 40 records keep each run short.
+    path = fuzz_dir / "small.data"
+    path.write_text("\n".join(WBCD_PATH.read_text().splitlines()[:40]) + "\n")
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(st.text(max_size=12), st.text(alphabet="ABCDEFGHIJabci ,", max_size=10)))
+def test_fuzz_wbcd_features(small_wbcd, spec):
+    code = run_cli_quietly("wbcd", "--data", str(small_wbcd), f"--features={spec}")
+    assert code in DOCUMENTED_EXITS
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(st.text(max_size=8), st.text(alphabet="0123456 ", max_size=6)))
+def test_fuzz_email_signals(spec):
+    assert run_cli_quietly("email", "--generate", f"--signals={spec}") in DOCUMENTED_EXITS
+
+
+_WBCD_CELLS = [str(v) for v in range(1, 11)] + ["?"]
+_BAD_CELLS = ["0", "11", "-3", "2.5", "x", "", " 5", "1e1", "nan"]
+
+
+@st.composite
+def wbcd_files(draw) -> str:
+    """Small WBCD-layout files: mostly valid rows, some with a wrong field
+    count, a bad cell or a bad class code."""
+    n_rows = draw(st.integers(1, 14))
+    faulty = draw(st.sets(st.integers(0, n_rows - 1), max_size=2))
+    lines = []
+    for row in range(n_rows):
+        cells = draw(st.lists(st.sampled_from(_WBCD_CELLS), min_size=9, max_size=9))
+        fields = [str(1000 + row), *cells, draw(st.sampled_from(["2", "4"]))]
+        fault = draw(st.sampled_from(["count", "cell", "class"])) if row in faulty else None
+        if fault == "count":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["2"]
+        elif fault == "cell":
+            fields[draw(st.integers(1, 9))] = draw(st.sampled_from(_BAD_CELLS))
+        elif fault == "class":
+            fields[10] = draw(st.sampled_from(["3", "", "?"]))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=wbcd_files(), features=st.sampled_from(["A", "BD", "ABCDEFGHI"]))
+def test_fuzz_wbcd_data_file(fuzz_dir, text, features):
+    path = fuzz_dir / "wbcd.data"
+    path.write_text(text, encoding="utf-8")
+    code = run_cli_quietly("wbcd", "--data", str(path), "--folds", "2", "--features", features)
+    assert code in DOCUMENTED_EXITS

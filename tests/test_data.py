@@ -22,7 +22,57 @@ from dsfusion import (
     write_email_csv,
     write_report,
 )
-from dsfusion.data import mean_sd, repeated_cv, report_json, report_text
+from dsfusion.data import (
+    RNG_ID,
+    WBCD_FEATURES,
+    _classify_wbcd,
+    mean_sd,
+    repeated_cv,
+    report_json,
+    report_text,
+)
+from dsfusion.classify import train_binary
+
+# The paper's WBCD comparison: each feature alone, ADI, BCF and all nine.
+ACCEPTANCE_SUBSETS = tuple((i,) for i in range(9)) + ((0, 3, 8), (1, 2, 5), tuple(range(9)))
+
+
+def full_model_report(dataset, subset, folds) -> dict:
+    """The wbcd report when every fold trains all nine features, built
+    without ``evaluate``."""
+    per_fold, pairs, misclassified = [], [], []
+    for fold in range(folds.k):
+        train = dataset.samples(folds.train_indices(fold))
+        model = train_binary([features for features, _ in train], [label for _, label in train])
+        test = folds.test_indices(fold)
+        correct = 0
+        for i in test:
+            record = dataset.records[i]
+            predicted = int(_classify_wbcd(record.features, model, subset).label == "abnormal")
+            pairs.append((record.label, predicted))
+            if predicted == record.label:
+                correct += 1
+            else:
+                misclassified.append(record.id)
+        per_fold.append(correct / len(test))
+    return {
+        "task": "wbcd",
+        "config": {
+            "features": "".join(WBCD_FEATURES[f] for f in subset),
+            "k": folds.k,
+            "seed": folds.seed,
+            "rng": RNG_ID,
+        },
+        "accuracy": (len(dataset) - len(misclassified)) / len(dataset),
+        "per_fold": per_fold,
+        "confusion": {
+            "tp": pairs.count((1, 1)),
+            "tn": pairs.count((0, 0)),
+            "fp": pairs.count((0, 1)),
+            "fn": pairs.count((1, 0)),
+        },
+        "misclassified": sorted(misclassified),
+    }
 
 
 class TestLoadWbcd:
@@ -273,6 +323,30 @@ class TestEvaluate:
         assert detail["predicted"] == "normal"
         assert detail["trace"] == {"features": [], "fallback": "no-evidence"}
 
+    @pytest.mark.parametrize("seed", [7, 42, 123456])
+    def test_subset_training_matches_full_training(self, wbcd_dataset, seed):
+        folds = make_folds(len(wbcd_dataset), 10, seed)
+        for subset in ACCEPTANCE_SUBSETS:
+            report = evaluate(wbcd_dataset, "wbcd", folds=folds, features=subset)
+            expected = json.dumps(full_model_report(wbcd_dataset, subset, folds), indent=2)
+            assert report_json(report, include_runtime=False) == expected, subset
+
+    def test_unfused_feature_needs_no_training_values(self, wbcd_dataset):
+        records = tuple(
+            Record(r.id, (r.features[0], None, *r.features[2:]), r.label) for r in wbcd_dataset
+        )
+        no_b = RecordSet(records, wbcd_dataset.feature_names, wbcd_dataset.label_names)
+        folds = make_folds(len(no_b), 10, 42)
+        report = evaluate(no_b, "wbcd", folds=folds, features=(0,))
+        reference = evaluate(wbcd_dataset, "wbcd", folds=folds, features=(0,))
+        assert report_json(report, include_runtime=False) == report_json(
+            reference, include_runtime=False
+        )
+        with pytest.raises(
+            DataFormatError, match=r"^fold 1 of 10: .* feature 1 has no non-missing training values"
+        ):
+            evaluate(no_b, "wbcd", folds=folds, features=(0, 1))
+
     def test_nan_feature_is_an_error_not_missing(self):
         records = [Record(1, (1.0, 1.0), 0), Record(2, (math.nan, 9.0), 1)] + [
             Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(3, 13)
@@ -312,6 +386,14 @@ class TestAblation:
         table = ablation(wbcd_dataset, "wbcd", [(0,), (0,)], folds=folds)
         assert table[0] == table[1]
         assert table[0][0] == "A"
+
+    def test_wbcd_rows_match_full_training(self, wbcd_dataset):
+        folds = make_folds(len(wbcd_dataset), 10, 42)
+        expected = []
+        for subset in ACCEPTANCE_SUBSETS:
+            report = full_model_report(wbcd_dataset, subset, folds)
+            expected.append((report["config"]["features"], report["accuracy"]))
+        assert ablation(wbcd_dataset, "wbcd", ACCEPTANCE_SUBSETS, folds=folds) == expected
 
     def test_email_signal_subsets(self):
         dataset = generate_email()
