@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .evidence import Frame, MassFunction, make_frame
 
@@ -34,6 +35,9 @@ MassRow = tuple[float, float, float]
 # Training values grouped by feature, then by class 0..2.
 Columns = list[list[list[float]]]
 
+# The whole three-class frame as a bitmask.
+THREE_CLASS_FULL = 0b111
+
 
 class DegenerateFeatureError(ValueError):
     """A feature whose pooled values have zero spread cannot be scored."""
@@ -48,14 +52,47 @@ def logistic(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
+class Moments(NamedTuple):
+    """One class's values on one feature: count, sum, mean = sum / count, the
+    sum of squared deviations M2 = Σ(v - mean)², the sample sd, and the
+    (min, max) range."""
+
+    n: int
+    total: float
+    mean: float
+    m2: float
+    sd: float  # sample (n-1) standard deviation sqrt(M2 / (n - 1)), 0 for one value
+    lo: float
+    hi: float
+
+
+# The moments of the training columns, grouped like them: ``[f][c]``.
+ClassMoments = list[list[Moments]]
+
+
+def moments(values: Sequence[float]) -> Moments:
+    """The :class:`Moments` of a nonempty list of values.
+
+    Values that all equal one another have M2 exactly 0: their float mean
+    ``sum / n`` can miss the common value by an ulp, which would leave a
+    spurious spread.
+    """
+    n = len(values)
+    if not n:
+        raise ValueError("moments need at least one value")
+    total = sum(values)
+    mean = total / n
+    lo, hi = min(values), max(values)
+    m2 = 0.0 if lo == hi else sum([(v - mean) ** 2 for v in values])
+    sd = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
+    return Moments(n, total, mean, m2, sd, lo, hi)
+
+
 def mean_sd(values: Sequence[float]) -> tuple[float, float]:
     """Mean and sample (n-1) standard deviation, 0 for a single value, in plain
     floats: statistics.stdev's exact-fraction path is needlessly slow here."""
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    m = moments(values)
+    return m.mean, m.sd
 
 
 @dataclass(frozen=True)
@@ -185,22 +222,59 @@ def table_mass(signal_value: int, bpa: TableBpa) -> MassFunction:
 
 def class_columns(samples: Sequence[Sample]) -> Columns:
     """Each feature's values split by class 0..2, in sample order: ``[f][c]``."""
-    columns: Columns = [[[], [], []] for _ in samples[0][0]]
+    n_features = len(samples[0][0])
+    by_class: list[list[Sequence[float]]] = [[], [], []]
     for features, label in samples:
-        for per_class, value in zip(columns, features):
-            per_class[label].append(value)
-    return columns
+        by_class[label].append(features)
+    # zip(*records) turns one class's records into its feature columns; a
+    # class with no records gets empty ones, which class_moments rejects.
+    per_class = [list(zip(*records)) or [()] * n_features for records in by_class]
+    return [[list(columns[f]) for columns in per_class] for f in range(n_features)]
 
 
-def fit_boundaries(columns: Columns) -> BoundaryModel:
-    """Observed (min, max) per feature and class over :func:`class_columns`."""
+def class_moments(columns: Columns) -> ClassMoments:
+    """The :class:`Moments` of every :func:`class_columns` list, ``[f][c]``."""
     for per_class in columns:
         for c, values in enumerate(per_class):
             if not values:
                 raise ValueError(f"class {c} has no training records")
-    return BoundaryModel(
-        tuple(tuple((min(values), max(values)) for values in per_class) for per_class in columns)
-    )
+    return [[moments(values) for values in per_class] for per_class in columns]
+
+
+def fit_boundaries(stats: ClassMoments) -> BoundaryModel:
+    """Observed (min, max) per feature and class, from :func:`class_moments`."""
+    return BoundaryModel(tuple(tuple((m.lo, m.hi) for m in per_class) for per_class in stats))
+
+
+def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callable) -> int:
+    # The class whose reference (a range, a mean) has the smallest gap(value,
+    # *ref), ties to the lowest class. Rounding is monotone, so classes
+    # whose float gaps differ are in exact order; only a float tie, which
+    # rounding may have made, is decided again on exact gaps.
+    gaps = [gap(value, *ref) for ref in refs]
+    best = min(gaps)
+    tied = [c for c, g in enumerate(gaps) if g == best]
+    if len(tied) == 1:
+        return tied[0]
+    exact = Fraction(value)
+    return min(tied, key=lambda c: (gap(exact, *map(Fraction, refs[c])), c))
+
+
+def boundary_row(
+    value: float, class_bounds: Sequence[tuple[float, float]], confidence: float = 0.9
+) -> dict[int, float]:
+    """The ``{bits: mass}`` of :func:`boundary_mass`, without building the mass function."""
+    if len(class_bounds) != 3:
+        raise ValueError("boundary assignment is defined over exactly three classes")
+    bits = 0
+    for c, (lo, hi) in enumerate(class_bounds):
+        if lo <= value <= hi:
+            bits |= 1 << c
+    if bits == THREE_CLASS_FULL:
+        return {THREE_CLASS_FULL: 1.0}
+    if bits == 0:
+        bits = 1 << _nearest_class(value, class_bounds, lambda v, lo, hi: max(lo - v, v - hi))
+    return {bits: confidence, THREE_CLASS_FULL: 1.0 - confidence}
 
 
 def boundary_mass(
@@ -215,55 +289,62 @@ def boundary_mass(
     membership in every class collapses to total ignorance, membership in
     none falls back to the class whose range is nearest.
     """
-    if len(class_bounds) != 3 or frame.size != 3:
+    if frame.size != 3:
         raise ValueError("boundary assignment is defined over exactly three classes")
-    bits = 0
-    for c, (lo, hi) in enumerate(class_bounds):
-        if lo <= value <= hi:
-            bits |= 1 << c
-    full = frame.full_mask
-    if bits == full:
-        return MassFunction(frame, {full: 1.0})
-    if bits == 0:
-        distances = [
-            max(lo - value, value - hi) for lo, hi in class_bounds
-        ]
-        bits = 1 << min(range(3), key=lambda c: (distances[c], c))
-    return MassFunction(frame, {bits: confidence, full: 1.0 - confidence})
+    return MassFunction(frame, boundary_row(value, class_bounds, confidence))
+
+
+def _fsv(group: Sequence[Moments]) -> float:
+    # The feature-selection value from the classes' moments. The union's M2
+    # pools theirs (Chan, Golub & LeVeque 1979): Σ M2_c + Σ n_c (mean_c - mean_u)².
+    if len(group) < 2:
+        raise ValueError("feature selection needs at least two classes")
+    if any(m.n < 2 for m in group):
+        raise ValueError("every class needs at least two values for a sample sd")
+    first = group[0]
+    if all(m.lo == m.hi == first.lo for m in group):
+        raise DegenerateFeatureError("all pooled values identical; feature carries no signal")
+    n = 0
+    total = within = 0.0
+    numerator = 1.0
+    for m in group:
+        n += m.n
+        total += m.total
+        within += m.m2
+        numerator *= m.sd
+    mean = total / n
+    between = 0.0
+    for m in group:
+        between += m.n * (m.mean - mean) ** 2
+    union_sd = math.sqrt((within + between) / (n - 1))
+    if union_sd == 0:
+        raise DegenerateFeatureError("pooled spread underflows to 0; feature carries no signal")
+    return numerator / union_sd
 
 
 def fsv(grouped: Sequence[Sequence[float]]) -> float:
     """Feature-selection value: product of per-class sample sds over the union sd.
 
     Smaller is better: tight classes that pool into a spread-out union
-    separate well on this feature.
+    separate well on this feature. A class whose values are all equal has
+    sd exactly 0, and a feature whose values are all equal across the
+    classes is degenerate (:class:`DegenerateFeatureError`).
     """
-    if len(grouped) < 2:
-        raise ValueError("feature selection needs at least two classes")
-    if any(len(values) < 2 for values in grouped):
-        raise ValueError("every class needs at least two values for a sample sd")
-    union: list[float] = [v for values in grouped for v in values]
-    union_sd = mean_sd(union)[1]
-    if union_sd == 0:
-        raise DegenerateFeatureError("all pooled values identical; feature carries no signal")
-    numerator = 1.0
-    for values in grouped:
-        numerator *= mean_sd(values)[1]
-    return numerator / union_sd
+    return _fsv([moments(values) for values in grouped])
 
 
-def select_feature(columns: Columns, classes: Sequence[int]) -> int:
+def select_feature(stats: ClassMoments, classes: Sequence[int]) -> int:
     """The feature index with the smallest selection value over the named classes.
 
-    ``columns`` is :func:`class_columns` of the training samples.
-    Degenerate features (zero pooled spread) are skipped; ties go to the
-    lowest feature index.
+    ``stats`` is :func:`class_moments` of the training columns.
+    Degenerate features (no spread over the classes) are skipped; ties go
+    to the lowest feature index.
     """
     best_feature = -1
     best_value = math.inf
-    for f, per_class in enumerate(columns):
+    for f, per_class in enumerate(stats):
         try:
-            value = fsv([per_class[c] for c in classes])
+            value = _fsv([per_class[c] for c in classes])
         except DegenerateFeatureError:
             continue
         if value < best_value:
@@ -274,6 +355,14 @@ def select_feature(columns: Columns, classes: Sequence[int]) -> int:
     return best_feature
 
 
+def distance_row(value: float, means: Sequence[float], confidence: float = 0.8) -> dict[int, float]:
+    """The ``{bits: mass}`` of :func:`distance_mass`, without building the mass function."""
+    if len(means) != 3:
+        raise ValueError("distance assignment is defined over exactly three classes")
+    nearest = _nearest_class(value, [(mean,) for mean in means], lambda v, mean: abs(v - mean))
+    return {1 << nearest: confidence, THREE_CLASS_FULL: 1.0 - confidence}
+
+
 def distance_mass(
     value: float, means: Sequence[float], frame: Frame, confidence: float = 0.8
 ) -> MassFunction:
@@ -281,11 +370,9 @@ def distance_mass(
 
     Ties go to the lowest class index.
     """
-    if len(means) != 3 or frame.size != 3:
+    if frame.size != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
-    diffs = [abs(value - mean) for mean in means]
-    nearest = min(range(3), key=lambda c: (diffs[c], c))
-    return MassFunction(frame, {1 << nearest: confidence, frame.full_mask: 1.0 - confidence})
+    return MassFunction(frame, distance_row(value, means, confidence))
 
 
 BpaModel = SigmoidBpa | ScaledSigmoidBpa | TableBpa | BoundaryModel

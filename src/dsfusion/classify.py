@@ -19,13 +19,15 @@ from .bpa import (
     MassRow,
     ScaledSigmoidBpa,
     SigmoidBpa,
+    THREE_CLASS_FULL,
     TableBpa,
     binary_row_mass,
+    boundary_row,
     bpa_from_dict,
     bpa_to_dict,
     class_columns,
-    distance_mass,
-    boundary_mass,
+    class_moments,
+    distance_row,
     fit_boundaries,
     logistic,
     modified_median_threshold,
@@ -36,11 +38,10 @@ from .bpa import (
 from .evidence import (
     Frame,
     MassFunction,
-    argmax_focal,
-    belief,
-    combine,
-    combine_all,
+    _trusted_mass,
+    argmax_bits,
     combine_binary,
+    combine_bits,
     make_frame,
 )
 
@@ -165,20 +166,56 @@ class ThreeClassModel:
             raise ValueError("three-class model needs a frame of exactly 3 labels")
         if len(self.means) != len(self.boundaries.bounds):
             raise ValueError("means and boundaries must cover the same features")
+        if not self.means:
+            raise ValueError("three-class model needs at least one feature")
         if not all(math.isfinite(m) for row in self.means for m in row):
             raise ValueError(f"class means must be finite: {self.means}")
 
 
 def train_three_class(samples: Sequence[Sample], frame: Frame) -> ThreeClassModel:
-    """Fit boundaries, class means, and the per-class-group feature choices."""
-    columns = class_columns(samples)
-    boundaries = fit_boundaries(columns)  # first, so a class with no records is the first error
-    means = tuple(tuple(sum(values) / len(values) for values in per_class) for per_class in columns)
+    """Fit boundaries, class means, and the per-class-group feature choices.
+
+    Each feature's values are grouped by class once; the ranges, means and
+    selection scores all come from those lists' :class:`~dsfusion.bpa.Moments`.
+    """
+    stats = class_moments(class_columns(samples))
+    boundaries = fit_boundaries(stats)
+    means = tuple(tuple(m.mean for m in per_class) for per_class in stats)
     groups = ((0, 1), (0, 2), (1, 2), (0, 1, 2))
     selected = {
-        sum(1 << c for c in group): select_feature(columns, group) for group in groups
+        sum(1 << c for c in group): select_feature(stats, group) for group in groups
     }
     return ThreeClassModel(frame, boundaries, means, selected)
+
+
+# Against the exact fold of the same rows, each fused float mass is off by
+# a relative error below 16 * 2^-53 (1.8e-15) per folded row, a common
+# scale aside: a fold step only multiplies and adds positive terms and
+# divides them all by one norm. Two masses can swap order only when their
+# gap is below twice that, so a wider gap than 1e-14 per row is exact.
+_RTOL_PER_ROW = 1e-14
+
+
+def _fold_rows(rows: Sequence[Mapping[int, float]]) -> Mapping[int, float]:
+    fused = rows[0]
+    for row in rows[1:]:
+        fused = combine_bits(fused, row)[0]
+    return fused
+
+
+def _step1_candidate(rows: Sequence[Mapping[int, float]], step1: Mapping[int, float]) -> int:
+    # The focal set of greatest mass other than the frame. A rival within
+    # rounding error of the leader is settled on the exact (Fraction) fold
+    # of the same rows, so that exact ties follow the documented order.
+    candidate = argmax_bits(step1, THREE_CLASS_FULL, exclude_theta=True)
+    top = step1.get(candidate, 0.0)
+    bound = _RTOL_PER_ROW * len(rows) * top
+    if any(
+        top - v <= bound for bits, v in step1.items() if bits not in (candidate, THREE_CLASS_FULL)
+    ):
+        exact = _fold_rows([{bits: Fraction(v) for bits, v in row.items()} for row in rows])
+        candidate = argmax_bits(exact, THREE_CLASS_FULL, exclude_theta=True)
+    return candidate
 
 
 def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Prediction:
@@ -189,27 +226,34 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     immediately. Otherwise step 2 assigns a nearest-mean mass on the
     feature selected for the candidate group, and step 3 fuses it with the
     step-1 result and picks the singleton with the highest belief.
+
+    The masses are ``{bits: mass}`` rows folded by ``combine_bits``, the
+    rule and order of ``combine_all`` over ``boundary_mass`` and then
+    ``combine`` with ``distance_mass``; only the reported result becomes a
+    mass function. Step 1's masses can tie exactly (sources for two
+    classes in turn), and float folding breaks such a tie by rounding, so
+    a near-tie there is decided on the exact fold. With confidences 0.9
+    and 0.8, step 3's singleton beliefs do not tie exactly for up to eight
+    boundary sources, and are compared as floats.
     """
+    rows = [
+        boundary_row(record[f], class_bounds)
+        for f, class_bounds in enumerate(model.boundaries.bounds)
+    ]
+    step1 = _fold_rows(rows)
+    candidate = _step1_candidate(rows, step1)
     frame = model.frame
-    step1 = combine_all(
-        [
-            boundary_mass(record[f], class_bounds, frame)
-            for f, class_bounds in enumerate(model.boundaries.bounds)
-        ]
-    )
-    candidate = argmax_focal(step1, exclude_theta=True)
-    if candidate.is_singleton:
-        return Prediction(candidate.labels[0], step1, {"decided": "step1"})
-    group_bits = frame.full_mask if candidate.is_theta else candidate.bits
-    feature = model.selected[group_bits]
-    step2 = distance_mass(record[feature], model.means[feature], frame)
-    final = combine(step1, step2)
-    beliefs = [belief(final, frame.singleton(label)) for label in frame.labels]
-    winner = max(range(3), key=lambda c: (beliefs[c], -c))
+    if candidate.bit_count() == 1:
+        label = frame.labels[candidate.bit_length() - 1]
+        return Prediction(label, _trusted_mass(frame, step1), {"decided": "step1"})
+    feature = model.selected[candidate]
+    final = combine_bits(step1, distance_row(record[feature], model.means[feature]))[0]
+    # A singleton's belief is its own mass.
+    winner = max(range(3), key=lambda c: (final.get(1 << c, 0.0), -c))
     return Prediction(
         frame.labels[winner],
-        final,
-        {"decided": "step3", "feature": feature, "group": list(candidate.labels)},
+        _trusted_mass(frame, final),
+        {"decided": "step3", "feature": feature, "group": list(frame.labels_of(candidate))},
     )
 
 

@@ -36,9 +36,8 @@ from .data import (
 from .evidence import (
     EvidenceError,
     belief_interval,
-    combine,
     combine_all,
-    conflict,
+    combine_with_conflict,
     make_frame,
     make_mass,
 )
@@ -103,18 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_features(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    letters = spec.upper()
     indices = []
-    for ch in letters:
-        if ch not in harness.WBCD_FEATURES:
+    for ch in spec:
+        # str.upper() maps some non-ASCII letters onto A-I (dotless ı to I).
+        if not ch.isascii() or ch.upper() not in harness.WBCD_FEATURES:
             parser.error(f"unknown feature letter {ch!r} (use A-I)")
-        indices.append(harness.WBCD_FEATURES.index(ch))
+        indices.append(harness.WBCD_FEATURES.index(ch.upper()))
     if not indices or len(set(indices)) != len(indices):
         parser.error(f"feature subset {spec!r} must be nonempty distinct letters A-I")
     return tuple(indices)
 
 
 def _parse_signals(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
+    # int() also reads non-ASCII digits, such as Arabic-Indic ones.
+    if not spec.isascii():
+        parser.error(f"signals must be digits 1-4, got {spec!r}")
     try:
         signals = tuple(int(ch) for ch in spec)
     except ValueError:
@@ -260,8 +262,7 @@ def _cmd_combine(args, parser) -> int:
         parser.error(f"bad frame: {exc}")
     masses = [_parse_mass_spec(spec, frame, parser) for spec in args.mass]
     if len(masses) > 1:
-        head = combine_all(masses[:-1])
-        final_k, combined = conflict(head, masses[-1]), combine(head, masses[-1])
+        combined, final_k = combine_with_conflict(combine_all(masses[:-1]), masses[-1])
     else:
         final_k, combined = 0.0, masses[0]
     intervals = {

@@ -483,7 +483,8 @@ def evaluate(
     for the evaluated subset only, so on ``wbcd`` a feature outside it needs
     no training values. A training fold the trainer cannot fit (e.g. too
     few records of a class) is an input error, raised as
-    :class:`DataFormatError`.
+    :class:`DataFormatError`; a feature index outside the records is the
+    caller's error, a plain ``ValueError`` raised before any training.
     """
     start = time.perf_counter()
     spec = TASKS.get(task)
@@ -501,6 +502,11 @@ def evaluate(
         raise ValueError("fold plan does not cover this dataset")
     subset = features if spec.key == "features" else signals
     subset = spec.default(dataset) if subset is None else tuple(subset)
+    if spec.key == "features":
+        n_features = len(dataset.feature_names)
+        for f in subset:
+            if not 0 <= f < n_features:
+                raise ValueError(f"feature {f} outside 0..{n_features - 1}")
     per_fold = []
     pairs = []
     misclassified = []

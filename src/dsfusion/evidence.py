@@ -238,26 +238,57 @@ def vacuous_mass(frame: Frame) -> MassFunction:
     return MassFunction(frame, {frame.full_mask: 1.0})
 
 
-def _intersect(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]:
+def _intersect(
+    left: Mapping[int, float], right: Mapping[int, float]
+) -> tuple[dict[int, float], float]:
     # Product masses accumulated on each nonempty intersection, and the
     # conflict K: the product mass falling on empty intersections.
-    _require_same_frame(m1.frame, m2.frame)
     acc: dict[int, float] = {}
     k = 0.0
-    right = m2._masses.items()
-    for b, vb in m1._masses.items():
-        for c, vc in right:
+    right_items = right.items()
+    for b, vb in left.items():
+        for c, vc in right_items:
             inter = b & c
             if inter:
-                acc[inter] = acc.get(inter, 0.0) + vb * vc
+                # 0 + x is x exactly, and keeps exact (Fraction) masses exact.
+                acc[inter] = acc.get(inter, 0) + vb * vc
             else:
                 k += vb * vc
     return acc, k
 
 
+def combine_bits(
+    left: Mapping[int, float], right: Mapping[int, float]
+) -> tuple[dict[int, float], float]:
+    """Dempster's rule on ``{bits: mass}`` dicts: the fused masses and the conflict K.
+
+    Every product lands on the intersection of its two focal sets; the
+    products on empty intersections sum to K and the rest are renormalised.
+    The fused dict lists focal sets in the order the products first reach
+    them (``left`` outer, ``right`` inner). Raises TotalConflictError when
+    K reaches 1, where the rule is undefined. This is the one
+    implementation of the rule; ``combine`` wraps it.
+    """
+    acc, k = _intersect(left, right)
+    if k >= 1.0 - IDENTITY_TOL:
+        raise TotalConflictError(f"total conflict between sources (K={k!r})")
+    # The kept products sum to 1 - K; their own sum keeps the result
+    # normalized when K is near 1, where 1.0 - k has lost most digits.
+    norm = sum(acc.values())
+    return {bits: v / norm for bits, v in acc.items()}, k
+
+
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
     """The conflict mass K: total product mass falling on empty intersections."""
-    return _intersect(m1, m2)[1]
+    _require_same_frame(m1.frame, m2.frame)
+    return _intersect(m1._masses, m2._masses)[1]
+
+
+def combine_with_conflict(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
+    """``combine`` and the conflict K of the same pair, from one fold."""
+    _require_same_frame(m1.frame, m2.frame)
+    masses, k = combine_bits(m1._masses, m2._masses)
+    return _trusted_mass(m1.frame, masses), k
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -266,13 +297,7 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises TotalConflictError when the conflict K reaches 1, where the
     rule is undefined.
     """
-    acc, k = _intersect(m1, m2)
-    if k >= 1.0 - IDENTITY_TOL:
-        raise TotalConflictError(f"total conflict between sources (K={k!r})")
-    # The kept products sum to 1 - K; their own sum keeps the result
-    # normalized when K is near 1, where 1.0 - k has lost most digits.
-    norm = sum(acc.values())
-    return _trusted_mass(m1.frame, {bits: v / norm for bits, v in acc.items()})
+    return combine_with_conflict(m1, m2)[0]
 
 
 def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
@@ -334,6 +359,27 @@ def belief_interval(m: MassFunction, subset: HypothesisSet) -> BeliefInterval:
     return BeliefInterval(belief(m, subset), plausibility(m, subset))
 
 
+def argmax_bits(
+    masses: Mapping[int, float], full_mask: int, exclude_theta: bool = False
+) -> int:
+    """The focal set of a ``{bits: mass}`` dict carrying the largest mass.
+
+    Ties break toward smaller cardinality, then lower bitmask. With
+    ``exclude_theta`` the whole frame (``full_mask``) is ignored, and it is
+    returned only when no other focal set exists.
+    """
+    best_bits = full_mask
+    best_key: tuple[float, int, int] | None = None
+    for bits, value in masses.items():
+        if exclude_theta and bits == full_mask:
+            continue
+        key = (-value, bits.bit_count(), bits)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_bits = bits
+    return best_bits
+
+
 def argmax_focal(m: MassFunction, exclude_theta: bool = False) -> HypothesisSet:
     """The focal element carrying the largest mass.
 
@@ -341,16 +387,4 @@ def argmax_focal(m: MassFunction, exclude_theta: bool = False) -> HypothesisSet:
     ``exclude_theta`` the whole frame is ignored unless it is the only
     focal element, in which case it is returned as the fallback.
     """
-    full = m.frame.full_mask
-    best_bits = -1
-    best_key: tuple[float, int, int] | None = None
-    for bits, value in m._masses.items():
-        if exclude_theta and bits == full:
-            continue
-        key = (-value, bits.bit_count(), bits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_bits = bits
-    if best_key is None:
-        return m.frame.theta()
-    return HypothesisSet(m.frame, best_bits)
+    return HypothesisSet(m.frame, argmax_bits(m._masses, m.frame.full_mask, exclude_theta))

@@ -155,6 +155,59 @@ def reference_three_class(samples, frame: Frame) -> ThreeClassModel:
     return ThreeClassModel(frame, BoundaryModel(tuple(bounds)), tuple(means), selected)
 
 
+def _exact_dempster(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    # Intersect, drop the products on the empty set, renormalize; no rounding.
+    acc: dict[int, Fraction] = {}
+    for sa, va in a.items():
+        for sb, vb in b.items():
+            if sa & sb:
+                acc[sa & sb] = acc.get(sa & sb, Fraction(0)) + va * vb
+    norm = sum(acc.values())
+    return {bits: v / norm for bits, v in acc.items()}
+
+
+def oracle_three_class(record, model: ThreeClassModel) -> tuple[str, dict]:
+    """The exact three-step decision for one record: its label and trace.
+
+    Every value, range and mean is taken as an exact rational.
+
+    - Step 1: per feature, the classes whose range holds the value get
+      9/10 and the frame 1/10; a value in no range goes to the class whose
+      range is nearest (ties to the lowest class); a value in every range
+      gives the frame 1. The features fold by exact Dempster's rule, and
+      the candidate is the focal set of greatest mass other than the
+      frame, ties to smaller cardinality, then lower bitmask; the frame
+      when no other set is focal. A singleton decides.
+    - Step 2: on the candidate group's selected feature, the class whose
+      mean is nearest (ties to the lowest class) gets 8/10, the frame 2/10.
+    - Step 3: that fuses with step 1, and the singleton of greatest
+      belief (its own mass) wins, ties to the lowest class.
+    """
+    full = 0b111
+    step1 = {full: Fraction(1)}
+    for value, class_bounds in zip(record, model.boundaries.bounds):
+        v = Fraction(value)
+        bits = sum(1 << c for c, (lo, hi) in enumerate(class_bounds) if lo <= v <= hi)
+        if bits == 0:
+            gaps = [max(Fraction(lo) - v, v - Fraction(hi)) for lo, hi in class_bounds]
+            bits = 1 << min(range(3), key=lambda c: (gaps[c], c))
+        row = {full: Fraction(1)} if bits == full else {bits: Fraction(9, 10), full: Fraction(1, 10)}
+        step1 = _exact_dempster(step1, row)
+    focal = [bits for bits in step1 if bits != full]
+    candidate = min(focal, key=lambda b: (-step1[b], b.bit_count(), b)) if focal else full
+    labels = model.frame.labels
+    if candidate.bit_count() == 1:
+        return labels[candidate.bit_length() - 1], {"decided": "step1"}
+    feature = model.selected[candidate]
+    v = Fraction(record[feature])
+    diffs = [abs(v - Fraction(mean)) for mean in model.means[feature]]
+    nearest = min(range(3), key=lambda c: (diffs[c], c))
+    final = _exact_dempster(step1, {1 << nearest: Fraction(8, 10), full: Fraction(2, 10)})
+    winner = min(range(3), key=lambda c: (-final.get(1 << c, Fraction(0)), c))
+    group = [labels[c] for c in range(3) if candidate >> c & 1]
+    return labels[winner], {"decided": "step3", "feature": feature, "group": group}
+
+
 def random_mass(frame: Frame, rng: random.Random) -> MassFunction:
     """A random mass function over every nonempty subset of the frame."""
     weights = [rng.random() for _ in range(frame.full_mask)]

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dsfusion import (
@@ -17,6 +17,7 @@ from dsfusion import (
     bpa_from_dict,
     bpa_to_dict,
     class_columns,
+    class_moments,
     distance_mass,
     fit_boundaries,
     fsv,
@@ -27,7 +28,7 @@ from dsfusion import (
     sigmoid_mass,
     table_mass,
 )
-from dsfusion.bpa import DegenerateFeatureError
+from dsfusion.bpa import DegenerateFeatureError, moments
 
 THREE = make_frame(["c1", "c2", "c3"])
 
@@ -172,22 +173,22 @@ class TestTableMass:
 class TestFitBoundaries:
     def test_single_record_per_class(self):
         samples = [((1.0, 5.0), 0), ((2.0, 6.0), 1), ((3.0, 7.0), 2)]
-        model = fit_boundaries(class_columns(samples))
+        model = fit_boundaries(class_moments(class_columns(samples)))
         assert model.bounds[0] == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
 
     def test_min_max_observed(self):
         samples = [((4.3,), 0), ((5.8,), 0), ((5.0,), 0), ((4.9,), 1), ((6.9,), 1),
                    ((4.9,), 2), ((7.9,), 2)]
-        model = fit_boundaries(class_columns(samples))
+        model = fit_boundaries(class_moments(class_columns(samples)))
         assert model.bounds[0] == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_boundaries(class_columns([((1.0,), 0), ((2.0,), 1)]))
+            fit_boundaries(class_moments(class_columns([((1.0,), 0), ((2.0,), 1)])))
 
     def test_identical_classes_identical_ranges(self):
         samples = [((1.0,), 0), ((2.0,), 0), ((1.0,), 1), ((2.0,), 1), ((1.0,), 2), ((2.0,), 2)]
-        model = fit_boundaries(class_columns(samples))
+        model = fit_boundaries(class_moments(class_columns(samples)))
         assert model.bounds[0][0] == model.bounds[0][1]
 
 
@@ -209,6 +210,11 @@ class TestBoundaryMass:
     def test_below_all_ranges_goes_to_nearest(self):
         m = boundary_mass(0.5, EXAMPLE_BOUNDS, THREE)
         assert m.mass_bits(0b001) == 0.9
+
+    def test_nearest_range_rounding_tie_decided_exactly(self):
+        # The gaps 1 + 1e-20 and 1 - 1e-20 both round to 1.0; exactly, class 1 is nearer.
+        m = boundary_mass(1e-20, ((-2.0, -1.0), (1.0, 2.0), (5.0, 6.0)), THREE)
+        assert m.mass_bits(0b010) == 0.9
 
     def test_above_all_ranges_goes_to_nearest(self):
         m = boundary_mass(7.0, EXAMPLE_BOUNDS, THREE)
@@ -258,11 +264,48 @@ class TestFsv:
         with pytest.raises(DegenerateFeatureError):
             fsv([[2.0, 2.0], [2.0, 2.0]])
 
+    @pytest.mark.parametrize("value", [0.1, 1.1, 2.0])
+    def test_identical_values_are_degenerate_at_any_value(self, value):
+        # The float mean of [0.1] * 3 is not 0.1, so a two-pass sd is not 0.
+        with pytest.raises(DegenerateFeatureError):
+            fsv([[value] * 3, [value] * 3])
+        with pytest.raises(DegenerateFeatureError):
+            fsv([[value] * 2, [value] * 4, [value] * 3])
+
+    def test_constant_classes_have_exactly_zero_sd(self):
+        assert fsv([[0.1] * 3, [0.2] * 3]) == 0.0
+        assert fsv([[0.1] * 3, [0.2, 0.3, 0.4]]) == 0.0
+        assert moments([0.1] * 3).sd == 0.0
+
     def test_class_size_minimums(self):
         with pytest.raises(ValueError):
             fsv([[1.0], [2.0, 3.0]])
         with pytest.raises(ValueError):
             fsv([[1.0, 2.0]])
+
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=12),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    def test_pooled_union_matches_two_pass_definition(self, grouped):
+        # Per-class sds by two passes over each class, the union sd by two
+        # passes over the concatenated values.
+        def sd(values):
+            mean = sum(values) / len(values)
+            return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+
+        union = [v for values in grouped for v in values]
+        if min(union) == max(union):
+            with pytest.raises(DegenerateFeatureError):
+                fsv(grouped)
+            return
+        union_sd = sd(union)
+        assume(union_sd > 1e-3)
+        expected = math.prod(0.0 if min(v) == max(v) else sd(v) for v in grouped) / union_sd
+        assert fsv(grouped) == pytest.approx(expected, rel=1e-9, abs=1e-300)
 
     @given(st.floats(min_value=-100, max_value=100))
     def test_translation_invariance(self, shift):
@@ -278,6 +321,13 @@ class TestFsv:
         assert scaled == pytest.approx(base * scale, rel=1e-9)
 
 
+def _present_moments(samples):
+    # class_moments of the classes that have samples; these tests use
+    # classes 0 and 1, or all three, so dropping an empty class 2 keeps
+    # every index.
+    return [[moments(v) for v in per_class if v] for per_class in class_columns(samples)]
+
+
 class TestSelectFeature:
     def test_picks_tightest_separator(self):
         samples = []
@@ -285,16 +335,23 @@ class TestSelectFeature:
             samples.append(((v * 7, 5.0 + v, v), 0))
         for v in (9.0, 9.1, 9.2):
             samples.append(((v, 5.0 + v / 10, v), 1))
-        assert select_feature(class_columns(samples), (0, 1)) == 2
+        assert select_feature(_present_moments(samples), (0, 1)) == 2
 
     def test_tie_goes_to_lowest_index(self):
         samples = [((1.0, 1.0), 0), ((2.0, 2.0), 0), ((7.0, 7.0), 1), ((8.0, 8.0), 1)]
-        assert select_feature(class_columns(samples), (0, 1)) == 0
+        assert select_feature(_present_moments(samples), (0, 1)) == 0
 
     def test_all_degenerate_rejected(self):
         samples = [((2.0,), 0), ((2.0,), 0), ((2.0,), 1), ((2.0,), 1)]
         with pytest.raises(DegenerateFeatureError):
-            select_feature(class_columns(samples), (0, 1))
+            select_feature(_present_moments(samples), (0, 1))
+
+    def test_constant_feature_is_skipped(self):
+        # Feature 0 is 0.1 everywhere: no signal, so feature 1 is picked for every group.
+        samples = [((0.1, 10.0 * c + i), c) for c in range(3) for i in range(3)]
+        stats = class_moments(class_columns(samples))
+        for group in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
+            assert select_feature(stats, group) == 1
 
     def test_three_class_form(self):
         samples = []
@@ -303,7 +360,7 @@ class TestSelectFeature:
                 samples.append(((center + dv, 100 * (center + dv)), c))
         # feature 1 is feature 0 scaled by 100; scaling law for 3 classes
         # multiplies fsv by 100^2, so feature 0 wins
-        assert select_feature(class_columns(samples), (0, 1, 2)) == 0
+        assert select_feature(_present_moments(samples), (0, 1, 2)) == 0
 
 
 class TestDistanceMass:
@@ -321,6 +378,11 @@ class TestDistanceMass:
     def test_tie_goes_to_lowest_class(self):
         m = distance_mass(2.0, (1.0, 3.0, 100.0), THREE)
         assert m.mass_bits(0b001) == 0.8
+
+    def test_rounding_tie_decided_exactly(self):
+        # |1e-20 - (-1)| and |1e-20 - 1| both round to 1.0; exactly, class 1 is nearer.
+        m = distance_mass(1e-20, (-1.0, 1.0, 5.0), THREE)
+        assert m.mass_bits(0b010) == 0.8
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_translation_invariance(self, shift):

@@ -17,11 +17,15 @@ from dsfusion import (
     EmailModel,
     SigmoidBpa,
     ThreeClassModel,
+    boundary_mass,
     classifier_from_dict,
     classifier_to_dict,
     classify_binary,
     classify_email,
     classify_three_class,
+    combine,
+    combine_all,
+    distance_mass,
     email_model_default,
     make_folds,
     make_frame,
@@ -31,7 +35,13 @@ from dsfusion import (
 )
 from dsfusion.classify import BinaryModel, email_signal_row
 
-from conftest import exact_binary_fold, mass_to_frozensets, oracle_combine, reference_three_class
+from conftest import (
+    exact_binary_fold,
+    mass_to_frozensets,
+    oracle_combine,
+    oracle_three_class,
+    reference_three_class,
+)
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
 
@@ -267,6 +277,19 @@ class TestClassifyThreeClass:
         assert pred.trace["decided"] == "step3"
         assert pred.label == "Versicolour"
 
+    def test_exact_step1_tie_goes_to_lower_bitmask(self):
+        # Every value lies below every range. Features 0 and 2 point to the
+        # nearest range's class Setosa, features 1 and 3 to Versicolour, so
+        # their masses tie exactly; the float fold puts Versicolour one ulp ahead.
+        bounds = (((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)), ((0.5, 0.5), (0.0, 0.0), (0.0, 0.0))) * 2
+        model = ThreeClassModel(
+            IRIS_FRAME, BoundaryModel(bounds), ((0.0, 0.0, 0.0),) * 4,
+            {0b011: 0, 0b101: 0, 0b110: 0, 0b111: 0},
+        )
+        pred = classify_three_class((-1.0, -1.0, -1.0, -1.0), model)
+        assert pred.mass.mass_bits(0b010) > pred.mass.mass_bits(0b001)
+        assert (pred.label, pred.trace) == ("Setosa", {"decided": "step1"})
+
     def test_pair_candidate_uses_group_feature(self):
         model = three_class_model()
         # all four features inside the versicolour/virginica overlap
@@ -280,6 +303,12 @@ class TestClassifyThreeClass:
         means = ((5.0, 5.9, 6.6), (3.4, bad, 3.0), (1.5, 4.3, 5.6), (0.2, 1.3, 2.0))
         with pytest.raises(ValueError, match="finite"):
             ThreeClassModel(IRIS_FRAME, BoundaryModel(TRAINING_BOUNDS), means, {0b111: 1})
+
+    def test_model_without_features_rejected_from_json(self):
+        data = classifier_to_dict(three_class_model())
+        data["boundaries"]["bounds"], data["means"] = [], []
+        with pytest.raises(ValueError, match="at least one feature"):
+            classifier_from_dict(data)
 
     def test_non_finite_mean_rejected_from_json(self):
         data = classifier_to_dict(three_class_model())
@@ -334,6 +363,72 @@ def test_train_three_class_matches_per_sample_reference(samples):
             train_three_class(samples, IRIS_FRAME)
         return
     assert classifier_to_dict(train_three_class(samples, IRIS_FRAME)) == classifier_to_dict(expected)
+
+
+def generic_three_class_mass(record, model: ThreeClassModel, trace):
+    """The mass ``classify_three_class`` reports, through the generic evidence
+    algebra: ``combine_all`` of the public ``boundary_mass`` builders, then,
+    for a step-3 decision, ``combine`` with ``distance_mass`` on the traced
+    feature."""
+    frame = model.frame
+    step1 = combine_all(
+        [boundary_mass(v, bounds, frame) for v, bounds in zip(record, model.boundaries.bounds)]
+    )
+    if trace["decided"] == "step1":
+        return step1
+    feature = trace["feature"]
+    return combine(step1, distance_mass(record[feature], model.means[feature], frame))
+
+
+def _assert_three_class_exact(record, model):
+    pred = classify_three_class(record, model)
+    assert (pred.label, dict(pred.trace)) == oracle_three_class(record, model)
+    generic = generic_three_class_mass(record, model, pred.trace)
+    # ==, not approx: the same products, summed and divided in the same order.
+    assert list(pred.mass.items()) == list(generic.items())
+
+
+def test_three_class_matches_exact_oracle_and_generic_fold_on_iris(iris_dataset):
+    records = iris_dataset.records
+    decisions = 0
+    for seed in range(42, 52):
+        folds = make_folds(len(records), 10, seed)
+        for fold in range(folds.k):
+            samples = [(records[i].features, records[i].label) for i in folds.train_indices(fold)]
+            model = train_three_class(samples, IRIS_FRAME)
+            for i in folds.test_indices(fold):
+                _assert_three_class_exact(records[i].features, model)
+                decisions += 1
+    assert decisions == 1500
+
+
+_GRID = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
+
+
+@st.composite
+def _three_class_cases(draw):
+    # Ranges, means and values on a coarse grid, so that records sit on
+    # range edges, in no range or every range, and halfway between means.
+    n_features = draw(st.integers(min_value=1, max_value=4))
+    bounds = tuple(
+        tuple(tuple(sorted((draw(_GRID), draw(_GRID)))) for _ in range(3))
+        for _ in range(n_features)
+    )
+    means = tuple(tuple(draw(_GRID) for _ in range(3)) for _ in range(n_features))
+    feature = st.integers(min_value=0, max_value=n_features - 1)
+    selected = {bits: draw(feature) for bits in (0b011, 0b101, 0b110, 0b111)}
+    model = ThreeClassModel(IRIS_FRAME, BoundaryModel(bounds), means, selected)
+    value = st.sampled_from((-1.0, 0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0))
+    records = draw(st.lists(st.tuples(*[value] * n_features), min_size=1, max_size=8))
+    return model, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_three_class_cases())
+def test_three_class_matches_exact_oracle_and_generic_fold(case):
+    model, records = case
+    for record in records:
+        _assert_three_class_exact(record, model)
 
 
 class TestEmailModel:

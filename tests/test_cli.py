@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsfusion import combine, combine_all, conflict, make_frame, make_mass
 from dsfusion.cli import main
 from dsfusion.data import EMAIL_HEADER
 
@@ -68,6 +69,14 @@ class TestWbcdCommand:
     def test_bad_feature_letter_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--features", "AZ")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["ı", "Aı", "ＡＢ"])
+    def test_non_ascii_feature_letter_exits_2(self, capsys, spec):
+        # str.upper() maps the dotless ı onto I; only ASCII letters name features.
+        code, out, err = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--features", spec)
+        assert code == 2
+        assert out == ""
+        assert "unknown feature letter" in err
 
     def test_json_format_parses(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -196,6 +205,14 @@ class TestEmailCommand:
         code, _, _ = run_cli(capsys, "email", "--generate", "--signals", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["١٢", "１２", "1٣"])
+    def test_non_ascii_digits_exit_2(self, capsys, spec):
+        # int() reads Arabic-Indic and fullwidth digits; only ASCII names signals.
+        code, out, err = run_cli(capsys, "email", "--generate", "--signals", spec)
+        assert code == 2
+        assert out == ""
+        assert "signals must be digits 1-4" in err
+
     def test_needs_data_or_generate(self, capsys):
         code, _, _ = run_cli(capsys, "email")
         assert code == 2
@@ -263,6 +280,25 @@ class TestCombineCommand:
         payload = json.loads(out)
         assert payload["combined"]["a|b"] == pytest.approx(0.5)
         assert payload["intervals"]["c"]["bel"] == pytest.approx(0.3)
+
+    def test_final_conflict_matches_the_pairwise_rule(self, capsys):
+        specs = ["a:0.5,b:0.3,a|b|c:0.2", "b|c:0.6,a:0.3,a|b|c:0.1", "c:0.7,a|b:0.2,a|b|c:0.1"]
+        argv = ["combine", "--frame", "a,b,c", "--format", "json"]
+        for spec in specs:
+            argv += ["--mass", spec]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        frame = make_frame(["a", "b", "c"])
+        masses = [
+            make_mass(frame, [(frame.subset(part.rpartition(":")[0].split("|")),
+                               float(part.rpartition(":")[2])) for part in spec.split(",")])
+            for spec in specs
+        ]
+        head = combine_all(masses[:2])
+        payload = json.loads(out)
+        assert payload["conflict"] == conflict(head, masses[2])
+        expected = combine(head, masses[2])
+        assert payload["combined"] == {frame.describe(s.bits): v for s, v in expected.items()}
 
     def test_total_conflict_exits_4(self, capsys):
         code, _, err = run_cli(

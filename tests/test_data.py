@@ -1,6 +1,7 @@
 """Tests for dataset loading, the email generator, folds, evaluation, and
 report emission."""
 
+import dataclasses
 import json
 import math
 
@@ -23,6 +24,7 @@ from dsfusion import (
     write_report,
 )
 from dsfusion.data import (
+    TASKS,
     RNG_ID,
     WBCD_FEATURES,
     _classify_wbcd,
@@ -346,6 +348,22 @@ class TestEvaluate:
             DataFormatError, match=r"^fold 1 of 10: .* feature 1 has no non-missing training values"
         ):
             evaluate(no_b, "wbcd", folds=folds, features=(0, 1))
+
+    @pytest.mark.parametrize("task", ["wbcd", "iris"])
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_feature_index_outside_record_is_a_usage_error(
+        self, wbcd_dataset, iris_dataset, task, bad, monkeypatch
+    ):
+        dataset = wbcd_dataset if task == "wbcd" else iris_dataset
+        n = len(dataset.feature_names)
+        index = n if bad == 9 else bad
+        trained = []
+        spec = dataclasses.replace(TASKS[task], train=lambda *args: trained.append(args))
+        monkeypatch.setitem(TASKS, task, spec)
+        with pytest.raises(ValueError, match=rf"^feature {index} outside 0\.\.{n - 1}$") as info:
+            evaluate(dataset, task, folds=make_folds(len(dataset), 10, 42), features=(0, index))
+        assert not isinstance(info.value, DataFormatError)
+        assert trained == []
 
     def test_nan_feature_is_an_error_not_missing(self):
         records = [Record(1, (1.0, 1.0), 0), Record(2, (math.nan, 9.0), 1)] + [

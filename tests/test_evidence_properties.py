@@ -18,6 +18,7 @@ from dsfusion import (
     combine,
     combine_all,
     combine_binary,
+    combine_with_conflict,
     conflict,
     make_frame,
     plausibility,
@@ -106,6 +107,8 @@ def test_oracle_agreement(m1, m2):
         return
     expected, expected_k = oracle_combine(mass_to_frozensets(m1), mass_to_frozensets(m2))
     assert conflict(m1, m2) == pytest.approx(expected_k, abs=1e-9)
+    # One fold gives both: the same mass and K as the two separate calls.
+    assert combine_with_conflict(m1, m2) == (combine(m1, m2), conflict(m1, m2))
     actual = mass_to_frozensets(combine(m1, m2))
     assert set(actual) == set(expected)
     for key, value in expected.items():
