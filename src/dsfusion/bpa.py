@@ -38,6 +38,10 @@ Columns = list[list[list[float]]]
 # The whole three-class frame as a bitmask.
 THREE_CLASS_FULL = 0b111
 
+# The mass the three-class assignments put on their focal set; the rest is on the frame.
+BOUNDARY_CONFIDENCE = 0.9
+DISTANCE_CONFIDENCE = 0.8
+
 
 class DegenerateFeatureError(ValueError):
     """A feature whose pooled values have zero spread cannot be scored."""
@@ -53,9 +57,9 @@ def logistic(x: float) -> float:
 
 
 class Moments(NamedTuple):
-    """One class's values on one feature: count, sum, mean = sum / count, the
-    sum of squared deviations M2 = Σ(v - mean)², the sample sd, and the
-    (min, max) range."""
+    """One class's values on one feature: count, sum, mean, the sum of
+    squared deviations M2 = Σ(v - mean)², the sample sd, and the (min, max)
+    range."""
 
     n: int
     total: float
@@ -73,16 +77,16 @@ ClassMoments = list[list[Moments]]
 def moments(values: Sequence[float]) -> Moments:
     """The :class:`Moments` of a nonempty list of values.
 
-    Values that all equal one another have M2 exactly 0: their float mean
-    ``sum / n`` can miss the common value by an ulp, which would leave a
-    spurious spread.
+    Values that all equal one another have that value as their mean and M2
+    exactly 0: their float ``sum / n`` can miss the common value by an ulp,
+    which would move the mean and leave a spurious spread.
     """
     n = len(values)
     if not n:
         raise ValueError("moments need at least one value")
     total = sum(values)
-    mean = total / n
     lo, hi = min(values), max(values)
+    mean = lo if lo == hi else total / n
     m2 = 0.0 if lo == hi else sum([(v - mean) ** 2 for v in values])
     sd = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
     return Moments(n, total, mean, m2, sd, lo, hi)
@@ -225,6 +229,8 @@ def class_columns(samples: Sequence[Sample]) -> Columns:
     n_features = len(samples[0][0])
     by_class: list[list[Sequence[float]]] = [[], [], []]
     for features, label in samples:
+        if label not in (0, 1, 2):
+            raise ValueError(f"class label {label!r} outside 0..2")
         by_class[label].append(features)
     # zip(*records) turns one class's records into its feature columns; a
     # class with no records gets empty ones, which class_moments rejects.
@@ -260,9 +266,7 @@ def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callabl
     return min(tied, key=lambda c: (gap(exact, *map(Fraction, refs[c])), c))
 
 
-def boundary_row(
-    value: float, class_bounds: Sequence[tuple[float, float]], confidence: float = 0.9
-) -> dict[int, float]:
+def boundary_row(value: float, class_bounds: Sequence[tuple[float, float]]) -> dict[int, float]:
     """The ``{bits: mass}`` of :func:`boundary_mass`, without building the mass function."""
     if len(class_bounds) != 3:
         raise ValueError("boundary assignment is defined over exactly three classes")
@@ -274,24 +278,21 @@ def boundary_row(
         return {THREE_CLASS_FULL: 1.0}
     if bits == 0:
         bits = 1 << _nearest_class(value, class_bounds, lambda v, lo, hi: max(lo - v, v - hi))
-    return {bits: confidence, THREE_CLASS_FULL: 1.0 - confidence}
+    return {bits: BOUNDARY_CONFIDENCE, THREE_CLASS_FULL: 1.0 - BOUNDARY_CONFIDENCE}
 
 
 def boundary_mass(
-    value: float,
-    class_bounds: Sequence[tuple[float, float]],
-    frame: Frame,
-    confidence: float = 0.9,
+    value: float, class_bounds: Sequence[tuple[float, float]], frame: Frame
 ) -> MassFunction:
     """Mass from range membership: which classes' observed range holds the value.
 
-    The membership set gets ``confidence`` and the frame the remainder;
-    membership in every class collapses to total ignorance, membership in
-    none falls back to the class whose range is nearest.
+    The membership set gets ``BOUNDARY_CONFIDENCE`` and the frame the
+    remainder; membership in every class collapses to total ignorance,
+    membership in none falls back to the class whose range is nearest.
     """
     if frame.size != 3:
         raise ValueError("boundary assignment is defined over exactly three classes")
-    return MassFunction(frame, boundary_row(value, class_bounds, confidence))
+    return MassFunction(frame, boundary_row(value, class_bounds))
 
 
 def _fsv(group: Sequence[Moments]) -> float:
@@ -355,24 +356,23 @@ def select_feature(stats: ClassMoments, classes: Sequence[int]) -> int:
     return best_feature
 
 
-def distance_row(value: float, means: Sequence[float], confidence: float = 0.8) -> dict[int, float]:
+def distance_row(value: float, means: Sequence[float]) -> dict[int, float]:
     """The ``{bits: mass}`` of :func:`distance_mass`, without building the mass function."""
     if len(means) != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
     nearest = _nearest_class(value, [(mean,) for mean in means], lambda v, mean: abs(v - mean))
-    return {1 << nearest: confidence, THREE_CLASS_FULL: 1.0 - confidence}
+    return {1 << nearest: DISTANCE_CONFIDENCE, THREE_CLASS_FULL: 1.0 - DISTANCE_CONFIDENCE}
 
 
-def distance_mass(
-    value: float, means: Sequence[float], frame: Frame, confidence: float = 0.8
-) -> MassFunction:
-    """Mass on the class whose mean is nearest to the value; rest on the frame.
+def distance_mass(value: float, means: Sequence[float], frame: Frame) -> MassFunction:
+    """Mass ``DISTANCE_CONFIDENCE`` on the class whose mean is nearest to the
+    value; the rest on the frame.
 
     Ties go to the lowest class index.
     """
     if frame.size != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
-    return MassFunction(frame, distance_row(value, means, confidence))
+    return MassFunction(frame, distance_row(value, means))
 
 
 BpaModel = SigmoidBpa | ScaledSigmoidBpa | TableBpa | BoundaryModel

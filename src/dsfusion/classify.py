@@ -133,7 +133,10 @@ def classify_binary(
     selected = range(model.n_features) if features is None else features
     if not selected:
         raise ValueError("feature subset must be nonempty")
+    n_features = model.n_features
     for f in selected:
+        if not 0 <= f < n_features:
+            raise ValueError(f"feature {f} outside 0..{n_features - 1}")
         if model.bpas[f] is None:
             raise ValueError(f"feature {f} has no fitted threshold in this model")
     used = [f for f in selected if record[f] is not None]
@@ -232,9 +235,10 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     ``combine`` with ``distance_mass``; only the reported result becomes a
     mass function. Step 1's masses can tie exactly (sources for two
     classes in turn), and float folding breaks such a tie by rounding, so
-    a near-tie there is decided on the exact fold. With confidences 0.9
-    and 0.8, step 3's singleton beliefs do not tie exactly for up to eight
-    boundary sources, and are compared as floats.
+    a near-tie there is decided on the exact fold. With the confidences
+    ``BOUNDARY_CONFIDENCE`` = 0.9 and ``DISTANCE_CONFIDENCE`` = 0.8, step
+    3's singleton beliefs do not tie exactly for up to eight boundary
+    sources, and are compared as floats.
     """
     rows = [
         boundary_row(record[f], class_bounds)

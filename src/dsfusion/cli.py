@@ -17,10 +17,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import data as harness
-from .classify import classifier_to_dict, classify_email, email_model_default
+from .classify import classifier_to_dict
 from .data import (
     DataFormatError,
-    EmailGenConfig,
     ablation,
     evaluate,
     generate_email,
@@ -57,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
         p.add_argument("--out", type=Path, help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                       help="report format for --out and stdout (default text)")
 
     p_wbcd = sub.add_parser("wbcd", help="binary threshold-fusion benchmark")
     p_wbcd.add_argument("--data", type=Path, required=True, help="breast-cancer-wisconsin.data")
@@ -87,6 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_email.add_argument("--signals", default="1234",
                          help="signal digits 1-4 to fuse (default 1234)")
     common(p_email)
+    for p in (p_wbcd, p_email):  # the tasks whose one report _emit writes
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                       help="report format for --out and stdout (default text)")
 
     p_gen = sub.add_parser("generate-email", help="write a synthetic email corpus CSV")
     p_gen.add_argument("--out", type=Path, required=True)
@@ -155,7 +155,7 @@ def _cmd_wbcd(args, parser) -> int:
         for label, accuracy in table:
             print(f"{label}: {accuracy:.4f}")
         return 0
-    report = evaluate(dataset, "wbcd", folds=folds, features=features)
+    report = evaluate(dataset, "wbcd", folds=folds, subset=features)
     _emit(report, args)
     print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
     return 0
@@ -196,14 +196,14 @@ def _cmd_iris(args, parser) -> int:
 def _cmd_email(args, parser) -> int:
     signals = _parse_signals(args.signals, parser)
     if args.generate:
-        dataset = generate_email(EmailGenConfig(seed=args.seed))
+        dataset = generate_email(args.seed)
         if args.save_data:
             write_email_csv(dataset, args.save_data)
     elif args.data:
         dataset = load_email(args.data)
     else:
         parser.error("email needs --data PATH or --generate")
-    report = evaluate(dataset, "email", signals=signals, seed=args.seed)
+    report = evaluate(dataset, "email", subset=signals, seed=args.seed)
     worm_ids = {r.id for r in dataset if r.label == 1}
     missed = [rid for rid in report.misclassified if rid in worm_ids]
     false_pos = [rid for rid in report.misclassified if rid not in worm_ids]
@@ -212,14 +212,11 @@ def _cmd_email(args, parser) -> int:
     print(f"worms detected: {detected}/{len(worm_ids)}, missed: "
           + (", ".join(map(str, missed)) or "none"))
     print("false positives: " + (", ".join(map(str, false_pos)) or "none"))
-    model = email_model_default()
-    margins = []
-    for r in dataset:
-        if r.label != 1:
-            continue
-        pred = classify_email(r.features, model, signals)
-        margins.append((abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1)), r.id, pred))
-    margins.sort()
+    margins = sorted(
+        (abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1)), r.id, pred)
+        for r, pred in zip(dataset, report.predictions)
+        if r.label == 1
+    )
     print("closest-margin worms:")
     for margin, rid, pred in margins[:5]:
         print(f"  id {rid}: margin {margin:.4f}, {pred.label}, {pred.mass}")
@@ -229,7 +226,7 @@ def _cmd_email(args, parser) -> int:
 
 
 def _cmd_generate_email(args, parser) -> int:
-    dataset = generate_email(EmailGenConfig(seed=args.seed))
+    dataset = generate_email(args.seed)
     write_email_csv(dataset, args.out)
     print(f"wrote {len(dataset)} records to {args.out}")
     return 0

@@ -48,7 +48,7 @@ _IRIS_NAME_TO_CLASS = {
 
 
 class DataFormatError(ValueError):
-    """A dataset file or generator config violates its documented layout."""
+    """A dataset file violates its documented layout."""
 
 
 @dataclass(frozen=True)
@@ -159,85 +159,46 @@ def load_iris(path: str | Path) -> RecordSet:
     return RecordSet(tuple(records), IRIS_FEATURES, IRIS_CLASSES)
 
 
-@dataclass(frozen=True)
-class EmailGenConfig:
-    """Shape of the synthetic email corpus.
-
-    Worm messages (ids inside ``worm_blocks``) carry a spoofed sender and
-    one dangerous attachment; ``doc_ids`` are legitimate messages with one
-    benign attachment. Burst leaders are worms sent right after legitimate
-    traffic, so their send interval is drawn from the short legit range.
-    """
-
-    legit_count: int = 90
-    worm_count: int = 42
-    worm_blocks: tuple[tuple[int, int], ...] = ((39, 59), (61, 81))
-    doc_ids: tuple[int, ...] = (12, 101)
-    leader_ids: tuple[int, ...] = (39, 61)
-    legit_interval_range: tuple[float, float] = (5.0, 3600.0)
-    long_gap_fraction: float = 0.2
-    long_gap_range: tuple[float, float] = (3600.0, 94665.0)
-    worm_interval_range: tuple[float, float] = (60.0, 600.0)
-    leader_interval_range: tuple[float, float] = (5.0, 30.0)
-    seed: int = 42
-
-    @property
-    def total(self) -> int:
-        return self.legit_count + self.worm_count
-
-    def worm_ids(self) -> frozenset[int]:
-        return frozenset(
-            i for lo, hi in self.worm_blocks for i in range(lo, hi + 1)
-        )
-
-    def validate(self) -> None:
-        worm_ids: set[int] = set()
-        for lo, hi in self.worm_blocks:
-            if lo > hi or lo < 1 or hi > self.total:
-                raise DataFormatError(f"worm id block {lo}-{hi} outside 1..{self.total}")
-            block = set(range(lo, hi + 1))
-            if block & worm_ids:
-                raise DataFormatError(f"worm id block {lo}-{hi} overlaps another block")
-            worm_ids |= block
-        if len(worm_ids) != self.worm_count:
-            raise DataFormatError(
-                f"worm blocks hold {len(worm_ids)} ids but worm_count is {self.worm_count}"
-            )
-        if set(self.doc_ids) & worm_ids:
-            raise DataFormatError("doc-attachment ids overlap the worm id blocks")
-        if not set(self.leader_ids) <= worm_ids:
-            raise DataFormatError("burst-leader ids must be worm ids")
-        for lo, hi in (self.legit_interval_range, self.long_gap_range,
-                       self.worm_interval_range, self.leader_interval_range):
-            if lo < 0 or lo > hi:
-                raise DataFormatError(f"bad interval range ({lo}, {hi})")
+# The synthetic email corpus: 132 messages, 90 legitimate and 42 worms.
+# Worm messages (ids inside the worm blocks) carry a spoofed sender and one
+# dangerous attachment; the doc ids are legitimate messages with one benign
+# attachment. Burst leaders are worms sent right after legitimate traffic,
+# so their send interval is drawn from a short legit-looking range.
+# Intervals are in seconds, and a range is (lo, hi).
+EMAIL_MESSAGES = 132
+EMAIL_WORM_BLOCKS = ((39, 59), (61, 81))
+EMAIL_WORM_IDS = frozenset(i for lo, hi in EMAIL_WORM_BLOCKS for i in range(lo, hi + 1))
+EMAIL_DOC_IDS = (12, 101)
+EMAIL_LEADER_IDS = (39, 61)
+EMAIL_LEGIT_INTERVALS = (5.0, 3600.0)
+EMAIL_LONG_GAP_FRACTION = 0.2
+EMAIL_LONG_GAP_INTERVALS = (3600.0, 94665.0)
+EMAIL_WORM_INTERVALS = (60.0, 600.0)
+EMAIL_LEADER_INTERVALS = (5.0, 30.0)
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def generate_email(config: EmailGenConfig = EmailGenConfig()) -> RecordSet:
-    """Deterministically generate the synthetic email corpus for a config."""
-    config.validate()
-    rng = random.Random(config.seed)
-    worm_ids = config.worm_ids()
-    leaders = set(config.leader_ids)
+def generate_email(seed: int = 42) -> RecordSet:
+    """Deterministically generate the synthetic email corpus for a seed."""
+    rng = random.Random(seed)
     records = []
-    for i in range(1, config.total + 1):
-        if i in worm_ids:
-            if i in leaders:
-                interval = _log_uniform(rng, *config.leader_interval_range)
+    for i in range(1, EMAIL_MESSAGES + 1):
+        if i in EMAIL_WORM_IDS:
+            if i in EMAIL_LEADER_IDS:
+                interval = _log_uniform(rng, *EMAIL_LEADER_INTERVALS)
             else:
-                interval = rng.uniform(*config.worm_interval_range)
+                interval = rng.uniform(*EMAIL_WORM_INTERVALS)
             features = (float(round(interval)), 1.0, 1.0, 0.0)
             label = 1
         else:
-            if rng.random() < config.long_gap_fraction:
-                interval = _log_uniform(rng, *config.long_gap_range)
+            if rng.random() < EMAIL_LONG_GAP_FRACTION:
+                interval = _log_uniform(rng, *EMAIL_LONG_GAP_INTERVALS)
             else:
-                interval = _log_uniform(rng, *config.legit_interval_range)
-            benign = 1.0 if i in config.doc_ids else 0.0
+                interval = _log_uniform(rng, *EMAIL_LEGIT_INTERVALS)
+            benign = 1.0 if i in EMAIL_DOC_IDS else 0.0
             features = (float(round(interval)), 0.0, 0.0, benign)
             label = 0
         records.append(Record(i, features, label))
@@ -354,6 +315,8 @@ class EvalReport:
     misclassified: tuple[int, ...]
     runtime_seconds: float
     details: tuple = field(default=(), compare=False, repr=False)
+    # The Prediction of every record, in the record set's order.
+    predictions: tuple = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         out = {
@@ -408,7 +371,8 @@ class Task:
     ``classify(features, model, subset)`` labels one record with that
     subset. ``key`` names the subset in the report config,
     ``describe(dataset, subset)`` writes it there, and ``default(dataset)``
-    is the subset used when none is given.
+    is the subset used when none is given; a task with ``fixed_subset``
+    accepts no other.
     """
 
     train: Callable
@@ -417,6 +381,7 @@ class Task:
     describe: Callable
     default: Callable
     cross_validates: bool
+    fixed_subset: bool = False
 
     def fit(self, samples: Sequence, dataset: RecordSet, subset: Sequence[int], where: str):
         """Train on ``samples`` for ``subset``; a set the trainer cannot fit
@@ -454,6 +419,8 @@ TASKS = {
         describe=lambda dataset, subset: list(subset),
         default=_all_features,
         cross_validates=True,
+        # The three-class pipeline always fuses every feature.
+        fixed_subset=True,
     ),
     "email": Task(
         # The email settings are expert-chosen, so there is no training phase.
@@ -471,20 +438,21 @@ def evaluate(
     dataset: RecordSet,
     task: str,
     folds: FoldPlan | None = None,
-    features: Sequence[int] | None = None,
-    signals: Sequence[int] | None = None,
+    subset: Sequence[int] | None = None,
     seed: int = 0,
 ) -> EvalReport:
     """Run one benchmark task and collect its report.
 
     ``wbcd`` and ``iris`` cross-validate with the given fold plan and read
-    ``features``; ``email`` classifies every record as one fold with the
-    fixed default model and reads ``signals``. Each fold's model is trained
-    for the evaluated subset only, so on ``wbcd`` a feature outside it needs
-    no training values. A training fold the trainer cannot fit (e.g. too
-    few records of a class) is an input error, raised as
-    :class:`DataFormatError`; a feature index outside the records is the
-    caller's error, a plain ``ValueError`` raised before any training.
+    ``subset`` as feature indices (``iris`` fuses all four, always);
+    ``email`` classifies every record as one fold with the fixed default
+    model and reads it as signal numbers. Each fold's model is trained for
+    the evaluated subset only, so on ``wbcd`` a feature outside it needs no
+    training values. A training fold the trainer cannot fit (e.g. too few
+    records of a class) is an input error, raised as
+    :class:`DataFormatError`; a feature index outside the records, or a
+    subset the task does not take, is the caller's error, a plain
+    ``ValueError`` raised before any training.
     """
     start = time.perf_counter()
     spec = TASKS.get(task)
@@ -500,17 +468,20 @@ def evaluate(
         raise ValueError(f"task {task!r} needs a fold plan")
     if len(folds.assignment) != len(dataset):
         raise ValueError("fold plan does not cover this dataset")
-    subset = features if spec.key == "features" else signals
-    subset = spec.default(dataset) if subset is None else tuple(subset)
+    default = spec.default(dataset)
+    subset = default if subset is None else tuple(subset)
     if spec.key == "features":
         n_features = len(dataset.feature_names)
         for f in subset:
             if not 0 <= f < n_features:
                 raise ValueError(f"feature {f} outside 0..{n_features - 1}")
+    if spec.fixed_subset and subset != default:
+        raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
     per_fold = []
     pairs = []
     misclassified = []
     details = []
+    predictions = [None] * len(dataset)
     for fold in range(folds.k):
         train = dataset.samples(folds.train_indices(fold))
         model = spec.fit(train, dataset, subset, f"fold {fold + 1} of {folds.k}")
@@ -519,6 +490,7 @@ def evaluate(
         for i in test_indices:
             record = dataset.records[i]
             pred = spec.classify(record.features, model, subset)
+            predictions[i] = pred
             predicted = pred.mass.frame.labels.index(pred.label)
             pairs.append((record.label, predicted))
             if predicted == record.label:
@@ -541,7 +513,7 @@ def evaluate(
     accuracy = (len(dataset) - len(misclassified)) / len(dataset)
     return EvalReport(
         task, config, accuracy, tuple(per_fold), confusion, tuple(sorted(misclassified)),
-        time.perf_counter() - start, tuple(details),
+        time.perf_counter() - start, tuple(details), tuple(predictions),
     )
 
 
@@ -565,20 +537,20 @@ def ablation(
     """One evaluation per feature (or signal) subset, reusing the fold plan."""
     table = []
     for subset in subsets:
-        report = evaluate(dataset, task, folds=folds, features=subset, signals=subset, seed=seed)
+        report = evaluate(dataset, task, folds=folds, subset=subset, seed=seed)
         table.append((report.config[TASKS[task].key], report.accuracy))
     return table
 
 
 def repeated_cv(
     dataset: RecordSet, task: str, runs: int, k: int, seed: int,
-    features: Sequence[int] | None = None,
+    subset: Sequence[int] | None = None,
 ) -> list[EvalReport]:
     """Full cross-validations with seeds seed, seed+1, ..., seed+runs-1."""
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     return [
-        evaluate(dataset, task, folds=make_folds(len(dataset), k, seed + i), features=features)
+        evaluate(dataset, task, folds=make_folds(len(dataset), k, seed + i), subset=subset)
         for i in range(runs)
     ]
 

@@ -12,7 +12,6 @@ import pytest
 
 from dsfusion import (
     BoundaryModel,
-    EmailGenConfig,
     MassFunction,
     ThreeClassModel,
     belief,
@@ -157,7 +156,7 @@ class TestCriterion04WbcdAblation:
             return sum(labels[r.id] == r.label for r in records) / len(records)
 
         adi = (0, 3, 8)
-        report = evaluate(wbcd_dataset, "wbcd", folds=folds, features=adi)
+        report = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=adi)
         oracle = oracle_binary_labels(records, adi, folds)
         assert set(report.misclassified) == {r.id for r in records if oracle[r.id] != r.label}
         assert accuracies["ADI"] == report.accuracy
@@ -176,7 +175,7 @@ class TestCriterion04WbcdAblation:
         folds = make_folds(len(wbcd_dataset), 10, SEED)
         records = wbcd_dataset.records
         for features in _ABLATION_SUBSETS:
-            report = evaluate(wbcd_dataset, "wbcd", folds=folds, features=features)
+            report = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=features)
             oracle = oracle_binary_labels(records, features, folds)
             wrong = {r.id for r in records if oracle[r.id] != r.label}
             assert set(report.misclassified) == wrong, f"subset {features}"
@@ -257,7 +256,7 @@ def test_criterion_07_item_86_trace():
 
 def test_criterion_08_email_four_signals():
     start = time.perf_counter()
-    dataset = generate_email(EmailGenConfig(seed=SEED))
+    dataset = generate_email(SEED)
     report = evaluate(dataset, "email", seed=SEED)
     elapsed = time.perf_counter() - start
     worms = [r for r in dataset if r.label == 1]
@@ -337,11 +336,11 @@ def test_criterion_11_determinism(wbcd_dataset, iris_dataset):
     assert iris_a == iris_b
 
     email_a = report_json(
-        evaluate(generate_email(EmailGenConfig(seed=SEED)), "email", seed=SEED),
+        evaluate(generate_email(SEED), "email", seed=SEED),
         include_runtime=False,
     )
     email_b = report_json(
-        evaluate(generate_email(EmailGenConfig(seed=SEED)), "email", seed=SEED),
+        evaluate(generate_email(SEED), "email", seed=SEED),
         include_runtime=False,
     )
     assert email_a.encode() == email_b.encode()

@@ -191,6 +191,12 @@ class TestFitBoundaries:
         model = fit_boundaries(class_moments(class_columns(samples)))
         assert model.bounds[0][0] == model.bounds[0][1]
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        samples = [((1.0,), 0), ((2.0,), 1), ((3.0,), 2), ((4.0,), label)]
+        with pytest.raises(ValueError, match=rf"^class label {label} outside 0\.\.2$"):
+            class_columns(samples)
+
 
 class TestBoundaryMass:
     def test_single_class_band(self):
@@ -225,10 +231,6 @@ class TestBoundaryMass:
         m = boundary_mass(3.4, TRAINING_BOUNDS[1], THREE)
         assert m.mass_bits(0b101) == 0.9
         assert m.mass_bits(0b111) == pytest.approx(0.1)
-
-    def test_confidence_configurable(self):
-        m = boundary_mass(2.0, EXAMPLE_BOUNDS, THREE, confidence=0.8)
-        assert m.mass_bits(0b001) == 0.8
 
     @given(
         st.floats(min_value=-10, max_value=10),
@@ -276,6 +278,12 @@ class TestFsv:
         assert fsv([[0.1] * 3, [0.2] * 3]) == 0.0
         assert fsv([[0.1] * 3, [0.2, 0.3, 0.4]]) == 0.0
         assert moments([0.1] * 3).sd == 0.0
+
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1.1])
+    def test_constant_class_mean_is_its_value(self, value):
+        # sum([0.1] * 3) / 3 is 0.10000000000000002, which would put 0.1
+        # nearer a class whose mean is exactly 0.1 and break the tie rule.
+        assert moments([value] * 3).mean == value
 
     def test_class_size_minimums(self):
         with pytest.raises(ValueError):

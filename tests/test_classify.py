@@ -231,6 +231,12 @@ class TestClassifyBinary:
         with pytest.raises(ValueError):
             classify_binary((1.0,) * 9, self.MODEL, ())
 
+    @pytest.mark.parametrize("feature", [-1, 2])
+    def test_feature_outside_model_rejected(self, feature):
+        model = BinaryModel((SigmoidBpa(3.0), SigmoidBpa(5.0)), 0.5)
+        with pytest.raises(ValueError, match=rf"^feature {feature} outside 0\.\.1$"):
+            classify_binary((1.0, 9.0), model, (feature,))
+
 
 _feature_value = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -137,6 +137,12 @@ class TestIrisCommand:
         code, _, _ = run_cli(capsys, "iris", "--data", str(IRIS_PATH), "--runs", "0")
         assert code == 2
 
+    def test_format_is_a_usage_error(self, capsys):
+        # The iris summary has one layout and --out always writes JSON.
+        code, _, err = run_cli(capsys, "iris", "--data", str(IRIS_PATH), "--format", "csv")
+        assert code == 2
+        assert "unrecognized arguments: --format csv" in err
+
     def test_out_payload(self, capsys, tmp_path):
         out_path = tmp_path / "iris.json"
         code, _, _ = run_cli(

@@ -9,7 +9,6 @@ import pytest
 
 from dsfusion import (
     DataFormatError,
-    EmailGenConfig,
     Record,
     RecordSet,
     ablation,
@@ -24,6 +23,15 @@ from dsfusion import (
     write_report,
 )
 from dsfusion.data import (
+    EMAIL_DOC_IDS,
+    EMAIL_LEADER_IDS,
+    EMAIL_LEADER_INTERVALS,
+    EMAIL_LEGIT_INTERVALS,
+    EMAIL_LONG_GAP_INTERVALS,
+    EMAIL_MESSAGES,
+    EMAIL_WORM_BLOCKS,
+    EMAIL_WORM_IDS,
+    EMAIL_WORM_INTERVALS,
     TASKS,
     RNG_ID,
     WBCD_FEATURES,
@@ -162,43 +170,43 @@ class TestGenerateEmail:
             assert record.label == 0
 
     def test_label_soundness(self):
-        config = EmailGenConfig()
-        worm_ids = config.worm_ids()
-        for record in generate_email(config):
-            assert (record.label == 1) == (record.id in worm_ids)
+        for record in generate_email():
+            assert (record.label == 1) == (record.id in EMAIL_WORM_IDS)
 
     def test_same_seed_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_email_csv(generate_email(EmailGenConfig(seed=7)), a)
-        write_email_csv(generate_email(EmailGenConfig(seed=7)), b)
+        write_email_csv(generate_email(7), a)
+        write_email_csv(generate_email(7), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seed_differs(self):
-        assert generate_email(EmailGenConfig(seed=1)) != generate_email(EmailGenConfig(seed=2))
+        assert generate_email(1) != generate_email(2)
 
     def test_leader_intervals_look_legit(self):
-        config = EmailGenConfig()
-        dataset = generate_email(config)
-        lo, hi = config.leader_interval_range
-        for rid in config.leader_ids:
+        dataset = generate_email()
+        lo, hi = EMAIL_LEADER_INTERVALS
+        for rid in EMAIL_LEADER_IDS:
             assert lo - 1 <= dataset.records[rid - 1].features[0] <= hi + 1
 
-    def test_block_overlap_rejected(self):
-        with pytest.raises(DataFormatError):
-            generate_email(EmailGenConfig(worm_blocks=((39, 59), (50, 70))))
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(DataFormatError):
-            generate_email(EmailGenConfig(worm_count=40))
-
-    def test_doc_id_inside_worm_block_rejected(self):
-        with pytest.raises(DataFormatError):
-            generate_email(EmailGenConfig(doc_ids=(40, 101)))
+    def test_corpus_constants_are_consistent(self):
+        covered = set()
+        for lo, hi in EMAIL_WORM_BLOCKS:
+            assert 1 <= lo <= hi <= EMAIL_MESSAGES
+            block = set(range(lo, hi + 1))
+            assert not block & covered
+            covered |= block
+        assert covered == EMAIL_WORM_IDS
+        assert len(EMAIL_WORM_IDS) == 42
+        assert not set(EMAIL_DOC_IDS) & EMAIL_WORM_IDS
+        assert set(EMAIL_LEADER_IDS) <= EMAIL_WORM_IDS
+        for lo, hi in (EMAIL_LEGIT_INTERVALS, EMAIL_LONG_GAP_INTERVALS,
+                       EMAIL_WORM_INTERVALS, EMAIL_LEADER_INTERVALS):
+            assert 0 <= lo <= hi
 
 
 class TestEmailCsv:
     def test_round_trip(self, tmp_path):
-        dataset = generate_email(EmailGenConfig(seed=11))
+        dataset = generate_email(11)
         path = tmp_path / "email.csv"
         write_email_csv(dataset, path)
         assert load_email(path) == dataset
@@ -320,7 +328,7 @@ class TestEvaluate:
             Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(2, 12)
         ]
         dataset = RecordSet(tuple(records), ("A", "B"), ("normal", "abnormal"))
-        report = evaluate(dataset, "wbcd", folds=make_folds(11, 2, 0), features=(0,))
+        report = evaluate(dataset, "wbcd", folds=make_folds(11, 2, 0), subset=(0,))
         (detail,) = [d for d in report.details if d["id"] == 1]
         assert detail["predicted"] == "normal"
         assert detail["trace"] == {"features": [], "fallback": "no-evidence"}
@@ -329,7 +337,7 @@ class TestEvaluate:
     def test_subset_training_matches_full_training(self, wbcd_dataset, seed):
         folds = make_folds(len(wbcd_dataset), 10, seed)
         for subset in ACCEPTANCE_SUBSETS:
-            report = evaluate(wbcd_dataset, "wbcd", folds=folds, features=subset)
+            report = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=subset)
             expected = json.dumps(full_model_report(wbcd_dataset, subset, folds), indent=2)
             assert report_json(report, include_runtime=False) == expected, subset
 
@@ -339,15 +347,15 @@ class TestEvaluate:
         )
         no_b = RecordSet(records, wbcd_dataset.feature_names, wbcd_dataset.label_names)
         folds = make_folds(len(no_b), 10, 42)
-        report = evaluate(no_b, "wbcd", folds=folds, features=(0,))
-        reference = evaluate(wbcd_dataset, "wbcd", folds=folds, features=(0,))
+        report = evaluate(no_b, "wbcd", folds=folds, subset=(0,))
+        reference = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=(0,))
         assert report_json(report, include_runtime=False) == report_json(
             reference, include_runtime=False
         )
         with pytest.raises(
             DataFormatError, match=r"^fold 1 of 10: .* feature 1 has no non-missing training values"
         ):
-            evaluate(no_b, "wbcd", folds=folds, features=(0, 1))
+            evaluate(no_b, "wbcd", folds=folds, subset=(0, 1))
 
     @pytest.mark.parametrize("task", ["wbcd", "iris"])
     @pytest.mark.parametrize("bad", [9, -1])
@@ -361,9 +369,42 @@ class TestEvaluate:
         spec = dataclasses.replace(TASKS[task], train=lambda *args: trained.append(args))
         monkeypatch.setitem(TASKS, task, spec)
         with pytest.raises(ValueError, match=rf"^feature {index} outside 0\.\.{n - 1}$") as info:
-            evaluate(dataset, task, folds=make_folds(len(dataset), 10, 42), features=(0, index))
+            evaluate(dataset, task, folds=make_folds(len(dataset), 10, 42), subset=(0, index))
         assert not isinstance(info.value, DataFormatError)
         assert trained == []
+
+    @pytest.mark.parametrize("subset", [(0,), (1,), (2, 3), (3, 2, 1, 0)])
+    def test_iris_takes_no_subset(self, iris_dataset, subset, monkeypatch):
+        trained = []
+        spec = dataclasses.replace(TASKS["iris"], train=lambda *args: trained.append(args))
+        monkeypatch.setitem(TASKS, "iris", spec)
+        folds = make_folds(len(iris_dataset), 10, 42)
+        with pytest.raises(ValueError, match=r"^the iris task fuses exactly \[0, 1, 2, 3\]") as info:
+            evaluate(iris_dataset, "iris", folds=folds, subset=subset)
+        assert not isinstance(info.value, DataFormatError)
+        assert trained == []
+
+    def test_iris_all_features_is_the_default(self, iris_dataset):
+        folds = make_folds(len(iris_dataset), 10, 42)
+        given = evaluate(iris_dataset, "iris", folds=folds, subset=[0, 1, 2, 3])
+        default = evaluate(iris_dataset, "iris", folds=folds)
+        assert report_json(given, include_runtime=False) == report_json(
+            default, include_runtime=False
+        )
+
+    def test_predictions_follow_the_records(self, iris_dataset):
+        folds = make_folds(len(iris_dataset), 10, 42)
+        report = evaluate(iris_dataset, "iris", folds=folds)
+        assert len(report.predictions) == len(iris_dataset)
+        wrong = [r.id for r, pred in zip(iris_dataset, report.predictions)
+                 if pred.label != iris_dataset.label_names[r.label]]
+        assert wrong == list(report.misclassified)
+
+    def test_label_outside_classes_is_an_input_error(self, iris_dataset):
+        records = (*iris_dataset.records[:-1], dataclasses.replace(iris_dataset.records[-1], label=3))
+        dataset = RecordSet(records, iris_dataset.feature_names, iris_dataset.label_names)
+        with pytest.raises(DataFormatError, match=r"class label 3 outside 0\.\.2$"):
+            evaluate(dataset, "iris", folds=make_folds(len(dataset), 10, 42))
 
     def test_nan_feature_is_an_error_not_missing(self):
         records = [Record(1, (1.0, 1.0), 0), Record(2, (math.nan, 9.0), 1)] + [
