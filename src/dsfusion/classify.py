@@ -43,6 +43,7 @@ from .evidence import (
     combine_binary,
     combine_bits,
     make_frame,
+    vacuous_mass,
 )
 
 Sample = tuple[Sequence[float], int]
@@ -74,7 +75,7 @@ class Prediction:
 class BinaryModel:
     """One sigmoid threshold per feature, over the {normal, abnormal} frame.
 
-    A feature the trainer was not asked to fit holds None.
+    A feature the trainer was not asked to fit holds None and is not fused.
     """
 
     bpas: tuple[SigmoidBpa | None, ...]
@@ -88,8 +89,9 @@ class BinaryModel:
 def train_binary(
     rows: Sequence[MaybeRow], labels: Sequence[int], features: Sequence[int] | None = None
 ) -> BinaryModel:
-    """Fit thresholds for ``features`` (default all) from labelled rows
-    (label 1 = abnormal); the other features' slots hold None.
+    """Fit thresholds for ``features`` (default all; never empty) from
+    labelled rows (label 1 = abnormal); the other features' slots hold
+    None, so the model fuses exactly ``features``.
 
     Missing cells (None) are dropped from their feature column; the
     threshold rank scales with the values actually present.
@@ -102,6 +104,8 @@ def train_binary(
         raise ValueError("training data must contain both normal and abnormal records")
     n_features = len(rows[0])
     bpas: list[SigmoidBpa | None] = [None] * n_features
+    if features is not None and not features:
+        raise ValueError("feature subset must be nonempty")
     for f in range(n_features) if features is None else features:
         if not 0 <= f < n_features:
             raise ValueError(f"feature {f} outside 0..{n_features - 1}")
@@ -115,10 +119,8 @@ def train_binary(
     return BinaryModel(tuple(bpas), normal / total)
 
 
-def classify_binary(
-    record: MaybeRow, model: BinaryModel, features: Sequence[int] | None = None
-) -> Prediction:
-    """Fuse one sigmoid mass per selected non-missing feature.
+def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
+    """Fuse one sigmoid mass per fitted feature that has a value.
 
     With no mass on the whole frame, Dempster's rule over {normal, abnormal}
     multiplies the features' odds e^(v_f - t_f), so the fused abnormal mass
@@ -128,20 +130,15 @@ def classify_binary(
     taken with ``Fraction``) and ties go to normal. The
     reported mass (logistic(-S), logistic(S)) comes from S alone: no
     per-feature mass is built, and ``sigmoid_mass``'s saturation clamp
-    cannot turn a log-odds tie into total conflict.
+    cannot turn a log-odds tie into total conflict. A record with no value
+    for any fitted feature carries no evidence, so nothing says abnormal:
+    it is normal, with the vacuous mass.
     """
-    selected = range(model.n_features) if features is None else features
-    if not selected:
-        raise ValueError("feature subset must be nonempty")
-    n_features = model.n_features
-    for f in selected:
-        if not 0 <= f < n_features:
-            raise ValueError(f"feature {f} outside 0..{n_features - 1}")
-        if model.bpas[f] is None:
-            raise ValueError(f"feature {f} has no fitted threshold in this model")
-    used = [f for f in selected if record[f] is not None]
+    used = [f for f, bpa in enumerate(model.bpas) if bpa is not None and record[f] is not None]
     if not used:
-        raise ValueError("record has no value for any selected feature")
+        return Prediction(
+            "normal", vacuous_mass(BINARY_FRAME), {"features": [], "fallback": "no-evidence"}
+        )
     for f in used:
         if not math.isfinite(record[f]):
             raise ValueError(f"feature value must be finite, got {record[f]}")
@@ -263,7 +260,8 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
 
 @dataclass(frozen=True)
 class EmailModel:
-    """Expert-set mass assignments for the four email signals."""
+    """Expert-set mass assignments for the four email signals, and the
+    signals the classifier fuses."""
 
     interval_bpa: ScaledSigmoidBpa
     spoofed_bpa: TableBpa
@@ -305,14 +303,10 @@ def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) 
     return binary_row_mass(email_signal_row(message, signal, model))
 
 
-def classify_email(
-    message: Sequence[float], model: EmailModel, signals: Sequence[int] | None = None
-) -> Prediction:
-    """Fuse the active signals' masses in closed form (``combine_binary``);
+def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
+    """Fuse the model's signals' masses in closed form (``combine_binary``);
     abnormal wins only on strictly greater mass."""
-    active = sorted(model.signals) if signals is None else sorted(set(signals))
-    if not active or any(s not in EMAIL_SIGNALS for s in active):
-        raise ValueError(f"signals must be a nonempty subset of {EMAIL_SIGNALS}, got {signals}")
+    active = sorted(model.signals)
     combined = combine_binary(BINARY_FRAME, [email_signal_row(message, s, model) for s in active])
     label = "abnormal" if combined.mass_bits(2) > combined.mass_bits(1) else "normal"
     return Prediction(label, combined, {"signals": active})

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import data as harness
+from .bpa import mean_sd
 from .classify import classifier_to_dict
 from .data import (
     DataFormatError,
@@ -27,7 +28,6 @@ from .data import (
     load_iris,
     load_wbcd,
     make_folds,
-    mean_sd,
     repeated_cv,
     write_email_csv,
     write_report,

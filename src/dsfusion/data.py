@@ -13,15 +13,14 @@ import csv
 import json
 import math
 import random
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .bpa import BINARY_FRAME, mean_sd  # noqa: F401 (mean_sd is re-exported)
 from .classify import (
     EMAIL_SIGNALS,
-    Prediction,
     classify_binary,
     classify_email,
     classify_three_class,
@@ -29,7 +28,7 @@ from .classify import (
     train_binary,
     train_three_class,
 )
-from .evidence import make_frame, vacuous_mass
+from .evidence import make_frame
 
 RNG_ID = "mt19937-python"
 
@@ -49,6 +48,14 @@ _IRIS_NAME_TO_CLASS = {
 
 class DataFormatError(ValueError):
     """A dataset file violates its documented layout."""
+
+
+# Numeric cells are plain ASCII: digits after an optional minus sign, and
+# for a decimal an optional fraction and exponent (the form ``repr``
+# writes). Python's int() and float() also read underscores, surrounding
+# blanks and non-ASCII digits, none of which the layouts contain.
+_INTEGER = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -115,13 +122,9 @@ def load_wbcd(path: str | Path) -> RecordSet:
             if raw == "?":
                 features.append(None)
                 continue
-            try:
-                value = int(raw)
-            except ValueError:
-                raise DataFormatError(f"{path}:{i}: non-integer feature {raw!r}") from None
-            if not 1 <= value <= 10:
-                raise DataFormatError(f"{path}:{i}: feature {value} outside 1..10")
-            features.append(float(value))
+            if not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
+                raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
+            features.append(float(raw))
         if fields[10] == "2":
             label = 0
         elif fields[10] == "4":
@@ -146,10 +149,9 @@ def load_iris(path: str | Path) -> RecordSet:
         fields = line.split(",")
         if len(fields) != 5:
             raise DataFormatError(f"{path}:{i}: expected 5 fields, got {len(fields)}")
-        try:
-            features = tuple(float(v) for v in fields[:4])
-        except ValueError:
-            raise DataFormatError(f"{path}:{i}: malformed feature in {fields[:4]}") from None
+        if not all(map(_DECIMAL.fullmatch, fields[:4])):
+            raise DataFormatError(f"{path}:{i}: malformed feature in {fields[:4]}")
+        features = tuple(map(float, fields[:4]))
         if any(not math.isfinite(v) for v in features):
             raise DataFormatError(f"{path}:{i}: features must be finite")
         label = _IRIS_NAME_TO_CLASS.get(fields[4])
@@ -236,16 +238,15 @@ def load_email(path: str | Path) -> RecordSet:
         for i, row in enumerate(reader, start=2):
             if len(row) != 6:
                 raise DataFormatError(f"{path}:{i}: expected 6 fields, got {len(row)}")
-            try:
-                rid = int(row[0])
-                interval = float(row[1])
-                flags = tuple(int(v) for v in row[2:5])
-            except ValueError:
-                raise DataFormatError(f"{path}:{i}: malformed numeric field") from None
+            if not all(map(_INTEGER.fullmatch, (row[0], *row[2:5]))):
+                raise DataFormatError(f"{path}:{i}: malformed numeric field")
+            interval = float(row[1]) if _DECIMAL.fullmatch(row[1]) else math.nan
             if not math.isfinite(interval) or interval < 0:
                 raise DataFormatError(
-                    f"{path}:{i}: interval must be a finite non-negative number, got {interval}"
+                    f"{path}:{i}: interval must be a finite non-negative number, got {row[1]!r}"
                 )
+            rid = int(row[0])
+            flags = tuple(int(v) for v in row[2:5])
             if any(flag not in (0, 1) for flag in flags):
                 raise DataFormatError(f"{path}:{i}: flags must be 0 or 1, got {flags}")
             if row[5] == "worm":
@@ -348,16 +349,6 @@ def _matrix_confusion(pairs: Sequence[tuple[int, int]], labels: Sequence[str]) -
     return {"labels": list(labels), "matrix": matrix}
 
 
-def _classify_wbcd(record: Sequence[float | None], model, subset: Sequence[int]) -> Prediction:
-    # A record whose selected features are all missing carries no evidence,
-    # so nothing says abnormal and the tie rule classifies it normal.
-    if subset and all(record[f] is None for f in subset):
-        return Prediction(
-            "normal", vacuous_mass(BINARY_FRAME), {"features": [], "fallback": "no-evidence"}
-        )
-    return classify_binary(record, model, subset)
-
-
 def _all_features(dataset: RecordSet) -> tuple[int, ...]:
     return tuple(range(len(dataset.feature_names)))
 
@@ -367,9 +358,9 @@ class Task:
     """Everything that differs between the benchmark tasks.
 
     ``train(samples, dataset, subset)`` fits a model on a fold's (features,
-    label) pairs for the feature or signal subset it will be asked about;
-    ``classify(features, model, subset)`` labels one record with that
-    subset. ``key`` names the subset in the report config,
+    label) pairs for the feature or signal subset to fuse, so the model is
+    the only place the subset is chosen; ``classify(features, model)``
+    labels one record with it. ``key`` names the subset in the report config,
     ``describe(dataset, subset)`` writes it there, and ``default(dataset)``
     is the subset used when none is given; a task with ``fixed_subset``
     accepts no other.
@@ -404,7 +395,7 @@ TASKS = {
         train=lambda samples, dataset, subset: train_binary(
             [features for features, _ in samples], [label for _, label in samples], subset
         ),
-        classify=_classify_wbcd,
+        classify=lambda record, model: classify_binary(record, model),
         key="features",
         describe=lambda dataset, subset: "".join(dataset.feature_names[f] for f in subset),
         default=_all_features,
@@ -414,7 +405,7 @@ TASKS = {
         train=lambda samples, dataset, subset: train_three_class(
             samples, make_frame(dataset.label_names)
         ),
-        classify=lambda record, model, subset: classify_three_class(record, model),
+        classify=lambda record, model: classify_three_class(record, model),
         key="features",
         describe=lambda dataset, subset: list(subset),
         default=_all_features,
@@ -423,9 +414,11 @@ TASKS = {
         fixed_subset=True,
     ),
     "email": Task(
-        # The email settings are expert-chosen, so there is no training phase.
-        train=lambda samples, dataset, subset: email_model_default(),
-        classify=lambda record, model, subset: classify_email(record, model, subset),
+        # The email settings are expert-chosen: training only picks the signals.
+        train=lambda samples, dataset, subset: replace(
+            email_model_default(), signals=frozenset(subset)
+        ),
+        classify=lambda record, model: classify_email(record, model),
         key="signals",
         describe=lambda dataset, subset: "".join(str(s) for s in subset),
         default=lambda dataset: EMAIL_SIGNALS,
@@ -450,9 +443,10 @@ def evaluate(
     the evaluated subset only, so on ``wbcd`` a feature outside it needs no
     training values. A training fold the trainer cannot fit (e.g. too few
     records of a class) is an input error, raised as
-    :class:`DataFormatError`; a feature index outside the records, or a
-    subset the task does not take, is the caller's error, a plain
-    ``ValueError`` raised before any training.
+    :class:`DataFormatError`; an empty subset, a repeated entry, an entry
+    outside ``spec.default(dataset)``, or a subset the task does not take,
+    is the caller's error, a plain ``ValueError`` raised before any
+    training.
     """
     start = time.perf_counter()
     spec = TASKS.get(task)
@@ -470,11 +464,16 @@ def evaluate(
         raise ValueError("fold plan does not cover this dataset")
     default = spec.default(dataset)
     subset = default if subset is None else tuple(subset)
+    outside = [entry for entry in subset if entry not in default]
     if spec.key == "features":
-        n_features = len(dataset.feature_names)
-        for f in subset:
-            if not 0 <= f < n_features:
-                raise ValueError(f"feature {f} outside 0..{n_features - 1}")
+        if outside:
+            raise ValueError(f"feature {outside[0]} outside 0..{len(default) - 1}")
+        if not subset:
+            raise ValueError("feature subset must be nonempty")
+    elif outside or not subset:
+        raise ValueError(f"signals must be a nonempty subset of {default}, got {subset}")
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"{spec.key} subset {list(subset)} repeats an entry")
     if spec.fixed_subset and subset != default:
         raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
     per_fold = []
@@ -489,7 +488,7 @@ def evaluate(
         test_indices = folds.test_indices(fold)
         for i in test_indices:
             record = dataset.records[i]
-            pred = spec.classify(record.features, model, subset)
+            pred = spec.classify(record.features, model)
             predictions[i] = pred
             predicted = pred.mass.frame.labels.index(pred.label)
             pairs.append((record.label, predicted))

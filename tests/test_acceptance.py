@@ -5,6 +5,7 @@ pass lines. Criterion 11 compares canonical report JSON with the wall-clock
 field excluded: results are bit-deterministic, elapsed time is not.
 """
 
+import dataclasses
 import random
 import time
 
@@ -33,7 +34,8 @@ from dsfusion import (
     train_binary,
     vacuous_mass,
 )
-from dsfusion.data import mean_sd, repeated_cv, report_json
+from dsfusion.bpa import mean_sd
+from dsfusion.data import repeated_cv, report_json
 from dsfusion.classify import email_signal_mass
 
 from conftest import (
@@ -203,11 +205,14 @@ def test_criterion_05_missing_value_semantics(wbcd_dataset):
     )
     missing_records = [r for r in wbcd_dataset if None in r.features]
     assert len(missing_records) == 16
-    all_features = tuple(range(9))
     for record in missing_records:
-        present = tuple(f for f in all_features if record.features[f] is not None)
-        full = classify_binary(record.features, model, all_features)
-        reduced = classify_binary(record.features, model, present)
+        present = tuple(f for f in range(9) if record.features[f] is not None)
+        # The model for the reduced set: the same thresholds, the missing feature unfitted.
+        reduced_model = dataclasses.replace(
+            model, bpas=tuple(b if f in present else None for f, b in enumerate(model.bpas))
+        )
+        full = classify_binary(record.features, model)
+        reduced = classify_binary(record.features, reduced_model)
         assert full.label == reduced.label
         assert mass_to_frozensets(full.mass) == mass_to_frozensets(reduced.mass)
         oracle = mass_to_frozensets(sigmoid_mass(record.features[present[0]], model.bpas[present[0]]))
@@ -303,13 +308,14 @@ def test_criterion_10_spoof_payload_dominance_sweep():
     # Without the spoofed-sender signal, short-interval worms become a
     # near-miss: still abnormal, but by a thin margin.
     margins = []
+    without_spoof = dataclasses.replace(model, signals=frozenset({1, 3, 4}))
     for interval in range(0, 26):
-        pred = classify_email((float(interval), 1, 1, 0), model, (1, 3, 4))
+        pred = classify_email((float(interval), 1, 1, 0), without_spoof)
         margin = abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1))
         assert pred.label == "abnormal"
         assert margin < 0.05
         margins.append(margin)
-    probe = classify_email((5.0, 1, 1, 0), model, (1, 3, 4))
+    probe = classify_email((5.0, 1, 1, 0), without_spoof)
     assert probe.mass.mass_bits(2) == pytest.approx(0.5135, abs=1e-3)
     assert probe.mass.mass_bits(1) == pytest.approx(0.4865, abs=1e-3)
     announce(

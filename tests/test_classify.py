@@ -4,8 +4,9 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from dataclasses import replace
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from dsfusion import (
     sigmoid_mass,
     train_binary,
     train_three_class,
+    vacuous_mass,
 )
 from dsfusion.classify import BinaryModel, email_signal_row
 
@@ -155,20 +157,20 @@ class TestClassifyBinary:
         assert pred.label == "normal"
         assert pred.mass.mass_bits(2) == pytest.approx(pred.mass.mass_bits(1), abs=1e-12)
 
-    def test_unfitted_feature_rejected(self):
+    def test_unfitted_feature_not_fused(self):
         model = BinaryModel((SigmoidBpa(3.0), None), 0.5)
-        assert classify_binary((5.0, 5.0), model, (0,)).label == "abnormal"
-        for features in ((0, 1), None):
-            with pytest.raises(ValueError, match="feature 1 has no fitted threshold"):
-                classify_binary((5.0, 5.0), model, features)
-        # A missing value does not excuse an unfitted selected feature.
-        with pytest.raises(ValueError, match="feature 1 has no fitted threshold"):
-            classify_binary((5.0, None), model, (0, 1))
+        only_first = BinaryModel((SigmoidBpa(3.0),), 0.5)
+        for record in ((5.0, 1.0), (5.0, None), (5.0, math.nan)):
+            pred = classify_binary(record, model)
+            assert pred.label == "abnormal"
+            assert pred.trace == {"features": [0]}
+            assert pred.mass == classify_binary(record[:1], only_first).mass
 
     def test_missing_feature_equivalence(self):
         record = (2.0, None, 8.0, 1.0, None, 6.0, 1.0, 1.0, 1.0)
         full = classify_binary(record, self.MODEL)
-        reduced = classify_binary(record, self.MODEL, (0, 2, 3, 5, 6, 7, 8))
+        fitted = tuple(None if v is None else b for v, b in zip(record, self.MODEL.bpas))
+        reduced = classify_binary(record, BinaryModel(fitted, self.MODEL.normal_fraction))
         assert full.label == reduced.label
         assert mass_to_frozensets(full.mass) == mass_to_frozensets(reduced.mass)
 
@@ -184,18 +186,14 @@ class TestClassifyBinary:
         expected, _ = oracle_combine(masses[0], masses[1])
         assert mass_to_frozensets(pred.mass) == pytest.approx(expected, abs=1e-12)
 
-    def test_feature_permutation_invariance(self):
-        record = (2.0, 7.0, 4.0, 1.0, 9.0, 6.0, 1.0, 3.0, 5.0)
-        labels = {
-            classify_binary(record, self.MODEL, perm).label
-            for perm in permutations((1, 4, 5))
-        }
-        assert len(labels) == 1
-
-    def test_all_selected_missing_rejected(self):
-        record = (None, 5.0, None, None, None, None, None, None, None)
-        with pytest.raises(ValueError):
-            classify_binary(record, self.MODEL, (0, 2))
+    def test_no_fitted_feature_value_answers_normal(self):
+        # No value for any fitted feature is no evidence: nothing says
+        # abnormal, so the tie rule makes the record normal.
+        model = BinaryModel((SigmoidBpa(3.0), None, SigmoidBpa(3.0)), 0.5)
+        pred = classify_binary((None, 9.0, None), model)
+        assert pred.label == "normal"
+        assert pred.mass == vacuous_mass(BINARY_FRAME)
+        assert pred.trace == {"features": [], "fallback": "no-evidence"}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, bad):
@@ -214,8 +212,10 @@ class TestClassifyBinary:
 
     @pytest.mark.parametrize("letters", ["ABCDEFGHI", "ADI", "BCF", "A"])
     def test_masses_match_exact_fold_on_wbcd(self, wbcd_dataset, letters):
-        model = train_binary([r.features for r in wbcd_dataset], [r.label for r in wbcd_dataset])
         features = ["ABCDEFGHI".index(ch) for ch in letters]
+        model = train_binary(
+            [r.features for r in wbcd_dataset], [r.label for r in wbcd_dataset], features
+        )
         for record in wbcd_dataset:
             rows = []
             for f in features:
@@ -223,19 +223,15 @@ class TestClassifyBinary:
                     m = sigmoid_mass(record.features[f], model.bpas[f])
                     rows.append((m.mass_bits(1), m.mass_bits(2), 0.0))
             (normal, abnormal, _), _ = exact_binary_fold(rows)
-            pred = classify_binary(record.features, model, features)
+            pred = classify_binary(record.features, model)
             assert abs(pred.mass.mass_bits(1) - float(normal)) <= 1e-14
             assert abs(pred.mass.mass_bits(2) - float(abnormal)) <= 1e-14
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            classify_binary((1.0,) * 9, self.MODEL, ())
-
-    @pytest.mark.parametrize("feature", [-1, 2])
-    def test_feature_outside_model_rejected(self, feature):
-        model = BinaryModel((SigmoidBpa(3.0), SigmoidBpa(5.0)), 0.5)
-        with pytest.raises(ValueError, match=rf"^feature {feature} outside 0\.\.1$"):
-            classify_binary((1.0, 9.0), model, (feature,))
+        # The fused subset is chosen at training, and a model fusing
+        # nothing could only ever answer "no evidence".
+        with pytest.raises(ValueError, match="feature subset must be nonempty"):
+            train_binary([(1.0,) * 9, (9.0,) * 9], [0, 1], ())
 
 
 _feature_value = st.floats(allow_nan=False, allow_infinity=False)
@@ -506,32 +502,24 @@ class TestClassifyEmail:
             for signals in subsets:
                 rows = [email_signal_row(message, s, self.MODEL) for s in signals]
                 exact, _ = exact_binary_fold(rows)
-                pred = classify_email(message, self.MODEL, signals)
+                pred = classify_email(message, replace(self.MODEL, signals=frozenset(signals)))
                 for bits, value in zip((1, 2, 3), exact):
                     assert abs(pred.mass.mass_bits(bits) - float(value)) <= 1e-14
                 if abs(exact[1] - exact[0]) > 1e-12:
                     assert pred.label == ("abnormal" if exact[1] > exact[0] else "normal")
 
     def test_signal_subset(self):
-        pred = classify_email((5.0, 1, 1, 0), self.MODEL, (1, 3, 4))
+        pred = classify_email((5.0, 1, 1, 0), replace(self.MODEL, signals=frozenset({4, 1, 3})))
         assert pred.trace["signals"] == [1, 3, 4]
         margin = abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1))
         assert margin < 0.05
 
-    def test_fusion_order_invariance(self):
-        message = (75.0, 1, 0, 1)
-        reference = classify_email(message, self.MODEL, (1, 2, 3, 4))
-        for perm in permutations((1, 2, 3, 4)):
-            pred = classify_email(message, self.MODEL, perm)
-            assert pred.label == reference.label
-            for subset, value in reference.mass.items():
-                assert pred.mass.mass_bits(subset.bits) == pytest.approx(value, abs=1e-9)
-
     def test_invalid_signals_rejected(self):
+        # The signals are the model's, checked when it is built.
         with pytest.raises(ValueError):
-            classify_email((5.0, 0, 0, 0), self.MODEL, (5,))
+            replace(self.MODEL, signals=frozenset({5}))
         with pytest.raises(ValueError):
-            classify_email((5.0, 0, 0, 0), self.MODEL, ())
+            replace(self.MODEL, signals=frozenset())
 
 
 class TestConcurrency:

@@ -78,6 +78,15 @@ class TestWbcdCommand:
         assert out == ""
         assert "unknown feature letter" in err
 
+    def test_trace_lists_features_in_index_order(self, capsys):
+        # The model fuses its fitted features in index order, whatever the
+        # order of --features; the config keeps the letters as given.
+        code, out, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--features", "IDA")
+        assert code == 0
+        assert "config: features=IDA," in out
+        assert "via {'features': [0, 3, 8]}" in out
+        assert "[8, 3, 0]" not in out
+
     def test_json_format_parses(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(

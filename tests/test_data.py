@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import dsfusion.data as data_module
 from dsfusion import (
     DataFormatError,
     Record,
@@ -24,6 +25,8 @@ from dsfusion import (
 )
 from dsfusion.data import (
     EMAIL_DOC_IDS,
+    EMAIL_FEATURES,
+    EMAIL_HEADER,
     EMAIL_LEADER_IDS,
     EMAIL_LEADER_INTERVALS,
     EMAIL_LEGIT_INTERVALS,
@@ -35,30 +38,32 @@ from dsfusion.data import (
     TASKS,
     RNG_ID,
     WBCD_FEATURES,
-    _classify_wbcd,
-    mean_sd,
     repeated_cv,
     report_json,
     report_text,
 )
-from dsfusion.classify import train_binary
+from dsfusion.bpa import mean_sd
+from dsfusion.classify import classify_binary, train_binary
 
 # The paper's WBCD comparison: each feature alone, ADI, BCF and all nine.
 ACCEPTANCE_SUBSETS = tuple((i,) for i in range(9)) + ((0, 3, 8), (1, 2, 5), tuple(range(9)))
 
 
 def full_model_report(dataset, subset, folds) -> dict:
-    """The wbcd report when every fold trains all nine features, built
-    without ``evaluate``."""
+    """The wbcd report when every fold trains all nine features and then
+    drops the thresholds outside ``subset``, built without ``evaluate``."""
     per_fold, pairs, misclassified = [], [], []
     for fold in range(folds.k):
         train = dataset.samples(folds.train_indices(fold))
-        model = train_binary([features for features, _ in train], [label for _, label in train])
+        full = train_binary([features for features, _ in train], [label for _, label in train])
+        model = dataclasses.replace(
+            full, bpas=tuple(b if f in subset else None for f, b in enumerate(full.bpas))
+        )
         test = folds.test_indices(fold)
         correct = 0
         for i in test:
             record = dataset.records[i]
-            predicted = int(_classify_wbcd(record.features, model, subset).label == "abnormal")
+            predicted = int(classify_binary(record.features, model).label == "abnormal")
             pairs.append((record.label, predicted))
             if predicted == record.label:
                 correct += 1
@@ -83,6 +88,19 @@ def full_model_report(dataset, subset, folds) -> dict:
         },
         "misclassified": sorted(misclassified),
     }
+
+
+def assert_rejected_before_training(monkeypatch, dataset, task, subset, match):
+    """``evaluate`` rejects ``subset`` with a plain ``ValueError`` (a usage
+    error, not an input error) before any fold is trained."""
+    trained = []
+    spec = dataclasses.replace(TASKS[task], train=lambda *args: trained.append(args))
+    monkeypatch.setitem(TASKS, task, spec)
+    folds = make_folds(len(dataset), 10, 42) if spec.cross_validates else None
+    with pytest.raises(ValueError, match=match) as info:
+        evaluate(dataset, task, folds=folds, subset=subset)
+    assert not isinstance(info.value, DataFormatError)
+    assert trained == []
 
 
 class TestLoadWbcd:
@@ -121,6 +139,14 @@ class TestLoadWbcd:
         with pytest.raises(DataFormatError):
             load_wbcd(path)
 
+    @pytest.mark.parametrize("cell", ["1_0", " 5", "5 ", "+5", "5.0", "\u0665", "\uff15"])
+    def test_cell_must_be_plain_ascii_digits(self, tmp_path, cell):
+        # int() reads each of these (1_0 as 10, Arabic-Indic 5 as 5).
+        path = tmp_path / "bad.data"
+        path.write_text(f"123,{cell},1,1,1,2,1,3,1,1,2\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="is not an integer in 1..10"):
+            load_wbcd(path)
+
 
 class TestLoadIris:
     def test_canonical_counts(self, iris_dataset):
@@ -151,6 +177,21 @@ class TestLoadIris:
         path.write_text("5.1,abc,1.4,0.2,Iris-setosa\n")
         with pytest.raises(DataFormatError):
             load_iris(path)
+
+    @pytest.mark.parametrize(
+        "cell", ["3_5", " 3.5", "3.5 ", "\u0665.1", "+3.5", "3.", ".5", "nan", "inf", "0x1p1"]
+    )
+    def test_cell_must_be_plain_ascii_decimal(self, tmp_path, cell):
+        # float() reads most of these (3_5 as 35.0, Arabic-Indic 5.1 as 5.1).
+        path = tmp_path / "bad.data"
+        path.write_text(f"5.1,{cell},1.4,0.2,Iris-setosa\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="malformed feature"):
+            load_iris(path)
+
+    def test_signed_and_exponent_cells_accepted(self, tmp_path):
+        path = tmp_path / "ok.data"
+        path.write_text("5.1,-3.5,14e-1,2E-1,Iris-setosa\n", encoding="utf-8")
+        assert load_iris(path).records[0].features == (5.1, -3.5, 1.4, 0.2)
 
 
 class TestGenerateEmail:
@@ -244,6 +285,27 @@ class TestEmailCsv:
         )
         with pytest.raises(DataFormatError, match="finite"):
             load_email(path)
+
+    @pytest.mark.parametrize(
+        "row", ["1_0,5,0,0,0,normal", " 1,5,0,0,0,normal", "1,3_5,0,0,0,normal",
+                "1, 5,0,0,0,normal", "1,\u0665,0,0,0,normal", "1,5,\u0661,0,0,normal",
+                "1,5,0,+1,0,normal", "1,5,0,0,1.0,normal"],
+    )
+    def test_cells_must_be_plain_ascii_numbers(self, tmp_path, row):
+        # int() and float() read each of these.
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(EMAIL_HEADER) + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            load_email(path)
+
+    def test_exponent_interval_round_trips(self, tmp_path):
+        # repr writes an interval under 1e-4 with an exponent.
+        dataset = RecordSet((Record(1, (5e-05, 0.0, 0.0, 0.0), 0),), EMAIL_FEATURES,
+                            ("normal", "worm"))
+        path = tmp_path / "tiny.csv"
+        write_email_csv(dataset, path)
+        assert "5e-05" in path.read_text()
+        assert load_email(path) == dataset
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -365,24 +427,64 @@ class TestEvaluate:
         dataset = wbcd_dataset if task == "wbcd" else iris_dataset
         n = len(dataset.feature_names)
         index = n if bad == 9 else bad
-        trained = []
-        spec = dataclasses.replace(TASKS[task], train=lambda *args: trained.append(args))
-        monkeypatch.setitem(TASKS, task, spec)
-        with pytest.raises(ValueError, match=rf"^feature {index} outside 0\.\.{n - 1}$") as info:
-            evaluate(dataset, task, folds=make_folds(len(dataset), 10, 42), subset=(0, index))
-        assert not isinstance(info.value, DataFormatError)
-        assert trained == []
+        assert_rejected_before_training(
+            monkeypatch, dataset, task, (0, index), rf"^feature {index} outside 0\.\.{n - 1}$"
+        )
 
     @pytest.mark.parametrize("subset", [(0,), (1,), (2, 3), (3, 2, 1, 0)])
     def test_iris_takes_no_subset(self, iris_dataset, subset, monkeypatch):
-        trained = []
-        spec = dataclasses.replace(TASKS["iris"], train=lambda *args: trained.append(args))
-        monkeypatch.setitem(TASKS, "iris", spec)
-        folds = make_folds(len(iris_dataset), 10, 42)
-        with pytest.raises(ValueError, match=r"^the iris task fuses exactly \[0, 1, 2, 3\]") as info:
-            evaluate(iris_dataset, "iris", folds=folds, subset=subset)
-        assert not isinstance(info.value, DataFormatError)
-        assert trained == []
+        assert_rejected_before_training(
+            monkeypatch, iris_dataset, "iris", subset, r"^the iris task fuses exactly \[0, 1, 2, 3\]"
+        )
+
+    @pytest.mark.parametrize("task, subset", [("wbcd", (0, 0)), ("email", (1, 1, 3))])
+    def test_repeated_subset_entry_is_a_usage_error(self, wbcd_dataset, task, subset, monkeypatch):
+        # Repeats once fused feature A twice on wbcd, and were dropped from
+        # the fusion but not from the report config on email.
+        dataset = wbcd_dataset if task == "wbcd" else generate_email()
+        assert_rejected_before_training(
+            monkeypatch, dataset, task, subset, rf"^{TASKS[task].key} subset .* repeats an entry$"
+        )
+
+    @pytest.mark.parametrize(
+        "task, subset, message",
+        [
+            ("wbcd", (), r"^feature subset must be nonempty$"),
+            ("email", (), r"^signals must be a nonempty subset of \(1, 2, 3, 4\), got \(\)$"),
+            ("email", (5,), r"^signals must be a nonempty subset of \(1, 2, 3, 4\), got \(5,\)$"),
+            ("email", (1, 5), r"^signals must be a nonempty subset of \(1, 2, 3, 4\), got \(1, 5\)$"),
+        ],
+    )
+    def test_bad_subset_is_a_usage_error(self, wbcd_dataset, task, subset, message, monkeypatch):
+        dataset = wbcd_dataset if task == "wbcd" else generate_email()
+        assert_rejected_before_training(monkeypatch, dataset, task, subset, message)
+
+    def test_email_model_fuses_the_evaluated_signals(self):
+        report = evaluate(generate_email(), "email", subset=(4, 1))
+        assert {tuple(p.trace["signals"]) for p in report.predictions} == {(1, 4)}
+
+    @pytest.mark.parametrize(
+        "task, name", [("wbcd", "classify_binary"), ("iris", "classify_three_class"),
+                       ("email", "classify_email")],
+    )
+    def test_classifier_found_by_name_at_call_time(
+        self, wbcd_dataset, iris_dataset, task, name, monkeypatch
+    ):
+        # Tracing rebinds these module names; the task table must see it.
+        dataset = {"wbcd": wbcd_dataset, "iris": iris_dataset, "email": generate_email()}[task]
+        original, calls, returned = getattr(data_module, name), [], []
+
+        def counting(record, model):
+            calls.append(record)
+            returned.append(original(record, model))
+            return returned[-1]
+
+        monkeypatch.setattr(data_module, name, counting)
+        folds = make_folds(len(dataset), 10, 42) if TASKS[task].cross_validates else None
+        report = evaluate(dataset, task, folds=folds)
+        # Once per record, and the report keeps what the rebound name returned.
+        assert sorted(map(id, calls)) == sorted(id(r.features) for r in dataset)
+        assert sorted(map(id, returned)) == sorted(map(id, report.predictions))
 
     def test_iris_all_features_is_the_default(self, iris_dataset):
         folds = make_folds(len(iris_dataset), 10, 42)

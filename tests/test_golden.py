@@ -27,6 +27,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 WBCD, IRIS = str(WBCD_PATH), str(IRIS_PATH)
 
 STDOUT_CASES = {
+    "wbcd_text.out": ["wbcd", "--data", WBCD],
     "wbcd_json.out": ["wbcd", "--data", WBCD, "--format", "json"],
     "wbcd_ablate.out": ["wbcd", "--data", WBCD, "--ablate", "A,D,I,ADI,BCF,ABCDEFGHI"],
     "iris_runs3.out": ["iris", "--data", IRIS, "--runs", "3"],
