@@ -3,7 +3,8 @@ three-class fusion, and table-driven email-signal fusion.
 
 Models are immutable values built by their trainers (or from fixed expert
 settings, for email); classification is a pure function of record and
-model, so batches may fan out across workers freely.
+model, so batches may fan out across workers freely. Each classifier decides
+on scalars; its prediction builds the fused mass only when that is read.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 from .bpa import (
     BINARY_FRAME,
@@ -40,8 +42,10 @@ from .evidence import (
     MassFunction,
     _trusted_mass,
     argmax_bits,
+    binary_mass,
     combine_binary,
     combine_bits,
+    fuse_binary,
     make_frame,
     vacuous_mass,
 )
@@ -52,21 +56,36 @@ MaybeRow = Sequence[float | None]
 EMAIL_SIGNALS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
-    """A label, the fused mass function behind it, and a decision trace."""
+    """A label, the fused mass function behind it, and a decision trace.
+
+    The mass is ``build(frame, *args)``, built on first read and then kept;
+    a module-level ``build`` and plain-data ``args`` keep it picklable.
+    """
 
     label: str
-    mass: MassFunction
+    frame: Frame
     trace: Mapping[str, object]
+    build: Callable[..., MassFunction] = field(repr=False)
+    args: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.label not in self.mass.frame.labels:
+        if self.label not in self.frame.labels:
             raise ValueError(f"label {self.label!r} is not a frame singleton")
+
+    @cached_property
+    def mass(self) -> MassFunction:
+        return self.build(self.frame, *self.args)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Prediction):
+            return NotImplemented
+        return (self.label, self.mass, self.trace) == (other.label, other.mass, other.trace)
 
     def to_json_dict(self, record_id: int | None = None) -> dict:
         masses = {
-            self.mass.frame.describe(subset.bits): value for subset, value in self.mass.items()
+            self.frame.describe(subset.bits): value for subset, value in self.mass.items()
         }
         return {"id": record_id, "label": self.label, "masses": masses, "trace": dict(self.trace)}
 
@@ -136,9 +155,8 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     """
     used = [f for f, bpa in enumerate(model.bpas) if bpa is not None and record[f] is not None]
     if not used:
-        return Prediction(
-            "normal", vacuous_mass(BINARY_FRAME), {"features": [], "fallback": "no-evidence"}
-        )
+        trace = {"features": [], "fallback": "no-evidence"}
+        return Prediction("normal", BINARY_FRAME, trace, vacuous_mass, ())
     for f in used:
         if not math.isfinite(record[f]):
             raise ValueError(f"feature value must be finite, got {record[f]}")
@@ -148,8 +166,13 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     except OverflowError:
         # Beyond the float range: logistic saturates past 709, so clamp the exact sum.
         score = float(min(max(sum(map(Fraction, terms)), -1000), 1000))
-    mass = combine_binary(BINARY_FRAME, [(logistic(-score), logistic(score), 0.0)])
-    return Prediction("abnormal" if score > 0 else "normal", mass, {"features": used})
+    label = "abnormal" if score > 0 else "normal"
+    return Prediction(label, BINARY_FRAME, {"features": used}, _score_mass, (score,))
+
+
+def _score_mass(frame: Frame, score: float) -> MassFunction:
+    # The mass of log-odds ``score``: (logistic(-score), logistic(score)).
+    return combine_binary(frame, [(logistic(-score), logistic(score), 0.0)])
 
 
 @dataclass(frozen=True)
@@ -230,12 +253,12 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     The masses are ``{bits: mass}`` rows folded by ``combine_bits``, the
     rule and order of ``combine_all`` over ``boundary_mass`` and then
     ``combine`` with ``distance_mass``; only the reported result becomes a
-    mass function. Step 1's masses can tie exactly (sources for two
-    classes in turn), and float folding breaks such a tie by rounding, so
-    a near-tie there is decided on the exact fold. With the confidences
-    ``BOUNDARY_CONFIDENCE`` = 0.9 and ``DISTANCE_CONFIDENCE`` = 0.8, step
-    3's singleton beliefs do not tie exactly for up to eight boundary
-    sources, and are compared as floats.
+    mass function, on first read. Step 1's masses can tie exactly (sources
+    for two classes in turn), and float folding breaks such a tie by
+    rounding, so a near-tie there is decided on the exact fold. With the
+    confidences ``BOUNDARY_CONFIDENCE`` = 0.9 and ``DISTANCE_CONFIDENCE`` =
+    0.8, step 3's singleton beliefs do not tie exactly for up to eight
+    boundary sources, and are compared as floats.
     """
     rows = [
         boundary_row(record[f], class_bounds)
@@ -246,16 +269,13 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     frame = model.frame
     if candidate.bit_count() == 1:
         label = frame.labels[candidate.bit_length() - 1]
-        return Prediction(label, _trusted_mass(frame, step1), {"decided": "step1"})
+        return Prediction(label, frame, {"decided": "step1"}, _trusted_mass, (step1,))
     feature = model.selected[candidate]
     final = combine_bits(step1, distance_row(record[feature], model.means[feature]))[0]
     # A singleton's belief is its own mass.
     winner = max(range(3), key=lambda c: (final.get(1 << c, 0.0), -c))
-    return Prediction(
-        frame.labels[winner],
-        _trusted_mass(frame, final),
-        {"decided": "step3", "feature": feature, "group": list(frame.labels_of(candidate))},
-    )
+    trace = {"decided": "step3", "feature": feature, "group": list(frame.labels_of(candidate))}
+    return Prediction(frame.labels[winner], frame, trace, _trusted_mass, (final,))
 
 
 @dataclass(frozen=True)
@@ -304,12 +324,12 @@ def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) 
 
 
 def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
-    """Fuse the model's signals' masses in closed form (``combine_binary``);
-    abnormal wins only on strictly greater mass."""
+    """Fuse the model's signals' masses in closed form (``fuse_binary``, so
+    total conflict raises here); abnormal wins only on strictly greater mass."""
     active = sorted(model.signals)
-    combined = combine_binary(BINARY_FRAME, [email_signal_row(message, s, model) for s in active])
-    label = "abnormal" if combined.mass_bits(2) > combined.mass_bits(1) else "normal"
-    return Prediction(label, combined, {"signals": active})
+    fused = fuse_binary([email_signal_row(message, s, model) for s in active])
+    label = "abnormal" if fused[1] > fused[0] else "normal"
+    return Prediction(label, BINARY_FRAME, {"signals": active}, binary_mass, (fused,))
 
 
 Classifier = BinaryModel | ThreeClassModel | EmailModel

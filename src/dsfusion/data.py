@@ -476,6 +476,8 @@ def evaluate(
         raise ValueError(f"{spec.key} subset {list(subset)} repeats an entry")
     if spec.fixed_subset and subset != default:
         raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
+    # One model, one config: the order the caller listed the subset in is not kept.
+    subset = tuple(sorted(subset))
     per_fold = []
     pairs = []
     misclassified = []
@@ -490,7 +492,7 @@ def evaluate(
             record = dataset.records[i]
             pred = spec.classify(record.features, model)
             predictions[i] = pred
-            predicted = pred.mass.frame.labels.index(pred.label)
+            predicted = pred.frame.labels.index(pred.label)
             pairs.append((record.label, predicted))
             if predicted == record.label:
                 correct += 1

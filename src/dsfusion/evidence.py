@@ -173,6 +173,11 @@ class MassFunction:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MassFunction is immutable")
 
+    def __reduce__(self) -> tuple:
+        # Pickle and copy rebuild a valid instance unchecked: the blocked
+        # ``__setattr__`` rules out the default slot-by-slot restore.
+        return _trusted_mass, (self.frame, self._masses)
+
     def items(self) -> Iterator[tuple[HypothesisSet, float]]:
         for bits, value in self._masses.items():
             yield HypothesisSet(self.frame, bits), value
@@ -310,23 +315,21 @@ def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
     return result
 
 
-def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> MassFunction:
+def fuse_binary(rows: Sequence[tuple[float, float, float]]) -> tuple[float, float, float]:
     """Dempster's rule over a two-label frame, in closed form.
 
-    Each row is one source's masses (m(label 0), m(label 1), m(Θ)). On two
-    labels the rule multiplies commonalities Q(0) = m_0 + m_Θ,
-    Q(1) = m_1 + m_Θ and Q(Θ) = m_Θ: the fused masses are proportional to
-    ΠQ(0) - ΠQ(Θ), ΠQ(1) - ΠQ(Θ) and ΠQ(Θ), and their sum
-    ΠQ(0) + ΠQ(1) - ΠQ(Θ) is 1 - K (Smets 1990; Barnett 1981). The result
-    is the fold of ``combine`` over the rows' mass functions, in one pass
-    and without building them; rows are trusted to be valid masses.
-    Raises TotalConflictError when the fused K reaches 1 - ``IDENTITY_TOL``,
-    the bound ``combine`` applies to each pair.
+    Each row, and the fused triple returned, is one source's masses
+    (m(label 0), m(label 1), m(Θ)). On two labels the rule multiplies
+    commonalities Q(0) = m_0 + m_Θ, Q(1) = m_1 + m_Θ and Q(Θ) = m_Θ: the
+    fused masses are proportional to ΠQ(0) - ΠQ(Θ), ΠQ(1) - ΠQ(Θ) and
+    ΠQ(Θ), and their sum ΠQ(0) + ΠQ(1) - ΠQ(Θ) is 1 - K (Smets 1990;
+    Barnett 1981). The result is the fold of ``combine`` over the rows'
+    mass functions, in one pass and without building them; rows are
+    trusted to be valid masses. Raises TotalConflictError when the fused K
+    reaches 1 - ``IDENTITY_TOL``, the bound ``combine`` applies to each pair.
     """
-    if frame.size != 2:
-        raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
     if not rows:
-        raise EvidenceError("combine_binary needs at least one row")
+        raise EvidenceError("binary combination needs at least one row")
     q0 = q1 = qt = 1.0
     for m0, m1, mt in rows:
         q0 *= m0 + mt
@@ -336,8 +339,19 @@ def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> 
     k = 1.0 - norm
     if k >= 1.0 - IDENTITY_TOL:
         raise TotalConflictError(f"total conflict between sources (K={k!r})")
-    fused = ((1, (q0 - qt) / norm), (2, (q1 - qt) / norm), (3, qt / norm))
-    return _trusted_mass(frame, {bits: v for bits, v in fused if v > 0})
+    return (q0 - qt) / norm, (q1 - qt) / norm, qt / norm
+
+
+def binary_mass(frame: Frame, fused: tuple[float, float, float]) -> MassFunction:
+    """The mass function of a fused triple from :func:`fuse_binary`."""
+    return _trusted_mass(frame, {bits: v for bits, v in zip((1, 2, 3), fused) if v > 0})
+
+
+def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> MassFunction:
+    """:func:`fuse_binary` of the rows, as a mass function on ``frame``."""
+    if frame.size != 2:
+        raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
+    return binary_mass(frame, fuse_binary(rows))
 
 
 def belief(m: MassFunction, subset: HypothesisSet) -> float:

@@ -548,7 +548,7 @@ class TestPredictionSerialization:
         from dsfusion import Prediction, vacuous_mass
 
         with pytest.raises(ValueError):
-            Prediction("nonsense", vacuous_mass(BINARY_FRAME), {})
+            Prediction("nonsense", BINARY_FRAME, {}, vacuous_mass, ())
 
 
 class TestClassifierSerialization:

@@ -80,10 +80,10 @@ class TestWbcdCommand:
 
     def test_trace_lists_features_in_index_order(self, capsys):
         # The model fuses its fitted features in index order, whatever the
-        # order of --features; the config keeps the letters as given.
+        # order of --features, and the config names them in that order.
         code, out, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--features", "IDA")
         assert code == 0
-        assert "config: features=IDA," in out
+        assert "config: features=ADI," in out
         assert "via {'features': [0, 3, 8]}" in out
         assert "[8, 3, 0]" not in out
 

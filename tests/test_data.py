@@ -459,6 +459,23 @@ class TestEvaluate:
         dataset = wbcd_dataset if task == "wbcd" else generate_email()
         assert_rejected_before_training(monkeypatch, dataset, task, subset, message)
 
+    @pytest.mark.parametrize(
+        "task, subset", [("wbcd", (8, 3, 0)), ("wbcd", (5, 1, 2)), ("email", (4, 1)),
+                         ("email", (3, 2, 4))],
+    )
+    def test_subset_order_does_not_reach_the_report(self, wbcd_dataset, task, subset):
+        dataset = wbcd_dataset if task == "wbcd" else generate_email()
+        folds = make_folds(len(dataset), 10, 42) if task == "wbcd" else None
+        given = evaluate(dataset, task, folds=folds, subset=subset)
+        ordered = evaluate(dataset, task, folds=folds, subset=sorted(subset))
+        assert given.config == ordered.config
+        assert report_json(given, include_runtime=False) == report_json(
+            ordered, include_runtime=False
+        )
+        label = ablation(dataset, task, [subset], folds=folds)[0][0]
+        assert label == given.config[TASKS[task].key]
+        assert list(label) == sorted(label)
+
     def test_email_model_fuses_the_evaluated_signals(self):
         report = evaluate(generate_email(), "email", subset=(4, 1))
         assert {tuple(p.trace["signals"]) for p in report.predictions} == {(1, 4)}

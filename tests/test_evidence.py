@@ -1,6 +1,8 @@
 """Unit tests for frames, mass functions, and the combination rule."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -114,6 +116,18 @@ class TestMassConstruction:
         m = vacuous_mass(binary)
         with pytest.raises(AttributeError):
             m.frame = binary
+
+    @pytest.mark.parametrize("clone", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickles_and_copies(self, witnesses, clone):
+        _, m1, m2 = witnesses
+        for m in (m1, combine(m1, m2), vacuous_mass(m1.frame)):
+            other = clone(m)
+            assert other == m
+            assert list(other._masses.items()) == list(m._masses.items())
+            with pytest.raises(AttributeError):
+                other.frame = m.frame
 
     def test_rendering_six_significant_digits(self, binary):
         m = MassFunction(binary, {1: 0.41 / 0.61, 2: 0.19 / 0.61, 3: 0.01 / 0.61})

@@ -1,0 +1,194 @@
+"""The classifiers decide on scalars and build a prediction's mass function
+only when it is read: how many masses get built, that the deferred mass
+equals the eagerly built reference bit for bit, and that predictions
+pickle and copy before and after the read."""
+
+import copy
+import math
+import pickle
+from dataclasses import replace
+from itertools import combinations
+
+import pytest
+
+from dsfusion import (
+    BINARY_FRAME,
+    TableBpa,
+    TotalConflictError,
+    classify_binary,
+    classify_email,
+    classify_three_class,
+    combine_binary,
+    email_model_default,
+    evaluate,
+    generate_email,
+    make_folds,
+    make_frame,
+    train_binary,
+    train_three_class,
+    vacuous_mass,
+)
+from dsfusion import classify, evidence
+from dsfusion.bpa import logistic
+from dsfusion.classify import email_signal_row
+
+from test_classify import generic_three_class_mass
+from test_data import ACCEPTANCE_SUBSETS
+
+IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
+EMAIL_SUBSETS = [c for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts every MassFunction built from here on, by either constructor:
+    the validating ``__init__`` and the trusted path (``_trusted_mass``, as
+    both ``evidence`` and ``classify`` see it)."""
+    count = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(evidence.MassFunction, "__init__",
+                        counting(evidence.MassFunction.__init__))
+    trusted = counting(evidence._trusted_mass)
+    monkeypatch.setattr(evidence, "_trusted_mass", trusted)
+    monkeypatch.setattr(classify, "_trusted_mass", trusted)
+    return count
+
+
+def email_messages(n):
+    return [(float(i % 300), i % 2, (i // 2) % 2, (i // 4) % 2) for i in range(n)]
+
+
+def one_of_each(wbcd_dataset, iris_dataset):
+    """One prediction per classifier and per mass builder: email, binary,
+    binary without evidence, and three-class decided at step 1 and step 3."""
+    rows = [r.features for r in wbcd_dataset.records]
+    binary = train_binary(rows, [r.label for r in wbcd_dataset.records])
+    three = train_three_class([(r.features, r.label) for r in iris_dataset.records], IRIS_FRAME)
+    iris_preds = [classify_three_class(r.features, three) for r in iris_dataset.records]
+    by_stage = {p.trace["decided"]: p for p in iris_preds}
+    return [
+        classify_email((5.0, 1, 1, 0), email_model_default()),
+        classify_binary(rows[0], binary),
+        classify_binary([None] * len(rows[0]), binary),
+        by_stage["step1"],
+        by_stage["step3"],
+    ]
+
+
+class TestLaziness:
+    def test_classifying_builds_no_mass(self, built, wbcd_dataset, iris_dataset):
+        model = email_model_default()
+        for message in email_messages(1000):
+            classify_email(message, model)
+        rows = [r.features for r in wbcd_dataset.records]
+        binary = train_binary(rows, [r.label for r in wbcd_dataset.records])
+        for row in rows:
+            classify_binary(row, binary)
+        three = train_three_class([(r.features, r.label) for r in iris_dataset.records], IRIS_FRAME)
+        for record in iris_dataset.records:
+            classify_three_class(record.features, three)
+        assert (len(rows), len(iris_dataset.records)) == (699, 150)
+        assert built[0] == 0
+
+    def test_first_read_builds_one_mass_and_keeps_it(self, built, wbcd_dataset, iris_dataset):
+        for pred in one_of_each(wbcd_dataset, iris_dataset):
+            before = built[0]
+            mass = pred.mass
+            assert built[0] == before + 1
+            assert pred.mass is mass
+            assert built[0] == before + 1
+
+    def test_evaluate_builds_the_misclassified_masses_only(self, built, wbcd_dataset):
+        folds = make_folds(len(wbcd_dataset), 10, 42)
+        report = evaluate(wbcd_dataset, "wbcd", folds=folds)
+        assert report.misclassified
+        assert built[0] == len(report.misclassified)
+
+
+class TestDeferredMassIsExact:
+    """The deferred mass equals the one the classifiers used to build
+    eagerly: the same floats under the same keys, in the same order."""
+
+    def test_wbcd_acceptance_subsets(self, wbcd_dataset):
+        folds = make_folds(len(wbcd_dataset), 10, 42)
+        checked = 0
+        for subset in ACCEPTANCE_SUBSETS:
+            for fold in range(folds.k):
+                train = wbcd_dataset.samples(folds.train_indices(fold))
+                model = train_binary([f for f, _ in train], [label for _, label in train], subset)
+                for i in folds.test_indices(fold):
+                    record = wbcd_dataset.records[i].features
+                    pred = classify_binary(record, model)
+                    used = [f for f in subset if record[f] is not None]
+                    score = math.fsum(
+                        x for f in used for x in (record[f], -model.bpas[f].threshold)
+                    )
+                    row = (logistic(-score), logistic(score), 0.0)
+                    eager = (combine_binary(BINARY_FRAME, [row]) if used
+                             else vacuous_mass(BINARY_FRAME))
+                    assert list(pred.mass._masses.items()) == list(eager._masses.items())
+                    checked += 1
+        assert checked == 12 * len(wbcd_dataset)
+
+    def test_email_signal_subsets(self):
+        model = email_model_default()
+        for seed in range(10):
+            dataset = generate_email(seed)
+            for signals in EMAIL_SUBSETS:
+                subset_model = replace(model, signals=frozenset(signals))
+                for record in dataset.records:
+                    pred = classify_email(record.features, subset_model)
+                    rows = [email_signal_row(record.features, s, model) for s in signals]
+                    eager = combine_binary(BINARY_FRAME, rows)
+                    assert list(pred.mass._masses.items()) == list(eager._masses.items())
+
+    def test_iris_thousand_folds(self, iris_dataset):
+        records = iris_dataset.records
+        for seed in range(42, 142):
+            folds = make_folds(len(records), 10, seed)
+            for fold in range(folds.k):
+                samples = [(records[i].features, records[i].label)
+                           for i in folds.train_indices(fold)]
+                model = train_three_class(samples, IRIS_FRAME)
+                for i in folds.test_indices(fold):
+                    pred = classify_three_class(records[i].features, model)
+                    eager = generic_three_class_mass(records[i].features, model, pred.trace)
+                    assert list(pred.mass._masses.items()) == list(eager._masses.items())
+
+
+class TestPortability:
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_prediction_round_trip(self, wbcd_dataset, iris_dataset, clone, read_first):
+        for pred in one_of_each(wbcd_dataset, iris_dataset):
+            if read_first:
+                pred.mass
+            other = clone(pred)
+            assert (other.label, other.frame, dict(other.trace)) == (
+                pred.label, pred.frame, dict(pred.trace)
+            )
+            assert list(other.mass._masses.items()) == list(pred.mass._masses.items())
+            assert other == pred
+
+
+def test_total_conflict_raises_when_classifying():
+    # Two certain signals that contradict each other: K = 1.
+    model = replace(
+        email_model_default(),
+        spoofed_bpa=TableBpa(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
+        dangerous_bpa=TableBpa(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
+        signals=frozenset({2, 3}),
+    )
+    with pytest.raises(TotalConflictError):
+        classify_email((50.0, 1, 0, 0), model)
+    assert classify_email((50.0, 1, 1, 0), model).label == "abnormal"
+
