@@ -17,6 +17,8 @@ from typing import Callable, Mapping, Sequence
 
 from .bpa import (
     BINARY_FRAME,
+    BOUNDARY_CONFIDENCE,
+    DISTANCE_CONFIDENCE,
     BoundaryModel,
     MassRow,
     ScaledSigmoidBpa,
@@ -40,6 +42,7 @@ from .bpa import (
 from .evidence import (
     Frame,
     MassFunction,
+    _intersect,
     _trusted_mass,
     argmax_bits,
     binary_mass,
@@ -211,34 +214,27 @@ def train_three_class(samples: Sequence[Sample], frame: Frame) -> ThreeClassMode
     return ThreeClassModel(frame, boundaries, means, selected)
 
 
-# Against the exact fold of the same rows, each fused float mass is off by
-# a relative error below 16 * 2^-53 (1.8e-15) per folded row, a common
-# scale aside: a fold step only multiplies and adds positive terms and
-# divides them all by one norm. Two masses can swap order only when their
-# gap is below twice that, so a wider gap than 1e-14 per row is exact.
-_RTOL_PER_ROW = 1e-14
+# The confidences as the documented ratios p/q, 9/10 and 4/5, not as the
+# floats' binary values.
+_BOUNDARY_RATIO = Fraction(repr(BOUNDARY_CONFIDENCE)).as_integer_ratio()
+_DISTANCE_RATIO = Fraction(repr(DISTANCE_CONFIDENCE)).as_integer_ratio()
 
 
-def _fold_rows(rows: Sequence[Mapping[int, float]]) -> Mapping[int, float]:
+def _weighted(row: Mapping[int, float], ratio: tuple[int, int]) -> dict[int, int]:
+    # The row times q: p on its focal set and q - p on the frame.
+    p, q = ratio
+    return {bits: q - p if bits == THREE_CLASS_FULL else p for bits in row}
+
+
+def _fold(rows: Sequence[Mapping[int, float]], step: Callable) -> Mapping[int, float]:
     fused = rows[0]
     for row in rows[1:]:
-        fused = combine_bits(fused, row)[0]
+        fused = step(fused, row)[0]
     return fused
 
 
-def _step1_candidate(rows: Sequence[Mapping[int, float]], step1: Mapping[int, float]) -> int:
-    # The focal set of greatest mass other than the frame. A rival within
-    # rounding error of the leader is settled on the exact (Fraction) fold
-    # of the same rows, so that exact ties follow the documented order.
-    candidate = argmax_bits(step1, THREE_CLASS_FULL, exclude_theta=True)
-    top = step1.get(candidate, 0.0)
-    bound = _RTOL_PER_ROW * len(rows) * top
-    if any(
-        top - v <= bound for bits, v in step1.items() if bits not in (candidate, THREE_CLASS_FULL)
-    ):
-        exact = _fold_rows([{bits: Fraction(v) for bits, v in row.items()} for row in rows])
-        candidate = argmax_bits(exact, THREE_CLASS_FULL, exclude_theta=True)
-    return candidate
+def _three_class_mass(frame: Frame, rows: Sequence[Mapping[int, float]]) -> MassFunction:
+    return _trusted_mass(frame, _fold(rows, combine_bits))
 
 
 def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Prediction:
@@ -250,32 +246,32 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     feature selected for the candidate group, and step 3 fuses it with the
     step-1 result and picks the singleton with the highest belief.
 
-    The masses are ``{bits: mass}`` rows folded by ``combine_bits``, the
-    rule and order of ``combine_all`` over ``boundary_mass`` and then
-    ``combine`` with ``distance_mass``; only the reported result becomes a
-    mass function, on first read. Step 1's masses can tie exactly (sources
-    for two classes in turn), and float folding breaks such a tie by
-    rounding, so a near-tie there is decided on the exact fold. With the
-    confidences ``BOUNDARY_CONFIDENCE`` = 0.9 and ``DISTANCE_CONFIDENCE`` =
-    0.8, step 3's singleton beliefs do not tie exactly for up to eight
-    boundary sources, and are compared as floats.
+    The decision folds the rows scaled to integers (9/10 and 1/10 become 9
+    and 1; 4/5 and 1/5 become 4 and 1) with Dempster's product step,
+    ``_intersect``, unnormalised, which scales all fused masses alike. So
+    exact ties, such as step 1's sources for two classes in turn, follow
+    the documented order. The reported mass, built on first read, folds
+    the float rows by ``combine_bits``, the rule and order of
+    ``combine_all`` over ``boundary_mass`` and then ``combine`` with
+    ``distance_mass``.
     """
     rows = [
         boundary_row(record[f], class_bounds)
         for f, class_bounds in enumerate(model.boundaries.bounds)
     ]
-    step1 = _fold_rows(rows)
-    candidate = _step1_candidate(rows, step1)
+    step1 = _fold([_weighted(row, _BOUNDARY_RATIO) for row in rows], _intersect)
+    candidate = argmax_bits(step1, THREE_CLASS_FULL, exclude_theta=True)
     frame = model.frame
     if candidate.bit_count() == 1:
         label = frame.labels[candidate.bit_length() - 1]
-        return Prediction(label, frame, {"decided": "step1"}, _trusted_mass, (step1,))
+        return Prediction(label, frame, {"decided": "step1"}, _three_class_mass, (rows,))
     feature = model.selected[candidate]
-    final = combine_bits(step1, distance_row(record[feature], model.means[feature]))[0]
+    distance = distance_row(record[feature], model.means[feature])
+    final = _intersect(step1, _weighted(distance, _DISTANCE_RATIO))[0]
     # A singleton's belief is its own mass.
-    winner = max(range(3), key=lambda c: (final.get(1 << c, 0.0), -c))
+    winner = max(range(3), key=lambda c: (final.get(1 << c, 0), -c))
     trace = {"decided": "step3", "feature": feature, "group": list(frame.labels_of(candidate))}
-    return Prediction(frame.labels[winner], frame, trace, _trusted_mass, (final,))
+    return Prediction(frame.labels[winner], frame, trace, _three_class_mass, ([*rows, distance],))
 
 
 @dataclass(frozen=True)

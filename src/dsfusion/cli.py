@@ -123,7 +123,7 @@ def _parse_signals(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...
         parser.error(f"signals must be digits 1-4, got {spec!r}")
     if not signals or len(set(signals)) != len(signals) or not set(signals) <= {1, 2, 3, 4}:
         parser.error(f"signals must be distinct digits from 1234, got {spec!r}")
-    return tuple(sorted(signals))
+    return signals
 
 
 def _emit(report, args) -> None:
@@ -208,7 +208,7 @@ def _cmd_email(args, parser) -> int:
     missed = [rid for rid in report.misclassified if rid in worm_ids]
     false_pos = [rid for rid in report.misclassified if rid not in worm_ids]
     detected = len(worm_ids) - len(missed)
-    print(f"signals: {''.join(map(str, signals))}")
+    print(f"signals: {report.config['signals']}")
     print(f"worms detected: {detected}/{len(worm_ids)}, missed: "
           + (", ".join(map(str, missed)) or "none"))
     print("false positives: " + (", ".join(map(str, false_pos)) or "none"))

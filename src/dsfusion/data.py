@@ -474,10 +474,10 @@ def evaluate(
         raise ValueError(f"signals must be a nonempty subset of {default}, got {subset}")
     if len(set(subset)) != len(subset):
         raise ValueError(f"{spec.key} subset {list(subset)} repeats an entry")
-    if spec.fixed_subset and subset != default:
-        raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
     # One model, one config: the order the caller listed the subset in is not kept.
     subset = tuple(sorted(subset))
+    if spec.fixed_subset and subset != default:
+        raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
     per_fold = []
     pairs = []
     misclassified = []

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from dsfusion import (
     EmailModel,
     SigmoidBpa,
     ThreeClassModel,
+    argmax_focal,
     boundary_mass,
     classifier_from_dict,
     classifier_to_dict,
@@ -431,6 +432,42 @@ def test_three_class_matches_exact_oracle_and_generic_fold(case):
     model, records = case
     for record in records:
         _assert_three_class_exact(record, model)
+
+
+def _model_with_rows(focal_sets, nearest):
+    # At the record (0, ...), feature f's boundary row puts its mass on
+    # focal_sets[f] (the frame: vacuous), and every feature's nearest mean
+    # is class ``nearest``'s.
+    bounds = tuple(
+        tuple((-1, 1) if bits >> c & 1 else (2, 3) for c in range(3))
+        for bits in focal_sets
+    )
+    means = tuple(tuple(0 if c == nearest else 1 for c in range(3)) for _ in focal_sets)
+    selected = {bits: 0 for bits in (0b011, 0b101, 0b110, 0b111)}
+    return ThreeClassModel(IRIS_FRAME, BoundaryModel(bounds), means, selected)
+
+
+def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
+    labels = IRIS_FRAME.labels
+    cases = float_misses = 0
+    for n in range(1, 7):
+        for focal_sets in combinations_with_replacement(range(1, 8), n):
+            record = (0,) * n
+            for nearest in range(3):
+                model = _model_with_rows(focal_sets, nearest)
+                pred = classify_three_class(record, model)
+                label, trace = oracle_three_class(record, model)
+                assert (pred.label, dict(pred.trace)) == (label, trace)
+                cases += 1
+            # The exact step-1 leader, read off the oracle's trace, against
+            # the leader of the float fold, which rounding can pick wrongly.
+            group = trace.get("group", [label])
+            exact = sum(1 << labels.index(name) for name in group)
+            fused = combine_all([boundary_mass(0, b, IRIS_FRAME) for b in model.boundaries.bounds])
+            float_misses += argmax_focal(fused, exclude_theta=True).bits != exact
+    assert cases == 3 * 1715
+    # The cases reach the near-ties that a float decision gets wrong.
+    assert float_misses > 0
 
 
 class TestEmailModel:

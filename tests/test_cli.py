@@ -216,6 +216,16 @@ class TestEmailCommand:
         assert "closest-margin worms:" in out
         assert "margin" in out
 
+    def test_signal_order_does_not_reach_stdout(self, capsys):
+        def stdout(signals):
+            code, out, _ = run_cli(capsys, "email", "--generate", "--signals", signals)
+            assert code == 0
+            return [line for line in out.splitlines() if not line.startswith("runtime: ")]
+
+        given = stdout("431")
+        assert given[0] == "signals: 134"
+        assert given == stdout("134")
+
     def test_signal_five_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "email", "--generate", "--signals", "5")
         assert code == 2

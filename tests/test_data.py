@@ -431,7 +431,7 @@ class TestEvaluate:
             monkeypatch, dataset, task, (0, index), rf"^feature {index} outside 0\.\.{n - 1}$"
         )
 
-    @pytest.mark.parametrize("subset", [(0,), (1,), (2, 3), (3, 2, 1, 0)])
+    @pytest.mark.parametrize("subset", [(0,), (1,), (2, 3)])
     def test_iris_takes_no_subset(self, iris_dataset, subset, monkeypatch):
         assert_rejected_before_training(
             monkeypatch, iris_dataset, "iris", subset, r"^the iris task fuses exactly \[0, 1, 2, 3\]"
@@ -461,11 +461,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "task, subset", [("wbcd", (8, 3, 0)), ("wbcd", (5, 1, 2)), ("email", (4, 1)),
-                         ("email", (3, 2, 4))],
+                         ("email", (3, 2, 4)), ("iris", (3, 2, 1, 0))],
     )
-    def test_subset_order_does_not_reach_the_report(self, wbcd_dataset, task, subset):
-        dataset = wbcd_dataset if task == "wbcd" else generate_email()
-        folds = make_folds(len(dataset), 10, 42) if task == "wbcd" else None
+    def test_subset_order_does_not_reach_the_report(
+        self, wbcd_dataset, iris_dataset, task, subset
+    ):
+        dataset = {"wbcd": wbcd_dataset, "iris": iris_dataset, "email": generate_email()}[task]
+        folds = make_folds(len(dataset), 10, 42) if TASKS[task].cross_validates else None
         given = evaluate(dataset, task, folds=folds, subset=subset)
         ordered = evaluate(dataset, task, folds=folds, subset=sorted(subset))
         assert given.config == ordered.config
