@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import data as harness
 from .bpa import mean_sd
-from .classify import classifier_to_dict
+from .classify import EMAIL_SIGNALS, classifier_to_dict
 from .data import (
     DataFormatError,
     ablation,
@@ -30,7 +30,6 @@ from .data import (
     make_folds,
     repeated_cv,
     write_email_csv,
-    write_report,
 )
 from .evidence import (
     EvidenceError,
@@ -121,18 +120,16 @@ def _parse_signals(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...
         signals = tuple(int(ch) for ch in spec)
     except ValueError:
         parser.error(f"signals must be digits 1-4, got {spec!r}")
-    if not signals or len(set(signals)) != len(signals) or not set(signals) <= {1, 2, 3, 4}:
+    if not signals or len(set(signals)) != len(signals) or not set(signals) <= set(EMAIL_SIGNALS):
         parser.error(f"signals must be distinct digits from 1234, got {spec!r}")
     return signals
 
 
 def _emit(report, args) -> None:
-    if args.format == "json":
-        print(harness.report_json(report))
-    else:
-        print(harness.report_text(report), end="")
+    text = harness.render_report(report, args.format)
+    print(text, end="")
     if args.out:
-        write_report(report, args.out, args.format)
+        args.out.write_bytes(text.encode("utf-8"))
 
 
 def _dump_model(dataset, task: str, path: Path) -> None:
@@ -143,6 +140,8 @@ def _dump_model(dataset, task: str, path: Path) -> None:
 
 def _cmd_wbcd(args, parser) -> int:
     features = _parse_features(args.features, parser)
+    if args.ablate and (args.out or args.format != "text"):
+        parser.error("--ablate prints a text table and takes no --out or --format")
     if args.folds < 2:
         parser.error("--folds must be at least 2")
     dataset = load_wbcd(args.data)
@@ -195,6 +194,8 @@ def _cmd_iris(args, parser) -> int:
 
 def _cmd_email(args, parser) -> int:
     signals = _parse_signals(args.signals, parser)
+    if args.save_data and not args.generate:
+        parser.error("--save-data writes a generated corpus and needs --generate")
     if args.generate:
         dataset = generate_email(args.seed)
         if args.save_data:
@@ -307,3 +308,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

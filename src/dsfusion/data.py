@@ -10,6 +10,7 @@ and evaluation order cannot perturb results.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -315,6 +316,8 @@ class EvalReport:
     confusion: dict
     misclassified: tuple[int, ...]
     runtime_seconds: float
+    # One dict per misclassified record: its id, truth, predicted label,
+    # trace and Prediction; report_text formats the mass when it renders.
     details: tuple = field(default=(), compare=False, repr=False)
     # The Prediction of every record, in the record set's order.
     predictions: tuple = field(default=(), compare=False, repr=False)
@@ -331,22 +334,6 @@ class EvalReport:
         if include_runtime:
             out["runtime_seconds"] = self.runtime_seconds
         return out
-
-
-def _binary_confusion(pairs: Sequence[tuple[int, int]]) -> dict:
-    tp = sum(1 for truth, pred in pairs if truth == 1 and pred == 1)
-    tn = sum(1 for truth, pred in pairs if truth == 0 and pred == 0)
-    fp = sum(1 for truth, pred in pairs if truth == 0 and pred == 1)
-    fn = sum(1 for truth, pred in pairs if truth == 1 and pred == 0)
-    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn}
-
-
-def _matrix_confusion(pairs: Sequence[tuple[int, int]], labels: Sequence[str]) -> dict:
-    n = len(labels)
-    matrix = [[0] * n for _ in range(n)]
-    for truth, pred in pairs:
-        matrix[truth][pred] += 1
-    return {"labels": list(labels), "matrix": matrix}
 
 
 def _all_features(dataset: RecordSet) -> tuple[int, ...]:
@@ -479,8 +466,8 @@ def evaluate(
     if spec.fixed_subset and subset != default:
         raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
     per_fold = []
-    pairs = []
-    misclassified = []
+    labels = dataset.label_names
+    matrix = [[0] * len(labels) for _ in labels]
     details = []
     predictions = [None] * len(dataset)
     for fold in range(folds.k):
@@ -493,12 +480,17 @@ def evaluate(
             pred = spec.classify(record.features, model)
             predictions[i] = pred
             predicted = pred.frame.labels.index(pred.label)
-            pairs.append((record.label, predicted))
+            matrix[record.label][predicted] += 1
             if predicted == record.label:
                 correct += 1
             else:
-                misclassified.append(record.id)
-                details.append(_error_detail(dataset, record, pred))
+                details.append({
+                    "id": record.id,
+                    "truth": labels[record.label],
+                    "predicted": pred.label,
+                    "trace": dict(pred.trace),
+                    "prediction": pred,
+                })
         per_fold.append(correct / len(test_indices))
     config = {
         spec.key: spec.describe(dataset, subset),
@@ -506,26 +498,17 @@ def evaluate(
         "seed": folds.seed,
         "rng": RNG_ID,
     }
-    confusion = (
-        _binary_confusion(pairs)
-        if len(dataset.label_names) == 2
-        else _matrix_confusion(pairs, dataset.label_names)
-    )
-    accuracy = (len(dataset) - len(misclassified)) / len(dataset)
+    if len(labels) == 2:
+        (tn, fp), (fn, tp) = matrix
+        confusion = {"tp": tp, "tn": tn, "fp": fp, "fn": fn}
+    else:
+        confusion = {"labels": list(labels), "matrix": matrix}
+    accuracy = (len(dataset) - len(details)) / len(dataset)
+    misclassified = tuple(sorted(d["id"] for d in details))
     return EvalReport(
-        task, config, accuracy, tuple(per_fold), confusion, tuple(sorted(misclassified)),
+        task, config, accuracy, tuple(per_fold), confusion, misclassified,
         time.perf_counter() - start, tuple(details), tuple(predictions),
     )
-
-
-def _error_detail(dataset: RecordSet, record: Record, pred) -> dict:
-    return {
-        "id": record.id,
-        "truth": dataset.label_names[record.label],
-        "predicted": pred.label,
-        "masses": str(pred.mass),
-        "trace": dict(pred.trace),
-    }
 
 
 def ablation(
@@ -533,26 +516,21 @@ def ablation(
     task: str,
     subsets: Sequence[Sequence[int]],
     folds: FoldPlan | None = None,
-    seed: int = 0,
 ) -> list[tuple[str, float]]:
     """One evaluation per feature (or signal) subset, reusing the fold plan."""
     table = []
     for subset in subsets:
-        report = evaluate(dataset, task, folds=folds, subset=subset, seed=seed)
+        report = evaluate(dataset, task, folds=folds, subset=subset)
         table.append((report.config[TASKS[task].key], report.accuracy))
     return table
 
 
-def repeated_cv(
-    dataset: RecordSet, task: str, runs: int, k: int, seed: int,
-    subset: Sequence[int] | None = None,
-) -> list[EvalReport]:
+def repeated_cv(dataset: RecordSet, task: str, runs: int, k: int, seed: int) -> list[EvalReport]:
     """Full cross-validations with seeds seed, seed+1, ..., seed+runs-1."""
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     return [
-        evaluate(dataset, task, folds=make_folds(len(dataset), k, seed + i), subset=subset)
-        for i in range(runs)
+        evaluate(dataset, task, folds=make_folds(len(dataset), k, seed + i)) for i in range(runs)
     ]
 
 
@@ -561,21 +539,24 @@ def report_json(report: EvalReport, include_runtime: bool = True) -> str:
     return json.dumps(report.to_json_dict(include_runtime), indent=2)
 
 
-def write_report(report: EvalReport, path: str | Path, fmt: str = "json") -> None:
-    """Write a report as json (canonical), csv (per-fold table), or text."""
-    path = Path(path)
+def render_report(report: EvalReport, fmt: str) -> str:
+    """A report as json (canonical), csv (per-fold table, CRLF line ends), or text."""
     if fmt == "json":
-        path.write_text(report_json(report) + "\n", encoding="utf-8")
-    elif fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "accuracy"])
-            for fold, acc in enumerate(report.per_fold):
-                writer.writerow([fold, repr(acc)])
-    elif fmt == "text":
-        path.write_text(report_text(report), encoding="utf-8")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        return report_json(report) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["fold", "accuracy"])
+        writer.writerows([fold, repr(acc)] for fold, acc in enumerate(report.per_fold))
+        return out.getvalue()
+    if fmt == "text":
+        return report_text(report)
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def write_report(report: EvalReport, path: str | Path, fmt: str = "json") -> None:
+    """Write :func:`render_report`'s string, byte for byte."""
+    Path(path).write_bytes(render_report(report, fmt).encode("utf-8"))
 
 
 def load_report(path: str | Path) -> EvalReport:
@@ -606,7 +587,7 @@ def report_text(report: EvalReport) -> str:
     for detail in report.details:
         lines.append(
             f"  id {detail['id']}: {detail['truth']} classified as "
-            f"{detail['predicted']} with {detail['masses']} via {detail['trace']}"
+            f"{detail['predicted']} with {detail['prediction'].mass} via {detail['trace']}"
         )
     lines.append(f"runtime: {report.runtime_seconds:.3f} s")
     return "\n".join(lines) + "\n"

@@ -98,6 +98,27 @@ class TestWbcdCommand:
         assert payload["task"] == "wbcd"
         assert json.loads(out_path.read_text())["accuracy"] == payload["accuracy"]
 
+    def test_csv_stdout_is_the_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "report.csv"
+        code, out, _ = run_cli(
+            capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "csv", "--out", str(out_path)
+        )
+        assert code == 0
+        assert out.startswith("fold,accuracy\r\n")
+        assert out == out_path.read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("flags", [["--out", "r.json", "--format", "json"],
+                                       ["--out", "r.txt"], ["--format", "csv"]])
+    def test_ablate_with_out_or_format_exits_2(self, capsys, tmp_path, flags):
+        flags = [str(tmp_path / f) if f.startswith("r.") else f for f in flags]
+        code, out, err = run_cli(
+            capsys, "wbcd", "--data", str(WBCD_PATH), "--ablate", "A,BCF", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert "--ablate" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
         _, out2, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
@@ -251,6 +272,26 @@ class TestEmailCommand:
         code2, out2, _ = run_cli(capsys, "email", "--data", str(saved), "--seed", "3")
         assert code2 == 0
         assert "worms detected: 42/42" in out2
+
+    def test_save_data_without_generate_exits_2(self, capsys, tmp_path):
+        corpus, saved = tmp_path / "corpus.csv", tmp_path / "saved.csv"
+        assert run_cli(capsys, "generate-email", "--out", str(corpus))[0] == 0
+        code, out, err = run_cli(
+            capsys, "email", "--data", str(corpus), "--save-data", str(saved)
+        )
+        assert code == 2
+        assert out == ""
+        assert "--save-data" in err
+        assert not saved.exists()
+
+    def test_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        result = subprocess.run(
+            [sys.executable, "-m", "dsfusion.cli", "email", "--generate"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("signals: 1234\n")
 
     @pytest.mark.parametrize("rows", ["1,nan,1,1,0,worm\n", "1,inf,1,1,0,worm\n", ""])
     def test_bad_csv_exits_3_without_traceback(self, tmp_path, rows):

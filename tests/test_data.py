@@ -385,6 +385,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(generate_email(), "email", folds=make_folds(132, 10, 0))
 
+    @pytest.mark.parametrize("task", ["wbcd", "iris"])
+    def test_details_carry_their_predictions(self, wbcd_dataset, iris_dataset, task):
+        dataset = wbcd_dataset if task == "wbcd" else iris_dataset
+        report = evaluate(dataset, task, folds=make_folds(len(dataset), 10, 42))
+        assert report.details
+        for detail in report.details:
+            assert detail["prediction"].label == detail["predicted"] != detail["truth"]
+            assert detail["trace"] == dict(detail["prediction"].trace)
+
     def test_all_missing_record_falls_back_to_normal(self):
         records = [Record(1, (None, 5.0), 1)] + [
             Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(2, 12)

@@ -31,6 +31,7 @@ from dsfusion import (
 from dsfusion import classify, evidence
 from dsfusion.bpa import logistic
 from dsfusion.classify import email_signal_row
+from dsfusion.data import report_text
 
 from test_classify import generic_three_class_mass
 from test_data import ACCEPTANCE_SUBSETS
@@ -106,9 +107,12 @@ class TestLaziness:
             assert built[0] == before + 1
 
     def test_evaluate_builds_the_misclassified_masses_only(self, built, wbcd_dataset):
+        # evaluate builds none; the text report builds one per error it prints.
         folds = make_folds(len(wbcd_dataset), 10, 42)
         report = evaluate(wbcd_dataset, "wbcd", folds=folds)
         assert report.misclassified
+        assert built[0] == 0
+        report_text(report)
         assert built[0] == len(report.misclassified)
 
 
