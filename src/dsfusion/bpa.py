@@ -212,14 +212,14 @@ def scaled_sigmoid_mass(value: float, bpa: ScaledSigmoidBpa) -> MassFunction:
     return _scaled_mass_cached(scaled_sigmoid_row(value, bpa))
 
 
-def table_row(signal_value: int, bpa: TableBpa) -> MassRow:
+def table_row(signal_value: float, bpa: TableBpa) -> MassRow:
     """The row of :func:`table_mass`, without building the mass function."""
     if signal_value not in (0, 1):
         raise ValueError(f"binary signal value must be 0 or 1, got {signal_value!r}")
-    return bpa.rows[signal_value]
+    return bpa.rows[int(signal_value)]
 
 
-def table_mass(signal_value: int, bpa: TableBpa) -> MassFunction:
+def table_mass(signal_value: float, bpa: TableBpa) -> MassFunction:
     """Exact row lookup for a binary signal."""
     return _table_mass_cached(table_row(signal_value, bpa))
 

@@ -59,7 +59,7 @@ MaybeRow = Sequence[float | None]
 EMAIL_SIGNALS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Prediction:
     """A label, the fused mass function behind it, and a decision trace.
 
@@ -106,6 +106,11 @@ class BinaryModel:
     @property
     def n_features(self) -> int:
         return len(self.bpas)
+
+    @cached_property
+    def fitted(self) -> tuple[tuple[int, float], ...]:
+        """The (feature, threshold) pairs this model fuses, in index order."""
+        return tuple((f, bpa.threshold) for f, bpa in enumerate(self.bpas) if bpa is not None)
 
 
 def train_binary(
@@ -156,14 +161,17 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     for any fitted feature carries no evidence, so nothing says abnormal:
     it is normal, with the vacuous mass.
     """
-    used = [f for f, bpa in enumerate(model.bpas) if bpa is not None and record[f] is not None]
+    used, terms = [], []
+    for f, threshold in model.fitted:
+        value = record[f]
+        if value is not None:
+            if not math.isfinite(value):
+                raise ValueError(f"feature value must be finite, got {value}")
+            used.append(f)
+            terms += (value, -threshold)
     if not used:
         trace = {"features": [], "fallback": "no-evidence"}
         return Prediction("normal", BINARY_FRAME, trace, vacuous_mass, ())
-    for f in used:
-        if not math.isfinite(record[f]):
-            raise ValueError(f"feature value must be finite, got {record[f]}")
-    terms = [x for f in used for x in (record[f], -model.bpas[f].threshold)]
     try:
         score = math.fsum(terms)
     except OverflowError:
@@ -306,11 +314,11 @@ def email_signal_row(message: Sequence[float], signal: int, model: EmailModel) -
     if signal == 1:
         return scaled_sigmoid_row(interval, model.interval_bpa)
     if signal == 2:
-        return table_row(int(spoofed), model.spoofed_bpa)
+        return table_row(spoofed, model.spoofed_bpa)
     if signal == 3:
-        return table_row(int(dangerous), model.dangerous_bpa)
+        return table_row(dangerous, model.dangerous_bpa)
     if signal == 4:
-        return table_row(int(benign), model.benign_bpa)
+        return table_row(benign, model.benign_bpa)
     raise ValueError(f"unknown signal {signal}")
 
 

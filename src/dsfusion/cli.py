@@ -2,7 +2,8 @@
 and ad-hoc evidence combination.
 
 Exit codes: 0 success, 2 usage errors, 3 input/data errors, 4 computation
-errors (e.g. total conflict). Results go to stdout and timing to stderr,
+errors (e.g. total conflict). Results go to stdout and timing to stderr
+(``email``'s summary too, under ``--format json|csv``, so stdout parses),
 so identical flags produce identical stdout except for the run time a
 report carries: the ``runtime_seconds`` field of a JSON report and the
 ``runtime:`` line of a text report are the only bytes that vary.
@@ -209,18 +210,19 @@ def _cmd_email(args, parser) -> int:
     missed = [rid for rid in report.misclassified if rid in worm_ids]
     false_pos = [rid for rid in report.misclassified if rid not in worm_ids]
     detected = len(worm_ids) - len(missed)
-    print(f"signals: {report.config['signals']}")
+    summary = sys.stdout if args.format == "text" else sys.stderr
+    print(f"signals: {report.config['signals']}", file=summary)
     print(f"worms detected: {detected}/{len(worm_ids)}, missed: "
-          + (", ".join(map(str, missed)) or "none"))
-    print("false positives: " + (", ".join(map(str, false_pos)) or "none"))
+          + (", ".join(map(str, missed)) or "none"), file=summary)
+    print("false positives: " + (", ".join(map(str, false_pos)) or "none"), file=summary)
     margins = sorted(
         (abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1)), r.id, pred)
         for r, pred in zip(dataset, report.predictions)
         if r.label == 1
     )
-    print("closest-margin worms:")
+    print("closest-margin worms:", file=summary)
     for margin, rid, pred in margins[:5]:
-        print(f"  id {rid}: margin {margin:.4f}, {pred.label}, {pred.mass}")
+        print(f"  id {rid}: margin {margin:.4f}, {pred.label}, {pred.mass}", file=summary)
     _emit(report, args)
     print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
     return 0

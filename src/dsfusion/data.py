@@ -102,6 +102,10 @@ def _read_lines(path: str | Path) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
+# The value of each of the eleven canonical WBCD cells, looked up in one step.
+_WBCD_CELLS = {"?": None, **{str(v): float(v) for v in range(1, 11)}}
+
+
 def load_wbcd(path: str | Path) -> RecordSet:
     """Load the UCI ``breast-cancer-wisconsin.data`` layout.
 
@@ -118,21 +122,20 @@ def load_wbcd(path: str | Path) -> RecordSet:
         fields = line.split(",")
         if len(fields) != 11:
             raise DataFormatError(f"{path}:{i}: expected 11 fields, got {len(fields)}")
-        features: list[float | None] = []
-        for raw in fields[1:10]:
-            if raw == "?":
-                features.append(None)
-                continue
-            if not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
-                raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
-            features.append(float(raw))
+        try:
+            features = tuple(map(_WBCD_CELLS.__getitem__, fields[1:10]))
+        except KeyError:  # another spelling: each cell by the rule, so "01" reads as 1
+            for raw in fields[1:10]:
+                if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
+                    raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
+            features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
         if fields[10] == "2":
             label = 0
         elif fields[10] == "4":
             label = 1
         else:
             raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")
-        records.append(Record(i, tuple(features), label))
+        records.append(Record(i, features, label))
     return RecordSet(tuple(records), WBCD_FEATURES, ("normal", "abnormal"))
 
 

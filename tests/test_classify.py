@@ -1,7 +1,9 @@
 """Unit tests for the three fusion classifiers."""
 
+import copy
 import json
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from dataclasses import replace
@@ -27,6 +29,7 @@ from dsfusion import (
     classify_three_class,
     combine,
     combine_all,
+    combine_binary,
     distance_mass,
     email_model_default,
     make_folds,
@@ -36,6 +39,7 @@ from dsfusion import (
     train_three_class,
     vacuous_mass,
 )
+from dsfusion.bpa import logistic
 from dsfusion.classify import BinaryModel, email_signal_row
 
 from conftest import (
@@ -45,6 +49,7 @@ from conftest import (
     oracle_three_class,
     reference_three_class,
 )
+from test_data import ACCEPTANCE_SUBSETS
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
 
@@ -233,6 +238,58 @@ class TestClassifyBinary:
         # nothing could only ever answer "no evidence".
         with pytest.raises(ValueError, match="feature subset must be nonempty"):
             train_binary([(1.0,) * 9, (9.0,) * 9], [0, 1], ())
+
+
+def slot_scan_classify_binary(record, model: BinaryModel):
+    """``classify_binary`` as it was before ``BinaryModel.fitted``: it scans
+    every model slot per record. Returns the label, trace and mass."""
+    used = [f for f, bpa in enumerate(model.bpas) if bpa is not None and record[f] is not None]
+    if not used:
+        return "normal", {"features": [], "fallback": "no-evidence"}, vacuous_mass(BINARY_FRAME)
+    score = math.fsum(x for f in used for x in (record[f], -model.bpas[f].threshold))
+    mass = combine_binary(BINARY_FRAME, [(logistic(-score), logistic(score), 0.0)])
+    return ("abnormal" if score > 0 else "normal"), {"features": used}, mass
+
+
+class TestFittedPairs:
+    @staticmethod
+    def train(dataset, subset):
+        return train_binary([r.features for r in dataset], [r.label for r in dataset], subset)
+
+    @pytest.mark.parametrize("subset", [(8, 0, 3), (5,), tuple(range(9))])
+    def test_pairs_are_the_fitted_slots_in_index_order(self, wbcd_dataset, subset):
+        model = self.train(wbcd_dataset, subset)
+        expected = tuple((f, b.threshold) for f, b in enumerate(model.bpas) if b is not None)
+        assert model.fitted == expected
+        assert [f for f, _ in model.fitted] == sorted(subset)
+
+    def test_pairs_follow_the_model_through_copies(self, wbcd_dataset):
+        model = self.train(wbcd_dataset, None)
+        assert len(model.fitted) == 9  # read first: a copy must not carry a stale value
+        assert classifier_from_dict(classifier_to_dict(model)).fitted == model.fitted
+        partial = replace(model, bpas=(None, *model.bpas[1:-1], SigmoidBpa(0.5)))
+        assert partial.fitted == (*model.fitted[1:-1], (8, 0.5))
+        for original in (model, partial):
+            for clone in (pickle.loads(pickle.dumps(original)), copy.copy(original),
+                          copy.deepcopy(original)):
+                assert clone == original
+                assert clone.fitted == original.fitted
+
+    def test_matches_the_slot_scan_on_wbcd(self, wbcd_dataset):
+        folds = make_folds(len(wbcd_dataset), 10, 42)
+        checked = 0
+        for subset in ACCEPTANCE_SUBSETS:
+            for fold in range(folds.k):
+                train = wbcd_dataset.samples(folds.train_indices(fold))
+                model = train_binary([f for f, _ in train], [label for _, label in train], subset)
+                for i in folds.test_indices(fold):
+                    record = wbcd_dataset.records[i].features
+                    pred = classify_binary(record, model)
+                    label, trace, mass = slot_scan_classify_binary(record, model)
+                    assert (pred.label, pred.trace) == (label, trace)
+                    assert list(pred.mass._masses.items()) == list(mass._masses.items())
+                    checked += 1
+        assert checked == len(ACCEPTANCE_SUBSETS) * len(wbcd_dataset)
 
 
 _feature_value = st.floats(allow_nan=False, allow_infinity=False)
@@ -544,6 +601,15 @@ class TestClassifyEmail:
                     assert abs(pred.mass.mass_bits(bits) - float(value)) <= 1e-14
                 if abs(exact[1] - exact[0]) > 1e-12:
                     assert pred.label == ("abnormal" if exact[1] > exact[0] else "normal")
+
+    @pytest.mark.parametrize("flag", [0.5, 1.9, math.nan])
+    @pytest.mark.parametrize("position", [1, 2, 3])
+    def test_non_binary_flag_rejected(self, flag, position):
+        # Not truncated to 0 or 1 on the way to the signal's table.
+        message = [100.0, 0.0, 1.0, 0.0]
+        message[position] = flag
+        with pytest.raises(ValueError, match="binary signal value must be 0 or 1"):
+            classify_email(tuple(message), self.MODEL)
 
     def test_signal_subset(self):
         pred = classify_email((5.0, 1, 1, 0), replace(self.MODEL, signals=frozenset({4, 1, 3})))

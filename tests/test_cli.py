@@ -247,6 +247,22 @@ class TestEmailCommand:
         assert given[0] == "signals: 134"
         assert given == stdout("134")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_stdout_is_the_out_file(self, capsys, tmp_path, fmt):
+        # The summary goes to stderr, so stdout parses as the report alone.
+        out_path = tmp_path / f"report.{fmt}"
+        code, out, err = run_cli(
+            capsys, "email", "--generate", "--seed", "7", "--format", fmt, "--out", str(out_path)
+        )
+        assert code == 0
+        assert out == out_path.read_bytes().decode("utf-8")
+        if fmt == "json":
+            assert json.loads(out)["task"] == "email"
+        else:
+            assert out.startswith("fold,accuracy\r\n")
+        assert err.startswith("signals: 1234\nworms detected: 42/42")
+        assert "closest-margin worms:" in err
+
     def test_signal_five_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "email", "--generate", "--signals", "5")
         assert code == 2
@@ -470,3 +486,104 @@ def test_fuzz_wbcd_data_file(fuzz_dir, text, features):
     path.write_text(text, encoding="utf-8")
     code = run_cli_quietly("wbcd", "--data", str(path), "--folds", "2", "--features", features)
     assert code in DOCUMENTED_EXITS
+
+
+_BAD_NUMBERS = ["", "x", "nan", "inf", "-inf", "-1", "1_0", " 3", "\u0665", "1e999", "2", "0.5"]
+_IRIS_NAMES = ("Iris-setosa", "Iris-versicolor", "Iris-virginica")
+
+
+def _fuzz_rows(draw, valid_row, faults, n_rows) -> list[str]:
+    # Mostly valid rows; up to two get a wrong field count, arbitrary text,
+    # or a bad number in one of the fields that ``faults`` names by index.
+    faulty = draw(st.sets(st.integers(0, n_rows - 1), max_size=2))
+    lines = []
+    for row in range(n_rows):
+        fields = valid_row(row)
+        if row in faulty:
+            fault = draw(st.sampled_from([*faults, "count", "text"]))
+            if fault == "count":
+                fields = fields[:-1] if draw(st.booleans()) else fields + fields[-1:]
+            elif fault == "text":
+                fields = [draw(st.text(max_size=30))]
+            else:
+                fields[faults[fault]] = draw(st.sampled_from(_BAD_NUMBERS))
+        lines.append(",".join(fields))
+    return lines
+
+
+@st.composite
+def iris_files(draw) -> str:
+    """Small iris-layout files: mostly valid rows, some with a wrong field
+    count, a bad cell or an unknown class name."""
+    def valid_row(row):
+        # Classes in turn, so that most files can be trained on.
+        return [str(draw(st.integers(1, 79)) / 10) for _ in range(4)] + [_IRIS_NAMES[row % 3]]
+
+    lines = _fuzz_rows(draw, valid_row, {"first cell": 0, "last cell": 3}, draw(st.integers(1, 30)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=iris_files())
+def test_fuzz_iris_data_file(fuzz_dir, text):
+    path = fuzz_dir / "iris.data"
+    path.write_text(text, encoding="utf-8")
+    code = run_cli_quietly("iris", "--data", str(path), "--runs", "1", "--folds", "2")
+    assert code in DOCUMENTED_EXITS
+
+
+@st.composite
+def email_files(draw) -> str:
+    """Small email CSVs: the documented header (sometimes not) and mostly
+    valid rows, some with a wrong field count, a bad interval, flag or label."""
+    def valid_row(i):
+        interval = repr(draw(st.floats(0, 1e5)))
+        flags = [draw(st.sampled_from("01")) for _ in range(3)]
+        return [str(i + 1), interval, *flags, draw(st.sampled_from(["normal", "worm"]))]
+
+    header = ",".join(EMAIL_HEADER)
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.text(max_size=20))
+    lines = _fuzz_rows(draw, valid_row, {"interval": 1, "flag": 3, "label": 5},
+                       draw(st.integers(1, 12)))
+    return "\n".join([header, *lines]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=email_files(), signals=st.sampled_from(["1", "24", "1234"]))
+def test_fuzz_email_data_file(fuzz_dir, text, signals):
+    path = fuzz_dir / "email.csv"
+    path.write_text(text, encoding="utf-8")
+    code = run_cli_quietly("email", "--data", str(path), "--signals", signals)
+    assert code in DOCUMENTED_EXITS
+
+
+_FOCAL_SETS = ("a", "b", "c", "a|b", "a|c", "b|c", "a|b|c")
+
+
+@st.composite
+def mass_specs(draw) -> str:
+    """--mass specs over the frame a,b,c: mostly masses that sum to one,
+    some with an unknown label, a bad value, or free text."""
+    focal = draw(st.lists(st.sampled_from(_FOCAL_SETS), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(focal), max_size=len(focal)))
+    total = sum(weights) or 1
+    entries = [[subset, repr(w / total)] for subset, w in zip(focal, weights)]
+    fault = draw(st.sampled_from([None] * 7 + ["label", "value", "text"]))
+    if fault == "label":
+        entries[0][0] = draw(st.sampled_from(["d", "", "a|a", "a||b", " "]))
+    elif fault == "value":
+        entries[0][1] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif fault == "text":
+        return draw(st.text(max_size=20))
+    return ",".join(f"{subset}:{value}" for subset, value in entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=st.one_of(st.just("a,b,c"), st.sampled_from(["a,b", "a,a,b", ""]),
+                       st.text(max_size=10)),
+       masses=st.lists(mass_specs(), min_size=1, max_size=3),
+       fmt=st.sampled_from(["text", "json"]))
+def test_fuzz_combine_frame_and_masses(frame, masses, fmt):
+    argv = ["combine", f"--frame={frame}", "--format", fmt, *(f"--mass={m}" for m in masses)]
+    assert run_cli_quietly(*argv) in DOCUMENTED_EXITS

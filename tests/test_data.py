@@ -4,6 +4,7 @@ report emission."""
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -44,6 +45,8 @@ from dsfusion.data import (
 )
 from dsfusion.bpa import mean_sd
 from dsfusion.classify import classify_binary, train_binary
+
+from conftest import WBCD_PATH
 
 # The paper's WBCD comparison: each feature alone, ADI, BCF and all nine.
 ACCEPTANCE_SUBSETS = tuple((i,) for i in range(9)) + ((0, 3, 8), (1, 2, 5), tuple(range(9)))
@@ -146,6 +149,33 @@ class TestLoadWbcd:
         path.write_text(f"123,{cell},1,1,1,2,1,3,1,1,2\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="is not an integer in 1..10"):
             load_wbcd(path)
+
+
+    @pytest.mark.parametrize("cell, value", [("01", 1.0), ("010", 10.0)])
+    def test_leading_zero_cells_keep_their_value(self, tmp_path, cell, value):
+        path = tmp_path / "zeros.data"
+        path.write_text(f"123,5,1,1,1,2,1,3,1,1,2\n124,1,{cell},1,1,2,1,3,1,1,4\n")
+        features = load_wbcd(path).records[1].features
+        assert features[1] == value and type(features[1]) is float
+
+    @pytest.mark.parametrize("cell", ["0", "00", "0?", "?0", "11"])
+    def test_bad_cell_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "bad.data"
+        path.write_text(f"123,5,1,1,1,2,1,3,1,1,2\n124,5,1,1,{cell},2,1,3,1,1,4\n")
+        message = f"{path}:2: feature {cell!r} is not an integer in 1..10"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_wbcd(path)
+
+    def test_shipped_file_matches_a_per_cell_parse(self, wbcd_dataset):
+        records = []
+        lines = [line for line in WBCD_PATH.read_text().splitlines() if line.strip()]
+        for i, line in enumerate(lines, start=1):
+            fields = line.strip().split(",")
+            features = tuple(None if c == "?" else float(int(c)) for c in fields[1:10])
+            records.append(Record(i, features, {"2": 0, "4": 1}[fields[10]]))
+        assert wbcd_dataset == RecordSet(tuple(records), WBCD_FEATURES, ("normal", "abnormal"))
+        values = [v for r in wbcd_dataset for v in r.features if v is not None]
+        assert {type(v) for v in values} == {float}
 
 
 class TestLoadIris:
