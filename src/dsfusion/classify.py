@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .bpa import (
@@ -40,12 +42,13 @@ from .bpa import (
     table_row,
 )
 from .evidence import (
+    IDENTITY_TOL,
     Frame,
     MassFunction,
     _intersect,
     _trusted_mass,
     argmax_bits,
-    binary_mass,
+    binary_commonalities,
     combine_binary,
     combine_bits,
     fuse_binary,
@@ -297,6 +300,19 @@ class EmailModel:
         if not self.signals or not self.signals <= set(EMAIL_SIGNALS):
             raise ValueError(f"active signals must be a nonempty subset of {EMAIL_SIGNALS}")
 
+    @cached_property
+    def table(self) -> tuple:
+        """For :func:`classify_email`: the sorted active signals, a getter of the active table
+        signals' flags (or None), and per flag combination, their rows and ΠQ(n), ΠQ(a), ΠQ(Θ)."""
+        signals = tuple(sorted(self.signals))
+        tables = [s for s in signals if s > 1]
+        bpas = (self.spoofed_bpa, self.dangerous_bpa, self.benign_bpa)
+        entries = {}
+        for flags in product((0, 1), repeat=len(tables)):
+            rows = tuple(bpas[s - 2].rows[v] for s, v in zip(tables, flags))
+            entries[flags[0] if len(flags) == 1 else flags] = (rows, *binary_commonalities(rows))
+        return signals, itemgetter(*(s - 1 for s in tables)) if tables else None, entries
+
 
 def email_model_default() -> EmailModel:
     """The stock email model: sigmoid interval signal plus three table signals."""
@@ -328,12 +344,27 @@ def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) 
 
 
 def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
-    """Fuse the model's signals' masses in closed form (``fuse_binary``, so
-    total conflict raises here); abnormal wins only on strictly greater mass."""
-    active = sorted(model.signals)
-    fused = fuse_binary([email_signal_row(message, s, model) for s in active])
-    label = "abnormal" if fused[1] > fused[0] else "normal"
-    return Prediction(label, BINARY_FRAME, {"signals": active}, binary_mass, (fused,))
+    """Abnormal iff ΠQ(a) > ΠQ(n) over the signals' rows: on two labels, iff Dempster's rule
+    gives abnormal strictly greater mass (ties go to normal). Near-total conflict is judged
+    by ``fuse_binary``, the ordered fold that builds the mass on read."""
+    signals, flags, entries = model.table
+    try:
+        rows, qn, qa, qt = entries[flags(message) if flags else ()]
+    except (LookupError, TypeError):  # not a 0/1 flag: email_signal_row raises in signal order
+        rows = tuple(email_signal_row(message, s, model) for s in signals)
+        qn, qa, qt = binary_commonalities(rows)
+    else:
+        if signals[0] == 1:
+            n, a, t = row = scaled_sigmoid_row(message[0], model.interval_bpa)
+            rows, qn, qa, qt = (row, *rows), (n + t) * qn, (a + t) * qa, t * qt
+    if qn + qa - qt <= 2 * IDENTITY_TOL:  # near the bound, the reordering may move K a bit
+        fuse_binary(rows)  # so the ordered fold's K decides, and raises
+    # The float ΠQ of up to four rows err by under 8 units of 2^-53 (a rounding per commonality
+    # and product), so a wider gap has the exact sign; 2^-1000 covers underflow.
+    if abs(qa - qn) <= 2.0**-49 * (qa + qn) + 2.0**-1000:
+        qn, qa = (math.prod(Fraction(r[i]) + Fraction(r[2]) for r in rows) for i in (0, 1))
+    label = "abnormal" if qa > qn else "normal"
+    return Prediction(label, BINARY_FRAME, {"signals": [*signals]}, combine_binary, (rows,))
 
 
 Classifier = BinaryModel | ThreeClassModel | EmailModel

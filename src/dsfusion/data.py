@@ -99,7 +99,7 @@ class RecordSet:
 
 def _read_lines(path: str | Path) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    return [line for line in map(str.strip, text.splitlines()) if line]
 
 
 # The value of each of the eleven canonical WBCD cells, looked up in one step.

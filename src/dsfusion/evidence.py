@@ -108,14 +108,6 @@ class HypothesisSet:
         return self.frame.labels_of(self.bits)
 
     @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.bits.bit_count() == 1
-
-    @property
     def is_theta(self) -> bool:
         return self.bits == self.frame.full_mask
 
@@ -315,6 +307,16 @@ def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
     return result
 
 
+def binary_commonalities(rows: Iterable[Sequence[float]]) -> tuple[float, float, float]:
+    """ΠQ(0), ΠQ(1) and ΠQ(Θ) of (m_0, m_1, m_Θ) rows, multiplied in row order."""
+    q0 = q1 = qt = 1.0
+    for m0, m1, mt in rows:
+        q0 *= m0 + mt
+        q1 *= m1 + mt
+        qt *= mt
+    return q0, q1, qt
+
+
 def fuse_binary(rows: Sequence[tuple[float, float, float]]) -> tuple[float, float, float]:
     """Dempster's rule over a two-label frame, in closed form.
 
@@ -330,11 +332,7 @@ def fuse_binary(rows: Sequence[tuple[float, float, float]]) -> tuple[float, floa
     """
     if not rows:
         raise EvidenceError("binary combination needs at least one row")
-    q0 = q1 = qt = 1.0
-    for m0, m1, mt in rows:
-        q0 *= m0 + mt
-        q1 *= m1 + mt
-        qt *= mt
+    q0, q1, qt = binary_commonalities(rows)
     norm = q0 + q1 - qt
     k = 1.0 - norm
     if k >= 1.0 - IDENTITY_TOL:
@@ -342,16 +340,12 @@ def fuse_binary(rows: Sequence[tuple[float, float, float]]) -> tuple[float, floa
     return (q0 - qt) / norm, (q1 - qt) / norm, qt / norm
 
 
-def binary_mass(frame: Frame, fused: tuple[float, float, float]) -> MassFunction:
-    """The mass function of a fused triple from :func:`fuse_binary`."""
-    return _trusted_mass(frame, {bits: v for bits, v in zip((1, 2, 3), fused) if v > 0})
-
-
 def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> MassFunction:
     """:func:`fuse_binary` of the rows, as a mass function on ``frame``."""
     if frame.size != 2:
         raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
-    return binary_mass(frame, fuse_binary(rows))
+    fused = fuse_binary(rows)
+    return _trusted_mass(frame, {bits: v for bits, v in zip((1, 2, 3), fused) if v > 0})
 
 
 def belief(m: MassFunction, subset: HypothesisSet) -> float:

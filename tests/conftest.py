@@ -21,6 +21,7 @@ from dsfusion import (
     load_wbcd,
 )
 from dsfusion.bpa import DegenerateFeatureError
+from dsfusion.classify import email_signal_row
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WBCD_PATH = DATA_DIR / "breast-cancer-wisconsin.data"
@@ -120,6 +121,25 @@ def oracle_binary_labels(records, features, folds, ties_abnormal=False) -> dict[
                 Fraction(0),
             )
             labels[r.id] = int(score > 0 or (ties_abnormal and score == 0))
+    return labels
+
+
+def oracle_email_labels(messages, model) -> list[str]:
+    """The exact email label of each message under ``model``.
+
+    Each active signal's float row (``email_signal_row``) is taken as exact
+    rationals. On two labels Dempster's rule gives abnormal strictly greater
+    mass iff ΠQ(a) > ΠQ(n), with Q(n) = m_n + m_Θ and Q(a) = m_a + m_Θ, so
+    that is the test; an exact tie goes to normal.
+    """
+    labels = []
+    for message in messages:
+        qn = qa = Fraction(1)
+        for signal in sorted(model.signals):
+            m_n, m_a, m_t = (Fraction(v) for v in email_signal_row(message, signal, model))
+            qn *= m_n + m_t
+            qa *= m_a + m_t
+        labels.append("abnormal" if qa > qn else "normal")
     return labels
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from dataclasses import replace
@@ -19,7 +20,9 @@ from dsfusion import (
     BoundaryModel,
     EmailModel,
     SigmoidBpa,
+    TableBpa,
     ThreeClassModel,
+    TotalConflictError,
     argmax_focal,
     boundary_mass,
     classifier_from_dict,
@@ -32,6 +35,7 @@ from dsfusion import (
     combine_binary,
     distance_mass,
     email_model_default,
+    generate_email,
     make_folds,
     make_frame,
     sigmoid_mass,
@@ -40,12 +44,14 @@ from dsfusion import (
     vacuous_mass,
 )
 from dsfusion.bpa import logistic
-from dsfusion.classify import BinaryModel, email_signal_row
+from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, fuse_binary
 
 from conftest import (
     exact_binary_fold,
     mass_to_frozensets,
     oracle_combine,
+    oracle_email_labels,
     oracle_three_class,
     reference_three_class,
 )
@@ -549,6 +555,19 @@ class TestEmailModel:
             )
 
 
+EMAIL_SUBSETS = [frozenset(c) for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
+# Symmetric rows tie ΠQ(a) and ΠQ(n) exactly; the 2^-54 row ties them only
+# in floats (0.75 + 2^-54 rounds to 0.75), so an exact decision says abnormal.
+SYMMETRIC_ROW = (0.45, 0.45, 0.1)
+FLOAT_TIE_ROW = (0.25, 0.25 + 2.0**-54, 0.5)
+NEAR_TIE_MODEL = replace(
+    email_model_default(),
+    spoofed_bpa=TableBpa((SYMMETRIC_ROW, SYMMETRIC_ROW)),
+    dangerous_bpa=TableBpa((FLOAT_TIE_ROW, SYMMETRIC_ROW)),
+    benign_bpa=TableBpa(((0.5, 0.5, 0.0), FLOAT_TIE_ROW)),
+)
+
+
 class TestClassifyEmail:
     MODEL = email_model_default()
 
@@ -602,14 +621,17 @@ class TestClassifyEmail:
                 if abs(exact[1] - exact[0]) > 1e-12:
                     assert pred.label == ("abnormal" if exact[1] > exact[0] else "normal")
 
-    @pytest.mark.parametrize("flag", [0.5, 1.9, math.nan])
+    @pytest.mark.parametrize("flag", [0.5, 1.9, math.nan, "1", None])
     @pytest.mark.parametrize("position", [1, 2, 3])
     def test_non_binary_flag_rejected(self, flag, position):
-        # Not truncated to 0 or 1 on the way to the signal's table.
+        # Not truncated to 0 or 1 on the way to the signal's table, whatever
+        # other signals are active.
         message = [100.0, 0.0, 1.0, 0.0]
         message[position] = flag
-        with pytest.raises(ValueError, match="binary signal value must be 0 or 1"):
-            classify_email(tuple(message), self.MODEL)
+        for signals in EMAIL_SUBSETS:
+            if position + 1 in signals:
+                with pytest.raises(ValueError, match="binary signal value must be 0 or 1"):
+                    classify_email(tuple(message), replace(self.MODEL, signals=signals))
 
     def test_signal_subset(self):
         pred = classify_email((5.0, 1, 1, 0), replace(self.MODEL, signals=frozenset({4, 1, 3})))
@@ -623,6 +645,151 @@ class TestClassifyEmail:
             replace(self.MODEL, signals=frozenset({5}))
         with pytest.raises(ValueError):
             replace(self.MODEL, signals=frozenset())
+
+
+class TestEmailExactDecision:
+    """``classify_email`` against the exact oracle, and its mass against the
+    ordered fold of the same rows (bit for bit) and the pairwise fold."""
+
+    @pytest.mark.parametrize("seed", [42, 134])
+    def test_generated_corpus_matches_oracle(self, seed):
+        model = email_model_default()
+        messages = [r.features for r in generate_email(seed)]
+        labels = [classify_email(m, model).label for m in messages]
+        assert labels == oracle_email_labels(messages, model)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        interval=st.one_of(
+            st.floats(0, 1e6), st.integers(0, 10**6).map(float), st.floats(29.9, 30.1),
+            st.floats(0, 1e300),
+        ),
+        flags=st.tuples(*[st.sampled_from([0, 1, 0.0, 1.0, True])] * 3),
+        signals=st.sampled_from(EMAIL_SUBSETS),
+        near_tie=st.booleans(),
+    )
+    def test_matches_oracle_and_folds(self, interval, flags, signals, near_tie):
+        model = replace(NEAR_TIE_MODEL if near_tie else email_model_default(), signals=signals)
+        message = (interval, *flags)
+        pred = classify_email(message, model)
+        assert pred.label == oracle_email_labels([message], model)[0]
+        assert pred.trace == {"signals": sorted(signals)}
+        rows = [email_signal_row(message, s, model) for s in sorted(signals)]
+        ordered = combine_binary(BINARY_FRAME, rows)
+        assert list(pred.mass._masses.items()) == list(ordered._masses.items())
+        if not near_tie:
+            pairwise = reduce(combine, [email_signal_mass(message, s, model) for s in sorted(signals)])
+            for bits in (1, 2, 3):
+                assert abs(pred.mass.mass_bits(bits) - pairwise.mass_bits(bits)) <= 1e-12
+
+    def test_exact_tie_goes_to_normal(self):
+        # ΠQ(a) = ΠQ(n) = 0.55: abnormal does not have strictly greater mass.
+        model = replace(NEAR_TIE_MODEL, signals=frozenset({2}))
+        pred = classify_email((0.0, 0, 0, 0), model)
+        assert pred.label == "normal"
+        assert pred.mass.mass_bits(1) == pred.mass.mass_bits(2)
+        model = replace(NEAR_TIE_MODEL, signals=frozenset({2, 3}))
+        assert classify_email((0.0, 1, 1, 0), model).label == "normal"
+
+    def test_float_tie_decided_exactly(self):
+        # Both products round to 0.75, but Q(a) exceeds Q(n) by 2^-54.
+        model = replace(NEAR_TIE_MODEL, signals=frozenset({3}))
+        pred = classify_email((0.0, 0, 0, 0), model)
+        q_n, q_a, _ = binary_commonalities([FLOAT_TIE_ROW])
+        assert q_n == q_a == 0.75
+        assert pred.label == "abnormal"
+        assert pred.mass.mass_bits(1) == pred.mass.mass_bits(2)
+        model = replace(NEAR_TIE_MODEL, signals=frozenset({2, 3, 4}))
+        assert classify_email((0.0, 0, 0, 1), model).label == "abnormal"
+        assert classify_email((0.0, 0, 1, 0), model).label == "normal"
+
+
+class TestEmailTable:
+    @pytest.mark.parametrize("signals", EMAIL_SUBSETS)
+    def test_entries_are_the_folded_table_rows(self, signals):
+        model = replace(NEAR_TIE_MODEL, signals=signals)
+        active, flags, entries = model.table
+        assert active == tuple(sorted(signals))
+        tables = [s for s in active if s != 1]
+        assert len(entries) == 2 ** len(tables)
+        for combo in product((0, 1), repeat=len(tables)):
+            message = [0.0, 0, 0, 0]
+            for s, v in zip(tables, combo):
+                message[s - 1] = v
+            rows = tuple(email_signal_row(message, s, model) for s in tables)
+            q_n = q_a = q_t = 1.0
+            for m_n, m_a, m_t in rows:
+                q_n, q_a, q_t = q_n * (m_n + m_t), q_a * (m_a + m_t), q_t * m_t
+            assert entries[flags(message) if flags else ()] == (rows, q_n, q_a, q_t)
+
+    def test_survives_round_trip_replace_and_pickle(self):
+        model = replace(NEAR_TIE_MODEL, signals=frozenset({1, 3}))
+        table = model.table
+        restored = classifier_from_dict(classifier_to_dict(model))
+        assert restored.table[0] == table[0] and restored.table[2] == table[2]
+        unpickled = pickle.loads(pickle.dumps(model))
+        assert unpickled.table[0] == table[0] and unpickled.table[2] == table[2]
+        other = replace(model, signals=frozenset({2, 4}))
+        assert other.table[0] == (2, 4) and len(other.table[2]) == 4
+        assert model.table is table
+        message = (31.5, 1, 0, 1)
+        for copy_ in (restored, unpickled):
+            assert classify_email(message, copy_) == classify_email(message, model)
+
+    def test_bad_interval_reported_before_bad_flag(self):
+        with pytest.raises(ValueError, match="signal value must be non-negative"):
+            classify_email((-1.0, 1.9, 1, 0), email_model_default())
+
+    def test_interval_only_model_ignores_flags(self):
+        model = replace(email_model_default(), signals=frozenset({1}))
+        pred = classify_email((5.0, math.nan, "x", None), model)
+        assert (pred.label, pred.trace) == ("normal", {"signals": [1]})
+        assert pred == classify_email((5.0, 0, 0, 0), model)
+
+
+class TestEmailTotalConflict:
+    # K = 1 - (1 - C) = C exactly at the bound: the guard raises at K >= C.
+    C = 1.0 - IDENTITY_TOL
+
+    def test_boundary_raises_through_classify_email(self):
+        model = replace(
+            email_model_default(),
+            spoofed_bpa=TableBpa(((1.0, 0.0, 0.0), SYMMETRIC_ROW)),
+            dangerous_bpa=TableBpa(((0.0, self.C, 1.0 - self.C), SYMMETRIC_ROW)),
+            signals=frozenset({2, 3}),
+        )
+        with pytest.raises(TotalConflictError):
+            classify_email((0.0, 0, 0, 0), model)
+        assert classify_email((0.0, 1, 0, 0), model).label == "abnormal"
+
+    @pytest.mark.parametrize("interval", [0.0, 29.0, 31.0, 1e3])
+    def test_raises_exactly_where_the_ordered_fold_does(self, interval):
+        # ΠQ(a) = ΠQ(Θ) = 0, so 1 - K is ΠQ(n), which the table multiplies in
+        # another order than fuse_binary. Scan c ulp by ulp across the bound.
+        q_n = sum(email_signal_row((interval, 0, 0, 0), 1, email_model_default())[::2])
+        start = 1.0 - (1.0 - self.C) / (0.8 * q_n)
+        outcomes = set()
+        for steps in range(-40, 41):
+            c = start
+            for _ in range(abs(steps)):
+                c = math.nextafter(c, 2.0 if steps > 0 else 0.0)
+            model = replace(
+                email_model_default(),
+                spoofed_bpa=TableBpa(((0.3, 0.2, 0.5), SYMMETRIC_ROW)),
+                dangerous_bpa=TableBpa(((0.0, c, 1.0 - c), SYMMETRIC_ROW)),
+                benign_bpa=TableBpa(((1.0, 0.0, 0.0), SYMMETRIC_ROW)),
+            )
+            message = (interval, 0, 0, 0)
+            try:
+                fuse_binary([email_signal_row(message, s, model) for s in (1, 2, 3, 4)])
+            except TotalConflictError as exc:
+                outcomes.add("raises")
+                with pytest.raises(TotalConflictError, match=re.escape(str(exc))):
+                    classify_email(message, model)
+            else:
+                outcomes.add("fuses")
+                classify_email(message, model)
+        assert outcomes == {"raises", "fuses"}
 
 
 class TestConcurrency:

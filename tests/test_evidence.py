@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from dsfusion import (
     plausibility,
     vacuous_mass,
 )
+from dsfusion.evidence import IDENTITY_TOL, combine_bits, fuse_binary
 
 from conftest import mass_to_frozensets, oracle_combine
 
@@ -274,6 +276,19 @@ class TestCombineBinary:
             combine(*masses)
         with pytest.raises(TotalConflictError):
             combine_binary(binary, rows)
+
+    def test_total_conflict_bound_is_inclusive(self):
+        # K equals 1 - IDENTITY_TOL exactly, and the guard raises at K >= that
+        # bound, in the pairwise rule and in the closed form alike.
+        c = 1.0 - IDENTITY_TOL
+        assert 1.0 - (1.0 - c) == c
+        with pytest.raises(TotalConflictError, match=re.escape(f"K={c!r}")):
+            combine_bits({1: 1.0}, {2: c, 3: 1.0 - c})
+        with pytest.raises(TotalConflictError, match=re.escape(f"K={c!r}")):
+            fuse_binary([(1.0, 0.0, 0.0), (0.0, c, 1.0 - c)])
+        below = math.nextafter(c, 0.0)
+        assert combine_bits({1: 1.0}, {2: below, 3: 1.0 - below})[1] == below
+        fuse_binary([(1.0, 0.0, 0.0), (0.0, below, 1.0 - below)])
 
     def test_zero_masses_are_not_focal(self, binary):
         combined = combine_binary(binary, [(0.5, 0.0, 0.5), (0.2, 0.0, 0.8)])
