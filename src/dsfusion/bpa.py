@@ -5,8 +5,8 @@ trained threshold (binary frames), a scaled sigmoid with explicit floor,
 ceiling and ignorance mass, a lookup table for binary signals, and two
 three-class assignments driven by per-class value ranges and per-class
 means. Training helpers derive the thresholds, ranges, means and the
-feature-selection scores from labelled samples; the three-class ones read
-the samples grouped once by feature and class (:func:`class_columns`).
+feature-selection scores from labelled feature rows; the three-class ones
+read the rows grouped once by feature and class (:func:`class_columns`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ ROW_TOL = 1e-9
 # fuses the exact log-odds sum, so the clamp decides no label.
 MASS_EPS = 1e-15
 
-Sample = tuple[Sequence[float], int]
 # One source's (m_normal, m_abnormal, m_theta) over the binary frame.
 MassRow = tuple[float, float, float]
 # Training values grouped by feature, then by class 0..2.
@@ -90,13 +89,6 @@ def moments(values: Sequence[float]) -> Moments:
     m2 = 0.0 if lo == hi else sum([(v - mean) ** 2 for v in values])
     sd = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
     return Moments(n, total, mean, m2, sd, lo, hi)
-
-
-def mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample (n-1) standard deviation, 0 for a single value, in plain
-    floats: statistics.stdev's exact-fraction path is needlessly slow here."""
-    m = moments(values)
-    return m.mean, m.sd
 
 
 @dataclass(frozen=True)
@@ -224,11 +216,15 @@ def table_mass(signal_value: float, bpa: TableBpa) -> MassFunction:
     return _table_mass_cached(table_row(signal_value, bpa))
 
 
-def class_columns(samples: Sequence[Sample]) -> Columns:
-    """Each feature's values split by class 0..2, in sample order: ``[f][c]``."""
-    n_features = len(samples[0][0])
+def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Columns:
+    """Each feature's values split by class 0..2, in row order: ``[f][c]``."""
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
+    if not rows:
+        raise ValueError("no training records")
+    n_features = len(rows[0])
     by_class: list[list[Sequence[float]]] = [[], [], []]
-    for features, label in samples:
+    for features, label in zip(rows, labels):
         if label not in (0, 1, 2):
             raise ValueError(f"class label {label!r} outside 0..2")
         by_class[label].append(features)

@@ -56,7 +56,6 @@ from .evidence import (
     vacuous_mass,
 )
 
-Sample = tuple[Sequence[float], int]
 MaybeRow = Sequence[float | None]
 
 EMAIL_SIGNALS = (1, 2, 3, 4)
@@ -88,12 +87,6 @@ class Prediction:
         if not isinstance(other, Prediction):
             return NotImplemented
         return (self.label, self.mass, self.trace) == (other.label, other.mass, other.trace)
-
-    def to_json_dict(self, record_id: int | None = None) -> dict:
-        masses = {
-            self.frame.describe(subset.bits): value for subset, value in self.mass.items()
-        }
-        return {"id": record_id, "label": self.label, "masses": masses, "trace": dict(self.trace)}
 
 
 @dataclass(frozen=True)
@@ -209,13 +202,16 @@ class ThreeClassModel:
             raise ValueError(f"class means must be finite: {self.means}")
 
 
-def train_three_class(samples: Sequence[Sample], frame: Frame) -> ThreeClassModel:
-    """Fit boundaries, class means, and the per-class-group feature choices.
+def train_three_class(
+    rows: Sequence[Sequence[float]], labels: Sequence[int], frame: Frame
+) -> ThreeClassModel:
+    """Fit boundaries, class means, and the per-class-group feature choices
+    from labelled rows (labels 0..2).
 
     Each feature's values are grouped by class once; the ranges, means and
     selection scores all come from those lists' :class:`~dsfusion.bpa.Moments`.
     """
-    stats = class_moments(class_columns(samples))
+    stats = class_moments(class_columns(rows, labels))
     boundaries = fit_boundaries(stats)
     means = tuple(tuple(m.mean for m in per_class) for per_class in stats)
     groups = ((0, 1), (0, 2), (1, 2), (0, 1, 2))

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import data as harness
-from .bpa import mean_sd
+from .bpa import moments
 from .classify import EMAIL_SIGNALS, classifier_to_dict
 from .data import (
     DataFormatError,
@@ -135,7 +135,8 @@ def _emit(report, args) -> None:
 
 def _dump_model(dataset, task: str, path: Path) -> None:
     spec = harness.TASKS[task]
-    model = spec.fit(dataset.samples(), dataset, spec.default(dataset), "the model dump")
+    rows, labels = [r.features for r in dataset], [r.label for r in dataset]
+    model = spec.fit(rows, labels, dataset, spec.default(dataset), "the model dump")
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 
@@ -170,9 +171,9 @@ def _cmd_iris(args, parser) -> int:
     if args.dump_model:
         _dump_model(dataset, "iris", args.dump_model)
     reports = repeated_cv(dataset, "iris", args.runs, args.folds, args.seed)
-    mean, sd = mean_sd([r.accuracy for r in reports])
+    accuracy = moments([r.accuracy for r in reports])
     print(f"runs: {args.runs}, folds: {args.folds}, seed: {args.seed}")
-    print(f"accuracy: {mean * 100:.2f}% ± {sd * 100:.2f}%")
+    print(f"accuracy: {accuracy.mean * 100:.2f}% ± {accuracy.sd * 100:.2f}%")
     counts: dict[int, int] = {}
     for r in reports:
         for rid in r.misclassified:
@@ -184,8 +185,8 @@ def _cmd_iris(args, parser) -> int:
             "task": "iris",
             "config": {"runs": args.runs, "k": args.folds, "seed": args.seed,
                        "rng": harness.RNG_ID},
-            "mean_accuracy": mean,
-            "sd": sd,
+            "mean_accuracy": accuracy.mean,
+            "sd": accuracy.sd,
             "recurrent_misclassified": recurrent,
             "runs_detail": [r.to_json_dict() for r in reports],
         }

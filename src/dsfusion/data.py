@@ -91,11 +91,6 @@ class RecordSet:
     def __iter__(self) -> Iterator[Record]:
         return iter(self.records)
 
-    def samples(self, indices: Sequence[int] | None = None) -> list[tuple[tuple[float | None, ...], int]]:
-        """(features, label) pairs for training, optionally restricted by index."""
-        records = self.records if indices is None else [self.records[i] for i in indices]
-        return [(r.features, r.label) for r in records]
-
 
 def _read_lines(path: str | Path) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
@@ -347,13 +342,13 @@ def _all_features(dataset: RecordSet) -> tuple[int, ...]:
 class Task:
     """Everything that differs between the benchmark tasks.
 
-    ``train(samples, dataset, subset)`` fits a model on a fold's (features,
-    label) pairs for the feature or signal subset to fuse, so the model is
-    the only place the subset is chosen; ``classify(features, model)``
-    labels one record with it. ``key`` names the subset in the report config,
-    ``describe(dataset, subset)`` writes it there, and ``default(dataset)``
-    is the subset used when none is given; a task with ``fixed_subset``
-    accepts no other.
+    ``train(rows, labels, dataset, subset)`` fits a model on a fold's
+    feature rows and their labels, in index order, for the feature or
+    signal subset to fuse, so the model is the only place the subset is
+    chosen; ``classify(features, model)`` labels one record with it.
+    ``key`` names the subset in the report config, ``describe(dataset,
+    subset)`` writes it there, and ``default(dataset)`` is the subset used
+    when none is given; a task with ``fixed_subset`` accepts no other.
     """
 
     train: Callable
@@ -364,15 +359,16 @@ class Task:
     cross_validates: bool
     fixed_subset: bool = False
 
-    def fit(self, samples: Sequence, dataset: RecordSet, subset: Sequence[int], where: str):
-        """Train on ``samples`` for ``subset``; a set the trainer cannot fit
-        (e.g. too few records of a class) is an input error, raised as
-        :class:`DataFormatError`."""
+    def fit(self, rows: Sequence, labels: Sequence[int], dataset: RecordSet,
+            subset: Sequence[int], where: str):
+        """Train on ``rows`` and ``labels`` for ``subset``; a set the trainer
+        cannot fit (e.g. too few records of a class) is an input error,
+        raised as :class:`DataFormatError`."""
         try:
-            return self.train(samples, dataset, subset)
+            return self.train(rows, labels, dataset, subset)
         except ValueError as exc:
             raise DataFormatError(
-                f"{where}: cannot train on its {len(samples)} training records: {exc}"
+                f"{where}: cannot train on its {len(labels)} training records: {exc}"
             ) from exc
 
 
@@ -382,9 +378,7 @@ class Task:
 TASKS = {
     "wbcd": Task(
         # Only the fused features are fitted: a one-feature run trains one threshold.
-        train=lambda samples, dataset, subset: train_binary(
-            [features for features, _ in samples], [label for _, label in samples], subset
-        ),
+        train=lambda rows, labels, dataset, subset: train_binary(rows, labels, subset),
         classify=lambda record, model: classify_binary(record, model),
         key="features",
         describe=lambda dataset, subset: "".join(dataset.feature_names[f] for f in subset),
@@ -392,8 +386,8 @@ TASKS = {
         cross_validates=True,
     ),
     "iris": Task(
-        train=lambda samples, dataset, subset: train_three_class(
-            samples, make_frame(dataset.label_names)
+        train=lambda rows, labels, dataset, subset: train_three_class(
+            rows, labels, make_frame(dataset.label_names)
         ),
         classify=lambda record, model: classify_three_class(record, model),
         key="features",
@@ -405,7 +399,7 @@ TASKS = {
     ),
     "email": Task(
         # The email settings are expert-chosen: training only picks the signals.
-        train=lambda samples, dataset, subset: replace(
+        train=lambda rows, labels, dataset, subset: replace(
             email_model_default(), signals=frozenset(subset)
         ),
         classify=lambda record, model: classify_email(record, model),
@@ -473,9 +467,14 @@ def evaluate(
     matrix = [[0] * len(labels) for _ in labels]
     details = []
     predictions = [None] * len(dataset)
+    rows = [r.features for r in dataset.records]
+    truths = [r.label for r in dataset.records]
     for fold in range(folds.k):
-        train = dataset.samples(folds.train_indices(fold))
-        model = spec.fit(train, dataset, subset, f"fold {fold + 1} of {folds.k}")
+        train = folds.train_indices(fold)
+        model = spec.fit(
+            [rows[i] for i in train], [truths[i] for i in train], dataset, subset,
+            f"fold {fold + 1} of {folds.k}",
+        )
         correct = 0
         test_indices = folds.test_indices(fold)
         for i in test_indices:

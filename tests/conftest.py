@@ -28,6 +28,13 @@ WBCD_PATH = DATA_DIR / "breast-cancer-wisconsin.data"
 IRIS_PATH = DATA_DIR / "iris.data"
 
 
+def columns(records, indices=None):
+    """The feature rows and the labels of ``records``, or of those at
+    ``indices``, in that order: the training input of every trainer."""
+    chosen = records if indices is None else [records[i] for i in indices]
+    return [r.features for r in chosen], [r.label for r in chosen]
+
+
 @pytest.fixture(scope="session")
 def wbcd_path() -> Path:
     return WBCD_PATH
@@ -143,18 +150,18 @@ def oracle_email_labels(messages, model) -> list[str]:
     return labels
 
 
-def reference_three_class(samples, frame: Frame) -> ThreeClassModel:
-    """The three-class model by per-sample scans, without the grouped trainer.
+def reference_three_class(rows, labels, frame: Frame) -> ThreeClassModel:
+    """The three-class model by per-record scans, without the grouped trainer.
 
-    Every (feature, class) pair filters the samples anew for its observed
+    Every (feature, class) pair filters the rows anew for its observed
     (min, max) and its mean sum/len. Each class group's feature is the
     argmin of the public ``fsv`` over the features, each filtered anew,
     skipping degenerate features; ties go to the lowest feature index.
     """
-    n_features = len(samples[0][0])
+    n_features = len(rows[0])
     bounds, means = [], []
     for f in range(n_features):
-        column = [[feats[f] for feats, label in samples if label == c] for c in range(3)]
+        column = [[row[f] for row, label in zip(rows, labels) if label == c] for c in range(3)]
         for c, values in enumerate(column):
             if not values:
                 raise ValueError(f"class {c} has no training records")
@@ -164,7 +171,7 @@ def reference_three_class(samples, frame: Frame) -> ThreeClassModel:
     for group in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
         scores = []
         for f in range(n_features):
-            grouped = [[feats[f] for feats, label in samples if label == c] for c in group]
+            grouped = [[row[f] for row, label in zip(rows, labels) if label == c] for c in group]
             try:
                 scores.append((fsv(grouped), f))
             except DegenerateFeatureError:

@@ -1,0 +1,40 @@
+"""The names the benchmark harness under ``bench/`` reads from the package.
+
+The tier-1 suite does not run ``bench/test_bench.py``, so these checks
+fail here first when a change removes what the harness reads:
+
+- ``bench/tracing.py:168`` (``cache_lookups``) reads ``cache_info`` of
+  ``bpa._scaled_mass_cached`` and ``bpa._table_mass_cached``;
+  ``bench/test_bench.py`` requires the ``bpa.cache_hit_ratio`` it feeds
+  in traced runs.
+- ``bench/workloads.py:234`` and ``:241`` (the independent ``wbcd``
+  reference) read ``FoldPlan.train_indices`` and ``test_indices`` and
+  take their order as the training order.
+- ``bench/workloads.py:323`` (``IrisCv._check_labels``) reads each
+  ``"predicted"`` of an iris report's ``details`` through
+  ``getattr(out, "details", ())``, so without them it checks nothing.
+"""
+
+from dsfusion import bpa, evaluate, make_folds
+
+
+def test_bpa_caches_expose_cache_info():
+    for cache in (bpa._scaled_mass_cached, bpa._table_mass_cached):
+        info = cache.cache_info()
+        assert info.hits >= 0 and info.misses >= 0
+
+
+def test_fold_indices_are_index_ordered_lists():
+    folds = make_folds(150, 10, 42)
+    for fold in range(folds.k):
+        train, test = folds.train_indices(fold), folds.test_indices(fold)
+        assert type(train) is list and type(test) is list
+        assert train == sorted(train) and test == sorted(test)
+        assert sorted(train + test) == list(range(150))
+
+
+def test_iris_report_details_carry_predicted(iris_dataset):
+    report = evaluate(iris_dataset, "iris", folds=make_folds(len(iris_dataset), 10, 42))
+    details = getattr(report, "details", ())
+    assert details
+    assert all(detail["predicted"] in iris_dataset.label_names for detail in details)

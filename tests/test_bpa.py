@@ -172,30 +172,37 @@ class TestTableMass:
 
 class TestFitBoundaries:
     def test_single_record_per_class(self):
-        samples = [((1.0, 5.0), 0), ((2.0, 6.0), 1), ((3.0, 7.0), 2)]
-        model = fit_boundaries(class_moments(class_columns(samples)))
+        rows = [(1.0, 5.0), (2.0, 6.0), (3.0, 7.0)]
+        model = fit_boundaries(class_moments(class_columns(rows, [0, 1, 2])))
         assert model.bounds[0] == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
 
     def test_min_max_observed(self):
-        samples = [((4.3,), 0), ((5.8,), 0), ((5.0,), 0), ((4.9,), 1), ((6.9,), 1),
-                   ((4.9,), 2), ((7.9,), 2)]
-        model = fit_boundaries(class_moments(class_columns(samples)))
+        rows = [(4.3,), (5.8,), (5.0,), (4.9,), (6.9,), (4.9,), (7.9,)]
+        model = fit_boundaries(class_moments(class_columns(rows, [0, 0, 0, 1, 1, 2, 2])))
         assert model.bounds[0] == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_boundaries(class_moments(class_columns([((1.0,), 0), ((2.0,), 1)])))
+            fit_boundaries(class_moments(class_columns([(1.0,), (2.0,)], [0, 1])))
 
     def test_identical_classes_identical_ranges(self):
-        samples = [((1.0,), 0), ((2.0,), 0), ((1.0,), 1), ((2.0,), 1), ((1.0,), 2), ((2.0,), 2)]
-        model = fit_boundaries(class_moments(class_columns(samples)))
+        rows = [(1.0,), (2.0,)] * 3
+        model = fit_boundaries(class_moments(class_columns(rows, [0, 0, 1, 1, 2, 2])))
         assert model.bounds[0][0] == model.bounds[0][1]
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_classes_rejected(self, label):
-        samples = [((1.0,), 0), ((2.0,), 1), ((3.0,), 2), ((4.0,), label)]
+        rows = [(1.0,), (2.0,), (3.0,), (4.0,)]
         with pytest.raises(ValueError, match=rf"^class label {label} outside 0\.\.2$"):
-            class_columns(samples)
+            class_columns(rows, [0, 1, 2, label])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^no training records$"):
+            class_columns([], [])
+
+    def test_rows_and_labels_must_pair_up(self):
+        with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
+            class_columns([(1.0,), (2.0,), (3.0,)], [0, 1])
 
 
 class TestBoundaryMass:
@@ -329,46 +336,46 @@ class TestFsv:
         assert scaled == pytest.approx(base * scale, rel=1e-9)
 
 
-def _present_moments(samples):
-    # class_moments of the classes that have samples; these tests use
+def _present_moments(rows, labels):
+    # class_moments of the classes that have rows; these tests use
     # classes 0 and 1, or all three, so dropping an empty class 2 keeps
     # every index.
-    return [[moments(v) for v in per_class if v] for per_class in class_columns(samples)]
+    return [[moments(v) for v in per_class if v] for per_class in class_columns(rows, labels)]
+
+
+# Three rows of each class 0..2, in class order.
+THREE_EACH = [c for c in range(3) for _ in range(3)]
 
 
 class TestSelectFeature:
     def test_picks_tightest_separator(self):
-        samples = []
-        for v in (1.0, 1.1, 1.2):
-            samples.append(((v * 7, 5.0 + v, v), 0))
-        for v in (9.0, 9.1, 9.2):
-            samples.append(((v, 5.0 + v / 10, v), 1))
-        assert select_feature(_present_moments(samples), (0, 1)) == 2
+        rows = [(v * 7, 5.0 + v, v) for v in (1.0, 1.1, 1.2)]
+        rows += [(v, 5.0 + v / 10, v) for v in (9.0, 9.1, 9.2)]
+        assert select_feature(_present_moments(rows, THREE_EACH[:6]), (0, 1)) == 2
 
     def test_tie_goes_to_lowest_index(self):
-        samples = [((1.0, 1.0), 0), ((2.0, 2.0), 0), ((7.0, 7.0), 1), ((8.0, 8.0), 1)]
-        assert select_feature(_present_moments(samples), (0, 1)) == 0
+        rows = [(1.0, 1.0), (2.0, 2.0), (7.0, 7.0), (8.0, 8.0)]
+        assert select_feature(_present_moments(rows, [0, 0, 1, 1]), (0, 1)) == 0
 
     def test_all_degenerate_rejected(self):
-        samples = [((2.0,), 0), ((2.0,), 0), ((2.0,), 1), ((2.0,), 1)]
         with pytest.raises(DegenerateFeatureError):
-            select_feature(_present_moments(samples), (0, 1))
+            select_feature(_present_moments([(2.0,)] * 4, [0, 0, 1, 1]), (0, 1))
 
     def test_constant_feature_is_skipped(self):
         # Feature 0 is 0.1 everywhere: no signal, so feature 1 is picked for every group.
-        samples = [((0.1, 10.0 * c + i), c) for c in range(3) for i in range(3)]
-        stats = class_moments(class_columns(samples))
+        rows = [(0.1, 10.0 * c + i) for c in range(3) for i in range(3)]
+        stats = class_moments(class_columns(rows, THREE_EACH))
         for group in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
             assert select_feature(stats, group) == 1
 
     def test_three_class_form(self):
-        samples = []
-        for c, center in enumerate((1.0, 5.0, 9.0)):
-            for dv in (-0.1, 0.0, 0.1):
-                samples.append(((center + dv, 100 * (center + dv)), c))
+        rows = [
+            (center + dv, 100 * (center + dv))
+            for center in (1.0, 5.0, 9.0) for dv in (-0.1, 0.0, 0.1)
+        ]
         # feature 1 is feature 0 scaled by 100; scaling law for 3 classes
         # multiplies fsv by 100^2, so feature 0 wins
-        assert select_feature(_present_moments(samples), (0, 1, 2)) == 0
+        assert select_feature(_present_moments(rows, THREE_EACH), (0, 1, 2)) == 0
 
 
 class TestDistanceMass:

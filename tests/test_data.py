@@ -8,9 +8,11 @@ import re
 
 import pytest
 
+import dsfusion.cli as cli_module
 import dsfusion.data as data_module
 from dsfusion import (
     DataFormatError,
+    FoldPlan,
     Record,
     RecordSet,
     ablation,
@@ -43,10 +45,10 @@ from dsfusion.data import (
     report_json,
     report_text,
 )
-from dsfusion.bpa import mean_sd
+from dsfusion.bpa import moments
 from dsfusion.classify import classify_binary, train_binary
 
-from conftest import WBCD_PATH
+from conftest import WBCD_PATH, columns
 
 # The paper's WBCD comparison: each feature alone, ADI, BCF and all nine.
 ACCEPTANCE_SUBSETS = tuple((i,) for i in range(9)) + ((0, 3, 8), (1, 2, 5), tuple(range(9)))
@@ -57,8 +59,7 @@ def full_model_report(dataset, subset, folds) -> dict:
     drops the thresholds outside ``subset``, built without ``evaluate``."""
     per_fold, pairs, misclassified = [], [], []
     for fold in range(folds.k):
-        train = dataset.samples(folds.train_indices(fold))
-        full = train_binary([features for features, _ in train], [label for _, label in train])
+        full = train_binary(*columns(dataset.records, folds.train_indices(fold)))
         model = dataclasses.replace(
             full, bpas=tuple(b if f in subset else None for f, b in enumerate(full.bpas))
         )
@@ -424,6 +425,15 @@ class TestEvaluate:
             assert detail["prediction"].label == detail["predicted"] != detail["truth"]
             assert detail["trace"] == dict(detail["prediction"].trace)
 
+    @pytest.mark.parametrize("task", ["wbcd", "iris"])
+    def test_empty_training_fold_is_an_input_error(self, wbcd_dataset, iris_dataset, task):
+        dataset = wbcd_dataset if task == "wbcd" else iris_dataset
+        folds = FoldPlan(1, (0,) * len(dataset), 0)
+        with pytest.raises(
+            DataFormatError, match=r"^fold 1 of 1: cannot train on its 0 training records: "
+        ):
+            evaluate(dataset, task, folds=folds)
+
     def test_all_missing_record_falls_back_to_normal(self):
         records = [Record(1, (None, 5.0), 1)] + [
             Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(2, 12)
@@ -599,6 +609,51 @@ class TestEvaluate:
             evaluate(iris_dataset, "iris")
 
 
+def record_training(monkeypatch, task):
+    """Swap the task's trainer for one that records each (rows, labels) it
+    gets and then trains as before; returns the list of those calls."""
+    calls = []
+    spec = TASKS[task]
+
+    def train(rows, labels, dataset, subset):
+        calls.append((rows, labels))
+        return spec.train(rows, labels, dataset, subset)
+
+    monkeypatch.setitem(TASKS, task, dataclasses.replace(spec, train=train))
+    return calls
+
+
+class TestTrainingInput:
+    """Every trainer takes the feature rows and labels of its training
+    records, in index order."""
+
+    @pytest.mark.parametrize("task", ["wbcd", "iris"])
+    def test_each_fold_trains_on_its_records_in_index_order(
+        self, monkeypatch, wbcd_dataset, iris_dataset, task
+    ):
+        dataset = wbcd_dataset if task == "wbcd" else iris_dataset
+        folds = make_folds(len(dataset), 10, 42)
+        calls = record_training(monkeypatch, task)
+        evaluate(dataset, task, folds=folds)
+        expected = [columns(dataset.records, folds.train_indices(fold)) for fold in range(folds.k)]
+        assert calls == expected
+
+    def test_email_trains_on_empty_columns(self, monkeypatch):
+        calls = record_training(monkeypatch, "email")
+        evaluate(generate_email(), "email")
+        assert calls == [([], [])]
+
+    @pytest.mark.parametrize("task", ["wbcd", "iris"])
+    def test_model_dump_trains_on_every_record(
+        self, monkeypatch, tmp_path, wbcd_dataset, iris_dataset, task
+    ):
+        dataset = wbcd_dataset if task == "wbcd" else iris_dataset
+        calls = record_training(monkeypatch, task)
+        cli_module._dump_model(dataset, task, tmp_path / "model.json")
+        assert calls == [columns(dataset.records)]
+        assert json.loads((tmp_path / "model.json").read_text())
+
+
 class TestAblation:
     def test_same_folds_reused(self, wbcd_dataset):
         folds = make_folds(len(wbcd_dataset), 10, 42)
@@ -628,10 +683,11 @@ class TestRepeatedCv:
         assert [r.config["seed"] for r in reports] == [42, 43, 44]
 
     def test_mean_sd(self):
-        mean, sd = mean_sd([0.9, 1.0, 0.95])
-        assert mean == pytest.approx(0.95)
-        assert sd == pytest.approx(0.05)
-        assert mean_sd([0.9]) == (0.9, 0.0)
+        accuracy = moments([0.9, 1.0, 0.95])
+        assert accuracy.mean == pytest.approx(0.95)
+        assert accuracy.sd == pytest.approx(0.05)
+        single = moments([0.9])
+        assert (single.mean, single.sd) == (0.9, 0.0)
 
     def test_zero_runs_rejected(self, iris_dataset):
         with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ from dsfusion.bpa import logistic
 from dsfusion.classify import email_signal_row
 from dsfusion.data import report_text
 
+from conftest import columns
 from test_classify import generic_three_class_mass
 from test_data import ACCEPTANCE_SUBSETS
 
@@ -71,7 +72,7 @@ def one_of_each(wbcd_dataset, iris_dataset):
     binary without evidence, and three-class decided at step 1 and step 3."""
     rows = [r.features for r in wbcd_dataset.records]
     binary = train_binary(rows, [r.label for r in wbcd_dataset.records])
-    three = train_three_class([(r.features, r.label) for r in iris_dataset.records], IRIS_FRAME)
+    three = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
     iris_preds = [classify_three_class(r.features, three) for r in iris_dataset.records]
     by_stage = {p.trace["decided"]: p for p in iris_preds}
     return [
@@ -92,7 +93,7 @@ class TestLaziness:
         binary = train_binary(rows, [r.label for r in wbcd_dataset.records])
         for row in rows:
             classify_binary(row, binary)
-        three = train_three_class([(r.features, r.label) for r in iris_dataset.records], IRIS_FRAME)
+        three = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
         for record in iris_dataset.records:
             classify_three_class(record.features, three)
         assert (len(rows), len(iris_dataset.records)) == (699, 150)
@@ -125,8 +126,8 @@ class TestDeferredMassIsExact:
         checked = 0
         for subset in ACCEPTANCE_SUBSETS:
             for fold in range(folds.k):
-                train = wbcd_dataset.samples(folds.train_indices(fold))
-                model = train_binary([f for f, _ in train], [label for _, label in train], subset)
+                rows, labels = columns(wbcd_dataset.records, folds.train_indices(fold))
+                model = train_binary(rows, labels, subset)
                 for i in folds.test_indices(fold):
                     record = wbcd_dataset.records[i].features
                     pred = classify_binary(record, model)
@@ -158,9 +159,7 @@ class TestDeferredMassIsExact:
         for seed in range(42, 142):
             folds = make_folds(len(records), 10, seed)
             for fold in range(folds.k):
-                samples = [(records[i].features, records[i].label)
-                           for i in folds.train_indices(fold)]
-                model = train_three_class(samples, IRIS_FRAME)
+                model = train_three_class(*columns(records, folds.train_indices(fold)), IRIS_FRAME)
                 for i in folds.test_indices(fold):
                     pred = classify_three_class(records[i].features, model)
                     eager = generic_three_class_mass(records[i].features, model, pred.trace)
