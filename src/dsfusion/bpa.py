@@ -262,19 +262,31 @@ def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callabl
     return min(tied, key=lambda c: (gap(exact, *map(Fraction, refs[c])), c))
 
 
-def boundary_row(value: float, class_bounds: Sequence[tuple[float, float]]) -> dict[int, float]:
-    """The ``{bits: mass}`` of :func:`boundary_mass`, without building the mass function."""
-    if len(class_bounds) != 3:
-        raise ValueError("boundary assignment is defined over exactly three classes")
+def focal_row(bits: int, confidence: float) -> dict[int, float]:
+    """The ``{bits: mass}`` of a three-class source with focal set ``bits``:
+    ``confidence`` on it and the rest on the frame, or 1 on the frame itself."""
+    if bits == THREE_CLASS_FULL:
+        return {THREE_CLASS_FULL: 1.0}
+    return {bits: confidence, THREE_CLASS_FULL: 1.0 - confidence}
+
+
+def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> int:
+    """The focal set of :func:`boundary_mass`: the classes whose range holds
+    the value, or else the class whose range is nearest."""
     bits = 0
     for c, (lo, hi) in enumerate(class_bounds):
         if lo <= value <= hi:
             bits |= 1 << c
-    if bits == THREE_CLASS_FULL:
-        return {THREE_CLASS_FULL: 1.0}
     if bits == 0:
         bits = 1 << _nearest_class(value, class_bounds, lambda v, lo, hi: max(lo - v, v - hi))
-    return {bits: BOUNDARY_CONFIDENCE, THREE_CLASS_FULL: 1.0 - BOUNDARY_CONFIDENCE}
+    return bits
+
+
+def boundary_row(value: float, class_bounds: Sequence[tuple[float, float]]) -> dict[int, float]:
+    """The ``{bits: mass}`` of :func:`boundary_mass`, without building the mass function."""
+    if len(class_bounds) != 3:
+        raise ValueError("boundary assignment is defined over exactly three classes")
+    return focal_row(boundary_bits(value, class_bounds), BOUNDARY_CONFIDENCE)
 
 
 def boundary_mass(
@@ -352,12 +364,16 @@ def select_feature(stats: ClassMoments, classes: Sequence[int]) -> int:
     return best_feature
 
 
+def nearest_mean(value: float, means: Sequence[float]) -> int:
+    """The class whose mean is nearest to the value, ties to the lowest class."""
+    return _nearest_class(value, [(mean,) for mean in means], lambda v, mean: abs(v - mean))
+
+
 def distance_row(value: float, means: Sequence[float]) -> dict[int, float]:
     """The ``{bits: mass}`` of :func:`distance_mass`, without building the mass function."""
     if len(means) != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
-    nearest = _nearest_class(value, [(mean,) for mean in means], lambda v, mean: abs(v - mean))
-    return {1 << nearest: DISTANCE_CONFIDENCE, THREE_CLASS_FULL: 1.0 - DISTANCE_CONFIDENCE}
+    return focal_row(1 << nearest_mean(value, means), DISTANCE_CONFIDENCE)
 
 
 def distance_mass(value: float, means: Sequence[float], frame: Frame) -> MassFunction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
@@ -28,15 +28,16 @@ from .bpa import (
     THREE_CLASS_FULL,
     TableBpa,
     binary_row_mass,
-    boundary_row,
+    boundary_bits,
     bpa_from_dict,
     bpa_to_dict,
     class_columns,
     class_moments,
-    distance_row,
     fit_boundaries,
+    focal_row,
     logistic,
     modified_median_threshold,
+    nearest_mean,
     scaled_sigmoid_row,
     select_feature,
     table_row,
@@ -182,6 +183,10 @@ def _score_mass(frame: Frame, score: float) -> MassFunction:
     return combine_binary(frame, [(logistic(-score), logistic(score), 0.0)])
 
 
+# The class groups a step-1 candidate can be, as bitmasks: every pair, and all three.
+_GROUPS = (0b011, 0b101, 0b110, 0b111)
+
+
 @dataclass(frozen=True)
 class ThreeClassModel:
     """Range boundaries, per-feature class means, and the per-group feature picks."""
@@ -200,6 +205,15 @@ class ThreeClassModel:
             raise ValueError("three-class model needs at least one feature")
         if not all(math.isfinite(m) for row in self.means for m in row):
             raise ValueError(f"class means must be finite: {self.means}")
+        for f, (class_bounds, means) in enumerate(zip(self.boundaries.bounds, self.means)):
+            if len(class_bounds) != 3 or len(means) != 3:
+                raise ValueError(f"feature {f} needs three class ranges and three class means")
+        if set(self.selected) != set(_GROUPS):
+            raise ValueError(f"selected must map exactly the class groups {list(_GROUPS)}")
+        last = len(self.means) - 1
+        for group, f in self.selected.items():
+            if not (isinstance(f, int) and 0 <= f <= last):
+                raise ValueError(f"group {group} selects feature {f!r}, outside 0..{last}")
 
 
 def train_three_class(
@@ -214,9 +228,8 @@ def train_three_class(
     stats = class_moments(class_columns(rows, labels))
     boundaries = fit_boundaries(stats)
     means = tuple(tuple(m.mean for m in per_class) for per_class in stats)
-    groups = ((0, 1), (0, 2), (1, 2), (0, 1, 2))
     selected = {
-        sum(1 << c for c in group): select_feature(stats, group) for group in groups
+        bits: select_feature(stats, [c for c in range(3) if bits >> c & 1]) for bits in _GROUPS
     }
     return ThreeClassModel(frame, boundaries, means, selected)
 
@@ -240,8 +253,30 @@ def _fold(rows: Sequence[Mapping[int, float]], step: Callable) -> Mapping[int, f
     return fused
 
 
-def _three_class_mass(frame: Frame, rows: Sequence[Mapping[int, float]]) -> MassFunction:
+def _three_class_mass(
+    frame: Frame, focal_sets: tuple[int, ...], nearest: int | None
+) -> MassFunction:
+    rows = [focal_row(bits, BOUNDARY_CONFIDENCE) for bits in focal_sets]
+    if nearest is not None:
+        rows.append(focal_row(1 << nearest, DISTANCE_CONFIDENCE))
     return _trusted_mass(frame, _fold(rows, combine_bits))
+
+
+@cache
+def _step1(key: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    # The integer step-1 fold of boundary rows with focal sets ``key``, and its candidate.
+    rows = [_weighted(focal_row(bits, BOUNDARY_CONFIDENCE), _BOUNDARY_RATIO) for bits in key]
+    fused = _fold(rows, _intersect)
+    return fused, argmax_bits(fused, THREE_CLASS_FULL, exclude_theta=True)
+
+
+@cache
+def _step3(key: tuple[int, ...], nearest: int) -> int:
+    # The step-3 winner: step 1's fold with the distance row on class ``nearest``.
+    distance = _weighted(focal_row(1 << nearest, DISTANCE_CONFIDENCE), _DISTANCE_RATIO)
+    final = _intersect(_step1(key)[0], distance)[0]
+    # A singleton's belief is its own mass.
+    return max(range(3), key=lambda c: (final.get(1 << c, 0), -c))
 
 
 def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Prediction:
@@ -257,28 +292,39 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     and 1; 4/5 and 1/5 become 4 and 1) with Dempster's product step,
     ``_intersect``, unnormalised, which scales all fused masses alike. So
     exact ties, such as step 1's sources for two classes in turn, follow
-    the documented order. The reported mass, built on first read, folds
-    the float rows by ``combine_bits``, the rule and order of
+    the documented order.
+
+    Each row is fixed by its focal set, so the decision is looked up by
+    them: ``_step1`` keys on the sorted tuple of the features' focal sets,
+    ``_step3`` on that tuple and the nearest class, and a miss runs the
+    integer fold. Sorting is exact: integer sums and products commute, so
+    every order of the rows gives the same fused masses, and the candidate
+    and the winner are picked by total orders over (mass, cardinality,
+    bits) and (mass, class), so the fused dict's order cannot matter. The
+    keys do not depend on the model; with four features there are at most
+    210 of them (multisets of 4 over the 7 focal sets), times 3 for step 3.
+
+    The prediction keeps the focal sets in feature order and the nearest
+    class (None at step 1). Its mass, built on first read, rebuilds the
+    float rows and folds them by ``combine_bits``, the rule and order of
     ``combine_all`` over ``boundary_mass`` and then ``combine`` with
     ``distance_mass``.
     """
-    rows = [
-        boundary_row(record[f], class_bounds)
+    focal_sets = tuple([
+        boundary_bits(record[f], class_bounds)
         for f, class_bounds in enumerate(model.boundaries.bounds)
-    ]
-    step1 = _fold([_weighted(row, _BOUNDARY_RATIO) for row in rows], _intersect)
-    candidate = argmax_bits(step1, THREE_CLASS_FULL, exclude_theta=True)
+    ])
+    key = tuple(sorted(focal_sets))
+    candidate = _step1(key)[1]
     frame = model.frame
     if candidate.bit_count() == 1:
         label = frame.labels[candidate.bit_length() - 1]
-        return Prediction(label, frame, {"decided": "step1"}, _three_class_mass, (rows,))
+        return Prediction(label, frame, {"decided": "step1"}, _three_class_mass, (focal_sets, None))
     feature = model.selected[candidate]
-    distance = distance_row(record[feature], model.means[feature])
-    final = _intersect(step1, _weighted(distance, _DISTANCE_RATIO))[0]
-    # A singleton's belief is its own mass.
-    winner = max(range(3), key=lambda c: (final.get(1 << c, 0), -c))
+    nearest = nearest_mean(record[feature], model.means[feature])
+    winner = _step3(key, nearest)
     trace = {"decided": "step3", "feature": feature, "group": list(frame.labels_of(candidate))}
-    return Prediction(frame.labels[winner], frame, trace, _three_class_mass, ([*rows, distance],))
+    return Prediction(frame.labels[winner], frame, trace, _three_class_mass, (focal_sets, nearest))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,7 @@ from dsfusion import (
     train_three_class,
     vacuous_mass,
 )
+from dsfusion import classify
 from dsfusion.bpa import logistic
 from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row
 from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, fuse_binary
@@ -377,6 +378,22 @@ class TestClassifyThreeClass:
         with pytest.raises(ValueError, match="at least one feature"):
             classifier_from_dict(data)
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda d: d["boundaries"]["bounds"][1].pop(), "feature 1 needs three class ranges"),
+        (lambda d: d["means"][2].pop(), "feature 2 needs three class ranges and three class means"),
+        (lambda d: d["selected"].pop("7"), "exactly the class groups"),
+        (lambda d: d["selected"].update({"1": 0}), "exactly the class groups"),
+        (lambda d: d["selected"].update({"3": 5}), "group 3 selects feature 5, outside 0..3"),
+        (lambda d: d["selected"].update({"6": -1}), "group 6 selects feature -1, outside 0..3"),
+    ], ids=["two-class-bounds", "two-class-means", "missing-group", "extra-group",
+            "feature-past-last", "negative-feature"])
+    def test_malformed_model_rejected_from_json(self, bad, message):
+        # Each shape used to load, then fail on every record it classified.
+        data = classifier_to_dict(three_class_model())
+        bad(data)
+        with pytest.raises(ValueError, match=message):
+            classifier_from_dict(json.loads(json.dumps(data)))
+
     def test_non_finite_mean_rejected_from_json(self):
         data = classifier_to_dict(three_class_model())
         data["means"][2][0] = float("nan")
@@ -511,6 +528,10 @@ def _model_with_rows(focal_sets, nearest):
 
 
 def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
+    # The decision memos start empty, so each case's first call fills them
+    # (a miss) and its second reads them (a hit); both must meet the oracle.
+    classify._step1.cache_clear()
+    classify._step3.cache_clear()
     labels = IRIS_FRAME.labels
     cases = float_misses = 0
     for n in range(1, 7):
@@ -518,9 +539,10 @@ def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
             record = (0,) * n
             for nearest in range(3):
                 model = _model_with_rows(focal_sets, nearest)
-                pred = classify_three_class(record, model)
                 label, trace = oracle_three_class(record, model)
-                assert (pred.label, dict(pred.trace)) == (label, trace)
+                for _ in range(2):
+                    pred = classify_three_class(record, model)
+                    assert (pred.label, dict(pred.trace)) == (label, trace)
                 cases += 1
             # The exact step-1 leader, read off the oracle's trace, against
             # the leader of the float fold, which rounding can pick wrongly.
@@ -531,6 +553,21 @@ def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
     assert cases == 3 * 1715
     # The cases reach the near-ties that a float decision gets wrong.
     assert float_misses > 0
+    # One step-1 key per multiset, at most one step-3 key per multiset and nearest class.
+    assert classify._step1.cache_info().currsize == 1715
+    assert classify._step3.cache_info().currsize <= 3 * 1715
+
+
+def test_three_class_decision_is_keyed_on_the_multiset_of_focal_sets():
+    # Every order of the same focal sets is one decision key, whatever the model.
+    classify._step1.cache_clear()
+    classify._step3.cache_clear()
+    for order in permutations((3, 7, 7, 3)):
+        for nearest in range(3):
+            pred = classify_three_class((0,) * 4, _model_with_rows(order, nearest))
+            assert (pred.trace["decided"], pred.args) == ("step3", (order, nearest))
+    assert classify._step1.cache_info().currsize == 1
+    assert classify._step3.cache_info().currsize == 3
 
 
 class TestEmailModel:

@@ -34,7 +34,7 @@ from dsfusion.classify import email_signal_row
 from dsfusion.data import report_text
 
 from conftest import columns
-from test_classify import generic_three_class_mass
+from test_classify import _model_with_rows, generic_three_class_mass
 from test_data import ACCEPTANCE_SUBSETS
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
@@ -181,6 +181,28 @@ class TestPortability:
             )
             assert list(other.mass._masses.items()) == list(pred.mass._masses.items())
             assert other == pred
+
+
+@pytest.mark.parametrize("focal_sets, nearest, decided", [
+    ((4, 6, 7, 4), 1, "step1"),  # a vacuous feature among singletons
+    ((7, 7, 7, 7), 0, "step3"),  # every feature vacuous
+    ((3, 6, 5, 7), 2, "step1"),  # every pair and a vacuous feature
+    ((6, 7, 6, 6), 2, "step3"),  # a pair and a vacuous feature
+    ((3, 7, 3), 2, "step3"),  # three features; the nearest class is outside the pair
+], ids=["step1-vacuous", "step3-all-vacuous", "step1-pairs", "step3-pair", "step3-three"])
+@pytest.mark.parametrize("clone", [
+    lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_three_class_mass_rebuilt_from_focal_sets(focal_sets, nearest, decided, clone):
+    # The prediction keeps each feature's focal set and the nearest class;
+    # the mass rebuilt from them after a round trip is the generic fold's.
+    model = _model_with_rows(focal_sets, nearest)
+    record = (0,) * len(focal_sets)
+    pred = classify_three_class(record, model)
+    assert pred.trace["decided"] == decided
+    assert pred.args == (focal_sets, nearest if decided == "step3" else None)
+    eager = generic_three_class_mass(record, model, pred.trace)
+    assert list(clone(pred).mass.items()) == list(eager.items())
 
 
 def test_total_conflict_raises_when_classifying():
