@@ -118,6 +118,8 @@ class ScaledSigmoidBpa:
             raise ValueError(f"theta_mass must be in (0, 1), got {self.theta_mass}")
         if self.ceiling + self.theta_mass > 1 + 1e-12:
             raise ValueError("ceiling + theta_mass exceeds 1; abnormal mass would go negative")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ class BoundaryModel:
     def __post_init__(self) -> None:
         for f, per_class in enumerate(self.bounds):
             for c, (lo, hi) in enumerate(per_class):
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError(f"feature {f} class {c}: bounds [{lo}, {hi}] must be finite")
                 if lo > hi:
                     raise ValueError(f"feature {f} class {c}: min {lo} exceeds max {hi}")
 
@@ -253,6 +257,8 @@ def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callabl
     # *ref), ties to the lowest class. Rounding is monotone, so classes
     # whose float gaps differ are in exact order; only a float tie, which
     # rounding may have made, is decided again on exact gaps.
+    if not math.isfinite(value):
+        raise ValueError(f"feature value must be finite, got {value}")
     gaps = [gap(value, *ref) for ref in refs]
     best = min(gaps)
     tied = [c for c, g in enumerate(gaps) if g == best]
@@ -263,11 +269,11 @@ def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callabl
 
 
 def focal_row(bits: int, confidence: float) -> dict[int, float]:
-    """The ``{bits: mass}`` of a three-class source with focal set ``bits``:
-    ``confidence`` on it and the rest on the frame, or 1 on the frame itself."""
+    """The ``{bits: mass}`` of a three-class source with focal set ``bits``: ``confidence``
+    on it and the rest on the frame, or 1 on the frame itself, in ``confidence``'s type."""
     if bits == THREE_CLASS_FULL:
-        return {THREE_CLASS_FULL: 1.0}
-    return {bits: confidence, THREE_CLASS_FULL: 1.0 - confidence}
+        return {THREE_CLASS_FULL: type(confidence)(1)}
+    return {bits: confidence, THREE_CLASS_FULL: 1 - confidence}
 
 
 def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> int:
@@ -282,13 +288,6 @@ def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> 
     return bits
 
 
-def boundary_row(value: float, class_bounds: Sequence[tuple[float, float]]) -> dict[int, float]:
-    """The ``{bits: mass}`` of :func:`boundary_mass`, without building the mass function."""
-    if len(class_bounds) != 3:
-        raise ValueError("boundary assignment is defined over exactly three classes")
-    return focal_row(boundary_bits(value, class_bounds), BOUNDARY_CONFIDENCE)
-
-
 def boundary_mass(
     value: float, class_bounds: Sequence[tuple[float, float]], frame: Frame
 ) -> MassFunction:
@@ -298,9 +297,9 @@ def boundary_mass(
     remainder; membership in every class collapses to total ignorance,
     membership in none falls back to the class whose range is nearest.
     """
-    if frame.size != 3:
+    if frame.size != 3 or len(class_bounds) != 3:
         raise ValueError("boundary assignment is defined over exactly three classes")
-    return MassFunction(frame, boundary_row(value, class_bounds))
+    return MassFunction(frame, focal_row(boundary_bits(value, class_bounds), BOUNDARY_CONFIDENCE))
 
 
 def _fsv(group: Sequence[Moments]) -> float:
@@ -369,22 +368,15 @@ def nearest_mean(value: float, means: Sequence[float]) -> int:
     return _nearest_class(value, [(mean,) for mean in means], lambda v, mean: abs(v - mean))
 
 
-def distance_row(value: float, means: Sequence[float]) -> dict[int, float]:
-    """The ``{bits: mass}`` of :func:`distance_mass`, without building the mass function."""
-    if len(means) != 3:
-        raise ValueError("distance assignment is defined over exactly three classes")
-    return focal_row(1 << nearest_mean(value, means), DISTANCE_CONFIDENCE)
-
-
 def distance_mass(value: float, means: Sequence[float], frame: Frame) -> MassFunction:
     """Mass ``DISTANCE_CONFIDENCE`` on the class whose mean is nearest to the
     value; the rest on the frame.
 
     Ties go to the lowest class index.
     """
-    if frame.size != 3:
+    if frame.size != 3 or len(means) != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
-    return MassFunction(frame, distance_row(value, means))
+    return MassFunction(frame, focal_row(1 << nearest_mean(value, means), DISTANCE_CONFIDENCE))
 
 
 BpaModel = SigmoidBpa | ScaledSigmoidBpa | TableBpa | BoundaryModel

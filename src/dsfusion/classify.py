@@ -46,7 +46,6 @@ from .evidence import (
     IDENTITY_TOL,
     Frame,
     MassFunction,
-    _intersect,
     _trusted_mass,
     argmax_bits,
     binary_commonalities,
@@ -234,47 +233,40 @@ def train_three_class(
     return ThreeClassModel(frame, boundaries, means, selected)
 
 
-# The confidences as the documented ratios p/q, 9/10 and 4/5, not as the
-# floats' binary values.
-_BOUNDARY_RATIO = Fraction(repr(BOUNDARY_CONFIDENCE)).as_integer_ratio()
-_DISTANCE_RATIO = Fraction(repr(DISTANCE_CONFIDENCE)).as_integer_ratio()
+# The confidences as the documented ratios, 9/10 and 4/5, not as the floats' binary values.
+_EXACT_BOUNDARY = Fraction(repr(BOUNDARY_CONFIDENCE))
+_EXACT_DISTANCE = Fraction(repr(DISTANCE_CONFIDENCE))
 
 
-def _weighted(row: Mapping[int, float], ratio: tuple[int, int]) -> dict[int, int]:
-    # The row times q: p on its focal set and q - p on the frame.
-    p, q = ratio
-    return {bits: q - p if bits == THREE_CLASS_FULL else p for bits in row}
-
-
-def _fold(rows: Sequence[Mapping[int, float]], step: Callable) -> Mapping[int, float]:
-    fused = rows[0]
-    for row in rows[1:]:
-        fused = step(fused, row)[0]
+def _dempster(focal_sets: Sequence[int], nearest: int | None, boundary, distance) -> dict:
+    # Dempster's fold of the boundary rows on ``focal_sets`` in order, then of the distance
+    # row on class ``nearest`` if given; the confidences are floats or ``Fraction``s.
+    fused = focal_row(focal_sets[0], boundary)
+    for bits in focal_sets[1:]:
+        fused = combine_bits(fused, focal_row(bits, boundary))[0]
+    if nearest is not None:
+        fused = combine_bits(fused, focal_row(1 << nearest, distance))[0]
     return fused
 
 
 def _three_class_mass(
     frame: Frame, focal_sets: tuple[int, ...], nearest: int | None
 ) -> MassFunction:
-    rows = [focal_row(bits, BOUNDARY_CONFIDENCE) for bits in focal_sets]
-    if nearest is not None:
-        rows.append(focal_row(1 << nearest, DISTANCE_CONFIDENCE))
-    return _trusted_mass(frame, _fold(rows, combine_bits))
+    fused = _dempster(focal_sets, nearest, BOUNDARY_CONFIDENCE, DISTANCE_CONFIDENCE)
+    return _trusted_mass(frame, fused)
 
 
 @cache
-def _step1(key: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    # The integer step-1 fold of boundary rows with focal sets ``key``, and its candidate.
-    rows = [_weighted(focal_row(bits, BOUNDARY_CONFIDENCE), _BOUNDARY_RATIO) for bits in key]
-    fused = _fold(rows, _intersect)
+def _step1(key: tuple[int, ...]) -> tuple[dict[int, Fraction], int]:
+    # The exact step-1 fold of boundary rows with focal sets ``key``, and its candidate.
+    fused = _dempster(key, None, _EXACT_BOUNDARY, _EXACT_DISTANCE)
     return fused, argmax_bits(fused, THREE_CLASS_FULL, exclude_theta=True)
 
 
 @cache
 def _step3(key: tuple[int, ...], nearest: int) -> int:
-    # The step-3 winner: step 1's fold with the distance row on class ``nearest``.
-    distance = _weighted(focal_row(1 << nearest, DISTANCE_CONFIDENCE), _DISTANCE_RATIO)
-    final = _intersect(_step1(key)[0], distance)[0]
+    # The step-3 winner: step 1's exact fold with the distance row on class ``nearest``.
+    final = combine_bits(_step1(key)[0], focal_row(1 << nearest, _EXACT_DISTANCE))[0]
     # A singleton's belief is its own mass.
     return max(range(3), key=lambda c: (final.get(1 << c, 0), -c))
 
@@ -288,27 +280,28 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     feature selected for the candidate group, and step 3 fuses it with the
     step-1 result and picks the singleton with the highest belief.
 
-    The decision folds the rows scaled to integers (9/10 and 1/10 become 9
-    and 1; 4/5 and 1/5 become 4 and 1) with Dempster's product step,
-    ``_intersect``, unnormalised, which scales all fused masses alike. So
-    exact ties, such as step 1's sources for two classes in turn, follow
-    the documented order.
+    The decision is the argmax of the fold that reports the mass,
+    ``combine_bits`` over the same ``focal_row``s, run on the exact
+    confidences 9/10 and 4/5 as ``Fraction``s: rounding cannot pick the
+    leader of a near-tie, and exact ties, such as step 1's sources for two
+    classes in turn, follow the documented order. Every row puts at least
+    1/10 on the frame, so each step's K is at most 9/10: no total conflict.
 
     Each row is fixed by its focal set, so the decision is looked up by
     them: ``_step1`` keys on the sorted tuple of the features' focal sets,
     ``_step3`` on that tuple and the nearest class, and a miss runs the
-    integer fold. Sorting is exact: integer sums and products commute, so
-    every order of the rows gives the same fused masses, and the candidate
-    and the winner are picked by total orders over (mass, cardinality,
-    bits) and (mass, class), so the fused dict's order cannot matter. The
-    keys do not depend on the model; with four features there are at most
-    210 of them (multisets of 4 over the 7 focal sets), times 3 for step 3.
+    exact fold. Sorting is exact: Dempster's rule on exact masses is
+    commutative and associative, so every order of the rows gives the same
+    fused masses, and the candidate and the winner are picked by total
+    orders over (mass, cardinality, bits) and (mass, class), so the fused
+    dict's order cannot matter. The keys do not depend on the model; with
+    four features there are at most 210 of them (multisets of 4 over the 7
+    focal sets), times 3 for step 3.
 
     The prediction keeps the focal sets in feature order and the nearest
-    class (None at step 1). Its mass, built on first read, rebuilds the
-    float rows and folds them by ``combine_bits``, the rule and order of
-    ``combine_all`` over ``boundary_mass`` and then ``combine`` with
-    ``distance_mass``.
+    class (None at step 1). Its mass, built on first read, folds the float
+    rows in that order, the rule and order of ``combine_all`` over
+    ``boundary_mass`` and then ``combine`` with ``distance_mass``.
     """
     focal_sets = tuple([
         boundary_bits(record[f], class_bounds)

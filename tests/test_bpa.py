@@ -233,6 +233,11 @@ class TestBoundaryMass:
         m = boundary_mass(7.0, EXAMPLE_BOUNDS, THREE)
         assert m.mass_bits(0b100) == 0.9
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            boundary_mass(bad, EXAMPLE_BOUNDS, THREE)
+
     def test_training_bounds_pair_band(self):
         # a width of 3.4 exceeds the middle class's maximum but fits the others
         m = boundary_mass(3.4, TRAINING_BOUNDS[1], THREE)
@@ -398,6 +403,11 @@ class TestDistanceMass:
         # |1e-20 - (-1)| and |1e-20 - 1| both round to 1.0; exactly, class 1 is nearer.
         m = distance_mass(1e-20, (-1.0, 1.0, 5.0), THREE)
         assert m.mass_bits(0b010) == 0.8
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            distance_mass(bad, self.MEANS, THREE)
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_translation_invariance(self, shift):

@@ -46,7 +46,7 @@ from dsfusion import (
 from dsfusion import classify
 from dsfusion.bpa import logistic
 from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row
-from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, fuse_binary
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
 
 from conftest import (
     columns,
@@ -394,6 +394,27 @@ class TestClassifyThreeClass:
         with pytest.raises(ValueError, match=message):
             classifier_from_dict(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_feature_value_rejected(self, bad, position):
+        # Each used to escape from the exact nearest-range tie-break as
+        # OverflowError or "cannot convert NaN to integer ratio".
+        record = [5.5, 2.5, 4.8, 1.5]
+        record[position] = bad
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            classify_three_class(tuple(record), three_class_model())
+
+    @pytest.mark.parametrize("bounds", [
+        [math.nan, math.nan], [-math.inf, 6.9], [4.9, math.inf], [math.nan, 6.9],
+    ], ids=["nan", "-inf-low", "inf-high", "nan-low"])
+    def test_non_finite_bounds_rejected_from_json(self, bounds):
+        # [NaN, NaN] used to load, then fail on a record below every range
+        # with "min() arg is an empty sequence".
+        data = classifier_to_dict(three_class_model())
+        data["boundaries"]["bounds"][2][1] = bounds
+        with pytest.raises(ValueError, match=r"^feature 2 class 1: bounds \[.*\] must be finite$"):
+            classifier_from_dict(json.loads(json.dumps(data)))
+
     def test_non_finite_mean_rejected_from_json(self):
         data = classifier_to_dict(three_class_model())
         data["means"][2][0] = float("nan")
@@ -568,6 +589,32 @@ def test_three_class_decision_is_keyed_on_the_multiset_of_focal_sets():
             assert (pred.trace["decided"], pred.args) == ("step3", (order, nearest))
     assert classify._step1.cache_info().currsize == 1
     assert classify._step3.cache_info().currsize == 3
+
+
+def test_three_class_decision_folds_stay_exact(monkeypatch):
+    # Every fused row the decision memos build holds only Fractions summing to
+    # exactly 1; a single float, such as 1.0 on a vacuous row, would turn the
+    # fold of every key it reaches into a float fold.
+    classify._step1.cache_clear()
+    classify._step3.cache_clear()
+    folds = []
+
+    def recording_combine_bits(left, right):
+        fused, k = combine_bits(left, right)
+        folds.append(fused)
+        return fused, k
+
+    monkeypatch.setattr(classify, "combine_bits", recording_combine_bits)
+    for n in range(1, 7):
+        for key in combinations_with_replacement(range(1, 8), n):
+            folds.append(classify._step1(key)[0])
+            steps = len(folds)
+            for nearest in range(3):
+                classify._step3(key, nearest)
+            assert len(folds) == steps + 3  # each step 3 folds one distance row
+    for fused in folds:
+        assert all(type(v) is Fraction for v in fused.values()), fused
+        assert sum(fused.values()) == 1, fused
 
 
 class TestEmailModel:
@@ -884,6 +931,14 @@ class TestClassifierSerialization:
             restored = classifier_from_dict(json.loads(json.dumps(data)))
             assert restored == model
             assert classifier_to_dict(restored) == data
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_email_threshold_rejected(self, bad):
+        # A NaN threshold used to load, then label (10, 1, 1, 0) normal with the empty mass {}.
+        data = classifier_to_dict(email_model_default())
+        data["interval"]["threshold"] = bad
+        with pytest.raises(ValueError, match=f"^threshold must be finite, got {bad}$"):
+            classifier_from_dict(json.loads(json.dumps(data)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
