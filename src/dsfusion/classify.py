@@ -99,6 +99,10 @@ class BinaryModel:
     bpas: tuple[SigmoidBpa | None, ...]
     normal_fraction: float
 
+    def __post_init__(self) -> None:
+        if not 0 < self.normal_fraction < 1:  # NaN fails this too
+            raise ValueError(f"normal_fraction {self.normal_fraction} is not between 0 and 1")
+
     @property
     def n_features(self) -> int:
         return len(self.bpas)

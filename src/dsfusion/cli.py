@@ -59,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wbcd = sub.add_parser("wbcd", help="binary threshold-fusion benchmark")
     p_wbcd.add_argument("--data", type=Path, required=True, help="breast-cancer-wisconsin.data")
-    p_wbcd.add_argument("--features", default="ABCDEFGHI",
-                        help="feature letters A-I to fuse (default all nine)")
+    p_wbcd.add_argument("--features", help="feature letters A-I to fuse (default all nine)")
     p_wbcd.add_argument("--ablate", help="comma-separated feature subsets to compare")
     p_wbcd.add_argument("--folds", type=int, default=10)
     p_wbcd.add_argument("--dump-model", type=Path,
@@ -76,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_iris)
 
     p_email = sub.add_parser("email", help="email worm-detection benchmark")
-    p_email.add_argument("--data", type=Path, help="email CSV to evaluate")
-    p_email.add_argument("--generate", action="store_true",
-                         help="evaluate a freshly generated synthetic corpus")
+    source = p_email.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", type=Path, help="email CSV to evaluate")
+    source.add_argument("--generate", action="store_true",
+                        help="evaluate a freshly generated synthetic corpus")
     p_email.add_argument("--save-data", type=Path,
                          help="with --generate, also write the corpus CSV here")
     p_email.add_argument("--signals", default="1234",
@@ -141,9 +141,9 @@ def _dump_model(dataset, task: str, path: Path) -> None:
 
 
 def _cmd_wbcd(args, parser) -> int:
-    features = _parse_features(args.features, parser)
-    if args.ablate and (args.out or args.format != "text"):
-        parser.error("--ablate prints a text table and takes no --out or --format")
+    features = None if args.features is None else _parse_features(args.features, parser)
+    if args.ablate and (args.out or args.format != "text" or features):
+        parser.error("--ablate prints a text table and takes no --out, --format or --features")
     if args.folds < 2:
         parser.error("--folds must be at least 2")
     dataset = load_wbcd(args.data)
@@ -202,10 +202,8 @@ def _cmd_email(args, parser) -> int:
         dataset = generate_email(args.seed)
         if args.save_data:
             write_email_csv(dataset, args.save_data)
-    elif args.data:
-        dataset = load_email(args.data)
     else:
-        parser.error("email needs --data PATH or --generate")
+        dataset = load_email(args.data)
     report = evaluate(dataset, "email", subset=signals, seed=args.seed)
     worm_ids = {r.id for r in dataset if r.label == 1}
     missed = [rid for rid in report.misclassified if rid in worm_ids]

@@ -77,11 +77,11 @@ class RecordSet:
     label_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise DataFormatError("record ids must be unique")
-        arity = len(self.feature_names)
+        arity, ids = len(self.feature_names), set()
         for r in self.records:
+            if r.id in ids:
+                raise DataFormatError(f"record ids must be unique, {r.id} repeats")
+            ids.add(r.id)
             if len(r.features) != arity:
                 raise DataFormatError(f"record {r.id} has {len(r.features)} features, expected {arity}")
 
@@ -92,9 +92,30 @@ class RecordSet:
         return iter(self.records)
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [line for line in map(str.strip, text.splitlines()) if line]
+def _read_rows(path: str | Path, width: int, header: tuple | None = None) -> list:
+    """Each record line of a UTF-8 dataset file: its line number and its
+    ``width`` comma-separated cells. Lines end at "\\n" alone (reading turns
+    "\\r\\n" and "\\r" into it; ``str.splitlines`` would also split at "\\x0c"),
+    whitespace-only lines are skipped and no line is stripped. ``header``
+    must equal the first line's cells, which are then dropped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = enumerate(text.split("\n"), start=1)
+    rows = [(i, line.split(",")) for i, line in lines if line and not line.isspace()]
+    if not rows:
+        raise DataFormatError(f"{path}: empty dataset file")
+    if header is not None:
+        first = tuple(rows.pop(0)[1])
+        if first != header:
+            raise DataFormatError(f"{path}: header {first} != {header}")
+        if not rows:
+            raise DataFormatError(f"{path}: no records after the header")
+    for i, fields in rows:
+        if len(fields) != width:
+            raise DataFormatError(f"{path}:{i}: expected {width} fields, got {len(fields)}")
+    return rows
 
 
 # The value of each of the eleven canonical WBCD cells, looked up in one step.
@@ -107,16 +128,11 @@ def load_wbcd(path: str | Path) -> RecordSet:
     Eleven comma-separated fields per row: sample code, nine integer
     features in 1..10 ('?' for a missing cell), and the class code
     (2 = benign -> normal, 4 = malignant -> abnormal). Record ids are
-    1-based row positions; the file's sample codes repeat and are dropped.
+    1-based row positions; the file's sample codes repeat and are dropped
+    unchecked.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise DataFormatError(f"{path}: empty dataset file")
     records = []
-    for i, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        if len(fields) != 11:
-            raise DataFormatError(f"{path}:{i}: expected 11 fields, got {len(fields)}")
+    for rid, (i, fields) in enumerate(_read_rows(path, 11), start=1):
         try:
             features = tuple(map(_WBCD_CELLS.__getitem__, fields[1:10]))
         except KeyError:  # another spelling: each cell by the rule, so "01" reads as 1
@@ -130,7 +146,7 @@ def load_wbcd(path: str | Path) -> RecordSet:
             label = 1
         else:
             raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")
-        records.append(Record(i, features, label))
+        records.append(Record(rid, features, label))
     return RecordSet(tuple(records), WBCD_FEATURES, ("normal", "abnormal"))
 
 
@@ -140,14 +156,8 @@ def load_iris(path: str | Path) -> RecordSet:
     Ids are 1-based file positions, so 1-50 are Setosa, 51-100
     Versicolour, and 101-150 Virginica in the canonical file.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise DataFormatError(f"{path}: empty dataset file")
     records = []
-    for i, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise DataFormatError(f"{path}:{i}: expected 5 fields, got {len(fields)}")
+    for rid, (i, fields) in enumerate(_read_rows(path, 5), start=1):
         if not all(map(_DECIMAL.fullmatch, fields[:4])):
             raise DataFormatError(f"{path}:{i}: malformed feature in {fields[:4]}")
         features = tuple(map(float, fields[:4]))
@@ -156,7 +166,7 @@ def load_iris(path: str | Path) -> RecordSet:
         label = _IRIS_NAME_TO_CLASS.get(fields[4])
         if label is None:
             raise DataFormatError(f"{path}:{i}: unknown class name {fields[4]!r}")
-        records.append(Record(i, features, label))
+        records.append(Record(rid, features, label))
     return RecordSet(tuple(records), IRIS_FEATURES, IRIS_CLASSES)
 
 
@@ -225,38 +235,22 @@ def _plain_number(value: float) -> str:
 
 def load_email(path: str | Path) -> RecordSet:
     """Load the email CSV layout written by :func:`write_email_csv`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty dataset file") from None
-        if header != EMAIL_HEADER:
-            raise DataFormatError(f"{path}: header {header} != {EMAIL_HEADER}")
-        records = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise DataFormatError(f"{path}:{i}: expected 6 fields, got {len(row)}")
-            if not all(map(_INTEGER.fullmatch, (row[0], *row[2:5]))):
-                raise DataFormatError(f"{path}:{i}: malformed numeric field")
-            interval = float(row[1]) if _DECIMAL.fullmatch(row[1]) else math.nan
-            if not math.isfinite(interval) or interval < 0:
-                raise DataFormatError(
-                    f"{path}:{i}: interval must be a finite non-negative number, got {row[1]!r}"
-                )
-            rid = int(row[0])
-            flags = tuple(int(v) for v in row[2:5])
-            if any(flag not in (0, 1) for flag in flags):
-                raise DataFormatError(f"{path}:{i}: flags must be 0 or 1, got {flags}")
-            if row[5] == "worm":
-                label = 1
-            elif row[5] == "normal":
-                label = 0
-            else:
-                raise DataFormatError(f"{path}:{i}: unknown label {row[5]!r}")
-            records.append(Record(rid, (interval, *map(float, flags)), label))
-    if not records:
-        raise DataFormatError(f"{path}: no records after the header")
+    records = []
+    for i, row in _read_rows(path, 6, EMAIL_HEADER):
+        if not all(map(_INTEGER.fullmatch, (row[0], *row[2:5]))):
+            raise DataFormatError(f"{path}:{i}: malformed numeric field")
+        interval = float(row[1]) if _DECIMAL.fullmatch(row[1]) else math.nan
+        if not math.isfinite(interval) or interval < 0:
+            raise DataFormatError(
+                f"{path}:{i}: interval must be a finite non-negative number, got {row[1]!r}"
+            )
+        flags = tuple(int(v) for v in row[2:5])
+        if any(flag not in (0, 1) for flag in flags):
+            raise DataFormatError(f"{path}:{i}: flags must be 0 or 1, got {flags}")
+        label = {"normal": 0, "worm": 1}.get(row[5])
+        if label is None:
+            raise DataFormatError(f"{path}:{i}: unknown label {row[5]!r}")
+        records.append(Record(int(row[0]), (interval, *map(float, flags)), label))
     return RecordSet(tuple(records), EMAIL_FEATURES, ("normal", "worm"))
 
 

@@ -903,6 +903,14 @@ class TestClassifierSerialization:
         model = train_binary(rows, labels)
         assert classifier_from_dict(classifier_to_dict(model)) == model
 
+    @pytest.mark.parametrize("bad", [math.nan, 7.0, 0.0, 1.0, -0.1])
+    def test_normal_fraction_outside_the_open_unit_interval_rejected(self, bad):
+        # NaN and 7.0 used to load without complaint.
+        data = classifier_to_dict(train_binary([(float(i),) for i in range(4)], [0, 0, 1, 1]))
+        data["normal_fraction"] = bad
+        with pytest.raises(ValueError, match=f"^normal_fraction {bad} is not between 0 and 1$"):
+            classifier_from_dict(json.loads(json.dumps(data)))
+
     def test_partial_binary_model_not_dumped(self):
         rows = [(float(i), float(i * 2)) for i in range(10)]
         model = train_binary(rows, [0] * 6 + [1] * 4, (1,))

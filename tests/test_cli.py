@@ -119,6 +119,16 @@ class TestWbcdCommand:
         assert "--ablate" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("features", ["BC", "ABCDEFGHI", ""], ids=["BC", "all", "empty"])
+    def test_ablate_with_features_exits_2(self, capsys, features):
+        # --ablate names its own subsets; an explicit --features used to be ignored.
+        code, out, err = run_cli(
+            capsys, "wbcd", "--data", str(WBCD_PATH), "--ablate", "A,BCF", "--features", features
+        )
+        assert code == 2
+        assert out == ""
+        assert "--features" in err or "feature subset" in err
+
     def test_deterministic_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
         _, out2, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
@@ -279,6 +289,22 @@ class TestEmailCommand:
         code, _, _ = run_cli(capsys, "email")
         assert code == 2
 
+    def test_generate_with_data_exits_2(self, capsys, tmp_path):
+        # --generate used to run and never read the --data file.
+        code, out, err = run_cli(capsys, "email", "--generate", "--data", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert "--generate" in err and "--data" in err
+
+    def test_repeated_id_exits_3_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("\n".join([",".join(EMAIL_HEADER), "1,60,1,1,0,worm",
+                                   "12,600,0,0,1,normal", "12,60,1,1,0,worm"]) + "\n")
+        code, out, err = run_cli(capsys, "email", "--data", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: record ids must be unique, 12 repeats\n"
+
     def test_save_data_round_trip(self, capsys, tmp_path):
         saved = tmp_path / "corpus.csv"
         code, _, _ = run_cli(
@@ -317,6 +343,19 @@ class TestEmailCommand:
         assert result.returncode == 3
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command, path", [("wbcd", WBCD_PATH), ("iris", IRIS_PATH),
+                                           ("email", None)], ids=["wbcd", "iris", "email"])
+def test_non_utf8_data_file_exits_3_without_traceback(tmp_path, command, path):
+    # The decode error used to escape as a plain ValueError: exit 4.
+    data = path.read_bytes() if path else ",".join(EMAIL_HEADER).encode() + b"\n1,60,1,1,0,worm\n"
+    bad = tmp_path / "latin1.data"
+    bad.write_bytes(data.replace(b"1", b"\xe9", 1))
+    result = run_cli_process(command, "--data", str(bad))
+    assert result.returncode == 3
+    assert result.stderr.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in result.stderr
 
 
 class TestGenerateEmailCommand:
@@ -458,8 +497,28 @@ _WBCD_CELLS = [str(v) for v in range(1, 11)] + ["?"]
 _BAD_CELLS = ["0", "11", "-3", "2.5", "x", "", " 5", "1e1", "nan"]
 
 
+def _fuzz_file(draw, lines) -> bytes:
+    # The lines as UTF-8 file bytes, sometimes with a blank line put in and
+    # sometimes with a byte that is not UTF-8.
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+def assert_data_file_exit(code: int, content: bytes) -> None:
+    assert code in DOCUMENTED_EXITS
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError:  # decoding is the first check, whatever else is wrong
+        assert code == 3
+
+
 @st.composite
-def wbcd_files(draw) -> str:
+def wbcd_files(draw) -> bytes:
     """Small WBCD-layout files: mostly valid rows, some with a wrong field
     count, a bad cell or a bad class code."""
     n_rows = draw(st.integers(1, 14))
@@ -476,16 +535,16 @@ def wbcd_files(draw) -> str:
         elif fault == "class":
             fields[10] = draw(st.sampled_from(["3", "", "?"]))
         lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return _fuzz_file(draw, lines)
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=wbcd_files(), features=st.sampled_from(["A", "BD", "ABCDEFGHI"]))
-def test_fuzz_wbcd_data_file(fuzz_dir, text, features):
+@given(content=wbcd_files(), features=st.sampled_from(["A", "BD", "ABCDEFGHI"]))
+def test_fuzz_wbcd_data_file(fuzz_dir, content, features):
     path = fuzz_dir / "wbcd.data"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(content)
     code = run_cli_quietly("wbcd", "--data", str(path), "--folds", "2", "--features", features)
-    assert code in DOCUMENTED_EXITS
+    assert_data_file_exit(code, content)
 
 
 _BAD_NUMBERS = ["", "x", "nan", "inf", "-inf", "-1", "1_0", " 3", "\u0665", "1e999", "2", "0.5"]
@@ -512,7 +571,7 @@ def _fuzz_rows(draw, valid_row, faults, n_rows) -> list[str]:
 
 
 @st.composite
-def iris_files(draw) -> str:
+def iris_files(draw) -> bytes:
     """Small iris-layout files: mostly valid rows, some with a wrong field
     count, a bad cell or an unknown class name."""
     def valid_row(row):
@@ -520,20 +579,20 @@ def iris_files(draw) -> str:
         return [str(draw(st.integers(1, 79)) / 10) for _ in range(4)] + [_IRIS_NAMES[row % 3]]
 
     lines = _fuzz_rows(draw, valid_row, {"first cell": 0, "last cell": 3}, draw(st.integers(1, 30)))
-    return "\n".join(lines) + "\n"
+    return _fuzz_file(draw, lines)
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=iris_files())
-def test_fuzz_iris_data_file(fuzz_dir, text):
+@given(content=iris_files())
+def test_fuzz_iris_data_file(fuzz_dir, content):
     path = fuzz_dir / "iris.data"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(content)
     code = run_cli_quietly("iris", "--data", str(path), "--runs", "1", "--folds", "2")
-    assert code in DOCUMENTED_EXITS
+    assert_data_file_exit(code, content)
 
 
 @st.composite
-def email_files(draw) -> str:
+def email_files(draw) -> bytes:
     """Small email CSVs: the documented header (sometimes not) and mostly
     valid rows, some with a wrong field count, a bad interval, flag or label."""
     def valid_row(i):
@@ -546,16 +605,16 @@ def email_files(draw) -> str:
         header = draw(st.text(max_size=20))
     lines = _fuzz_rows(draw, valid_row, {"interval": 1, "flag": 3, "label": 5},
                        draw(st.integers(1, 12)))
-    return "\n".join([header, *lines]) + "\n"
+    return _fuzz_file(draw, [header, *lines])
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=email_files(), signals=st.sampled_from(["1", "24", "1234"]))
-def test_fuzz_email_data_file(fuzz_dir, text, signals):
+@given(content=email_files(), signals=st.sampled_from(["1", "24", "1234"]))
+def test_fuzz_email_data_file(fuzz_dir, content, signals):
     path = fuzz_dir / "email.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(content)
     code = run_cli_quietly("email", "--data", str(path), "--signals", signals)
-    assert code in DOCUMENTED_EXITS
+    assert_data_file_exit(code, content)
 
 
 _FOCAL_SETS = ("a", "b", "c", "a|b", "a|c", "b|c", "a|b|c")

@@ -355,6 +355,98 @@ class TestEmailCsv:
         assert load_email(path).records[0].label == 1
 
 
+WBCD_ROW = "1000025,5,1,1,1,2,1,3,1,1,2"
+IRIS_ROW = "5.1,3.5,1.4,0.2,Iris-setosa"
+EMAIL_ROW = "7,60,1,1,0,worm"
+LOADERS = {"wbcd": (load_wbcd, WBCD_ROW), "iris": (load_iris, IRIS_ROW),
+           "email": (load_email, EMAIL_ROW)}
+
+
+def dataset_file(tmp_path, loader: str, lines):
+    """A file of ``lines`` in ``loader``'s layout; email files get the header."""
+    head = [",".join(EMAIL_HEADER)] if loader == "email" else []
+    path = tmp_path / f"{loader}.data"
+    path.write_text("\n".join([*head, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+class TestReader:
+    """The one reader under all three loaders: UTF-8 text, lines split at
+    "\\n" alone, whitespace-only lines skipped, no line stripped, and every
+    error naming the file line."""
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, loader):
+        # It used to escape as UnicodeDecodeError, which the CLI exits 4 on.
+        load, row = LOADERS[loader]
+        path = dataset_file(tmp_path, loader, [row])
+        path.write_bytes(path.read_bytes().replace(b"1", b"\xff", 1))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load(path)
+
+    @pytest.mark.parametrize("loader, bad, message", [
+        ("wbcd", WBCD_ROW[:-1] + "3", "class code must be 2 or 4"),
+        ("iris", IRIS_ROW.replace("3.5", "x"), "malformed feature"),
+        ("email", EMAIL_ROW.replace("worm", "spam"), "unknown label"),
+    ])
+    def test_error_after_blank_lines_names_the_file_line(self, tmp_path, loader, bad, message):
+        load, row = LOADERS[loader]
+        lines = ["", row, "  ", "\t", row, bad]
+        path = dataset_file(tmp_path, loader, lines)
+        number = len(lines) + (loader == "email")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:{number}: {message}')}"):
+            load(path)
+
+    @pytest.mark.parametrize("loader", ["wbcd", "iris"])
+    def test_blank_lines_move_no_id(self, tmp_path, loader):
+        # Ids count records, and the error line counts the file.
+        load, row = LOADERS[loader]
+        lines = ["", row, "", " ", row, "\t", row]
+        assert [r.id for r in load(dataset_file(tmp_path, loader, lines))] == [1, 2, 3]
+        path = dataset_file(tmp_path, loader, [*lines, row + ","])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:8: expected"):
+            load(path)
+
+    def test_email_csv_with_blank_lines_loads(self, tmp_path):
+        # A blank line used to fail with "expected 6 fields, got 0".
+        dataset = generate_email(3)
+        path = tmp_path / "email.csv"
+        write_email_csv(dataset, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:40], " ", *lines[40:], "", ""]))
+        assert load_email(path) == dataset
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_line_separators_inside_a_cell_do_not_split_the_line(self, tmp_path, separator):
+        # str.splitlines breaks a line at each of these.
+        sample_code = WBCD_ROW.replace("1000025", "1000" + separator + "025")
+        assert len(load_wbcd(dataset_file(tmp_path, "wbcd", [sample_code, WBCD_ROW]))) == 2
+        path = dataset_file(tmp_path, "iris", [IRIS_ROW.replace("3.5", "3" + separator + ".5")])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:1: malformed feature"):
+            load_iris(path)
+
+    @pytest.mark.parametrize("loader, row", [
+        ("wbcd", WBCD_ROW + " "), ("wbcd", WBCD_ROW + "\t"),
+        ("iris", IRIS_ROW + " "), ("iris", " " + IRIS_ROW), ("iris", "\t" + IRIS_ROW),
+    ])
+    def test_blank_around_an_edge_cell_rejected(self, tmp_path, loader, row):
+        # Lines used to be stripped, so these loaded.
+        with pytest.raises(DataFormatError, match=":1: "):
+            LOADERS[loader][0](dataset_file(tmp_path, loader, [row]))
+
+    def test_wbcd_sample_code_is_dropped_unchecked(self, tmp_path):
+        path = dataset_file(tmp_path, "wbcd", [" " + WBCD_ROW, "x" + WBCD_ROW])
+        features = (5.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0)
+        assert [r.features for r in load_wbcd(path)] == [features, features]
+
+    @pytest.mark.parametrize("cell", ['"7"', '"60"'])
+    def test_quoted_email_cell_rejected(self, tmp_path, cell):
+        # write_email_csv never quotes: no cell it writes holds a comma, quote or line break.
+        row = EMAIL_ROW.replace(cell.strip('"'), cell, 1)
+        with pytest.raises(DataFormatError, match=":2: "):
+            load_email(dataset_file(tmp_path, "email", [row]))
+
+
 class TestMakeFolds:
     def test_wbcd_fold_sizes(self):
         plan = make_folds(699, 10, 42)
