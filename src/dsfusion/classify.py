@@ -47,7 +47,6 @@ from .evidence import (
     Frame,
     MassFunction,
     _trusted_mass,
-    argmax_bits,
     binary_commonalities,
     combine_binary,
     combine_bits,
@@ -102,10 +101,6 @@ class BinaryModel:
     def __post_init__(self) -> None:
         if not 0 < self.normal_fraction < 1:  # NaN fails this too
             raise ValueError(f"normal_fraction {self.normal_fraction} is not between 0 and 1")
-
-    @property
-    def n_features(self) -> int:
-        return len(self.bpas)
 
     @cached_property
     def fitted(self) -> tuple[tuple[int, float], ...]:
@@ -262,9 +257,14 @@ def _three_class_mass(
 
 @cache
 def _step1(key: tuple[int, ...]) -> tuple[dict[int, Fraction], int]:
-    # The exact step-1 fold of boundary rows with focal sets ``key``, and its candidate.
+    # The exact step-1 fold of boundary rows with focal sets ``key``, and its candidate: the
+    # greatest mass off the frame, ties to the smaller set, then the lower bits.
     fused = _dempster(key, None, _EXACT_BOUNDARY, _EXACT_DISTANCE)
-    return fused, argmax_bits(fused, THREE_CLASS_FULL, exclude_theta=True)
+    return fused, min(
+        (bits for bits in fused if bits != THREE_CLASS_FULL),
+        key=lambda bits: (-fused[bits], bits.bit_count(), bits),
+        default=THREE_CLASS_FULL,
+    )
 
 
 @cache

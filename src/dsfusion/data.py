@@ -93,13 +93,14 @@ class RecordSet:
 
 
 def _read_rows(path: str | Path, width: int, header: tuple | None = None) -> list:
-    """Each record line of a UTF-8 dataset file: its line number and its
-    ``width`` comma-separated cells. Lines end at "\\n" alone (reading turns
-    "\\r\\n" and "\\r" into it; ``str.splitlines`` would also split at "\\x0c"),
-    whitespace-only lines are skipped and no line is stripped. ``header``
-    must equal the first line's cells, which are then dropped."""
+    """Each record line of a UTF-8 dataset file (a leading byte-order mark is
+    dropped): its line number and its ``width`` comma-separated cells. Lines
+    end at "\\n" alone (reading turns "\\r\\n" and "\\r" into it;
+    ``str.splitlines`` would also split at "\\x0c"), whitespace-only lines
+    are skipped and no line is stripped. ``header`` must equal the first
+    line's cells, which are then dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     lines = enumerate(text.split("\n"), start=1)
@@ -553,20 +554,6 @@ def render_report(report: EvalReport, fmt: str) -> str:
 def write_report(report: EvalReport, path: str | Path, fmt: str = "json") -> None:
     """Write :func:`render_report`'s string, byte for byte."""
     Path(path).write_bytes(render_report(report, fmt).encode("utf-8"))
-
-
-def load_report(path: str | Path) -> EvalReport:
-    """Reload a JSON report written by :func:`write_report`."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return EvalReport(
-        task=data["task"],
-        config=data["config"],
-        accuracy=data["accuracy"],
-        per_fold=tuple(data["per_fold"]),
-        confusion=data["confusion"],
-        misclassified=tuple(data["misclassified"]),
-        runtime_seconds=data.get("runtime_seconds", 0.0),
-    )
 
 
 def report_text(report: EvalReport) -> str:

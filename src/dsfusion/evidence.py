@@ -103,14 +103,6 @@ class HypothesisSet:
                 f"hypothesis bits {self.bits:#x} outside frame of size {self.frame.size}"
             )
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.frame.labels_of(self.bits)
-
-    @property
-    def is_theta(self) -> bool:
-        return self.bits == self.frame.full_mask
-
     def __str__(self) -> str:
         return self.frame.describe(self.bits)
 
@@ -127,10 +119,6 @@ class BeliefInterval:
             raise EvidenceError(f"interval [{self.bel}, {self.pl}] outside [0, 1]")
         if self.bel > self.pl + IDENTITY_TOL:
             raise EvidenceError(f"belief {self.bel} exceeds plausibility {self.pl}")
-
-    @property
-    def uncertainty(self) -> float:
-        return self.pl - self.bel
 
 
 class MassFunction:
@@ -365,34 +353,3 @@ def plausibility(m: MassFunction, subset: HypothesisSet) -> float:
 def belief_interval(m: MassFunction, subset: HypothesisSet) -> BeliefInterval:
     """The [Bel, Pl] interval for one hypothesis set."""
     return BeliefInterval(belief(m, subset), plausibility(m, subset))
-
-
-def argmax_bits(
-    masses: Mapping[int, float], full_mask: int, exclude_theta: bool = False
-) -> int:
-    """The focal set of a ``{bits: mass}`` dict carrying the largest mass.
-
-    Ties break toward smaller cardinality, then lower bitmask. With
-    ``exclude_theta`` the whole frame (``full_mask``) is ignored, and it is
-    returned only when no other focal set exists.
-    """
-    best_bits = full_mask
-    best_key: tuple[float, int, int] | None = None
-    for bits, value in masses.items():
-        if exclude_theta and bits == full_mask:
-            continue
-        key = (-value, bits.bit_count(), bits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_bits = bits
-    return best_bits
-
-
-def argmax_focal(m: MassFunction, exclude_theta: bool = False) -> HypothesisSet:
-    """The focal element carrying the largest mass.
-
-    Ties break toward smaller cardinality, then lower bitmask. With
-    ``exclude_theta`` the whole frame is ignored unless it is the only
-    focal element, in which case it is returned as the fallback.
-    """
-    return HypothesisSet(m.frame, argmax_bits(m._masses, m.frame.full_mask, exclude_theta))

@@ -193,6 +193,15 @@ def _exact_dempster(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int,
     return {bits: v / norm for bits, v in acc.items()}
 
 
+def oracle_three_class_candidate(step1: dict) -> int:
+    """The step-1 candidate of a ``{bits: mass}`` fold: the focal set of greatest
+    mass other than the frame, ties to smaller cardinality, then lower bitmask; the
+    frame when no other set is focal."""
+    full = 0b111
+    focal = [bits for bits in step1 if bits != full]
+    return min(focal, key=lambda b: (-step1[b], b.bit_count(), b)) if focal else full
+
+
 def oracle_three_class(record, model: ThreeClassModel) -> tuple[str, dict]:
     """The exact three-step decision for one record: its label and trace.
 
@@ -220,8 +229,7 @@ def oracle_three_class(record, model: ThreeClassModel) -> tuple[str, dict]:
             bits = 1 << min(range(3), key=lambda c: (gaps[c], c))
         row = {full: Fraction(1)} if bits == full else {bits: Fraction(9, 10), full: Fraction(1, 10)}
         step1 = _exact_dempster(step1, row)
-    focal = [bits for bits in step1 if bits != full]
-    candidate = min(focal, key=lambda b: (-step1[b], b.bit_count(), b)) if focal else full
+    candidate = oracle_three_class_candidate(step1)
     labels = model.frame.labels
     if candidate.bit_count() == 1:
         return labels[candidate.bit_length() - 1], {"decided": "step1"}

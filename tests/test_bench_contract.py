@@ -13,9 +13,18 @@ fail here first when a change removes what the harness reads:
 - ``bench/workloads.py:323`` (``IrisCv._check_labels``) reads each
   ``"predicted"`` of an iris report's ``details`` through
   ``getattr(out, "details", ())``, so without them it checks nothing.
+
+The last test runs one cycle of each workload, set-up and checks included,
+so any other name the harness reads fails here too.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from dsfusion import bpa, evaluate, make_folds
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def test_bpa_caches_expose_cache_info():
@@ -38,3 +47,22 @@ def test_iris_report_details_carry_predicted(iris_dataset):
     details = getattr(report, "details", ())
     assert details
     assert all(detail["predicted"] in iris_dataset.label_names for detail in details)
+
+
+def test_every_workload_runs_one_cycle_without_error(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its @dataclass looks the module up in sys.modules while it is executed.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # import_program prepends src/
+    spec.loader.exec_module(workloads)
+    mods = workloads.import_program()
+    for name, workload in workloads.WORKLOADS.items():
+        wl = workload(mods, 7)
+        wl.setup()
+        wl.prepare_checks()
+        for j in range(wl.cycle):
+            x = wl.batch(j)
+            error, digest = wl.check(x, wl.run(x))
+            assert error is None, (name, j)
+            assert wl.verify(j, digest) is None, (name, j)

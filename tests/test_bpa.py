@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -165,6 +166,12 @@ class TestTableMass:
         with pytest.raises(ValueError):
             table_mass(2, self.SPOOFED)
 
+    @pytest.mark.parametrize("row", [(1.2, -0.2, 0.0), (0.5, 0.5, math.nan)])
+    def test_row_entry_outside_unit_interval_rejected(self, row):
+        message = re.escape(f"row 1 entries must lie in [0, 1]: {row}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TableBpa(((0.9, 0.09, 0.01), row))
+
     def test_row_sum_validated(self):
         with pytest.raises(ValueError):
             TableBpa(((0.9, 0.09, 0.02), (0.1, 0.89, 0.01)))
@@ -290,6 +297,10 @@ class TestFsv:
         assert fsv([[0.1] * 3, [0.2] * 3]) == 0.0
         assert fsv([[0.1] * 3, [0.2, 0.3, 0.4]]) == 0.0
         assert moments([0.1] * 3).sd == 0.0
+
+    def test_moments_of_no_values_rejected(self):
+        with pytest.raises(ValueError, match="^moments need at least one value$"):
+            moments([])
 
     @pytest.mark.parametrize("value", [0.1, 0.7, 1.1])
     def test_constant_class_mean_is_its_value(self, value):

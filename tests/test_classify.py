@@ -23,7 +23,6 @@ from dsfusion import (
     TableBpa,
     ThreeClassModel,
     TotalConflictError,
-    argmax_focal,
     boundary_mass,
     classifier_from_dict,
     classifier_to_dict,
@@ -55,6 +54,7 @@ from conftest import (
     oracle_combine,
     oracle_email_labels,
     oracle_three_class,
+    oracle_three_class_candidate,
     reference_three_class,
 )
 from test_data import ACCEPTANCE_SUBSETS
@@ -82,7 +82,7 @@ class TestTrainBinary:
         rows = [(float(i), float(100 - i)) for i in range(10)]
         labels = [0] * 5 + [1] * 5
         model = train_binary(rows, labels)
-        assert model.n_features == 2
+        assert len(model.bpas) == 2
         assert model.normal_fraction == 0.5
         assert model.bpas[0].threshold == 4.0
 
@@ -99,6 +99,10 @@ class TestTrainBinary:
         with pytest.raises(ValueError):
             train_binary([(1.0,), (2.0,)], [0, 0])
 
+    def test_rows_and_labels_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
+            train_binary([(1.0,), (2.0,), (3.0,)], [0, 1])
+
     def test_all_missing_feature_rejected(self):
         with pytest.raises(ValueError):
             train_binary([(1.0, None), (2.0, None)], [0, 1])
@@ -107,7 +111,7 @@ class TestTrainBinary:
         rows = [(float(i), float(100 - i), None) for i in range(10)]
         labels = [0] * 5 + [1] * 5
         model = train_binary(rows, labels, (1,))
-        assert model.n_features == 3
+        assert len(model.bpas) == 3
         assert model.bpas[0] is None and model.bpas[2] is None
         assert model.bpas[1] == train_binary([row[:2] for row in rows], labels).bpas[1]
         assert model.normal_fraction == 0.5
@@ -570,7 +574,8 @@ def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
             group = trace.get("group", [label])
             exact = sum(1 << labels.index(name) for name in group)
             fused = combine_all([boundary_mass(0, b, IRIS_FRAME) for b in model.boundaries.bounds])
-            float_misses += argmax_focal(fused, exclude_theta=True).bits != exact
+            float_leader = oracle_three_class_candidate({h.bits: v for h, v in fused.items()})
+            float_misses += float_leader != exact
     assert cases == 3 * 1715
     # The cases reach the near-ties that a float decision gets wrong.
     assert float_misses > 0
@@ -716,6 +721,27 @@ class TestClassifyEmail:
             if position + 1 in signals:
                 with pytest.raises(ValueError, match="binary signal value must be 0 or 1"):
                     classify_email(tuple(message), replace(self.MODEL, signals=signals))
+
+    def test_unhashable_flag_equal_to_one_takes_the_miss_path(self):
+        # The table lookup cannot hash this flag, so the rows are built signal by
+        # signal: the decision and the mass are those of the plain flag 1.
+        class One:
+            __hash__ = None
+
+            def __eq__(self, other):
+                return other == 1
+
+            def __int__(self):
+                return 1
+
+        pred = classify_email((10.0, One(), 1.0, 0.0), self.MODEL)
+        plain = classify_email((10.0, 1.0, 1.0, 0.0), self.MODEL)
+        assert (pred.label, pred.trace) == ("abnormal", {"signals": [1, 2, 3, 4]})
+        assert (plain.label, plain.trace) == (pred.label, pred.trace)
+        assert pred.mass == plain.mass
+        message = re.escape("binary signal value must be 0 or 1, got 0.5")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify_email((10.0, 0.5, 1.0, 0.0), self.MODEL)
 
     def test_signal_subset(self):
         pred = classify_email((5.0, 1, 1, 0), replace(self.MODEL, signals=frozenset({4, 1, 3})))
@@ -945,6 +971,13 @@ class TestClassifierSerialization:
         # A NaN threshold used to load, then label (10, 1, 1, 0) normal with the empty mass {}.
         data = classifier_to_dict(email_model_default())
         data["interval"]["threshold"] = bad
+        with pytest.raises(ValueError, match=f"^threshold must be finite, got {bad}$"):
+            classifier_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_binary_threshold_rejected(self, bad):
+        data = classifier_to_dict(train_binary([(1.0,), (2.0,)], [0, 1]))
+        data["bpas"][0]["threshold"] = bad
         with pytest.raises(ValueError, match=f"^threshold must be finite, got {bad}$"):
             classifier_from_dict(json.loads(json.dumps(data)))
 

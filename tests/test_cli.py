@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from dsfusion import combine, combine_all, conflict, make_frame, make_mass
 from dsfusion.cli import main
-from dsfusion.data import EMAIL_HEADER
+from dsfusion.data import (
+    EMAIL_HEADER,
+    generate_email,
+    load_email,
+    load_iris,
+    load_wbcd,
+    write_email_csv,
+)
 
 from conftest import IRIS_PATH, WBCD_PATH
 
@@ -145,7 +152,7 @@ class TestWbcdCommand:
         )
         assert code == 0
         model = classifier_from_dict(json.loads(model_path.read_text()))
-        assert model.n_features == 9
+        assert len(model.bpas) == 9
 
 
     def test_more_folds_than_records_exits_3_without_traceback(self, tmp_path):
@@ -356,6 +363,40 @@ def test_non_utf8_data_file_exits_3_without_traceback(tmp_path, command, path):
     assert result.returncode == 3
     assert result.stderr.startswith(f"error: {bad}: not UTF-8 text")
     assert "Traceback" not in result.stderr
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def _data_file(tmp_path, command):
+    if command == "email":
+        path = tmp_path / "email.csv"
+        write_email_csv(generate_email(3), path)
+        return path
+    return {"wbcd": WBCD_PATH, "iris": IRIS_PATH}[command]
+
+
+@pytest.mark.parametrize("command, load", [("wbcd", load_wbcd), ("iris", load_iris),
+                                           ("email", load_email)], ids=["wbcd", "iris", "email"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, capsys, command, load):
+    # Some editors start a UTF-8 file with a byte-order mark; iris and email used to reject it.
+    path = _data_file(tmp_path, command)
+    marked = tmp_path / "marked.data"
+    marked.write_bytes(BOM + path.read_bytes())
+    assert load(marked) == load(path)
+    assert run_cli(capsys, command, "--data", str(marked))[0] == 0
+
+
+@pytest.mark.parametrize("command, message", [("iris", "malformed feature"),
+                                              ("email", "malformed numeric field")])
+def test_byte_order_mark_on_a_later_line_is_a_cell_error(tmp_path, capsys, command, message):
+    lines = _data_file(tmp_path, command).read_bytes().split(b"\n")
+    lines[1] = BOM + lines[1]
+    bad = tmp_path / "marked.data"
+    bad.write_bytes(b"\n".join(lines))
+    code, out, err = run_cli(capsys, command, "--data", str(bad))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {bad}:2: {message}")
 
 
 class TestGenerateEmailCommand:

@@ -20,7 +20,6 @@ from dsfusion import (
     generate_email,
     load_email,
     load_iris,
-    load_report,
     load_wbcd,
     make_folds,
     write_email_csv,
@@ -462,6 +461,21 @@ class TestMakeFolds:
         plan = make_folds(10, 10, 0)
         assert all(len(plan.test_indices(f)) == 1 for f in range(10))
 
+    @pytest.mark.parametrize("assignment, message", [
+        ((0, 2), "fold id 2 outside 0..1"),
+        ((0, -1), "fold id -1 outside 0..1"),
+        ((0, 0, 0, 1), "fold sizes [3, 1] are not balanced"),
+        ((0, 0), "fold sizes [2, 0] are not balanced"),
+    ])
+    def test_malformed_fold_plan_rejected(self, assignment, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FoldPlan(2, assignment, 0)
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^need at least 2 folds, got {k}$"):
+            make_folds(10, k, 0)
+
     def test_exhaustive_partition(self):
         plan = make_folds(699, 10, 3)
         seen = sorted(i for f in range(10) for i in plan.test_indices(f))
@@ -700,6 +714,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(iris_dataset, "iris")
 
+    @pytest.mark.parametrize("n", [149, 151])
+    def test_fold_plan_of_another_length_rejected(self, iris_dataset, n):
+        with pytest.raises(ValueError, match="^fold plan does not cover this dataset$"):
+            evaluate(iris_dataset, "iris", folds=make_folds(n, 10, 0))
+
 
 def record_training(monkeypatch, task):
     """Swap the task's trainer for one that records each (rows, labels) it
@@ -792,7 +811,7 @@ class TestReports:
         report = evaluate(iris_dataset, "iris", folds=folds)
         path = tmp_path / "report.json"
         write_report(report, path, "json")
-        assert load_report(path) == report
+        assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_dict()
 
     def test_csv_row_count(self, tmp_path, iris_dataset):
         folds = make_folds(len(iris_dataset), 10, 42)

@@ -14,7 +14,6 @@ from dsfusion import (
     HypothesisSet,
     MassFunction,
     TotalConflictError,
-    argmax_focal,
     belief,
     belief_interval,
     combine,
@@ -324,7 +323,6 @@ class TestBeliefPlausibility:
             iv = belief_interval(m, binary.singleton(label))
             assert iv.bel == 0.0
             assert iv.pl == 1.0
-            assert iv.uncertainty == 1.0
 
     def test_plausibility_complement_identity(self, binary):
         n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
@@ -337,32 +335,10 @@ class TestBeliefPlausibility:
             BeliefInterval(0.7, 0.3)
 
 
-class TestArgmaxFocal:
-    def test_single_focal(self, witnesses):
-        frame, m1, m2 = witnesses
-        assert argmax_focal(combine(m1, m2)).labels == ("Mary",)
-
-    def test_exclude_theta(self):
-        frame = make_frame(["c1", "c2", "c3"])
-        m = MassFunction(frame, {0b100: 0.8991, 0b110: 0.0999, 0b101: 0.0009, 0b111: 0.0001})
-        assert argmax_focal(m, exclude_theta=True).labels == ("c3",)
-
-    def test_vacuous_falls_back_to_theta(self, binary):
-        assert argmax_focal(vacuous_mass(binary), exclude_theta=True).is_theta
-
-    def test_tie_break_smaller_cardinality_then_bitmask(self):
-        frame = make_frame(["a", "b", "c"])
-        m = MassFunction(frame, {0b011: 0.4, 0b100: 0.4, 0b111: 0.2})
-        assert argmax_focal(m).bits == 0b100
-        m2 = MassFunction(frame, {0b010: 0.4, 0b100: 0.4, 0b111: 0.2})
-        assert argmax_focal(m2).bits == 0b010
-
-
 def test_interval_width_is_uncertainty():
     frame = make_frame(["a", "b", "c"])
     m = MassFunction(frame, {0b001: 0.5, 0b011: 0.3, 0b111: 0.2})
     iv = belief_interval(m, frame.singleton("a"))
     assert iv.bel == pytest.approx(0.5)
     assert iv.pl == pytest.approx(1.0)
-    assert iv.uncertainty == pytest.approx(0.5)
-    assert math.isclose(iv.pl - iv.bel, iv.uncertainty)
+    assert iv.pl - iv.bel == pytest.approx(0.5)
