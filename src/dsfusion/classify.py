@@ -25,7 +25,6 @@ from .bpa import (
     MassRow,
     ScaledSigmoidBpa,
     SigmoidBpa,
-    THREE_CLASS_FULL,
     TableBpa,
     binary_row_mass,
     boundary_bits,
@@ -46,7 +45,6 @@ from .evidence import (
     IDENTITY_TOL,
     Frame,
     MassFunction,
-    _trusted_mass,
     binary_commonalities,
     combine_binary,
     combine_bits,
@@ -252,7 +250,7 @@ def _three_class_mass(
     frame: Frame, focal_sets: tuple[int, ...], nearest: int | None
 ) -> MassFunction:
     fused = _dempster(focal_sets, nearest, BOUNDARY_CONFIDENCE, DISTANCE_CONFIDENCE)
-    return _trusted_mass(frame, fused)
+    return MassFunction(frame, fused)
 
 
 @cache
@@ -260,11 +258,9 @@ def _step1(key: tuple[int, ...]) -> tuple[dict[int, Fraction], int]:
     # The exact step-1 fold of boundary rows with focal sets ``key``, and its candidate: the
     # greatest mass off the frame, ties to the smaller set, then the lower bits.
     fused = _dempster(key, None, _EXACT_BOUNDARY, _EXACT_DISTANCE)
-    return fused, min(
-        (bits for bits in fused if bits != THREE_CLASS_FULL),
-        key=lambda bits: (-fused[bits], bits.bit_count(), bits),
-        default=THREE_CLASS_FULL,
-    )
+    # Each non-vacuous row is {S: 9/10, Θ: 1/10}, so the first such set gets at least 9× the
+    # frame's mass: the frame wins only when it is the sole focal set.
+    return fused, min(fused, key=lambda bits: (-fused[bits], bits.bit_count(), bits))
 
 
 @cache

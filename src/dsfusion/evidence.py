@@ -121,42 +121,37 @@ class BeliefInterval:
             raise EvidenceError(f"belief {self.bel} exceeds plausibility {self.pl}")
 
 
+@dataclass(frozen=True, repr=False)
 class MassFunction:
     """A basic probability assignment: positive masses over nonempty subsets.
 
     Invariants enforced at construction: no mass on the empty set, every
-    stored mass is positive, and the masses sum to 1 within ``SUM_TOL``.
-    Instances are immutable; all operations return new values.
+    stored mass is positive, and the masses sum to 1 within ``SUM_TOL``;
+    zero masses are dropped. Every mass function is built here, the
+    combination rules' results included. Instances are immutable; all
+    operations return new values.
     """
 
-    __slots__ = ("frame", "_masses")
+    frame: Frame
+    _masses: Mapping[int, float]
 
-    def __init__(self, frame: Frame, bit_masses: Mapping[int, float]):
-        full = frame.full_mask
+    def __post_init__(self) -> None:
+        full = self.frame.full_mask
         masses: dict[int, float] = {}
         total = 0.0
-        for bits, value in bit_masses.items():
+        for bits, value in self._masses.items():
             if not 0 < bits <= full:
                 raise EvidenceError(
-                    f"mass on invalid subset bits {bits:#x} for frame of size {frame.size}"
+                    f"mass on invalid subset bits {bits:#x} for frame of size {self.frame.size}"
                 )
             if value < 0 or not math.isfinite(value):
                 raise EvidenceError(f"mass value {value} is not a finite non-negative number")
             if value > 0:
-                masses[bits] = masses.get(bits, 0.0) + value
+                masses[bits] = float(value)
                 total += value
         if abs(total - 1.0) > SUM_TOL:
             raise EvidenceError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")
-        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_masses", masses)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MassFunction is immutable")
-
-    def __reduce__(self) -> tuple:
-        # Pickle and copy rebuild a valid instance unchecked: the blocked
-        # ``__setattr__`` rules out the default slot-by-slot restore.
-        return _trusted_mass, (self.frame, self._masses)
 
     def items(self) -> Iterator[tuple[HypothesisSet, float]]:
         for bits, value in self._masses.items():
@@ -171,11 +166,6 @@ class MassFunction:
 
     def __len__(self) -> int:
         return len(self._masses)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MassFunction):
-            return NotImplemented
-        return self.frame == other.frame and self._masses == other._masses
 
     def __str__(self) -> str:
         parts = [
@@ -193,16 +183,6 @@ class MassFunction:
 def _require_same_frame(a: Frame, b: Frame) -> None:
     if a is not b and a != b:
         raise FrameMismatchError(f"frames differ: {a.labels} vs {b.labels}")
-
-
-def _trusted_mass(frame: Frame, masses: dict[int, float]) -> MassFunction:
-    # Construction for the combination rules' output only: normalized
-    # products of valid masses already satisfy the invariants, so skip
-    # re-validation.
-    m = object.__new__(MassFunction)
-    object.__setattr__(m, "frame", frame)
-    object.__setattr__(m, "_masses", masses)
-    return m
 
 
 def make_mass(frame: Frame, entries: Iterable[tuple[HypothesisSet, float]]) -> MassFunction:
@@ -273,7 +253,7 @@ def combine_with_conflict(m1: MassFunction, m2: MassFunction) -> tuple[MassFunct
     """``combine`` and the conflict K of the same pair, from one fold."""
     _require_same_frame(m1.frame, m2.frame)
     masses, k = combine_bits(m1._masses, m2._masses)
-    return _trusted_mass(m1.frame, masses), k
+    return MassFunction(m1.frame, masses), k
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -333,7 +313,7 @@ def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> 
     if frame.size != 2:
         raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
     fused = fuse_binary(rows)
-    return _trusted_mass(frame, {bits: v for bits, v in zip((1, 2, 3), fused) if v > 0})
+    return MassFunction(frame, dict(zip((1, 2, 3), fused)))
 
 
 def belief(m: MassFunction, subset: HypothesisSet) -> float:

@@ -19,6 +19,7 @@ from dsfusion import (
     combine,
     combine_all,
     combine_binary,
+    combine_with_conflict,
     conflict,
     make_frame,
     make_mass,
@@ -28,6 +29,16 @@ from dsfusion import (
 from dsfusion.evidence import IDENTITY_TOL, combine_bits, fuse_binary
 
 from conftest import mass_to_frozensets, oracle_combine
+
+# Pairs whose product on one focal set underflows to 0.0: 1e-200 * 1e-200
+# on {a}, and 5e-324 * 0.01 on {abnormal}; then the combination's focal
+# sets, in order, and its rendering.
+UNDERFLOW_PAIRS = [
+    (make_frame(["a", "b", "c"]), {0b001: 1e-200, 0b010: 1.0}, {0b101: 1e-200, 0b010: 1.0},
+     [0b010], "{b:1}"),
+    (make_frame(["normal", "abnormal"]), {2: 5e-324, 3: 1.0}, {1: 0.99, 3: 0.01},
+     [1, 3], "{normal:0.99, Θ:0.01}"),
+]
 
 
 @pytest.fixture
@@ -123,7 +134,11 @@ class TestMassConstruction:
     ], ids=["pickle", "copy", "deepcopy"])
     def test_pickles_and_copies(self, witnesses, clone):
         _, m1, m2 = witnesses
-        for m in (m1, combine(m1, m2), vacuous_mass(m1.frame)):
+        underflowed = [
+            combine(MassFunction(frame, left), MassFunction(frame, right))
+            for frame, left, right, *_ in UNDERFLOW_PAIRS
+        ]
+        for m in (m1, combine(m1, m2), vacuous_mass(m1.frame), *underflowed):
             other = clone(m)
             assert other == m
             assert list(other._masses.items()) == list(m._masses.items())
@@ -198,6 +213,15 @@ class TestCombine:
         m2 = make_mass(binary, [(a, 1.0)])
         with pytest.raises(TotalConflictError):
             combine(m1, m2)
+
+    @pytest.mark.parametrize("frame, left, right, focal, rendered", UNDERFLOW_PAIRS,
+                             ids=["three-label", "binary"])
+    def test_underflowing_product_is_not_focal(self, frame, left, right, focal, rendered):
+        m1, m2 = MassFunction(frame, left), MassFunction(frame, right)
+        combined, _ = combine_with_conflict(m1, m2)
+        assert combined == combine(m1, m2)
+        assert list(combined._masses) == focal
+        assert (len(combined), str(combined)) == (len(focal), rendered)
 
     def test_agrees_with_oracle(self, binary):
         n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()

@@ -110,9 +110,11 @@ def test_oracle_agreement(m1, m2):
     # One fold gives both: the same mass and K as the two separate calls.
     assert combine_with_conflict(m1, m2) == (combine(m1, m2), conflict(m1, m2))
     actual = mass_to_frozensets(combine(m1, m2))
-    assert set(actual) == set(expected)
+    # The naive oracle keeps products that underflow to 0.0; a mass function
+    # holds only positive masses.
+    assert set(actual) == {key for key, value in expected.items() if value > 0}
     for key, value in expected.items():
-        assert actual[key] == pytest.approx(value, abs=1e-9)
+        assert actual.get(key, 0.0) == pytest.approx(value, abs=1e-9)
 
 
 @given(m1=masses(min_theta=0.01), m2=masses(min_theta=0.01))

@@ -28,7 +28,7 @@ from dsfusion import (
     train_three_class,
     vacuous_mass,
 )
-from dsfusion import classify, evidence
+from dsfusion import evidence
 from dsfusion.bpa import logistic
 from dsfusion.classify import email_signal_row
 from dsfusion.data import report_text
@@ -43,23 +43,16 @@ EMAIL_SUBSETS = [c for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts every MassFunction built from here on, by either constructor:
-    the validating ``__init__`` and the trusted path (``_trusted_mass``, as
-    both ``evidence`` and ``classify`` see it)."""
+    """Counts every MassFunction built from here on: each one goes through
+    the one checked constructor, whose ``__post_init__`` is counted."""
     count = [0]
+    post_init = evidence.MassFunction.__post_init__
 
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            count[0] += 1
-            return fn(*args, **kwargs)
+    def counting(self):
+        count[0] += 1
+        post_init(self)
 
-        return wrapper
-
-    monkeypatch.setattr(evidence.MassFunction, "__init__",
-                        counting(evidence.MassFunction.__init__))
-    trusted = counting(evidence._trusted_mass)
-    monkeypatch.setattr(evidence, "_trusted_mass", trusted)
-    monkeypatch.setattr(classify, "_trusted_mass", trusted)
+    monkeypatch.setattr(evidence.MassFunction, "__post_init__", counting)
     return count
 
 

@@ -1,6 +1,6 @@
 """The runtime needs only the standard library: every module under
 ``src/dsfusion`` imports from the standard library or from dsfusion itself.
-A module imports no private name of a sibling module but one."""
+No module imports a private name of a sibling module."""
 
 import ast
 import sys
@@ -23,9 +23,7 @@ def imported_top_levels(path: Path) -> set[str]:
     return names
 
 
-# classify builds its reported three-class mass with the combination rules'
-# constructor, which skips re-validating their normalised output.
-ALLOWED_PRIVATE_IMPORTS = {("classify.py", "evidence", "_trusted_mass")}
+ALLOWED_PRIVATE_IMPORTS: set[tuple[str, str, str]] = set()
 
 
 def private_sibling_imports(path: Path) -> set[tuple[str, str, str]]:
