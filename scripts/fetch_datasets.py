@@ -37,14 +37,14 @@ def validate(dest: Path) -> None:
 
     wbcd = load_wbcd(dest / "breast-cancer-wisconsin.data")
     assert len(wbcd) == 699, f"expected 699 records, got {len(wbcd)}"
-    assert sum(1 for r in wbcd if r.label == 0) == 458
-    assert sum(1 for r in wbcd if r.label == 1) == 241
-    assert sum(1 for r in wbcd if None in r.features) == 16
+    assert wbcd.labels.count(0) == 458
+    assert wbcd.labels.count(1) == 241
+    assert sum(None in row for row in wbcd.rows) == 16
 
     iris = load_iris(dest / "iris.data")
     assert len(iris) == 150, f"expected 150 records, got {len(iris)}"
     for label in range(3):
-        assert sum(1 for r in iris if r.label == label) == 50
+        assert iris.labels.count(label) == 50
     print("validation passed: 699 records (458/241, 16 missing) and 150 records (50/50/50)")
 
 

@@ -240,10 +240,12 @@ def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Col
 
 def class_moments(columns: Columns) -> ClassMoments:
     """The :class:`Moments` of every :func:`class_columns` list, ``[f][c]``."""
-    for per_class in columns:
+    for f, per_class in enumerate(columns):
         for c, values in enumerate(per_class):
             if not values:
                 raise ValueError(f"class {c} has no training records")
+            if None in values:
+                raise ValueError(f"feature {f} has a missing value")
     return [[moments(values) for values in per_class] for per_class in columns]
 
 

@@ -118,9 +118,11 @@ def train_binary(
     """
     if len(rows) != len(labels):
         raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
-    total = len(labels)
-    normal = labels.count(0)
-    if normal in (0, total):
+    total, normal, abnormal = len(labels), labels.count(0), labels.count(1)
+    if normal + abnormal != total:
+        bad = next(label for label in labels if label not in (0, 1))
+        raise ValueError(f"class label {bad!r} outside 0..1")
+    if not normal or not abnormal:
         raise ValueError("training data must contain both normal and abnormal records")
     n_features = len(rows[0])
     bpas: list[SigmoidBpa | None] = [None] * n_features
@@ -216,7 +218,7 @@ def train_three_class(
     rows: Sequence[Sequence[float]], labels: Sequence[int], frame: Frame
 ) -> ThreeClassModel:
     """Fit boundaries, class means, and the per-class-group feature choices
-    from labelled rows (labels 0..2).
+    from labelled rows (labels 0..2, no missing values).
 
     Each feature's values are grouped by class once; the ranges, means and
     selection scores all come from those lists' :class:`~dsfusion.bpa.Moments`.

@@ -135,8 +135,7 @@ def _emit(report, args) -> None:
 
 def _dump_model(dataset, task: str, path: Path) -> None:
     spec = harness.TASKS[task]
-    rows, labels = [r.features for r in dataset], [r.label for r in dataset]
-    model = spec.fit(rows, labels, dataset, spec.default(dataset), "the model dump")
+    model = spec.fit(dataset.rows, dataset.labels, dataset, spec.default(dataset), "the model dump")
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 
@@ -205,7 +204,7 @@ def _cmd_email(args, parser) -> int:
     else:
         dataset = load_email(args.data)
     report = evaluate(dataset, "email", subset=signals, seed=args.seed)
-    worm_ids = {r.id for r in dataset if r.label == 1}
+    worm_ids = {rid for rid, label in zip(dataset.ids, dataset.labels) if label == 1}
     missed = [rid for rid in report.misclassified if rid in worm_ids]
     false_pos = [rid for rid in report.misclassified if rid not in worm_ids]
     detected = len(worm_ids) - len(missed)
@@ -215,9 +214,9 @@ def _cmd_email(args, parser) -> int:
           + (", ".join(map(str, missed)) or "none"), file=summary)
     print("false positives: " + (", ".join(map(str, false_pos)) or "none"), file=summary)
     margins = sorted(
-        (abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1)), r.id, pred)
-        for r, pred in zip(dataset, report.predictions)
-        if r.label == 1
+        (abs(pred.mass.mass_bits(2) - pred.mass.mass_bits(1)), rid, pred)
+        for rid, label, pred in zip(dataset.ids, dataset.labels, report.predictions)
+        if label == 1
     )
     print("closest-margin worms:", file=summary)
     for margin, rid, pred in margins[:5]:

@@ -18,7 +18,8 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from .classify import (
     EMAIL_SIGNALS,
@@ -60,36 +61,46 @@ _DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
-class Record:
-    """One data item: positional id, feature values (None = missing), label index."""
-
-    id: int
-    features: tuple[float | None, ...]
-    label: int
-
-
-@dataclass(frozen=True)
 class RecordSet:
-    """An ordered dataset with uniform feature arity and unique record ids."""
+    """An ordered dataset as columns: unique ids, rows (None = missing) and label indices."""
 
-    records: tuple[Record, ...]
+    ids: tuple[int, ...]
+    rows: tuple[tuple[float | None, ...], ...]
+    labels: tuple[int, ...]
     feature_names: tuple[str, ...]
     label_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        arity, ids = len(self.feature_names), set()
-        for r in self.records:
-            if r.id in ids:
-                raise DataFormatError(f"record ids must be unique, {r.id} repeats")
-            ids.add(r.id)
-            if len(r.features) != arity:
-                raise DataFormatError(f"record {r.id} has {len(r.features)} features, expected {arity}")
+        n, arity, seen = len(self.ids), len(self.feature_names), set()
+        classes = range(len(self.label_names))
+        if len(self.rows) != n or len(self.labels) != n:
+            raise DataFormatError(f"{n} ids, {len(self.rows)} rows and {len(self.labels)} labels")
+        if len(set(self.ids)) != n:
+            repeat = next(rid for rid in self.ids if rid in seen or seen.add(rid))
+            raise DataFormatError(f"record ids must be unique, {repeat} repeats")
+        if set(map(len, self.rows)) - {arity} or set(self.labels) - set(classes):
+            for rid, row, label in zip(self.ids, self.rows, self.labels):
+                if len(row) != arity:
+                    raise DataFormatError(f"record {rid} has {len(row)} features, expected {arity}")
+                if label not in classes:
+                    raise DataFormatError(
+                        f"record {rid} has label {label!r}, outside 0..{len(classes) - 1}"
+                    )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+    @property
+    def records(self) -> tuple[SimpleNamespace, ...]:
+        """``SimpleNamespace(id=, features=, label=)`` views, built on each read for the
+        benchmark's ``wbcd`` reference; ROADMAP item 6 deletes them after item 1."""
+        columns = zip(self.ids, self.rows, self.labels)
+        return tuple(SimpleNamespace(id=i, features=row, label=label) for i, row, label in columns)
+
+
+def _positional(rows: list, labels: list, *names: tuple[str, ...]) -> RecordSet:
+    # A record set whose ids are the 1-based record positions.
+    return RecordSet(tuple(range(1, len(rows) + 1)), tuple(rows), tuple(labels), *names)
 
 
 def _read_rows(path: str | Path, width: int, header: tuple | None = None) -> list:
@@ -132,8 +143,8 @@ def load_wbcd(path: str | Path) -> RecordSet:
     1-based row positions; the file's sample codes repeat and are dropped
     unchecked.
     """
-    records = []
-    for rid, (i, fields) in enumerate(_read_rows(path, 11), start=1):
+    rows, labels = [], []
+    for i, fields in _read_rows(path, 11):
         try:
             features = tuple(map(_WBCD_CELLS.__getitem__, fields[1:10]))
         except KeyError:  # another spelling: each cell by the rule, so "01" reads as 1
@@ -141,14 +152,12 @@ def load_wbcd(path: str | Path) -> RecordSet:
                 if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
                     raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
             features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
-        if fields[10] == "2":
-            label = 0
-        elif fields[10] == "4":
-            label = 1
-        else:
+        label = {"2": 0, "4": 1}.get(fields[10])
+        if label is None:
             raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")
-        records.append(Record(rid, features, label))
-    return RecordSet(tuple(records), WBCD_FEATURES, ("normal", "abnormal"))
+        rows.append(features)
+        labels.append(label)
+    return _positional(rows, labels, WBCD_FEATURES, ("normal", "abnormal"))
 
 
 def load_iris(path: str | Path) -> RecordSet:
@@ -157,8 +166,8 @@ def load_iris(path: str | Path) -> RecordSet:
     Ids are 1-based file positions, so 1-50 are Setosa, 51-100
     Versicolour, and 101-150 Virginica in the canonical file.
     """
-    records = []
-    for rid, (i, fields) in enumerate(_read_rows(path, 5), start=1):
+    rows, labels = [], []
+    for i, fields in _read_rows(path, 5):
         if not all(map(_DECIMAL.fullmatch, fields[:4])):
             raise DataFormatError(f"{path}:{i}: malformed feature in {fields[:4]}")
         features = tuple(map(float, fields[:4]))
@@ -167,8 +176,9 @@ def load_iris(path: str | Path) -> RecordSet:
         label = _IRIS_NAME_TO_CLASS.get(fields[4])
         if label is None:
             raise DataFormatError(f"{path}:{i}: unknown class name {fields[4]!r}")
-        records.append(Record(rid, features, label))
-    return RecordSet(tuple(records), IRIS_FEATURES, IRIS_CLASSES)
+        rows.append(features)
+        labels.append(label)
+    return _positional(rows, labels, IRIS_FEATURES, IRIS_CLASSES)
 
 
 # The synthetic email corpus: 132 messages, 90 legitimate and 42 worms.
@@ -196,25 +206,22 @@ def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
 def generate_email(seed: int = 42) -> RecordSet:
     """Deterministically generate the synthetic email corpus for a seed."""
     rng = random.Random(seed)
-    records = []
+    rows, labels = [], []
     for i in range(1, EMAIL_MESSAGES + 1):
         if i in EMAIL_WORM_IDS:
             if i in EMAIL_LEADER_IDS:
                 interval = _log_uniform(rng, *EMAIL_LEADER_INTERVALS)
             else:
                 interval = rng.uniform(*EMAIL_WORM_INTERVALS)
-            features = (float(round(interval)), 1.0, 1.0, 0.0)
-            label = 1
+            rows.append((float(round(interval)), 1.0, 1.0, 0.0))
         else:
             if rng.random() < EMAIL_LONG_GAP_FRACTION:
                 interval = _log_uniform(rng, *EMAIL_LONG_GAP_INTERVALS)
             else:
                 interval = _log_uniform(rng, *EMAIL_LEGIT_INTERVALS)
-            benign = 1.0 if i in EMAIL_DOC_IDS else 0.0
-            features = (float(round(interval)), 0.0, 0.0, benign)
-            label = 0
-        records.append(Record(i, features, label))
-    return RecordSet(tuple(records), EMAIL_FEATURES, ("normal", "worm"))
+            rows.append((float(round(interval)), 0.0, 0.0, float(i in EMAIL_DOC_IDS)))
+        labels.append(int(i in EMAIL_WORM_IDS))
+    return _positional(rows, labels, EMAIL_FEATURES, ("normal", "worm"))
 
 
 def write_email_csv(dataset: RecordSet, path: str | Path) -> None:
@@ -222,11 +229,11 @@ def write_email_csv(dataset: RecordSet, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EMAIL_HEADER)
-        for r in dataset:
-            interval, spoofed, dangerous, benign = r.features
+        for rid, row, label in zip(dataset.ids, dataset.rows, dataset.labels):
+            interval, spoofed, dangerous, benign = row
             writer.writerow(
-                [r.id, _plain_number(interval), int(spoofed), int(dangerous), int(benign),
-                 "worm" if r.label == 1 else "normal"]
+                [rid, _plain_number(interval), int(spoofed), int(dangerous), int(benign),
+                 "worm" if label == 1 else "normal"]
             )
 
 
@@ -236,7 +243,7 @@ def _plain_number(value: float) -> str:
 
 def load_email(path: str | Path) -> RecordSet:
     """Load the email CSV layout written by :func:`write_email_csv`."""
-    records = []
+    ids, rows, labels = [], [], []
     for i, row in _read_rows(path, 6, EMAIL_HEADER):
         if not all(map(_INTEGER.fullmatch, (row[0], *row[2:5]))):
             raise DataFormatError(f"{path}:{i}: malformed numeric field")
@@ -251,8 +258,10 @@ def load_email(path: str | Path) -> RecordSet:
         label = {"normal": 0, "worm": 1}.get(row[5])
         if label is None:
             raise DataFormatError(f"{path}:{i}: unknown label {row[5]!r}")
-        records.append(Record(int(row[0]), (interval, *map(float, flags)), label))
-    return RecordSet(tuple(records), EMAIL_FEATURES, ("normal", "worm"))
+        ids.append(int(row[0]))
+        rows.append((interval, *map(float, flags)))
+        labels.append(label)
+    return RecordSet(tuple(ids), tuple(rows), tuple(labels), EMAIL_FEATURES, ("normal", "worm"))
 
 
 @dataclass(frozen=True)
@@ -431,7 +440,7 @@ def evaluate(
     spec = TASKS.get(task)
     if spec is None:
         raise ValueError(f"unknown task {task!r}")
-    if not dataset.records:
+    if not dataset.ids:
         raise DataFormatError("the record set is empty: there are no records to evaluate")
     if not spec.cross_validates:
         if folds is not None:
@@ -462,8 +471,7 @@ def evaluate(
     matrix = [[0] * len(labels) for _ in labels]
     details = []
     predictions = [None] * len(dataset)
-    rows = [r.features for r in dataset.records]
-    truths = [r.label for r in dataset.records]
+    rows, truths = dataset.rows, dataset.labels
     for fold in range(folds.k):
         train = folds.train_indices(fold)
         model = spec.fit(
@@ -473,17 +481,16 @@ def evaluate(
         correct = 0
         test_indices = folds.test_indices(fold)
         for i in test_indices:
-            record = dataset.records[i]
-            pred = spec.classify(record.features, model)
+            pred = spec.classify(rows[i], model)
             predictions[i] = pred
             predicted = pred.frame.labels.index(pred.label)
-            matrix[record.label][predicted] += 1
-            if predicted == record.label:
+            matrix[truths[i]][predicted] += 1
+            if predicted == truths[i]:
                 correct += 1
             else:
                 details.append({
-                    "id": record.id,
-                    "truth": labels[record.label],
+                    "id": dataset.ids[i],
+                    "truth": labels[truths[i]],
                     "predicted": pred.label,
                     "trace": dict(pred.trace),
                     "prediction": pred,

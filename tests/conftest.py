@@ -28,13 +28,6 @@ WBCD_PATH = DATA_DIR / "breast-cancer-wisconsin.data"
 IRIS_PATH = DATA_DIR / "iris.data"
 
 
-def columns(records, indices=None):
-    """The feature rows and the labels of ``records``, or of those at
-    ``indices``, in that order: the training input of every trainer."""
-    chosen = records if indices is None else [records[i] for i in indices]
-    return [r.features for r in chosen], [r.label for r in chosen]
-
-
 @pytest.fixture(scope="session")
 def wbcd_path() -> Path:
     return WBCD_PATH
@@ -101,8 +94,9 @@ def exact_binary_fold(rows) -> tuple[tuple[Fraction, Fraction, Fraction], Fracti
     return (n, a, t), one_minus_k
 
 
-def oracle_binary_labels(records, features, folds, ties_abnormal=False) -> dict[int, int]:
-    """Exact sigmoid-fusion labels (1 = abnormal) for every record, by id.
+def oracle_binary_labels(dataset, features, folds, ties_abnormal=False) -> dict[int, int]:
+    """Exact sigmoid-fusion labels (1 = abnormal) for every record of a
+    record set, by id.
 
     Per fold, each feature's threshold is the k-th smallest non-missing
     training value, k = round-half-up(n_values * normal / total), clamped
@@ -111,23 +105,22 @@ def oracle_binary_labels(records, features, folds, ties_abnormal=False) -> dict[
     v - t over its non-missing selected features is > 0; an exact tie goes
     to normal unless ``ties_abnormal``.
     """
-    labels = {}
+    rows, labels = dataset.rows, {}
     for fold in range(folds.k):
-        train = [records[i] for i in folds.train_indices(fold)]
-        normal = sum(1 for r in train if r.label == 0)
+        train = folds.train_indices(fold)
+        normal = sum(1 for i in train if dataset.labels[i] == 0)
         thresholds = {}
         for f in features:
-            values = sorted(r.features[f] for r in train if r.features[f] is not None)
+            values = sorted(rows[i][f] for i in train if rows[i][f] is not None)
             k = (2 * len(values) * normal + len(train)) // (2 * len(train))
             thresholds[f] = values[min(max(k, 1), len(values)) - 1]
         for i in folds.test_indices(fold):
-            r = records[i]
             score = sum(
-                (Fraction(r.features[f]) - Fraction(thresholds[f])
-                 for f in features if r.features[f] is not None),
+                (Fraction(rows[i][f]) - Fraction(thresholds[f])
+                 for f in features if rows[i][f] is not None),
                 Fraction(0),
             )
-            labels[r.id] = int(score > 0 or (ties_abnormal and score == 0))
+            labels[dataset.ids[i]] = int(score > 0 or (ties_abnormal and score == 0))
     return labels
 
 

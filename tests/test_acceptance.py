@@ -112,7 +112,7 @@ def test_criterion_03_wbcd_full_fusion(wbcd_dataset):
     report = evaluate(wbcd_dataset, "wbcd", folds=folds)
     elapsed = time.perf_counter() - start
     assert len(wbcd_dataset) == 699
-    assert sum(1 for r in wbcd_dataset if None in r.features) == 16
+    assert sum(None in row for row in wbcd_dataset.rows) == 16
     assert 0.965 <= report.accuracy <= 0.985
     assert elapsed < 10.0
     announce(3, f"all-nine 10-fold accuracy {report.accuracy:.4f} in {elapsed:.2f} s")
@@ -151,16 +151,16 @@ class TestCriterion04WbcdAblation:
         is checked against that account, and the program against the oracle.
         """
         folds = make_folds(len(wbcd_dataset), 10, SEED)
-        records = wbcd_dataset.records
+        truths = dict(zip(wbcd_dataset.ids, wbcd_dataset.labels))
 
         def oracle_accuracy(features, ties_abnormal):
-            labels = oracle_binary_labels(records, features, folds, ties_abnormal)
-            return sum(labels[r.id] == r.label for r in records) / len(records)
+            labels = oracle_binary_labels(wbcd_dataset, features, folds, ties_abnormal)
+            return sum(labels[rid] == label for rid, label in truths.items()) / len(truths)
 
         adi = (0, 3, 8)
         report = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=adi)
-        oracle = oracle_binary_labels(records, adi, folds)
-        assert set(report.misclassified) == {r.id for r in records if oracle[r.id] != r.label}
+        oracle = oracle_binary_labels(wbcd_dataset, adi, folds)
+        assert set(report.misclassified) == {rid for rid in truths if oracle[rid] != truths[rid]}
         assert accuracies["ADI"] == report.accuracy
 
         assert abs(oracle_accuracy(adi, True) - 0.900) <= 0.020
@@ -169,17 +169,17 @@ class TestCriterion04WbcdAblation:
         announce(
             4,
             f"ADI fusion {report.accuracy:.4f} matches the exact oracle on all "
-            f"{len(records)} records; 0.900 +- 2.0 pp needs ties to abnormal, "
+            f"{len(truths)} records; 0.900 +- 2.0 pp needs ties to abnormal, "
             f"which moves A to {a_ties_abnormal:.4f}",
         )
 
     def test_every_subset_matches_exact_oracle(self, wbcd_dataset):
         folds = make_folds(len(wbcd_dataset), 10, SEED)
-        records = wbcd_dataset.records
+        truths = dict(zip(wbcd_dataset.ids, wbcd_dataset.labels))
         for features in _ABLATION_SUBSETS:
             report = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=features)
-            oracle = oracle_binary_labels(records, features, folds)
-            wrong = {r.id for r in records if oracle[r.id] != r.label}
+            oracle = oracle_binary_labels(wbcd_dataset, features, folds)
+            wrong = {rid for rid in truths if oracle[rid] != truths[rid]}
             assert set(report.misclassified) == wrong, f"subset {features}"
         announce(4, f"{len(_ABLATION_SUBSETS)} feature subsets label every record as the exact oracle")
 
@@ -200,25 +200,23 @@ class TestCriterion04WbcdAblation:
 
 
 def test_criterion_05_missing_value_semantics(wbcd_dataset):
-    model = train_binary(
-        [r.features for r in wbcd_dataset], [r.label for r in wbcd_dataset]
-    )
-    missing_records = [r for r in wbcd_dataset if None in r.features]
+    model = train_binary(wbcd_dataset.rows, wbcd_dataset.labels)
+    missing_records = [row for row in wbcd_dataset.rows if None in row]
     assert len(missing_records) == 16
     for record in missing_records:
-        present = tuple(f for f in range(9) if record.features[f] is not None)
+        present = tuple(f for f in range(9) if record[f] is not None)
         # The model for the reduced set: the same thresholds, the missing feature unfitted.
         reduced_model = dataclasses.replace(
             model, bpas=tuple(b if f in present else None for f, b in enumerate(model.bpas))
         )
-        full = classify_binary(record.features, model)
-        reduced = classify_binary(record.features, reduced_model)
+        full = classify_binary(record, model)
+        reduced = classify_binary(record, reduced_model)
         assert full.label == reduced.label
         assert mass_to_frozensets(full.mass) == mass_to_frozensets(reduced.mass)
-        oracle = mass_to_frozensets(sigmoid_mass(record.features[present[0]], model.bpas[present[0]]))
+        oracle = mass_to_frozensets(sigmoid_mass(record[present[0]], model.bpas[present[0]]))
         for f in present[1:]:
             oracle, _ = oracle_combine(
-                oracle, mass_to_frozensets(sigmoid_mass(record.features[f], model.bpas[f]))
+                oracle, mass_to_frozensets(sigmoid_mass(record[f], model.bpas[f]))
             )
         actual = mass_to_frozensets(full.mass)
         for key, value in oracle.items():
@@ -265,15 +263,14 @@ def test_criterion_08_email_four_signals():
     dataset = generate_email(SEED)
     report = evaluate(dataset, "email", seed=SEED)
     elapsed = time.perf_counter() - start
-    worms = [r for r in dataset if r.label == 1]
-    legit = [r for r in dataset if r.label == 0]
-    assert (len(dataset), len(worms), len(legit)) == (132, 42, 90)
+    worms, legit = dataset.labels.count(1), dataset.labels.count(0)
+    assert (len(dataset), worms, legit) == (132, 42, 90)
     assert report.misclassified == ()
     assert report.confusion == {"tp": 42, "tn": 90, "fp": 0, "fn": 0}
     for rid in (12, 101):
-        record = dataset.records[rid - 1]
-        assert record.features[3] == 1.0
-        assert classify_email(record.features, email_model_default()).label == "normal"
+        record = dataset.rows[rid - 1]
+        assert record[3] == 1.0
+        assert classify_email(record, email_model_default()).label == "normal"
     assert elapsed < 1.0
     announce(8, f"42/42 worms detected, 0/90 false positives in {elapsed:.3f} s")
 

@@ -7,9 +7,10 @@ fail here first when a change removes what the harness reads:
   ``bpa._scaled_mass_cached`` and ``bpa._table_mass_cached``;
   ``bench/test_bench.py`` requires the ``bpa.cache_hit_ratio`` it feeds
   in traced runs.
-- ``bench/workloads.py:234`` and ``:241`` (the independent ``wbcd``
-  reference) read ``FoldPlan.train_indices`` and ``test_indices`` and
-  take their order as the training order.
+- ``bench/workloads.py:231`` (the independent ``wbcd`` reference) reads
+  ``dataset.records``, and each record's ``id``, ``features`` and
+  ``label``; ``:234`` and ``:241`` read ``FoldPlan.train_indices`` and
+  ``test_indices`` and take their order as the training order.
 - ``bench/workloads.py:323`` (``IrisCv._check_labels``) reads each
   ``"predicted"`` of an iris report's ``details`` through
   ``getattr(out, "details", ())``, so without them it checks nothing.
@@ -31,6 +32,16 @@ def test_bpa_caches_expose_cache_info():
     for cache in (bpa._scaled_mass_cached, bpa._table_mass_cached):
         info = cache.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_records_view_matches_the_columns(wbcd_dataset, iris_dataset):
+    for dataset in (wbcd_dataset, iris_dataset):
+        records = dataset.records
+        assert len(records) == len(dataset)
+        for i, record in enumerate(records):
+            assert (record.id, record.features, record.label) == (
+                dataset.ids[i], dataset.rows[i], dataset.labels[i]
+            )
 
 
 def test_fold_indices_are_index_ordered_lists():

@@ -48,7 +48,6 @@ from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row
 from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
 
 from conftest import (
-    columns,
     exact_binary_fold,
     mass_to_frozensets,
     oracle_combine,
@@ -98,6 +97,12 @@ class TestTrainBinary:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_binary([(1.0,), (2.0,)], [0, 0])
+
+    @pytest.mark.parametrize("label", [2, -1, None])
+    def test_label_outside_classes_rejected(self, label):
+        # Such a label was once counted with the abnormal records.
+        with pytest.raises(ValueError, match=rf"^class label {label} outside 0\.\.1$"):
+            train_binary([(1.0,), (2.0,), (3.0,)], [0, label, 1])
 
     def test_rows_and_labels_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
@@ -231,17 +236,15 @@ class TestClassifyBinary:
     @pytest.mark.parametrize("letters", ["ABCDEFGHI", "ADI", "BCF", "A"])
     def test_masses_match_exact_fold_on_wbcd(self, wbcd_dataset, letters):
         features = ["ABCDEFGHI".index(ch) for ch in letters]
-        model = train_binary(
-            [r.features for r in wbcd_dataset], [r.label for r in wbcd_dataset], features
-        )
-        for record in wbcd_dataset:
+        model = train_binary(wbcd_dataset.rows, wbcd_dataset.labels, features)
+        for record in wbcd_dataset.rows:
             rows = []
             for f in features:
-                if record.features[f] is not None:
-                    m = sigmoid_mass(record.features[f], model.bpas[f])
+                if record[f] is not None:
+                    m = sigmoid_mass(record[f], model.bpas[f])
                     rows.append((m.mass_bits(1), m.mass_bits(2), 0.0))
             (normal, abnormal, _), _ = exact_binary_fold(rows)
-            pred = classify_binary(record.features, model)
+            pred = classify_binary(record, model)
             assert abs(pred.mass.mass_bits(1) - float(normal)) <= 1e-14
             assert abs(pred.mass.mass_bits(2) - float(abnormal)) <= 1e-14
 
@@ -266,7 +269,7 @@ def slot_scan_classify_binary(record, model: BinaryModel):
 class TestFittedPairs:
     @staticmethod
     def train(dataset, subset):
-        return train_binary([r.features for r in dataset], [r.label for r in dataset], subset)
+        return train_binary(dataset.rows, dataset.labels, subset)
 
     @pytest.mark.parametrize("subset", [(8, 0, 3), (5,), tuple(range(9))])
     def test_pairs_are_the_fitted_slots_in_index_order(self, wbcd_dataset, subset):
@@ -292,10 +295,11 @@ class TestFittedPairs:
         checked = 0
         for subset in ACCEPTANCE_SUBSETS:
             for fold in range(folds.k):
-                rows, labels = columns(wbcd_dataset.records, folds.train_indices(fold))
-                model = train_binary(rows, labels, subset)
+                train = folds.train_indices(fold)
+                model = train_binary([wbcd_dataset.rows[i] for i in train],
+                                     [wbcd_dataset.labels[i] for i in train], subset)
                 for i in folds.test_indices(fold):
-                    record = wbcd_dataset.records[i].features
+                    record = wbcd_dataset.rows[i]
                     pred = classify_binary(record, model)
                     label, trace, mass = slot_scan_classify_binary(record, model)
                     assert (pred.label, pred.trace) == (label, trace)
@@ -426,25 +430,26 @@ class TestClassifyThreeClass:
             classifier_from_dict(json.loads(json.dumps(data)))
 
     def test_train_three_class_covers_groups(self, iris_dataset):
-        model = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
+        model = train_three_class(iris_dataset.rows, iris_dataset.labels, IRIS_FRAME)
         assert set(model.selected) == {0b011, 0b101, 0b110, 0b111}
         assert len(model.boundaries.bounds) == 4
         assert len(model.means) == 4
 
     def test_step1_never_runs_steps_2_3(self, iris_dataset):
-        model = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
-        for record in iris_dataset:
-            pred = classify_three_class(record.features, model)
+        model = train_three_class(iris_dataset.rows, iris_dataset.labels, IRIS_FRAME)
+        for record in iris_dataset.rows:
+            pred = classify_three_class(record, model)
             if pred.trace["decided"] == "step1":
                 assert "feature" not in pred.trace
 
 
 def test_train_three_class_matches_per_sample_reference_on_iris(iris_dataset):
-    records = iris_dataset.records
     for seed in range(42, 52):
-        folds = make_folds(len(records), 10, seed)
+        folds = make_folds(len(iris_dataset), 10, seed)
         for fold in range(folds.k):
-            rows, labels = columns(records, folds.train_indices(fold))
+            train = folds.train_indices(fold)
+            rows = [iris_dataset.rows[i] for i in train]
+            labels = [iris_dataset.labels[i] for i in train]
             model = train_three_class(rows, labels, IRIS_FRAME)
             expected = reference_three_class(rows, labels, IRIS_FRAME)
             assert classifier_to_dict(model) == classifier_to_dict(expected)
@@ -498,14 +503,16 @@ def _assert_three_class_exact(record, model):
 
 
 def test_three_class_matches_exact_oracle_and_generic_fold_on_iris(iris_dataset):
-    records = iris_dataset.records
+    rows, labels = iris_dataset.rows, iris_dataset.labels
     decisions = 0
     for seed in range(42, 52):
-        folds = make_folds(len(records), 10, seed)
+        folds = make_folds(len(rows), 10, seed)
         for fold in range(folds.k):
-            model = train_three_class(*columns(records, folds.train_indices(fold)), IRIS_FRAME)
+            train = folds.train_indices(fold)
+            model = train_three_class([rows[i] for i in train], [labels[i] for i in train],
+                                      IRIS_FRAME)
             for i in folds.test_indices(fold):
-                _assert_three_class_exact(records[i].features, model)
+                _assert_three_class_exact(rows[i], model)
                 decisions += 1
     assert decisions == 1500
 
@@ -764,7 +771,7 @@ class TestEmailExactDecision:
     @pytest.mark.parametrize("seed", [42, 134])
     def test_generated_corpus_matches_oracle(self, seed):
         model = email_model_default()
-        messages = [r.features for r in generate_email(seed)]
+        messages = generate_email(seed).rows
         labels = [classify_email(m, model).label for m in messages]
         assert labels == oracle_email_labels(messages, model)
 
@@ -944,7 +951,7 @@ class TestClassifierSerialization:
             classifier_to_dict(model)
 
     def test_three_class_round_trip(self, iris_dataset):
-        model = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
+        model = train_three_class(iris_dataset.rows, iris_dataset.labels, IRIS_FRAME)
         restored = classifier_from_dict(classifier_to_dict(model))
         assert restored.boundaries == model.boundaries
         assert restored.means == model.means
@@ -957,7 +964,7 @@ class TestClassifierSerialization:
     def test_every_kind_round_trips_through_json_text(self, iris_dataset):
         models = [
             train_binary([(float(i), float(i * 2)) for i in range(10)], [0] * 6 + [1] * 4),
-            train_three_class(*columns(iris_dataset.records), IRIS_FRAME),
+            train_three_class(iris_dataset.rows, iris_dataset.labels, IRIS_FRAME),
             email_model_default(),
         ]
         for model in models:

@@ -13,7 +13,6 @@ import dsfusion.data as data_module
 from dsfusion import (
     DataFormatError,
     FoldPlan,
-    Record,
     RecordSet,
     ablation,
     evaluate,
@@ -47,7 +46,7 @@ from dsfusion.data import (
 from dsfusion.bpa import moments
 from dsfusion.classify import classify_binary, train_binary
 
-from conftest import WBCD_PATH, columns
+from conftest import WBCD_PATH
 
 # The paper's WBCD comparison: each feature alone, ADI, BCF and all nine.
 ACCEPTANCE_SUBSETS = tuple((i,) for i in range(9)) + ((0, 3, 8), (1, 2, 5), tuple(range(9)))
@@ -58,20 +57,21 @@ def full_model_report(dataset, subset, folds) -> dict:
     drops the thresholds outside ``subset``, built without ``evaluate``."""
     per_fold, pairs, misclassified = [], [], []
     for fold in range(folds.k):
-        full = train_binary(*columns(dataset.records, folds.train_indices(fold)))
+        train = folds.train_indices(fold)
+        full = train_binary([dataset.rows[i] for i in train], [dataset.labels[i] for i in train])
         model = dataclasses.replace(
             full, bpas=tuple(b if f in subset else None for f, b in enumerate(full.bpas))
         )
         test = folds.test_indices(fold)
         correct = 0
         for i in test:
-            record = dataset.records[i]
-            predicted = int(classify_binary(record.features, model).label == "abnormal")
-            pairs.append((record.label, predicted))
-            if predicted == record.label:
+            truth = dataset.labels[i]
+            predicted = int(classify_binary(dataset.rows[i], model).label == "abnormal")
+            pairs.append((truth, predicted))
+            if predicted == truth:
                 correct += 1
             else:
-                misclassified.append(record.id)
+                misclassified.append(dataset.ids[i])
         per_fold.append(correct / len(test))
     return {
         "task": "wbcd",
@@ -109,19 +109,18 @@ def assert_rejected_before_training(monkeypatch, dataset, task, subset, match):
 class TestLoadWbcd:
     def test_canonical_counts(self, wbcd_dataset):
         assert len(wbcd_dataset) == 699
-        assert sum(1 for r in wbcd_dataset if r.label == 0) == 458
-        assert sum(1 for r in wbcd_dataset if r.label == 1) == 241
+        assert wbcd_dataset.labels.count(0) == 458
+        assert wbcd_dataset.labels.count(1) == 241
 
     def test_sixteen_missing_records(self, wbcd_dataset):
-        missing = [r for r in wbcd_dataset if None in r.features]
+        missing = [row for row in wbcd_dataset.rows if None in row]
         assert len(missing) == 16
-        assert all(sum(1 for v in r.features if v is None) == 1 for r in missing)
+        assert all(row.count(None) == 1 for row in missing)
 
     def test_first_row_parse(self, wbcd_dataset):
-        first = wbcd_dataset.records[0]
-        assert first.id == 1
-        assert first.features == (5.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0)
-        assert first.label == 0
+        assert wbcd_dataset.ids[0] == 1
+        assert wbcd_dataset.rows[0] == (5.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0)
+        assert wbcd_dataset.labels[0] == 0
 
     def test_malformed_rows_rejected(self, tmp_path):
         cases = [
@@ -155,7 +154,7 @@ class TestLoadWbcd:
     def test_leading_zero_cells_keep_their_value(self, tmp_path, cell, value):
         path = tmp_path / "zeros.data"
         path.write_text(f"123,5,1,1,1,2,1,3,1,1,2\n124,1,{cell},1,1,2,1,3,1,1,4\n")
-        features = load_wbcd(path).records[1].features
+        features = load_wbcd(path).rows[1]
         assert features[1] == value and type(features[1]) is float
 
     @pytest.mark.parametrize("cell", ["0", "00", "0?", "?0", "11"])
@@ -167,14 +166,17 @@ class TestLoadWbcd:
             load_wbcd(path)
 
     def test_shipped_file_matches_a_per_cell_parse(self, wbcd_dataset):
-        records = []
+        rows, labels = [], []
         lines = [line for line in WBCD_PATH.read_text().splitlines() if line.strip()]
-        for i, line in enumerate(lines, start=1):
+        for line in lines:
             fields = line.strip().split(",")
-            features = tuple(None if c == "?" else float(int(c)) for c in fields[1:10])
-            records.append(Record(i, features, {"2": 0, "4": 1}[fields[10]]))
-        assert wbcd_dataset == RecordSet(tuple(records), WBCD_FEATURES, ("normal", "abnormal"))
-        values = [v for r in wbcd_dataset for v in r.features if v is not None]
+            rows.append(tuple(None if c == "?" else float(int(c)) for c in fields[1:10]))
+            labels.append({"2": 0, "4": 1}[fields[10]])
+        ids = tuple(range(1, len(lines) + 1))
+        assert wbcd_dataset == RecordSet(
+            ids, tuple(rows), tuple(labels), WBCD_FEATURES, ("normal", "abnormal")
+        )
+        values = [v for row in wbcd_dataset.rows for v in row if v is not None]
         assert {type(v) for v in values} == {float}
 
 
@@ -182,13 +184,13 @@ class TestLoadIris:
     def test_canonical_counts(self, iris_dataset):
         assert len(iris_dataset) == 150
         for label in range(3):
-            assert sum(1 for r in iris_dataset if r.label == label) == 50
+            assert iris_dataset.labels.count(label) == 50
 
     def test_id_blocks(self, iris_dataset):
-        assert iris_dataset.records[0].label == 0
-        assert iris_dataset.records[100].id == 101
-        assert iris_dataset.records[100].label == 2
-        assert iris_dataset.records[50].label == 1
+        assert iris_dataset.labels[0] == 0
+        assert iris_dataset.ids[100] == 101
+        assert iris_dataset.labels[100] == 2
+        assert iris_dataset.labels[50] == 1
 
     def test_unknown_class_rejected(self, tmp_path):
         path = tmp_path / "bad.data"
@@ -221,28 +223,60 @@ class TestLoadIris:
     def test_signed_and_exponent_cells_accepted(self, tmp_path):
         path = tmp_path / "ok.data"
         path.write_text("5.1,-3.5,14e-1,2E-1,Iris-setosa\n", encoding="utf-8")
-        assert load_iris(path).records[0].features == (5.1, -3.5, 1.4, 0.2)
+        assert load_iris(path).rows[0] == (5.1, -3.5, 1.4, 0.2)
+
+
+class TestRecordSet:
+    @pytest.mark.parametrize("loader, label", [("wbcd", -1), ("wbcd", 2), ("email", 7)])
+    def test_binary_label_outside_classes_names_the_record(self, wbcd_dataset, loader, label):
+        # Label -1 was once counted abnormal, and 2 or 7 a bare IndexError in evaluate.
+        dataset = wbcd_dataset if loader == "wbcd" else generate_email()
+        labels = (*dataset.labels[:-1], label)
+        message = f"record {dataset.ids[-1]} has label {label}, outside 0..1"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(dataset, labels=labels)
+
+    def test_first_bad_record_is_named(self, iris_dataset):
+        rows = list(iris_dataset.rows)
+        rows[9] = rows[9][:3]
+        labels = (*iris_dataset.labels[:4], 5, *iris_dataset.labels[5:])
+        with pytest.raises(DataFormatError, match=r"^record 5 has label 5, outside 0\.\.2$"):
+            dataclasses.replace(iris_dataset, rows=tuple(rows), labels=labels)
+        with pytest.raises(DataFormatError, match=r"^record 10 has 3 features, expected 4$"):
+            dataclasses.replace(iris_dataset, rows=tuple(rows))
+
+    @pytest.mark.parametrize("column", ["ids", "rows", "labels"])
+    def test_columns_have_one_entry_per_record(self, iris_dataset, column):
+        with pytest.raises(DataFormatError, match=r"^\d+ ids, \d+ rows and \d+ labels$"):
+            dataclasses.replace(iris_dataset, **{column: getattr(iris_dataset, column)[1:]})
+
+    def test_columns_are_tuples_and_the_set_is_frozen(self, wbcd_dataset):
+        columns = (wbcd_dataset.ids, wbcd_dataset.rows, wbcd_dataset.labels)
+        assert all(type(column) is tuple for column in columns)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wbcd_dataset.labels = ()
 
 
 class TestGenerateEmail:
     def test_default_shape(self):
         dataset = generate_email()
         assert len(dataset) == 132
-        worms = [r for r in dataset if r.label == 1]
+        worms = [row for row, label in zip(dataset.rows, dataset.labels) if label == 1]
         assert len(worms) == 42
-        assert all(r.features[1] == 1 and r.features[2] == 1 and r.features[3] == 0 for r in worms)
+        assert all(row[1] == 1 and row[2] == 1 and row[3] == 0 for row in worms)
 
     def test_doc_attachment_ids(self):
         dataset = generate_email()
         for rid in (12, 101):
-            record = dataset.records[rid - 1]
-            assert record.features[3] == 1
-            assert record.features[1] == 0
-            assert record.label == 0
+            row = dataset.rows[rid - 1]
+            assert row[3] == 1
+            assert row[1] == 0
+            assert dataset.labels[rid - 1] == 0
 
     def test_label_soundness(self):
-        for record in generate_email():
-            assert (record.label == 1) == (record.id in EMAIL_WORM_IDS)
+        dataset = generate_email()
+        for rid, label in zip(dataset.ids, dataset.labels):
+            assert (label == 1) == (rid in EMAIL_WORM_IDS)
 
     def test_same_seed_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -257,7 +291,7 @@ class TestGenerateEmail:
         dataset = generate_email()
         lo, hi = EMAIL_LEADER_INTERVALS
         for rid in EMAIL_LEADER_IDS:
-            assert lo - 1 <= dataset.records[rid - 1].features[0] <= hi + 1
+            assert lo - 1 <= dataset.rows[rid - 1][0] <= hi + 1
 
     def test_corpus_constants_are_consistent(self):
         covered = set()
@@ -330,7 +364,7 @@ class TestEmailCsv:
 
     def test_exponent_interval_round_trips(self, tmp_path):
         # repr writes an interval under 1e-4 with an exponent.
-        dataset = RecordSet((Record(1, (5e-05, 0.0, 0.0, 0.0), 0),), EMAIL_FEATURES,
+        dataset = RecordSet((1,), ((5e-05, 0.0, 0.0, 0.0),), (0,), EMAIL_FEATURES,
                             ("normal", "worm"))
         path = tmp_path / "tiny.csv"
         write_email_csv(dataset, path)
@@ -351,7 +385,7 @@ class TestEmailCsv:
             "id,interval_seconds,spoofed,dangerous_attachment,benign_attachment,label\n"
             "1,60,1,1,0,worm\n"
         )
-        assert load_email(path).records[0].label == 1
+        assert load_email(path).labels[0] == 1
 
 
 WBCD_ROW = "1000025,5,1,1,1,2,1,3,1,1,2"
@@ -401,7 +435,7 @@ class TestReader:
         # Ids count records, and the error line counts the file.
         load, row = LOADERS[loader]
         lines = ["", row, "", " ", row, "\t", row]
-        assert [r.id for r in load(dataset_file(tmp_path, loader, lines))] == [1, 2, 3]
+        assert load(dataset_file(tmp_path, loader, lines)).ids == (1, 2, 3)
         path = dataset_file(tmp_path, loader, [*lines, row + ","])
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:8: expected"):
             load(path)
@@ -436,7 +470,7 @@ class TestReader:
     def test_wbcd_sample_code_is_dropped_unchecked(self, tmp_path):
         path = dataset_file(tmp_path, "wbcd", [" " + WBCD_ROW, "x" + WBCD_ROW])
         features = (5.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0)
-        assert [r.features for r in load_wbcd(path)] == [features, features]
+        assert load_wbcd(path).rows == (features, features)
 
     @pytest.mark.parametrize("cell", ['"7"', '"60"'])
     def test_quoted_email_cell_rejected(self, tmp_path, cell):
@@ -541,10 +575,9 @@ class TestEvaluate:
             evaluate(dataset, task, folds=folds)
 
     def test_all_missing_record_falls_back_to_normal(self):
-        records = [Record(1, (None, 5.0), 1)] + [
-            Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(2, 12)
-        ]
-        dataset = RecordSet(tuple(records), ("A", "B"), ("normal", "abnormal"))
+        rows = ((None, 5.0), *((float(i % 10 + 1), float(i % 7 + 1)) for i in range(2, 12)))
+        labels = (1, *(i % 2 for i in range(2, 12)))
+        dataset = RecordSet(tuple(range(1, 12)), rows, labels, ("A", "B"), ("normal", "abnormal"))
         report = evaluate(dataset, "wbcd", folds=make_folds(11, 2, 0), subset=(0,))
         (detail,) = [d for d in report.details if d["id"] == 1]
         assert detail["predicted"] == "normal"
@@ -559,10 +592,9 @@ class TestEvaluate:
             assert report_json(report, include_runtime=False) == expected, subset
 
     def test_unfused_feature_needs_no_training_values(self, wbcd_dataset):
-        records = tuple(
-            Record(r.id, (r.features[0], None, *r.features[2:]), r.label) for r in wbcd_dataset
+        no_b = dataclasses.replace(
+            wbcd_dataset, rows=tuple((row[0], None, *row[2:]) for row in wbcd_dataset.rows)
         )
-        no_b = RecordSet(records, wbcd_dataset.feature_names, wbcd_dataset.label_names)
         folds = make_folds(len(no_b), 10, 42)
         report = evaluate(no_b, "wbcd", folds=folds, subset=(0,))
         reference = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=(0,))
@@ -657,7 +689,7 @@ class TestEvaluate:
         folds = make_folds(len(dataset), 10, 42) if TASKS[task].cross_validates else None
         report = evaluate(dataset, task, folds=folds)
         # Once per record, and the report keeps what the rebound name returned.
-        assert sorted(map(id, calls)) == sorted(id(r.features) for r in dataset)
+        assert sorted(map(id, calls)) == sorted(map(id, dataset.rows))
         assert sorted(map(id, returned)) == sorted(map(id, report.predictions))
 
     def test_iris_all_features_is_the_default(self, iris_dataset):
@@ -672,35 +704,53 @@ class TestEvaluate:
         folds = make_folds(len(iris_dataset), 10, 42)
         report = evaluate(iris_dataset, "iris", folds=folds)
         assert len(report.predictions) == len(iris_dataset)
-        wrong = [r.id for r, pred in zip(iris_dataset, report.predictions)
-                 if pred.label != iris_dataset.label_names[r.label]]
+        wrong = [rid for rid, label, pred in
+                 zip(iris_dataset.ids, iris_dataset.labels, report.predictions)
+                 if pred.label != iris_dataset.label_names[label]]
         assert wrong == list(report.misclassified)
 
     def test_label_outside_classes_is_an_input_error(self, iris_dataset):
-        records = (*iris_dataset.records[:-1], dataclasses.replace(iris_dataset.records[-1], label=3))
-        dataset = RecordSet(records, iris_dataset.feature_names, iris_dataset.label_names)
-        with pytest.raises(DataFormatError, match=r"class label 3 outside 0\.\.2$"):
-            evaluate(dataset, "iris", folds=make_folds(len(dataset), 10, 42))
+        # The record set rejects it when it is built, before any evaluation.
+        labels = (*iris_dataset.labels[:-1], 3)
+        with pytest.raises(DataFormatError, match=r"^record 150 has label 3, outside 0\.\.2$"):
+            dataclasses.replace(iris_dataset, labels=labels)
+
+    @pytest.mark.parametrize("feature", [0, 3])
+    def test_missing_iris_value_is_an_input_error(self, iris_dataset, feature):
+        # It once reached the moments' sum as a bare TypeError.
+        row = iris_dataset.rows[-1]
+        rows = (*iris_dataset.rows[:-1], (*row[:feature], None, *row[feature + 1:]))
+        dataset = dataclasses.replace(iris_dataset, rows=rows)
+        folds = make_folds(len(dataset), 10, 42)
+        assert 149 in folds.train_indices(0)  # trained on before it is classified
+        message = f"^fold 1 of 10: .*: feature {feature} has a missing value$"
+        with pytest.raises(DataFormatError, match=message):
+            evaluate(dataset, "iris", folds=folds)
 
     def test_nan_feature_is_an_error_not_missing(self):
-        records = [Record(1, (1.0, 1.0), 0), Record(2, (math.nan, 9.0), 1)] + [
-            Record(i, (float(i % 10 + 1), float(i % 7 + 1)), i % 2) for i in range(3, 13)
-        ]
-        dataset = RecordSet(tuple(records), ("A", "B"), ("normal", "abnormal"))
+        rows = ((1.0, 1.0), (math.nan, 9.0),
+                *((float(i % 10 + 1), float(i % 7 + 1)) for i in range(3, 13)))
+        labels = (0, 1, *(i % 2 for i in range(3, 13)))
+        dataset = RecordSet(tuple(range(1, 13)), rows, labels, ("A", "B"), ("normal", "abnormal"))
         with pytest.raises(ValueError, match="feature value must be finite"):
             evaluate(dataset, "wbcd", folds=make_folds(12, 2, 0))
 
     @pytest.mark.parametrize("task", ["wbcd", "iris", "email"])
     def test_empty_record_set_rejected(self, task):
         # No fold plan can cover zero records, so none is passed.
-        dataset = RecordSet((), ("A",), ("normal", "abnormal"))
+        dataset = RecordSet((), (), (), ("A",), ("normal", "abnormal"))
         with pytest.raises(DataFormatError, match="no records to evaluate"):
             evaluate(dataset, task)
 
     def test_untrainable_fold_is_an_input_error(self, iris_dataset):
         # 5/5/2 records per class: with two folds, one training half lacks a class
-        records = [r for r in iris_dataset if r.id - 50 * r.label <= (5, 5, 2)[r.label]]
-        dataset = RecordSet(tuple(records), iris_dataset.feature_names, iris_dataset.label_names)
+        kept = [i for i, (rid, label) in enumerate(zip(iris_dataset.ids, iris_dataset.labels))
+                if rid - 50 * label <= (5, 5, 2)[label]]
+        dataset = dataclasses.replace(
+            iris_dataset, ids=tuple(iris_dataset.ids[i] for i in kept),
+            rows=tuple(iris_dataset.rows[i] for i in kept),
+            labels=tuple(iris_dataset.labels[i] for i in kept),
+        )
         with pytest.raises(DataFormatError, match=r"^fold \d of 2: .* its 6 training") as info:
             evaluate(dataset, "iris", folds=make_folds(12, 2, 42))
         assert str(info.value).endswith("has no training records")
@@ -746,7 +796,10 @@ class TestTrainingInput:
         folds = make_folds(len(dataset), 10, 42)
         calls = record_training(monkeypatch, task)
         evaluate(dataset, task, folds=folds)
-        expected = [columns(dataset.records, folds.train_indices(fold)) for fold in range(folds.k)]
+        expected = [
+            ([dataset.rows[i] for i in train], [dataset.labels[i] for i in train])
+            for train in map(folds.train_indices, range(folds.k))
+        ]
         assert calls == expected
 
     def test_email_trains_on_empty_columns(self, monkeypatch):
@@ -761,7 +814,7 @@ class TestTrainingInput:
         dataset = wbcd_dataset if task == "wbcd" else iris_dataset
         calls = record_training(monkeypatch, task)
         cli_module._dump_model(dataset, task, tmp_path / "model.json")
-        assert calls == [columns(dataset.records)]
+        assert calls == [(dataset.rows, dataset.labels)]
         assert json.loads((tmp_path / "model.json").read_text())
 
 

@@ -33,7 +33,6 @@ from dsfusion.bpa import logistic
 from dsfusion.classify import email_signal_row
 from dsfusion.data import report_text
 
-from conftest import columns
 from test_classify import _model_with_rows, generic_three_class_mass
 from test_data import ACCEPTANCE_SUBSETS
 
@@ -63,10 +62,10 @@ def email_messages(n):
 def one_of_each(wbcd_dataset, iris_dataset):
     """One prediction per classifier and per mass builder: email, binary,
     binary without evidence, and three-class decided at step 1 and step 3."""
-    rows = [r.features for r in wbcd_dataset.records]
-    binary = train_binary(rows, [r.label for r in wbcd_dataset.records])
-    three = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
-    iris_preds = [classify_three_class(r.features, three) for r in iris_dataset.records]
+    rows = wbcd_dataset.rows
+    binary = train_binary(rows, wbcd_dataset.labels)
+    three = train_three_class(iris_dataset.rows, iris_dataset.labels, IRIS_FRAME)
+    iris_preds = [classify_three_class(row, three) for row in iris_dataset.rows]
     by_stage = {p.trace["decided"]: p for p in iris_preds}
     return [
         classify_email((5.0, 1, 1, 0), email_model_default()),
@@ -82,14 +81,14 @@ class TestLaziness:
         model = email_model_default()
         for message in email_messages(1000):
             classify_email(message, model)
-        rows = [r.features for r in wbcd_dataset.records]
-        binary = train_binary(rows, [r.label for r in wbcd_dataset.records])
+        rows = wbcd_dataset.rows
+        binary = train_binary(rows, wbcd_dataset.labels)
         for row in rows:
             classify_binary(row, binary)
-        three = train_three_class(*columns(iris_dataset.records), IRIS_FRAME)
-        for record in iris_dataset.records:
-            classify_three_class(record.features, three)
-        assert (len(rows), len(iris_dataset.records)) == (699, 150)
+        three = train_three_class(iris_dataset.rows, iris_dataset.labels, IRIS_FRAME)
+        for row in iris_dataset.rows:
+            classify_three_class(row, three)
+        assert (len(rows), len(iris_dataset.rows)) == (699, 150)
         assert built[0] == 0
 
     def test_first_read_builds_one_mass_and_keeps_it(self, built, wbcd_dataset, iris_dataset):
@@ -119,10 +118,11 @@ class TestDeferredMassIsExact:
         checked = 0
         for subset in ACCEPTANCE_SUBSETS:
             for fold in range(folds.k):
-                rows, labels = columns(wbcd_dataset.records, folds.train_indices(fold))
-                model = train_binary(rows, labels, subset)
+                train = folds.train_indices(fold)
+                model = train_binary([wbcd_dataset.rows[i] for i in train],
+                                     [wbcd_dataset.labels[i] for i in train], subset)
                 for i in folds.test_indices(fold):
-                    record = wbcd_dataset.records[i].features
+                    record = wbcd_dataset.rows[i]
                     pred = classify_binary(record, model)
                     used = [f for f in subset if record[f] is not None]
                     score = math.fsum(
@@ -141,21 +141,23 @@ class TestDeferredMassIsExact:
             dataset = generate_email(seed)
             for signals in EMAIL_SUBSETS:
                 subset_model = replace(model, signals=frozenset(signals))
-                for record in dataset.records:
-                    pred = classify_email(record.features, subset_model)
-                    rows = [email_signal_row(record.features, s, model) for s in signals]
+                for record in dataset.rows:
+                    pred = classify_email(record, subset_model)
+                    rows = [email_signal_row(record, s, model) for s in signals]
                     eager = combine_binary(BINARY_FRAME, rows)
                     assert list(pred.mass._masses.items()) == list(eager._masses.items())
 
     def test_iris_thousand_folds(self, iris_dataset):
-        records = iris_dataset.records
+        rows, labels = iris_dataset.rows, iris_dataset.labels
         for seed in range(42, 142):
-            folds = make_folds(len(records), 10, seed)
+            folds = make_folds(len(rows), 10, seed)
             for fold in range(folds.k):
-                model = train_three_class(*columns(records, folds.train_indices(fold)), IRIS_FRAME)
+                train = folds.train_indices(fold)
+                model = train_three_class([rows[i] for i in train], [labels[i] for i in train],
+                                          IRIS_FRAME)
                 for i in folds.test_indices(fold):
-                    pred = classify_three_class(records[i].features, model)
-                    eager = generic_three_class_mass(records[i].features, model, pred.trace)
+                    pred = classify_three_class(rows[i], model)
+                    eager = generic_three_class_mass(rows[i], model, pred.trace)
                     assert list(pred.mass._masses.items()) == list(eager._masses.items())
 
 
