@@ -12,6 +12,7 @@ read the rows grouped once by feature and class (:func:`class_columns`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -161,13 +162,26 @@ def modified_median_threshold(
     labels; ``values`` may be a subset of the training column (e.g. with
     missing cells removed), in which case k scales with it.
     """
-    if not values:
+    counts = Counter(values)
+    return counted_threshold([(v, counts[v]) for v in sorted(counts)], normal_count, total_count)
+
+
+def counted_threshold(
+    counts: Sequence[tuple[float, int]], normal_count: int, total_count: int
+) -> float:
+    """:func:`modified_median_threshold` of the values given as (value,
+    multiplicity) pairs in ascending order of value; a multiplicity may be
+    0. The walk stops at the pair that reaches rank k."""
+    n = sum(c for _, c in counts)
+    if not n:
         raise ValueError("cannot take a threshold of an empty value list")
     if not 0 < normal_count < total_count:
         raise ValueError(f"need 0 < normal_count < total_count, got {normal_count}/{total_count}")
-    k = math.floor(len(values) * normal_count / total_count + 0.5)
-    k = min(max(k, 1), len(values))
-    return sorted(values)[k - 1]
+    k = min(max(math.floor(n * normal_count / total_count + 0.5), 1), n)
+    for value, c in counts:
+        k -= c
+        if k <= 0:
+            return value
 
 
 def sigmoid_mass(value: float, bpa: SigmoidBpa) -> MassFunction:

@@ -10,6 +10,7 @@ on scalars; its prediction builds the fused mass only when that is read.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -32,10 +33,10 @@ from .bpa import (
     bpa_to_dict,
     class_columns,
     class_moments,
+    counted_threshold,
     fit_boundaries,
     focal_row,
     logistic,
-    modified_median_threshold,
     nearest_mean,
     scaled_sigmoid_row,
     select_feature,
@@ -116,29 +117,78 @@ def train_binary(
     Missing cells (None) are dropped from their feature column; the
     threshold rank scales with the values actually present.
     """
+    # Every record in fold 0, and fold None holds none of them out.
+    return train_binary_folds(rows, labels, (0,) * len(rows), features)(None)
+
+
+def train_binary_folds(
+    rows: Sequence[MaybeRow],
+    labels: Sequence[int],
+    held_out: Sequence[int],
+    features: Sequence[int] | None = None,
+) -> Callable[[int | None], BinaryModel]:
+    """:func:`train_binary` for every fold at once. Record i is held out of
+    fold ``held_out[i]``, and ``fit(fold)`` returns the model, or raises the
+    error, of ``train_binary`` on the other records (``fit(None)``: all).
+
+    One pass per fitted feature counts each value's records per fold; a
+    fold's training count of a value is its total less the fold's own. A
+    threshold is an order statistic, picked with no arithmetic on the
+    values, so the counts give the bits a sort of each fold's column gives.
+    """
     if len(rows) != len(labels):
         raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
-    total, normal, abnormal = len(labels), labels.count(0), labels.count(1)
-    if normal + abnormal != total:
-        bad = next(label for label in labels if label not in (0, 1))
-        raise ValueError(f"class label {bad!r} outside 0..1")
-    if not normal or not abnormal:
-        raise ValueError("training data must contain both normal and abnormal records")
-    n_features = len(rows[0])
-    bpas: list[SigmoidBpa | None] = [None] * n_features
-    if features is not None and not features:
-        raise ValueError("feature subset must be nonempty")
+    if len(held_out) != len(rows):
+        raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
+    n, n_features = len(rows), len(rows[0]) if rows else 0
+    per_fold = Counter(zip(labels, held_out))
+    sizes, classes = Counter(), Counter()  # records per fold, and per label
+    for (label, g), c in per_fold.items():
+        sizes[g] += c
+        classes[label] += c
+    # Per fitted feature: its (value, fold) counts, value totals, distinct finite values
+    # ascending, and its non-finite (value, fold) cells in index order.
+    counted = {}
     for f in range(n_features) if features is None else features:
-        if not 0 <= f < n_features:
-            raise ValueError(f"feature {f} outside 0..{n_features - 1}")
-        values = [row[f] for row in rows if row[f] is not None]
-        if not values:
-            raise ValueError(f"feature {f} has no non-missing training values")
-        if not all(map(math.isfinite, values)):
-            bad = next(v for v in values if not math.isfinite(v))
-            raise ValueError(f"feature value must be finite, got {bad} in feature {f}")
-        bpas[f] = SigmoidBpa(modified_median_threshold(values, normal, total))
-    return BinaryModel(tuple(bpas), normal / total)
+        if 0 <= f < n_features and f not in counted:
+            cells = Counter(zip(map(itemgetter(f), rows), held_out))
+            totals: Counter = Counter()
+            for (value, _), c in cells.items():
+                totals[value] += c
+            present = [v for v in totals if v is not None]
+            ascending = sorted(filter(math.isfinite, present))
+            non_finite = [] if len(ascending) == len(present) else [
+                (row[f], g) for row, g in zip(rows, held_out)
+                if row[f] is not None and not math.isfinite(row[f])
+            ]
+            counted[f] = cells, totals, ascending, non_finite
+
+    def fit(fold: int | None) -> BinaryModel:
+        total = n - sizes[fold]
+        normal, abnormal = (classes[c] - per_fold[c, fold] for c in (0, 1))
+        if normal + abnormal != total:
+            bad = next(c for c, g in zip(labels, held_out) if g != fold and c not in (0, 1))
+            raise ValueError(f"class label {bad!r} outside 0..1")
+        if not normal or not abnormal:
+            raise ValueError("training data must contain both normal and abnormal records")
+        if features is not None and not features:
+            raise ValueError("feature subset must be nonempty")
+        bpas: list[SigmoidBpa | None] = [None] * n_features
+        for f in range(n_features) if features is None else features:
+            if not 0 <= f < n_features:
+                raise ValueError(f"feature {f} outside 0..{n_features - 1}")
+            cells, totals, ascending, non_finite = counted[f]
+            if total - totals[None] + cells[None, fold] == 0:
+                raise ValueError(f"feature {f} has no non-missing training values")
+            bad = next((v for v, g in non_finite if g != fold), None)
+            if bad is not None:
+                raise ValueError(f"feature value must be finite, got {bad} in feature {f}")
+            bpas[f] = SigmoidBpa(counted_threshold(
+                [(v, totals[v] - cells[v, fold]) for v in ascending], normal, total
+            ))
+        return BinaryModel(tuple(bpas), normal / total)
+
+    return fit
 
 
 def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
@@ -305,10 +355,15 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     rows in that order, the rule and order of ``combine_all`` over
     ``boundary_mass`` and then ``combine`` with ``distance_mass``.
     """
-    focal_sets = tuple([
-        boundary_bits(record[f], class_bounds)
-        for f, class_bounds in enumerate(model.boundaries.bounds)
-    ])
+    try:
+        focal_sets = tuple([
+            boundary_bits(record[f], class_bounds)
+            for f, class_bounds in enumerate(model.boundaries.bounds)
+        ])
+    except TypeError:  # a None cell meets the range comparison
+        if None not in record:
+            raise
+        raise ValueError(f"feature {list(record).index(None)} has a missing value") from None
     key = tuple(sorted(focal_sets))
     candidate = _step1(key)[1]
     frame = model.frame

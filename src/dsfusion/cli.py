@@ -135,7 +135,8 @@ def _emit(report, args) -> None:
 
 def _dump_model(dataset, task: str, path: Path) -> None:
     spec = harness.TASKS[task]
-    model = spec.fit(dataset.rows, dataset.labels, dataset, spec.default(dataset), "the model dump")
+    fit = spec.fit(dataset, (0,) * len(dataset), spec.default(dataset))
+    model = fit(None, "the model dump")  # fold None holds no record out
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 

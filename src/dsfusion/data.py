@@ -17,6 +17,7 @@ import random
 import re
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ from .classify import (
     classify_email,
     classify_three_class,
     email_model_default,
-    train_binary,
+    train_binary_folds,
     train_three_class,
 )
 from .evidence import make_frame
@@ -346,11 +347,13 @@ def _all_features(dataset: RecordSet) -> tuple[int, ...]:
 class Task:
     """Everything that differs between the benchmark tasks.
 
-    ``train(rows, labels, dataset, subset)`` fits a model on a fold's
-    feature rows and their labels, in index order, for the feature or
-    signal subset to fuse, so the model is the only place the subset is
-    chosen; ``classify(features, model)`` labels one record with it.
-    ``key`` names the subset in the report config, ``describe(dataset,
+    ``train(rows, labels, held_out, dataset, subset)`` prepares every
+    fold's fit at once, for the feature or signal subset to fuse, so the
+    model is the only place the subset is chosen: record i is held out of
+    fold ``held_out[i]``, and it returns a function of a fold that trains
+    on the other records' rows and labels, in index order (fold None holds
+    none out). ``classify(features, model)`` labels one record with a
+    model. ``key`` names the subset in the report config, ``describe(dataset,
     subset)`` writes it there, and ``default(dataset)`` is the subset used
     when none is given; a task with ``fixed_subset`` accepts no other.
     """
@@ -363,17 +366,32 @@ class Task:
     cross_validates: bool
     fixed_subset: bool = False
 
-    def fit(self, rows: Sequence, labels: Sequence[int], dataset: RecordSet,
-            subset: Sequence[int], where: str):
-        """Train on ``rows`` and ``labels`` for ``subset``; a set the trainer
-        cannot fit (e.g. too few records of a class) is an input error,
-        raised as :class:`DataFormatError`."""
-        try:
-            return self.train(rows, labels, dataset, subset)
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{where}: cannot train on its {len(labels)} training records: {exc}"
-            ) from exc
+    def fit(self, dataset: RecordSet, held_out: Sequence[int], subset: Sequence[int]) -> Callable:
+        """``train`` on ``dataset``'s columns, as ``fit(fold, where)``: a fold
+        the trainer cannot fit (e.g. too few records of a class) is an input
+        error, raised as :class:`DataFormatError` naming it ``where``."""
+        fit = self.train(dataset.rows, dataset.labels, held_out, dataset, subset)
+
+        def fit_fold(fold: int | None, where: str):
+            try:
+                return fit(fold)
+            except ValueError as exc:
+                n = len(held_out) - held_out.count(fold)
+                raise DataFormatError(
+                    f"{where}: cannot train on its {n} training records: {exc}"
+                ) from exc
+
+        return fit_fold
+
+
+def _three_class_folds(rows, labels, held_out, dataset, subset) -> Callable:
+    frame = make_frame(dataset.label_names)
+
+    def fit(fold: int | None):
+        kept = [home != fold for home in held_out]
+        return train_three_class(list(compress(rows, kept)), list(compress(labels, kept)), frame)
+
+    return fit
 
 
 # The entries reach the trainers and classifiers through this module's
@@ -382,7 +400,9 @@ class Task:
 TASKS = {
     "wbcd": Task(
         # Only the fused features are fitted: a one-feature run trains one threshold.
-        train=lambda rows, labels, dataset, subset: train_binary(rows, labels, subset),
+        train=lambda rows, labels, held_out, dataset, subset: train_binary_folds(
+            rows, labels, held_out, subset
+        ),
         classify=lambda record, model: classify_binary(record, model),
         key="features",
         describe=lambda dataset, subset: "".join(dataset.feature_names[f] for f in subset),
@@ -390,9 +410,7 @@ TASKS = {
         cross_validates=True,
     ),
     "iris": Task(
-        train=lambda rows, labels, dataset, subset: train_three_class(
-            rows, labels, make_frame(dataset.label_names)
-        ),
+        train=_three_class_folds,
         classify=lambda record, model: classify_three_class(record, model),
         key="features",
         describe=lambda dataset, subset: list(subset),
@@ -403,7 +421,7 @@ TASKS = {
     ),
     "email": Task(
         # The email settings are expert-chosen: training only picks the signals.
-        train=lambda rows, labels, dataset, subset: replace(
+        train=lambda rows, labels, held_out, dataset, subset: lambda fold: replace(
             email_model_default(), signals=frozenset(subset)
         ),
         classify=lambda record, model: classify_email(record, model),
@@ -472,14 +490,14 @@ def evaluate(
     details = []
     predictions = [None] * len(dataset)
     rows, truths = dataset.rows, dataset.labels
-    for fold in range(folds.k):
-        train = folds.train_indices(fold)
-        model = spec.fit(
-            [rows[i] for i in train], [truths[i] for i in train], dataset, subset,
-            f"fold {fold + 1} of {folds.k}",
-        )
+    tests: list[list[int]] = [[] for _ in range(folds.k)]
+    for i, fold in enumerate(folds.assignment):
+        tests[fold].append(i)
+    # Each fold is trained when the loop reaches it, so its errors come in fold order.
+    fit = spec.fit(dataset, folds.assignment, subset)
+    for fold, test_indices in enumerate(tests):
+        model = fit(fold, f"fold {fold + 1} of {folds.k}")
         correct = 0
-        test_indices = folds.test_indices(fold)
         for i in test_indices:
             pred = spec.classify(rows[i], model)
             predictions[i] = pred

@@ -11,6 +11,9 @@ fail here first when a change removes what the harness reads:
   ``dataset.records``, and each record's ``id``, ``features`` and
   ``label``; ``:234`` and ``:241`` read ``FoldPlan.train_indices`` and
   ``test_indices`` and take their order as the training order.
+- ``bench/run.py:302`` (``plant_wrong_label``) rebinds
+  ``data.classify_binary``, and the ``wbcd`` check must see every label
+  it flips, so ``evaluate`` looks the classifier up per record.
 - ``bench/workloads.py:323`` (``IrisCv._check_labels``) reads each
   ``"predicted"`` of an iris report's ``details`` through
   ``getattr(out, "details", ())``, so without them it checks nothing.
@@ -19,11 +22,12 @@ The last test runs one cycle of each workload, set-up and checks included,
 so any other name the harness reads fails here too.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
-from dsfusion import bpa, evaluate, make_folds
+from dsfusion import bpa, data, evaluate, make_folds
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -51,6 +55,22 @@ def test_fold_indices_are_index_ordered_lists():
         assert type(train) is list and type(test) is list
         assert train == sorted(train) and test == sorted(test)
         assert sorted(train + test) == list(range(150))
+
+
+def test_a_rebound_binary_classifier_labels_every_wbcd_record(wbcd_dataset, monkeypatch):
+    folds = make_folds(len(wbcd_dataset), 10, 42)
+    sound = evaluate(wbcd_dataset, "wbcd", folds=folds)
+    flip = {"normal": "abnormal", "abnormal": "normal"}
+    original = data.classify_binary
+
+    def planted(record, model):
+        pred = original(record, model)
+        return dataclasses.replace(pred, label=flip[pred.label])
+
+    monkeypatch.setattr(data, "classify_binary", planted)
+    report = evaluate(wbcd_dataset, "wbcd", folds=folds)
+    assert [p.label for p in report.predictions] == [flip[p.label] for p in sound.predictions]
+    assert len(report.misclassified) == len(wbcd_dataset) - len(sound.misclassified)
 
 
 def test_iris_report_details_carry_predicted(iris_dataset):

@@ -29,7 +29,7 @@ from dsfusion import (
     sigmoid_mass,
     table_mass,
 )
-from dsfusion.bpa import DegenerateFeatureError, moments
+from dsfusion.bpa import DegenerateFeatureError, counted_threshold, moments
 
 THREE = make_frame(["c1", "c2", "c3"])
 
@@ -69,6 +69,14 @@ class TestModifiedMedianThreshold:
             modified_median_threshold([1.0], 0, 5)
         with pytest.raises(ValueError):
             modified_median_threshold([1.0], 5, 5)
+
+    def test_counted_pairs_skip_zero_counts(self):
+        # Six values, 2.0 three times and 7.0 three times: rank 3 is the last 2.0.
+        assert counted_threshold([(1.0, 0), (2.0, 3), (5.0, 0), (7.0, 3)], 1, 2) == 2.0
+
+    def test_counted_pairs_without_values_rejected(self):
+        with pytest.raises(ValueError, match="^cannot take a threshold of an empty value list$"):
+            counted_threshold([(1.0, 0), (2.0, 0)], 1, 2)
 
     def test_rank_scales_with_present_values(self):
         # a column with missing cells keeps the same normal fraction

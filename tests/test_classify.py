@@ -44,7 +44,7 @@ from dsfusion import (
 )
 from dsfusion import classify
 from dsfusion.bpa import logistic
-from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row
+from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row, train_binary_folds
 from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
 
 from conftest import (
@@ -107,6 +107,10 @@ class TestTrainBinary:
     def test_rows_and_labels_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
             train_binary([(1.0,), (2.0,), (3.0,)], [0, 1])
+
+    def test_fold_ids_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="^1 fold ids for 2 rows$"):
+            train_binary_folds([(1.0,), (2.0,)], [0, 1], [0])
 
     def test_all_missing_feature_rejected(self):
         with pytest.raises(ValueError):
@@ -410,6 +414,14 @@ class TestClassifyThreeClass:
         record = [5.5, 2.5, 4.8, 1.5]
         record[position] = bad
         with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            classify_three_class(tuple(record), three_class_model())
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_missing_feature_value_rejected(self, position):
+        # It once escaped from the range comparison as a bare TypeError.
+        record = [5.5, 3.0, 1.4, 0.2]
+        record[position] = None
+        with pytest.raises(ValueError, match=f"^feature {position} has a missing value$"):
             classify_three_class(tuple(record), three_class_model())
 
     @pytest.mark.parametrize("bounds", [

@@ -7,6 +7,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsfusion.cli as cli_module
 import dsfusion.data as data_module
@@ -727,6 +729,52 @@ class TestEvaluate:
         with pytest.raises(DataFormatError, match=message):
             evaluate(dataset, "iris", folds=folds)
 
+    def test_missing_iris_value_in_a_test_set_is_a_value_error(self, iris_dataset):
+        # Fold 1 classifies the record before any fold trains on it; it once
+        # escaped from the range comparison as a bare TypeError.
+        folds = make_folds(len(iris_dataset), 10, 42)
+        j = folds.test_indices(0)[0]
+        rows = list(iris_dataset.rows)
+        rows[j] = (None, *rows[j][1:])
+        dataset = dataclasses.replace(iris_dataset, rows=tuple(rows))
+        with pytest.raises(ValueError, match="^feature 0 has a missing value$") as info:
+            evaluate(dataset, "iris", folds=folds)
+        assert not isinstance(info.value, DataFormatError)
+
+    def test_non_finite_cell_is_named_by_the_first_fold_trained_on_it(self, monkeypatch):
+        # The cell sits in fold 1's test set alone: fold 1 trains without it,
+        # and classifying it there fails first. With a classifier that lets it
+        # pass, fold 2, the first fold trained on it, names it.
+        folds = make_folds(12, 2, 0)
+        rows = [(float(i % 10 + 1), float(i % 7 + 1)) for i in range(12)]
+        j = folds.test_indices(0)[0]
+        rows[j] = (math.nan, rows[j][1])
+        dataset = RecordSet(tuple(range(1, 13)), tuple(rows), tuple(i % 2 for i in range(12)),
+                            ("A", "B"), ("normal", "abnormal"))
+        with pytest.raises(ValueError, match=r"^feature value must be finite, got nan$") as info:
+            evaluate(dataset, "wbcd", folds=folds)
+        assert not isinstance(info.value, DataFormatError)
+        original = data_module.classify_binary
+        monkeypatch.setattr(
+            data_module, "classify_binary", lambda record, model: original((1.0, 1.0), model)
+        )
+        message = (r"^fold 2 of 2: cannot train on its 6 training records: "
+                   r"feature value must be finite, got nan in feature 0$")
+        with pytest.raises(DataFormatError, match=message):
+            evaluate(dataset, "wbcd", folds=folds)
+
+    def test_fold_without_both_classes_is_named(self):
+        # Fold 1 trains on fold 2's records, which hold both classes; fold 2
+        # trains on fold 1's, which are all normal.
+        held_out = (0, 1) * 5
+        labels = (0, 0, 0, 1, 0, 0, 0, 1, 0, 1)
+        rows = tuple((float(i % 4 + 1),) for i in range(10))
+        dataset = RecordSet(tuple(range(1, 11)), rows, labels, ("A",), ("normal", "abnormal"))
+        message = (r"^fold 2 of 2: cannot train on its 5 training records: "
+                   r"training data must contain both normal and abnormal records$")
+        with pytest.raises(DataFormatError, match=message):
+            evaluate(dataset, "wbcd", folds=FoldPlan(2, held_out, 0))
+
     def test_nan_feature_is_an_error_not_missing(self):
         rows = ((1.0, 1.0), (math.nan, 9.0),
                 *((float(i % 10 + 1), float(i % 7 + 1)) for i in range(3, 13)))
@@ -771,22 +819,32 @@ class TestEvaluate:
 
 
 def record_training(monkeypatch, task):
-    """Swap the task's trainer for one that records each (rows, labels) it
-    gets and then trains as before; returns the list of those calls."""
+    """Swap the task's trainer for one that records what each preparation
+    gets, (rows, labels, held_out), and each (fold, model) its fit then
+    returns, and otherwise trains as before; returns the list of
+    (rows, labels, held_out, fitted) calls."""
     calls = []
     spec = TASKS[task]
 
-    def train(rows, labels, dataset, subset):
-        calls.append((rows, labels))
-        return spec.train(rows, labels, dataset, subset)
+    def train(rows, labels, held_out, dataset, subset):
+        fitted = []
+        calls.append((rows, labels, held_out, fitted))
+        fit = spec.train(rows, labels, held_out, dataset, subset)
+
+        def fit_fold(fold):
+            fitted.append((fold, fit(fold)))
+            return fitted[-1][1]
+
+        return fit_fold
 
     monkeypatch.setitem(TASKS, task, dataclasses.replace(spec, train=train))
     return calls
 
 
 class TestTrainingInput:
-    """Every trainer takes the feature rows and labels of its training
-    records, in index order."""
+    """Every trainer is prepared once, with the record set's rows and
+    labels and the fold ids, and each fold's fit trains on the records
+    outside it, in index order."""
 
     @pytest.mark.parametrize("task", ["wbcd", "iris"])
     def test_each_fold_trains_on_its_records_in_index_order(
@@ -795,17 +853,35 @@ class TestTrainingInput:
         dataset = wbcd_dataset if task == "wbcd" else iris_dataset
         folds = make_folds(len(dataset), 10, 42)
         calls = record_training(monkeypatch, task)
+        per_fold_rows = []
+        original = data_module.train_three_class
+        monkeypatch.setattr(
+            data_module, "train_three_class",
+            lambda rows, labels, frame: per_fold_rows.append((rows, labels))
+            or original(rows, labels, frame),
+        )
         evaluate(dataset, task, folds=folds)
+        ((rows, labels, held_out, fitted),) = calls
+        assert (rows, labels, held_out) == (dataset.rows, dataset.labels, folds.assignment)
+        assert [fold for fold, _ in fitted] == list(range(folds.k))
         expected = [
             ([dataset.rows[i] for i in train], [dataset.labels[i] for i in train])
             for train in map(folds.train_indices, range(folds.k))
         ]
-        assert calls == expected
+        if task == "iris":
+            assert per_fold_rows == expected
+        else:  # the counting fit: the models of train_binary on those rows
+            assert per_fold_rows == []
+            assert [model for _, model in fitted] == [train_binary(*x) for x in expected]
 
     def test_email_trains_on_empty_columns(self, monkeypatch):
+        # Its one fold holds every record out.
+        dataset = generate_email()
         calls = record_training(monkeypatch, "email")
-        evaluate(generate_email(), "email")
-        assert calls == [([], [])]
+        evaluate(dataset, "email")
+        ((rows, labels, held_out, fitted),) = calls
+        assert (rows, labels, held_out) == (dataset.rows, dataset.labels, (0,) * len(dataset))
+        assert [fold for fold, _ in fitted] == [0]
 
     @pytest.mark.parametrize("task", ["wbcd", "iris"])
     def test_model_dump_trains_on_every_record(
@@ -814,8 +890,65 @@ class TestTrainingInput:
         dataset = wbcd_dataset if task == "wbcd" else iris_dataset
         calls = record_training(monkeypatch, task)
         cli_module._dump_model(dataset, task, tmp_path / "model.json")
-        assert calls == [(dataset.rows, dataset.labels)]
+        ((rows, labels, _, fitted),) = calls
+        assert (rows, labels) == (dataset.rows, dataset.labels)
+        assert [fold for fold, _ in fitted] == [None]
         assert json.loads((tmp_path / "model.json").read_text())
+
+
+_CELLS = st.one_of(
+    st.none(), st.sampled_from([1.0, 2.0, 2.5, 3.0, 0.125, 10.0]),
+    st.floats(-4, 4, allow_nan=False),
+)
+
+
+def sorted_threshold(rows, labels, f):
+    """The rank rule on a sorted column: the k-th smallest present value,
+    k = round(present · normal / total), clamped to 1..present."""
+    values = sorted(row[f] for row in rows if row[f] is not None)
+    k = math.floor(len(values) * list(labels).count(0) / len(labels) + 0.5)
+    return values[min(max(k, 1), len(values)) - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_models_match_train_binary_on_the_fold_rows(data):
+    # Each wbcd fold's model, or the error of the first fold that fails, is
+    # train_binary's on that fold's rows in index order, and each threshold
+    # is the rank rule's on the sorted column.
+    k = data.draw(st.integers(2, 10), label="k")
+    n = data.draw(st.integers(k, 3 * k + 6), label="n")
+    width = data.draw(st.integers(1, 3), label="width")
+    rows = data.draw(st.lists(st.tuples(*[_CELLS] * width), min_size=n, max_size=n), label="rows")
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    subset = sorted(data.draw(st.sets(st.integers(0, width - 1), min_size=1), label="subset"))
+    folds = make_folds(n, k, data.draw(st.integers(0, 2**32 - 1), label="fold seed"))
+    dataset = RecordSet(tuple(range(1, n + 1)), tuple(rows), tuple(labels),
+                        WBCD_FEATURES[:width], ("normal", "abnormal"))
+    expected, error = [], None
+    for fold in range(k):
+        train = folds.train_indices(fold)
+        fold_rows, fold_labels = [rows[i] for i in train], [labels[i] for i in train]
+        try:
+            model = train_binary(fold_rows, fold_labels, subset)
+        except ValueError as exc:
+            error = (f"fold {fold + 1} of {k}: cannot train on its {len(train)} "
+                     f"training records: {exc}")
+            break
+        assert model.fitted == tuple(
+            (f, sorted_threshold(fold_rows, fold_labels, f)) for f in subset
+        )
+        expected.append(model)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_training(patch, "wbcd")
+        if error is None:
+            evaluate(dataset, "wbcd", folds=folds, subset=subset)
+        else:
+            with pytest.raises(DataFormatError) as info:
+                evaluate(dataset, "wbcd", folds=folds, subset=subset)
+            assert str(info.value) == error
+    ((_, _, _, fitted),) = calls
+    assert [model for _, model in fitted] == expected
 
 
 class TestAblation:
