@@ -23,8 +23,6 @@ from .evidence import Frame, MassFunction, make_frame
 BINARY_LABELS = ("normal", "abnormal")
 BINARY_FRAME = make_frame(BINARY_LABELS)
 
-ROW_TOL = 1e-9
-
 # sigmoid_mass clamps saturated sigmoids so both hypotheses keep a sliver
 # of mass. The clamp shapes that builder's output only: classify_binary
 # fuses the exact log-odds sum, so the clamp decides no label.
@@ -117,8 +115,10 @@ class ScaledSigmoidBpa:
             raise ValueError(f"need 0 <= floor < ceiling <= 1, got {self.floor}, {self.ceiling}")
         if not 0 < self.theta_mass < 1:
             raise ValueError(f"theta_mass must be in (0, 1), got {self.theta_mass}")
-        if self.ceiling + self.theta_mass > 1 + 1e-12:
-            raise ValueError("ceiling + theta_mass exceeds 1; abnormal mass would go negative")
+        try:  # the ceiling row has the least abnormal mass: if it is a mass, every row is
+            binary_row_mass(_scaled_row(1.0, self))
+        except ValueError as err:
+            raise ValueError(f"ceiling row: {err}") from None
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
 
@@ -131,10 +131,10 @@ class TableBpa:
 
     def __post_init__(self) -> None:
         for value, row in enumerate(self.rows):
-            if len(row) != 3 or any(not 0 <= v <= 1 for v in row):
-                raise ValueError(f"row {value} entries must lie in [0, 1]: {row}")
-            if abs(sum(row) - 1.0) > ROW_TOL:
-                raise ValueError(f"row {value} sums to {sum(row)!r}, expected 1")
+            try:
+                binary_row_mass(row)
+            except ValueError as err:
+                raise ValueError(f"row {value}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,15 @@ def modified_median_threshold(
 ) -> float:
     """The k-th smallest value, with k set by the normal-class fraction.
 
-    k = round(len(values) * normal_count / total_count), clamped to a valid
-    1-based rank. ``normal_count`` and ``total_count`` describe the training
-    labels; ``values`` may be a subset of the training column (e.g. with
-    missing cells removed), in which case k scales with it.
+    k = round(len(values) * normal_count / total_count), clamped to a valid 1-based rank.
+    ``normal_count`` and ``total_count`` describe the training labels; ``values`` may be a
+    subset of the training column (e.g. with missing cells removed), in which case k scales
+    with it. A non-finite value has no place in the order and is a ``ValueError``.
     """
     counts = Counter(values)
+    bad = next((v for v in counts if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"feature value must be finite, got {bad}")
     return counted_threshold([(v, counts[v]) for v in sorted(counts)], normal_count, total_count)
 
 
@@ -209,12 +212,17 @@ _scaled_mass_cached = lru_cache(maxsize=8192)(binary_row_mass)
 _table_mass_cached = lru_cache(maxsize=None)(binary_row_mass)
 
 
+def _scaled_row(s: float, bpa: ScaledSigmoidBpa) -> MassRow:
+    # The scaled sigmoid's row where the logistic is s: the floor at s = 0, the ceiling at 1.
+    m_normal = (bpa.ceiling - bpa.floor) * s + bpa.floor
+    return m_normal, 1.0 - m_normal - bpa.theta_mass, bpa.theta_mass
+
+
 def scaled_sigmoid_row(value: float, bpa: ScaledSigmoidBpa) -> MassRow:
     """The row of :func:`scaled_sigmoid_mass`, without building the mass function."""
     if not value >= 0:
         raise ValueError(f"signal value must be non-negative, got {value}")
-    m_normal = (bpa.ceiling - bpa.floor) * logistic(bpa.threshold - value) + bpa.floor
-    return m_normal, 1.0 - m_normal - bpa.theta_mass, bpa.theta_mass
+    return _scaled_row(logistic(bpa.threshold - value), bpa)
 
 
 def scaled_sigmoid_mass(value: float, bpa: ScaledSigmoidBpa) -> MassFunction:

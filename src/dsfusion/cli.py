@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -115,12 +116,9 @@ def _parse_features(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ..
 
 def _parse_signals(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     # int() also reads non-ASCII digits, such as Arabic-Indic ones.
-    if not spec.isascii():
+    if not (spec.isascii() and all(map(str.isdigit, spec))):
         parser.error(f"signals must be digits 1-4, got {spec!r}")
-    try:
-        signals = tuple(int(ch) for ch in spec)
-    except ValueError:
-        parser.error(f"signals must be digits 1-4, got {spec!r}")
+    signals = tuple(map(int, spec))
     if not signals or len(set(signals)) != len(signals) or not set(signals) <= set(EMAIL_SIGNALS):
         parser.error(f"signals must be distinct digits from 1234, got {spec!r}")
     return signals
@@ -174,10 +172,7 @@ def _cmd_iris(args, parser) -> int:
     accuracy = moments([r.accuracy for r in reports])
     print(f"runs: {args.runs}, folds: {args.folds}, seed: {args.seed}")
     print(f"accuracy: {accuracy.mean * 100:.2f}% ± {accuracy.sd * 100:.2f}%")
-    counts: dict[int, int] = {}
-    for r in reports:
-        for rid in r.misclassified:
-            counts[rid] = counts.get(rid, 0) + 1
+    counts = Counter(rid for r in reports for rid in r.misclassified)
     recurrent = sorted(rid for rid, c in counts.items() if c * 2 >= args.runs)
     print("recurrent misclassified ids: " + (", ".join(map(str, recurrent)) or "none"))
     if args.out:

@@ -13,8 +13,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_FRAME_SIZE = 16
 
-# Mass sums and entrywise comparisons tolerate 1e-9; identities (vacuous
-# combination, the total-conflict guard) are held to 1e-12.
+# SUM_TOL is the one tolerance on a mass's sum (bpa model rows included) and on how far
+# Bel and Pl may leave [0, 1]; IDENTITY_TOL guards only total conflict, K within it of 1.
 SUM_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
@@ -115,9 +115,9 @@ class BeliefInterval:
     pl: float
 
     def __post_init__(self) -> None:
-        if not (-IDENTITY_TOL <= self.bel and self.pl <= 1 + IDENTITY_TOL):
+        if not (-SUM_TOL <= self.bel and self.pl <= 1 + SUM_TOL):
             raise EvidenceError(f"interval [{self.bel}, {self.pl}] outside [0, 1]")
-        if self.bel > self.pl + IDENTITY_TOL:
+        if self.bel > self.pl + SUM_TOL:
             raise EvidenceError(f"belief {self.bel} exceeds plausibility {self.pl}")
 
 
@@ -168,13 +168,8 @@ class MassFunction:
         return len(self._masses)
 
     def __str__(self) -> str:
-        parts = [
-            f"{self.frame.describe(bits)}:{value:.6g}"
-            for bits, value in sorted(
-                self._masses.items(), key=lambda kv: (kv[0].bit_count(), kv[0])
-            )
-        ]
-        return "{" + ", ".join(parts) + "}"
+        items = sorted(self._masses.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        return "{" + ", ".join(f"{self.frame.describe(b)}:{v:.6g}" for b, v in items) + "}"
 
     def __repr__(self) -> str:
         return f"MassFunction({self})"

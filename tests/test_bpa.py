@@ -29,7 +29,14 @@ from dsfusion import (
     sigmoid_mass,
     table_mass,
 )
-from dsfusion.bpa import DegenerateFeatureError, counted_threshold, moments
+from dsfusion.bpa import (
+    DegenerateFeatureError,
+    binary_row_mass,
+    counted_threshold,
+    moments,
+    scaled_sigmoid_row,
+    table_row,
+)
 
 THREE = make_frame(["c1", "c2", "c3"])
 
@@ -78,6 +85,16 @@ class TestModifiedMedianThreshold:
         with pytest.raises(ValueError, match="^cannot take a threshold of an empty value list$"):
             counted_threshold([(1.0, 0), (2.0, 0)], 1, 2)
 
+    @pytest.mark.parametrize("values", [
+        [math.nan, 3.0, 1.0, 2.0], [3.0, math.nan, 1.0, 2.0], [1.0, math.inf, 2.0],
+        [-math.inf, 1.0, 2.0],
+    ])
+    def test_non_finite_value_rejected(self, values):
+        # NaN has no place in a sort order: the first list gave 1.0 and the second nan.
+        bad = next(v for v in values if not math.isfinite(v))
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            modified_median_threshold(values, 1, 2)
+
     def test_rank_scales_with_present_values(self):
         # a column with missing cells keeps the same normal fraction
         values = list(range(100))
@@ -99,6 +116,11 @@ class TestSigmoidMass:
     def test_above_threshold_leans_abnormal(self):
         m = sigmoid_mass(10.0, SigmoidBpa(5.0))
         assert m.mass_bits(1) == pytest.approx(1 / (1 + math.exp(5)), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            sigmoid_mass(bad, SigmoidBpa(5.0))
 
     def test_saturation_clamped(self):
         m = sigmoid_mass(10000.0, SigmoidBpa(0.0))
@@ -145,6 +167,23 @@ class TestScaledSigmoidMass:
         with pytest.raises(ValueError):
             ScaledSigmoidBpa(threshold=1.0, floor=0.0, ceiling=0.995, theta_mass=0.01)
 
+    @pytest.mark.parametrize("theta_mass", [0.0, 1.0, math.nan])
+    def test_theta_mass_outside_the_open_unit_interval_rejected(self, theta_mass):
+        message = re.escape(f"theta_mass must be in (0, 1), got {theta_mass}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScaledSigmoidBpa(30.0, 0.3, 0.7, theta_mass)
+
+    @pytest.mark.parametrize("args, abnormal", [
+        ((30.0, 0.3, 0.7, 0.3 + 5e-13), "-4.99933427988708e-13"),
+        ((1.0, 0.0, 0.995, 0.01), "-0.004999999999999996"),
+    ])
+    def test_ceiling_row_must_be_a_mass(self, args, abnormal):
+        # 0.3 + 5e-13 used to pass a 1e-12 slack on ceiling + theta_mass, and then
+        # scaled_sigmoid_row(0.0) gave an abnormal mass of -4.6e-13.
+        message = f"ceiling row: mass value {abnormal} is not a finite non-negative number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScaledSigmoidBpa(*args)
+
     @given(st.floats(min_value=0, max_value=1e6))
     def test_stays_between_floor_and_ceiling(self, value):
         m = scaled_sigmoid_mass(value, self.BPA)
@@ -174,9 +213,13 @@ class TestTableMass:
         with pytest.raises(ValueError):
             table_mass(2, self.SPOOFED)
 
-    @pytest.mark.parametrize("row", [(1.2, -0.2, 0.0), (0.5, 0.5, math.nan)])
-    def test_row_entry_outside_unit_interval_rejected(self, row):
-        message = re.escape(f"row 1 entries must lie in [0, 1]: {row}")
+    @pytest.mark.parametrize(
+        "row, bad", [((1.2, -0.2, 0.0), -0.2), ((0.5, 0.5, math.nan), math.nan)],
+        ids=["row0", "row1"],
+    )
+    def test_row_entry_outside_unit_interval_rejected(self, row, bad):
+        # MassFunction's own message, prefixed with the row's index.
+        message = re.escape(f"row 1: mass value {bad} is not a finite non-negative number")
         with pytest.raises(ValueError, match=f"^{message}$"):
             TableBpa(((0.9, 0.09, 0.01), row))
 
@@ -184,12 +227,72 @@ class TestTableMass:
         with pytest.raises(ValueError):
             TableBpa(((0.9, 0.09, 0.02), (0.1, 0.89, 0.01)))
 
+    def test_rows_are_held_to_the_mass_tolerance(self):
+        # MassFunction accepts a sum within SUM_TOL of 1, so an entry may pass 1 by as much.
+        row = (1.0000000009, 0.0, 0.0)
+        assert TableBpa((row, row)).rows == (row, row)
+        with pytest.raises(ValueError, match="^row 0: masses sum to 1.000000002, "):
+            TableBpa(((1.000000002, 0.0, 0.0), row))
+
+
+# A mass in [0, 1], and what is added to 1 - ceiling to get theta_mass: the band
+# around the ceiling, where the abnormal mass of the ceiling row is about 0.
+UNIT = st.floats(min_value=0, max_value=1)
+CEILING_OFFSETS = st.sampled_from(["0", "+ulp", "-ulp", "5e-13"])
+
+
+def _offset(x, offset):
+    if offset.endswith("ulp"):
+        return math.nextafter(x, math.inf if offset[0] == "+" else -math.inf)
+    return x + float(offset)
+
+
+@given(
+    threshold=st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1e6)),
+    ceiling=UNIT,
+    floor_share=st.floats(min_value=0, max_value=1, exclude_max=True),
+    offset=CEILING_OFFSETS,
+    large=st.floats(min_value=1e3, max_value=1e300),
+)
+def test_accepted_scaled_sigmoid_gives_only_mass_rows(
+    threshold, ceiling, floor_share, offset, large
+):
+    theta_mass = _offset(1.0 - ceiling, offset)
+    try:
+        bpa = ScaledSigmoidBpa(threshold, ceiling * floor_share, ceiling, theta_mass)
+    except ValueError:
+        return
+    for value in (0.0, threshold, large):
+        binary_row_mass(scaled_sigmoid_row(value, bpa))
+
+
+ROWS = st.tuples(UNIT, UNIT, UNIT, st.sampled_from(["0", "+ulp", "-ulp", "5e-10", "-2e-9"]))
+
+
+@given(st.tuples(ROWS, ROWS))
+def test_accepted_table_gives_only_mass_rows(drawn):
+    rows = []
+    for a, b, c, offset in drawn:
+        total = a + b + c
+        # Scaled to about 1, then the last entry moved off it by the offset.
+        rows.append((a / total, b / total, _offset(c / total, offset)) if total else (a, b, c))
+    try:
+        bpa = TableBpa(tuple(rows))
+    except ValueError:
+        return
+    for value in (0, 1):
+        binary_row_mass(table_row(value, bpa))
+
 
 class TestFitBoundaries:
     def test_single_record_per_class(self):
         rows = [(1.0, 5.0), (2.0, 6.0), (3.0, 7.0)]
         model = fit_boundaries(class_moments(class_columns(rows, [0, 1, 2])))
         assert model.bounds[0] == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+
+    def test_reversed_bounds_rejected(self):
+        with pytest.raises(ValueError, match=r"^feature 0 class 1: min 2.0 exceeds max 1.0$"):
+            BoundaryModel((((0.0, 1.0), (2.0, 1.0), (0.0, 1.0)),))
 
     def test_min_max_observed(self):
         rows = [(4.3,), (5.8,), (5.0,), (4.9,), (6.9,), (4.9,), (7.9,)]
@@ -253,6 +356,13 @@ class TestBoundaryMass:
         with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
             boundary_mass(bad, EXAMPLE_BOUNDS, THREE)
 
+    def test_two_class_frame_rejected(self):
+        message = "^boundary assignment is defined over exactly three classes$"
+        with pytest.raises(ValueError, match=message):
+            boundary_mass(2.0, EXAMPLE_BOUNDS, BINARY_FRAME)
+        with pytest.raises(ValueError, match=message):
+            boundary_mass(2.0, EXAMPLE_BOUNDS[:2], THREE)
+
     def test_training_bounds_pair_band(self):
         # a width of 3.4 exceeds the middle class's maximum but fits the others
         m = boundary_mass(3.4, TRAINING_BOUNDS[1], THREE)
@@ -292,6 +402,12 @@ class TestFsv:
     def test_degenerate_union_rejected(self):
         with pytest.raises(DegenerateFeatureError):
             fsv([[2.0, 2.0], [2.0, 2.0]])
+
+    def test_pooled_spread_underflow_rejected(self):
+        # The values differ, so the feature is not constant, but its squared spread underflows.
+        message = "^pooled spread underflows to 0; feature carries no signal$"
+        with pytest.raises(DegenerateFeatureError, match=message):
+            fsv([[0.0, 1e-200], [0.0, 1e-200]])
 
     @pytest.mark.parametrize("value", [0.1, 1.1, 2.0])
     def test_identical_values_are_degenerate_at_any_value(self, value):
@@ -428,6 +544,13 @@ class TestDistanceMass:
         with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
             distance_mass(bad, self.MEANS, THREE)
 
+    def test_two_class_frame_rejected(self):
+        message = "^distance assignment is defined over exactly three classes$"
+        with pytest.raises(ValueError, match=message):
+            distance_mass(2.0, self.MEANS, BINARY_FRAME)
+        with pytest.raises(ValueError, match=message):
+            distance_mass(2.0, self.MEANS[:2], THREE)
+
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_translation_invariance(self, shift):
         m1 = distance_mass(2.4, self.MEANS, THREE)
@@ -460,6 +583,10 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             bpa_from_dict({"kind": "mystery"})
+
+    def test_non_model_not_written(self):
+        with pytest.raises(TypeError, match="^not a bpa model: Moments$"):
+            bpa_to_dict(moments([1.0]))
 
 
 def test_every_builder_output_is_normalized():

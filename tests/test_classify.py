@@ -384,6 +384,18 @@ class TestClassifyThreeClass:
         with pytest.raises(ValueError, match="finite"):
             ThreeClassModel(IRIS_FRAME, BoundaryModel(TRAINING_BOUNDS), means, {0b111: 1})
 
+    def test_two_label_frame_rejected(self):
+        model = three_class_model()
+        message = "^three-class model needs a frame of exactly 3 labels$"
+        with pytest.raises(ValueError, match=message):
+            ThreeClassModel(BINARY_FRAME, model.boundaries, model.means, model.selected)
+
+    def test_means_for_other_features_than_the_bounds_rejected(self):
+        model = three_class_model()
+        message = "^means and boundaries must cover the same features$"
+        with pytest.raises(ValueError, match=message):
+            ThreeClassModel(IRIS_FRAME, model.boundaries, model.means[:3], model.selected)
+
     def test_model_without_features_rejected_from_json(self):
         data = classifier_to_dict(three_class_model())
         data["boundaries"]["bounds"], data["means"] = [], []
@@ -423,6 +435,12 @@ class TestClassifyThreeClass:
         record[position] = None
         with pytest.raises(ValueError, match=f"^feature {position} has a missing value$"):
             classify_three_class(tuple(record), three_class_model())
+
+    def test_non_numeric_value_raises_the_bare_type_error(self):
+        # Only a missing value becomes a ValueError; any other TypeError is re-raised.
+        message = "^'<=' not supported between instances of 'float' and 'str'$"
+        with pytest.raises(TypeError, match=message):
+            classify_three_class(("x", 3.0, 1.4, 0.2), three_class_model())
 
     @pytest.mark.parametrize("bounds", [
         [math.nan, math.nan], [-math.inf, 6.9], [4.9, math.inf], [math.nan, 6.9],
@@ -651,6 +669,11 @@ class TestEmailModel:
         assert model.dangerous_bpa.rows == ((0.8, 0.19, 0.01), (0.2, 0.79, 0.01))
         assert model.benign_bpa.rows == ((0.6, 0.39, 0.01), (0.4, 0.59, 0.01))
         assert model.signals == frozenset({1, 2, 3, 4})
+
+    @pytest.mark.parametrize("signal", [0, 5])
+    def test_unknown_signal_has_no_row(self, signal):
+        with pytest.raises(ValueError, match=f"^unknown signal {signal}$"):
+            email_signal_row((5.0, 1, 1, 0), signal, email_model_default())
 
     def test_invalid_signal_set_rejected(self):
         with pytest.raises(ValueError):
@@ -940,6 +963,11 @@ class TestPredictionSerialization:
         with pytest.raises(ValueError):
             Prediction("nonsense", BINARY_FRAME, {}, vacuous_mass, ())
 
+    def test_compares_unequal_to_other_types(self):
+        pred = classify_email((5.0, 1, 1, 0), email_model_default())
+        assert pred.__eq__((pred.label, pred.mass, pred.trace)) is NotImplemented
+        assert pred != pred.label
+
 
 class TestClassifierSerialization:
     def test_binary_round_trip(self):
@@ -1003,3 +1031,7 @@ class TestClassifierSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             classifier_from_dict({"kind": "perceptron"})
+
+    def test_non_classifier_not_written(self):
+        with pytest.raises(TypeError, match="^not a classifier: SigmoidBpa$"):
+            classifier_to_dict(SigmoidBpa(1.0))

@@ -476,6 +476,19 @@ class TestCombineCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("others", [[], ["--mass", "a|b:1"]], ids=["alone", "fused"])
+    def test_mass_summing_within_tolerance_above_one_gets_intervals(self, capsys, others):
+        # The mass sums to 1 + 9e-10, within SUM_TOL. Alone, it used to exit 4 with
+        # "interval [0.5, 1.0000000009] outside [0, 1]"; fused with a|b:1, it exited 0.
+        code, out, _ = run_cli(
+            capsys, "combine", "--frame", "a,b", "--mass", "a:0.5,a|b:0.5000000009",
+            *others, "--format", "json",
+        )
+        assert code == 0
+        interval = json.loads(out)["intervals"]["a"]
+        assert interval["bel"] == pytest.approx(0.5)
+        assert interval["pl"] == pytest.approx(1.0)
+
     def test_bad_sum_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "combine", "--frame", "a,b", "--mass", "a:0.5,b:0.4"

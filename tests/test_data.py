@@ -222,6 +222,15 @@ class TestLoadIris:
         with pytest.raises(DataFormatError, match="malformed feature"):
             load_iris(path)
 
+    @pytest.mark.parametrize("cell", ["1e999", "-1e999"])
+    def test_cell_overflowing_to_infinity_rejected(self, tmp_path, cell):
+        # The cell is a plain decimal, but float() reads it as an infinity.
+        path = tmp_path / "bad.data"
+        path.write_text(f"5.1,3.5,1.4,0.2,Iris-setosa\n5.1,{cell},1.4,0.2,Iris-setosa\n")
+        message = re.escape(f"{path}:2: features must be finite")
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            load_iris(path)
+
     def test_signed_and_exponent_cells_accepted(self, tmp_path):
         path = tmp_path / "ok.data"
         path.write_text("5.1,-3.5,14e-1,2E-1,Iris-setosa\n", encoding="utf-8")

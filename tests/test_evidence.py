@@ -90,6 +90,11 @@ class TestFrame:
         with pytest.raises(EvidenceError):
             HypothesisSet(binary, 0b100)
 
+    def test_hypothesis_set_renders_as_its_labels(self):
+        frame = make_frame(["a", "b", "c"])
+        assert str(frame.subset(["a", "c"])) == "a|c"
+        assert str(frame.theta()) == "Θ"
+
 
 class TestMassConstruction:
     def test_valid_half_half(self, binary):
@@ -116,6 +121,12 @@ class TestMassConstruction:
                 binary,
                 [(binary.singleton("normal"), 1.4), (binary.singleton("abnormal"), -0.4)],
             )
+
+    @pytest.mark.parametrize("bits", [0, 0b100])
+    def test_mass_on_a_set_outside_the_frame_rejected(self, binary, bits):
+        message = f"^mass on invalid subset bits {bits:#x} for frame of size 2$"
+        with pytest.raises(EvidenceError, match=message):
+            MassFunction(binary, {bits: 0.5, 0b11: 0.5})
 
     def test_zero_entries_dropped(self, binary):
         m = make_mass(
@@ -148,6 +159,7 @@ class TestMassConstruction:
     def test_rendering_six_significant_digits(self, binary):
         m = MassFunction(binary, {1: 0.41 / 0.61, 2: 0.19 / 0.61, 3: 0.01 / 0.61})
         assert str(m) == "{normal:0.672131, abnormal:0.311475, Θ:0.0163934}"
+        assert repr(m) == "MassFunction({normal:0.672131, abnormal:0.311475, Θ:0.0163934})"
 
 
 class TestVacuous:
@@ -357,6 +369,19 @@ class TestBeliefPlausibility:
     def test_belief_interval_invariant(self):
         with pytest.raises(EvidenceError):
             BeliefInterval(0.7, 0.3)
+
+    @pytest.mark.parametrize("bel, pl", [(-2e-9, 0.5), (0.5, 1.000000002)])
+    def test_interval_outside_the_unit_interval_rejected(self, bel, pl):
+        message = re.escape(f"interval [{bel}, {pl}] outside [0, 1]")
+        with pytest.raises(EvidenceError, match=f"^{message}$"):
+            BeliefInterval(bel, pl)
+
+    def test_interval_of_a_mass_summing_within_tolerance_above_one(self, binary):
+        # MassFunction accepts a sum within SUM_TOL of 1, and so does the interval:
+        # Pl = 1 + 9e-10 used to be refused against a 1e-12 bound.
+        m = MassFunction(binary, {1: 0.5, 3: 0.5000000009})
+        iv = belief_interval(m, binary.singleton("normal"))
+        assert (iv.bel, iv.pl) == (0.5, 1.0000000009)
 
 
 def test_interval_width_is_uncertainty():
