@@ -16,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import eq
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .evidence import Frame, MassFunction, make_frame
@@ -31,7 +33,7 @@ MASS_EPS = 1e-15
 # One source's (m_normal, m_abnormal, m_theta) over the binary frame.
 MassRow = tuple[float, float, float]
 # Training values grouped by feature, then by class 0..2.
-Columns = list[list[list[float]]]
+Columns = list[list[Sequence[float]]]
 
 # The whole three-class frame as a bitmask.
 THREE_CLASS_FULL = 0b111
@@ -57,7 +59,8 @@ def logistic(x: float) -> float:
 class Moments(NamedTuple):
     """One class's values on one feature: count, sum, mean, the sum of
     squared deviations M2 = Σ(v - mean)², the sample sd, and the (min, max)
-    range."""
+    range. Each square is the correctly rounded product d * d, not ``d ** 2``,
+    whose libm ``pow`` may miss it by an ulp."""
 
     n: int
     total: float
@@ -85,7 +88,7 @@ def moments(values: Sequence[float]) -> Moments:
     total = sum(values)
     lo, hi = min(values), max(values)
     mean = lo if lo == hi else total / n
-    m2 = 0.0 if lo == hi else sum([(v - mean) ** 2 for v in values])
+    m2 = 0.0 if lo == hi else sum([(v - mean) * (v - mean) for v in values])
     sd = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
     return Moments(n, total, mean, m2, sd, lo, hi)
 
@@ -130,6 +133,8 @@ class TableBpa:
     rows: tuple[MassRow, MassRow]
 
     def __post_init__(self) -> None:
+        if len(self.rows) != 2:
+            raise ValueError(f"a table needs 2 rows, one per signal value, got {len(self.rows)}")
         for value, row in enumerate(self.rows):
             try:
                 binary_row_mass(row)
@@ -248,27 +253,34 @@ def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Col
         raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
     if not rows:
         raise ValueError("no training records")
+    if not set(labels) <= {0, 1, 2}:
+        bad = next(label for label in labels if label not in (0, 1, 2))
+        raise ValueError(f"class label {bad!r} outside 0..2")
     n_features = len(rows[0])
-    by_class: list[list[Sequence[float]]] = [[], [], []]
-    for features, label in zip(rows, labels):
-        if label not in (0, 1, 2):
-            raise ValueError(f"class label {label!r} outside 0..2")
-        by_class[label].append(features)
     # zip(*records) turns one class's records into its feature columns; a
     # class with no records gets empty ones, which class_moments rejects.
-    per_class = [list(zip(*records)) or [()] * n_features for records in by_class]
-    return [[list(columns[f]) for columns in per_class] for f in range(n_features)]
+    per_class = [
+        list(zip(*compress(rows, map(eq, labels, repeat(c))))) or [()] * n_features
+        for c in range(3)
+    ]
+    return [[columns[f] for columns in per_class] for f in range(n_features)]
 
 
 def class_moments(columns: Columns) -> ClassMoments:
     """The :class:`Moments` of every :func:`class_columns` list, ``[f][c]``."""
+    stats: ClassMoments = []
     for f, per_class in enumerate(columns):
+        stats.append([])
         for c, values in enumerate(per_class):
             if not values:
                 raise ValueError(f"class {c} has no training records")
-            if None in values:
-                raise ValueError(f"feature {f} has a missing value")
-    return [[moments(values) for values in per_class] for per_class in columns]
+            try:
+                stats[f].append(moments(values))
+            except TypeError:  # sum() meets a None cell
+                if None not in values:
+                    raise
+                raise ValueError(f"feature {f} has a missing value") from None
+    return stats
 
 
 def fit_boundaries(stats: ClassMoments) -> BoundaryModel:
@@ -303,10 +315,8 @@ def focal_row(bits: int, confidence: float) -> dict[int, float]:
 def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> int:
     """The focal set of :func:`boundary_mass`: the classes whose range holds
     the value, or else the class whose range is nearest."""
-    bits = 0
-    for c, (lo, hi) in enumerate(class_bounds):
-        if lo <= value <= hi:
-            bits |= 1 << c
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = class_bounds
+    bits = (lo0 <= value <= hi0) | (lo1 <= value <= hi1) << 1 | (lo2 <= value <= hi2) << 2
     if bits == 0:
         bits = 1 << _nearest_class(value, class_bounds, lambda v, lo, hi: max(lo - v, v - hi))
     return bits
@@ -331,23 +341,26 @@ def _fsv(group: Sequence[Moments]) -> float:
     # pools theirs (Chan, Golub & LeVeque 1979): Σ M2_c + Σ n_c (mean_c - mean_u)².
     if len(group) < 2:
         raise ValueError("feature selection needs at least two classes")
-    if any(m.n < 2 for m in group):
-        raise ValueError("every class needs at least two values for a sample sd")
-    first = group[0]
-    if all(m.lo == m.hi == first.lo for m in group):
-        raise DegenerateFeatureError("all pooled values identical; feature carries no signal")
+    first = group[0].lo
+    flat = True
     n = 0
     total = within = 0.0
     numerator = 1.0
     for m in group:
+        if m.n < 2:
+            raise ValueError("every class needs at least two values for a sample sd")
+        flat = flat and m.lo == m.hi == first
         n += m.n
         total += m.total
         within += m.m2
         numerator *= m.sd
+    if flat:
+        raise DegenerateFeatureError("all pooled values identical; feature carries no signal")
     mean = total / n
     between = 0.0
     for m in group:
-        between += m.n * (m.mean - mean) ** 2
+        d = m.mean - mean
+        between += m.n * (d * d)
     union_sd = math.sqrt((within + between) / (n - 1))
     if union_sd == 0:
         raise DegenerateFeatureError("pooled spread underflows to 0; feature carries no signal")

@@ -3,9 +3,10 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dsfusion import (
@@ -31,7 +32,9 @@ from dsfusion import (
 )
 from dsfusion.bpa import (
     DegenerateFeatureError,
+    _nearest_class,
     binary_row_mass,
+    boundary_bits,
     counted_threshold,
     moments,
     scaled_sigmoid_row,
@@ -234,6 +237,16 @@ class TestTableMass:
         with pytest.raises(ValueError, match="^row 0: masses sum to 1.000000002, "):
             TableBpa(((1.000000002, 0.0, 0.0), row))
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_row_per_signal_value(self, count):
+        # Without the check a one-row table loads, and classify_email raises a bare IndexError.
+        row = [0.9, 0.09, 0.01]
+        message = f"^a table needs 2 rows, one per signal value, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            TableBpa((tuple(row),) * count)
+        with pytest.raises(ValueError, match=message):
+            bpa_from_dict({"kind": "table", "rows": [row] * count})
+
 
 # A mass in [0, 1], and what is added to 1 - ceiling to get theta_mass: the band
 # around the ceiling, where the abnormal mass of the ceiling row is about 0.
@@ -321,6 +334,17 @@ class TestFitBoundaries:
     def test_rows_and_labels_must_pair_up(self):
         with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
             class_columns([(1.0,), (2.0,), (3.0,)], [0, 1])
+
+    def test_first_bad_label_in_row_order_named(self):
+        rows = [(1.0,)] * 5
+        with pytest.raises(ValueError, match=r"^class label 2\.5 outside 0\.\.2$"):
+            class_columns(rows, [0, 2.5, 1, 3, 2])
+
+    def test_non_number_cell_is_not_a_missing_value(self):
+        # Only a None cell becomes a ValueError; any other TypeError is re-raised.
+        columns = class_columns([(1.0,), ("x",), (5.0,)], [0, 1, 2])
+        with pytest.raises(TypeError):
+            class_moments(columns)
 
 
 class TestBoundaryMass:
@@ -421,6 +445,10 @@ class TestFsv:
         assert fsv([[0.1] * 3, [0.2] * 3]) == 0.0
         assert fsv([[0.1] * 3, [0.2, 0.3, 0.4]]) == 0.0
         assert moments([0.1] * 3).sd == 0.0
+
+    def test_squares_are_products(self):
+        # pow() rounds (9.2 - mean) ** 2 one ulp away from (9.2 - mean) * (9.2 - mean).
+        assert moments([9.2, 6.4, 0.4]).m2 == 40.426666666666655
 
     def test_moments_of_no_values_rejected(self):
         with pytest.raises(ValueError, match="^moments need at least one value$"):
@@ -600,3 +628,136 @@ def test_every_builder_output_is_normalized():
     for m in outputs:
         assert abs(sum(v for _, v in m.items()) - 1.0) <= 1e-9
         assert all(v > 0 for _, v in m.items())
+
+
+# Finite values whose squares and sums stay finite.
+VALUES = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def _square(d):
+    # The correctly rounded square of a float, whatever the platform's pow().
+    return float(Fraction(d) ** 2)
+
+
+@given(st.lists(VALUES, min_size=1, max_size=12))
+@example([9.2, 6.4, 0.4])
+def test_m2_terms_are_correctly_rounded_squares(values):
+    m = moments(values)
+    expected = 0.0 if m.lo == m.hi else sum([_square(v - m.mean) for v in values])
+    assert m.m2 == expected
+
+
+@given(st.lists(st.lists(VALUES, min_size=2, max_size=8), min_size=2, max_size=3))
+# pow() misrounds a between-class square of this example enough to move its fsv.
+@example([[3.6, 5.1, 9.7], [0.3, 1.7, 0.3]])
+def test_pooled_terms_are_correctly_rounded_squares(grouped):
+    try:
+        value = fsv(grouped)
+    except DegenerateFeatureError:
+        return
+    group = [moments(values) for values in grouped]
+    n = sum(m.n for m in group)
+    mean = sum(m.total for m in group) / n
+    within = sum(m.m2 for m in group)
+    between = 0.0
+    for m in group:
+        between += m.n * _square(m.mean - mean)
+    assert value == math.prod(m.sd for m in group) / math.sqrt((within + between) / (n - 1))
+
+
+# Reference versions of the three-class grouping and lookup as plain per-row
+# and per-class loops; the library's versions must match them exactly,
+# errors and messages included.
+
+
+def _reference_class_columns(rows, labels):
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
+    if not rows:
+        raise ValueError("no training records")
+    n_features = len(rows[0])
+    by_class = [[], [], []]
+    for features, label in zip(rows, labels):
+        if label not in (0, 1, 2):
+            raise ValueError(f"class label {label!r} outside 0..2")
+        by_class[label].append(features)
+    per_class = [list(zip(*records)) or [()] * n_features for records in by_class]
+    return [[list(columns[f]) for columns in per_class] for f in range(n_features)]
+
+
+def _reference_class_moments(columns):
+    for f, per_class in enumerate(columns):
+        for c, values in enumerate(per_class):
+            if not values:
+                raise ValueError(f"class {c} has no training records")
+            if None in values:
+                raise ValueError(f"feature {f} has a missing value")
+    return [[moments(values) for values in per_class] for per_class in columns]
+
+
+def _reference_boundary_bits(value, class_bounds):
+    bits = 0
+    for c, (lo, hi) in enumerate(class_bounds):
+        if lo <= value <= hi:
+            bits |= 1 << c
+    if bits == 0:
+        bits = 1 << _nearest_class(value, class_bounds, lambda v, lo, hi: max(lo - v, v - hi))
+    return bits
+
+
+def _outcome(function, *args):
+    # A result, or the type and message of the error raised.
+    try:
+        return function(*args)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _as_lists(columns):
+    return [[list(values) for values in per_class] for per_class in columns]
+
+
+# Valid labels half the time, so most draws get past the label check.
+LABELS = st.one_of(st.sampled_from([0, 1, 2]), st.sampled_from([3, -1, 2.5]))
+
+
+@given(
+    n_features=st.integers(min_value=1, max_value=4),
+    labels=st.lists(LABELS, max_size=12),
+    extra=st.sampled_from([0, 0, 0, 1, -1]),  # a row more or fewer than labels, sometimes
+    data=st.data(),
+)
+def test_class_columns_matches_the_row_loop(n_features, labels, extra, data):
+    size = max(len(labels) + extra, 0)
+    rows = data.draw(st.lists(st.tuples(*[VALUES] * n_features), min_size=size, max_size=size))
+    expected = _outcome(_reference_class_columns, rows, labels)
+    got = _outcome(class_columns, rows, labels)
+    assert (_as_lists(got) if isinstance(got, list) else got) == expected
+
+
+CELLS = st.one_of(VALUES, st.just(None))
+
+
+@given(st.lists(
+    st.lists(st.lists(CELLS, max_size=4), min_size=3, max_size=3), min_size=1, max_size=3,
+))
+def test_class_moments_matches_the_pre_scan(columns):
+    assert _outcome(class_moments, columns) == _outcome(_reference_class_moments, columns)
+
+
+# Range endpoints on a coarse grid, so ranges touch, overlap and leave gaps.
+ENDPOINTS = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+RANGES = st.tuples(ENDPOINTS, ENDPOINTS).map(sorted).map(tuple)
+
+
+@given(st.tuples(RANGES, RANGES, RANGES), st.data())
+def test_boundary_bits_matches_the_class_loop(class_bounds, data):
+    endpoints = [x for lo_hi in class_bounds for x in lo_hi]
+    value = data.draw(st.one_of(
+        st.sampled_from(endpoints),  # on a range's edge
+        ENDPOINTS.map(lambda x: x + 0.25),  # in a range or a gap, or tied between two ranges
+        st.floats(min_value=-4, max_value=4),
+        st.sampled_from([math.nan, math.inf, -math.inf, None]),
+    ))
+    expected = _outcome(_reference_boundary_bits, value, class_bounds)
+    assert _outcome(boundary_bits, value, class_bounds) == expected
