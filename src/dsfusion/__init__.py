@@ -29,8 +29,6 @@ from .bpa import (
     SigmoidBpa,
     TableBpa,
     boundary_mass,
-    bpa_from_dict,
-    bpa_to_dict,
     class_columns,
     class_moments,
     distance_mass,

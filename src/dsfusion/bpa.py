@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import eq
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .evidence import Frame, MassFunction, make_frame
 
@@ -130,7 +130,7 @@ class ScaledSigmoidBpa:
 class TableBpa:
     """Per-signal-value rows of (m_normal, m_abnormal, m_theta), indexed 0/1."""
 
-    rows: tuple[MassRow, MassRow]
+    rows: tuple[MassRow, ...]
 
     def __post_init__(self) -> None:
         if len(self.rows) != 2:
@@ -247,6 +247,15 @@ def table_mass(signal_value: float, bpa: TableBpa) -> MassFunction:
     return _table_mass_cached(table_row(signal_value, bpa))
 
 
+def row_arity(rows: Sequence[Sequence]) -> int:
+    """The length of row 0 of nonempty ``rows``; a ``ValueError`` names any other length."""
+    n = len(rows[0])
+    if len(set(map(len, rows))) > 1:
+        i = next(i for i, row in enumerate(rows) if len(row) != n)
+        raise ValueError(f"row {i} has {len(rows[i])} values, row 0 has {n}")
+    return n
+
+
 def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Columns:
     """Each feature's values split by class 0..2, in row order: ``[f][c]``."""
     if len(rows) != len(labels):
@@ -256,7 +265,7 @@ def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Col
     if not set(labels) <= {0, 1, 2}:
         bad = next(label for label in labels if label not in (0, 1, 2))
         raise ValueError(f"class label {bad!r} outside 0..2")
-    n_features = len(rows[0])
+    n_features = row_arity(rows)
     # zip(*records) turns one class's records into its feature columns; a
     # class with no records gets empty ones, which class_moments rejects.
     per_class = [
@@ -414,39 +423,3 @@ def distance_mass(value: float, means: Sequence[float], frame: Frame) -> MassFun
     if frame.size != 3 or len(means) != 3:
         raise ValueError("distance assignment is defined over exactly three classes")
     return MassFunction(frame, focal_row(1 << nearest_mean(value, means), DISTANCE_CONFIDENCE))
-
-
-BpaModel = SigmoidBpa | ScaledSigmoidBpa | TableBpa | BoundaryModel
-
-# The JSON kind tag of every bpa model; its dict holds the dataclass fields.
-_BPA_KINDS = {
-    "sigmoid": SigmoidBpa,
-    "scaled_sigmoid": ScaledSigmoidBpa,
-    "table": TableBpa,
-    "boundary": BoundaryModel,
-}
-_BPA_TAGS = {cls: kind for kind, cls in _BPA_KINDS.items()}
-
-
-def _to_json(value):
-    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
-
-
-def _from_json(value):
-    return tuple(_from_json(v) for v in value) if isinstance(value, list) else float(value)
-
-
-def bpa_to_dict(model: BpaModel) -> dict:
-    """JSON-ready dict for a bpa model: a kind tag, then its fields in order."""
-    kind = _BPA_TAGS.get(type(model))
-    if kind is None:
-        raise TypeError(f"not a bpa model: {type(model).__name__}")
-    return {"kind": kind, **{f.name: _to_json(getattr(model, f.name)) for f in fields(model)}}
-
-
-def bpa_from_dict(data: Mapping) -> BpaModel:
-    """Inverse of :func:`bpa_to_dict`; arrays come back as tuples of floats."""
-    cls = _BPA_KINDS.get(data.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown bpa kind {data.get('kind')!r}")
-    return cls(**{f.name: _from_json(data[f.name]) for f in fields(cls)})

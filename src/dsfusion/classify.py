@@ -10,13 +10,16 @@ on scalars; its prediction builds the fused mass only when that is read.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 from .bpa import (
     BINARY_FRAME,
@@ -29,8 +32,6 @@ from .bpa import (
     TableBpa,
     binary_row_mass,
     boundary_bits,
-    bpa_from_dict,
-    bpa_to_dict,
     class_columns,
     class_moments,
     counted_threshold,
@@ -38,6 +39,7 @@ from .bpa import (
     focal_row,
     logistic,
     nearest_mean,
+    row_arity,
     scaled_sigmoid_row,
     select_feature,
     table_row,
@@ -50,7 +52,6 @@ from .evidence import (
     combine_binary,
     combine_bits,
     fuse_binary,
-    make_frame,
     vacuous_mass,
 )
 
@@ -140,7 +141,7 @@ def train_binary_folds(
         raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
     if len(held_out) != len(rows):
         raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
-    n, n_features = len(rows), len(rows[0]) if rows else 0
+    n, n_features = len(rows), row_arity(rows) if rows else 0
     per_fold = Counter(zip(labels, held_out))
     sizes, classes = Counter(), Counter()  # records per fold, and per label
     for (label, g), c in per_fold.items():
@@ -461,59 +462,86 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
 
 Classifier = BinaryModel | ThreeClassModel | EmailModel
 
+# The JSON kind tag of every model class. A model's JSON is its tag, then each field in
+# order under its name, or under the key _KEYS gives it.
+_KINDS = {SigmoidBpa: "sigmoid", ScaledSigmoidBpa: "scaled_sigmoid", TableBpa: "table",
+          BoundaryModel: "boundary", BinaryModel: "binary", ThreeClassModel: "three_class",
+          EmailModel: "email"}
+_KEYS = {"frame": "labels", "interval_bpa": "interval", "spoofed_bpa": "spoofed",
+         "dangerous_bpa": "dangerous", "benign_bpa": "benign"}
+_LEAVES = {float: "a float", int: "an int", str: "a string"}
+_INT_KEY = re.compile("0|-?[1-9][0-9]*")  # an int key as str() writes it
+
+
+def _encode(value):
+    # A model becomes its JSON object, a frame its labels, a set its entries in ascending
+    # order, and a mapping an object with its keys in ascending order, as strings.
+    if type(value) in _KINDS:
+        items = ((_KEYS.get(f.name, f.name), getattr(value, f.name)) for f in fields(value))
+        return {"kind": _KINDS[type(value)], **{key: _encode(v) for key, v in items}}
+    if isinstance(value, Frame):
+        return list(value.labels)
+    if isinstance(value, (tuple, frozenset)):
+        return [_encode(v) for v in (sorted(value) if isinstance(value, frozenset) else value)]
+    if isinstance(value, Mapping):
+        return {str(key): _encode(value[key]) for key in sorted(value)}
+    return value
+
+
+def _decode(tp, value, path: str):
+    # The value of annotation ``tp`` whose JSON is ``value``. JSON that does not fit the
+    # annotation is a ValueError naming its ``path``; the built model checks the rest.
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _KINDS or origin is UnionType:  # a model of a class that ``tp`` names
+        classes = [c for c in args or (tp,) if c in _KINDS]
+        kind = value.get("kind") if type(value) is dict else None
+        cls = next((c for c in classes if _KINDS[c] == kind), None)
+        if cls is None:
+            got = repr(kind) if type(value) is dict else type(value).__name__
+            kinds = " or ".join(repr(_KINDS[c]) for c in classes)
+            raise ValueError(f"{path}: expected kind {kinds}, got {got}")
+        keys = {_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+        for key in sorted(value.keys() ^ {"kind", *keys}, key=str):  # the first, by name
+            raise ValueError(f"{path}: {'unexpected' if key in value else 'missing'} key {key!r}")
+        hints = get_type_hints(cls)
+        return cls(**{n: _decode(hints[n], value[k], f"{path}.{k}") for k, n in keys.items()})
+    if tp in _LEAVES:  # exact types: a bool is no int
+        if tp is float and type(value) is int and abs(value) <= 2**53:
+            return float(value)  # an int that the float holds exactly
+        if type(value) is not tp:
+            raise ValueError(f"{path}: expected {_LEAVES[tp]}, got {type(value).__name__}")
+        return value
+    if tp is Frame:
+        return Frame(_decode(tuple[str, ...], value, path))
+    container = dict if origin is Mapping else list
+    if type(value) is not container:
+        raise ValueError(f"{path}: expected a {container.__name__}, got {type(value).__name__}")
+    if origin is Mapping:  # its keys are ints in canonical form
+        for key in (k for k in value if not (type(k) is str and _INT_KEY.fullmatch(k))):
+            raise ValueError(f"{path}: key {key!r} is not an int in canonical form")
+        return {int(k): _decode(args[1], v, f"{path}[{k!r}]") for k, v in value.items()}
+    types = args if origin is tuple and args[-1] is not Ellipsis else (args[0],) * len(value)
+    if len(types) != len(value):
+        raise ValueError(f"{path}: expected {len(types)} entries, got {len(value)}")
+    items = tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if origin is frozenset and list(items) != sorted(set(items)):  # as the encoder writes it
+        raise ValueError(f"{path}: entries must be distinct and ascending, got {list(items)}")
+    return frozenset(items) if origin is frozenset else items
+
 
 def classifier_to_dict(model: Classifier) -> dict:
-    """JSON-ready dict for a classifier: a kind tag plus its bpa models."""
-    if isinstance(model, BinaryModel):
-        if None in model.bpas:
-            raise ValueError(
-                f"feature {model.bpas.index(None)} has no fitted threshold; "
-                "a model dump must describe every feature"
-            )
-        return {
-            "kind": "binary",
-            "bpas": [bpa_to_dict(b) for b in model.bpas],
-            "normal_fraction": model.normal_fraction,
-        }
-    if isinstance(model, ThreeClassModel):
-        return {
-            "kind": "three_class",
-            "labels": list(model.frame.labels),
-            "boundaries": bpa_to_dict(model.boundaries),
-            "means": [list(row) for row in model.means],
-            "selected": {str(bits): f for bits, f in sorted(model.selected.items())},
-        }
-    if isinstance(model, EmailModel):
-        return {
-            "kind": "email",
-            "interval": bpa_to_dict(model.interval_bpa),
-            "spoofed": bpa_to_dict(model.spoofed_bpa),
-            "dangerous": bpa_to_dict(model.dangerous_bpa),
-            "benign": bpa_to_dict(model.benign_bpa),
-            "signals": sorted(model.signals),
-        }
-    raise TypeError(f"not a classifier: {type(model).__name__}")
+    """JSON-ready dict for a classifier: its kind tag, then its fields, models nested."""
+    if not isinstance(model, Classifier):
+        raise TypeError(f"not a classifier: {type(model).__name__}")
+    if isinstance(model, BinaryModel) and None in model.bpas:
+        raise ValueError(
+            f"feature {model.bpas.index(None)} has no fitted threshold; "
+            "a model dump must describe every feature"
+        )
+    return _encode(model)
 
 
 def classifier_from_dict(data: Mapping) -> Classifier:
-    """Inverse of :func:`classifier_to_dict`."""
-    kind = data.get("kind")
-    if kind == "binary":
-        bpas = tuple(bpa_from_dict(b) for b in data["bpas"])
-        return BinaryModel(bpas, float(data["normal_fraction"]))  # type: ignore[arg-type]
-    if kind == "three_class":
-        return ThreeClassModel(
-            make_frame(data["labels"]),
-            bpa_from_dict(data["boundaries"]),  # type: ignore[arg-type]
-            tuple(tuple(float(v) for v in row) for row in data["means"]),
-            {int(bits): int(f) for bits, f in data["selected"].items()},
-        )
-    if kind == "email":
-        return EmailModel(
-            bpa_from_dict(data["interval"]),  # type: ignore[arg-type]
-            bpa_from_dict(data["spoofed"]),  # type: ignore[arg-type]
-            bpa_from_dict(data["dangerous"]),  # type: ignore[arg-type]
-            bpa_from_dict(data["benign"]),  # type: ignore[arg-type]
-            frozenset(data["signals"]),
-        )
-    raise ValueError(f"unknown classifier kind {kind!r}")
+    """Inverse of :func:`classifier_to_dict`. JSON that does not fit a field's annotation is
+    a ``ValueError`` naming its path, such as ``model.bpas[0]``."""
+    return _decode(Classifier, data, "model")

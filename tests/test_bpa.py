@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,16 +12,19 @@ from hypothesis import strategies as st
 
 from dsfusion import (
     BINARY_FRAME,
+    BinaryModel,
     BoundaryModel,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
+    ThreeClassModel,
     boundary_mass,
-    bpa_from_dict,
-    bpa_to_dict,
     class_columns,
     class_moments,
+    classifier_from_dict,
+    classifier_to_dict,
     distance_mass,
+    email_model_default,
     fit_boundaries,
     fsv,
     make_frame,
@@ -244,8 +248,10 @@ class TestTableMass:
         message = f"^a table needs 2 rows, one per signal value, got {count}$"
         with pytest.raises(ValueError, match=message):
             TableBpa((tuple(row),) * count)
+        data = classifier_to_dict(email_model_default())
+        data["spoofed"]["rows"] = [row] * count
         with pytest.raises(ValueError, match=message):
-            bpa_from_dict({"kind": "table", "rows": [row] * count})
+            classifier_from_dict(data)
 
 
 # A mass in [0, 1], and what is added to 1 - ceiling to get theta_mass: the band
@@ -334,6 +340,16 @@ class TestFitBoundaries:
     def test_rows_and_labels_must_pair_up(self):
         with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
             class_columns([(1.0,), (2.0,), (3.0,)], [0, 1])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1.0,), (3.0, 4.0), (5.0, 6.0)], "^row 1 has 2 values, row 0 has 1$"),
+        ([(1.0, 2.0), (3.0, 4.0), (5.0,)], "^row 2 has 1 values, row 0 has 2$"),
+    ], ids=["short-first", "short-last"])
+    def test_ragged_rows_rejected(self, rows, message):
+        # A short row 0 used to drop the other rows' extra feature, and a short later row
+        # to raise a bare IndexError.
+        with pytest.raises(ValueError, match=message):
+            class_columns(rows, [0, 1, 2])
 
     def test_first_bad_label_in_row_order_named(self):
         rows = [(1.0,)] * 5
@@ -595,26 +611,43 @@ BPA_MODELS = [
 ]
 
 
+def holder(model):
+    """A classifier that holds the bpa model, and the name of its slot: bpa models reach
+    JSON only inside a classifier."""
+    if isinstance(model, SigmoidBpa):
+        return BinaryModel((model,), 0.5), "bpas"
+    if isinstance(model, BoundaryModel):
+        means = ((5.0, 5.9, 6.6), (3.4, 2.8, 3.0), (1.5, 4.3, 5.6), (0.2, 1.3, 2.0))
+        return ThreeClassModel(THREE, model, means, dict.fromkeys((3, 5, 6, 7), 0)), "boundaries"
+    slot = "interval_bpa" if isinstance(model, ScaledSigmoidBpa) else "spoofed_bpa"
+    return replace(email_model_default(), **{slot: model}), slot
+
+
 class TestSerialization:
     @pytest.mark.parametrize("model", BPA_MODELS)
     def test_round_trip(self, model):
-        assert bpa_from_dict(bpa_to_dict(model)) == model
+        classifier, _ = holder(model)
+        assert classifier_from_dict(classifier_to_dict(classifier)) == classifier
 
     @pytest.mark.parametrize("model", BPA_MODELS)
     def test_round_trip_through_json_text(self, model):
         # JSON has no tuples: the arrays must come back as tuples of floats
         # for the model to compare equal and stay hashable.
-        restored = bpa_from_dict(json.loads(json.dumps(bpa_to_dict(model))))
-        assert restored == model
-        hash(restored)
+        classifier, slot = holder(model)
+        restored = classifier_from_dict(json.loads(json.dumps(classifier_to_dict(classifier))))
+        assert restored == classifier
+        hash(getattr(restored, slot))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            bpa_from_dict({"kind": "mystery"})
+        data = classifier_to_dict(holder(SigmoidBpa(4.5))[0])
+        data["bpas"][0]["kind"] = "mystery"
+        message = r"^model.bpas\[0\]: expected kind 'sigmoid', got 'mystery'$"
+        with pytest.raises(ValueError, match=message):
+            classifier_from_dict(data)
 
     def test_non_model_not_written(self):
-        with pytest.raises(TypeError, match="^not a bpa model: Moments$"):
-            bpa_to_dict(moments([1.0]))
+        with pytest.raises(TypeError, match="^not a classifier: Moments$"):
+            classifier_to_dict(moments([1.0]))
 
 
 def test_every_builder_output_is_normalized():

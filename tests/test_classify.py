@@ -108,6 +108,18 @@ class TestTrainBinary:
         with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
             train_binary([(1.0,), (2.0,), (3.0,)], [0, 1])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([(1.0,), (3.0, 4.0)], "^row 1 has 2 values, row 0 has 1$"),
+        ([(1.0, 2.0), (3.0,)], "^row 1 has 1 values, row 0 has 2$"),
+    ], ids=["short-first", "short-last"])
+    def test_ragged_rows_rejected(self, rows, message):
+        # A short row 0 used to fit one feature only, and a short later row to raise a
+        # bare IndexError.
+        with pytest.raises(ValueError, match=message):
+            train_binary(rows, [0, 1])
+        with pytest.raises(ValueError, match=message):
+            train_binary_folds(rows, [0, 1], [0, 1])
+
     def test_fold_ids_of_another_length_rejected(self):
         with pytest.raises(ValueError, match="^1 fold ids for 2 rows$"):
             train_binary_folds([(1.0,), (2.0,)], [0, 1], [0])
@@ -1029,9 +1041,158 @@ class TestClassifierSerialization:
             classifier_from_dict(json.loads(json.dumps(data)))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        message = "^model: expected kind 'binary' or 'three_class' or 'email', got 'perceptron'$"
+        with pytest.raises(ValueError, match=message):
             classifier_from_dict({"kind": "perceptron"})
+
+    @pytest.mark.parametrize("base, bad, message", [
+        # Each of the first nine used to load, or to fail with a bare exception.
+        ("binary", lambda d: d["bpas"].__setitem__(0, TABLE_JSON),
+         r"model.bpas\[0\]: expected kind 'sigmoid', got 'table'"),
+        ("email", lambda d: d.__setitem__("interval", TABLE_JSON),
+         "model.interval: expected kind 'scaled_sigmoid', got 'table'"),
+        ("binary", lambda d: [d.pop("bpas"), d.pop("normal_fraction")],
+         "model: missing key 'bpas'"),
+        ("binary", lambda d: d.__setitem__("note", 1), "model: unexpected key 'note'"),
+        ("binary", lambda d: d.__setitem__("normal_fraction", "0.5"),
+         "model.normal_fraction: expected a float, got str"),
+        ("three_class", lambda d: d["selected"].__setitem__("3", 1.0),
+         r"model.selected\['3'\]: expected an int, got float"),
+        ("three_class", lambda d: d["selected"].__setitem__("3", True),
+         r"model.selected\['3'\]: expected an int, got bool"),
+        ("email", lambda d: d.__setitem__("signals", [1, True]),
+         r"model.signals\[1\]: expected an int, got bool"),
+        ("binary", lambda d: d["bpas"].__setitem__(0, None),
+         r"model.bpas\[0\]: expected kind 'sigmoid', got NoneType"),
+        ("binary", lambda d: d["bpas"][0].__setitem__("slope", 1.0),
+         r"model.bpas\[0\]: unexpected key 'slope'"),
+        ("binary", lambda d: d.__setitem__("normal_fraction", True),
+         "model.normal_fraction: expected a float, got bool"),
+        ("binary", lambda d: d.__setitem__("normal_fraction", 2**53 + 1),
+         "model.normal_fraction: expected a float, got int"),
+        ("three_class", lambda d: d["selected"].__setitem__("03", d["selected"].pop("3")),
+         "model.selected: key '03' is not an int in canonical form"),
+        ("three_class", lambda d: d.__setitem__("selected", [3, 5, 6, 7]),
+         "model.selected: expected a dict, got list"),
+        ("three_class", lambda d: d["labels"].__setitem__(0, 1),
+         r"model.labels\[0\]: expected a string, got int"),
+        ("three_class", lambda d: d["boundaries"]["bounds"][0][1].pop(),
+         r"model.boundaries.bounds\[0\]\[1\]: expected 2 entries, got 1"),
+        ("email", lambda d: d["spoofed"]["rows"][1].append(0.0),
+         r"model.spoofed.rows\[1\]: expected 3 entries, got 4"),
+        ("email", lambda d: d.__setitem__("signals", [1, 1]),
+         r"model.signals: entries must be distinct and ascending, got \[1, 1\]"),
+        ("email", lambda d: d.__setitem__("signals", [4, 1]),
+         r"model.signals: entries must be distinct and ascending, got \[4, 1\]"),
+        ("email", lambda d: d.__setitem__("signals", 1), "model.signals: expected a list, got int"),
+    ], ids=["table-in-binary-slot", "table-as-interval", "missing-key", "extra-key",
+            "string-number", "float-feature", "bool-feature", "bool-signal", "null-bpa",
+            "extra-nested-key", "bool-number", "inexact-int", "non-canonical-key",
+            "list-for-object", "non-string-label", "short-bounds", "long-mass-row",
+            "repeated-signal", "unsorted-signals", "number-for-list"])
+    def test_json_that_does_not_fit_its_slot_names_the_path(self, base, bad, message):
+        data = codec_bases()[base]
+        bad(data)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classifier_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "sigmoid", "threshold": 1.0}, [], None,
+    ], ids=["bare-bpa", "list", "null"])
+    def test_only_a_classifier_is_read(self, data):
+        with pytest.raises(ValueError, match="^model: expected kind 'binary' or 'three_class'"):
+            classifier_from_dict(data)
+
+    def test_an_int_stands_for_the_float_it_equals(self):
+        data = codec_bases()["email"]
+        data["interval"]["threshold"] = 30
+        assert classifier_from_dict(data) == email_model_default()
 
     def test_non_classifier_not_written(self):
         with pytest.raises(TypeError, match="^not a classifier: SigmoidBpa$"):
             classifier_to_dict(SigmoidBpa(1.0))
+
+
+# A table bpa's JSON, for slots that hold another kind.
+TABLE_JSON = {"kind": "table", "rows": [[0.9, 0.09, 0.01], [0.1, 0.89, 0.01]]}
+
+
+def codec_bases():
+    """Fresh JSON of one model of each kind, by kind."""
+    models = [
+        train_binary([(1.0, 5.0), (2.0, 3.0), (4.0, 0.5)], [0, 1, 1]),
+        three_class_model(),
+        email_model_default(),
+    ]
+    return {data["kind"]: data for data in map(classifier_to_dict, models)}
+
+
+def _json_paths(node, path=()):
+    # The path of every node of a JSON tree, the root first.
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(child, (*path, key))
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.just(2**53 + 1), st.floats(),
+    st.text(max_size=2), st.sampled_from(["sigmoid", "table", "binary", "email", "3", "03"]),
+    st.just([]), st.just({}), st.lists(st.floats(0, 1), min_size=2, max_size=3),
+)
+_JSON_NUMBERS = st.one_of(st.integers(0, 7), st.floats(-1, 10), st.sampled_from([0.3, 0.7, 0.01]))
+_JSON_KEYS = st.sampled_from(["kind", "3", "03", "-1", "8", "rows", "threshold", "labels", "x"])
+
+
+def _json_at(data, path):
+    return reduce(lambda node, key: node[key], path, data)
+
+
+@st.composite
+def _mutated_json(draw):
+    # A model's JSON after up to three random edits below its root: a node replaced by a
+    # number or another leaf, or deleted; a key added to an object, a list entry repeated,
+    # or a list reversed.
+    data = draw(st.sampled_from(["binary", "three_class", "email"]).map(lambda k: codec_bases()[k]))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["number", "replace", "delete", "add", "reverse"]))
+        paths = list(_json_paths(data))[1:]
+        if edit in ("number", "reverse"):  # edits that keep more models valid
+            kinds = (int, float) if edit == "number" else (list,)
+            paths = [p for p in paths if type(_json_at(data, p)) in kinds]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = _json_at(data, path[:-1]), path[-1]
+        if edit in ("number", "replace"):
+            parent[key] = draw(_JSON_NUMBERS if edit == "number" else _JSON_LEAVES)
+        elif edit == "delete":
+            del parent[key]
+        elif edit == "reverse":
+            parent[key].reverse()
+        elif isinstance(parent, dict):
+            parent[draw(_JSON_KEYS)] = draw(_JSON_LEAVES)
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_mutated_json())
+def test_the_codec_reads_its_own_json_and_names_anything_else(data):
+    # What the loader accepts writes back equal and classifies a record; the rest is a
+    # ValueError, never a bare exception.
+    try:
+        model = classifier_from_dict(data)
+    except ValueError:
+        return
+    assert classifier_to_dict(model) == data
+    if isinstance(model, BinaryModel):
+        classify_binary((1.0,) * len(model.bpas), model)
+    elif isinstance(model, ThreeClassModel):
+        classify_three_class((5.0,) * len(model.means), model)
+    else:
+        try:
+            classify_email((5.0, 1, 1, 0), model)
+        except TotalConflictError:  # rows that the message's signals fuse to total conflict
+            pass
