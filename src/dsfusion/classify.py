@@ -65,7 +65,8 @@ class Prediction:
     """A label, the fused mass function behind it, and a decision trace.
 
     The mass is ``build(frame, *args)``, built on first read and then kept;
-    a module-level ``build`` and plain-data ``args`` keep it picklable.
+    a module-level ``build`` and plain-data ``args`` keep it picklable. The
+    trace is read-only: predictions of one model may share it.
     """
 
     label: str
@@ -92,7 +93,8 @@ class Prediction:
 class BinaryModel:
     """One sigmoid threshold per feature, over the {normal, abnormal} frame.
 
-    A feature the trainer was not asked to fit holds None and is not fused.
+    A feature the trainer was not asked to fit holds None and is not fused;
+    at least one feature is fitted.
     """
 
     bpas: tuple[SigmoidBpa | None, ...]
@@ -101,6 +103,8 @@ class BinaryModel:
     def __post_init__(self) -> None:
         if not 0 < self.normal_fraction < 1:  # NaN fails this too
             raise ValueError(f"normal_fraction {self.normal_fraction} is not between 0 and 1")
+        if not self.fitted:
+            raise ValueError("binary model must fit at least one feature")
 
     @cached_property
     def fitted(self) -> tuple[tuple[int, float], ...]:
@@ -205,8 +209,11 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     per-feature mass is built, and ``sigmoid_mass``'s saturation clamp
     cannot turn a log-odds tie into total conflict. A record with no value
     for any fitted feature carries no evidence, so nothing says abnormal:
-    it is normal, with the vacuous mass.
+    it is normal, with the vacuous mass. The record holds one value per
+    model slot.
     """
+    if len(record) != len(model.bpas):
+        raise ValueError(f"record has {len(record)} values, model has {len(model.bpas)} features")
     used, terms = [], []
     for f, threshold in model.fitted:
         value = record[f]
@@ -406,6 +413,11 @@ class EmailModel:
             entries[flags[0] if len(flags) == 1 else flags] = (rows, *binary_commonalities(rows))
         return signals, itemgetter(*(s - 1 for s in tables)) if tables else None, entries
 
+    @cached_property
+    def trace(self) -> Mapping[str, object]:
+        """The trace of every :func:`classify_email` prediction of this model, built once."""
+        return {"signals": sorted(self.signals)}
+
 
 def email_model_default() -> EmailModel:
     """The stock email model: sigmoid interval signal plus three table signals."""
@@ -457,7 +469,7 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     if abs(qa - qn) <= 2.0**-49 * (qa + qn) + 2.0**-1000:
         qn, qa = (math.prod(Fraction(r[i]) + Fraction(r[2]) for r in rows) for i in (0, 1))
     label = "abnormal" if qa > qn else "normal"
-    return Prediction(label, BINARY_FRAME, {"signals": [*signals]}, combine_binary, (rows,))
+    return Prediction(label, BINARY_FRAME, model.trace, combine_binary, (rows,))
 
 
 Classifier = BinaryModel | ThreeClassModel | EmailModel

@@ -1,10 +1,13 @@
 """Unit tests for the three fusion classifiers."""
 
 import copy
+import gc
 import json
 import math
 import pickle
+import platform
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from dataclasses import replace
@@ -269,6 +272,25 @@ class TestClassifyBinary:
         # nothing could only ever answer "no evidence".
         with pytest.raises(ValueError, match="feature subset must be nonempty"):
             train_binary([(1.0,) * 9, (9.0,) * 9], [0, 1], ())
+
+    @pytest.mark.parametrize("bpas", [(), (None,), (None, None)])
+    def test_model_fitting_no_feature_rejected(self, bpas):
+        # Such a model labelled every record normal by the no-evidence rule.
+        with pytest.raises(ValueError, match="^binary model must fit at least one feature$"):
+            BinaryModel(bpas, 0.5)
+
+    def test_model_fitting_no_feature_not_loaded(self):
+        data = {"kind": "binary", "bpas": [], "normal_fraction": 0.5}
+        with pytest.raises(ValueError, match="^binary model must fit at least one feature$"):
+            classifier_from_dict(data)
+
+    @pytest.mark.parametrize("record", [(5.0,), (5.0, 7.0, 1.0)], ids=["short", "long"])
+    def test_record_length_must_match_the_model(self, record):
+        # A short record raised a bare IndexError, and a long one had its extra values ignored.
+        model = BinaryModel((SigmoidBpa(3.0), SigmoidBpa(3.0)), 0.5)
+        message = f"^record has {len(record)} values, model has 2 features$"
+        with pytest.raises(ValueError, match=message):
+            classify_binary(record, model)
 
 
 def slot_scan_classify_binary(record, model: BinaryModel):
@@ -711,6 +733,18 @@ NEAR_TIE_MODEL = replace(
 )
 
 
+class UnhashableOne:
+    """A flag equal to 1 that the email table cannot look up."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __int__(self):
+        return 1
+
+
 class TestClassifyEmail:
     MODEL = email_model_default()
 
@@ -779,16 +813,7 @@ class TestClassifyEmail:
     def test_unhashable_flag_equal_to_one_takes_the_miss_path(self):
         # The table lookup cannot hash this flag, so the rows are built signal by
         # signal: the decision and the mass are those of the plain flag 1.
-        class One:
-            __hash__ = None
-
-            def __eq__(self, other):
-                return other == 1
-
-            def __int__(self):
-                return 1
-
-        pred = classify_email((10.0, One(), 1.0, 0.0), self.MODEL)
+        pred = classify_email((10.0, UnhashableOne(), 1.0, 0.0), self.MODEL)
         plain = classify_email((10.0, 1.0, 1.0, 0.0), self.MODEL)
         assert (pred.label, pred.trace) == ("abnormal", {"signals": [1, 2, 3, 4]})
         assert (plain.label, plain.trace) == (pred.label, pred.trace)
@@ -909,6 +934,63 @@ class TestEmailTable:
         pred = classify_email((5.0, math.nan, "x", None), model)
         assert (pred.label, pred.trace) == ("normal", {"signals": [1]})
         assert pred == classify_email((5.0, 0, 0, 0), model)
+
+
+class TestEmailTrace:
+    # Every message of a model has the same trace, so the model builds it once.
+
+    def test_hit_and_miss_share_the_model_trace(self):
+        model = email_model_default()
+        hit = classify_email((10.0, 1, 1, 0), model)
+        miss = classify_email((10.0, UnhashableOne(), 1, 0), model)
+        assert hit.trace is miss.trace is model.trace
+        assert model.trace == {"signals": [1, 2, 3, 4]}
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="counts the objects CPython's collector tracks")
+    def test_kept_objects_per_message(self):
+        # With the collector off, nothing is untracked behind our back: each kept
+        # prediction holds itself, its args, its rows and the interval row (6 with a
+        # trace dict and list per message).
+        if sys.gettrace() is not None:
+            pytest.skip("a line tracer, such as scripts/coverage.py's, keeps objects of its own")
+        model = email_model_default()
+        messages = [(float(i % 60), 1, 1, i % 2) for i in range(1000)]
+        classify_email(messages[0], model)  # builds the model's table and trace
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            preds = [classify_email(m, model) for m in messages]
+            kept = len(gc.get_objects()) - before - 1  # less the list of predictions
+        finally:
+            gc.enable()
+        assert kept <= 4 * len(messages)
+        assert all(pred.trace is model.trace for pred in preds)
+
+    def test_replaced_model_gets_its_own_trace(self):
+        model = email_model_default()
+        trace = classify_email((10.0, 1, 1, 0), model).trace
+        other = replace(model, signals=frozenset({4, 1}))
+        pred = classify_email((10.0, 1, 1, 0), other)
+        assert pred.trace is other.trace is not trace
+        assert (pred.trace, trace) == ({"signals": [1, 4]}, {"signals": [1, 2, 3, 4]})
+        assert model.trace is trace
+
+    def test_pickled_prediction_equals_the_original(self):
+        pred = classify_email((31.5, 1, 0, 1), email_model_default())
+        assert pickle.loads(pickle.dumps(pred)) == pred  # label, mass and trace
+
+    def test_relabelled_copy_is_a_valid_prediction(self):
+        # The email shim of the benchmark's planted fault relabels with dataclasses.replace.
+        model = email_model_default()
+        pred = classify_email((500.0, 1, 1, 0), model)
+        planted = replace(pred, label="normal")
+        assert (pred.label, planted.label) == ("abnormal", "normal")
+        assert planted.trace is pred.trace is model.trace
+        assert planted.mass == pred.mass
+        with pytest.raises(ValueError, match="is not a frame singleton"):
+            replace(pred, label="worm")
 
 
 class TestEmailTotalConflict:
