@@ -284,11 +284,15 @@ def class_moments(columns: Columns) -> ClassMoments:
             if not values:
                 raise ValueError(f"class {c} has no training records")
             try:
-                stats[f].append(moments(values))
+                m = moments(values)
             except TypeError:  # sum() meets a None cell
                 if None not in values:
                     raise
                 raise ValueError(f"feature {f} has a missing value") from None
+            if not math.isfinite(m.total):  # a non-finite value; finite ones that overflow pass
+                for bad in (v for v in values if not math.isfinite(v)):
+                    raise ValueError(f"feature value must be finite, got {bad} in feature {f}")
+            stats[f].append(m)
     return stats
 
 

@@ -16,8 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
-from operator import itemgetter
+from itertools import compress, product, repeat
+from operator import eq, itemgetter, ne
 from types import UnionType
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
@@ -32,7 +32,6 @@ from .bpa import (
     TableBpa,
     binary_row_mass,
     boundary_bits,
-    class_columns,
     class_moments,
     counted_threshold,
     fit_boundaries,
@@ -281,13 +280,52 @@ def train_three_class(
     Each feature's values are grouped by class once; the ranges, means and
     selection scores all come from those lists' :class:`~dsfusion.bpa.Moments`.
     """
-    stats = class_moments(class_columns(rows, labels))
-    boundaries = fit_boundaries(stats)
-    means = tuple(tuple(m.mean for m in per_class) for per_class in stats)
-    selected = {
-        bits: select_feature(stats, [c for c in range(3) if bits >> c & 1]) for bits in _GROUPS
-    }
-    return ThreeClassModel(frame, boundaries, means, selected)
+    return train_three_class_folds(rows, labels, (0,) * len(rows), frame)(None)
+
+
+def train_three_class_folds(
+    rows: Sequence[Sequence[float]], labels: Sequence[int], held_out: Sequence[int], frame: Frame
+) -> Callable[[int | None], ThreeClassModel]:
+    """:func:`train_three_class` for every fold at once. Record i is held out of
+    fold ``held_out[i]``, and ``fit(fold)`` returns the model, or raises the
+    error, of ``train_three_class`` on the other records (``fit(None)``: all).
+
+    Each class's rows and fold ids are grouped once, in index order; a fold
+    keeps each class's rows outside it and turns them into feature columns,
+    so its columns hold the values, in the order, of its own rows'. Unequal
+    lengths and ragged rows are refused here; every other check, when a fold is fitted.
+    """
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
+    if len(held_out) != len(rows):
+        raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
+    sizes = Counter(held_out)
+    outside = [] if set(labels) <= {0, 1, 2} else [
+        (label, g) for label, g in zip(labels, held_out) if label not in (0, 1, 2)
+    ]
+    n_features = row_arity(rows) if rows else 0
+    class_rows = [list(compress(rows, map(eq, labels, repeat(c)))) for c in range(3)]
+    homes = [list(compress(held_out, map(eq, labels, repeat(c)))) for c in range(3)]
+
+    def fit(fold: int | None) -> ThreeClassModel:
+        if sizes[fold] == len(rows):
+            raise ValueError("no training records")
+        for label in (label for label, g in outside if g != fold):
+            raise ValueError(f"class label {label!r} outside 0..2")
+        # zip(*records) turns a class's kept records into its feature columns; a class with
+        # none gets empty ones, which class_moments rejects.
+        stats = class_moments(list(zip(*[
+            list(zip(*compress(records, map(ne, g, repeat(fold))))) or [()] * n_features
+            for records, g in zip(class_rows, homes)
+        ])))
+        boundaries = fit_boundaries(stats)
+        means = tuple(tuple(m.mean for m in per_class) for per_class in stats)
+        selected = {
+            bits: select_feature(stats, [c for c in range(3) if bits >> c & 1]) for bits in _GROUPS
+        }
+        return ThreeClassModel(frame, boundaries, means, selected)
+
+    return fit
 
 
 # The confidences as the documented ratios, 9/10 and 4/5, not as the floats' binary values.

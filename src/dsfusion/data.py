@@ -16,8 +16,8 @@ import math
 import random
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -29,7 +29,7 @@ from .classify import (
     classify_three_class,
     email_model_default,
     train_binary_folds,
-    train_three_class,
+    train_three_class_folds,
 )
 from .evidence import make_frame
 
@@ -274,11 +274,15 @@ class FoldPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        sizes = [0] * self.k
-        for fold in self.assignment:
-            if not 0 <= fold < self.k:
-                raise ValueError(f"fold id {fold} outside 0..{self.k - 1}")
-            sizes[fold] += 1
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be an int of at least 1, got {self.k!r}")
+        # Every id's type (True and 1.0 count under the key 1), then the keys' range.
+        counts = Counter(self.assignment)
+        if set(map(type, self.assignment)) - {int} or not all(0 <= g < self.k for g in counts):
+            bad = next(g for g in self.assignment if type(g) is not int or not 0 <= g < self.k)
+            problem = f"outside 0..{self.k - 1}" if type(bad) is int else "is not an int"
+            raise ValueError(f"fold id {bad!r} {problem}")
+        sizes = [counts[g] for g in range(self.k)]
         if min(sizes) < 1 or max(sizes) - min(sizes) > 1:
             raise ValueError(f"fold sizes {sizes} are not balanced")
 
@@ -384,16 +388,6 @@ class Task:
         return fit_fold
 
 
-def _three_class_folds(rows, labels, held_out, dataset, subset) -> Callable:
-    frame = make_frame(dataset.label_names)
-
-    def fit(fold: int | None):
-        kept = [home != fold for home in held_out]
-        return train_three_class(list(compress(rows, kept)), list(compress(labels, kept)), frame)
-
-    return fit
-
-
 # The entries reach the trainers and classifiers through this module's
 # globals at call time, so rebinding those names (e.g. to trace them)
 # reaches every task.
@@ -410,7 +404,9 @@ TASKS = {
         cross_validates=True,
     ),
     "iris": Task(
-        train=_three_class_folds,
+        train=lambda rows, labels, held_out, dataset, subset: train_three_class_folds(
+            rows, labels, held_out, make_frame(dataset.label_names)
+        ),
         classify=lambda record, model: classify_three_class(record, model),
         key="features",
         describe=lambda dataset, subset: list(subset),

@@ -362,6 +362,25 @@ class TestFitBoundaries:
         with pytest.raises(TypeError):
             class_moments(columns)
 
+    @pytest.mark.parametrize("values, bad", [
+        ([math.nan, 1.0], "nan"), ([1.0, 2.0, math.nan], "nan"), ([math.inf, 1.0], "inf"),
+        ([1.0, -math.inf], "-inf"), ([math.inf, -math.inf], "inf"),
+    ])
+    def test_non_finite_value_named_in_any_position(self, values, bad):
+        columns = [[[1.0, 2.0], [3.0], [4.0]], [[5.0], values, [6.0]]]
+        message = f"^feature value must be finite, got {bad} in feature 1$"
+        with pytest.raises(ValueError, match=message):
+            class_moments(columns)
+
+    def test_missing_value_named_before_a_non_finite_one(self):
+        with pytest.raises(ValueError, match="^feature 0 has a missing value$"):
+            class_moments([[[math.nan, None], [1.0], [2.0]]])
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        # Their moments carry the infinite sum; the model's checks reject what follows.
+        ((big, _, _),) = class_moments([[[1.5e308, 1.7e308], [1.0], [2.0]]])
+        assert (big.total, big.lo, big.hi) == (math.inf, 1.5e308, 1.7e308)
+
 
 class TestBoundaryMass:
     def test_single_class_band(self):

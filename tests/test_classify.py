@@ -46,8 +46,14 @@ from dsfusion import (
     vacuous_mass,
 )
 from dsfusion import classify
-from dsfusion.bpa import logistic
-from dsfusion.classify import BinaryModel, email_signal_mass, email_signal_row, train_binary_folds
+from dsfusion.bpa import class_columns, logistic
+from dsfusion.classify import (
+    BinaryModel,
+    email_signal_mass,
+    email_signal_row,
+    train_binary_folds,
+    train_three_class_folds,
+)
 from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
 
 from conftest import (
@@ -541,6 +547,98 @@ def test_train_three_class_matches_per_sample_reference(train):
             train_three_class(*train, IRIS_FRAME)
         return
     assert classifier_to_dict(train_three_class(*train, IRIS_FRAME)) == classifier_to_dict(expected)
+
+
+class TestTrainThreeClassInput:
+    @pytest.mark.parametrize("row, feature", [(1, 2), (6, 2), (60, 0), (149, 3)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_named_wherever_it_is(self, iris_dataset, row, feature, value):
+        # Such a value used to fail the bounds check or the means check, by its value and
+        # row (an inf in row 6 the first, a NaN there the second); now every one gets the
+        # binary trainer's message.
+        rows = [list(r) for r in iris_dataset.rows]
+        rows[row][feature] = value
+        message = f"^feature value must be finite, got {value} in feature {feature}$"
+        with pytest.raises(ValueError, match=message):
+            train_three_class(rows, iris_dataset.labels, IRIS_FRAME)
+
+    def test_finite_values_whose_sum_overflows_keep_the_means_check(self, iris_dataset):
+        rows = [list(r) for r in iris_dataset.rows]
+        rows[1][2], rows[2][2] = 1.5e308, 1.7e308
+        with pytest.raises(ValueError, match=r"^class means must be finite: \(\(.*inf"):
+            train_three_class(rows, iris_dataset.labels, IRIS_FRAME)
+
+    @pytest.mark.parametrize("rows, labels, held_out, message", [
+        ([(1.0,), (2.0,)], [0, 1], [0], "^1 fold ids for 2 rows$"),
+        ([(1.0,), (2.0,), (3.0,)], [0, 1], [0, 0, 1], "^3 rows vs 2 labels$"),
+        ([(1.0,), (2.0, 3.0)], [0, 1], [0, 1], "^row 1 has 2 values, row 0 has 1$"),
+    ], ids=["fold-ids", "labels", "ragged"])
+    def test_columns_of_other_lengths_rejected_while_preparing(
+        self, rows, labels, held_out, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            train_three_class_folds(rows, labels, held_out, IRIS_FRAME)
+
+    def test_errors_wait_for_the_fold_that_trains_on_them(self):
+        # Record 6's label and record 7's missing value are held out of fold 1: preparing
+        # raises nothing, fold 1 trains, and only fold 0's fit meets them, label first.
+        rows = [(float(i % 4),) for i in range(7)] + [(None,)]
+        labels = [0, 1, 2, 0, 1, 2, 5, 0]
+        held_out = (0, 0, 0, 0, 0, 0, 1, 1)
+        fit = train_three_class_folds(rows, labels, held_out, IRIS_FRAME)
+        assert fit(1) == train_three_class(rows[:6], labels[:6], IRIS_FRAME)
+        with pytest.raises(ValueError, match=r"^class label 5 outside 0\.\.2$"):
+            fit(0)
+        labels[6] = 1
+        with pytest.raises(ValueError, match="^feature 0 has a missing value$"):
+            train_three_class_folds(rows, labels, held_out, IRIS_FRAME)(0)
+        with pytest.raises(ValueError, match="^no training records$"):
+            train_three_class_folds(rows, labels, (0,) * 8, IRIS_FRAME)(0)
+
+
+def _outcome(function, *args):
+    # The result (a model as its JSON), or the type and message of the error raised.
+    try:
+        result = function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return json.dumps(classifier_to_dict(result)) if isinstance(result, ThreeClassModel) else result
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_models_match_train_three_class_on_the_fold_rows(data):
+    # Each fold's fit, and fit(None), gives train_three_class's model on the
+    # records outside the fold, in index order, or its error word for word.
+    k = data.draw(st.integers(2, 20), label="k")
+    n = data.draw(st.integers(k, 3 * k + 9), label="n")
+    width = data.draw(st.integers(1, 4), label="width")
+    cell = st.sampled_from((0.0, 1.0, 2.0, 4.0))
+    rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                              min_size=n, max_size=n), label="rows")
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="labels")
+    held_out = make_folds(n, k, data.draw(st.integers(0, 2**32 - 1), label="fold seed")).assignment
+    fault = data.draw(st.sampled_from(["none", "label", "missing", "nan", "class"]), label="fault")
+    i = data.draw(st.integers(0, n - 1), label="record")
+    if fault == "label":
+        labels[i] = data.draw(st.sampled_from([3, -1, 2.5]), label="bad label")
+    elif fault in ("missing", "nan"):
+        f = data.draw(st.integers(0, width - 1), label="feature")
+        rows[i][f] = None if fault == "missing" else math.nan
+    elif fault == "class":  # record i's fold holds every record of its class
+        c = labels[i]
+        labels = [c if g == held_out[i] else (c + 1 + label % 2) % 3
+                  for label, g in zip(labels, held_out)]
+    rows = [tuple(row) for row in rows]
+    fit = train_three_class_folds(rows, labels, held_out, IRIS_FRAME)
+    for fold in (*range(k), None):
+        train = [j for j, g in enumerate(held_out) if g != fold]
+        fold_rows, fold_labels = [rows[j] for j in train], [labels[j] for j in train]
+        expected = _outcome(train_three_class, fold_rows, fold_labels, IRIS_FRAME)
+        assert _outcome(fit, fold) == expected
+        # The row checks of class_columns come first, as when each fold grouped its rows.
+        grouped = _outcome(class_columns, fold_rows, fold_labels)
+        assert isinstance(grouped, list) or expected == grouped
 
 
 def generic_three_class_mass(record, model: ThreeClassModel, trace):

@@ -46,7 +46,8 @@ from dsfusion.data import (
     report_text,
 )
 from dsfusion.bpa import moments
-from dsfusion.classify import classify_binary, train_binary
+from dsfusion.classify import classify_binary, train_binary, train_three_class
+from dsfusion.evidence import make_frame
 
 from conftest import WBCD_PATH
 
@@ -511,10 +512,23 @@ class TestMakeFolds:
         ((0, -1), "fold id -1 outside 0..1"),
         ((0, 0, 0, 1), "fold sizes [3, 1] are not balanced"),
         ((0, 0), "fold sizes [2, 0] are not balanced"),
+        ((0, 1.5), "fold id 1.5 is not an int"),
+        ((0, True), "fold id True is not an int"),
+        ((0, 1, True), "fold id True is not an int"),  # counted under the key 1
+        ((0, 1, 1.0), "fold id 1.0 is not an int"),
+        ((0, 1, "1"), "fold id '1' is not an int"),
+        ((0, None, 1), "fold id None is not an int"),
+        ((0, 2, 1.5), "fold id 2 outside 0..1"),  # the first bad id in assignment order
+        ((0, 1.5, 2), "fold id 1.5 is not an int"),
     ])
     def test_malformed_fold_plan_rejected(self, assignment, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FoldPlan(2, assignment, 0)
+
+    @pytest.mark.parametrize("k", [0, -2, 2.0, True])
+    def test_fold_count_that_is_not_a_positive_int_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an int of at least 1, got {k!r}$"):
+            FoldPlan(k, (0, 1), 0)
 
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_fewer_than_two_folds_rejected(self, k):
@@ -813,6 +827,23 @@ class TestEvaluate:
         assert str(info.value).endswith("has no training records")
         assert type(info.value.__cause__) is ValueError
 
+    def test_fold_holding_a_whole_class_is_named_in_fold_order(self, monkeypatch, iris_dataset):
+        # Ten Setosa, twenty Versicolour and ten Virginica records. Fold 2 holds every
+        # Virginica and fold 3 every Setosa, so fold 1 trains and fold 2 fails first.
+        kept = [*range(10), *range(50, 70), *range(100, 110)]
+        held_out = tuple(2 if i < 10 else 1 if i >= 100 else (0, 3)[i % 2] for i in kept)
+        dataset = dataclasses.replace(
+            iris_dataset, ids=tuple(range(1, 41)), rows=tuple(iris_dataset.rows[i] for i in kept),
+            labels=tuple(iris_dataset.labels[i] for i in kept),
+        )
+        calls = record_training(monkeypatch, "iris")
+        message = ("fold 2 of 4: cannot train on its 30 training records: "
+                   "class 2 has no training records")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            evaluate(dataset, "iris", folds=FoldPlan(4, held_out, 0))
+        ((_, _, _, fitted),) = calls
+        assert [fold for fold, _ in fitted] == [0]
+
     def test_unknown_task_rejected(self, iris_dataset):
         with pytest.raises(ValueError):
             evaluate(iris_dataset, "sonar", folds=make_folds(150, 10, 0))
@@ -862,13 +893,6 @@ class TestTrainingInput:
         dataset = wbcd_dataset if task == "wbcd" else iris_dataset
         folds = make_folds(len(dataset), 10, 42)
         calls = record_training(monkeypatch, task)
-        per_fold_rows = []
-        original = data_module.train_three_class
-        monkeypatch.setattr(
-            data_module, "train_three_class",
-            lambda rows, labels, frame: per_fold_rows.append((rows, labels))
-            or original(rows, labels, frame),
-        )
         evaluate(dataset, task, folds=folds)
         ((rows, labels, held_out, fitted),) = calls
         assert (rows, labels, held_out) == (dataset.rows, dataset.labels, folds.assignment)
@@ -877,10 +901,13 @@ class TestTrainingInput:
             ([dataset.rows[i] for i in train], [dataset.labels[i] for i in train])
             for train in map(folds.train_indices, range(folds.k))
         ]
+        # Both fits prepare once per cross-validation: each fold's model is the
+        # plain trainer's on that fold's rows.
         if task == "iris":
-            assert per_fold_rows == expected
-        else:  # the counting fit: the models of train_binary on those rows
-            assert per_fold_rows == []
+            frame = make_frame(dataset.label_names)
+            assert [model for _, model in fitted] == [train_three_class(*x, frame)
+                                                      for x in expected]
+        else:
             assert [model for _, model in fitted] == [train_binary(*x) for x in expected]
 
     def test_email_trains_on_empty_columns(self, monkeypatch):
