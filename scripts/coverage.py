@@ -10,9 +10,8 @@ The tracer starts before ``dsfusion`` is imported, so module and class
 bodies, which run at import, count like function bodies. A statement is a
 line that starts an ``ast`` statement and compiles to bytecode (a
 function's docstring does not); it ran if any line it owns ran. The CLI
-tests that start a subprocess are not traced, so ``cli.py``'s lines that
-only a real process reaches (``run``, ``__main__``, the ``--out`` error
-paths) are listed as missed.
+tests that start a subprocess are not traced, so ``cli.py``'s
+``__main__`` guard, which only a real process reaches, is listed as missed.
 
 Usage: python scripts/coverage.py [--out COVERAGE.json] [pytest args...]
 A whole run takes about two minutes on a 2-core machine.

@@ -6,7 +6,7 @@ ceiling and ignorance mass, a lookup table for binary signals, and two
 three-class assignments driven by per-class value ranges and per-class
 means. Training helpers derive the thresholds, ranges, means and the
 feature-selection scores from labelled feature rows; the three-class ones
-read the rows grouped once by feature and class (:func:`class_columns`).
+read each feature's values per class, in the layout of :func:`class_columns`.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Col
 
 
 def class_moments(columns: Columns) -> ClassMoments:
-    """The :class:`Moments` of every :func:`class_columns` list, ``[f][c]``."""
+    """The :class:`Moments` of each feature's values per class, in ``class_columns``' layout."""
     stats: ClassMoments = []
     for f, per_class in enumerate(columns):
         stats.append([])

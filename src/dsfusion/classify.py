@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, cached_property
@@ -57,6 +57,22 @@ from .evidence import (
 MaybeRow = Sequence[float | None]
 
 EMAIL_SIGNALS = (1, 2, 3, 4)
+
+
+def checked_subset(subset: Collection, allowed: Sequence[int], name: str) -> tuple[int, ...]:
+    """``subset`` in ascending order, if it is nonempty, repeats no entry and holds only ints
+    (no bool or float) in ``allowed``, consecutive ints; else a ValueError naming ``name``."""
+    if not subset:
+        raise ValueError(f"{name} subset must be nonempty")
+    for entry in subset:
+        if type(entry) is not int:
+            raise ValueError(f"{name} {entry!r} is not an int")
+        if entry not in allowed:
+            span = f"{allowed[0]}..{allowed[-1]}" if allowed else "the empty set"
+            raise ValueError(f"{name} {entry} outside {span}")
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"{name} subset {list(subset)} repeats an entry")
+    return tuple(sorted(subset))
 
 
 @dataclass(eq=False)
@@ -114,9 +130,9 @@ class BinaryModel:
 def train_binary(
     rows: Sequence[MaybeRow], labels: Sequence[int], features: Sequence[int] | None = None
 ) -> BinaryModel:
-    """Fit thresholds for ``features`` (default all; never empty) from
-    labelled rows (label 1 = abnormal); the other features' slots hold
-    None, so the model fuses exactly ``features``.
+    """Fit thresholds for ``features`` (default all; else a :func:`checked_subset`
+    of the row's features) from labelled rows (label 1 = abnormal); the other
+    features' slots hold None, so the model fuses exactly ``features``.
 
     Missing cells (None) are dropped from their feature column; the
     threshold rank scales with the values actually present.
@@ -131,9 +147,9 @@ def train_binary_folds(
     held_out: Sequence[int],
     features: Sequence[int] | None = None,
 ) -> Callable[[int | None], BinaryModel]:
-    """:func:`train_binary` for every fold at once. Record i is held out of
-    fold ``held_out[i]``, and ``fit(fold)`` returns the model, or raises the
-    error, of ``train_binary`` on the other records (``fit(None)``: all).
+    """:func:`train_binary` for every fold at once, its ``features`` checked here, once.
+    Record i is held out of fold ``held_out[i]``, and ``fit(fold)`` returns the model, or
+    raises the error, of ``train_binary`` on the other records (``fit(None)``: all).
 
     One pass per fitted feature counts each value's records per fold; a
     fold's training count of a value is its total less the fold's own. A
@@ -145,6 +161,8 @@ def train_binary_folds(
     if len(held_out) != len(rows):
         raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
     n, n_features = len(rows), row_arity(rows) if rows else 0
+    allowed = range(n_features)
+    features = allowed if features is None else checked_subset(features, allowed, "feature")
     per_fold = Counter(zip(labels, held_out))
     sizes, classes = Counter(), Counter()  # records per fold, and per label
     for (label, g), c in per_fold.items():
@@ -153,19 +171,18 @@ def train_binary_folds(
     # Per fitted feature: its (value, fold) counts, value totals, distinct finite values
     # ascending, and its non-finite (value, fold) cells in index order.
     counted = {}
-    for f in range(n_features) if features is None else features:
-        if 0 <= f < n_features and f not in counted:
-            cells = Counter(zip(map(itemgetter(f), rows), held_out))
-            totals: Counter = Counter()
-            for (value, _), c in cells.items():
-                totals[value] += c
-            present = [v for v in totals if v is not None]
-            ascending = sorted(filter(math.isfinite, present))
-            non_finite = [] if len(ascending) == len(present) else [
-                (row[f], g) for row, g in zip(rows, held_out)
-                if row[f] is not None and not math.isfinite(row[f])
-            ]
-            counted[f] = cells, totals, ascending, non_finite
+    for f in features:
+        cells = Counter(zip(map(itemgetter(f), rows), held_out))
+        totals: Counter = Counter()
+        for (value, _), c in cells.items():
+            totals[value] += c
+        present = [v for v in totals if v is not None]
+        ascending = sorted(filter(math.isfinite, present))
+        non_finite = [] if len(ascending) == len(present) else [
+            (row[f], g) for row, g in zip(rows, held_out)
+            if row[f] is not None and not math.isfinite(row[f])
+        ]
+        counted[f] = cells, totals, ascending, non_finite
 
     def fit(fold: int | None) -> BinaryModel:
         total = n - sizes[fold]
@@ -175,13 +192,8 @@ def train_binary_folds(
             raise ValueError(f"class label {bad!r} outside 0..1")
         if not normal or not abnormal:
             raise ValueError("training data must contain both normal and abnormal records")
-        if features is not None and not features:
-            raise ValueError("feature subset must be nonempty")
         bpas: list[SigmoidBpa | None] = [None] * n_features
-        for f in range(n_features) if features is None else features:
-            if not 0 <= f < n_features:
-                raise ValueError(f"feature {f} outside 0..{n_features - 1}")
-            cells, totals, ascending, non_finite = counted[f]
+        for f, (cells, totals, ascending, non_finite) in counted.items():
             if total - totals[None] + cells[None, fold] == 0:
                 raise ValueError(f"feature {f} has no non-missing training values")
             bad = next((v for v, g in non_finite if g != fold), None)
@@ -435,8 +447,7 @@ class EmailModel:
     signals: frozenset[int] = frozenset(EMAIL_SIGNALS)
 
     def __post_init__(self) -> None:
-        if not self.signals or not self.signals <= set(EMAIL_SIGNALS):
-            raise ValueError(f"active signals must be a nonempty subset of {EMAIL_SIGNALS}")
+        checked_subset(self.signals, EMAIL_SIGNALS, "signal")
 
     @cached_property
     def table(self) -> tuple:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import data as harness
 from .bpa import moments
-from .classify import EMAIL_SIGNALS, classifier_to_dict
+from .classify import EMAIL_SIGNALS, checked_subset, classifier_to_dict
 from .data import (
     DataFormatError,
     ablation,
@@ -103,25 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_features(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    indices = []
     for ch in spec:
         # str.upper() maps some non-ASCII letters onto A-I (dotless ı to I).
         if not ch.isascii() or ch.upper() not in harness.WBCD_FEATURES:
             parser.error(f"unknown feature letter {ch!r} (use A-I)")
-        indices.append(harness.WBCD_FEATURES.index(ch.upper()))
-    if not indices or len(set(indices)) != len(indices):
-        parser.error(f"feature subset {spec!r} must be nonempty distinct letters A-I")
-    return tuple(indices)
+    indices = [harness.WBCD_FEATURES.index(ch) for ch in spec.upper()]
+    try:
+        return checked_subset(indices, range(len(harness.WBCD_FEATURES)), "feature")
+    except ValueError as exc:  # the subset rule's message, after the spec as typed
+        parser.error(f"{spec!r}: {exc}")
 
 
 def _parse_signals(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     # int() also reads non-ASCII digits, such as Arabic-Indic ones.
     if not (spec.isascii() and all(map(str.isdigit, spec))):
         parser.error(f"signals must be digits 1-4, got {spec!r}")
-    signals = tuple(map(int, spec))
-    if not signals or len(set(signals)) != len(signals) or not set(signals) <= set(EMAIL_SIGNALS):
-        parser.error(f"signals must be distinct digits from 1234, got {spec!r}")
-    return signals
+    try:
+        return checked_subset(tuple(map(int, spec)), EMAIL_SIGNALS, "signal")
+    except ValueError as exc:
+        parser.error(f"{spec!r}: {exc}")
 
 
 def _emit(report, args) -> None:

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 from .classify import (
     EMAIL_SIGNALS,
+    checked_subset,
     classify_binary,
     classify_email,
     classify_three_class,
@@ -445,10 +446,9 @@ def evaluate(
     the evaluated subset only, so on ``wbcd`` a feature outside it needs no
     training values. A training fold the trainer cannot fit (e.g. too few
     records of a class) is an input error, raised as
-    :class:`DataFormatError`; an empty subset, a repeated entry, an entry
-    outside ``spec.default(dataset)``, or a subset the task does not take,
-    is the caller's error, a plain ``ValueError`` raised before any
-    training.
+    :class:`DataFormatError`; a subset that :func:`checked_subset` refuses
+    for ``spec.default(dataset)``, or that the task does not take, is the
+    caller's error, a plain ``ValueError`` raised before any training.
     """
     start = time.perf_counter()
     spec = TASKS.get(task)
@@ -465,19 +465,8 @@ def evaluate(
     if len(folds.assignment) != len(dataset):
         raise ValueError("fold plan does not cover this dataset")
     default = spec.default(dataset)
-    subset = default if subset is None else tuple(subset)
-    outside = [entry for entry in subset if entry not in default]
-    if spec.key == "features":
-        if outside:
-            raise ValueError(f"feature {outside[0]} outside 0..{len(default) - 1}")
-        if not subset:
-            raise ValueError("feature subset must be nonempty")
-    elif outside or not subset:
-        raise ValueError(f"signals must be a nonempty subset of {default}, got {subset}")
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"{spec.key} subset {list(subset)} repeats an entry")
-    # One model, one config: the order the caller listed the subset in is not kept.
-    subset = tuple(sorted(subset))
+    # One model, one config: the caller's order is not kept. key[:-1] names one entry.
+    subset = default if subset is None else checked_subset(subset, default, spec.key[:-1])
     if spec.fixed_subset and subset != default:
         raise ValueError(f"the {task} task fuses exactly {list(default)}, got {list(subset)}")
     per_fold = []

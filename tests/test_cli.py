@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsfusion import combine, combine_all, conflict, make_frame, make_mass
-from dsfusion.cli import main
+from dsfusion.cli import main, run
 from dsfusion.data import (
     EMAIL_HEADER,
     generate_email,
@@ -509,6 +509,19 @@ class TestUsage:
         text = out + err
         for name in ("wbcd", "iris", "email", "combine", "generate-email"):
             assert name in text
+
+    @pytest.mark.parametrize("task, path", [("wbcd", WBCD_PATH), ("iris", IRIS_PATH)])
+    def test_one_fold_is_a_usage_error(self, capsys, task, path):
+        code, out, err = run_cli(capsys, task, "--data", str(path), "--folds", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --folds must be at least 2\n")
+
+    def test_run_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["dsfusion", "combine", "--frame", "a,b", "--mass", "a:1"])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("combined: ")
 
 
 # Fuzzing: whatever the input, main returns a documented exit code and

@@ -46,7 +46,12 @@ from dsfusion.data import (
     report_text,
 )
 from dsfusion.bpa import moments
-from dsfusion.classify import classify_binary, train_binary, train_three_class
+from dsfusion.classify import (
+    classify_binary,
+    email_model_default,
+    train_binary,
+    train_three_class,
+)
 from dsfusion.evidence import make_frame
 
 from conftest import WBCD_PATH
@@ -654,17 +659,17 @@ class TestEvaluate:
         # Repeats once fused feature A twice on wbcd, and were dropped from
         # the fusion but not from the report config on email.
         dataset = wbcd_dataset if task == "wbcd" else generate_email()
-        assert_rejected_before_training(
-            monkeypatch, dataset, task, subset, rf"^{TASKS[task].key} subset .* repeats an entry$"
-        )
+        entry = {"wbcd": "feature", "email": "signal"}[task]
+        message = rf"^{entry} subset {re.escape(str(list(subset)))} repeats an entry$"
+        assert_rejected_before_training(monkeypatch, dataset, task, subset, message)
 
     @pytest.mark.parametrize(
         "task, subset, message",
         [
             ("wbcd", (), r"^feature subset must be nonempty$"),
-            ("email", (), r"^signals must be a nonempty subset of \(1, 2, 3, 4\), got \(\)$"),
-            ("email", (5,), r"^signals must be a nonempty subset of \(1, 2, 3, 4\), got \(5,\)$"),
-            ("email", (1, 5), r"^signals must be a nonempty subset of \(1, 2, 3, 4\), got \(1, 5\)$"),
+            ("email", (), r"^signal subset must be nonempty$"),
+            ("email", (5,), r"^signal 5 outside 1\.\.4$"),
+            ("email", (1, 5), r"^signal 5 outside 1\.\.4$"),
         ],
     )
     def test_bad_subset_is_a_usage_error(self, wbcd_dataset, task, subset, message, monkeypatch):
@@ -985,6 +990,88 @@ def test_fold_models_match_train_binary_on_the_fold_rows(data):
             assert str(info.value) == error
     ((_, _, _, fitted),) = calls
     assert [model for _, model in fitted] == expected
+
+
+# One subset rule for every entry point: (subset, the CLI spec that spells it or None where
+# letters or digits cannot, and the message every entry point gives).
+FEATURE_SUBSETS = [
+    ((), "", "feature subset must be nonempty"),
+    ((0, 0), "aA", "feature subset [0, 0] repeats an entry"),
+    ((0, 1.0), None, "feature 1.0 is not an int"),
+    ((0, True), None, "feature True is not an int"),
+    ((9,), None, "feature 9 outside 0..8"),
+    ((-1,), None, "feature -1 outside 0..8"),
+    ((8, 0), "IA", None),
+]
+SIGNAL_SUBSETS = [
+    ((1.0, 2), None, "signal 1.0 is not an int"),
+    ((True, 2), None, "signal True is not an int"),
+    ((5,), "5", "signal 5 outside 1..4"),
+    ((1, 1), "11", "signal subset [1, 1] repeats an entry"),
+    ((3, 1), "31", None),
+]
+
+
+def cli_answer(capsys, *argv):
+    code = cli_module.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneSubsetRule:
+    """The CLI, ``evaluate``, ``train_binary`` and ``EmailModel`` accept the same subsets
+    and refuse the same ones with one message (None: a valid subset)."""
+
+    @pytest.mark.parametrize("subset, spec, message", FEATURE_SUBSETS)
+    def test_feature_subset(self, wbcd_dataset, subset, spec, message, capsys, monkeypatch):
+        argv = ("wbcd", "--data", str(WBCD_PATH), "--features", spec)
+        if message is None:
+            code, out, _ = cli_answer(capsys, *argv)
+            assert code == 0 and "config: features=AI," in out
+            folds = make_folds(len(wbcd_dataset), 10, 42)
+            assert evaluate(wbcd_dataset, "wbcd", folds, subset).config["features"] == "AI"
+            model = train_binary(wbcd_dataset.rows, wbcd_dataset.labels, subset)
+            assert [f for f, _ in model.fitted] == sorted(subset)
+            return
+        if spec is not None:
+            code, out, err = cli_answer(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: {spec!r}: {message}\n")
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            train_binary(wbcd_dataset.rows, wbcd_dataset.labels, subset)
+        assert_rejected_before_training(monkeypatch, wbcd_dataset, "wbcd", subset, match)
+
+    @pytest.mark.parametrize("subset, spec, message", SIGNAL_SUBSETS)
+    def test_signal_subset(self, subset, spec, message, capsys, monkeypatch):
+        argv = ("email", "--generate", "--signals", spec)
+        if message is None:
+            code, out, _ = cli_answer(capsys, *argv)
+            assert code == 0 and out.startswith("signals: 13\n")
+            assert evaluate(generate_email(), "email", subset=subset).config["signals"] == "13"
+            model = dataclasses.replace(email_model_default(), signals=frozenset(subset))
+            assert model.trace == {"signals": sorted(subset)}
+            return
+        if spec is not None:
+            code, out, err = cli_answer(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: {spec!r}: {message}\n")
+        match = f"^{re.escape(message)}$"
+        if len(set(subset)) == len(subset):  # a frozenset holds no repeated entry
+            with pytest.raises(ValueError, match=match):
+                dataclasses.replace(email_model_default(), signals=frozenset(subset))
+        assert_rejected_before_training(monkeypatch, generate_email(), "email", subset, match)
+
+    @pytest.mark.parametrize("last", [3.0, True])
+    def test_iris_takes_int_features_only(self, iris_dataset, last, monkeypatch):
+        # A float once passed and was written to the report config as 3.0.
+        assert_rejected_before_training(
+            monkeypatch, iris_dataset, "iris", (0, 1, 2, last), rf"^feature {last} is not an int$"
+        )
+
+    def test_rows_with_no_features_have_none_to_pick(self):
+        with pytest.raises(ValueError, match=r"^feature 0 outside the empty set$"):
+            train_binary([(), ()], [0, 1], (0,))
 
 
 class TestAblation:
