@@ -29,6 +29,7 @@ BINARY_FRAME = make_frame(BINARY_LABELS)
 # of mass. The clamp shapes that builder's output only: classify_binary
 # fuses the exact log-odds sum, so the clamp decides no label.
 MASS_EPS = 1e-15
+LOGISTIC_SATURATION = 709  # past this |x|, logistic is exactly 0 or 1: math.exp would overflow
 
 # One source's (m_normal, m_abnormal, m_theta) over the binary frame.
 MassRow = tuple[float, float, float]
@@ -49,9 +50,9 @@ class DegenerateFeatureError(ValueError):
 
 def logistic(x: float) -> float:
     """1 / (1 + e^-x), saturating to exactly 0 or 1 where ``math.exp`` would overflow."""
-    if x > 709:
+    if x > LOGISTIC_SATURATION:
         return 1.0
-    if x < -709:
+    if x < -LOGISTIC_SATURATION:
         return 0.0
     return 1.0 / (1.0 + math.exp(-x))
 
@@ -162,10 +163,10 @@ def modified_median_threshold(
 ) -> float:
     """The k-th smallest value, with k set by the normal-class fraction.
 
-    k = round(len(values) * normal_count / total_count), clamped to a valid 1-based rank.
-    ``normal_count`` and ``total_count`` describe the training labels; ``values`` may be a
-    subset of the training column (e.g. with missing cells removed), in which case k scales
-    with it. A non-finite value has no place in the order and is a ``ValueError``.
+    k = floor(len(values) * normal_count / total_count + 0.5), a half rounding up (``round``
+    rounds it to even), clamped to 1..len(values). ``normal_count`` and ``total_count`` describe
+    the training labels; ``values`` may be a subset of the training column (e.g. with missing
+    cells removed), in which case k scales with it. A non-finite value is a ``ValueError``.
     """
     counts = Counter(values)
     bad = next((v for v in counts if not math.isfinite(v)), None)

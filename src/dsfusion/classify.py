@@ -13,6 +13,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Collection, Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, cached_property
@@ -25,6 +26,7 @@ from .bpa import (
     BINARY_FRAME,
     BOUNDARY_CONFIDENCE,
     DISTANCE_CONFIDENCE,
+    LOGISTIC_SATURATION,
     BoundaryModel,
     MassRow,
     ScaledSigmoidBpa,
@@ -47,6 +49,7 @@ from .evidence import (
     IDENTITY_TOL,
     Frame,
     MassFunction,
+    TotalConflictError,
     binary_commonalities,
     combine_binary,
     combine_bits,
@@ -447,19 +450,28 @@ class EmailModel:
     signals: frozenset[int] = frozenset(EMAIL_SIGNALS)
 
     def __post_init__(self) -> None:
+        if type(self.signals) is not frozenset:
+            raise ValueError(f"signals must be a frozenset, got {self.signals!r}")
         checked_subset(self.signals, EMAIL_SIGNALS, "signal")
 
     @cached_property
     def table(self) -> tuple:
-        """For :func:`classify_email`: the sorted active signals, a getter of the active table
-        signals' flags (or None), and per flag combination, their rows and ΠQ(n), ΠQ(a), ΠQ(Θ)."""
+        """For :func:`classify_email`: the sorted active signals, a getter of the table flags (or
+        None), and per flag combination the rows, ΠQ(n), ΠQ(a), ΠQ(Θ) and, with signal 1, the
+        prediction's fields past the logistic's saturation (None near total conflict)."""
         signals = tuple(sorted(self.signals))
         tables = [s for s in signals if s > 1]
         bpas = (self.spoofed_bpa, self.dangerous_bpa, self.benign_bpa)
         entries = {}
         for flags in product((0, 1), repeat=len(tables)):
             rows = tuple(bpas[s - 2].rows[v] for s, v in zip(tables, flags))
-            entries[flags[0] if len(flags) == 1 else flags] = (rows, *binary_commonalities(rows))
+            saturated, full = None, (scaled_sigmoid_row(math.inf, self.interval_bpa), *rows)
+            with suppress(TotalConflictError):  # then each message takes the path that raises
+                if signals[0] == 1:
+                    label = _email_label(full, *binary_commonalities(full))
+                    saturated = label, BINARY_FRAME, self.trace, combine_binary, (full,)
+            entries[flags[0] if len(flags) == 1 else flags] = (
+                rows, *binary_commonalities(rows), saturated)
         return signals, itemgetter(*(s - 1 for s in tables)) if tables else None, entries
 
     @cached_property
@@ -503,22 +515,29 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     by ``fuse_binary``, the ordered fold that builds the mass on read."""
     signals, flags, entries = model.table
     try:
-        rows, qn, qa, qt = entries[flags(message) if flags else ()]
+        rows, qn, qa, qt, saturated = entries[flags(message) if flags else ()]
     except (LookupError, TypeError):  # not a 0/1 flag: email_signal_row raises in signal order
         rows = tuple(email_signal_row(message, s, model) for s in signals)
         qn, qa, qt = binary_commonalities(rows)
     else:
         if signals[0] == 1:
-            n, a, t = row = scaled_sigmoid_row(message[0], model.interval_bpa)
+            value, bpa = message[0], model.interval_bpa  # past logistic's cutoff, the table decided
+            if saturated and value >= 0 and bpa.threshold - value < -LOGISTIC_SATURATION:
+                return Prediction(*saturated)
+            n, a, t = row = scaled_sigmoid_row(value, bpa)
             rows, qn, qa, qt = (row, *rows), (n + t) * qn, (a + t) * qa, t * qt
+    return Prediction(_email_label(rows, qn, qa, qt), BINARY_FRAME, model.trace, combine_binary,
+                      (rows,))
+
+
+def _email_label(rows: Sequence[MassRow], qn: float, qa: float, qt: float) -> str:
     if qn + qa - qt <= 2 * IDENTITY_TOL:  # near the bound, the reordering may move K a bit
         fuse_binary(rows)  # so the ordered fold's K decides, and raises
     # The float ΠQ of up to four rows err by under 8 units of 2^-53 (a rounding per commonality
     # and product), so a wider gap has the exact sign; 2^-1000 covers underflow.
     if abs(qa - qn) <= 2.0**-49 * (qa + qn) + 2.0**-1000:
         qn, qa = (math.prod(Fraction(r[i]) + Fraction(r[2]) for r in rows) for i in (0, 1))
-    label = "abnormal" if qa > qn else "normal"
-    return Prediction(label, BINARY_FRAME, model.trace, combine_binary, (rows,))
+    return "abnormal" if qa > qn else "normal"
 
 
 Classifier = BinaryModel | ThreeClassModel | EmailModel

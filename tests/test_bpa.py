@@ -74,6 +74,12 @@ class TestModifiedMedianThreshold:
         values = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
         assert modified_median_threshold(values, 5, 10) == 5
 
+    def test_half_rank_rounds_up(self):
+        # 10 values, 1 normal in 4: k = floor(2.5 + 0.5) = 3, where round(2.5) would give 2.
+        values = [float(v) for v in range(1, 11)]
+        assert modified_median_threshold(values, 1, 4) == 3.0
+        assert counted_threshold([(v, 1) for v in values], 1, 4) == 3.0
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             modified_median_threshold([], 1, 2)

@@ -817,6 +817,14 @@ class TestEmailModel:
                 frozenset({5}),
             )
 
+    @pytest.mark.parametrize("signals", [(2, 1), [1, 2], {1, 2}, range(1, 3)],
+                             ids=["tuple", "list", "set", "range"])
+    def test_signals_must_be_a_frozenset(self, signals):
+        # A tuple used to build a model whose JSON (signals: [2, 1]) did not load back.
+        message = re.escape(f"signals must be a frozenset, got {signals!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(email_model_default(), signals=signals)
+
 
 EMAIL_SUBSETS = [frozenset(c) for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
 # Symmetric rows tie ΠQ(a) and ΠQ(n) exactly; the 2^-54 row ties them only
@@ -1007,7 +1015,18 @@ class TestEmailTable:
             q_n = q_a = q_t = 1.0
             for m_n, m_a, m_t in rows:
                 q_n, q_a, q_t = q_n * (m_n + m_t), q_a * (m_a + m_t), q_t * m_t
-            assert entries[flags(message) if flags else ()] == (rows, q_n, q_a, q_t)
+            *entry, saturated = entries[flags(message) if flags else ()]
+            assert tuple(entry) == (rows, q_n, q_a, q_t)
+            if 1 not in signals:
+                assert saturated is None
+                continue
+            # The fields of the prediction of every interval past the cutoff: the floor row first.
+            message[0] = math.inf
+            full = tuple(email_signal_row(message, s, model) for s in active)
+            assert full[0] == (0.3, 0.69, 0.01)
+            label = oracle_email_labels([message], model)[0]
+            assert saturated == (label, BINARY_FRAME, model.trace, combine_binary, (full,))
+            assert saturated[2] is model.trace
 
     def test_survives_round_trip_replace_and_pickle(self):
         model = replace(NEAR_TIE_MODEL, signals=frozenset({1, 3}))
@@ -1032,6 +1051,86 @@ class TestEmailTable:
         pred = classify_email((5.0, math.nan, "x", None), model)
         assert (pred.label, pred.trace) == ("normal", {"signals": [1]})
         assert pred == classify_email((5.0, 0, 0, 0), model)
+
+
+def _ulps(value: float, steps: int) -> float:
+    # ``value`` moved ``steps`` floats up (or down, for a negative count).
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else -math.inf)
+    return value
+
+
+class TestEmailSaturatedInterval:
+    """An interval past the logistic's cutoff, threshold - interval < -709, has the floor row
+    (0.3, 0.69, 0.01) under the stock floor; its label and rows come from the model's table."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        # At 692.4 and -489.9, interval > threshold + 709 misjudges a float next to the cutoff.
+        threshold=st.one_of(st.sampled_from([30.0, 0.0, 0.1, 692.4, -489.9, -1000.0, 1e6]),
+                            st.floats(-1e6, 1e6)),
+        data=st.data(),
+        flags=st.tuples(*[st.sampled_from([0, 1, 0.0, 1.0, True])] * 3),
+        signals=st.sampled_from([s for s in EMAIL_SUBSETS if 1 in s]),
+        near_tie=st.booleans(),
+    )
+    def test_lookup_matches_the_rows_and_the_exact_oracle(
+        self, threshold, data, flags, signals, near_tie
+    ):
+        base = NEAR_TIE_MODEL if near_tie else email_model_default()
+        model = replace(base, interval_bpa=replace(base.interval_bpa, threshold=threshold),
+                        signals=signals)
+        cutoff = threshold + 709
+        interval = data.draw(st.one_of(
+            st.integers(-6, 6).map(lambda k: _ulps(cutoff, k)),
+            st.floats(max(cutoff - 1, 0.0), 1e300), st.just(1e300), st.just(math.inf),
+        ).filter(lambda v: v >= 0))
+        message = (interval, *flags)
+        pred = classify_email(message, model)
+        rows = tuple(email_signal_row(message, s, model) for s in sorted(signals))
+        assert pred.label == oracle_email_labels([message], model)[0]
+        assert pred.trace is model.trace
+        assert pred.args == (rows,)
+        ordered = combine_binary(BINARY_FRAME, rows)
+        assert list(pred.mass._masses.items()) == list(ordered._masses.items())
+        # The lookup answers exactly where logistic saturates, sharing the entry's rows.
+        _, getter, entries = model.table
+        saturated = entries[getter(message) if getter else ()][-1]
+        past = threshold - interval < -709
+        assert (pred.args is saturated[4]) == past
+        if past:
+            assert rows[0] == (0.3, 0.69, 0.01)
+
+    @pytest.mark.parametrize("interval", [-5.0, -1e-300, -1e300, -math.inf, math.nan])
+    def test_negative_interval_refused_below_the_cutoff_threshold(self, interval):
+        # threshold - interval < -709 for the finite negatives, yet they are not intervals.
+        model = replace(email_model_default(),
+                        interval_bpa=replace(email_model_default().interval_bpa, threshold=-1000.0))
+        for signals in EMAIL_SUBSETS:
+            if 1 in signals:
+                with pytest.raises(ValueError, match="^signal value must be non-negative"):
+                    classify_email((interval, 1, 1, 0), replace(model, signals=signals))
+        assert classify_email((0.0, 1, 1, 0), model).args is model.table[2][1, 1, 0][-1][4]
+
+    def test_entry_near_total_conflict_leaves_the_message_to_raise(self):
+        # Normal-only spoofed and abnormal-only dangerous rows leave no mass: the table builds,
+        # holds no saturated prediction for flags (0, 0), and each message raises as the fold.
+        model = replace(
+            email_model_default(),
+            spoofed_bpa=TableBpa(((1.0, 0.0, 0.0), SYMMETRIC_ROW)),
+            dangerous_bpa=TableBpa(((0.0, 1.0, 0.0), SYMMETRIC_ROW)),
+            signals=frozenset({1, 2, 3}),
+        )
+        entries = model.table[2]
+        assert entries[0, 0][-1] is None
+        assert all(entries[flags][-1] is not None for flags in [(0, 1), (1, 0), (1, 1)])
+        message = (1e3, 0, 0, 0)
+        with pytest.raises(TotalConflictError) as raised:
+            fuse_binary([email_signal_row(message, s, model) for s in (1, 2, 3)])
+        with pytest.raises(TotalConflictError, match=f"^{re.escape(str(raised.value))}$"):
+            classify_email(message, model)
+        pred = classify_email((1e3, 1, 0, 0), model)  # the abnormal-only row, with no rival
+        assert (pred.label, pred.args) == ("abnormal", entries[1, 0][-1][4])
 
 
 class TestEmailTrace:
@@ -1192,6 +1291,14 @@ class TestClassifierSerialization:
     def test_email_round_trip(self):
         model = email_model_default()
         assert classifier_from_dict(classifier_to_dict(model)) == model
+
+    @pytest.mark.parametrize("signals", EMAIL_SUBSETS, ids=lambda s: "".join(map(str, sorted(s))))
+    def test_email_round_trip_every_signal_subset(self, signals):
+        model = replace(email_model_default(), signals=signals)
+        data = json.loads(json.dumps(classifier_to_dict(model)))
+        assert data["signals"] == sorted(signals)
+        restored = classifier_from_dict(data)
+        assert restored == model and type(restored.signals) is frozenset
 
     def test_every_kind_round_trips_through_json_text(self, iris_dataset):
         models = [

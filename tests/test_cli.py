@@ -205,6 +205,7 @@ class TestIrisCommand:
         "folds, cause",
         [("2", "class 1 has no training records"),
          ("5", "every class needs at least two values for a sample sd")],
+        ids=["2-folds", "5-folds"],
     )
     def test_fold_too_small_to_train_exits_3_without_traceback(self, tmp_path, folds, cause):
         # 5/5/2 records per class: some training fold lacks enough of a class.
@@ -388,7 +389,8 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, capsys, command, load):
 
 
 @pytest.mark.parametrize("command, message", [("iris", "malformed feature"),
-                                              ("email", "malformed numeric field")])
+                                              ("email", "malformed numeric field")],
+                         ids=["iris", "email"])
 def test_byte_order_mark_on_a_later_line_is_a_cell_error(tmp_path, capsys, command, message):
     lines = _data_file(tmp_path, command).read_bytes().split(b"\n")
     lines[1] = BOM + lines[1]

@@ -438,7 +438,7 @@ class TestReader:
         ("wbcd", WBCD_ROW[:-1] + "3", "class code must be 2 or 4"),
         ("iris", IRIS_ROW.replace("3.5", "x"), "malformed feature"),
         ("email", EMAIL_ROW.replace("worm", "spam"), "unknown label"),
-    ])
+    ], ids=["wbcd", "iris", "email"])
     def test_error_after_blank_lines_names_the_file_line(self, tmp_path, loader, bad, message):
         load, row = LOADERS[loader]
         lines = ["", row, "  ", "\t", row, bad]
@@ -525,7 +525,9 @@ class TestMakeFolds:
         ((0, None, 1), "fold id None is not an int"),
         ((0, 2, 1.5), "fold id 2 outside 0..1"),  # the first bad id in assignment order
         ((0, 1.5, 2), "fold id 1.5 is not an int"),
-    ])
+    ], ids=["id-past-last", "id-negative", "sizes-3-1", "sizes-2-0", "id-float", "id-bool",
+            "id-bool-counted-as-1", "id-float-counted-as-1", "id-str", "id-none",
+            "first-bad-outside", "first-bad-float"])
     def test_malformed_fold_plan_rejected(self, assignment, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FoldPlan(2, assignment, 0)
@@ -671,6 +673,7 @@ class TestEvaluate:
             ("email", (5,), r"^signal 5 outside 1\.\.4$"),
             ("email", (1, 5), r"^signal 5 outside 1\.\.4$"),
         ],
+        ids=["wbcd-empty", "email-empty", "email-outside", "email-one-outside"],
     )
     def test_bad_subset_is_a_usage_error(self, wbcd_dataset, task, subset, message, monkeypatch):
         dataset = wbcd_dataset if task == "wbcd" else generate_email()
@@ -1003,6 +1006,7 @@ FEATURE_SUBSETS = [
     ((-1,), None, "feature -1 outside 0..8"),
     ((8, 0), "IA", None),
 ]
+FEATURE_SUBSET_IDS = ["empty", "repeat", "float", "bool", "past-last", "negative", "valid"]
 SIGNAL_SUBSETS = [
     ((1.0, 2), None, "signal 1.0 is not an int"),
     ((True, 2), None, "signal True is not an int"),
@@ -1010,6 +1014,7 @@ SIGNAL_SUBSETS = [
     ((1, 1), "11", "signal subset [1, 1] repeats an entry"),
     ((3, 1), "31", None),
 ]
+SIGNAL_SUBSET_IDS = ["float", "bool", "outside", "repeat", "valid"]
 
 
 def cli_answer(capsys, *argv):
@@ -1022,7 +1027,7 @@ class TestOneSubsetRule:
     """The CLI, ``evaluate``, ``train_binary`` and ``EmailModel`` accept the same subsets
     and refuse the same ones with one message (None: a valid subset)."""
 
-    @pytest.mark.parametrize("subset, spec, message", FEATURE_SUBSETS)
+    @pytest.mark.parametrize("subset, spec, message", FEATURE_SUBSETS, ids=FEATURE_SUBSET_IDS)
     def test_feature_subset(self, wbcd_dataset, subset, spec, message, capsys, monkeypatch):
         argv = ("wbcd", "--data", str(WBCD_PATH), "--features", spec)
         if message is None:
@@ -1042,7 +1047,7 @@ class TestOneSubsetRule:
             train_binary(wbcd_dataset.rows, wbcd_dataset.labels, subset)
         assert_rejected_before_training(monkeypatch, wbcd_dataset, "wbcd", subset, match)
 
-    @pytest.mark.parametrize("subset, spec, message", SIGNAL_SUBSETS)
+    @pytest.mark.parametrize("subset, spec, message", SIGNAL_SUBSETS, ids=SIGNAL_SUBSET_IDS)
     def test_signal_subset(self, subset, spec, message, capsys, monkeypatch):
         argv = ("email", "--generate", "--signals", spec)
         if message is None:
