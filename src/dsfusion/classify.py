@@ -129,6 +129,15 @@ class BinaryModel:
         """The (feature, threshold) pairs this model fuses, in index order."""
         return tuple((f, bpa.threshold) for f, bpa in enumerate(self.bpas) if bpa is not None)
 
+    @cached_property
+    def terms(self) -> tuple[list[int], Callable[[MaybeRow], Sequence], tuple[float, ...]]:
+        """The fitted features, a getter of a record's values on them that always
+        returns a sequence, and the negated thresholds, for :func:`classify_binary`."""
+        features = [f for f, _ in self.fitted]
+        first = features[0]
+        get = itemgetter(*features) if len(features) > 1 else itemgetter(slice(first, first + 1))
+        return features, get, tuple(-t for _, t in self.fitted)
+
 
 def train_binary(
     rows: Sequence[MaybeRow], labels: Sequence[int], features: Sequence[int] | None = None
@@ -225,9 +234,25 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     for any fitted feature carries no evidence, so nothing says abnormal:
     it is normal, with the vacuous mass. The record holds one value per
     model slot.
+
+    A record is first summed in one ``math.fsum`` of its fitted values and
+    the negated thresholds: ``fsum`` returns inf or nan, or raises, when a
+    term is not a finite number, so a finite sum decides the record. Any
+    other record (a None, non-finite, non-numeric or overflowing value)
+    takes the checked loop. The exact sum does not depend on the terms'
+    order; only the loop's clamp of a sum that overflows midway can, past
+    ±1000, where the mass is saturated either way.
     """
     if len(record) != len(model.bpas):
         raise ValueError(f"record has {len(record)} values, model has {len(model.bpas)} features")
+    features, get, negated = model.terms
+    try:  # a None or a non-numeric value is a TypeError, inf and -inf a ValueError
+        score = math.fsum((*get(record), *negated))
+    except (TypeError, ValueError, OverflowError):  # the checked loop skips, raises or clamps
+        score = math.nan
+    if math.isfinite(score):
+        label = "abnormal" if score > 0 else "normal"
+        return Prediction(label, BINARY_FRAME, {"features": [*features]}, _score_mass, (score,))
     used, terms = [], []
     for f, threshold in model.fitted:
         value = record[f]
@@ -512,7 +537,12 @@ def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) 
 def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     """Abnormal iff ΠQ(a) > ΠQ(n) over the signals' rows: on two labels, iff Dempster's rule
     gives abnormal strictly greater mass (ties go to normal). Near-total conflict is judged
-    by ``fuse_binary``, the ordered fold that builds the mass on read."""
+    by ``fuse_binary``, the ordered fold that builds the mass on read. A message holds the
+    four values ``email_signal_row`` reads, whichever signals are fused."""
+    try:  # unpacking is the length check, and cheaper than len() on the hot path
+        interval, _, _, _ = message
+    except ValueError:
+        raise ValueError(f"message has {len(message)} values, expected 4") from None
     signals, flags, entries = model.table
     try:
         rows, qn, qa, qt, saturated = entries[flags(message) if flags else ()]
@@ -521,10 +551,10 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
         qn, qa, qt = binary_commonalities(rows)
     else:
         if signals[0] == 1:
-            value, bpa = message[0], model.interval_bpa  # past logistic's cutoff, the table decided
-            if saturated and value >= 0 and bpa.threshold - value < -LOGISTIC_SATURATION:
+            bpa = model.interval_bpa  # past logistic's cutoff, the table decided
+            if saturated and interval >= 0 and bpa.threshold - interval < -LOGISTIC_SATURATION:
                 return Prediction(*saturated)
-            n, a, t = row = scaled_sigmoid_row(value, bpa)
+            n, a, t = row = scaled_sigmoid_row(interval, bpa)
             rows, qn, qa, qt = (row, *rows), (n + t) * qn, (a + t) * qa, t * qt
     return Prediction(_email_label(rows, qn, qa, qt), BINARY_FRAME, model.trace, combine_binary,
                       (rows,))

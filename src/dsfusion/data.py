@@ -18,6 +18,8 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -132,8 +134,9 @@ def _read_rows(path: str | Path, width: int, header: tuple | None = None) -> lis
     return rows
 
 
-# The value of each of the eleven canonical WBCD cells, looked up in one step.
+# The value of each of the eleven canonical WBCD cells, and of each class code, in one lookup.
 _WBCD_CELLS = {"?": None, **{str(v): float(v) for v in range(1, 11)}}
+_WBCD_CLASSES = {"2": 0, "4": 1}
 
 
 def load_wbcd(path: str | Path) -> RecordSet:
@@ -145,8 +148,21 @@ def load_wbcd(path: str | Path) -> RecordSet:
     1-based row positions; the file's sample codes repeat and are dropped
     unchecked.
     """
+    lines = _read_rows(path, 11)
+    fields = list(map(itemgetter(1), lines))
+    try:  # every cell and class code canonical: one C-level lookup pass over each column
+        cells = chain.from_iterable(map(itemgetter(slice(1, 10)), fields))
+        rows = list(zip(*[map(_WBCD_CELLS.__getitem__, cells)] * 9))
+        labels = list(map(_WBCD_CLASSES.__getitem__, map(itemgetter(10), fields)))
+    except KeyError:  # another spelling or a bad value: row by row, naming the first bad line
+        rows, labels = _wbcd_rows(path, lines)
+    return _positional(rows, labels, WBCD_FEATURES, ("normal", "abnormal"))
+
+
+def _wbcd_rows(path: str | Path, lines: list) -> tuple[list, list]:
+    # Each line's features and label by the cell and class rules, in file order.
     rows, labels = [], []
-    for i, fields in _read_rows(path, 11):
+    for i, fields in lines:
         try:
             features = tuple(map(_WBCD_CELLS.__getitem__, fields[1:10]))
         except KeyError:  # another spelling: each cell by the rule, so "01" reads as 1
@@ -154,12 +170,12 @@ def load_wbcd(path: str | Path) -> RecordSet:
                 if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
                     raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
             features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
-        label = {"2": 0, "4": 1}.get(fields[10])
+        label = _WBCD_CLASSES.get(fields[10])
         if label is None:
             raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")
         rows.append(features)
         labels.append(label)
-    return _positional(rows, labels, WBCD_FEATURES, ("normal", "abnormal"))
+    return rows, labels
 
 
 def load_iris(path: str | Path) -> RecordSet:
@@ -357,14 +373,16 @@ class Task:
     model is the only place the subset is chosen: record i is held out of
     fold ``held_out[i]``, and it returns a function of a fold that trains
     on the other records' rows and labels, in index order (fold None holds
-    none out). ``classify(features, model)`` labels one record with a
-    model. ``key`` names the subset in the report config, ``describe(dataset,
-    subset)`` writes it there, and ``default(dataset)`` is the subset used
-    when none is given; a task with ``fixed_subset`` accepts no other.
+    none out). ``classify`` names the function of this module that labels
+    one record with a model, ``classify(features, model)``; :func:`evaluate`
+    looks it up when called. ``key`` names the subset in the report config,
+    ``describe(dataset, subset)`` writes it there, and ``default(dataset)``
+    is the subset used when none is given; a task with ``fixed_subset``
+    accepts no other.
     """
 
     train: Callable
-    classify: Callable
+    classify: str
     key: str
     describe: Callable
     default: Callable
@@ -391,14 +409,15 @@ class Task:
 
 # The entries reach the trainers and classifiers through this module's
 # globals at call time, so rebinding those names (e.g. to trace them)
-# reaches every task.
+# reaches every task: the trainers from their lambdas, the classifiers by
+# name, once per evaluate call.
 TASKS = {
     "wbcd": Task(
         # Only the fused features are fitted: a one-feature run trains one threshold.
         train=lambda rows, labels, held_out, dataset, subset: train_binary_folds(
             rows, labels, held_out, subset
         ),
-        classify=lambda record, model: classify_binary(record, model),
+        classify="classify_binary",
         key="features",
         describe=lambda dataset, subset: "".join(dataset.feature_names[f] for f in subset),
         default=_all_features,
@@ -408,7 +427,7 @@ TASKS = {
         train=lambda rows, labels, held_out, dataset, subset: train_three_class_folds(
             rows, labels, held_out, make_frame(dataset.label_names)
         ),
-        classify=lambda record, model: classify_three_class(record, model),
+        classify="classify_three_class",
         key="features",
         describe=lambda dataset, subset: list(subset),
         default=_all_features,
@@ -421,7 +440,7 @@ TASKS = {
         train=lambda rows, labels, held_out, dataset, subset: lambda fold: replace(
             email_model_default(), signals=frozenset(subset)
         ),
-        classify=lambda record, model: classify_email(record, model),
+        classify="classify_email",
         key="signals",
         describe=lambda dataset, subset: "".join(str(s) for s in subset),
         default=lambda dataset: EMAIL_SIGNALS,
@@ -480,11 +499,12 @@ def evaluate(
         tests[fold].append(i)
     # Each fold is trained when the loop reaches it, so its errors come in fold order.
     fit = spec.fit(dataset, folds.assignment, subset)
+    classify = globals()[spec.classify]
     for fold, test_indices in enumerate(tests):
         model = fit(fold, f"fold {fold + 1} of {folds.k}")
         correct = 0
         for i in test_indices:
-            pred = spec.classify(rows[i], model)
+            pred = classify(rows[i], model)
             predictions[i] = pred
             predicted = pred.frame.labels.index(pred.label)
             matrix[truths[i]][predicted] += 1

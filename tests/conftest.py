@@ -4,6 +4,7 @@ implementation."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,17 +12,25 @@ from pathlib import Path
 import pytest
 
 from dsfusion import (
+    BINARY_FRAME,
     BoundaryModel,
+    DataFormatError,
     Frame,
     HypothesisSet,
     MassFunction,
+    Prediction,
+    RecordSet,
     ThreeClassModel,
+    combine_binary,
     fsv,
     load_iris,
     load_wbcd,
+    vacuous_mass,
 )
-from dsfusion.bpa import DegenerateFeatureError
+from dsfusion import data as data_module
+from dsfusion.bpa import DegenerateFeatureError, logistic
 from dsfusion.classify import email_signal_row
+from dsfusion.data import WBCD_FEATURES
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WBCD_PATH = DATA_DIR / "breast-cancer-wisconsin.data"
@@ -46,6 +55,61 @@ def wbcd_dataset():
 @pytest.fixture(scope="session")
 def iris_dataset():
     return load_iris(IRIS_PATH)
+
+
+_WBCD_CELLS = {"?": None, **{str(v): float(v) for v in range(1, 11)}}
+
+
+def reference_load_wbcd(path) -> RecordSet:
+    """``load_wbcd`` as a loop over the file's rows: each row's cells are looked up in the
+    table of the eleven canonical spellings, and a row with any other spelling is checked
+    cell by cell (so "01" reads as 1), then its class code; the first bad row raises."""
+    rows, labels = [], []
+    for i, fields in data_module._read_rows(path, 11):
+        try:
+            features = tuple(map(_WBCD_CELLS.__getitem__, fields[1:10]))
+        except KeyError:
+            for raw in fields[1:10]:
+                if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
+                    raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
+            features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
+        label = {"2": 0, "4": 1}.get(fields[10])
+        if label is None:
+            raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")
+        rows.append(features)
+        labels.append(label)
+    ids = tuple(range(1, len(rows) + 1))
+    return RecordSet(ids, tuple(rows), tuple(labels), WBCD_FEATURES, ("normal", "abnormal"))
+
+
+def _reference_score_mass(frame: Frame, score: float) -> MassFunction:
+    return combine_binary(frame, [(logistic(-score), logistic(score), 0.0)])
+
+
+def reference_classify_binary(record, model) -> Prediction:
+    """``classify_binary`` as a checked loop over the model's fitted (feature, threshold)
+    pairs: a None value is skipped, a non-finite one is a ValueError (a non-numeric one,
+    ``math.isfinite``'s TypeError), and the used values and negated thresholds are summed
+    in that order by ``math.fsum``, or, past the float range, exactly and clamped to ±1000."""
+    if len(record) != len(model.bpas):
+        raise ValueError(f"record has {len(record)} values, model has {len(model.bpas)} features")
+    used, terms = [], []
+    for f, threshold in model.fitted:
+        value = record[f]
+        if value is not None:
+            if not math.isfinite(value):
+                raise ValueError(f"feature value must be finite, got {value}")
+            used.append(f)
+            terms += (value, -threshold)
+    if not used:
+        trace = {"features": [], "fallback": "no-evidence"}
+        return Prediction("normal", BINARY_FRAME, trace, vacuous_mass, ())
+    try:
+        score = math.fsum(terms)
+    except OverflowError:
+        score = float(min(max(sum(map(Fraction, terms)), -1000), 1000))
+    label = "abnormal" if score > 0 else "normal"
+    return Prediction(label, BINARY_FRAME, {"features": used}, _reference_score_mass, (score,))
 
 
 def mass_to_frozensets(m: MassFunction) -> dict[frozenset, float]:

@@ -63,6 +63,7 @@ from conftest import (
     oracle_email_labels,
     oracle_three_class,
     oracle_three_class_candidate,
+    reference_classify_binary,
     reference_three_class,
 )
 from test_data import ACCEPTANCE_SUBSETS
@@ -249,6 +250,15 @@ class TestClassifyBinary:
         with pytest.raises(ValueError, match="feature value must be finite"):
             classify_binary(record, self.MODEL)
 
+    @pytest.mark.parametrize("record, error", [
+        ((math.inf, "5"), ValueError), (("5", math.inf), TypeError), ((None, "5"), TypeError),
+    ], ids=["inf-first", "str-first", "none-first"])
+    def test_first_bad_value_in_feature_order_decides_the_error(self, record, error):
+        # One sum over every value meets them in another order; the checked loop reports.
+        model = BinaryModel((SigmoidBpa(3.0), SigmoidBpa(3.0)), 0.5)
+        with pytest.raises(error):
+            classify_binary(record, model)
+
     def test_saturated_log_odds_tie_gets_an_answer(self):
         # Alone, each feature saturates its sigmoid. Clamped per-feature
         # masses fused pairwise put K within 2e-15 of 1, which raised
@@ -367,6 +377,43 @@ def test_classify_binary_answers_every_finite_record(pairs):
     normal, abnormal = pred.mass.mass_bits(1), pred.mass.mass_bits(2)
     assert abs(normal + abnormal - 1.0) <= 1e-15
     assert abnormal >= normal if score > 0 else normal >= abnormal
+
+
+# Small integers tie often; ±1e308 overflows a sum midway; the rest fail the checked loop.
+_BINARY_THRESHOLD = st.one_of(st.integers(-3, 10).map(float), st.floats(-1e6, 1e6),
+                              st.sampled_from([1e308, -1e308, sys.float_info.max]))
+_BINARY_VALUE = st.one_of(
+    _BINARY_THRESHOLD, st.integers(-3, 10),
+    st.sampled_from([None, math.inf, -math.inf, math.nan, "5", -sys.float_info.max]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_classify_binary_matches_the_checked_loop(data):
+    # The one-sum path gives the per-feature loop's label, trace and mass, or its error, on
+    # tuple and list records, with 1 to 9 fitted features.
+    width = data.draw(st.integers(1, 9), label="width")
+    fitted = data.draw(st.sets(st.integers(0, width - 1), min_size=1), label="fitted")
+    thresholds = data.draw(st.lists(_BINARY_THRESHOLD, min_size=width, max_size=width))
+    model = BinaryModel(tuple(SigmoidBpa(t) if f in fitted else None
+                              for f, t in enumerate(thresholds)), 0.5)
+    cells = data.draw(st.lists(_BINARY_VALUE, min_size=width, max_size=width), label="record")
+    for record in (tuple(cells), list(cells)):
+        try:
+            expected = reference_classify_binary(record, model)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                classify_binary(record, model)
+            continue
+        first, second = classify_binary(record, model), classify_binary(record, model)
+        for pred in (first, second):
+            assert (pred.label, pred.trace, pred.mass) == (
+                expected.label, expected.trace, expected.mass)
+        # The scores differ only where the loop clamps a midway overflow, and logistic saturates.
+        if first.args != expected.args:
+            assert abs(first.args[0]) > 1000 and abs(expected.args[0]) == 1000
+        assert first.trace["features"] is not second.trace["features"]
 
 
 class TestClassifyThreeClass:
@@ -816,6 +863,13 @@ class TestEmailModel:
                 email_model_default().benign_bpa,
                 frozenset({5}),
             )
+
+    @pytest.mark.parametrize("message", [(5.0, 1, 1, 0, 99), (5.0, 0.5, 1, 0, 99), (5.0, 1, 1)],
+                             ids=["table-flags", "other-flag", "short"])
+    def test_message_of_another_length_rejected(self, message):
+        # The first was labelled through the table; the others raised bare unpacking errors.
+        with pytest.raises(ValueError, match=f"^message has {len(message)} values, expected 4$"):
+            classify_email(message, email_model_default())
 
     @pytest.mark.parametrize("signals", [(2, 1), [1, 2], {1, 2}, range(1, 3)],
                              ids=["tuple", "list", "set", "range"])

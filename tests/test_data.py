@@ -54,7 +54,7 @@ from dsfusion.classify import (
 )
 from dsfusion.evidence import make_frame
 
-from conftest import WBCD_PATH
+from conftest import WBCD_PATH, reference_load_wbcd
 
 # The paper's WBCD comparison: each feature alone, ADI, BCF and all nine.
 ACCEPTANCE_SUBSETS = tuple((i,) for i in range(9)) + ((0, 3, 8), (1, 2, 5), tuple(range(9)))
@@ -186,6 +186,46 @@ class TestLoadWbcd:
         )
         values = [v for row in wbcd_dataset.rows for v in row if v is not None]
         assert {type(v) for v in values} == {float}
+
+
+_CANONICAL_CELLS = st.sampled_from([*map(str, range(1, 11)), "?"])
+# Spellings the canonical table misses: ones the rule accepts, bad cells and bad class codes.
+_ODD_CELLS = st.sampled_from(["01", "007", "010", "0", "00", "11", "1.0", " 1", "1 ", "x", "",
+                              "\u0665", "2", "4"])
+_ODD_CLASSES = st.sampled_from(["3", "02", "04", " 2", "4 ", "", "benign"])
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_wbcd_matches_the_row_by_row_loop(data, tmp_path_factory):
+    # Column-wise decoding gives the per-row reference's record set, or its error text,
+    # whatever mix of canonical cells, other spellings, bad values and blank lines a file has.
+    n = data.draw(st.integers(1, 8), label="records")
+    rows = [[data.draw(st.sampled_from(["1000025", "x", ""]), label="code"),
+             *data.draw(st.lists(_CANONICAL_CELLS, min_size=9, max_size=9), label="cells"),
+             data.draw(st.sampled_from(["2", "4"]), label="class")] for _ in range(n)]
+    for row, column in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 9)),
+                                          max_size=3), label="odd cells"):
+        rows[row][column] = data.draw(_ODD_CELLS, label="odd cell")
+    for row in data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="odd classes"):
+        rows[row][10] = data.draw(_ODD_CLASSES, label="odd class")
+    lines = [",".join(row) for row in rows]
+    for at in data.draw(st.lists(st.integers(0, n), max_size=3), label="blank lines"):
+        lines.insert(at, data.draw(_BLANK_LINES, label="blank"))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]), label="byte-order mark")
+    path = tmp_path_factory.mktemp("wbcd") / "generated.data"
+    path.write_text(bom + "\n".join(lines) + "\n", encoding="utf-8")
+
+    def outcome(load):
+        try:
+            return load(path)
+        except DataFormatError as exc:
+            return str(exc)
+
+    expected = outcome(reference_load_wbcd)
+    assert outcome(load_wbcd) == expected
+    assert repr(outcome(load_wbcd)) == repr(expected)  # floats stay floats
 
 
 class TestLoadIris:
