@@ -83,8 +83,8 @@ class Prediction:
     """A label, the fused mass function behind it, and a decision trace.
 
     The mass is ``build(frame, *args)``, built on first read and then kept;
-    a module-level ``build`` and plain-data ``args`` keep it picklable. The
-    trace is read-only: predictions of one model may share it.
+    a module-level ``build`` and plain-data ``args`` keep it picklable. A
+    prediction and its trace are read-only, so either may be shared.
     """
 
     label: str
@@ -481,23 +481,23 @@ class EmailModel:
 
     @cached_property
     def table(self) -> tuple:
-        """For :func:`classify_email`: the sorted active signals, a getter of the table flags (or
-        None), and per flag combination the rows, ΠQ(n), ΠQ(a), ΠQ(Θ) and, with signal 1, the
-        prediction's fields past the logistic's saturation (None near total conflict)."""
+        """For :func:`classify_email`: the sorted active signals, and per combination of the
+        three flags (``message[1:]``) the active table signals' rows, ΠQ(n), ΠQ(a), ΠQ(Θ) and,
+        with signal 1, the one :class:`Prediction` of every interval past the logistic's
+        saturation, shared by all its messages (None near total conflict)."""
         signals = tuple(sorted(self.signals))
         tables = [s for s in signals if s > 1]
         bpas = (self.spoofed_bpa, self.dangerous_bpa, self.benign_bpa)
         entries = {}
-        for flags in product((0, 1), repeat=len(tables)):
-            rows = tuple(bpas[s - 2].rows[v] for s, v in zip(tables, flags))
+        for flags in product((0, 1), repeat=3):
+            rows = tuple(bpas[s - 2].rows[flags[s - 2]] for s in tables)
             saturated, full = None, (scaled_sigmoid_row(math.inf, self.interval_bpa), *rows)
             with suppress(TotalConflictError):  # then each message takes the path that raises
                 if signals[0] == 1:
                     label = _email_label(full, *binary_commonalities(full))
-                    saturated = label, BINARY_FRAME, self.trace, combine_binary, (full,)
-            entries[flags[0] if len(flags) == 1 else flags] = (
-                rows, *binary_commonalities(rows), saturated)
-        return signals, itemgetter(*(s - 1 for s in tables)) if tables else None, entries
+                    saturated = Prediction(label, BINARY_FRAME, self.trace, combine_binary, (full,))
+            entries[flags] = (rows, *binary_commonalities(rows), saturated)
+        return signals, entries
 
     @cached_property
     def trace(self) -> Mapping[str, object]:
@@ -543,17 +543,17 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
         interval, _, _, _ = message
     except ValueError:
         raise ValueError(f"message has {len(message)} values, expected 4") from None
-    signals, flags, entries = model.table
+    signals, entries = model.table
     try:
-        rows, qn, qa, qt, saturated = entries[flags(message) if flags else ()]
-    except (LookupError, TypeError):  # not a 0/1 flag: email_signal_row raises in signal order
+        rows, qn, qa, qt, saturated = entries[message[1:]]
+    except (LookupError, TypeError):  # not three 0/1 flags: email_signal_row raises in signal order
         rows = tuple(email_signal_row(message, s, model) for s in signals)
         qn, qa, qt = binary_commonalities(rows)
     else:
         if signals[0] == 1:
             bpa = model.interval_bpa  # past logistic's cutoff, the table decided
             if saturated and interval >= 0 and bpa.threshold - interval < -LOGISTIC_SATURATION:
-                return Prediction(*saturated)
+                return saturated
             n, a, t = row = scaled_sigmoid_row(interval, bpa)
             rows, qn, qa, qt = (row, *rows), (n + t) * qn, (a + t) * qa, t * qt
     return Prediction(_email_label(rows, qn, qa, qt), BINARY_FRAME, model.trace, combine_binary,

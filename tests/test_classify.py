@@ -9,19 +9,21 @@ import platform
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from fractions import Fraction
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsfusion import (
     BINARY_FRAME,
     BoundaryModel,
     EmailModel,
+    Prediction,
     SigmoidBpa,
     TableBpa,
     ThreeClassModel,
@@ -891,6 +893,13 @@ NEAR_TIE_MODEL = replace(
     dangerous_bpa=TableBpa((FLOAT_TIE_ROW, SYMMETRIC_ROW)),
     benign_bpa=TableBpa(((0.5, 0.5, 0.0), FLOAT_TIE_ROW)),
 )
+# Normal-only spoofed and abnormal-only dangerous rows: with both active, flags (0, 0) leave
+# no mass.
+CONFLICT_MODEL = replace(
+    email_model_default(),
+    spoofed_bpa=TableBpa(((1.0, 0.0, 0.0), SYMMETRIC_ROW)),
+    dangerous_bpa=TableBpa(((0.0, 1.0, 0.0), SYMMETRIC_ROW)),
+)
 
 
 class UnhashableOne:
@@ -1057,44 +1066,87 @@ class TestEmailTable:
     @pytest.mark.parametrize("signals", EMAIL_SUBSETS)
     def test_entries_are_the_folded_table_rows(self, signals):
         model = replace(NEAR_TIE_MODEL, signals=signals)
-        active, flags, entries = model.table
+        active, entries = model.table
         assert active == tuple(sorted(signals))
         tables = [s for s in active if s != 1]
-        assert len(entries) == 2 ** len(tables)
-        for combo in product((0, 1), repeat=len(tables)):
-            message = [0.0, 0, 0, 0]
-            for s, v in zip(tables, combo):
-                message[s - 1] = v
+        # Keyed on all three flags; the rows come from the active table signals alone.
+        assert list(entries) == list(product((0, 1), repeat=3))
+        for flags in entries:
+            message = [0.0, *flags]
             rows = tuple(email_signal_row(message, s, model) for s in tables)
             q_n = q_a = q_t = 1.0
             for m_n, m_a, m_t in rows:
                 q_n, q_a, q_t = q_n * (m_n + m_t), q_a * (m_a + m_t), q_t * m_t
-            *entry, saturated = entries[flags(message) if flags else ()]
+            *entry, saturated = entries[flags]
             assert tuple(entry) == (rows, q_n, q_a, q_t)
             if 1 not in signals:
                 assert saturated is None
                 continue
-            # The fields of the prediction of every interval past the cutoff: the floor row first.
+            # The prediction of every interval past the cutoff: the floor row first.
             message[0] = math.inf
             full = tuple(email_signal_row(message, s, model) for s in active)
             assert full[0] == (0.3, 0.69, 0.01)
             label = oracle_email_labels([message], model)[0]
-            assert saturated == (label, BINARY_FRAME, model.trace, combine_binary, (full,))
-            assert saturated[2] is model.trace
+            assert type(saturated) is Prediction
+            assert (saturated.label, saturated.frame, saturated.build, saturated.args) == (
+                label, BINARY_FRAME, combine_binary, (full,))
+            assert saturated.trace is model.trace
 
     def test_survives_round_trip_replace_and_pickle(self):
         model = replace(NEAR_TIE_MODEL, signals=frozenset({1, 3}))
         table = model.table
         restored = classifier_from_dict(classifier_to_dict(model))
-        assert restored.table[0] == table[0] and restored.table[2] == table[2]
+        assert restored.table == table  # the entries' predictions compare label, mass and trace
         unpickled = pickle.loads(pickle.dumps(model))
-        assert unpickled.table[0] == table[0] and unpickled.table[2] == table[2]
+        assert unpickled.table == table
         other = replace(model, signals=frozenset({2, 4}))
-        assert other.table[0] == (2, 4) and len(other.table[2]) == 4
+        assert other.table[0] == (2, 4) and len(other.table[1]) == 8
         assert model.table is table
         message = (31.5, 1, 0, 1)
         for copy_ in (restored, unpickled):
             assert classify_email(message, copy_) == classify_email(message, model)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        interval=st.one_of(st.sampled_from([0.0, 5.0, 30.0, 738.0, 740.0, 1e300, math.inf, -1.0]),
+                           st.floats(0, 1e6)),
+        flags=st.tuples(*[st.sampled_from([0, 1])] * 3),
+        signals=st.sampled_from(EMAIL_SUBSETS),
+        base=st.sampled_from(["stock", "near-tie", "conflict"]),
+        way=st.sampled_from(["list", 0.5, 2, math.nan, "unhashable"]),
+        data=st.data(),
+    )
+    def test_messages_off_the_table_match_the_canonical_flags(
+        self, interval, flags, signals, base, way, data
+    ):
+        # A list, an inactive flag other than 0 or 1, or an unhashable flag equal to 1 misses
+        # the table; the rows built signal by signal give the table's label, trace and mass.
+        model = replace({"stock": email_model_default(), "near-tie": NEAR_TIE_MODEL,
+                         "conflict": CONFLICT_MODEL}[base], signals=signals)
+        canonical = (interval, *flags)
+        message = list(canonical)
+        if way == "unhashable":
+            position = data.draw(st.sampled_from([1, 2, 3]))
+            canonical = (*canonical[:position], 1, *canonical[position + 1:])
+            message[position] = UnhashableOne()
+        elif way != "list":
+            inactive = [s - 1 for s in (2, 3, 4) if s not in signals]
+            assume(inactive)
+            message[data.draw(st.sampled_from(inactive))] = way
+        message = message if way == "list" else tuple(message)
+        entries = model.table[1]
+        assert canonical[1:] in entries
+        with pytest.raises(TypeError) if way in ("list", "unhashable") else suppress():
+            assert message[1:] not in entries
+
+        def outcome(m):
+            try:
+                pred = classify_email(m, model)
+            except (ValueError, TotalConflictError) as exc:
+                return type(exc), str(exc)
+            return pred.label, pred.trace, list(pred.mass._masses.items())
+
+        assert outcome(message) == outcome(canonical)
 
     def test_bad_interval_reported_before_bad_flag(self):
         with pytest.raises(ValueError, match="signal value must be non-negative"):
@@ -1147,11 +1199,10 @@ class TestEmailSaturatedInterval:
         assert pred.args == (rows,)
         ordered = combine_binary(BINARY_FRAME, rows)
         assert list(pred.mass._masses.items()) == list(ordered._masses.items())
-        # The lookup answers exactly where logistic saturates, sharing the entry's rows.
-        _, getter, entries = model.table
-        saturated = entries[getter(message) if getter else ()][-1]
+        # The lookup answers exactly where logistic saturates, with the entry's prediction.
+        saturated = model.table[1][flags][-1]
         past = threshold - interval < -709
-        assert (pred.args is saturated[4]) == past
+        assert (pred is saturated) == past
         if past:
             assert rows[0] == (0.3, 0.69, 0.01)
 
@@ -1164,27 +1215,21 @@ class TestEmailSaturatedInterval:
             if 1 in signals:
                 with pytest.raises(ValueError, match="^signal value must be non-negative"):
                     classify_email((interval, 1, 1, 0), replace(model, signals=signals))
-        assert classify_email((0.0, 1, 1, 0), model).args is model.table[2][1, 1, 0][-1][4]
+        assert classify_email((0.0, 1, 1, 0), model) is model.table[1][1, 1, 0][-1]
 
     def test_entry_near_total_conflict_leaves_the_message_to_raise(self):
         # Normal-only spoofed and abnormal-only dangerous rows leave no mass: the table builds,
-        # holds no saturated prediction for flags (0, 0), and each message raises as the fold.
-        model = replace(
-            email_model_default(),
-            spoofed_bpa=TableBpa(((1.0, 0.0, 0.0), SYMMETRIC_ROW)),
-            dangerous_bpa=TableBpa(((0.0, 1.0, 0.0), SYMMETRIC_ROW)),
-            signals=frozenset({1, 2, 3}),
-        )
-        entries = model.table[2]
-        assert entries[0, 0][-1] is None
-        assert all(entries[flags][-1] is not None for flags in [(0, 1), (1, 0), (1, 1)])
+        # holds no saturated prediction for flags (0, 0, *), and each message raises as the fold.
+        model = replace(CONFLICT_MODEL, signals=frozenset({1, 2, 3}))
+        entries = model.table[1]
+        assert all((entries[flags][-1] is None) == (flags[:2] == (0, 0)) for flags in entries)
         message = (1e3, 0, 0, 0)
         with pytest.raises(TotalConflictError) as raised:
             fuse_binary([email_signal_row(message, s, model) for s in (1, 2, 3)])
         with pytest.raises(TotalConflictError, match=f"^{re.escape(str(raised.value))}$"):
             classify_email(message, model)
         pred = classify_email((1e3, 1, 0, 0), model)  # the abnormal-only row, with no rival
-        assert (pred.label, pred.args) == ("abnormal", entries[1, 0][-1][4])
+        assert pred.label == "abnormal" and pred is entries[1, 0, 0][-1]
 
 
 class TestEmailTrace:
@@ -1299,6 +1344,24 @@ class TestConcurrency:
         assert [p.label for p in serial] == [p.label for p in parallel]
         for a, b in zip(serial, parallel):
             assert mass_to_frozensets(a.mass) == mass_to_frozensets(b.mass)
+
+    def test_shared_predictions_read_across_threads(self):
+        # Saturated messages share their entry's prediction, whose mass is built on first read.
+        model = email_model_default()
+        messages = [(1e3 + i, 1, i % 2, (i // 2) % 2) for i in range(2000)]
+        expected = {m[1:]: list(classify_email(m, replace(model)).mass._masses.items())
+                    for m in messages[:4]}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda m: (m, classify_email(m, model).mass), m)
+                           for m in messages]
+                masses = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(classify_email(m, model)) for m, _ in masses}) == 4
+        assert all(list(mass._masses.items()) == expected[m[1:]] for m, mass in masses)
 
 
 class TestPredictionSerialization:

@@ -7,7 +7,7 @@ import copy
 import math
 import pickle
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -108,6 +108,53 @@ class TestLaziness:
         assert built[0] == 0
         report_text(report)
         assert built[0] == len(report.misclassified)
+
+
+class TestSharedSaturatedPrediction:
+    """Past the interval's cutoff (threshold + 709) a message gets its table entry's one
+    prediction: shared by every message with equal flags, and its mass built once."""
+
+    FLAGS = list(product((0, 1), repeat=3))
+
+    def test_equal_flags_share_one_prediction(self):
+        model = email_model_default()
+        shared = {}
+        for flags in self.FLAGS:
+            spellings = [(1e3, *flags), (5e5, *map(float, flags)), (math.inf, *map(bool, flags))]
+            first, *others = [classify_email(m, model) for m in spellings]
+            assert all(other is first for other in others)
+            shared[flags] = first
+        assert len({id(pred) for pred in shared.values()}) == len(self.FLAGS)
+
+    def test_classifying_builds_no_mass_and_reading_one_per_entry(self, built):
+        model = email_model_default()
+        model.table  # built once per model, before the messages
+        start = built[0]
+        messages = [(740.0 + i, *self.FLAGS[i % 8]) for i in range(1000)]
+        preds = [classify_email(m, model) for m in messages]
+        assert built[0] == start
+        for pred in preds:
+            pred.mass
+        assert len({id(pred) for pred in preds}) == 8
+        assert built[0] == start + 8
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_shared_prediction_pickles_copies_and_replaces(self, clone, read_first):
+        model = email_model_default()
+        shared = classify_email((1e3, 1, 1, 0), model)
+        if read_first:
+            shared.mass
+        other = clone(shared)
+        assert other is not shared and other == shared
+        assert list(other.mass._masses.items()) == list(shared.mass._masses.items())
+        relabelled = replace(shared, label="normal")
+        assert relabelled is not shared and relabelled.label == "normal"
+        assert relabelled.mass == shared.mass
+        assert classify_email((2e3, 1, 1, 0), model) is shared
+        assert shared.label == "abnormal"
 
 
 class TestDeferredMassIsExact:
