@@ -47,59 +47,16 @@ INPUT_EXIT = 3
 COMPUTE_EXIT = 4
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dsfusion",
-        description="Evidence-combination benchmarks and utilities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-        p.add_argument("--out", type=Path, help="write the report to this path")
-
-    p_wbcd = sub.add_parser("wbcd", help="binary threshold-fusion benchmark")
-    p_wbcd.add_argument("--data", type=Path, required=True, help="breast-cancer-wisconsin.data")
-    p_wbcd.add_argument("--features", help="feature letters A-I to fuse (default all nine)")
-    p_wbcd.add_argument("--ablate", help="comma-separated feature subsets to compare")
-    p_wbcd.add_argument("--folds", type=int, default=10)
-    p_wbcd.add_argument("--dump-model", type=Path,
-                        help="also train on the full dataset and write the model JSON here")
-    common(p_wbcd)
-
-    p_iris = sub.add_parser("iris", help="three-class fusion benchmark")
-    p_iris.add_argument("--data", type=Path, required=True, help="iris.data")
-    p_iris.add_argument("--runs", type=int, default=10, help="number of full CVs (default 10)")
-    p_iris.add_argument("--folds", type=int, default=10)
-    p_iris.add_argument("--dump-model", type=Path,
-                        help="also train on the full dataset and write the model JSON here")
-    common(p_iris)
-
-    p_email = sub.add_parser("email", help="email worm-detection benchmark")
-    source = p_email.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", type=Path, help="email CSV to evaluate")
-    source.add_argument("--generate", action="store_true",
-                        help="evaluate a freshly generated synthetic corpus")
-    p_email.add_argument("--save-data", type=Path,
-                         help="with --generate, also write the corpus CSV here")
-    p_email.add_argument("--signals", default="1234",
-                         help="signal digits 1-4 to fuse (default 1234)")
-    common(p_email)
-    for p in (p_wbcd, p_email):  # the tasks whose one report _emit writes
+def _common(p: argparse.ArgumentParser, cv: bool, report: bool) -> None:
+    if cv:  # the tasks that cross-validate
+        p.add_argument("--folds", type=int, default=10)
+        p.add_argument("--dump-model", type=Path,
+                       help="also train on the full dataset and write the model JSON here")
+    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    p.add_argument("--out", type=Path, help="write the report to this path")
+    if report:  # the tasks whose one report _emit writes
         p.add_argument("--format", choices=("json", "csv", "text"), default="text",
                        help="report format for --out and stdout (default text)")
-
-    p_gen = sub.add_parser("generate-email", help="write a synthetic email corpus CSV")
-    p_gen.add_argument("--out", type=Path, required=True)
-    p_gen.add_argument("--seed", type=int, default=42)
-
-    p_comb = sub.add_parser("combine", help="combine mass functions from the command line")
-    p_comb.add_argument("--frame", required=True, help='comma-separated labels, e.g. "a,b,c"')
-    p_comb.add_argument("--mass", action="append", required=True, metavar="SPEC",
-                        help='repeatable; "a:0.6,b:0.3,a|b:0.1" (| joins labels)')
-    p_comb.add_argument("--format", choices=("json", "text"), default="text")
-
-    return parser
 
 
 def _parse_features(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
@@ -138,6 +95,13 @@ def _dump_model(dataset, task: str, path: Path) -> None:
     path.write_text(json.dumps(classifier_to_dict(model), indent=2) + "\n", encoding="utf-8")
 
 
+def _wbcd_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", type=Path, required=True, help="breast-cancer-wisconsin.data")
+    p.add_argument("--features", help="feature letters A-I to fuse (default all nine)")
+    p.add_argument("--ablate", help="comma-separated feature subsets to compare")
+    _common(p, cv=True, report=True)
+
+
 def _cmd_wbcd(args, parser) -> int:
     features = None if args.features is None else _parse_features(args.features, parser)
     if args.ablate and (args.out or args.format != "text" or features):
@@ -158,6 +122,12 @@ def _cmd_wbcd(args, parser) -> int:
     _emit(report, args)
     print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
     return 0
+
+
+def _iris_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", type=Path, required=True, help="iris.data")
+    p.add_argument("--runs", type=int, default=10, help="number of full CVs (default 10)")
+    _common(p, cv=True, report=False)
 
 
 def _cmd_iris(args, parser) -> int:
@@ -187,6 +157,17 @@ def _cmd_iris(args, parser) -> int:
         }
         args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0
+
+
+def _email_arguments(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", type=Path, help="email CSV to evaluate")
+    source.add_argument("--generate", action="store_true",
+                        help="evaluate a freshly generated synthetic corpus")
+    p.add_argument("--save-data", type=Path,
+                   help="with --generate, also write the corpus CSV here")
+    p.add_argument("--signals", default="1234", help="signal digits 1-4 to fuse (default 1234)")
+    _common(p, cv=False, report=True)
 
 
 def _cmd_email(args, parser) -> int:
@@ -222,6 +203,11 @@ def _cmd_email(args, parser) -> int:
     return 0
 
 
+def _gen_email_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--seed", type=int, default=42)
+
+
 def _cmd_generate_email(args, parser) -> int:
     dataset = generate_email(args.seed)
     write_email_csv(dataset, args.out)
@@ -246,6 +232,13 @@ def _parse_mass_spec(spec: str, frame, parser: argparse.ArgumentParser):
         return make_mass(frame, entries)
     except EvidenceError as exc:
         parser.error(f"bad mass {spec!r}: {exc}")
+
+
+def _combine_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--frame", required=True, help='comma-separated labels, e.g. "a,b,c"')
+    p.add_argument("--mass", action="append", required=True, metavar="SPEC",
+                   help='repeatable; "a:0.6,b:0.3,a|b:0.1" (| joins labels)')
+    p.add_argument("--format", choices=("json", "text"), default="text")
 
 
 def _cmd_combine(args, parser) -> int:
@@ -279,22 +272,43 @@ def _cmd_combine(args, parser) -> int:
     return 0
 
 
+# Each command's help line, the function that adds its arguments, and its handler.
+COMMANDS = {
+    "wbcd": ("binary threshold-fusion benchmark", _wbcd_arguments, _cmd_wbcd),
+    "iris": ("three-class fusion benchmark", _iris_arguments, _cmd_iris),
+    "email": ("email worm-detection benchmark", _email_arguments, _cmd_email),
+    "generate-email": ("write a synthetic email corpus CSV", _gen_email_arguments,
+                       _cmd_generate_email),
+    "combine": ("combine mass functions from the command line", _combine_arguments, _cmd_combine),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="dsfusion",
+                                     description="Evidence-combination benchmarks and utilities.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    handlers = {
-        "wbcd": _cmd_wbcd,
-        "iris": _cmd_iris,
-        "email": _cmd_email,
-        "generate-email": _cmd_generate_email,
-        "combine": _cmd_combine,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        return handlers[args.command](args, parser)
+        if argv and argv[0] in COMMANDS:  # build only this command's parser
+            parser = argparse.ArgumentParser(prog=f"dsfusion {argv[0]}")
+            _, add_arguments, _ = COMMANDS[argv[0]]
+            add_arguments(parser)
+            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:  # --help, no command or an unknown one: the whole tree lists the commands
+            parser = build_parser()
+            args = parser.parse_args(argv)
+        _, _, handler = COMMANDS[args.command]
+        return handler(args, parser)
     except SystemExit as exc:  # argparse, also parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     # DataFormatError is a ValueError, so it must be caught first.
-    except (FileNotFoundError, IsADirectoryError, PermissionError, DataFormatError) as exc:
+    except (OSError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
     except ValueError as exc:  # EvidenceError, TotalConflictError included

@@ -3,8 +3,10 @@ byte for byte, against reference files under ``tests/golden/``.
 
 The run time is the only part of stdout that varies between runs (the
 ``runtime_seconds`` field of a JSON report and the ``runtime:`` line of a
-text report), so it is removed before comparing. Regenerate the files after
-an intended output change with ``PYTHONPATH=src python tests/test_golden.py``.
+text report), so it is removed before comparing. The help texts and
+usage errors are taken at 80 columns, because argparse wraps to the
+terminal width. Regenerate the files after an intended output change with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -34,6 +38,13 @@ STDOUT_CASES = {
     "email_json.out": ["email", "--generate", "--seed", "7", "--format", "json"],
     "email_134_text.out": ["email", "--generate", "--seed", "7", "--signals", "134",
                            "--format", "text"],
+    "help.out": ["--help"],
+    **{f"help_{name}.out": [name, "--help"]
+       for name in ("wbcd", "iris", "email", "generate-email", "combine")},
+}
+# The stderr of a usage error, with its exit code.
+STDERR_CASES = {
+    "unknown_command.err": (["frobnicate"], 2),
 }
 MODEL_CASES = {
     "wbcd_model.json": ["wbcd", "--data", WBCD, "--ablate", "A"],
@@ -47,12 +58,24 @@ EMAIL_MODEL = "email_model.json"
 _RUNTIME = re.compile(r',\n  "runtime_seconds": [^\n]*|^runtime: [^\n]*\n', re.MULTILINE)
 
 
-def stable_stdout(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def stable_stdout(argv: list[str]) -> str:
+    code, out, _ = run_main(argv)
     assert code == 0, f"{argv}: exit code {code}"
-    return _RUNTIME.sub("", out.getvalue())
+    return _RUNTIME.sub("", out)
+
+
+def usage_error(argv: list[str], code: int) -> str:
+    got, out, err = run_main(argv)
+    assert (got, out) == (code, ""), f"{argv}: exit code {got}"
+    return err
 
 
 def dumped_model(argv: list[str], path: Path) -> str:
@@ -70,6 +93,12 @@ def test_stdout_matches_golden(name):
     assert stable_stdout(STDOUT_CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(STDERR_CASES))
+def test_stderr_matches_golden(name):
+    expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert usage_error(*STDERR_CASES[name]) == expected
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_CASES))
 def test_model_dump_matches_golden(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
@@ -84,7 +113,10 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in STDOUT_CASES.items():
         (GOLDEN_DIR / name).write_text(stable_stdout(argv), encoding="utf-8")
+    for name, case in STDERR_CASES.items():
+        (GOLDEN_DIR / name).write_text(usage_error(*case), encoding="utf-8")
     for name, argv in MODEL_CASES.items():
         (GOLDEN_DIR / name).write_text(dumped_model(argv, GOLDEN_DIR / name), encoding="utf-8")
     (GOLDEN_DIR / EMAIL_MODEL).write_text(email_model_json(), encoding="utf-8")
-    sys.stdout.write(f"wrote {len(STDOUT_CASES) + len(MODEL_CASES) + 1} files to {GOLDEN_DIR}\n")
+    count = len(STDOUT_CASES) + len(STDERR_CASES) + len(MODEL_CASES) + 1
+    sys.stdout.write(f"wrote {count} files to {GOLDEN_DIR}\n")
