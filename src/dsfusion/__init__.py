@@ -29,7 +29,6 @@ from .bpa import (
     SigmoidBpa,
     TableBpa,
     boundary_mass,
-    class_columns,
     class_moments,
     distance_mass,
     fit_boundaries,

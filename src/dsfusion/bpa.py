@@ -6,7 +6,7 @@ ceiling and ignorance mass, a lookup table for binary signals, and two
 three-class assignments driven by per-class value ranges and per-class
 means. Training helpers derive the thresholds, ranges, means and the
 feature-selection scores from labelled feature rows; the three-class ones
-read each feature's values per class, in the layout of :func:`class_columns`.
+read each feature's values per class, indexed ``[feature][class]``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
 from .evidence import Frame, MassFunction, make_frame
@@ -257,27 +255,9 @@ def row_arity(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def class_columns(rows: Sequence[Sequence[float]], labels: Sequence[int]) -> Columns:
-    """Each feature's values split by class 0..2, in row order: ``[f][c]``."""
-    if len(rows) != len(labels):
-        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
-    if not rows:
-        raise ValueError("no training records")
-    if not set(labels) <= {0, 1, 2}:
-        bad = next(label for label in labels if label not in (0, 1, 2))
-        raise ValueError(f"class label {bad!r} outside 0..2")
-    n_features = row_arity(rows)
-    # zip(*records) turns one class's records into its feature columns; a
-    # class with no records gets empty ones, which class_moments rejects.
-    per_class = [
-        list(zip(*compress(rows, map(eq, labels, repeat(c))))) or [()] * n_features
-        for c in range(3)
-    ]
-    return [[columns[f] for columns in per_class] for f in range(n_features)]
-
-
 def class_moments(columns: Columns) -> ClassMoments:
-    """The :class:`Moments` of each feature's values per class, in ``class_columns``' layout."""
+    """The :class:`Moments` of each feature's values per class: ``columns[f][c]`` holds
+    feature f's values in class c."""
     stats: ClassMoments = []
     for f, per_class in enumerate(columns):
         stats.append([])

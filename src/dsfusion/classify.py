@@ -482,21 +482,14 @@ class EmailModel:
     @cached_property
     def table(self) -> tuple:
         """For :func:`classify_email`: the sorted active signals, and per combination of the
-        three flags (``message[1:]``) the active table signals' rows, ΠQ(n), ΠQ(a), ΠQ(Θ) and,
-        with signal 1, the one :class:`Prediction` of every interval past the logistic's
-        saturation, shared by all its messages (None near total conflict)."""
+        three flags (``message[1:]``) the one :class:`Prediction` of the message (∞, *flags),
+        or None near total conflict. Without signal 1 it is every such message's prediction;
+        with it, that of every interval past the logistic's saturation."""
         signals = tuple(sorted(self.signals))
-        tables = [s for s in signals if s > 1]
-        bpas = (self.spoofed_bpa, self.dangerous_bpa, self.benign_bpa)
-        entries = {}
-        for flags in product((0, 1), repeat=3):
-            rows = tuple(bpas[s - 2].rows[flags[s - 2]] for s in tables)
-            saturated, full = None, (scaled_sigmoid_row(math.inf, self.interval_bpa), *rows)
+        entries = dict.fromkeys(product((0, 1), repeat=3))
+        for flags in entries:
             with suppress(TotalConflictError):  # then each message takes the path that raises
-                if signals[0] == 1:
-                    label = _email_label(full, *binary_commonalities(full))
-                    saturated = Prediction(label, BINARY_FRAME, self.trace, combine_binary, (full,))
-            entries[flags] = (rows, *binary_commonalities(rows), saturated)
+                entries[flags] = _email_prediction((math.inf, *flags), signals, self)
         return signals, entries
 
     @cached_property
@@ -545,24 +538,29 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
         raise ValueError(f"message has {len(message)} values, expected 4") from None
     signals, entries = model.table
     try:
-        rows, qn, qa, qt, saturated = entries[message[1:]]
+        entry = entries[message[1:]]
     except (LookupError, TypeError):  # not three 0/1 flags: email_signal_row raises in signal order
-        rows = tuple(email_signal_row(message, s, model) for s in signals)
-        qn, qa, qt = binary_commonalities(rows)
-    else:
-        if signals[0] == 1:
-            bpa = model.interval_bpa  # past logistic's cutoff, the table decided
-            if saturated and interval >= 0 and bpa.threshold - interval < -LOGISTIC_SATURATION:
-                return saturated
-            n, a, t = row = scaled_sigmoid_row(interval, bpa)
-            rows, qn, qa, qt = (row, *rows), (n + t) * qn, (a + t) * qa, t * qt
-    return Prediction(_email_label(rows, qn, qa, qt), BINARY_FRAME, model.trace, combine_binary,
-                      (rows,))
+        entry = None
+    # Past logistic's cutoff the interval row is the floor row, that of ∞.
+    if entry is not None and (signals[0] != 1 or (
+        interval >= 0 and model.interval_bpa.threshold - interval < -LOGISTIC_SATURATION
+    )):
+        return entry
+    return _email_prediction(message, signals, model)
 
 
-def _email_label(rows: Sequence[MassRow], qn: float, qa: float, qt: float) -> str:
-    if qn + qa - qt <= 2 * IDENTITY_TOL:  # near the bound, the reordering may move K a bit
-        fuse_binary(rows)  # so the ordered fold's K decides, and raises
+def _email_prediction(
+    message: Sequence[float], signals: Sequence[int], model: EmailModel
+) -> Prediction:
+    # The per-message path: the rows of ``signals`` in order, and the one decision rule.
+    rows = tuple(email_signal_row(message, s, model) for s in signals)
+    return Prediction(_email_label(rows), BINARY_FRAME, model.trace, combine_binary, (rows,))
+
+
+def _email_label(rows: Sequence[MassRow]) -> str:
+    qn, qa, qt = binary_commonalities(rows)
+    if qn + qa - qt <= 2 * IDENTITY_TOL:  # near the bound, the fold's own K decides, and raises
+        fuse_binary(rows)
     # The float ΠQ of up to four rows err by under 8 units of 2^-53 (a rounding per commonality
     # and product), so a wider gap has the exact sign; 2^-1000 covers underflow.
     if abs(qa - qn) <= 2.0**-49 * (qa + qn) + 2.0**-1000:

@@ -104,7 +104,7 @@ def _wbcd_arguments(p: argparse.ArgumentParser) -> None:
 
 def _cmd_wbcd(args, parser) -> int:
     features = None if args.features is None else _parse_features(args.features, parser)
-    if args.ablate and (args.out or args.format != "text" or features):
+    if args.ablate is not None and (args.out or args.format != "text" or features):
         parser.error("--ablate prints a text table and takes no --out, --format or --features")
     if args.folds < 2:
         parser.error("--folds must be at least 2")
@@ -112,7 +112,7 @@ def _cmd_wbcd(args, parser) -> int:
     folds = make_folds(len(dataset), args.folds, args.seed)
     if args.dump_model:
         _dump_model(dataset, "wbcd", args.dump_model)
-    if args.ablate:
+    if args.ablate is not None:
         subsets = [_parse_features(s, parser) for s in args.ablate.split(",")]
         table = ablation(dataset, "wbcd", subsets, folds=folds)
         for label, accuracy in table:

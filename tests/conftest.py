@@ -207,6 +207,23 @@ def oracle_email_labels(messages, model) -> list[str]:
     return labels
 
 
+def reference_class_columns(rows, labels) -> list[list[list[float]]]:
+    """Each feature's values split by class 0..2, in row order, ``[f][c]``, by one loop over
+    the rows; unequal lengths, no rows and the first label outside 0..2 are errors."""
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
+    if not rows:
+        raise ValueError("no training records")
+    n_features = len(rows[0])
+    by_class = [[], [], []]
+    for features, label in zip(rows, labels):
+        if label not in (0, 1, 2):
+            raise ValueError(f"class label {label!r} outside 0..2")
+        by_class[label].append(features)
+    per_class = [list(zip(*records)) or [()] * n_features for records in by_class]
+    return [[list(columns[f]) for columns in per_class] for f in range(n_features)]
+
+
 def reference_three_class(rows, labels, frame: Frame) -> ThreeClassModel:
     """The three-class model by per-record scans, without the grouped trainer.
 

@@ -19,7 +19,6 @@ from dsfusion import (
     TableBpa,
     ThreeClassModel,
     boundary_mass,
-    class_columns,
     class_moments,
     classifier_from_dict,
     classifier_to_dict,
@@ -44,6 +43,8 @@ from dsfusion.bpa import (
     scaled_sigmoid_row,
     table_row,
 )
+
+from conftest import reference_class_columns
 
 THREE = make_frame(["c1", "c2", "c3"])
 
@@ -312,7 +313,7 @@ def test_accepted_table_gives_only_mass_rows(drawn):
 class TestFitBoundaries:
     def test_single_record_per_class(self):
         rows = [(1.0, 5.0), (2.0, 6.0), (3.0, 7.0)]
-        model = fit_boundaries(class_moments(class_columns(rows, [0, 1, 2])))
+        model = fit_boundaries(class_moments(reference_class_columns(rows, [0, 1, 2])))
         assert model.bounds[0] == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
 
     def test_reversed_bounds_rejected(self):
@@ -321,50 +322,21 @@ class TestFitBoundaries:
 
     def test_min_max_observed(self):
         rows = [(4.3,), (5.8,), (5.0,), (4.9,), (6.9,), (4.9,), (7.9,)]
-        model = fit_boundaries(class_moments(class_columns(rows, [0, 0, 0, 1, 1, 2, 2])))
+        model = fit_boundaries(class_moments(reference_class_columns(rows, [0, 0, 0, 1, 1, 2, 2])))
         assert model.bounds[0] == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_boundaries(class_moments(class_columns([(1.0,), (2.0,)], [0, 1])))
+            fit_boundaries(class_moments(reference_class_columns([(1.0,), (2.0,)], [0, 1])))
 
     def test_identical_classes_identical_ranges(self):
         rows = [(1.0,), (2.0,)] * 3
-        model = fit_boundaries(class_moments(class_columns(rows, [0, 0, 1, 1, 2, 2])))
+        model = fit_boundaries(class_moments(reference_class_columns(rows, [0, 0, 1, 1, 2, 2])))
         assert model.bounds[0][0] == model.bounds[0][1]
-
-    @pytest.mark.parametrize("label", [-1, 3])
-    def test_label_outside_classes_rejected(self, label):
-        rows = [(1.0,), (2.0,), (3.0,), (4.0,)]
-        with pytest.raises(ValueError, match=rf"^class label {label} outside 0\.\.2$"):
-            class_columns(rows, [0, 1, 2, label])
-
-    def test_no_rows_rejected(self):
-        with pytest.raises(ValueError, match="^no training records$"):
-            class_columns([], [])
-
-    def test_rows_and_labels_must_pair_up(self):
-        with pytest.raises(ValueError, match="^3 rows vs 2 labels$"):
-            class_columns([(1.0,), (2.0,), (3.0,)], [0, 1])
-
-    @pytest.mark.parametrize("rows, message", [
-        ([(1.0,), (3.0, 4.0), (5.0, 6.0)], "^row 1 has 2 values, row 0 has 1$"),
-        ([(1.0, 2.0), (3.0, 4.0), (5.0,)], "^row 2 has 1 values, row 0 has 2$"),
-    ], ids=["short-first", "short-last"])
-    def test_ragged_rows_rejected(self, rows, message):
-        # A short row 0 used to drop the other rows' extra feature, and a short later row
-        # to raise a bare IndexError.
-        with pytest.raises(ValueError, match=message):
-            class_columns(rows, [0, 1, 2])
-
-    def test_first_bad_label_in_row_order_named(self):
-        rows = [(1.0,)] * 5
-        with pytest.raises(ValueError, match=r"^class label 2\.5 outside 0\.\.2$"):
-            class_columns(rows, [0, 2.5, 1, 3, 2])
 
     def test_non_number_cell_is_not_a_missing_value(self):
         # Only a None cell becomes a ValueError; any other TypeError is re-raised.
-        columns = class_columns([(1.0,), ("x",), (5.0,)], [0, 1, 2])
+        columns = reference_class_columns([(1.0,), ("x",), (5.0,)], [0, 1, 2])
         with pytest.raises(TypeError):
             class_moments(columns)
 
@@ -549,7 +521,8 @@ def _present_moments(rows, labels):
     # class_moments of the classes that have rows; these tests use
     # classes 0 and 1, or all three, so dropping an empty class 2 keeps
     # every index.
-    return [[moments(v) for v in per_class if v] for per_class in class_columns(rows, labels)]
+    columns = reference_class_columns(rows, labels)
+    return [[moments(v) for v in per_class if v] for per_class in columns]
 
 
 # Three rows of each class 0..2, in class order.
@@ -573,7 +546,7 @@ class TestSelectFeature:
     def test_constant_feature_is_skipped(self):
         # Feature 0 is 0.1 everywhere: no signal, so feature 1 is picked for every group.
         rows = [(0.1, 10.0 * c + i) for c in range(3) for i in range(3)]
-        stats = class_moments(class_columns(rows, THREE_EACH))
+        stats = class_moments(reference_class_columns(rows, THREE_EACH))
         for group in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
             assert select_feature(stats, group) == 1
 
@@ -723,24 +696,9 @@ def test_pooled_terms_are_correctly_rounded_squares(grouped):
     assert value == math.prod(m.sd for m in group) / math.sqrt((within + between) / (n - 1))
 
 
-# Reference versions of the three-class grouping and lookup as plain per-row
-# and per-class loops; the library's versions must match them exactly,
-# errors and messages included.
-
-
-def _reference_class_columns(rows, labels):
-    if len(rows) != len(labels):
-        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
-    if not rows:
-        raise ValueError("no training records")
-    n_features = len(rows[0])
-    by_class = [[], [], []]
-    for features, label in zip(rows, labels):
-        if label not in (0, 1, 2):
-            raise ValueError(f"class label {label!r} outside 0..2")
-        by_class[label].append(features)
-    per_class = [list(zip(*records)) or [()] * n_features for records in by_class]
-    return [[list(columns[f]) for columns in per_class] for f in range(n_features)]
+# Reference versions of the three-class moments and lookup as plain per-class
+# loops; the library's versions must match them exactly, errors and messages
+# included.
 
 
 def _reference_class_moments(columns):
@@ -769,28 +727,6 @@ def _outcome(function, *args):
         return function(*args)
     except (TypeError, ValueError) as err:
         return type(err), str(err)
-
-
-def _as_lists(columns):
-    return [[list(values) for values in per_class] for per_class in columns]
-
-
-# Valid labels half the time, so most draws get past the label check.
-LABELS = st.one_of(st.sampled_from([0, 1, 2]), st.sampled_from([3, -1, 2.5]))
-
-
-@given(
-    n_features=st.integers(min_value=1, max_value=4),
-    labels=st.lists(LABELS, max_size=12),
-    extra=st.sampled_from([0, 0, 0, 1, -1]),  # a row more or fewer than labels, sometimes
-    data=st.data(),
-)
-def test_class_columns_matches_the_row_loop(n_features, labels, extra, data):
-    size = max(len(labels) + extra, 0)
-    rows = data.draw(st.lists(st.tuples(*[VALUES] * n_features), min_size=size, max_size=size))
-    expected = _outcome(_reference_class_columns, rows, labels)
-    got = _outcome(class_columns, rows, labels)
-    assert (_as_lists(got) if isinstance(got, list) else got) == expected
 
 
 CELLS = st.one_of(VALUES, st.just(None))

@@ -48,7 +48,7 @@ from dsfusion import (
     vacuous_mass,
 )
 from dsfusion import classify
-from dsfusion.bpa import class_columns, logistic
+from dsfusion.bpa import logistic
 from dsfusion.classify import (
     BinaryModel,
     email_signal_mass,
@@ -65,6 +65,7 @@ from conftest import (
     oracle_email_labels,
     oracle_three_class,
     oracle_three_class_candidate,
+    reference_class_columns,
     reference_classify_binary,
     reference_three_class,
 )
@@ -685,8 +686,8 @@ def test_fold_models_match_train_three_class_on_the_fold_rows(data):
         fold_rows, fold_labels = [rows[j] for j in train], [labels[j] for j in train]
         expected = _outcome(train_three_class, fold_rows, fold_labels, IRIS_FRAME)
         assert _outcome(fit, fold) == expected
-        # The row checks of class_columns come first, as when each fold grouped its rows.
-        grouped = _outcome(class_columns, fold_rows, fold_labels)
+        # The row checks of the grouping come first, as when each fold grouped its rows.
+        grouped = _outcome(reference_class_columns, fold_rows, fold_labels)
         assert isinstance(grouped, list) or expected == grouped
 
 
@@ -1061,36 +1062,70 @@ class TestEmailExactDecision:
         assert classify_email((0.0, 0, 0, 1), model).label == "abnormal"
         assert classify_email((0.0, 0, 1, 0), model).label == "normal"
 
+    def test_float_order_reversed_decided_exactly(self):
+        # The float products round to 0.28 > 0.27999999999999997, a gap of about 2^-53 of
+        # their sum, yet the exact ΠQ(a) exceeds ΠQ(n) by about 2.8e-18.
+        model = replace(
+            NEAR_TIE_MODEL, signals=frozenset({2, 3}),
+            spoofed_bpa=TableBpa(((0.65, 0.3, 0.05), SYMMETRIC_ROW)),
+            dangerous_bpa=TableBpa(((0.2, 0.6000000000000001, 0.2), SYMMETRIC_ROW)),
+        )
+        message = (0.0, 0, 0, 0)
+        q_n, q_a, _ = binary_commonalities([email_signal_row(message, s, model) for s in (2, 3)])
+        assert q_n > q_a
+        assert oracle_email_labels([message], model) == ["abnormal"]
+        assert classify_email(message, model).label == "abnormal"
+
 
 class TestEmailTable:
     @pytest.mark.parametrize("signals", EMAIL_SUBSETS)
     def test_entries_are_the_folded_table_rows(self, signals):
+        # Keyed on all three flags, each entry is the one prediction of the message (∞, *flags):
+        # the fold of the active signals' rows, the interval's the floor row.
         model = replace(NEAR_TIE_MODEL, signals=signals)
         active, entries = model.table
         assert active == tuple(sorted(signals))
-        tables = [s for s in active if s != 1]
-        # Keyed on all three flags; the rows come from the active table signals alone.
         assert list(entries) == list(product((0, 1), repeat=3))
-        for flags in entries:
-            message = [0.0, *flags]
-            rows = tuple(email_signal_row(message, s, model) for s in tables)
-            q_n = q_a = q_t = 1.0
-            for m_n, m_a, m_t in rows:
-                q_n, q_a, q_t = q_n * (m_n + m_t), q_a * (m_a + m_t), q_t * m_t
-            *entry, saturated = entries[flags]
-            assert tuple(entry) == (rows, q_n, q_a, q_t)
-            if 1 not in signals:
-                assert saturated is None
-                continue
-            # The prediction of every interval past the cutoff: the floor row first.
-            message[0] = math.inf
+        for flags, entry in entries.items():
+            message = (math.inf, *flags)
             full = tuple(email_signal_row(message, s, model) for s in active)
-            assert full[0] == (0.3, 0.69, 0.01)
+            if 1 in signals:
+                assert full[0] == (0.3, 0.69, 0.01)
             label = oracle_email_labels([message], model)[0]
-            assert type(saturated) is Prediction
-            assert (saturated.label, saturated.frame, saturated.build, saturated.args) == (
+            assert type(entry) is Prediction
+            assert (entry.label, entry.frame, entry.build, entry.args) == (
                 label, BINARY_FRAME, combine_binary, (full,))
-            assert saturated.trace is model.trace
+            assert entry.trace is model.trace
+
+    @pytest.mark.parametrize("base", ["stock", "near-tie", "conflict"])
+    def test_entries_match_the_miss_path(self, base):
+        # A list message misses the table: the rows built signal by signal give each entry's
+        # label, trace and mass bits in order, or raise where the entry is None.
+        base_model = {"stock": email_model_default(), "near-tie": NEAR_TIE_MODEL,
+                      "conflict": CONFLICT_MODEL}[base]
+        for signals in EMAIL_SUBSETS:
+            model = replace(base_model, signals=signals)
+            for flags, entry in model.table[1].items():
+                message = [math.inf, *flags]
+                if entry is None:
+                    with pytest.raises(TotalConflictError):
+                        classify_email(message, model)
+                    continue
+                miss = classify_email(message, model)
+                assert miss is not entry
+                assert (miss.label, miss.trace) == (entry.label, entry.trace)
+                assert list(miss.mass._masses.items()) == list(entry.mass._masses.items())
+
+    @pytest.mark.parametrize("signals", [s for s in EMAIL_SUBSETS if 1 not in s])
+    def test_without_the_interval_every_message_gets_its_entry(self, signals):
+        # The interval is never read, so even one the interval signal refuses gets the entry,
+        # whichever way the flags are spelled.
+        model = replace(email_model_default(), signals=signals)
+        entries = model.table[1]
+        for flags in entries:
+            for spelled in (flags, tuple(map(float, flags)), tuple(map(bool, flags))):
+                for interval in (0.0, 5.0, 1e300, math.inf, -1.0, math.nan, "x"):
+                    assert classify_email((interval, *spelled), model) is entries[flags]
 
     def test_survives_round_trip_replace_and_pickle(self):
         model = replace(NEAR_TIE_MODEL, signals=frozenset({1, 3}))
@@ -1200,7 +1235,7 @@ class TestEmailSaturatedInterval:
         ordered = combine_binary(BINARY_FRAME, rows)
         assert list(pred.mass._masses.items()) == list(ordered._masses.items())
         # The lookup answers exactly where logistic saturates, with the entry's prediction.
-        saturated = model.table[1][flags][-1]
+        saturated = model.table[1][flags]
         past = threshold - interval < -709
         assert (pred is saturated) == past
         if past:
@@ -1215,21 +1250,21 @@ class TestEmailSaturatedInterval:
             if 1 in signals:
                 with pytest.raises(ValueError, match="^signal value must be non-negative"):
                     classify_email((interval, 1, 1, 0), replace(model, signals=signals))
-        assert classify_email((0.0, 1, 1, 0), model) is model.table[1][1, 1, 0][-1]
+        assert classify_email((0.0, 1, 1, 0), model) is model.table[1][1, 1, 0]
 
     def test_entry_near_total_conflict_leaves_the_message_to_raise(self):
         # Normal-only spoofed and abnormal-only dangerous rows leave no mass: the table builds,
-        # holds no saturated prediction for flags (0, 0, *), and each message raises as the fold.
+        # holds None for flags (0, 0, *), and each message raises as the fold.
         model = replace(CONFLICT_MODEL, signals=frozenset({1, 2, 3}))
         entries = model.table[1]
-        assert all((entries[flags][-1] is None) == (flags[:2] == (0, 0)) for flags in entries)
+        assert all((entries[flags] is None) == (flags[:2] == (0, 0)) for flags in entries)
         message = (1e3, 0, 0, 0)
         with pytest.raises(TotalConflictError) as raised:
             fuse_binary([email_signal_row(message, s, model) for s in (1, 2, 3)])
         with pytest.raises(TotalConflictError, match=f"^{re.escape(str(raised.value))}$"):
             classify_email(message, model)
         pred = classify_email((1e3, 1, 0, 0), model)  # the abnormal-only row, with no rival
-        assert pred.label == "abnormal" and pred is entries[1, 0, 0][-1]
+        assert pred.label == "abnormal" and pred is entries[1, 0, 0]
 
 
 class TestEmailTrace:

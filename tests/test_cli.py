@@ -142,6 +142,21 @@ class TestWbcdCommand:
         assert err.startswith("usage: dsfusion wbcd ")
         assert err.endswith(f"dsfusion wbcd: error: {message}\n")
 
+    @pytest.mark.parametrize("spec", ["", "A,"], ids=["empty", "trailing-comma"])
+    def test_ablate_with_an_empty_subset_exits_2(self, capsys, spec):
+        # An empty --ablate spec used to run the plain report and exit 0, and with --format
+        # json it skipped the check that --ablate takes no --format.
+        code, out, err = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--ablate", spec)
+        assert (code, out) == (2, "")
+        assert err.endswith("dsfusion wbcd: error: '': feature subset must be nonempty\n")
+        code, out, err = run_cli(
+            capsys, "wbcd", "--data", str(WBCD_PATH), "--ablate", spec, "--format", "json"
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: --ablate prints a text table and takes no --out, --format or --features\n"
+        )
+
     def test_deterministic_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
         _, out2, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
