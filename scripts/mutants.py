@@ -36,14 +36,18 @@ COPIED = ("src", "tests", "data", "pyproject.toml")
 
 # (id, text found exactly once in TARGET, its replacement, why no test can kill it or None).
 MUTANTS = [
-    ("shortcut-signal-1", "signals[0] != 1", "signals[0] == 1", None),
+    ("shortcut-threshold-none", "threshold is None or", "threshold is not None or", None),
     ("shortcut-interval-sign", "interval >= 0 and", "interval > 0 and", None),
     ("shortcut-interval-floor", "interval >= 0 and", "interval >= -1 and", None),
-    ("shortcut-cutoff-strict", "- interval < -LOGISTIC_SATURATION",
-     "- interval <= -LOGISTIC_SATURATION", None),
-    ("shortcut-cutoff-sign", "- interval < -LOGISTIC_SATURATION",
-     "- interval < LOGISTIC_SATURATION", None),
+    ("shortcut-cutoff-strict", "threshold - interval < -LOGISTIC_SATURATION",
+     "threshold - interval <= -LOGISTIC_SATURATION", None),
+    ("shortcut-cutoff-sign", "threshold - interval < -LOGISTIC_SATURATION",
+     "threshold - interval < LOGISTIC_SATURATION", None),
     ("shortcut-entry", "entry is not None and", "entry is None and", None),
+    ("lookup-spoofed-dangerous-swapped", "by_flags[spoofed][dangerous][benign]",
+     "by_flags[dangerous][spoofed][benign]", None),
+    ("lookup-dangerous-benign-swapped", "by_flags[spoofed][dangerous][benign]",
+     "by_flags[spoofed][benign][dangerous]", None),
     ("label-decision", 'qa > qn else "normal"', 'qa >= qn else "normal"', None),
     ("conflict-guard-strict", "qa - qt <= 2 * IDENTITY_TOL", "qa - qt < 2 * IDENTITY_TOL",
      "differs only where qn + qa - qt is exactly 2e-12, and there fuse_binary's K, "
@@ -56,7 +60,10 @@ MUTANTS = [
      "differs only where the gap equals the bound, which is positive and twice the floats' "
      "error bound (8 units of 2^-53 of their sum): there the floats have the exact sign"),
     ("table-suppress", "suppress(TotalConflictError)", "suppress()", None),
-    ("table-interval", "(math.inf, *flags)", "(0.0, *flags)", None),
+    ("table-interval", "(math.inf, s, d, b)", "(0.0, s, d, b)", None),
+    ("table-flags-swapped", "by_flags[s][d][b] = _email_prediction",
+     "by_flags[d][s][b] = _email_prediction", None),
+    ("table-signal-1", "if signals[0] == 1 else None", "if signals[0] != 1 else None", None),
 ]
 
 

@@ -481,16 +481,16 @@ class EmailModel:
 
     @cached_property
     def table(self) -> tuple:
-        """For :func:`classify_email`: the sorted active signals, and per combination of the
-        three flags (``message[1:]``) the one :class:`Prediction` of the message (∞, *flags),
-        or None near total conflict. Without signal 1 it is every such message's prediction;
-        with it, that of every interval past the logistic's saturation."""
+        """For :func:`classify_email`: the sorted active signals, ``by_flags`` (dicts keyed 0/1;
+        ``by_flags[s][d][b]`` is the one :class:`Prediction` of the message (∞, s, d, b), or None
+        near total conflict), and signal 1's threshold: an entry serves every interval past the
+        logistic's saturation, or every interval when the threshold is None (no signal 1)."""
         signals = tuple(sorted(self.signals))
-        entries = dict.fromkeys(product((0, 1), repeat=3))
-        for flags in entries:
+        by_flags = {s: {d: dict.fromkeys((0, 1)) for d in (0, 1)} for s in (0, 1)}
+        for s, d, b in product((0, 1), repeat=3):
             with suppress(TotalConflictError):  # then each message takes the path that raises
-                entries[flags] = _email_prediction((math.inf, *flags), signals, self)
-        return signals, entries
+                by_flags[s][d][b] = _email_prediction((math.inf, s, d, b), signals, self)
+        return signals, by_flags, self.interval_bpa.threshold if signals[0] == 1 else None
 
     @cached_property
     def trace(self) -> Mapping[str, object]:
@@ -533,17 +533,17 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     by ``fuse_binary``, the ordered fold that builds the mass on read. A message holds the
     four values ``email_signal_row`` reads, whichever signals are fused."""
     try:  # unpacking is the length check, and cheaper than len() on the hot path
-        interval, _, _, _ = message
+        interval, spoofed, dangerous, benign = message
     except ValueError:
         raise ValueError(f"message has {len(message)} values, expected 4") from None
-    signals, entries = model.table
+    signals, by_flags, threshold = model.table
     try:
-        entry = entries[message[1:]]
+        entry = by_flags[spoofed][dangerous][benign]
     except (LookupError, TypeError):  # not three 0/1 flags: email_signal_row raises in signal order
         entry = None
     # Past logistic's cutoff the interval row is the floor row, that of ∞.
-    if entry is not None and (signals[0] != 1 or (
-        interval >= 0 and model.interval_bpa.threshold - interval < -LOGISTIC_SATURATION
+    if entry is not None and (threshold is None or (
+        interval >= 0 and threshold - interval < -LOGISTIC_SATURATION
     )):
         return entry
     return _email_prediction(message, signals, model)

@@ -108,14 +108,14 @@ def _cmd_wbcd(args, parser) -> int:
         parser.error("--ablate prints a text table and takes no --out, --format or --features")
     if args.folds < 2:
         parser.error("--folds must be at least 2")
+    if args.ablate is not None:  # a bad spec is refused before the load and the model dump
+        subsets = [_parse_features(s, parser) for s in args.ablate.split(",")]
     dataset = load_wbcd(args.data)
     folds = make_folds(len(dataset), args.folds, args.seed)
     if args.dump_model:
         _dump_model(dataset, "wbcd", args.dump_model)
     if args.ablate is not None:
-        subsets = [_parse_features(s, parser) for s in args.ablate.split(",")]
-        table = ablation(dataset, "wbcd", subsets, folds=folds)
-        for label, accuracy in table:
+        for label, accuracy in ablation(dataset, "wbcd", subsets, folds=folds):
             print(f"{label}: {accuracy:.4f}")
         return 0
     report = evaluate(dataset, "wbcd", folds=folds, subset=features)

@@ -9,7 +9,6 @@ import platform
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from fractions import Fraction
 from dataclasses import replace
 from functools import reduce
@@ -903,16 +902,30 @@ CONFLICT_MODEL = replace(
 )
 
 
-class UnhashableOne:
-    """A flag equal to 1 that the email table cannot look up."""
+EMAIL_MODELS = {"stock": email_model_default(), "near-tie": NEAR_TIE_MODEL,
+                "conflict": CONFLICT_MODEL}
+FLAG_COMBINATIONS = list(product((0, 1), repeat=3))
+
+
+class UnhashableFlag:
+    """A flag equal to ``value``, 0 or 1, that the email table cannot look up."""
 
     __hash__ = None
 
+    def __init__(self, value):
+        self.value = value
+
     def __eq__(self, other):
-        return other == 1
+        return other == self.value
 
     def __int__(self):
-        return 1
+        return self.value
+
+
+def table_entry(model, flags):
+    """The entry of ``model``'s email table for the three flags ``flags``."""
+    spoofed, dangerous, benign = flags
+    return model.table[1][spoofed][dangerous][benign]
 
 
 class TestClassifyEmail:
@@ -983,7 +996,7 @@ class TestClassifyEmail:
     def test_unhashable_flag_equal_to_one_takes_the_miss_path(self):
         # The table lookup cannot hash this flag, so the rows are built signal by
         # signal: the decision and the mass are those of the plain flag 1.
-        pred = classify_email((10.0, UnhashableOne(), 1.0, 0.0), self.MODEL)
+        pred = classify_email((10.0, UnhashableFlag(1), 1.0, 0.0), self.MODEL)
         plain = classify_email((10.0, 1.0, 1.0, 0.0), self.MODEL)
         assert (pred.label, pred.trace) == ("abnormal", {"signals": [1, 2, 3, 4]})
         assert (plain.label, plain.trace) == (pred.label, pred.trace)
@@ -1080,13 +1093,17 @@ class TestEmailExactDecision:
 class TestEmailTable:
     @pytest.mark.parametrize("signals", EMAIL_SUBSETS)
     def test_entries_are_the_folded_table_rows(self, signals):
-        # Keyed on all three flags, each entry is the one prediction of the message (∞, *flags):
-        # the fold of the active signals' rows, the interval's the floor row.
+        # Nested three deep on the flags, keyed 0 and 1, each entry is the one prediction of the
+        # message (∞, *flags): the fold of the active signals' rows, the interval's the floor row.
+        # The threshold is signal 1's, and None when the interval is never read.
         model = replace(NEAR_TIE_MODEL, signals=signals)
-        active, entries = model.table
+        active, by_flags, threshold = model.table
         assert active == tuple(sorted(signals))
-        assert list(entries) == list(product((0, 1), repeat=3))
-        for flags, entry in entries.items():
+        assert threshold == (30.0 if 1 in signals else None)
+        keys = [(s, d, b) for s in by_flags for d in by_flags[s] for b in by_flags[s][d]]
+        assert keys == FLAG_COMBINATIONS
+        for flags in FLAG_COMBINATIONS:
+            entry = table_entry(model, flags)
             message = (math.inf, *flags)
             full = tuple(email_signal_row(message, s, model) for s in active)
             if 1 in signals:
@@ -1099,14 +1116,17 @@ class TestEmailTable:
 
     @pytest.mark.parametrize("base", ["stock", "near-tie", "conflict"])
     def test_entries_match_the_miss_path(self, base):
-        # A list message misses the table: the rows built signal by signal give each entry's
-        # label, trace and mass bits in order, or raise where the entry is None.
-        base_model = {"stock": email_model_default(), "near-tie": NEAR_TIE_MODEL,
-                      "conflict": CONFLICT_MODEL}[base]
+        # An unhashable flag equal to the entry's, or an inactive flag other than 0 or 1, misses
+        # the table: the rows built signal by signal give each entry's label, trace and mass bits
+        # in order, or raise where the entry is None.
         for signals in EMAIL_SUBSETS:
-            model = replace(base_model, signals=signals)
-            for flags, entry in model.table[1].items():
+            model = replace(EMAIL_MODELS[base], signals=signals)
+            for flags, position in product(FLAG_COMBINATIONS, (1, 2, 3)):
+                entry = table_entry(model, flags)
                 message = [math.inf, *flags]
+                active = position + 1 in signals
+                message[position] = UnhashableFlag(flags[position - 1]) if active else 2
+                message = tuple(message)
                 if entry is None:
                     with pytest.raises(TotalConflictError):
                         classify_email(message, model)
@@ -1119,13 +1139,14 @@ class TestEmailTable:
     @pytest.mark.parametrize("signals", [s for s in EMAIL_SUBSETS if 1 not in s])
     def test_without_the_interval_every_message_gets_its_entry(self, signals):
         # The interval is never read, so even one the interval signal refuses gets the entry,
-        # whichever way the flags are spelled.
+        # whichever way the flags are spelled, in a tuple or a list.
         model = replace(email_model_default(), signals=signals)
-        entries = model.table[1]
-        for flags in entries:
+        for flags in FLAG_COMBINATIONS:
+            entry = table_entry(model, flags)
             for spelled in (flags, tuple(map(float, flags)), tuple(map(bool, flags))):
                 for interval in (0.0, 5.0, 1e300, math.inf, -1.0, math.nan, "x"):
-                    assert classify_email((interval, *spelled), model) is entries[flags]
+                    assert classify_email((interval, *spelled), model) is entry
+                    assert classify_email([interval, *spelled], model) is entry
 
     def test_survives_round_trip_replace_and_pickle(self):
         model = replace(NEAR_TIE_MODEL, signals=frozenset({1, 3}))
@@ -1135,7 +1156,7 @@ class TestEmailTable:
         unpickled = pickle.loads(pickle.dumps(model))
         assert unpickled.table == table
         other = replace(model, signals=frozenset({2, 4}))
-        assert other.table[0] == (2, 4) and len(other.table[1]) == 8
+        assert other.table[0] == (2, 4) and other.table[2] is None and table[2] == 30.0
         assert model.table is table
         message = (31.5, 1, 0, 1)
         for copy_ in (restored, unpickled):
@@ -1154,25 +1175,24 @@ class TestEmailTable:
     def test_messages_off_the_table_match_the_canonical_flags(
         self, interval, flags, signals, base, way, data
     ):
-        # A list, an inactive flag other than 0 or 1, or an unhashable flag equal to 1 misses
-        # the table; the rows built signal by signal give the table's label, trace and mass.
-        model = replace({"stock": email_model_default(), "near-tie": NEAR_TIE_MODEL,
-                         "conflict": CONFLICT_MODEL}[base], signals=signals)
+        # An inactive flag other than 0 or 1, or an unhashable flag equal to 1, misses the table;
+        # the rows built signal by signal give the table's label, trace and mass. A list message
+        # is read like the tuple, and finds the same entry.
+        model = replace(EMAIL_MODELS[base], signals=signals)
         canonical = (interval, *flags)
         message = list(canonical)
         if way == "unhashable":
             position = data.draw(st.sampled_from([1, 2, 3]))
             canonical = (*canonical[:position], 1, *canonical[position + 1:])
-            message[position] = UnhashableOne()
+            message[position] = UnhashableFlag(1)
         elif way != "list":
             inactive = [s - 1 for s in (2, 3, 4) if s not in signals]
             assume(inactive)
             message[data.draw(st.sampled_from(inactive))] = way
         message = message if way == "list" else tuple(message)
-        entries = model.table[1]
-        assert canonical[1:] in entries
-        with pytest.raises(TypeError) if way in ("list", "unhashable") else suppress():
-            assert message[1:] not in entries
+        if way != "list":
+            with pytest.raises(TypeError if way == "unhashable" else KeyError):
+                table_entry(model, message[1:])
 
         def outcome(m):
             try:
@@ -1182,6 +1202,50 @@ class TestEmailTable:
             return pred.label, pred.trace, list(pred.mass._masses.items())
 
         assert outcome(message) == outcome(canonical)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        base=st.sampled_from(["stock", "near-tie", "conflict"]),
+        signals=st.sampled_from(EMAIL_SUBSETS),
+        # At 692.4 and -489.9, interval > threshold + 709 misjudges a float next to the cutoff.
+        threshold=st.sampled_from([30.0, 692.4, -489.9]),
+        flags=st.tuples(*[st.sampled_from(
+            [0, 1, 0.0, 1.0, False, True, -1, 2, 0.5, math.nan, "unhashable"])] * 3),
+        as_list=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_per_message_path(self, base, signals, threshold, flags, as_list, data):
+        # Every message, on the table or off it, gets the label, trace and mass bits of the
+        # per-message path, or its error; a hit is the table's entry object itself.
+        model = EMAIL_MODELS[base]
+        model = replace(model, interval_bpa=replace(model.interval_bpa, threshold=threshold),
+                        signals=signals)
+        cutoff = threshold + 709
+        interval = data.draw(st.one_of(
+            st.integers(-6, 6).map(lambda k: _ulps(cutoff, k)),
+            st.sampled_from([0.0, -1.0, math.nan, math.inf]),
+        ))
+        values = [UnhashableFlag(1) if f == "unhashable" else f for f in flags]
+        message = [interval, *values] if as_list else (interval, *values)
+
+        def outcome(classify_message):
+            try:
+                pred = classify_message()
+            except (ValueError, TotalConflictError) as exc:
+                return None, (type(exc), str(exc))
+            return pred, (pred.label, pred.trace, list(pred.mass._masses.items()))
+
+        pred, got = outcome(lambda: classify_email(message, model))
+        active = tuple(sorted(signals))
+        _, want = outcome(lambda: classify._email_prediction(message, active, model))
+        assert got == want
+        on_table = all(f in (0, 1) for f in flags)  # the unhashable flag is the string here
+        entry = table_entry(model, flags) if on_table else None
+        past = 1 not in signals or (interval >= 0 and threshold - interval < -709)
+        hit = entry is not None and past
+        assert (entry is not None and pred is entry) == hit
+        if hit:
+            assert classify_email(tuple(message), model) is classify_email(list(message), model)
 
     def test_bad_interval_reported_before_bad_flag(self):
         with pytest.raises(ValueError, match="signal value must be non-negative"):
@@ -1235,7 +1299,7 @@ class TestEmailSaturatedInterval:
         ordered = combine_binary(BINARY_FRAME, rows)
         assert list(pred.mass._masses.items()) == list(ordered._masses.items())
         # The lookup answers exactly where logistic saturates, with the entry's prediction.
-        saturated = model.table[1][flags]
+        saturated = table_entry(model, flags)
         past = threshold - interval < -709
         assert (pred is saturated) == past
         if past:
@@ -1250,13 +1314,13 @@ class TestEmailSaturatedInterval:
             if 1 in signals:
                 with pytest.raises(ValueError, match="^signal value must be non-negative"):
                     classify_email((interval, 1, 1, 0), replace(model, signals=signals))
-        assert classify_email((0.0, 1, 1, 0), model) is model.table[1][1, 1, 0]
+        assert classify_email((0.0, 1, 1, 0), model) is table_entry(model, (1, 1, 0))
 
     def test_entry_near_total_conflict_leaves_the_message_to_raise(self):
         # Normal-only spoofed and abnormal-only dangerous rows leave no mass: the table builds,
         # holds None for flags (0, 0, *), and each message raises as the fold.
         model = replace(CONFLICT_MODEL, signals=frozenset({1, 2, 3}))
-        entries = model.table[1]
+        entries = {flags: table_entry(model, flags) for flags in FLAG_COMBINATIONS}
         assert all((entries[flags] is None) == (flags[:2] == (0, 0)) for flags in entries)
         message = (1e3, 0, 0, 0)
         with pytest.raises(TotalConflictError) as raised:
@@ -1273,7 +1337,7 @@ class TestEmailTrace:
     def test_hit_and_miss_share_the_model_trace(self):
         model = email_model_default()
         hit = classify_email((10.0, 1, 1, 0), model)
-        miss = classify_email((10.0, UnhashableOne(), 1, 0), model)
+        miss = classify_email((10.0, UnhashableFlag(1), 1, 0), model)
         assert hit.trace is miss.trace is model.trace
         assert model.trace == {"signals": [1, 2, 3, 4]}
 

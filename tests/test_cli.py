@@ -157,6 +157,19 @@ class TestWbcdCommand:
             "error: --ablate prints a text table and takes no --out, --format or --features\n"
         )
 
+    @pytest.mark.parametrize("flags", [["--ablate", "A,"], ["--ablate", "A,Z"],
+                                       ["--features", "Z"], ["--folds", "1"]],
+                             ids=["ablate-empty", "ablate-letter", "features", "folds"])
+    def test_usage_error_writes_no_model(self, capsys, tmp_path, flags):
+        # A bad --ablate spec used to be refused only after --dump-model had written the model.
+        model_path = tmp_path / "m.json"
+        code, out, err = run_cli(
+            capsys, "wbcd", "--data", str(WBCD_PATH), *flags, "--dump-model", str(model_path)
+        )
+        assert (code, out) == (2, "")
+        assert "dsfusion wbcd: error: " in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
         _, out2, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--format", "json")
