@@ -300,9 +300,9 @@ def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callabl
 
 def focal_row(bits: int, confidence: float) -> dict[int, float]:
     """The ``{bits: mass}`` of a three-class source with focal set ``bits``: ``confidence``
-    on it and the rest on the frame, or 1 on the frame itself, in ``confidence``'s type."""
+    on it and the rest on the frame, or 1.0 on the frame itself."""
     if bits == THREE_CLASS_FULL:
-        return {THREE_CLASS_FULL: type(confidence)(1)}
+        return {THREE_CLASS_FULL: 1.0}
     return {bits: confidence, THREE_CLASS_FULL: 1 - confidence}
 
 

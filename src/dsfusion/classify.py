@@ -368,45 +368,43 @@ def train_three_class_folds(
     return fit
 
 
-# The confidences as the documented ratios, 9/10 and 4/5, not as the floats' binary values.
-_EXACT_BOUNDARY = Fraction(repr(BOUNDARY_CONFIDENCE))
-_EXACT_DISTANCE = Fraction(repr(DISTANCE_CONFIDENCE))
-
-
-def _dempster(focal_sets: Sequence[int], nearest: int | None, boundary, distance) -> dict:
+def _three_class_mass(frame: Frame, focal_sets: Sequence[int], nearest: int | None) -> MassFunction:
     # Dempster's fold of the boundary rows on ``focal_sets`` in order, then of the distance
-    # row on class ``nearest`` if given; the confidences are floats or ``Fraction``s.
-    fused = focal_row(focal_sets[0], boundary)
+    # row on class ``nearest`` if given: the rule and order of ``combine_all`` and ``combine``.
+    fused = focal_row(focal_sets[0], BOUNDARY_CONFIDENCE)
     for bits in focal_sets[1:]:
-        fused = combine_bits(fused, focal_row(bits, boundary))[0]
+        fused = combine_bits(fused, focal_row(bits, BOUNDARY_CONFIDENCE))[0]
     if nearest is not None:
-        fused = combine_bits(fused, focal_row(1 << nearest, distance))[0]
-    return fused
-
-
-def _three_class_mass(
-    frame: Frame, focal_sets: tuple[int, ...], nearest: int | None
-) -> MassFunction:
-    fused = _dempster(focal_sets, nearest, BOUNDARY_CONFIDENCE, DISTANCE_CONFIDENCE)
+        fused = combine_bits(fused, focal_row(1 << nearest, DISTANCE_CONFIDENCE))[0]
     return MassFunction(frame, fused)
 
 
+def _fused_masses(key: Sequence[int], nearest: int | None) -> list[int]:
+    # Every unnormalised mass m[A], ∅ included, of the boundary rows on focal sets ``key`` and
+    # the distance row on class ``nearest`` if given, as integers of one positive scale q[0]:
+    # the Möbius inversion of the scaled commonalities q (see classify_three_class). m[0] / q[0]
+    # is the conflict K.
+    q = [10 ** sum(b & s == b for s in key) for b in range(8)]
+    if nearest is not None:
+        for b in (0, 1 << nearest):
+            q[b] *= 5
+    return [sum((-1) ** (b ^ a).bit_count() * q[b] for b in range(8) if b & a == a)
+            for a in range(8)]
+
+
 @cache
-def _step1(key: tuple[int, ...]) -> tuple[dict[int, Fraction], int]:
-    # The exact step-1 fold of boundary rows with focal sets ``key``, and its candidate: the
-    # greatest mass off the frame, ties to the smaller set, then the lower bits.
-    fused = _dempster(key, None, _EXACT_BOUNDARY, _EXACT_DISTANCE)
-    # Each non-vacuous row is {S: 9/10, Θ: 1/10}, so the first such set gets at least 9× the
-    # frame's mass: the frame wins only when it is the sole focal set.
-    return fused, min(fused, key=lambda bits: (-fused[bits], bits.bit_count(), bits))
+def _step1(key: tuple[int, ...]) -> int:
+    # The step-1 candidate. Θ always holds mass, so a set that holds none sorts last; each
+    # non-vacuous row gives its set 9× Θ's mass, so Θ wins only when it is the sole focal set.
+    m = _fused_masses(key, None)
+    return min(range(1, 8), key=lambda a: (-m[a], a.bit_count(), a))
 
 
 @cache
 def _step3(key: tuple[int, ...], nearest: int) -> int:
-    # The step-3 winner: step 1's exact fold with the distance row on class ``nearest``.
-    final = combine_bits(_step1(key)[0], focal_row(1 << nearest, _EXACT_DISTANCE))[0]
-    # A singleton's belief is its own mass.
-    return max(range(3), key=lambda c: (final.get(1 << c, 0), -c))
+    # The step-3 winner, with the distance row on class ``nearest``: a class's belief is its mass.
+    m = _fused_masses(key, nearest)
+    return max(range(3), key=lambda c: (m[1 << c], -c))
 
 
 def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Prediction:
@@ -418,29 +416,31 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     feature selected for the candidate group, and step 3 fuses it with the
     step-1 result and picks the singleton with the highest belief.
 
-    The decision is the argmax of the fold that reports the mass,
-    ``combine_bits`` over the same ``focal_row``s, run on the exact
-    confidences 9/10 and 4/5 as ``Fraction``s: rounding cannot pick the
-    leader of a near-tie, and exact ties, such as step 1's sources for two
-    classes in turn, follow the documented order. Every row puts at least
-    1/10 on the frame, so each step's K is at most 9/10: no total conflict.
+    The decision is taken in integers. A boundary row is {S: 9/10, Θ: 1/10}
+    and the distance row on class c is {c: 4/5, Θ: 1/5}; Dempster's rule
+    multiplies commonalities (Shafer 1976, ch. 3), so the fused commonality
+    of every B ⊆ Θ, ∅ included, is Q(B) = 10^n(B) · 5^[B ⊆ {nearest}] up to
+    one positive scale, n(B) the rows whose focal set holds B (no factor 5
+    at step 1). Each unnormalised mass is the Möbius inversion
+    m(A) = Σ over B ⊇ A of (−1)^|B∖A| · Q(B), and m(∅)/Q(∅) is the conflict
+    K of all the rows, below 1 as Θ keeps mass. So rounding cannot pick
+    the leader of a near-tie, and exact ties, such as step 1's sources for
+    two classes in turn, follow the documented order: step 1 takes the least
+    (−m(A), |A|, A), step 3 the greatest (m({c}), −c).
 
-    Each row is fixed by its focal set, so the decision is looked up by
-    them: ``_step1`` keys on the sorted tuple of the features' focal sets,
-    ``_step3`` on that tuple and the nearest class, and a miss runs the
-    exact fold. Sorting is exact: Dempster's rule on exact masses is
-    commutative and associative, so every order of the rows gives the same
-    fused masses, and the candidate and the winner are picked by total
-    orders over (mass, cardinality, bits) and (mass, class), so the fused
-    dict's order cannot matter. The keys do not depend on the model; with
-    four features there are at most 210 of them (multisets of 4 over the 7
-    focal sets), times 3 for step 3.
+    The decision is looked up by the rows' focal sets: ``_step1`` keys on
+    their sorted tuple, ``_step3`` on that tuple and the nearest class;
+    n(B) does not depend on the rows' order. The keys do not depend on the
+    model; four features have at most 210 (multisets of 4 over the 7 focal
+    sets), times 3 for step 3. A record holds one value per model feature.
 
     The prediction keeps the focal sets in feature order and the nearest
     class (None at step 1). Its mass, built on first read, folds the float
     rows in that order, the rule and order of ``combine_all`` over
     ``boundary_mass`` and then ``combine`` with ``distance_mass``.
     """
+    if len(record) != len(model.means):
+        raise ValueError(f"record has {len(record)} values, model has {len(model.means)} features")
     try:
         focal_sets = tuple([
             boundary_bits(record[f], class_bounds)
@@ -451,7 +451,7 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
             raise
         raise ValueError(f"feature {list(record).index(None)} has a missing value") from None
     key = tuple(sorted(focal_sets))
-    candidate = _step1(key)[1]
+    candidate = _step1(key)
     frame = model.frame
     if candidate.bit_count() == 1:
         label = frame.labels[candidate.bit_length() - 1]

@@ -293,12 +293,11 @@ class FoldPlan:
     def __post_init__(self) -> None:
         if type(self.k) is not int or self.k < 1:
             raise ValueError(f"k must be an int of at least 1, got {self.k!r}")
-        # Every id's type (True and 1.0 count under the key 1), then the keys' range.
+        for g in self.assignment:  # each id before it is counted: True and 1.0 would count as 1
+            if type(g) is not int or not 0 <= g < self.k:
+                problem = f"outside 0..{self.k - 1}" if type(g) is int else "is not an int"
+                raise ValueError(f"fold id {g!r} {problem}")
         counts = Counter(self.assignment)
-        if set(map(type, self.assignment)) - {int} or not all(0 <= g < self.k for g in counts):
-            bad = next(g for g in self.assignment if type(g) is not int or not 0 <= g < self.k)
-            problem = f"outside 0..{self.k - 1}" if type(bad) is int else "is not an int"
-            raise ValueError(f"fold id {bad!r} {problem}")
         sizes = [counts[g] for g in range(self.k)]
         if min(sizes) < 1 or max(sizes) - min(sizes) > 1:
             raise ValueError(f"fold sizes {sizes} are not balanced")

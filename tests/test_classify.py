@@ -55,7 +55,7 @@ from dsfusion.classify import (
     train_binary_folds,
     train_three_class_folds,
 )
-from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, fuse_binary
 
 from conftest import (
     exact_binary_fold,
@@ -525,6 +525,14 @@ class TestClassifyThreeClass:
         with pytest.raises(ValueError, match=f"^feature {position} has a missing value$"):
             classify_three_class(tuple(record), three_class_model())
 
+    @pytest.mark.parametrize("record", [(5.0, 3.0, 1.4), (5.0, 3.0, 1.4, 0.2, 9.9)],
+                             ids=["short", "long"])
+    def test_record_length_must_match_the_model(self, record):
+        # A short record raised a bare IndexError, and a long one had its extra value ignored.
+        message = f"^record has {len(record)} values, model has 4 features$"
+        with pytest.raises(ValueError, match=message):
+            classify_three_class(record, three_class_model())
+
     def test_non_numeric_value_raises_the_bare_type_error(self):
         # Only a missing value becomes a ValueError; any other TypeError is re-raised.
         message = "^'<=' not supported between instances of 'float' and 'str'$"
@@ -814,30 +822,33 @@ def test_three_class_decision_is_keyed_on_the_multiset_of_focal_sets():
     assert classify._step3.cache_info().currsize == 3
 
 
-def test_three_class_decision_folds_stay_exact(monkeypatch):
-    # Every fused row the decision memos build holds only Fractions summing to
-    # exactly 1; a single float, such as 1.0 on a vacuous row, would turn the
-    # fold of every key it reaches into a float fold.
-    classify._step1.cache_clear()
-    classify._step3.cache_clear()
-    folds = []
+def _conjunctive(left, right):
+    # Dempster's rule without the normalisation: every product on its intersection, ∅ included.
+    fused = {}
+    for a, u in left.items():
+        for b, v in right.items():
+            fused[a & b] = fused.get(a & b, 0) + u * v
+    return fused
 
-    def recording_combine_bits(left, right):
-        fused, k = combine_bits(left, right)
-        folds.append(fused)
-        return fused, k
 
-    monkeypatch.setattr(classify, "combine_bits", recording_combine_bits)
+def test_three_class_integer_masses_are_the_exact_unnormalised_combination():
+    # The decision's integer masses over Q(∅) = 10^n · 5^[nearest given] are the exact
+    # unnormalised combination of the rows at every A, ∅ included: m(∅) / Q(∅) is the conflict K.
+    full, cases = 0b111, 0
     for n in range(1, 7):
         for key in combinations_with_replacement(range(1, 8), n):
-            folds.append(classify._step1(key)[0])
-            steps = len(folds)
-            for nearest in range(3):
-                classify._step3(key, nearest)
-            assert len(folds) == steps + 3  # each step 3 folds one distance row
-    for fused in folds:
-        assert all(type(v) is Fraction for v in fused.values()), fused
-        assert sum(fused.values()) == 1, fused
+            step1 = {full: Fraction(1)}
+            for bits in key:
+                row = {bits: Fraction(9, 10), full: Fraction(1, 10)} if bits != full else {full: 1}
+                step1 = _conjunctive(step1, row)
+            for nearest in (None, 0, 1, 2):
+                exact = step1 if nearest is None else _conjunctive(
+                    step1, {1 << nearest: Fraction(4, 5), full: Fraction(1, 5)})
+                masses = classify._fused_masses(key, nearest)
+                scale = 10**n * (1 if nearest is None else 5)
+                assert [Fraction(m, scale) for m in masses] == [exact.get(a, 0) for a in range(8)]
+                cases += 1
+    assert cases == 4 * 1715
 
 
 class TestEmailModel:

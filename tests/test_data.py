@@ -565,9 +565,10 @@ class TestMakeFolds:
         ((0, None, 1), "fold id None is not an int"),
         ((0, 2, 1.5), "fold id 2 outside 0..1"),  # the first bad id in assignment order
         ((0, 1.5, 2), "fold id 1.5 is not an int"),
+        ((0, [1]), "fold id [1] is not an int"),  # checked before the ids are counted
     ], ids=["id-past-last", "id-negative", "sizes-3-1", "sizes-2-0", "id-float", "id-bool",
             "id-bool-counted-as-1", "id-float-counted-as-1", "id-str", "id-none",
-            "first-bad-outside", "first-bad-float"])
+            "first-bad-outside", "first-bad-float", "id-unhashable"])
     def test_malformed_fold_plan_rejected(self, assignment, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FoldPlan(2, assignment, 0)
