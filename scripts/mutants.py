@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the email and three-class decision code, standard library only.
+"""Mutation check of the email and three-class decision code and of the binary
+classifier's shared predictions, standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in
 ``src/dsfusion/classify.py``) to a temporary copy of the repository, runs
@@ -33,9 +34,11 @@ TARGET = "src/dsfusion/classify.py"
 TESTS = ["tests/test_classify.py", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
 COPIED = ("src", "tests", "data", "pyproject.toml")
 
-# The -k selections: the email tests, and the three-class decision tests (not the trainer's).
+# The -k selections: the email tests, the three-class decision tests (not the trainer's), and
+# the binary classifier's tests.
 EMAIL = "Email"
 THREE_CLASS = "(three_class or ThreeClass) and not train"
+BINARY = "classify_binary or ClassifyBinary"
 
 # (id, -k selection, text found exactly once in TARGET, its replacement, why no test can kill
 # it or None).
@@ -80,11 +83,18 @@ MUTANTS = [
     ("step1-empty-set", THREE_CLASS, "min(range(1, 8)", "min(range(8)", None),
     ("step1-tie-order", THREE_CLASS, "(-m[a], a.bit_count(), a)", "(-m[a], -a.bit_count(), -a)",
      None),
-    ("step3-tie-order", THREE_CLASS, "(m[1 << c], -c)", "(m[1 << c], c)",
-     "step 3 never ties, so its tie order is never read. Another class x keeps 1/5 of its "
-     "step-1 mass m({x}), and the nearest class c gains 4/5 of every set that holds it. If c "
-     "is in the candidate group G, that is at least 4/5 of m(G) > m({x}). If not, G is a pair, "
-     "both of its singletons have m = 0 (one with mass would lead G), and c gains 4/5 of m(Θ) > 0"),
+    ("share-key-first-value", BINARY, "key = get(record)", "key = get(record)[:1]", None),
+    ("share-store-before-decision", BINARY,
+     "        pred = _binary_prediction(record, model)\n"
+     "        if len(shared) < _SHARED_BOUND:\n"
+     "            shared[key] = pred\n",
+     "        if len(shared) < _SHARED_BOUND:\n"
+     "            shared[key] = pred\n"
+     "        pred = _binary_prediction(record, model)\n", None),
+    ("share-bound-strict", BINARY, "len(shared) < _SHARED_BOUND", "len(shared) <= _SHARED_BOUND",
+     None),
+    ("share-unhashable", BINARY, "except TypeError:  # a list record's one-value slice",
+     "except KeyError:  # a list record's one-value slice", None),
 ]
 
 

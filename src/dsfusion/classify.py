@@ -4,7 +4,9 @@ three-class fusion, and table-driven email-signal fusion.
 Models are immutable values built by their trainers (or from fixed expert
 settings, for email); classification is a pure function of record and
 model, so batches may fan out across workers freely. Each classifier decides
-on scalars; its prediction builds the fused mass only when that is read.
+on scalars; its prediction builds the fused mass only when that is read. A
+binary model shares one prediction per distinct tuple of fitted values, up
+to a bound, so a repeated record costs one lookup.
 """
 
 from __future__ import annotations
@@ -130,13 +132,14 @@ class BinaryModel:
         return tuple((f, bpa.threshold) for f, bpa in enumerate(self.bpas) if bpa is not None)
 
     @cached_property
-    def terms(self) -> tuple[list[int], Callable[[MaybeRow], Sequence], tuple[float, ...]]:
+    def terms(self) -> tuple[list[int], Callable[[MaybeRow], Sequence], tuple[float, ...], dict]:
         """The fitted features, a getter of a record's values on them that always
-        returns a sequence, and the negated thresholds, for :func:`classify_binary`."""
+        returns a sequence, the negated thresholds, and the model's shared predictions
+        keyed by that getter's result, for :func:`classify_binary`."""
         features = [f for f, _ in self.fitted]
         first = features[0]
         get = itemgetter(*features) if len(features) > 1 else itemgetter(slice(first, first + 1))
-        return features, get, tuple(-t for _, t in self.fitted)
+        return features, get, tuple(-t for _, t in self.fitted), {}
 
 
 def train_binary(
@@ -219,6 +222,12 @@ def train_binary_folds(
     return fit
 
 
+# The most predictions one binary model shares. A WBCD fold tests about 70 records and the
+# whole set has 463 distinct rows, so a cross-validation never meets it; it caps the memory
+# a long-lived model holds when it classifies a stream of distinct records.
+_SHARED_BOUND = 1024
+
+
 def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     """Fuse one sigmoid mass per fitted feature that has a value.
 
@@ -242,10 +251,38 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
     takes the checked loop. The exact sum does not depend on the terms'
     order; only the loop's clamp of a sum that overflows midway can, past
     ±1000, where the mass is saturated either way.
+
+    A model shares one prediction per distinct tuple of fitted values: the
+    first record with those values is decided and its prediction kept, up to
+    ``_SHARED_BOUND`` of them, and every later record whose values compare
+    equal (``3`` and ``3.0``, ``True`` and ``1``) gets that same object.
+    Equal values give the same label, trace and mass: the trace depends only
+    on which values are None, and the exact sum of equal values rounds to the
+    same float. The one difference a fresh decision could show is the sign
+    of a score that is exactly zero, as ``0`` and ``-0.0`` give ``args``
+    ``(0.0,)`` and ``(-0.0,)``; both are normal with mass 0.5/0.5. An error is
+    not kept, so it is raised anew, and values that cannot be hashed (a list
+    record's one-value slice) are decided each time.
     """
     if len(record) != len(model.bpas):
         raise ValueError(f"record has {len(record)} values, model has {len(model.bpas)} features")
-    features, get, negated = model.terms
+    _, get, _, shared = model.terms
+    key = get(record)
+    try:
+        pred = shared.get(key)
+    except TypeError:  # a list record's one-value slice, or a list value: never shared
+        return _binary_prediction(record, model)
+    if pred is None:
+        pred = _binary_prediction(record, model)
+        if len(shared) < _SHARED_BOUND:
+            shared[key] = pred
+    return pred
+
+
+def _binary_prediction(record: MaybeRow, model: BinaryModel) -> Prediction:
+    # classify_binary's decision of a record of the model's length: the one fsum, else the
+    # checked loop.
+    features, get, negated, _ = model.terms
     try:  # a None or a non-numeric value is a TypeError, inf and -inf a ValueError
         score = math.fsum((*get(record), *negated))
     except (TypeError, ValueError, OverflowError):  # the checked loop skips, raises or clamps
@@ -400,13 +437,6 @@ def _step1(key: tuple[int, ...]) -> int:
     return min(range(1, 8), key=lambda a: (-m[a], a.bit_count(), a))
 
 
-@cache
-def _step3(key: tuple[int, ...], nearest: int) -> int:
-    # The step-3 winner, with the distance row on class ``nearest``: a class's belief is its mass.
-    m = _fused_masses(key, nearest)
-    return max(range(3), key=lambda c: (m[1 << c], -c))
-
-
 def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Prediction:
     """Classify in up to three steps.
 
@@ -414,9 +444,10 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     element of greatest mass (ignoring the frame); a singleton decides
     immediately. Otherwise step 2 assigns a nearest-mean mass on the
     feature selected for the candidate group, and step 3 fuses it with the
-    step-1 result and picks the singleton with the highest belief.
+    step-1 result and picks the singleton with the highest belief: always
+    the nearest class, so that class is the label.
 
-    The decision is taken in integers. A boundary row is {S: 9/10, Θ: 1/10}
+    Step 1 is decided in integers. A boundary row is {S: 9/10, Θ: 1/10}
     and the distance row on class c is {c: 4/5, Θ: 1/5}; Dempster's rule
     multiplies commonalities (Shafer 1976, ch. 3), so the fused commonality
     of every B ⊆ Θ, ∅ included, is Q(B) = 10^n(B) · 5^[B ⊆ {nearest}] up to
@@ -425,14 +456,17 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     m(A) = Σ over B ⊇ A of (−1)^|B∖A| · Q(B), and m(∅)/Q(∅) is the conflict
     K of all the rows, below 1 as Θ keeps mass. So rounding cannot pick
     the leader of a near-tie, and exact ties, such as step 1's sources for
-    two classes in turn, follow the documented order: step 1 takes the least
-    (−m(A), |A|, A), step 3 the greatest (m({c}), −c).
+    two classes in turn, follow the documented order: the least
+    (−m(A), |A|, A). At step 3 the nearest class c gains 4/5 of every set
+    that holds it and any other class x keeps 1/5 of its step-1 mass. If c
+    is in the candidate group G, c gets at least 4/5 of m(G) > m({x}); if
+    not, G is a pair whose singletons both have no mass (one with mass
+    would lead G), and c gets 4/5 of m(Θ) > 0. So c wins, with no tie.
 
-    The decision is looked up by the rows' focal sets: ``_step1`` keys on
-    their sorted tuple, ``_step3`` on that tuple and the nearest class;
-    n(B) does not depend on the rows' order. The keys do not depend on the
-    model; four features have at most 210 (multisets of 4 over the 7 focal
-    sets), times 3 for step 3. A record holds one value per model feature.
+    Step 1 is looked up by the rows' focal sets: ``_step1`` keys on their
+    sorted tuple, as n(B) does not depend on the rows' order. The keys do
+    not depend on the model; four features have at most 210 (multisets of
+    4 over the 7 focal sets). A record holds one value per model feature.
 
     The prediction keeps the focal sets in feature order and the nearest
     class (None at step 1). Its mass, built on first read, folds the float
@@ -450,17 +484,15 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
         if None not in record:
             raise
         raise ValueError(f"feature {list(record).index(None)} has a missing value") from None
-    key = tuple(sorted(focal_sets))
-    candidate = _step1(key)
+    candidate = _step1(tuple(sorted(focal_sets)))
     frame = model.frame
     if candidate.bit_count() == 1:
         label = frame.labels[candidate.bit_length() - 1]
         return Prediction(label, frame, {"decided": "step1"}, _three_class_mass, (focal_sets, None))
     feature = model.selected[candidate]
     nearest = nearest_mean(record[feature], model.means[feature])
-    winner = _step3(key, nearest)
     trace = {"decided": "step3", "feature": feature, "group": list(frame.labels_of(candidate))}
-    return Prediction(frame.labels[winner], frame, trace, _three_class_mass, (focal_sets, nearest))
+    return Prediction(frame.labels[nearest], frame, trace, _three_class_mass, (focal_sets, nearest))
 
 
 @dataclass(frozen=True)

@@ -415,7 +415,73 @@ def test_classify_binary_matches_the_checked_loop(data):
         # The scores differ only where the loop clamps a midway overflow, and logistic saturates.
         if first.args != expected.args:
             assert abs(first.args[0]) > 1000 and abs(expected.args[0]) == 1000
-        assert first.trace["features"] is not second.trace["features"]
+        # A record repeated gets the model's one prediction for its values, unless they cannot
+        # be hashed: a list record's one-value slice.
+        assert (second is first) == (type(record) is tuple or len(fitted) > 1)
+
+
+# Equal spellings (3 and 3.0, True and 1 and 1.0, 0 and -0.0) of few values, so that records
+# repeat a model's fitted values, and the cells the checked loop skips, clamps or refuses.
+_SHARED_CELL = st.sampled_from([3, 3.0, True, 1, 1.0, 0, -0.0, 7.5, None, math.inf, math.nan,
+                                "5", 1e308, -sys.float_info.max])
+
+
+def _mass_bits(mass):
+    return sorted((subset.bits, value.hex()) for subset, value in mass.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_classify_binary_shares_one_prediction_per_fitted_values(data):
+    # A sequence of tuple and list records through one model, drawn from a few rows so that
+    # fitted values repeat: every record gets the reference's label, trace, mass bits or
+    # error, and the model's one prediction for its fitted values once it has one.
+    width = data.draw(st.integers(1, 4), label="width")
+    fitted = sorted(data.draw(st.sets(st.integers(0, width - 1), min_size=1), label="fitted"))
+    thresholds = data.draw(st.lists(st.sampled_from([0.0, 1.0, 3.0, 1e308]),
+                                    min_size=width, max_size=width), label="thresholds")
+    model = BinaryModel(tuple(SigmoidBpa(t) if f in fitted else None
+                              for f, t in enumerate(thresholds)), 0.5)
+    rows = data.draw(st.lists(st.lists(_SHARED_CELL, min_size=width, max_size=width),
+                              min_size=1, max_size=4), label="rows")
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from([tuple, list])),
+                               min_size=2, max_size=12), label="records")
+    shared = {}
+    for cells, kind in picks:
+        record = kind(cells)
+        try:
+            expected = reference_classify_binary(record, model)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                classify_binary(record, model)
+            continue
+        pred = classify_binary(record, model)
+        assert (pred.label, pred.trace, _mass_bits(pred.mass)) == (
+            expected.label, expected.trace, _mass_bits(expected.mass))
+        # The score differs only in the sign of an exact zero, and where the loop clamps a
+        # midway overflow, past logistic's saturation.
+        if pred.args != expected.args or str(pred.args) != str(expected.args):
+            (score,), (reference,) = pred.args, expected.args
+            assert score == reference == 0 or (abs(score) > 1000 and abs(reference) == 1000)
+        if kind is tuple or len(fitted) > 1:  # else the one-value slice is a list: unshared
+            values = tuple(record[f] for f in fitted)
+            assert shared.setdefault(values, pred) is pred
+
+
+def test_classify_binary_shares_at_most_the_bound():
+    # Past the bound, a model keeps no more predictions, and every answer stays the reference's.
+    model = BinaryModel((SigmoidBpa(0.5),), 0.5)
+    bound = classify._SHARED_BOUND
+    records = [(float(i),) for i in range(bound + 10)]
+    first = [classify_binary(record, model) for record in records]
+    again = [classify_binary(record, model) for record in records]
+    assert len(model.terms[3]) == bound
+    for i, record in enumerate(records):
+        expected = reference_classify_binary(record, model)
+        for pred in (first[i], again[i]):
+            assert (pred.label, pred.trace, pred.args, _mass_bits(pred.mass)) == (
+                expected.label, expected.trace, expected.args, _mass_bits(expected.mass))
+        assert (again[i] is first[i]) == (i < bound)
 
 
 class TestClassifyThreeClass:
@@ -779,10 +845,9 @@ def _model_with_rows(focal_sets, nearest):
 
 
 def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
-    # The decision memos start empty, so each case's first call fills them
-    # (a miss) and its second reads them (a hit); both must meet the oracle.
+    # The step-1 memo starts empty, so each case's first call fills it
+    # (a miss) and its second reads it (a hit); both must meet the oracle.
     classify._step1.cache_clear()
-    classify._step3.cache_clear()
     labels = IRIS_FRAME.labels
     cases = float_misses = 0
     for n in range(1, 7):
@@ -805,21 +870,18 @@ def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
     assert cases == 3 * 1715
     # The cases reach the near-ties that a float decision gets wrong.
     assert float_misses > 0
-    # One step-1 key per multiset, at most one step-3 key per multiset and nearest class.
+    # One step-1 key per multiset, whatever the nearest class.
     assert classify._step1.cache_info().currsize == 1715
-    assert classify._step3.cache_info().currsize <= 3 * 1715
 
 
 def test_three_class_decision_is_keyed_on_the_multiset_of_focal_sets():
     # Every order of the same focal sets is one decision key, whatever the model.
     classify._step1.cache_clear()
-    classify._step3.cache_clear()
     for order in permutations((3, 7, 7, 3)):
         for nearest in range(3):
             pred = classify_three_class((0,) * 4, _model_with_rows(order, nearest))
             assert (pred.trace["decided"], pred.args) == ("step3", (order, nearest))
     assert classify._step1.cache_info().currsize == 1
-    assert classify._step3.cache_info().currsize == 3
 
 
 def _conjunctive(left, right):

@@ -101,13 +101,14 @@ class TestLaziness:
             assert built[0] == before + 1
 
     def test_evaluate_builds_the_misclassified_masses_only(self, built, wbcd_dataset):
-        # evaluate builds none; the text report builds one per error it prints.
+        # evaluate builds none; the text report builds one per distinct prediction it prints,
+        # as errors with equal fitted values in one fold share their model's one prediction.
         folds = make_folds(len(wbcd_dataset), 10, 42)
         report = evaluate(wbcd_dataset, "wbcd", folds=folds)
         assert report.misclassified
         assert built[0] == 0
         report_text(report)
-        assert built[0] == len(report.misclassified)
+        assert built[0] == len({id(detail["prediction"]) for detail in report.details})
 
 
 class TestSharedSaturatedPrediction:
