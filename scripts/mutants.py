@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Mutation check of the email and three-class decision code and of the binary
-classifier's shared predictions, standard library only.
+"""Mutation check of the decision code: email, three-class, the binary
+classifier's shared predictions, the two-label conflict bound and the subset
+rule, standard library only.
 
-Applies each mutation in ``MUTANTS`` (one token changed in
-``src/dsfusion/classify.py``) to a temporary copy of the repository, runs
-the tests its entry selects there (a pytest ``-k`` expression), and writes
+Applies each mutation in ``MUTANTS`` (one token changed in the source file
+its entry's scope names) to a temporary copy of the repository, runs the
+scope's test files there with its pytest ``-k`` expression, and writes
 ``MUTANTS.json`` at the repo root: how many mutants the tests killed, of
-how many, and each survivor's file:line and selection. A survivor that no
+how many, and each survivor's file:line, test files and selection (the
+``command`` is the pytest call before them). A survivor that no
 test can kill (the mutant behaves as the original on every input) carries
 the reason in its entry; any other survivor is a gap in the tests, and
 the script exits 1 until a test closes it.
 
 The tests run with ``--hypothesis-seed 0`` and a fresh example database
 per mutant, so a rerun draws the same examples. The unmutated copy runs
-first, once per selection, and must pass.
+first, once per scope, and must pass.
 
 Usage: python scripts/mutants.py [--out MUTANTS.json]
 A whole run takes about three minutes on a 2-core machine.
@@ -28,20 +30,34 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = "src/dsfusion/classify.py"
-TESTS = ["tests/test_classify.py", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
+PYTEST = ["-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
 COPIED = ("src", "tests", "data", "pyproject.toml")
+CLASSIFY, EVIDENCE = "src/dsfusion/classify.py", "src/dsfusion/evidence.py"
 
-# The -k selections: the email tests, the three-class decision tests (not the trainer's), and
-# the binary classifier's tests.
-EMAIL = "Email"
-THREE_CLASS = "(three_class or ThreeClass) and not train"
-BINARY = "classify_binary or ClassifyBinary"
 
-# (id, -k selection, text found exactly once in TARGET, its replacement, why no test can kill
-# it or None).
+class Scope(NamedTuple):
+    """The file a mutant changes, the test files it runs, and their -k selection."""
+
+    target: str
+    tests: tuple[str, ...]
+    select: str
+
+
+# The email tests, the three-class decision tests (not the trainer's), the binary classifier's
+# tests, the total-conflict tests of both fusion paths, and every entry point's subset tests.
+EMAIL = Scope(CLASSIFY, ("tests/test_classify.py",), "Email")
+THREE_CLASS = Scope(CLASSIFY, ("tests/test_classify.py",),
+                    "(three_class or ThreeClass) and not train")
+BINARY = Scope(CLASSIFY, ("tests/test_classify.py",), "classify_binary or ClassifyBinary")
+CONFLICT = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_classify.py"),
+                 "conflict or Conflict")
+SUBSET = Scope(CLASSIFY, ("tests/test_data.py", "tests/test_cli.py"), "subset or Subset")
+
+# (id, scope, text found exactly once in the scope's target, its replacement, why no test can
+# kill it or None).
 MUTANTS = [
     ("shortcut-threshold-none", EMAIL, "threshold is None or", "threshold is not None or", None),
     ("shortcut-interval-sign", EMAIL, "interval >= 0 and", "interval > 0 and", None),
@@ -56,12 +72,6 @@ MUTANTS = [
     ("lookup-dangerous-benign-swapped", EMAIL, "by_flags[spoofed][dangerous][benign]",
      "by_flags[spoofed][benign][dangerous]", None),
     ("label-decision", EMAIL, 'qa > qn else "normal"', 'qa >= qn else "normal"', None),
-    ("conflict-guard-strict", EMAIL, "qa - qt <= 2 * IDENTITY_TOL", "qa - qt < 2 * IDENTITY_TOL",
-     "differs only where qn + qa - qt is exactly 2e-12, and there fuse_binary's K, "
-     "1 - 2e-12, is below its bound 1 - 1e-12: the skipped call would not have raised"),
-    ("conflict-guard-zero", EMAIL, "qa - qt <= 2 * IDENTITY_TOL", "qa - qt <= 0 * IDENTITY_TOL",
-     None),
-    ("conflict-fold-dropped", EMAIL, "        fuse_binary(rows)\n", "        pass\n", None),
     ("exact-guard-flipped", EMAIL, "abs(qa - qn) <= 2.0**-49", "abs(qa - qn) > 2.0**-49", None),
     ("exact-guard-narrow", EMAIL, "abs(qa - qn) <= 2.0**-49", "abs(qa - qn) <= 2.0**-60", None),
     ("exact-guard-strict", EMAIL, "abs(qa - qn) <= 2.0**-49", "abs(qa - qn) < 2.0**-49",
@@ -74,9 +84,6 @@ MUTANTS = [
     ("table-signal-1", EMAIL, "if signals[0] == 1 else None", "if signals[0] != 1 else None", None),
     ("commonality-base", THREE_CLASS, "10 ** sum(", "9 ** sum(", None),
     ("commonality-holds", THREE_CLASS, "b & s == b for s", "b & s == s for s", None),
-    ("distance-factor", THREE_CLASS, "q[b] *= 5", "q[b] *= 1", None),
-    ("distance-factor-off-empty-set", THREE_CLASS, "for b in (0, 1 << nearest)",
-     "for b in (1 << nearest,)", None),
     ("mobius-parity", THREE_CLASS, "(-1) ** (b ^ a).bit_count()",
      "(-1) ** ((b ^ a).bit_count() + 1)", None),
     ("mobius-superset", THREE_CLASS, "if b & a == a)", "if b & a == b)", None),
@@ -95,21 +102,33 @@ MUTANTS = [
      None),
     ("share-unhashable", BINARY, "except TypeError:  # a list record's one-value slice",
      "except KeyError:  # a list record's one-value slice", None),
+    # combine_bits tests the same bound, so these anchors take the line of K before it.
+    ("conflict-bound-strict", CONFLICT, "q1 - qt)\n    if k >= 1.0 - IDENTITY_TOL:",
+     "q1 - qt)\n    if k > 1.0 - IDENTITY_TOL:", None),
+    ("conflict-bound-one", CONFLICT, "q1 - qt)\n    if k >= 1.0 - IDENTITY_TOL:",
+     "q1 - qt)\n    if k >= 1.0:", None),
+    ("conflict-theta-sign", CONFLICT, "k = 1.0 - (q0 + q1 - qt)", "k = 1.0 - (q0 + q1 + qt)",
+     None),
+    ("subset-bool-admitted", SUBSET, "if type(entry) is not int:",
+     "if not isinstance(entry, int):", None),
+    ("subset-repeat-dropped", SUBSET,
+     'raise ValueError(f"{name} subset {list(subset)} repeats an entry")', "pass", None),
+    ("subset-unsorted", SUBSET, "return tuple(sorted(subset))", "return tuple(subset)", None),
 ]
 
 
-def run_tests(copy: Path, select: str) -> int:
+def run_tests(copy: Path, scope: Scope) -> int:
     # The copy's pyproject.toml puts its own src/ first on the tests' import path.
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    return subprocess.run([sys.executable, "-m", "pytest", *TESTS, "-k", select], cwd=copy,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    argv = [sys.executable, "-m", "pytest", *scope.tests, *PYTEST, "-k", scope.select]
+    return subprocess.run(argv, cwd=copy, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
     args = parser.parse_args(argv)
-    original = (ROOT / TARGET).read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -118,26 +137,34 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, copy / name)
-        for select in dict.fromkeys(select for _, select, *_ in MUTANTS):
-            if run_tests(copy, select) != 0:
-                print(f"the unmutated copy fails the tests -k {select!r}", file=sys.stderr)
+        for scope in dict.fromkeys(scope for _, scope, *_ in MUTANTS):
+            if run_tests(copy, scope) != 0:
+                print(f"the unmutated copy fails {' '.join(scope.tests)} -k {scope.select!r}",
+                      file=sys.stderr)
                 return 2
         survivors, killed = [], 0
-        for name, select, old, new, equivalent in MUTANTS:
+        for name, scope, old, new, equivalent in MUTANTS:
+            target = scope.target
+            original = (ROOT / target).read_text(encoding="utf-8")
             if original.count(old) != 1:
-                print(f"{name}: {old!r} occurs {original.count(old)} times in {TARGET}",
+                print(f"{name}: {old!r} occurs {original.count(old)} times in {target}",
                       file=sys.stderr)
                 return 2
             line = original[:original.index(old)].count("\n") + 1
-            (copy / TARGET).write_text(original.replace(old, new), encoding="utf-8")
-            if run_tests(copy, select) != 0:
+            (copy / target).write_text(original.replace(old, new), encoding="utf-8")
+            try:
+                died = run_tests(copy, scope) != 0
+            finally:
+                (copy / target).write_text(original, encoding="utf-8")
+            if died:
                 killed += 1
                 print(f"killed   {name}")
                 continue
-            print(f"SURVIVED {name} ({TARGET}:{line})")
-            survivors.append({"id": name, "where": f"{TARGET}:{line}", "select": select,
-                              "from": old.strip(), "to": new.strip(), "equivalent": equivalent})
-    result = {"command": ["python", "-m", "pytest", *TESTS], "killed": killed,
+            print(f"SURVIVED {name} ({target}:{line})")
+            survivors.append({"id": name, "where": f"{target}:{line}", "tests": list(scope.tests),
+                              "select": scope.select, "from": old.strip(), "to": new.strip(),
+                              "equivalent": equivalent})
+    result = {"command": ["python", "-m", "pytest", *PYTEST], "killed": killed,
               "total": len(MUTANTS), "survivors": survivors}
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     open_gaps = [s["id"] for s in survivors if s["equivalent"] is None]

@@ -48,14 +48,12 @@ from .bpa import (
     table_row,
 )
 from .evidence import (
-    IDENTITY_TOL,
     Frame,
     MassFunction,
     TotalConflictError,
     binary_commonalities,
     combine_binary,
     combine_bits,
-    fuse_binary,
     vacuous_mass,
 )
 
@@ -416,15 +414,11 @@ def _three_class_mass(frame: Frame, focal_sets: Sequence[int], nearest: int | No
     return MassFunction(frame, fused)
 
 
-def _fused_masses(key: Sequence[int], nearest: int | None) -> list[int]:
-    # Every unnormalised mass m[A], ∅ included, of the boundary rows on focal sets ``key`` and
-    # the distance row on class ``nearest`` if given, as integers of one positive scale q[0]:
-    # the Möbius inversion of the scaled commonalities q (see classify_three_class). m[0] / q[0]
-    # is the conflict K.
+def _fused_masses(key: Sequence[int]) -> list[int]:
+    # Every unnormalised mass m[A], ∅ included, of the boundary rows on focal sets ``key``, as
+    # integers of one positive scale q[0]: the Möbius inversion of the scaled commonalities q
+    # (see classify_three_class). m[0] / q[0] is the conflict K.
     q = [10 ** sum(b & s == b for s in key) for b in range(8)]
-    if nearest is not None:
-        for b in (0, 1 << nearest):
-            q[b] *= 5
     return [sum((-1) ** (b ^ a).bit_count() * q[b] for b in range(8) if b & a == a)
             for a in range(8)]
 
@@ -433,7 +427,7 @@ def _fused_masses(key: Sequence[int], nearest: int | None) -> list[int]:
 def _step1(key: tuple[int, ...]) -> int:
     # The step-1 candidate. Θ always holds mass, so a set that holds none sorts last; each
     # non-vacuous row gives its set 9× Θ's mass, so Θ wins only when it is the sole focal set.
-    m = _fused_masses(key, None)
+    m = _fused_masses(key)
     return min(range(1, 8), key=lambda a: (-m[a], a.bit_count(), a))
 
 
@@ -447,18 +441,18 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     step-1 result and picks the singleton with the highest belief: always
     the nearest class, so that class is the label.
 
-    Step 1 is decided in integers. A boundary row is {S: 9/10, Θ: 1/10}
-    and the distance row on class c is {c: 4/5, Θ: 1/5}; Dempster's rule
-    multiplies commonalities (Shafer 1976, ch. 3), so the fused commonality
-    of every B ⊆ Θ, ∅ included, is Q(B) = 10^n(B) · 5^[B ⊆ {nearest}] up to
-    one positive scale, n(B) the rows whose focal set holds B (no factor 5
-    at step 1). Each unnormalised mass is the Möbius inversion
+    Step 1 is decided in integers. A boundary row is {S: 9/10, Θ: 1/10};
+    Dempster's rule multiplies commonalities (Shafer 1976, ch. 3), so the
+    fused commonality of every B ⊆ Θ, ∅ included, is Q(B) = 10^n(B) up to
+    one positive scale, n(B) the rows whose focal set holds B. Each
+    unnormalised mass is the Möbius inversion
     m(A) = Σ over B ⊇ A of (−1)^|B∖A| · Q(B), and m(∅)/Q(∅) is the conflict
     K of all the rows, below 1 as Θ keeps mass. So rounding cannot pick
     the leader of a near-tie, and exact ties, such as step 1's sources for
     two classes in turn, follow the documented order: the least
-    (−m(A), |A|, A). At step 3 the nearest class c gains 4/5 of every set
-    that holds it and any other class x keeps 1/5 of its step-1 mass. If c
+    (−m(A), |A|, A). At step 3 the distance row on the nearest class c,
+    {c: 4/5, Θ: 1/5}, gives c 4/5 of every set that holds it and leaves
+    any other class x 1/5 of its step-1 mass. If c
     is in the candidate group G, c gets at least 4/5 of m(G) > m({x}); if
     not, G is a pair whose singletons both have no mass (one with mass
     would lead G), and c gets 4/5 of m(Θ) > 0. So c wins, with no tie.
@@ -561,9 +555,10 @@ def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) 
 
 def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     """Abnormal iff ΠQ(a) > ΠQ(n) over the signals' rows: on two labels, iff Dempster's rule
-    gives abnormal strictly greater mass (ties go to normal). Near-total conflict is judged
-    by ``fuse_binary``, the ordered fold that builds the mass on read. A message holds the
-    four values ``email_signal_row`` reads, whichever signals are fused."""
+    gives abnormal strictly greater mass (ties go to normal). ``binary_commonalities`` takes
+    the products and raises near total conflict, so a message raises where ``fuse_binary``,
+    which builds the mass on read, does. A message holds the four values
+    ``email_signal_row`` reads, whichever signals are fused."""
     try:  # unpacking is the length check, and cheaper than len() on the hot path
         interval, spoofed, dangerous, benign = message
     except ValueError:
@@ -590,9 +585,7 @@ def _email_prediction(
 
 
 def _email_label(rows: Sequence[MassRow]) -> str:
-    qn, qa, qt = binary_commonalities(rows)
-    if qn + qa - qt <= 2 * IDENTITY_TOL:  # near the bound, the fold's own K decides, and raises
-        fuse_binary(rows)
+    qn, qa, qt = binary_commonalities(rows)  # raises near total conflict, as fuse_binary does
     # The float ΠQ of up to four rows err by under 8 units of 2^-53 (a rounding per commonality
     # and product), so a wider gap has the exact sign; 2^-1000 covers underflow.
     if abs(qa - qn) <= 2.0**-49 * (qa + qn) + 2.0**-1000:

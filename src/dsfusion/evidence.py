@@ -271,12 +271,17 @@ def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
 
 
 def binary_commonalities(rows: Iterable[Sequence[float]]) -> tuple[float, float, float]:
-    """ΠQ(0), ΠQ(1) and ΠQ(Θ) of (m_0, m_1, m_Θ) rows, multiplied in row order."""
+    """ΠQ(0), ΠQ(1) and ΠQ(Θ) of (m_0, m_1, m_Θ) rows, multiplied in row order. Raises
+    TotalConflictError when the fused K = 1 - (ΠQ(0) + ΠQ(1) - ΠQ(Θ)) reaches
+    1 - ``IDENTITY_TOL``, the bound ``combine`` applies to each pair."""
     q0 = q1 = qt = 1.0
     for m0, m1, mt in rows:
         q0 *= m0 + mt
         q1 *= m1 + mt
         qt *= mt
+    k = 1.0 - (q0 + q1 - qt)
+    if k >= 1.0 - IDENTITY_TOL:
+        raise TotalConflictError(f"total conflict between sources (K={k!r})")
     return q0, q1, qt
 
 
@@ -290,16 +295,13 @@ def fuse_binary(rows: Sequence[tuple[float, float, float]]) -> tuple[float, floa
     ΠQ(Θ), and their sum ΠQ(0) + ΠQ(1) - ΠQ(Θ) is 1 - K (Smets 1990;
     Barnett 1981). The result is the fold of ``combine`` over the rows'
     mass functions, in one pass and without building them; rows are
-    trusted to be valid masses. Raises TotalConflictError when the fused K
-    reaches 1 - ``IDENTITY_TOL``, the bound ``combine`` applies to each pair.
+    trusted to be valid masses. Near total conflict ``binary_commonalities``
+    raises TotalConflictError.
     """
     if not rows:
         raise EvidenceError("binary combination needs at least one row")
     q0, q1, qt = binary_commonalities(rows)
     norm = q0 + q1 - qt
-    k = 1.0 - norm
-    if k >= 1.0 - IDENTITY_TOL:
-        raise TotalConflictError(f"total conflict between sources (K={k!r})")
     return (q0 - qt) / norm, (q1 - qt) / norm, qt / norm
 
 

@@ -47,7 +47,7 @@ from dsfusion import (
     vacuous_mass,
 )
 from dsfusion import classify
-from dsfusion.bpa import logistic
+from dsfusion.bpa import BOUNDARY_CONFIDENCE, logistic
 from dsfusion.classify import (
     BinaryModel,
     email_signal_mass,
@@ -894,23 +894,21 @@ def _conjunctive(left, right):
 
 
 def test_three_class_integer_masses_are_the_exact_unnormalised_combination():
-    # The decision's integer masses over Q(∅) = 10^n · 5^[nearest given] are the exact
-    # unnormalised combination of the rows at every A, ∅ included: m(∅) / Q(∅) is the conflict K.
+    # Step 1's integer masses over Q(∅) = 10^n are the exact unnormalised combination of the
+    # boundary rows at every A, ∅ included: m(∅) / Q(∅) is the conflict K. The rows take the
+    # confidence the reported mass uses, so a change to it that the integers miss fails here.
     full, cases = 0b111, 0
+    confidence = Fraction(str(BOUNDARY_CONFIDENCE))
     for n in range(1, 7):
         for key in combinations_with_replacement(range(1, 8), n):
-            step1 = {full: Fraction(1)}
+            exact = {full: Fraction(1)}
             for bits in key:
-                row = {bits: Fraction(9, 10), full: Fraction(1, 10)} if bits != full else {full: 1}
-                step1 = _conjunctive(step1, row)
-            for nearest in (None, 0, 1, 2):
-                exact = step1 if nearest is None else _conjunctive(
-                    step1, {1 << nearest: Fraction(4, 5), full: Fraction(1, 5)})
-                masses = classify._fused_masses(key, nearest)
-                scale = 10**n * (1 if nearest is None else 5)
-                assert [Fraction(m, scale) for m in masses] == [exact.get(a, 0) for a in range(8)]
-                cases += 1
-    assert cases == 4 * 1715
+                row = {bits: confidence, full: 1 - confidence} if bits != full else {full: 1}
+                exact = _conjunctive(exact, row)
+            masses = classify._fused_masses(key)
+            assert [Fraction(m, 10**n) for m in masses] == [exact.get(a, 0) for a in range(8)]
+            cases += 1
+    assert cases == 1715
 
 
 class TestEmailModel:
@@ -1478,8 +1476,8 @@ class TestEmailTotalConflict:
 
     @pytest.mark.parametrize("interval", [0.0, 29.0, 31.0, 1e3])
     def test_raises_exactly_where_the_ordered_fold_does(self, interval):
-        # ΠQ(a) = ΠQ(Θ) = 0, so 1 - K is ΠQ(n), which the table multiplies in
-        # another order than fuse_binary. Scan c ulp by ulp across the bound.
+        # ΠQ(a) = ΠQ(Θ) = 0, so 1 - K is ΠQ(n). Scan c ulp by ulp across the bound:
+        # classify_email raises exactly where fuse_binary does, with the same message.
         q_n = sum(email_signal_row((interval, 0, 0, 0), 1, email_model_default())[::2])
         start = 1.0 - (1.0 - self.C) / (0.8 * q_n)
         outcomes = set()

@@ -26,7 +26,7 @@ from dsfusion import (
     plausibility,
     vacuous_mass,
 )
-from dsfusion.evidence import IDENTITY_TOL, combine_bits, fuse_binary
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
 
 from conftest import mass_to_frozensets, oracle_combine
 
@@ -324,6 +324,17 @@ class TestCombineBinary:
         below = math.nextafter(c, 0.0)
         assert combine_bits({1: 1.0}, {2: below, 3: 1.0 - below})[1] == below
         fuse_binary([(1.0, 0.0, 0.0), (0.0, below, 1.0 - below)])
+
+    def test_total_conflict_subtracts_the_theta_product(self):
+        # Rows (1 - a, 0, a) and (0, 1 - a, a) leave 1 - K = 2a - a² for a just over half the
+        # bound's distance from 1: K rounds to the bound and raises, where adding a² (2.5e-25)
+        # would leave it one ulp below. binary_commonalities judges it, and fuse_binary through it.
+        bound = 1.0 - IDENTITY_TOL
+        a = ((1.0 - bound) + 2.0**-54) / 2
+        rows = [(1.0 - a, 0.0, a), (0.0, 1.0 - a, a)]
+        for fuse in (binary_commonalities, fuse_binary):
+            with pytest.raises(TotalConflictError, match=re.escape(f"K={bound!r})")):
+                fuse(rows)
 
     def test_zero_masses_are_not_focal(self, binary):
         combined = combine_binary(binary, [(0.5, 0.0, 0.5), (0.2, 0.0, 0.8)])

@@ -20,9 +20,9 @@ def test_mutant_ids_are_unique():
     assert len(set(ids)) == len(ids)
 
 
-@pytest.mark.parametrize("name, select, old, new, equivalent", mutants.MUTANTS,
+@pytest.mark.parametrize("name, scope, old, new, equivalent", mutants.MUTANTS,
                          ids=[name for name, *_ in mutants.MUTANTS])
-def test_anchor_occurs_once_in_its_target(name, select, old, new, equivalent):
-    target = (ROOT / mutants.TARGET).read_text(encoding="utf-8")
+def test_anchor_occurs_once_in_its_target(name, scope, old, new, equivalent):
+    target = (ROOT / scope.target).read_text(encoding="utf-8")
     assert target.count(old) == 1, f"{name}: {old!r} occurs {target.count(old)} times"
     assert new != old
