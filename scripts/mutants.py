@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check of the decision code: email, three-class, the binary
-classifier's shared predictions, the two-label conflict bound and the subset
-rule, standard library only.
+"""Mutation check of the decision code: email and its saturation cutoff,
+three-class, the binary classifier's shared predictions, the two-label
+conflict bound and the subset rule, standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -35,7 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = ["-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
 COPIED = ("src", "tests", "data", "pyproject.toml")
-CLASSIFY, EVIDENCE = "src/dsfusion/classify.py", "src/dsfusion/evidence.py"
+BPA, CLASSIFY = "src/dsfusion/bpa.py", "src/dsfusion/classify.py"
+EVIDENCE = "src/dsfusion/evidence.py"
 
 
 class Scope(NamedTuple):
@@ -46,9 +47,11 @@ class Scope(NamedTuple):
     select: str
 
 
-# The email tests, the three-class decision tests (not the trainer's), the binary classifier's
-# tests, the total-conflict tests of both fusion paths, and every entry point's subset tests.
+# The email tests (on the classifier and on the saturation cutoff its table holds), the
+# three-class decision tests (not the trainer's), the binary classifier's tests, the
+# total-conflict tests of both fusion paths, and every entry point's subset tests.
 EMAIL = Scope(CLASSIFY, ("tests/test_classify.py",), "Email")
+CUTOFF = Scope(BPA, ("tests/test_classify.py",), "Email")
 THREE_CLASS = Scope(CLASSIFY, ("tests/test_classify.py",),
                     "(three_class or ThreeClass) and not train")
 BINARY = Scope(CLASSIFY, ("tests/test_classify.py",), "classify_binary or ClassifyBinary")
@@ -59,13 +62,16 @@ SUBSET = Scope(CLASSIFY, ("tests/test_data.py", "tests/test_cli.py"), "subset or
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
 MUTANTS = [
-    ("shortcut-threshold-none", EMAIL, "threshold is None or", "threshold is not None or", None),
-    ("shortcut-interval-sign", EMAIL, "interval >= 0 and", "interval > 0 and", None),
-    ("shortcut-interval-floor", EMAIL, "interval >= 0 and", "interval >= -1 and", None),
-    ("shortcut-cutoff-strict", EMAIL, "threshold - interval < -LOGISTIC_SATURATION",
-     "threshold - interval <= -LOGISTIC_SATURATION", None),
-    ("shortcut-cutoff-sign", EMAIL, "threshold - interval < -LOGISTIC_SATURATION",
-     "threshold - interval < LOGISTIC_SATURATION", None),
+    ("shortcut-cutoff-none", EMAIL, "cutoff is None or", "cutoff is not None or", None),
+    ("shortcut-cutoff-strict", EMAIL, "interval >= cutoff", "interval > cutoff", None),
+    ("cutoff-test-strict", CUTOFF, "_float_of_bits(mid) < -LOGISTIC_SATURATION",
+     "_float_of_bits(mid) <= -LOGISTIC_SATURATION", None),
+    ("cutoff-test-sign", CUTOFF, "_float_of_bits(mid) < -LOGISTIC_SATURATION",
+     "_float_of_bits(mid) < LOGISTIC_SATURATION", None),
+    ("cutoff-negative-floats", CUTOFF, "lo, hi = -1,", "lo, hi = 0,", None),
+    ("cutoff-halves-swapped", CUTOFF, "hi = mid\n        else:\n            lo = mid",
+     "lo = mid\n        else:\n            hi = mid", None),
+    ("cutoff-stops-early", CUTOFF, "while hi - lo > 1:", "while hi - lo > 2:", None),
     ("shortcut-entry", EMAIL, "entry is not None and", "entry is None and", None),
     ("lookup-spoofed-dangerous-swapped", EMAIL, "by_flags[spoofed][dangerous][benign]",
      "by_flags[dangerous][spoofed][benign]", None),
@@ -102,13 +108,10 @@ MUTANTS = [
      None),
     ("share-unhashable", BINARY, "except TypeError:  # a list record's one-value slice",
      "except KeyError:  # a list record's one-value slice", None),
-    # combine_bits tests the same bound, so these anchors take the line of K before it.
-    ("conflict-bound-strict", CONFLICT, "q1 - qt)\n    if k >= 1.0 - IDENTITY_TOL:",
-     "q1 - qt)\n    if k > 1.0 - IDENTITY_TOL:", None),
-    ("conflict-bound-one", CONFLICT, "q1 - qt)\n    if k >= 1.0 - IDENTITY_TOL:",
-     "q1 - qt)\n    if k >= 1.0:", None),
-    ("conflict-theta-sign", CONFLICT, "k = 1.0 - (q0 + q1 - qt)", "k = 1.0 - (q0 + q1 + qt)",
-     None),
+    ("conflict-bound-strict", CONFLICT, "if k >= 1.0 - IDENTITY_TOL:",
+     "if k > 1.0 - IDENTITY_TOL:", None),
+    ("conflict-bound-one", CONFLICT, "if k >= 1.0 - IDENTITY_TOL:", "if k >= 1.0:", None),
+    ("conflict-theta-sign", CONFLICT, "1.0 - (q0 + q1 - qt)", "1.0 - (q0 + q1 + qt)", None),
     ("subset-bool-admitted", SUBSET, "if type(entry) is not int:",
      "if not isinstance(entry, int):", None),
     ("subset-repeat-dropped", SUBSET,
@@ -158,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
                 (copy / target).write_text(original, encoding="utf-8")
             if died:
                 killed += 1
-                print(f"killed   {name}")
+                print(f"killed   {name}", flush=True)
                 continue
-            print(f"SURVIVED {name} ({target}:{line})")
+            print(f"SURVIVED {name} ({target}:{line})", flush=True)
             survivors.append({"id": name, "where": f"{target}:{line}", "tests": list(scope.tests),
                               "select": scope.select, "from": old.strip(), "to": new.strip(),
                               "equivalent": equivalent})

@@ -12,6 +12,7 @@ read each feature's values per class, indexed ``[feature][class]``.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,30 @@ def logistic(x: float) -> float:
     if x < -LOGISTIC_SATURATION:
         return 0.0
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def saturation_cutoff(threshold: float) -> float:
+    """The least float x ≥ 0 with ``threshold - x < -LOGISTIC_SATURATION``, the test on which
+    :func:`logistic` saturates to 0: for a finite threshold, a float interval's scaled-sigmoid
+    row is the floor row iff the interval is at least this float.
+
+    fl(threshold - x) never increases as x grows, so the floats that pass are exactly those
+    at or above one float. The non-negative floats' bit patterns, read as ints, order as the
+    floats do, so bisecting them between 0.0 (bits 0) and ∞ (which passes) finds it in at
+    most 63 tests. A walk float by float from threshold + 709 would not end: at threshold
+    −709 it starts at 0.0, about 2^62 floats below the cutoff, just above 2^-44."""
+    lo, hi = -1, 0x7FF0000000000000  # lo fails (-1 stands below 0.0); hi, ∞'s bits, passes
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if threshold - _float_of_bits(mid) < -LOGISTIC_SATURATION:
+            hi = mid
+        else:
+            lo = mid
+    return _float_of_bits(hi)
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 
 
 class Moments(NamedTuple):

@@ -28,7 +28,6 @@ from .bpa import (
     BINARY_FRAME,
     BOUNDARY_CONFIDENCE,
     DISTANCE_CONFIDENCE,
-    LOGISTIC_SATURATION,
     BoundaryModel,
     MassRow,
     ScaledSigmoidBpa,
@@ -43,6 +42,7 @@ from .bpa import (
     logistic,
     nearest_mean,
     row_arity,
+    saturation_cutoff,
     scaled_sigmoid_row,
     select_feature,
     table_row,
@@ -509,14 +509,17 @@ class EmailModel:
     def table(self) -> tuple:
         """For :func:`classify_email`: the sorted active signals, ``by_flags`` (dicts keyed 0/1;
         ``by_flags[s][d][b]`` is the one :class:`Prediction` of the message (∞, s, d, b), or None
-        near total conflict), and signal 1's threshold: an entry serves every interval past the
-        logistic's saturation, or every interval when the threshold is None (no signal 1)."""
+        near total conflict), and the cutoff: an entry serves every interval ≥ the cutoff, the
+        least float ≥ 0 that logistic saturates at (:func:`saturation_cutoff`; fl(threshold - x)
+        never increases with x, so the saturated floats are exactly those from it on), or every
+        interval when the cutoff is None (no signal 1, so the interval is never read)."""
         signals = tuple(sorted(self.signals))
         by_flags = {s: {d: dict.fromkeys((0, 1)) for d in (0, 1)} for s in (0, 1)}
         for s, d, b in product((0, 1), repeat=3):
             with suppress(TotalConflictError):  # then each message takes the path that raises
                 by_flags[s][d][b] = _email_prediction((math.inf, s, d, b), signals, self)
-        return signals, by_flags, self.interval_bpa.threshold if signals[0] == 1 else None
+        cutoff = saturation_cutoff(self.interval_bpa.threshold) if signals[0] == 1 else None
+        return signals, by_flags, cutoff
 
     @cached_property
     def trace(self) -> Mapping[str, object]:
@@ -558,20 +561,26 @@ def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     gives abnormal strictly greater mass (ties go to normal). ``binary_commonalities`` takes
     the products and raises near total conflict, so a message raises where ``fuse_binary``,
     which builds the mass on read, does. A message holds the four values
-    ``email_signal_row`` reads, whichever signals are fused."""
+    ``email_signal_row`` reads, whichever signals are fused.
+
+    A message with three 0/1 flags gets its table entry, the prediction of (∞, *flags), when
+    signal 1 is off or its interval is at least the model's cutoff: fl(threshold - x) never
+    increases with x, so the intervals on which logistic saturates to 0 are exactly those
+    from one float on (:func:`saturation_cutoff`), and one comparison decides a float. An int
+    or a Fraction compares exactly, so at worst it takes the per-message path to the same
+    answer; an int beyond the float range or a Decimal past the cutoff gets the entry, where
+    the per-message path raises on the subtraction. Every other message builds its rows."""
     try:  # unpacking is the length check, and cheaper than len() on the hot path
         interval, spoofed, dangerous, benign = message
     except ValueError:
         raise ValueError(f"message has {len(message)} values, expected 4") from None
-    signals, by_flags, threshold = model.table
+    signals, by_flags, cutoff = model.table
     try:
         entry = by_flags[spoofed][dangerous][benign]
     except (LookupError, TypeError):  # not three 0/1 flags: email_signal_row raises in signal order
         entry = None
-    # Past logistic's cutoff the interval row is the floor row, that of ∞.
-    if entry is not None and (threshold is None or (
-        interval >= 0 and threshold - interval < -LOGISTIC_SATURATION
-    )):
+    # From the cutoff on, the interval row is the floor row, that of ∞.
+    if entry is not None and (cutoff is None or interval >= cutoff):
         return entry
     return _email_prediction(message, signals, model)
 

@@ -217,6 +217,12 @@ def _intersect(
     return acc, k
 
 
+def _refuse_total_conflict(k: float) -> None:
+    # The one bound on the conflict K, for the pairwise rule and the closed form alike.
+    if k >= 1.0 - IDENTITY_TOL:
+        raise TotalConflictError(f"total conflict between sources (K={k!r})")
+
+
 def combine_bits(
     left: Mapping[int, float], right: Mapping[int, float]
 ) -> tuple[dict[int, float], float]:
@@ -230,8 +236,7 @@ def combine_bits(
     implementation of the rule; ``combine`` wraps it.
     """
     acc, k = _intersect(left, right)
-    if k >= 1.0 - IDENTITY_TOL:
-        raise TotalConflictError(f"total conflict between sources (K={k!r})")
+    _refuse_total_conflict(k)
     # The kept products sum to 1 - K; their own sum keeps the result
     # normalized when K is near 1, where 1.0 - k has lost most digits.
     norm = sum(acc.values())
@@ -279,9 +284,7 @@ def binary_commonalities(rows: Iterable[Sequence[float]]) -> tuple[float, float,
         q0 *= m0 + mt
         q1 *= m1 + mt
         qt *= mt
-    k = 1.0 - (q0 + q1 - qt)
-    if k >= 1.0 - IDENTITY_TOL:
-        raise TotalConflictError(f"total conflict between sources (K={k!r})")
+    _refuse_total_conflict(1.0 - (q0 + q1 - qt))
     return q0, q1, qt
 
 

@@ -9,6 +9,7 @@ import platform
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 from dataclasses import replace
 from functools import reduce
@@ -47,7 +48,7 @@ from dsfusion import (
     vacuous_mass,
 )
 from dsfusion import classify
-from dsfusion.bpa import BOUNDARY_CONFIDENCE, logistic
+from dsfusion.bpa import BOUNDARY_CONFIDENCE, logistic, saturation_cutoff
 from dsfusion.classify import (
     BinaryModel,
     email_signal_mass,
@@ -1166,11 +1167,12 @@ class TestEmailTable:
     def test_entries_are_the_folded_table_rows(self, signals):
         # Nested three deep on the flags, keyed 0 and 1, each entry is the one prediction of the
         # message (∞, *flags): the fold of the active signals' rows, the interval's the floor row.
-        # The threshold is signal 1's, and None when the interval is never read.
+        # The cutoff is the least interval signal 1's logistic saturates at (threshold 30), and
+        # None when the interval is never read.
         model = replace(NEAR_TIE_MODEL, signals=signals)
-        active, by_flags, threshold = model.table
+        active, by_flags, cutoff = model.table
         assert active == tuple(sorted(signals))
-        assert threshold == (30.0 if 1 in signals else None)
+        assert cutoff == (739.0000000000001 if 1 in signals else None)
         keys = [(s, d, b) for s in by_flags for d in by_flags[s] for b in by_flags[s][d]]
         assert keys == FLAG_COMBINATIONS
         for flags in FLAG_COMBINATIONS:
@@ -1227,7 +1229,8 @@ class TestEmailTable:
         unpickled = pickle.loads(pickle.dumps(model))
         assert unpickled.table == table
         other = replace(model, signals=frozenset({2, 4}))
-        assert other.table[0] == (2, 4) and other.table[2] is None and table[2] == 30.0
+        assert other.table[0] == (2, 4) and other.table[2] is None
+        assert table[2] == 739.0000000000001
         assert model.table is table
         message = (31.5, 1, 0, 1)
         for copy_ in (restored, unpickled):
@@ -1327,6 +1330,72 @@ class TestEmailTable:
         pred = classify_email((5.0, math.nan, "x", None), model)
         assert (pred.label, pred.trace) == ("normal", {"signals": [1]})
         assert pred == classify_email((5.0, 0, 0, 0), model)
+
+
+class TestEmailCutoff:
+    """The table's cutoff restates the saturation test ``interval >= 0 and threshold - interval
+    < -709`` exactly: the test holds at the cutoff and fails one float below it."""
+
+    @staticmethod
+    def saturated(threshold, interval):
+        return interval >= 0 and threshold - interval < -709
+
+    def check(self, threshold):
+        model = replace(email_model_default(),
+                        interval_bpa=replace(email_model_default().interval_bpa,
+                                             threshold=threshold))
+        cutoff = model.table[2]
+        below = math.nextafter(cutoff, -math.inf)
+        assert cutoff == saturation_cutoff(threshold) and cutoff >= 0
+        assert self.saturated(threshold, cutoff) and not self.saturated(threshold, below)
+        entry = table_entry(model, (1, 1, 0))
+        assert classify_email((cutoff, 1, 1, 0), model) is entry
+        if cutoff == 0.0:
+            with pytest.raises(ValueError, match="^signal value must be non-negative"):
+                classify_email((below, 1, 1, 0), model)
+        else:
+            assert classify_email((below, 1, 1, 0), model) is not entry
+        return cutoff
+
+    # -709 and its neighbours put the cutoff near 0.0, among floats far finer than the threshold's.
+    @pytest.mark.parametrize("threshold", [
+        30.0, 0.0, 0.1, 692.4, -489.9, -1000.0, 1e6, 1e20, -1e20, sys.float_info.max,
+        -sys.float_info.max, -709.0, math.nextafter(-709.0, -math.inf),
+        math.nextafter(-709.0, math.inf), 5e-324,
+    ])
+    def test_least_saturated_interval(self, threshold):
+        cutoff = self.check(threshold)
+        assert (cutoff == 0.0) == self.saturated(threshold, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold=st.floats(allow_nan=False, allow_infinity=False))
+    def test_least_saturated_interval_at_any_threshold(self, threshold):
+        self.check(threshold)
+
+    @pytest.mark.parametrize("interval", [10**400, Decimal("1e400"), Decimal(740)])
+    def test_exotic_interval_past_the_cutoff_gets_the_entry(self, interval):
+        # threshold - interval raises on these (OverflowError on the int, TypeError on the
+        # Decimal); one comparison with the cutoff is exact, so they get the floor row's entry.
+        model = email_model_default()
+        entry = table_entry(model, (1, 1, 0))
+        assert classify_email((interval, 1, 1, 0), model) is entry
+        with pytest.raises((OverflowError, TypeError)):
+            classify._email_prediction((interval, 1, 1, 0), (1, 2, 3, 4), model)
+
+    def test_decimal_below_the_cutoff_takes_the_per_message_path(self):
+        with pytest.raises(TypeError):
+            classify_email((Decimal(739), 1, 1, 0), email_model_default())
+
+    def test_exact_number_rounding_up_to_the_cutoff_gets_the_same_answer(self):
+        # 739 + 3·2^-45 is below the cutoff 739 + 2^-43 yet rounds to it, as threshold - interval
+        # reads it: the per-message path gives the entry's label and mass.
+        model = email_model_default()
+        interval = Fraction(739) + Fraction(3, 2**45)
+        assert interval < model.table[2] == float(interval)
+        pred, entry = classify_email((interval, 1, 1, 0), model), table_entry(model, (1, 1, 0))
+        assert pred is not entry
+        assert (pred.label, pred.trace, pred.args) == (entry.label, entry.trace, entry.args)
+        assert list(pred.mass._masses.items()) == list(entry.mass._masses.items())
 
 
 def _ulps(value: float, steps: int) -> float:
