@@ -44,7 +44,6 @@ from .classify import (
     EmailModel,
     Prediction,
     ThreeClassModel,
-    classifier_from_dict,
     classifier_to_dict,
     classify_binary,
     classify_email,

@@ -12,7 +12,6 @@ to a bound, so a repeated record costs one lookup.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from collections.abc import Collection, Mapping
 from contextlib import suppress
@@ -21,8 +20,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, product, repeat
 from operator import eq, itemgetter, ne
-from types import UnionType
-from typing import Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence
 
 from .bpa import (
     BINARY_FRAME,
@@ -611,8 +609,6 @@ _KINDS = {SigmoidBpa: "sigmoid", ScaledSigmoidBpa: "scaled_sigmoid", TableBpa: "
           EmailModel: "email"}
 _KEYS = {"frame": "labels", "interval_bpa": "interval", "spoofed_bpa": "spoofed",
          "dangerous_bpa": "dangerous", "benign_bpa": "benign"}
-_LEAVES = {float: "a float", int: "an int", str: "a string"}
-_INT_KEY = re.compile("0|-?[1-9][0-9]*")  # an int key as str() writes it
 
 
 def _encode(value):
@@ -630,47 +626,6 @@ def _encode(value):
     return value
 
 
-def _decode(tp, value, path: str):
-    # The value of annotation ``tp`` whose JSON is ``value``. JSON that does not fit the
-    # annotation is a ValueError naming its ``path``; the built model checks the rest.
-    origin, args = get_origin(tp), get_args(tp)
-    if tp in _KINDS or origin is UnionType:  # a model of a class that ``tp`` names
-        classes = [c for c in args or (tp,) if c in _KINDS]
-        kind = value.get("kind") if type(value) is dict else None
-        cls = next((c for c in classes if _KINDS[c] == kind), None)
-        if cls is None:
-            got = repr(kind) if type(value) is dict else type(value).__name__
-            kinds = " or ".join(repr(_KINDS[c]) for c in classes)
-            raise ValueError(f"{path}: expected kind {kinds}, got {got}")
-        keys = {_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
-        for key in sorted(value.keys() ^ {"kind", *keys}, key=str):  # the first, by name
-            raise ValueError(f"{path}: {'unexpected' if key in value else 'missing'} key {key!r}")
-        hints = get_type_hints(cls)
-        return cls(**{n: _decode(hints[n], value[k], f"{path}.{k}") for k, n in keys.items()})
-    if tp in _LEAVES:  # exact types: a bool is no int
-        if tp is float and type(value) is int and abs(value) <= 2**53:
-            return float(value)  # an int that the float holds exactly
-        if type(value) is not tp:
-            raise ValueError(f"{path}: expected {_LEAVES[tp]}, got {type(value).__name__}")
-        return value
-    if tp is Frame:
-        return Frame(_decode(tuple[str, ...], value, path))
-    container = dict if origin is Mapping else list
-    if type(value) is not container:
-        raise ValueError(f"{path}: expected a {container.__name__}, got {type(value).__name__}")
-    if origin is Mapping:  # its keys are ints in canonical form
-        for key in (k for k in value if not (type(k) is str and _INT_KEY.fullmatch(k))):
-            raise ValueError(f"{path}: key {key!r} is not an int in canonical form")
-        return {int(k): _decode(args[1], v, f"{path}[{k!r}]") for k, v in value.items()}
-    types = args if origin is tuple and args[-1] is not Ellipsis else (args[0],) * len(value)
-    if len(types) != len(value):
-        raise ValueError(f"{path}: expected {len(types)} entries, got {len(value)}")
-    items = tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
-    if origin is frozenset and list(items) != sorted(set(items)):  # as the encoder writes it
-        raise ValueError(f"{path}: entries must be distinct and ascending, got {list(items)}")
-    return frozenset(items) if origin is frozenset else items
-
-
 def classifier_to_dict(model: Classifier) -> dict:
     """JSON-ready dict for a classifier: its kind tag, then its fields, models nested."""
     if not isinstance(model, Classifier):
@@ -681,9 +636,3 @@ def classifier_to_dict(model: Classifier) -> dict:
             "a model dump must describe every feature"
         )
     return _encode(model)
-
-
-def classifier_from_dict(data: Mapping) -> Classifier:
-    """Inverse of :func:`classifier_to_dict`. JSON that does not fit a field's annotation is
-    a ``ValueError`` naming its path, such as ``model.bpas[0]``."""
-    return _decode(Classifier, data, "model")

@@ -224,6 +224,9 @@ def _parse_mass_spec(spec: str, frame, parser: argparse.ArgumentParser):
         labels = [lab.strip() for lab in subset_spec.split("|")]
         try:
             subset = frame.subset(labels)
+            # float() also reads non-ASCII digits and an _ between digits.
+            if not value_spec.isascii() or "_" in value_spec:
+                raise ValueError(f"mass value {value_spec!r} is not a plain ASCII number")
             value = float(value_spec)
         except (EvidenceError, ValueError) as exc:
             parser.error(f"bad mass entry {part!r}: {exc}")

@@ -46,6 +46,9 @@ class Frame:
             )
         if any(not isinstance(lab, str) or not lab for lab in self.labels):
             raise EvidenceError("frame labels must be nonempty strings")
+        for lab in self.labels:  # so that describe() gives each focal set its own name
+            if lab == THETA_SYMBOL or "|" in lab:
+                raise EvidenceError(f"frame label {lab!r} must not be {THETA_SYMBOL} or hold '|'")
         if len(set(self.labels)) != len(self.labels):
             raise EvidenceError(f"duplicate frame labels in {self.labels!r}")
 

@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfusion import combine, combine_all, conflict, make_frame, make_mass
+from dsfusion import (
+    classifier_to_dict,
+    combine,
+    combine_all,
+    conflict,
+    make_frame,
+    make_mass,
+    train_binary,
+    train_three_class,
+)
 from dsfusion.cli import main, run
 from dsfusion.data import (
     EMAIL_HEADER,
@@ -177,16 +186,15 @@ class TestWbcdCommand:
         a.pop("runtime_seconds"), b.pop("runtime_seconds")
         assert a == b
 
-    def test_dump_model_round_trips(self, capsys, tmp_path):
-        from dsfusion import classifier_from_dict
-
+    def test_dump_model_writes_the_model_of_every_record(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         code, _, _ = run_cli(
             capsys, "wbcd", "--data", str(WBCD_PATH), "--dump-model", str(model_path)
         )
         assert code == 0
-        model = classifier_from_dict(json.loads(model_path.read_text()))
-        assert len(model.bpas) == 9
+        ds = load_wbcd(WBCD_PATH)
+        expected = classifier_to_dict(train_binary(ds.rows, ds.labels))
+        assert json.loads(model_path.read_text()) == expected
 
 
     def test_more_folds_than_records_exits_3_without_traceback(self, tmp_path):
@@ -260,6 +268,17 @@ class TestIrisCommand:
         assert result.returncode == 3
         assert result.stderr.startswith("error: cannot split 2 records into 10 folds")
         assert "Traceback" not in result.stderr
+
+    def test_dump_model_writes_the_model_of_every_record(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            capsys, "iris", "--data", str(IRIS_PATH), "--dump-model", str(model_path)
+        )
+        assert code == 0
+        ds = load_iris(IRIS_PATH)
+        model = train_three_class(ds.rows, ds.labels, make_frame(ds.label_names))
+        assert len(ds) == 150
+        assert json.loads(model_path.read_text()) == classifier_to_dict(model)
 
     def test_dump_model_on_one_record_class_exits_3_without_traceback(self, tmp_path):
         # 5/5/1 records per class: the whole set cannot train the model it dumps.
@@ -537,6 +556,33 @@ class TestCombineCommand:
         interval = json.loads(out)["intervals"]["a"]
         assert interval["bel"] == pytest.approx(0.5)
         assert interval["pl"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("spec, value", [
+        ("a:\u0660.\u0666,b:\u0660.\u0664", "\u0660.\u0666"), ("a:0.0_1,b:0.9_9", "0.0_1"),
+    ], ids=["arabic-indic-digits", "underscores"])
+    def test_mass_value_that_is_no_plain_number_exits_2(self, capsys, spec, value):
+        # float() reads both, so they used to exit 0 as 0.6/0.4 and 0.01/0.99.
+        code, out, err = run_cli(capsys, "combine", "--frame", "a,b", "--mass", spec)
+        assert (code, out) == (2, "")
+        entry = spec.split(",")[0]
+        message = f"bad mass entry {entry!r}: mass value {value!r} is not a plain ASCII number"
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["6e-1", " 0.6 ", "0.60"])
+    def test_mass_value_spellings_of_one_number_agree(self, capsys, value):
+        _, expected, _ = run_cli(capsys, "combine", "--frame", "a,b", "--mass", "a:0.6,b:0.4")
+        code, out, _ = run_cli(capsys, "combine", "--frame", "a,b", "--mass", f"a:{value},b:.4")
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize("frame, spec", [("Θ,a", "Θ:0.5,Θ|a:0.5"), ("a|b,c", "c:1")],
+                             ids=["theta-symbol", "pipe"])
+    def test_frame_label_that_describe_cannot_tell_apart_exits_2(self, capsys, frame, spec):
+        # With the label Θ, the JSON "combined" object kept one of the two focal sets.
+        code, out, err = run_cli(capsys, "combine", "--frame", frame, "--mass", spec,
+                                 "--format", "json")
+        assert (code, out) == (2, "")
+        label = frame.split(",")[0]
+        assert err.endswith(f"error: bad frame: frame label {label!r} must not be Θ or hold '|'\n")
 
     def test_bad_sum_exits_2(self, capsys):
         code, _, _ = run_cli(

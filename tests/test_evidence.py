@@ -78,6 +78,15 @@ class TestFrame:
         with pytest.raises(EvidenceError):
             make_frame(["a", ""])
 
+    @pytest.mark.parametrize("labels, bad", [(["Θ", "a"], "Θ"), (["a|b", "c"], "a|b")],
+                             ids=["theta-symbol", "pipe"])
+    def test_label_that_describe_cannot_tell_apart_rejected(self, labels, bad):
+        # describe() names the whole frame Θ and joins labels with |, so either label made two
+        # focal sets print alike, or one that no mass spec could name.
+        message = f"^frame label {re.escape(repr(bad))} must not be Θ or hold '\\|'$"
+        with pytest.raises(EvidenceError, match=message):
+            make_frame(labels)
+
     def test_subset_and_describe(self):
         frame = make_frame(["a", "b", "c"])
         assert frame.subset(["a", "c"]).bits == 0b101
