@@ -1,5 +1,6 @@
 """Unit and property tests for the mass-assignment builders."""
 
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -180,6 +181,14 @@ class TestScaledSigmoidMass:
             ScaledSigmoidBpa(threshold=1.0, floor=0.7, ceiling=0.3, theta_mass=0.01)
         with pytest.raises(ValueError):
             ScaledSigmoidBpa(threshold=1.0, floor=0.0, ceiling=0.995, theta_mass=0.01)
+
+    @pytest.mark.parametrize("floor, ceiling", [
+        (0.7, 0.3), (0.5, 0.5), (-0.1, 0.7), (0.3, 1.1), (math.nan, 0.7),
+    ], ids=["reversed", "equal", "negative-floor", "ceiling-past-1", "nan-floor"])
+    def test_floor_and_ceiling_outside_their_order_rejected(self, floor, ceiling):
+        message = re.escape(f"need 0 <= floor < ceiling <= 1, got {floor}, {ceiling}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScaledSigmoidBpa(30.0, floor, ceiling, 0.01)
 
     @pytest.mark.parametrize("theta_mass", [0.0, 1.0, math.nan])
     def test_theta_mass_outside_the_open_unit_interval_rejected(self, theta_mass):
@@ -626,21 +635,36 @@ RENAMED = {"frame": "labels", "interval_bpa": "interval", "spoofed_bpa": "spoofe
            "dangerous_bpa": "dangerous", "benign_bpa": "benign"}
 
 
+def dump_of(model):
+    """The JSON object that a dump writes for the model, nested in a classifier if a bpa."""
+    if type(model) in (SigmoidBpa, ScaledSigmoidBpa, TableBpa, BoundaryModel):
+        classifier, slot = holder(model)
+        data = classifier_to_dict(classifier)[RENAMED.get(slot, slot)]
+        return data[0] if slot == "bpas" else data
+    return classifier_to_dict(model)
+
+
+# One model of every kind.
+DUMPED = pytest.mark.parametrize("model", [
+    *BPA_MODELS, holder(SigmoidBpa(4.5))[0], holder(BoundaryModel(TRAINING_BOUNDS))[0],
+    email_model_default(),
+], ids=lambda model: type(model).__name__)
+
+
 class TestSerialization:
-    @pytest.mark.parametrize("model", [
-        *BPA_MODELS, holder(SigmoidBpa(4.5))[0], holder(BoundaryModel(TRAINING_BOUNDS))[0],
-        email_model_default(),
-    ], ids=lambda model: type(model).__name__)
+    @DUMPED
     def test_a_dump_writes_the_kind_and_every_field(self, model):
         # Nothing reads a dump back, so a dump must describe the whole model by itself.
-        if type(model) in (SigmoidBpa, ScaledSigmoidBpa, TableBpa, BoundaryModel):
-            classifier, slot = holder(model)
-            data = classifier_to_dict(classifier)[RENAMED.get(slot, slot)]
-            data = data[0] if slot == "bpas" else data
-        else:
-            data = classifier_to_dict(model)
+        data = dump_of(model)
         assert list(data) == ["kind", *(RENAMED.get(f.name, f.name) for f in fields(model))]
         assert data["kind"] == KIND_TAGS[type(model)]
+
+    @DUMPED
+    def test_a_dump_is_strict_json_text(self, model):
+        # No NaN or infinity, and nothing (a tuple, a float subclass) that JSON text turns
+        # into a value that compares unequal: the text holds exactly the dumped values.
+        data = dump_of(model)
+        assert json.loads(json.dumps(data, allow_nan=False)) == data
 
     def test_every_kind_has_its_tag(self):
         assert KIND_TAGS == classify._KINDS

@@ -559,7 +559,10 @@ class TestCombineCommand:
 
     @pytest.mark.parametrize("spec, value", [
         ("a:\u0660.\u0666,b:\u0660.\u0664", "\u0660.\u0666"), ("a:0.0_1,b:0.9_9", "0.0_1"),
-    ], ids=["arabic-indic-digits", "underscores"])
+        ("a:\uff10.\uff16,b:0.4", "\uff10.\uff16"), ("a:0.6\u00a0,b:0.4", "0.6\u00a0"),
+        ("a:6e-0_1,b:0.4", "6e-0_1"),
+    ], ids=["arabic-indic-digits", "underscores", "fullwidth-digits", "no-break-space",
+            "underscore-in-exponent"])
     def test_mass_value_that_is_no_plain_number_exits_2(self, capsys, spec, value):
         # float() reads both, so they used to exit 0 as 0.6/0.4 and 0.01/0.99.
         code, out, err = run_cli(capsys, "combine", "--frame", "a,b", "--mass", spec)
@@ -568,14 +571,15 @@ class TestCombineCommand:
         message = f"bad mass entry {entry!r}: mass value {value!r} is not a plain ASCII number"
         assert err.endswith(f"error: {message}\n")
 
-    @pytest.mark.parametrize("value", ["6e-1", " 0.6 ", "0.60"])
+    @pytest.mark.parametrize("value", ["6e-1", " 0.6 ", "0.60", "+0.6", "600e-3", "\t0.6"])
     def test_mass_value_spellings_of_one_number_agree(self, capsys, value):
         _, expected, _ = run_cli(capsys, "combine", "--frame", "a,b", "--mass", "a:0.6,b:0.4")
         code, out, _ = run_cli(capsys, "combine", "--frame", "a,b", "--mass", f"a:{value},b:.4")
         assert (code, out) == (0, expected)
 
-    @pytest.mark.parametrize("frame, spec", [("Θ,a", "Θ:0.5,Θ|a:0.5"), ("a|b,c", "c:1")],
-                             ids=["theta-symbol", "pipe"])
+    @pytest.mark.parametrize("frame, spec", [
+        ("Θ,a", "Θ:0.5,Θ|a:0.5"), ("a|b,c", "c:1"), ("Θ,a,b", "a:0.5,b:0.5"),
+    ], ids=["theta-symbol", "pipe", "theta-symbol-in-a-larger-frame"])
     def test_frame_label_that_describe_cannot_tell_apart_exits_2(self, capsys, frame, spec):
         # With the label Θ, the JSON "combined" object kept one of the two focal sets.
         code, out, err = run_cli(capsys, "combine", "--frame", frame, "--mass", spec,

@@ -78,14 +78,24 @@ class TestFrame:
         with pytest.raises(EvidenceError):
             make_frame(["a", ""])
 
-    @pytest.mark.parametrize("labels, bad", [(["Θ", "a"], "Θ"), (["a|b", "c"], "a|b")],
-                             ids=["theta-symbol", "pipe"])
+    @pytest.mark.parametrize("labels, bad", [
+        (["Θ", "a"], "Θ"), (["a|b", "c"], "a|b"), (["a", "b", "Θ"], "Θ"), (["a", "|"], "|"),
+        (["a", "b|"], "b|"),
+    ], ids=["theta-symbol", "pipe", "theta-symbol-last", "bare-pipe", "trailing-pipe"])
     def test_label_that_describe_cannot_tell_apart_rejected(self, labels, bad):
         # describe() names the whole frame Θ and joins labels with |, so either label made two
         # focal sets print alike, or one that no mass spec could name.
         message = f"^frame label {re.escape(repr(bad))} must not be Θ or hold '\\|'$"
         with pytest.raises(EvidenceError, match=message):
             make_frame(labels)
+
+    @pytest.mark.parametrize("labels", [["a", "b", "c"], ["Θa", "a"], ["a b", "a", "b"]],
+                             ids=["plain", "holds-theta-symbol", "holds-space"])
+    def test_every_focal_set_has_its_own_description(self, labels):
+        # A label may hold Θ or a space: only a label equal to Θ, or one holding |, is refused.
+        frame = make_frame(labels)
+        names = {frame.describe(bits) for bits in range(1, frame.full_mask + 1)}
+        assert len(names) == frame.full_mask
 
     def test_subset_and_describe(self):
         frame = make_frame(["a", "b", "c"])
