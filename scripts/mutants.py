@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check of the decision code: email and its saturation cutoff,
 three-class, the binary classifier's shared predictions, the two-label
-conflict bound and the subset rule, standard library only.
+conflict bound and the subset rule; and of the training and harness code:
+the threshold walk, the feature pick's tie, the fold trainer's counts, the
+fold balance and the confusion counts. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -36,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PYTEST = ["-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
 COPIED = ("src", "tests", "data", "pyproject.toml")
 BPA, CLASSIFY = "src/dsfusion/bpa.py", "src/dsfusion/classify.py"
-EVIDENCE = "src/dsfusion/evidence.py"
+EVIDENCE, DATA = "src/dsfusion/evidence.py", "src/dsfusion/data.py"
 
 
 class Scope(NamedTuple):
@@ -58,6 +60,11 @@ BINARY = Scope(CLASSIFY, ("tests/test_classify.py",), "classify_binary or Classi
 CONFLICT = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_classify.py"),
                  "conflict or Conflict")
 SUBSET = Scope(CLASSIFY, ("tests/test_data.py", "tests/test_cli.py"), "subset or Subset")
+# The training helpers' tests, the fold trainers' tests, and the harness's fold and
+# evaluation tests.
+TRAINING = Scope(BPA, ("tests/test_bpa.py",), "Threshold or SelectFeature")
+FOLDS = Scope(CLASSIFY, ("tests/test_classify.py",), "train or Train or fold")
+HARNESS = Scope(DATA, ("tests/test_data.py",), "Fold or Evaluate")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -117,6 +124,14 @@ MUTANTS = [
     ("subset-repeat-dropped", SUBSET,
      'raise ValueError(f"{name} subset {list(subset)} repeats an entry")', "pass", None),
     ("subset-unsorted", SUBSET, "return tuple(sorted(subset))", "return tuple(subset)", None),
+    ("threshold-walk-strict", TRAINING, "if k <= 0:", "if k < 0:", None),
+    ("select-feature-tie-last", TRAINING, "if value < best_value:", "if value <= best_value:",
+     None),
+    ("fold-own-count-kept", FOLDS, "totals[v] - cells[v, fold]", "totals[v]", None),
+    ("folds-extra-record", HARNESS, "1 if fold < extra else 0", "1 if fold <= extra else 0",
+     None),
+    ("confusion-transposed", HARNESS, "matrix[truths[i]][predicted] += 1",
+     "matrix[predicted][truths[i]] += 1", None),
 ]
 
 

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per cross-validated task over many report JSONs.
+"""Print one SHA-256 per task over many report JSONs and check them
+against the digests committed in ``DIGESTS.json``.
 
-A change that must keep every report byte-identical can be checked by
-running this before and after it: the two lines must not change.
+A change that must keep every report byte-identical runs this after it:
+the three digests must still match the committed ones. A change that
+moves a report on purpose updates ``DIGESTS.json`` and says which reports
+changed and why.
 
 - ``iris``: ``report_json(evaluate(iris, "iris", folds=make_folds(150, k, s)),
   include_runtime=False)`` for k=10 with s=0..2999, then k=3, 5, 20 and 50
@@ -14,13 +17,18 @@ running this before and after it: the two lines must not change.
   for s=0..99, each with the fifteen signal subsets (1, 2, 3, 4, 12, ..., 1234) in turn.
 
 Each digest hashes the reports' UTF-8 bytes concatenated in that order.
+``SLICE`` names a small part of the same reports (iris k=10 with s=0..99,
+wbcd and email at s=0 alone), whose digests ``DIGESTS.json`` also holds and
+``tests/test_report_digest.py`` checks in well under a second.
 
 Usage: python scripts/report_digest.py  (about 20 s on a 2-core machine)
+It exits 1 and names each task whose digest differs from ``DIGESTS.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -32,9 +40,14 @@ from dsfusion.data import (  # noqa: E402
     evaluate, generate_email, load_iris, load_wbcd, make_folds, report_json,
 )
 
-IRIS_PLANS = [(10, s) for s in range(3000)] + [(k, s) for k in (3, 5, 20, 50) for s in range(300)]
+DIGESTS_PATH = ROOT / "DIGESTS.json"
 WBCD_SUBSETS = [(f,) for f in range(9)] + [(0, 3, 8), (1, 2, 5), tuple(range(9))]
 EMAIL_SUBSETS = [c for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
+
+# The reports of each digest: iris (k, fold seed) plans, wbcd fold seeds, email corpus seeds.
+FULL = ([(10, s) for s in range(3000)] + [(k, s) for k in (3, 5, 20, 50) for s in range(300)],
+        range(100), range(100))
+SLICE = ([(10, s) for s in range(100)], range(1), range(1))
 
 
 def digest(reports) -> str:
@@ -44,21 +57,35 @@ def digest(reports) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def digests(iris_plans, wbcd_seeds, email_seeds) -> dict[str, str]:
+    """Each task's digest over the reports that ``FULL`` or ``SLICE`` names."""
     iris = load_iris(ROOT / "data" / "iris.data")
     wbcd = load_wbcd(ROOT / "data" / "breast-cancer-wisconsin.data")
-    print("iris", digest(
-        evaluate(iris, "iris", folds=make_folds(len(iris), k, s)) for k, s in IRIS_PLANS
-    ))
-    print("wbcd", digest(
-        evaluate(wbcd, "wbcd", folds=make_folds(len(wbcd), 10, s), subset=subset)
-        for subset in WBCD_SUBSETS for s in range(100)
-    ))
-    print("email", digest(
-        evaluate(corpus, "email", subset=signals)
-        for corpus in map(generate_email, range(100)) for signals in EMAIL_SUBSETS
-    ))
+    return {
+        "iris": digest(
+            evaluate(iris, "iris", folds=make_folds(len(iris), k, s)) for k, s in iris_plans
+        ),
+        "wbcd": digest(
+            evaluate(wbcd, "wbcd", folds=make_folds(len(wbcd), 10, s), subset=subset)
+            for subset in WBCD_SUBSETS for s in wbcd_seeds
+        ),
+        "email": digest(
+            evaluate(corpus, "email", subset=signals)
+            for corpus in map(generate_email, email_seeds) for signals in EMAIL_SUBSETS
+        ),
+    }
+
+
+def main() -> int:
+    actual = digests(*FULL)
+    for task, value in actual.items():
+        print(task, value)
+    expected = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))["full"]
+    changed = [task for task in expected if actual[task] != expected[task]]
+    for task in changed:
+        print(f"{task}: digest differs from DIGESTS.json's {expected[task]}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -57,7 +57,6 @@ from .data import (
     EvalReport,
     FoldPlan,
     RecordSet,
-    ablation,
     evaluate,
     generate_email,
     load_email,
@@ -66,7 +65,6 @@ from .data import (
     make_folds,
     repeated_cv,
     write_email_csv,
-    write_report,
 )
 
 __version__ = "0.1.0"

@@ -104,12 +104,16 @@ def moments(values: Sequence[float]) -> Moments:
 
     Values that all equal one another have that value as their mean and M2
     exactly 0: their float ``sum / n`` can miss the common value by an ulp,
-    which would move the mean and leave a spurious spread.
+    which would move the mean and leave a spurious spread. A NaN or infinite
+    value is refused; finite values whose sum overflows pass.
     """
     n = len(values)
     if not n:
         raise ValueError("moments need at least one value")
     total = sum(values)
+    if not math.isfinite(total):  # before min and max, which skip a NaN after the first value
+        for bad in (v for v in values if not math.isfinite(v)):
+            raise ValueError(f"feature value must be finite, got {bad}")
     lo, hi = min(values), max(values)
     mean = lo if lo == hi else total / n
     m2 = 0.0 if lo == hi else sum([(v - mean) * (v - mean) for v in values])
@@ -271,15 +275,6 @@ def table_mass(signal_value: float, bpa: TableBpa) -> MassFunction:
     return _table_mass_cached(table_row(signal_value, bpa))
 
 
-def row_arity(rows: Sequence[Sequence]) -> int:
-    """The length of row 0 of nonempty ``rows``; a ``ValueError`` names any other length."""
-    n = len(rows[0])
-    if len(set(map(len, rows))) > 1:
-        i = next(i for i, row in enumerate(rows) if len(row) != n)
-        raise ValueError(f"row {i} has {len(rows[i])} values, row 0 has {n}")
-    return n
-
-
 def class_moments(columns: Columns) -> ClassMoments:
     """The :class:`Moments` of each feature's values per class: ``columns[f][c]`` holds
     feature f's values in class c."""
@@ -295,9 +290,8 @@ def class_moments(columns: Columns) -> ClassMoments:
                 if None not in values:
                     raise
                 raise ValueError(f"feature {f} has a missing value") from None
-            if not math.isfinite(m.total):  # a non-finite value; finite ones that overflow pass
-                for bad in (v for v in values if not math.isfinite(v)):
-                    raise ValueError(f"feature value must be finite, got {bad} in feature {f}")
+            except ValueError as exc:  # a non-finite value
+                raise ValueError(f"{exc} in feature {f}") from None
             stats[f].append(m)
     return stats
 

@@ -39,7 +39,6 @@ from .bpa import (
     focal_row,
     logistic,
     nearest_mean,
-    row_arity,
     saturation_cutoff,
     scaled_sigmoid_row,
     select_feature,
@@ -152,6 +151,20 @@ def train_binary(
     return train_binary_folds(rows, labels, (0,) * len(rows), features)(None)
 
 
+def _fold_arity(rows: Sequence[Sequence], labels: Sequence[int], held_out: Sequence[int]) -> int:
+    # The fold trainers' one input check: a label and a fold id per row, and rows of one
+    # length, which it returns (0 for no rows); each failure is a ValueError.
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
+    if len(held_out) != len(rows):
+        raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
+    n = len(rows[0]) if rows else 0
+    if len(set(map(len, rows))) > 1:
+        i = next(i for i, row in enumerate(rows) if len(row) != n)
+        raise ValueError(f"row {i} has {len(rows[i])} values, row 0 has {n}")
+    return n
+
+
 def train_binary_folds(
     rows: Sequence[MaybeRow],
     labels: Sequence[int],
@@ -167,11 +180,7 @@ def train_binary_folds(
     threshold is an order statistic, picked with no arithmetic on the
     values, so the counts give the bits a sort of each fold's column gives.
     """
-    if len(rows) != len(labels):
-        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
-    if len(held_out) != len(rows):
-        raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
-    n, n_features = len(rows), row_arity(rows) if rows else 0
+    n, n_features = len(rows), _fold_arity(rows, labels, held_out)
     allowed = range(n_features)
     features = allowed if features is None else checked_subset(features, allowed, "feature")
     per_fold = Counter(zip(labels, held_out))
@@ -368,15 +377,11 @@ def train_three_class_folds(
     so its columns hold the values, in the order, of its own rows'. Unequal
     lengths and ragged rows are refused here; every other check, when a fold is fitted.
     """
-    if len(rows) != len(labels):
-        raise ValueError(f"{len(rows)} rows vs {len(labels)} labels")
-    if len(held_out) != len(rows):
-        raise ValueError(f"{len(held_out)} fold ids for {len(rows)} rows")
+    n_features = _fold_arity(rows, labels, held_out)
     sizes = Counter(held_out)
     outside = [] if set(labels) <= {0, 1, 2} else [
         (label, g) for label, g in zip(labels, held_out) if label not in (0, 1, 2)
     ]
-    n_features = row_arity(rows) if rows else 0
     class_rows = [list(compress(rows, map(eq, labels, repeat(c)))) for c in range(3)]
     homes = [list(compress(held_out, map(eq, labels, repeat(c)))) for c in range(3)]
 

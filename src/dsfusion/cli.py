@@ -23,7 +23,6 @@ from .bpa import moments
 from .classify import EMAIL_SIGNALS, checked_subset, classifier_to_dict
 from .data import (
     DataFormatError,
-    ablation,
     evaluate,
     generate_email,
     load_email,
@@ -82,10 +81,12 @@ def _parse_signals(spec: str, parser: argparse.ArgumentParser) -> tuple[int, ...
 
 
 def _emit(report, args) -> None:
+    # The one report writer: the same bytes to stdout and --out, then the run time to stderr.
     text = harness.render_report(report, args.format)
     print(text, end="")
     if args.out:
         args.out.write_bytes(text.encode("utf-8"))
+    print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
 
 
 def _dump_model(dataset, task: str, path: Path) -> None:
@@ -115,12 +116,11 @@ def _cmd_wbcd(args, parser) -> int:
     if args.dump_model:
         _dump_model(dataset, "wbcd", args.dump_model)
     if args.ablate is not None:
-        for label, accuracy in ablation(dataset, "wbcd", subsets, folds=folds):
-            print(f"{label}: {accuracy:.4f}")
+        for subset in subsets:
+            report = evaluate(dataset, "wbcd", folds=folds, subset=subset)
+            print(f"{report.config['features']}: {report.accuracy:.4f}")
         return 0
-    report = evaluate(dataset, "wbcd", folds=folds, subset=features)
-    _emit(report, args)
-    print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
+    _emit(evaluate(dataset, "wbcd", folds=folds, subset=features), args)
     return 0
 
 
@@ -199,7 +199,6 @@ def _cmd_email(args, parser) -> int:
     for margin, rid, pred in margins[:5]:
         print(f"  id {rid}: margin {margin:.4f}, {pred.label}, {pred.mass}", file=summary)
     _emit(report, args)
-    print(f"runtime: {report.runtime_seconds:.3f} s", file=sys.stderr)
     return 0
 
 

@@ -537,20 +537,6 @@ def evaluate(
     )
 
 
-def ablation(
-    dataset: RecordSet,
-    task: str,
-    subsets: Sequence[Sequence[int]],
-    folds: FoldPlan | None = None,
-) -> list[tuple[str, float]]:
-    """One evaluation per feature (or signal) subset, reusing the fold plan."""
-    table = []
-    for subset in subsets:
-        report = evaluate(dataset, task, folds=folds, subset=subset)
-        table.append((report.config[TASKS[task].key], report.accuracy))
-    return table
-
-
 def repeated_cv(dataset: RecordSet, task: str, runs: int, k: int, seed: int) -> list[EvalReport]:
     """Full cross-validations with seeds seed, seed+1, ..., seed+runs-1."""
     if runs < 1:
@@ -578,11 +564,6 @@ def render_report(report: EvalReport, fmt: str) -> str:
     if fmt == "text":
         return report_text(report)
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def write_report(report: EvalReport, path: str | Path, fmt: str = "json") -> None:
-    """Write :func:`render_report`'s string, byte for byte."""
-    Path(path).write_bytes(render_report(report, fmt).encode("utf-8"))
 
 
 def report_text(report: EvalReport) -> str:

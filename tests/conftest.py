@@ -38,16 +38,6 @@ IRIS_PATH = DATA_DIR / "iris.data"
 
 
 @pytest.fixture(scope="session")
-def wbcd_path() -> Path:
-    return WBCD_PATH
-
-
-@pytest.fixture(scope="session")
-def iris_path() -> Path:
-    return IRIS_PATH
-
-
-@pytest.fixture(scope="session")
 def wbcd_dataset():
     return load_wbcd(WBCD_PATH)
 

@@ -126,9 +126,8 @@ _ABLATION_SUBSETS += [(0, 3, 8), (1, 2, 5), tuple(range(9))]
 @pytest.fixture(scope="module")
 def accuracies(wbcd_dataset):
     folds = make_folds(len(wbcd_dataset), 10, SEED)
-    from dsfusion import ablation
-
-    return dict(ablation(wbcd_dataset, "wbcd", _ABLATION_SUBSETS, folds=folds))
+    reports = [evaluate(wbcd_dataset, "wbcd", folds=folds, subset=s) for s in _ABLATION_SUBSETS]
+    return {report.config["features"]: report.accuracy for report in reports}
 
 
 class TestCriterion04WbcdAblation:

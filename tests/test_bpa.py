@@ -472,6 +472,28 @@ class TestFsv:
         with pytest.raises(ValueError, match="^moments need at least one value$"):
             moments([])
 
+    @pytest.mark.parametrize("values, bad", [
+        ([1.0, math.nan], "nan"), ([math.nan, 1.0], "nan"), ([1.0, 1.0, math.nan], "nan"),
+        ([1.0, math.inf], "inf"), ([-math.inf, 1.0], "-inf"),
+    ])
+    def test_moments_refuse_a_non_finite_value_in_any_position(self, values, bad):
+        # min and max skip a NaN after the first value: [1.0, nan] once read as a constant.
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            moments(values)
+
+    def test_moments_of_finite_values_whose_sum_overflows(self):
+        m = moments([1.5e308, 1.7e308])
+        assert (m.total, m.lo, m.hi) == (math.inf, 1.5e308, 1.7e308)
+
+    @pytest.mark.parametrize("grouped, bad", [
+        ([[1.0, math.nan], [2.0, 3.0]], "nan"), ([[2.0, 3.0], [math.nan, 1.0]], "nan"),
+        ([[1.0, 2.0], [3.0, math.inf]], "inf"),
+    ])
+    def test_non_finite_value_rejected(self, grouped, bad):
+        # fsv([[1.0, nan], [2.0, 3.0]]) used to return nan.
+        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
+            fsv(grouped)
+
     @pytest.mark.parametrize("value", [0.1, 0.7, 1.1])
     def test_constant_class_mean_is_its_value(self, value):
         # sum([0.1] * 3) / 3 is 0.10000000000000002, which would put 0.1

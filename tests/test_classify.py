@@ -111,6 +111,15 @@ class TestTrainBinary:
         with pytest.raises(ValueError):
             train_binary([(1.0,), (2.0,)], [0, 0])
 
+    def test_each_fold_fits_on_the_records_outside_it(self, wbcd_dataset):
+        # A fold's count of a value is its total less the fold's own records of it.
+        rows, labels = wbcd_dataset.rows, wbcd_dataset.labels
+        held_out = [i % 10 for i in range(len(rows))]
+        fit = train_binary_folds(rows, labels, held_out)
+        for fold in range(10):
+            kept = [i for i, g in enumerate(held_out) if g != fold]
+            assert fit(fold) == train_binary([rows[i] for i in kept], [labels[i] for i in kept])
+
     @pytest.mark.parametrize("label", [2, -1, None])
     def test_label_outside_classes_rejected(self, label):
         # Such a label was once counted with the abnormal records.
@@ -682,11 +691,19 @@ class TestTrainThreeClassInput:
         with pytest.raises(ValueError, match=r"^class means must be finite: \(\(.*inf"):
             train_three_class(rows, iris_dataset.labels, IRIS_FRAME)
 
+    def test_no_rows_rejected_by_both_trainers(self):
+        with pytest.raises(ValueError, match="^no training records$"):
+            train_three_class([], [], IRIS_FRAME)
+        with pytest.raises(ValueError, match="^training data must contain both normal and "):
+            train_binary([], [])
+
     @pytest.mark.parametrize("rows, labels, held_out, message", [
         ([(1.0,), (2.0,)], [0, 1], [0], "^1 fold ids for 2 rows$"),
         ([(1.0,), (2.0,), (3.0,)], [0, 1], [0, 0, 1], "^3 rows vs 2 labels$"),
         ([(1.0,), (2.0, 3.0)], [0, 1], [0, 1], "^row 1 has 2 values, row 0 has 1$"),
-    ], ids=["fold-ids", "labels", "ragged"])
+        # The binary trainer's order: ragged rows are refused before any label is scanned.
+        ([(1.0,), (2.0, 3.0)], [0, [1]], [0, 0], "^row 1 has 2 values, row 0 has 1$"),
+    ], ids=["fold-ids", "labels", "ragged", "ragged-before-an-unhashable-label"])
     def test_columns_of_other_lengths_rejected_while_preparing(
         self, rows, labels, held_out, message
     ):

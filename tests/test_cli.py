@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,14 @@ class TestWbcdCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("A:")
         assert lines[1].startswith("BCF:")
+
+    def test_ablate_reuses_the_folds(self, capsys):
+        # Each subset is evaluated on the one fold plan, so a repeated subset repeats its row.
+        code, out, _ = run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--ablate", "A,A")
+        assert code == 0
+        first, second = out.splitlines()
+        assert first == second
+        assert first.startswith("A: ")
 
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "wbcd", "--data", "missing.file")
@@ -465,6 +474,23 @@ def test_byte_order_mark_on_a_later_line_is_a_cell_error(tmp_path, capsys, comma
     code, out, err = run_cli(capsys, command, "--data", str(bad))
     assert (code, out) == (3, "")
     assert err.startswith(f"error: {bad}:2: {message}")
+
+
+@pytest.mark.parametrize("argv, runtime_lines", [
+    (("wbcd", "--data", str(WBCD_PATH)), 1),
+    (("wbcd", "--data", str(WBCD_PATH), "--format", "json"), 1),
+    (("wbcd", "--data", str(WBCD_PATH), "--format", "csv"), 1),
+    (("email", "--generate", "--format", "json"), 1),
+    (("wbcd", "--data", str(WBCD_PATH), "--ablate", "A,BCF"), 0),
+], ids=["wbcd-text", "wbcd-json", "wbcd-csv", "email-json", "wbcd-ablate"])
+def test_a_report_ends_stderr_with_one_runtime_line(capsys, argv, runtime_lines):
+    # The report writer prints the run time after the report; an ablation writes no report.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    lines = err.splitlines()
+    assert sum(line.startswith("runtime: ") for line in lines) == runtime_lines
+    if runtime_lines:
+        assert re.fullmatch(r"runtime: [0-9]+\.[0-9]{3} s", lines[-1])
 
 
 class TestGenerateEmailCommand:

@@ -16,7 +16,6 @@ from dsfusion import (
     DataFormatError,
     FoldPlan,
     RecordSet,
-    ablation,
     evaluate,
     generate_email,
     load_email,
@@ -24,7 +23,6 @@ from dsfusion import (
     load_wbcd,
     make_folds,
     write_email_csv,
-    write_report,
 )
 from dsfusion.data import (
     EMAIL_DOC_IDS,
@@ -41,6 +39,7 @@ from dsfusion.data import (
     TASKS,
     RNG_ID,
     WBCD_FEATURES,
+    render_report,
     repeated_cv,
     report_json,
     report_text,
@@ -735,8 +734,7 @@ class TestEvaluate:
         assert report_json(given, include_runtime=False) == report_json(
             ordered, include_runtime=False
         )
-        label = ablation(dataset, task, [subset], folds=folds)[0][0]
-        assert label == given.config[TASKS[task].key]
+        label = given.config[TASKS[task].key]
         assert list(label) == sorted(label)
 
     def test_email_model_fuses_the_evaluated_signals(self):
@@ -1121,26 +1119,21 @@ class TestOneSubsetRule:
 
 
 class TestAblation:
-    def test_same_folds_reused(self, wbcd_dataset):
-        folds = make_folds(len(wbcd_dataset), 10, 42)
-        table = ablation(wbcd_dataset, "wbcd", [(0,), (0,)], folds=folds)
-        assert table[0] == table[1]
-        assert table[0][0] == "A"
-
     def test_wbcd_rows_match_full_training(self, wbcd_dataset):
         folds = make_folds(len(wbcd_dataset), 10, 42)
-        expected = []
         for subset in ACCEPTANCE_SUBSETS:
-            report = full_model_report(wbcd_dataset, subset, folds)
-            expected.append((report["config"]["features"], report["accuracy"]))
-        assert ablation(wbcd_dataset, "wbcd", ACCEPTANCE_SUBSETS, folds=folds) == expected
+            expected = full_model_report(wbcd_dataset, subset, folds)
+            report = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=subset)
+            assert (report.config["features"], report.accuracy) == (
+                expected["config"]["features"], expected["accuracy"]
+            )
 
     def test_email_signal_subsets(self):
         dataset = generate_email()
-        table = ablation(dataset, "email", [(1, 2, 3, 4), (2, 3, 4)])
-        assert table[0][0] == "1234"
-        assert table[1][0] == "234"
-        assert 0 <= table[1][1] <= 1
+        full, three = (evaluate(dataset, "email", subset=s) for s in [(1, 2, 3, 4), (2, 3, 4)])
+        assert full.config["signals"] == "1234"
+        assert three.config["signals"] == "234"
+        assert 0 <= three.accuracy <= 1
 
 
 class TestRepeatedCv:
@@ -1161,19 +1154,15 @@ class TestRepeatedCv:
 
 
 class TestReports:
-    def test_json_round_trip(self, tmp_path, iris_dataset):
+    def test_json_round_trip(self, iris_dataset):
         folds = make_folds(len(iris_dataset), 10, 42)
         report = evaluate(iris_dataset, "iris", folds=folds)
-        path = tmp_path / "report.json"
-        write_report(report, path, "json")
-        assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_dict()
+        assert json.loads(render_report(report, "json")) == report.to_json_dict()
 
-    def test_csv_row_count(self, tmp_path, iris_dataset):
+    def test_csv_row_count(self, iris_dataset):
         folds = make_folds(len(iris_dataset), 10, 42)
         report = evaluate(iris_dataset, "iris", folds=folds)
-        path = tmp_path / "report.csv"
-        write_report(report, path, "csv")
-        lines = path.read_text().strip().splitlines()
+        lines = render_report(report, "csv").strip().splitlines()
         assert len(lines) == folds.k + 1
 
     def test_text_contains_misclassified_traces(self, tmp_path, iris_dataset):
@@ -1194,8 +1183,8 @@ class TestReports:
         ]
         assert payload["config"]["rng"] == "mt19937-python"
 
-    def test_unknown_format_rejected(self, tmp_path, iris_dataset):
+    def test_unknown_format_rejected(self, iris_dataset):
         folds = make_folds(len(iris_dataset), 10, 42)
         report = evaluate(iris_dataset, "iris", folds=folds)
-        with pytest.raises(ValueError):
-            write_report(report, tmp_path / "report.xml", "xml")
+        with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+            render_report(report, "xml")
