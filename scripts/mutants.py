@@ -3,7 +3,8 @@
 three-class, the binary classifier's shared predictions, the two-label
 conflict bound and the subset rule; and of the training and harness code:
 the threshold walk, the feature pick's tie, the fold trainer's counts, the
-fold balance and the confusion counts. Standard library only.
+fold balance and the confusion counts; and of the WBCD loader's column pass,
+its per-line width check. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -65,6 +66,8 @@ SUBSET = Scope(CLASSIFY, ("tests/test_data.py", "tests/test_cli.py"), "subset or
 TRAINING = Scope(BPA, ("tests/test_bpa.py",), "Threshold or SelectFeature")
 FOLDS = Scope(CLASSIFY, ("tests/test_classify.py",), "train or Train or fold")
 HARNESS = Scope(DATA, ("tests/test_data.py",), "Fold or Evaluate")
+# The WBCD loader's tests against the row-by-row reference.
+LOADER = Scope(DATA, ("tests/test_data.py",), "load_wbcd")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -132,6 +135,8 @@ MUTANTS = [
      None),
     ("confusion-transposed", HARNESS, "matrix[truths[i]][predicted] += 1",
      "matrix[predicted][truths[i]] += 1", None),
+    ("column-pass-width-unchecked", LOADER,
+     'if lines and set(map(str.count, lines, repeat(","))) == {10}:', "if lines:", None),
 ]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,18 +106,23 @@ def moments(values: Sequence[float]) -> Moments:
     Values that all equal one another have that value as their mean and M2
     exactly 0: their float ``sum / n`` can miss the common value by an ulp,
     which would move the mean and leave a spurious spread. A NaN or infinite
-    value is refused; finite values whose sum overflows pass.
+    value is refused, as is an int or ``Fraction`` past the float range (or
+    an int sum past it); finite float values whose sum overflows pass.
     """
     n = len(values)
     if not n:
         raise ValueError("moments need at least one value")
-    total = sum(values)
-    if not math.isfinite(total):  # before min and max, which skip a NaN after the first value
-        for bad in (v for v in values if not math.isfinite(v)):
-            raise ValueError(f"feature value must be finite, got {bad}")
-    lo, hi = min(values), max(values)
-    mean = lo if lo == hi else total / n
-    m2 = 0.0 if lo == hi else sum([(v - mean) * (v - mean) for v in values])
+    try:
+        total = sum(values)
+        if not math.isfinite(total):  # before min and max, which skip a NaN after the first
+            for bad in (v for v in values if not math.isfinite(v)):
+                raise ValueError(f"feature value must be finite, got {bad}")
+        lo, hi = min(values), max(values)
+        mean = lo if lo == hi else total / n
+        m2 = 0.0 if lo == hi else sum([(v - mean) * (v - mean) for v in values])
+    except OverflowError:  # converting a value, or an int sum, to float
+        bad = next((f"value {v}" for v in values if abs(v) > sys.float_info.max), "values' sum")
+        raise ValueError(f"feature {bad} is beyond the float range") from None
     sd = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
     return Moments(n, total, mean, m2, sd, lo, hi)
 

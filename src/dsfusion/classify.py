@@ -75,11 +75,11 @@ def checked_subset(subset: Collection, allowed: Sequence[int], name: str) -> tup
     return tuple(sorted(subset))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Prediction:
     """A label, the fused mass function behind it, and a decision trace.
 
-    The mass is ``build(frame, *args)``, built on first read and then kept;
+    The mass is ``build(frame, *args)``, kept in a slot filled on first read;
     a module-level ``build`` and plain-data ``args`` keep it picklable. A
     prediction and its trace are read-only, so either may be shared.
     """
@@ -89,14 +89,17 @@ class Prediction:
     trace: Mapping[str, object]
     build: Callable[..., MassFunction] = field(repr=False)
     args: tuple = field(repr=False)
+    _mass: MassFunction | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.label not in self.frame.labels:
             raise ValueError(f"label {self.label!r} is not a frame singleton")
 
-    @cached_property
+    @property
     def mass(self) -> MassFunction:
-        return self.build(self.frame, *self.args)
+        if self._mass is None:
+            self._mass = self.build(self.frame, *self.args)
+        return self._mass
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prediction):
@@ -127,14 +130,14 @@ class BinaryModel:
         return tuple((f, bpa.threshold) for f, bpa in enumerate(self.bpas) if bpa is not None)
 
     @cached_property
-    def terms(self) -> tuple[list[int], Callable[[MaybeRow], Sequence], tuple[float, ...], dict]:
-        """The fitted features, a getter of a record's values on them that always
-        returns a sequence, the negated thresholds, and the model's shared predictions
-        keyed by that getter's result, for :func:`classify_binary`."""
+    def terms(self) -> tuple[dict, Callable[[MaybeRow], Sequence], tuple[float, ...], dict]:
+        """For :func:`classify_binary`: the one trace of the records that use every fitted
+        feature, a getter of a record's values on them that always returns a sequence, the
+        negated thresholds, and the shared predictions keyed by that getter's result."""
         features = [f for f, _ in self.fitted]
         first = features[0]
         get = itemgetter(*features) if len(features) > 1 else itemgetter(slice(first, first + 1))
-        return features, get, tuple(-t for _, t in self.fitted), {}
+        return {"features": features}, get, tuple(-t for _, t in self.fitted), {}
 
 
 def train_binary(
@@ -287,14 +290,14 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
 def _binary_prediction(record: MaybeRow, model: BinaryModel) -> Prediction:
     # classify_binary's decision of a record of the model's length: the one fsum, else the
     # checked loop.
-    features, get, negated, _ = model.terms
+    trace, get, negated, _ = model.terms
     try:  # a None or a non-numeric value is a TypeError, inf and -inf a ValueError
         score = math.fsum((*get(record), *negated))
     except (TypeError, ValueError, OverflowError):  # the checked loop skips, raises or clamps
         score = math.nan
     if math.isfinite(score):
         label = "abnormal" if score > 0 else "normal"
-        return Prediction(label, BINARY_FRAME, {"features": [*features]}, _score_mass, (score,))
+        return Prediction(label, BINARY_FRAME, trace, _score_mass, (score,))
     used, terms = [], []
     for f, threshold in model.fitted:
         value = record[f]

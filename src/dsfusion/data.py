@@ -17,9 +17,9 @@ import random
 import re
 import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -107,6 +107,14 @@ def _positional(rows: list, labels: list, *names: tuple[str, ...]) -> RecordSet:
     return RecordSet(tuple(range(1, len(rows) + 1)), tuple(rows), tuple(labels), *names)
 
 
+def _read_text(path: str | Path) -> str:
+    # The file's text, decoded as UTF-8 with a leading byte-order mark dropped.
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_rows(path: str | Path, width: int, header: tuple | None = None) -> list:
     """Each record line of a UTF-8 dataset file (a leading byte-order mark is
     dropped): its line number and its ``width`` comma-separated cells. Lines
@@ -114,11 +122,7 @@ def _read_rows(path: str | Path, width: int, header: tuple | None = None) -> lis
     ``str.splitlines`` would also split at "\\x0c"), whitespace-only lines
     are skipped and no line is stripped. ``header`` must equal the first
     line's cells, which are then dropped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = enumerate(text.split("\n"), start=1)
+    lines = enumerate(_read_text(path).split("\n"), start=1)
     rows = [(i, line.split(",")) for i, line in lines if line and not line.isspace()]
     if not rows:
         raise DataFormatError(f"{path}: empty dataset file")
@@ -148,14 +152,15 @@ def load_wbcd(path: str | Path) -> RecordSet:
     1-based row positions; the file's sample codes repeat and are dropped
     unchecked.
     """
-    lines = _read_rows(path, 11)
-    fields = list(map(itemgetter(1), lines))
-    try:  # every cell and class code canonical: one C-level lookup pass over each column
-        cells = chain.from_iterable(map(itemgetter(slice(1, 10)), fields))
-        rows = list(zip(*[map(_WBCD_CELLS.__getitem__, cells)] * 9))
-        labels = list(map(_WBCD_CLASSES.__getitem__, map(itemgetter(10), fields)))
-    except KeyError:  # another spelling or a bad value: row by row, naming the first bad line
-        rows, labels = _wbcd_rows(path, lines)
+    lines = list(filter(str.strip, _read_text(path).split("\n")))  # the lines _read_rows keeps
+    if lines and set(map(str.count, lines, repeat(","))) == {10}:
+        cells = ",".join(lines).split(",")
+        with suppress(KeyError):  # every cell and class code canonical: one pass per column
+            rows = tuple(zip(*(map(_WBCD_CELLS.__getitem__, cells[j::11]) for j in range(1, 10))))
+            labels = tuple(map(_WBCD_CLASSES.__getitem__, cells[10::11]))
+            return _positional(rows, labels, WBCD_FEATURES, ("normal", "abnormal"))
+    # Another width, spelling or a bad value: row by row, naming the first bad line.
+    rows, labels = _wbcd_rows(path, _read_rows(path, 11))
     return _positional(rows, labels, WBCD_FEATURES, ("normal", "abnormal"))
 
 

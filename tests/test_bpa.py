@@ -359,6 +359,11 @@ class TestFitBoundaries:
         with pytest.raises(ValueError, match="^feature 0 has a missing value$"):
             class_moments([[[math.nan, None], [1.0], [2.0]]])
 
+    def test_value_past_the_float_range_named_with_its_feature(self):
+        message = f"^feature value {10**400} is beyond the float range in feature 1$"
+        with pytest.raises(ValueError, match=message):
+            class_moments([[[1.0, 2.0], [3.0], [4.0]], [[5.0], [1, 10**400], [6.0]]])
+
     def test_finite_values_whose_sum_overflows_pass(self):
         # Their moments carry the infinite sum; the model's checks reject what follows.
         ((big, _, _),) = class_moments([[[1.5e308, 1.7e308], [1.0], [2.0]]])
@@ -484,6 +489,20 @@ class TestFsv:
     def test_moments_of_finite_values_whose_sum_overflows(self):
         m = moments([1.5e308, 1.7e308])
         assert (m.total, m.lo, m.hi) == (math.inf, 1.5e308, 1.7e308)
+
+    @pytest.mark.parametrize("values, bad", [
+        ([10**400, 1], 10**400), ([1.0, -10**400], -10**400), ([10**400, -10**400], 10**400),
+        ([Fraction(10**400), 1], 10**400), ([1, 2, 3, 10**309], 10**309),
+    ], ids=["int", "negative-int", "both-signs", "fraction", "last-of-four"])
+    def test_moments_refuse_a_value_past_the_float_range(self, values, bad):
+        # Converting it to a float raised an OverflowError, which no caller maps.
+        with pytest.raises(ValueError, match=f"^feature value {bad} is beyond the float range$"):
+            moments(values)
+
+    def test_moments_refuse_ints_whose_sum_is_past_the_float_range(self):
+        # Each of these ints is a float, but their exact int sum is not.
+        with pytest.raises(ValueError, match="^feature values' sum is beyond the float range$"):
+            moments([10**308, 10**308])
 
     @pytest.mark.parametrize("grouped, bad", [
         ([[1.0, math.nan], [2.0, 3.0]], "nan"), ([[2.0, 3.0], [math.nan, 1.0]], "nan"),

@@ -685,6 +685,18 @@ class TestTrainThreeClassInput:
         with pytest.raises(ValueError, match=message):
             train_three_class(rows, iris_dataset.labels, IRIS_FRAME)
 
+    @pytest.mark.parametrize("fold", [None, 1])
+    def test_value_past_the_float_range_named_by_the_fold_trainer(self, iris_dataset, fold):
+        # float(10**400) raises OverflowError, which escaped the fold's fit.
+        rows = [list(r) for r in iris_dataset.rows]
+        rows[60][1] = 10**400
+        held_out = [i % 2 for i in range(len(rows))]  # record 60 is in fold 0
+        fit = train_three_class_folds(rows, iris_dataset.labels, held_out, IRIS_FRAME)
+        message = f"^feature value {10**400} is beyond the float range in feature 1$"
+        with pytest.raises(ValueError, match=message):
+            fit(fold)
+        fit(0)  # the fold that holds the record out does not see it
+
     def test_finite_values_whose_sum_overflows_keep_the_means_check(self, iris_dataset):
         rows = [list(r) for r in iris_dataset.rows]
         rows[1][2], rows[2][2] = 1.5e308, 1.7e308

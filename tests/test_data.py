@@ -193,15 +193,20 @@ _ODD_CELLS = st.sampled_from(["01", "007", "010", "0", "00", "11", "1.0", " 1", 
                               "\u0665", "2", "4"])
 _ODD_CLASSES = st.sampled_from(["3", "02", "04", " 2", "4 ", "", "benign"])
 _BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t "])
+# Sample codes, and a long line's extra cell: "2" and "4" are also class codes, so a line of
+# 10 fields before one of 12 would put them in class slots if cells were read by position.
+_CODES = st.sampled_from(["1000025", "x", "", "2", "4"])
+_EXTRA_CELLS = st.sampled_from(["2", "4", "?", "7"])
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_load_wbcd_matches_the_row_by_row_loop(data, tmp_path_factory):
     # Column-wise decoding gives the per-row reference's record set, or its error text,
-    # whatever mix of canonical cells, other spellings, bad values and blank lines a file has.
+    # whatever mix of canonical cells, other spellings, bad values, lines of 10 or 12 fields,
+    # blank lines and line endings a file has.
     n = data.draw(st.integers(1, 8), label="records")
-    rows = [[data.draw(st.sampled_from(["1000025", "x", ""]), label="code"),
+    rows = [[data.draw(_CODES, label="code"),
              *data.draw(st.lists(_CANONICAL_CELLS, min_size=9, max_size=9), label="cells"),
              data.draw(st.sampled_from(["2", "4"]), label="class")] for _ in range(n)]
     for row, column in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 9)),
@@ -209,12 +214,23 @@ def test_load_wbcd_matches_the_row_by_row_loop(data, tmp_path_factory):
         rows[row][column] = data.draw(_ODD_CELLS, label="odd cell")
     for row in data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="odd classes"):
         rows[row][10] = data.draw(_ODD_CLASSES, label="odd class")
+    short = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="10-field lines")
+    long = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="12-field lines")
+    if n > 1 and data.draw(st.booleans(), label="a 10-field line, then a 12-field one"):
+        at = data.draw(st.integers(0, n - 2), label="at")
+        short, long = [*short, at], [*long, at + 1]
+    for row in short:
+        del rows[row][-1]
+    for row in long:
+        rows[row].append(data.draw(_EXTRA_CELLS, label="extra cell"))
     lines = [",".join(row) for row in rows]
     for at in data.draw(st.lists(st.integers(0, n), max_size=3), label="blank lines"):
         lines.insert(at, data.draw(_BLANK_LINES, label="blank"))
     bom = data.draw(st.sampled_from(["", "\ufeff"]), label="byte-order mark")
+    end = data.draw(st.sampled_from(["\n", "\r\n"]), label="line ending")
+    last = data.draw(st.sampled_from([end, ""]), label="last line's ending")
     path = tmp_path_factory.mktemp("wbcd") / "generated.data"
-    path.write_text(bom + "\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes((bom + end.join(lines) + last).encode("utf-8"))
 
     def outcome(load):
         try:
@@ -225,6 +241,24 @@ def test_load_wbcd_matches_the_row_by_row_loop(data, tmp_path_factory):
     expected = outcome(reference_load_wbcd)
     assert outcome(load_wbcd) == expected
     assert repr(outcome(load_wbcd)) == repr(expected)  # floats stay floats
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("5,1,1,1,2,1,3,1,1,2\n2,5,1,1,1,2,1,3,1,1,2,4\n", "1: expected 11 fields, got 10"),
+    ("5,1,1,1,2,1,3,1,1,2,4,2\n4,5,1,1,1,2,1,3,1,2\n", "1: expected 11 fields, got 12"),
+    ("5,1,1,1,2,1,3,1,1,2,4\n5,1,1,1,2,1,3,1,1,2\n2,5,1,1,1,2,1,3,1,1,2,4\n",
+     "2: expected 11 fields, got 10"),
+], ids=["10-then-12", "12-then-10", "11-10-12"])
+def test_load_wbcd_checks_each_line_width(tmp_path, text, bad):
+    # Each file holds a multiple of 11 cells, and read by position every cell would land
+    # in a slot that takes it: a "2" or "4" in each class slot, a canonical cell elsewhere.
+    path = tmp_path / "shifted.data"
+    path.write_text(text)
+    message = f"{path}:{bad}"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        reference_load_wbcd(path)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        load_wbcd(path)
 
 
 class TestLoadIris:
@@ -832,6 +866,18 @@ class TestEvaluate:
                    r"feature value must be finite, got nan in feature 0$")
         with pytest.raises(DataFormatError, match=message):
             evaluate(dataset, "wbcd", folds=folds)
+
+    def test_value_past_the_float_range_is_a_data_format_error(self, iris_dataset):
+        # The first fold trained on the record names it; its OverflowError used to escape.
+        folds = make_folds(len(iris_dataset), 10, 42)
+        j = folds.train_indices(0)[0]
+        rows = list(iris_dataset.rows)
+        rows[j] = (rows[j][0], 10**400, *rows[j][2:])
+        dataset = dataclasses.replace(iris_dataset, rows=tuple(rows))
+        message = (r"^fold 1 of 10: cannot train on its 135 training records: "
+                   rf"feature value {10**400} is beyond the float range in feature 1$")
+        with pytest.raises(DataFormatError, match=message):
+            evaluate(dataset, "iris", folds=folds)
 
     def test_fold_without_both_classes_is_named(self):
         # Fold 1 trains on fold 2's records, which hold both classes; fold 2

@@ -38,6 +38,8 @@ from test_data import ACCEPTANCE_SUBSETS
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
 EMAIL_SUBSETS = [c for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
+CLONES = [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy]
+CLONE_IDS = ["pickle", "copy", "deepcopy"]
 
 
 @pytest.fixture
@@ -140,9 +142,7 @@ class TestSharedSaturatedPrediction:
         assert built[0] == start + 8
 
     @pytest.mark.parametrize("read_first", [False, True])
-    @pytest.mark.parametrize("clone", [
-        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
-    ], ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
     def test_shared_prediction_pickles_copies_and_replaces(self, clone, read_first):
         model = email_model_default()
         shared = classify_email((1e3, 1, 1, 0), model)
@@ -156,6 +156,62 @@ class TestSharedSaturatedPrediction:
         assert relabelled.mass == shared.mass
         assert classify_email((2e3, 1, 1, 0), model) is shared
         assert shared.label == "abnormal"
+
+
+class TestSlottedPrediction:
+    """A prediction is one object with no instance dict: its mass sits in a slot that the
+    first read fills, and that ``replace`` leaves empty."""
+
+    def test_no_instance_dict(self, wbcd_dataset, iris_dataset):
+        for pred in one_of_each(wbcd_dataset, iris_dataset):
+            assert not hasattr(pred, "__dict__")
+            with pytest.raises(AttributeError):
+                pred.note = "kept"
+
+    def test_replace_after_the_read_builds_its_own_mass(self, built, wbcd_dataset):
+        # The bench's planted fault relabels with replace; new args must give a new mass.
+        model = train_binary(wbcd_dataset.rows, wbcd_dataset.labels)
+        pred = classify_binary(wbcd_dataset.rows[0], model)
+        (score,) = pred.args
+        mass = pred.mass
+        start = built[0]
+        flipped = replace(pred, label="abnormal", args=(-score,))
+        relabelled = replace(pred, label="abnormal")
+        assert built[0] == start
+        row = (logistic(score), logistic(-score), 0.0)
+        assert flipped.mass == combine_binary(BINARY_FRAME, [row])
+        assert flipped.mass != mass
+        assert relabelled.mass == mass and relabelled.mass is not mass
+        assert built[0] == start + 3  # flipped's, the reference's and relabelled's
+
+    @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
+    def test_a_clone_keeps_the_slot_as_it_was(self, built, wbcd_dataset, iris_dataset, clone):
+        for pred in one_of_each(wbcd_dataset, iris_dataset):
+            unread = clone(pred)
+            mass = pred.mass
+            read = clone(pred)
+            start = built[0]
+            assert read == pred and read.mass == mass
+            assert built[0] == start
+            assert unread == pred
+            assert built[0] == start + 1
+
+
+def test_binary_records_share_their_model_trace(wbcd_dataset):
+    # Every record that sums in one fsum gets its model's one trace; evaluate copies it.
+    rows = wbcd_dataset.rows
+    model = train_binary(rows, wbcd_dataset.labels, (0, 3, 8))
+    first, second = (classify_binary(row, model) for row in rows[:2])
+    assert first is not second and first.args != second.args
+    assert first.trace is second.trace and first.trace == {"features": [0, 3, 8]}
+    other = train_binary(rows, wbcd_dataset.labels, (0, 3, 8))
+    assert classify_binary(rows[0], other).trace is not first.trace
+    missing = classify_binary((None, *rows[0][1:]), model)
+    assert missing.trace == {"features": [3, 8]}
+    report = evaluate(wbcd_dataset, "wbcd", folds=make_folds(len(rows), 10, 42))
+    for detail in report.details:
+        assert detail["trace"] == detail["prediction"].trace
+        assert detail["trace"] is not detail["prediction"].trace
 
 
 class TestDeferredMassIsExact:
@@ -212,9 +268,7 @@ class TestDeferredMassIsExact:
 
 class TestPortability:
     @pytest.mark.parametrize("read_first", [False, True])
-    @pytest.mark.parametrize("clone", [
-        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
-    ], ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
     def test_prediction_round_trip(self, wbcd_dataset, iris_dataset, clone, read_first):
         for pred in one_of_each(wbcd_dataset, iris_dataset):
             if read_first:
@@ -234,9 +288,7 @@ class TestPortability:
     ((6, 7, 6, 6), 2, "step3"),  # a pair and a vacuous feature
     ((3, 7, 3), 2, "step3"),  # three features; the nearest class is outside the pair
 ], ids=["step1-vacuous", "step3-all-vacuous", "step1-pairs", "step3-pair", "step3-three"])
-@pytest.mark.parametrize("clone", [
-    lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
-], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
 def test_three_class_mass_rebuilt_from_focal_sets(focal_sets, nearest, decided, clone):
     # The prediction keeps each feature's focal set and the nearest class;
     # the mass rebuilt from them after a round trip is the generic fold's.
