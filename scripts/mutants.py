@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Mutation check of the decision code: email and its saturation cutoff,
 three-class, the binary classifier's shared predictions, the two-label
-conflict bound and the subset rule; and of the training and harness code:
-the threshold walk, the feature pick's tie, the fold trainer's counts, the
-fold balance and the confusion counts; and of the WBCD loader's column pass,
-its per-line width check. Standard library only.
+conflict bound and the subset rule; of the training and harness code: the
+threshold's rank, clamp and walk, the feature pick's tie, the fold trainer's
+counts, the fold balance and the confusion counts; of the three-class
+assignments' range membership and exact re-decision of float ties; and of
+the WBCD loader's column pass, its per-line width check. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -68,6 +69,8 @@ FOLDS = Scope(CLASSIFY, ("tests/test_classify.py",), "train or Train or fold")
 HARNESS = Scope(DATA, ("tests/test_data.py",), "Fold or Evaluate")
 # The WBCD loader's tests against the row-by-row reference.
 LOADER = Scope(DATA, ("tests/test_data.py",), "load_wbcd")
+# The range and nearest-mean assignments' tests.
+RANGES = Scope(BPA, ("tests/test_bpa.py",), "Boundary or boundary or Distance")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -127,9 +130,13 @@ MUTANTS = [
     ("subset-repeat-dropped", SUBSET,
      'raise ValueError(f"{name} subset {list(subset)} repeats an entry")', "pass", None),
     ("subset-unsorted", SUBSET, "return tuple(sorted(subset))", "return tuple(subset)", None),
+    ("threshold-rank-down", TRAINING, "+ 0.5), 1), n)", "- 0.5), 1), n)", None),
+    ("threshold-clamp-zero", TRAINING, "+ 0.5), 1), n)", "+ 0.5), 0), n)", None),
     ("threshold-walk-strict", TRAINING, "if k <= 0:", "if k < 0:", None),
     ("select-feature-tie-last", TRAINING, "if value < best_value:", "if value <= best_value:",
      None),
+    ("boundary-range-open", RANGES, "(lo0 <= value <= hi0)", "(lo0 < value <= hi0)", None),
+    ("nearest-float-tie-kept", RANGES, "if len(tied) == 1:", "if tied:", None),
     ("fold-own-count-kept", FOLDS, "totals[v] - cells[v, fold]", "totals[v]", None),
     ("folds-extra-record", HARNESS, "1 if fold < extra else 0", "1 if fold <= extra else 0",
      None),

@@ -17,12 +17,18 @@ changed and why.
   for s=0..99, each with the fifteen signal subsets (1, 2, 3, 4, 12, ..., 1234) in turn.
 
 Each digest hashes the reports' UTF-8 bytes concatenated in that order.
+Each task's reports also fall into groups, hashed the same way: iris per k
+and block of 100 fold seeds (``k=10 s=0-99``), wbcd per subset (``ADI``)
+and email per block of 10 corpus seeds (``s=0-9``). ``DIGESTS.json`` holds
+the task digests under ``full`` and the group digests under ``groups``,
+both as ``digests(*FULL)`` returns them.
 ``SLICE`` names a small part of the same reports (iris k=10 with s=0..99,
-wbcd and email at s=0 alone), whose digests ``DIGESTS.json`` also holds and
+wbcd and email at s=0 alone), whose task digests ``DIGESTS.json`` also holds and
 ``tests/test_report_digest.py`` checks in well under a second.
 
 Usage: python scripts/report_digest.py  (about 20 s on a 2-core machine)
-It exits 1 and names each task whose digest differs from ``DIGESTS.json``.
+It exits 1 and names each task whose digest differs from ``DIGESTS.json``,
+with the first of its groups whose digest differs.
 """
 
 from __future__ import annotations
@@ -50,40 +56,50 @@ FULL = ([(10, s) for s in range(3000)] + [(k, s) for k in (3, 5, 20, 50) for s i
 SLICE = ([(10, s) for s in range(100)], range(1), range(1))
 
 
-def digest(reports) -> str:
-    h = hashlib.sha256()
-    for report in reports:
-        h.update(report_json(report, include_runtime=False).encode("utf-8"))
-    return h.hexdigest()
-
-
-def digests(iris_plans, wbcd_seeds, email_seeds) -> dict[str, str]:
-    """Each task's digest over the reports that ``FULL`` or ``SLICE`` names."""
+def _reports(iris_plans, wbcd_seeds, email_seeds):
+    # (task, group, report) for each report that FULL or SLICE names, in digest order.
     iris = load_iris(ROOT / "data" / "iris.data")
     wbcd = load_wbcd(ROOT / "data" / "breast-cancer-wisconsin.data")
-    return {
-        "iris": digest(
-            evaluate(iris, "iris", folds=make_folds(len(iris), k, s)) for k, s in iris_plans
-        ),
-        "wbcd": digest(
-            evaluate(wbcd, "wbcd", folds=make_folds(len(wbcd), 10, s), subset=subset)
-            for subset in WBCD_SUBSETS for s in wbcd_seeds
-        ),
-        "email": digest(
-            evaluate(corpus, "email", subset=signals)
-            for corpus in map(generate_email, email_seeds) for signals in EMAIL_SUBSETS
-        ),
-    }
+    for k, s in iris_plans:
+        block = s - s % 100
+        yield "iris", f"k={k} s={block}-{block + 99}", evaluate(
+            iris, "iris", folds=make_folds(len(iris), k, s))
+    for subset in WBCD_SUBSETS:
+        group = "".join("ABCDEFGHI"[f] for f in subset)
+        for s in wbcd_seeds:
+            yield "wbcd", group, evaluate(
+                wbcd, "wbcd", folds=make_folds(len(wbcd), 10, s), subset=subset)
+    for s in email_seeds:
+        corpus, block = generate_email(s), s - s % 10
+        for signals in EMAIL_SUBSETS:
+            yield "email", f"s={block}-{block + 9}", evaluate(corpus, "email", subset=signals)
+
+
+def digests(iris_plans, wbcd_seeds, email_seeds) -> tuple[dict, dict]:
+    """Each task's digest over the reports that ``FULL`` or ``SLICE`` names, and
+    ``{task: {group: digest}}`` over the same reports, group by group."""
+    tasks: dict = {}
+    groups: dict = {}
+    for task, group, report in _reports(iris_plans, wbcd_seeds, email_seeds):
+        data = report_json(report, include_runtime=False).encode("utf-8")
+        tasks.setdefault(task, hashlib.sha256()).update(data)
+        groups.setdefault(task, {}).setdefault(group, hashlib.sha256()).update(data)
+    return ({task: h.hexdigest() for task, h in tasks.items()},
+            {task: {g: h.hexdigest() for g, h in per.items()} for task, per in groups.items()})
 
 
 def main() -> int:
-    actual = digests(*FULL)
+    actual, groups = digests(*FULL)
     for task, value in actual.items():
         print(task, value)
-    expected = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))["full"]
+    committed = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+    expected = committed["full"]
     changed = [task for task in expected if actual[task] != expected[task]]
     for task in changed:
-        print(f"{task}: digest differs from DIGESTS.json's {expected[task]}", file=sys.stderr)
+        first = next((g for g, value in groups[task].items()
+                      if value != committed["groups"][task].get(g)), "none")
+        print(f"{task}: digest differs from DIGESTS.json's {expected[task]}; "
+              f"first group that differs: {first}", file=sys.stderr)
     return 1 if changed else 0
 
 

@@ -31,9 +31,7 @@ from .bpa import (
     boundary_mass,
     class_moments,
     distance_mass,
-    fit_boundaries,
     fsv,
-    modified_median_threshold,
     scaled_sigmoid_mass,
     select_feature,
     sigmoid_mass,

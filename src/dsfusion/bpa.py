@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -191,29 +190,18 @@ class BoundaryModel:
                     raise ValueError(f"feature {f} class {c}: min {lo} exceeds max {hi}")
 
 
-def modified_median_threshold(
-    values: Sequence[float], normal_count: int, total_count: int
-) -> float:
-    """The k-th smallest value, with k set by the normal-class fraction.
-
-    k = floor(len(values) * normal_count / total_count + 0.5), a half rounding up (``round``
-    rounds it to even), clamped to 1..len(values). ``normal_count`` and ``total_count`` describe
-    the training labels; ``values`` may be a subset of the training column (e.g. with missing
-    cells removed), in which case k scales with it. A non-finite value is a ``ValueError``.
-    """
-    counts = Counter(values)
-    bad = next((v for v in counts if not math.isfinite(v)), None)
-    if bad is not None:
-        raise ValueError(f"feature value must be finite, got {bad}")
-    return counted_threshold([(v, counts[v]) for v in sorted(counts)], normal_count, total_count)
-
-
 def counted_threshold(
     counts: Sequence[tuple[float, int]], normal_count: int, total_count: int
 ) -> float:
-    """:func:`modified_median_threshold` of the values given as (value,
-    multiplicity) pairs in ascending order of value; a multiplicity may be
-    0. The walk stops at the pair that reaches rank k."""
+    """The k-th smallest of the values given as (value, multiplicity) pairs in ascending order
+    of value, with k set by the normal-class fraction; a multiplicity may be 0.
+
+    k = floor(n * normal_count / total_count + 0.5) over the n values, a half rounding up
+    (``round`` rounds it to even), clamped to 1..n. ``normal_count`` and ``total_count``
+    describe the training labels; the values may be a subset of the training column (e.g.
+    with missing cells removed), in which case k scales with it. The walk stops at the pair
+    that reaches rank k.
+    """
     n = sum(c for _, c in counts)
     if not n:
         raise ValueError("cannot take a threshold of an empty value list")
@@ -300,11 +288,6 @@ def class_moments(columns: Columns) -> ClassMoments:
                 raise ValueError(f"{exc} in feature {f}") from None
             stats[f].append(m)
     return stats
-
-
-def fit_boundaries(stats: ClassMoments) -> BoundaryModel:
-    """Observed (min, max) per feature and class, from :func:`class_moments`."""
-    return BoundaryModel(tuple(tuple((m.lo, m.hi) for m in per_class) for per_class in stats))
 
 
 def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callable) -> int:

@@ -35,7 +35,6 @@ from .bpa import (
     boundary_bits,
     class_moments,
     counted_threshold,
-    fit_boundaries,
     focal_row,
     logistic,
     nearest_mean,
@@ -399,12 +398,12 @@ def train_three_class_folds(
             list(zip(*compress(records, map(ne, g, repeat(fold))))) or [()] * n_features
             for records, g in zip(class_rows, homes)
         ])))
-        boundaries = fit_boundaries(stats)
+        boundaries = tuple(tuple((m.lo, m.hi) for m in per_class) for per_class in stats)
         means = tuple(tuple(m.mean for m in per_class) for per_class in stats)
         selected = {
             bits: select_feature(stats, [c for c in range(3) if bits >> c & 1]) for bits in _GROUPS
         }
-        return ThreeClassModel(frame, boundaries, means, selected)
+        return ThreeClassModel(frame, BoundaryModel(boundaries), means, selected)
 
     return fit
 
@@ -565,7 +564,7 @@ def email_signal_mass(message: Sequence[float], signal: int, model: EmailModel) 
 def classify_email(message: Sequence[float], model: EmailModel) -> Prediction:
     """Abnormal iff ΠQ(a) > ΠQ(n) over the signals' rows: on two labels, iff Dempster's rule
     gives abnormal strictly greater mass (ties go to normal). ``binary_commonalities`` takes
-    the products and raises near total conflict, so a message raises where ``fuse_binary``,
+    the products and raises near total conflict, so a message raises where ``combine_binary``,
     which builds the mass on read, does. A message holds the four values
     ``email_signal_row`` reads, whichever signals are fused.
 
@@ -600,7 +599,7 @@ def _email_prediction(
 
 
 def _email_label(rows: Sequence[MassRow]) -> str:
-    qn, qa, qt = binary_commonalities(rows)  # raises near total conflict, as fuse_binary does
+    qn, qa, qt = binary_commonalities(rows)  # raises near total conflict, as combine_binary does
     # The float ΠQ of up to four rows err by under 8 units of 2^-53 (a rounding per commonality
     # and product), so a wider gap has the exact sign; 2^-1000 covers underflow.
     if abs(qa - qn) <= 2.0**-49 * (qa + qn) + 2.0**-1000:

@@ -316,8 +316,8 @@ class FoldPlan:
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     """Shuffle n record indices with a seeded generator and cut k near-equal folds."""
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+    if type(k) is not int or k < 2:  # as FoldPlan: a float or bool k is no fold count
+        raise ValueError(f"need at least 2 folds, got {k!r}")
     if n < k:
         raise DataFormatError(f"cannot split {n} records into {k} folds")
     order = list(range(n))
@@ -344,8 +344,8 @@ class EvalReport:
     confusion: dict
     misclassified: tuple[int, ...]
     runtime_seconds: float
-    # One dict per misclassified record: its id, truth, predicted label,
-    # trace and Prediction; report_text formats the mass when it renders.
+    # One dict per misclassified record: its id, truth, predicted label and
+    # Prediction; report_text formats its mass and trace when it renders.
     details: tuple = field(default=(), compare=False, repr=False)
     # The Prediction of every record, in the record set's order.
     predictions: tuple = field(default=(), compare=False, repr=False)
@@ -519,7 +519,6 @@ def evaluate(
                     "id": dataset.ids[i],
                     "truth": labels[truths[i]],
                     "predicted": pred.label,
-                    "trace": dict(pred.trace),
                     "prediction": pred,
                 })
         per_fold.append(correct / len(test_indices))
@@ -583,9 +582,10 @@ def report_text(report: EvalReport) -> str:
         + ", ".join(str(i) for i in report.misclassified),
     ]
     for detail in report.details:
+        pred = detail["prediction"]
         lines.append(
             f"  id {detail['id']}: {detail['truth']} classified as "
-            f"{detail['predicted']} with {detail['prediction'].mass} via {detail['trace']}"
+            f"{detail['predicted']} with {pred.mass} via {pred.trace}"
         )
     lines.append(f"runtime: {report.runtime_seconds:.3f} s")
     return "\n".join(lines) + "\n"

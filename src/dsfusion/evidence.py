@@ -291,32 +291,25 @@ def binary_commonalities(rows: Iterable[Sequence[float]]) -> tuple[float, float,
     return q0, q1, qt
 
 
-def fuse_binary(rows: Sequence[tuple[float, float, float]]) -> tuple[float, float, float]:
+def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> MassFunction:
     """Dempster's rule over a two-label frame, in closed form.
 
-    Each row, and the fused triple returned, is one source's masses
-    (m(label 0), m(label 1), m(Θ)). On two labels the rule multiplies
-    commonalities Q(0) = m_0 + m_Θ, Q(1) = m_1 + m_Θ and Q(Θ) = m_Θ: the
-    fused masses are proportional to ΠQ(0) - ΠQ(Θ), ΠQ(1) - ΠQ(Θ) and
-    ΠQ(Θ), and their sum ΠQ(0) + ΠQ(1) - ΠQ(Θ) is 1 - K (Smets 1990;
-    Barnett 1981). The result is the fold of ``combine`` over the rows'
-    mass functions, in one pass and without building them; rows are
+    Each row is one source's masses (m(label 0), m(label 1), m(Θ)). On two
+    labels the rule multiplies commonalities Q(0) = m_0 + m_Θ, Q(1) = m_1 + m_Θ
+    and Q(Θ) = m_Θ: the fused masses are proportional to ΠQ(0) - ΠQ(Θ),
+    ΠQ(1) - ΠQ(Θ) and ΠQ(Θ), and their sum ΠQ(0) + ΠQ(1) - ΠQ(Θ) is 1 - K
+    (Smets 1990; Barnett 1981). The result is the fold of ``combine`` over the
+    rows' mass functions, in one pass and without building them; rows are
     trusted to be valid masses. Near total conflict ``binary_commonalities``
     raises TotalConflictError.
     """
+    if frame.size != 2:
+        raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
     if not rows:
         raise EvidenceError("binary combination needs at least one row")
     q0, q1, qt = binary_commonalities(rows)
     norm = q0 + q1 - qt
-    return (q0 - qt) / norm, (q1 - qt) / norm, qt / norm
-
-
-def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> MassFunction:
-    """:func:`fuse_binary` of the rows, as a mass function on ``frame``."""
-    if frame.size != 2:
-        raise EvidenceError(f"binary combination needs a 2-label frame, got {frame.size}")
-    fused = fuse_binary(rows)
-    return MassFunction(frame, dict(zip((1, 2, 3), fused)))
+    return MassFunction(frame, {1: (q0 - qt) / norm, 2: (q1 - qt) / norm, 3: qt / norm})
 
 
 def belief(m: MassFunction, subset: HypothesisSet) -> float:

@@ -24,10 +24,8 @@ from dsfusion import (
     classifier_to_dict,
     distance_mass,
     email_model_default,
-    fit_boundaries,
     fsv,
     make_frame,
-    modified_median_threshold,
     scaled_sigmoid_mass,
     select_feature,
     sigmoid_mass,
@@ -64,58 +62,48 @@ EXAMPLE_BOUNDS = ((1.0, 4.0), (2.5, 4.5), (3.0, 6.0))
 
 
 class TestModifiedMedianThreshold:
+    """The paper's modified median, the rank rule of ``counted_threshold``."""
+
     def test_rank_413_of_630(self):
-        values = list(range(630))
-        assert modified_median_threshold(values, 458, 699) == sorted(values)[412]
+        # k = floor(630 * 458 / 699 + 0.5) = 413
+        assert counted_threshold([(v, 1) for v in range(630)], 458, 699) == 412
 
     def test_rank_412_of_629(self):
-        values = list(range(1000, 1629))
-        assert modified_median_threshold(values, 458, 699) == sorted(values)[411]
+        assert counted_threshold([(v, 1) for v in range(1000, 1629)], 458, 699) == 1411
 
     def test_even_split_takes_middle(self):
-        values = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
-        assert modified_median_threshold(values, 5, 10) == 5
+        assert counted_threshold([(v, 1) for v in range(1, 11)], 5, 10) == 5
 
     def test_half_rank_rounds_up(self):
         # 10 values, 1 normal in 4: k = floor(2.5 + 0.5) = 3, where round(2.5) would give 2.
-        values = [float(v) for v in range(1, 11)]
-        assert modified_median_threshold(values, 1, 4) == 3.0
-        assert counted_threshold([(v, 1) for v in values], 1, 4) == 3.0
+        assert counted_threshold([(float(v), 1) for v in range(1, 11)], 1, 4) == 3.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            modified_median_threshold([], 1, 2)
+        with pytest.raises(ValueError, match="^cannot take a threshold of an empty value list$"):
+            counted_threshold([], 1, 2)
 
     def test_degenerate_fractions_rejected(self):
         with pytest.raises(ValueError):
-            modified_median_threshold([1.0], 0, 5)
+            counted_threshold([(1.0, 1)], 0, 5)
         with pytest.raises(ValueError):
-            modified_median_threshold([1.0], 5, 5)
+            counted_threshold([(1.0, 1)], 5, 5)
 
     def test_counted_pairs_skip_zero_counts(self):
         # Six values, 2.0 three times and 7.0 three times: rank 3 is the last 2.0.
         assert counted_threshold([(1.0, 0), (2.0, 3), (5.0, 0), (7.0, 3)], 1, 2) == 2.0
 
+    def test_rank_clamps_to_first_present_value(self):
+        # Two values, 1 normal in 10: floor(0.2 + 0.5) = 0 clamps to 1, past the 0-count pair.
+        assert counted_threshold([(1.0, 0), (2.0, 1), (3.0, 1)], 1, 10) == 2.0
+
     def test_counted_pairs_without_values_rejected(self):
         with pytest.raises(ValueError, match="^cannot take a threshold of an empty value list$"):
             counted_threshold([(1.0, 0), (2.0, 0)], 1, 2)
 
-    @pytest.mark.parametrize("values", [
-        [math.nan, 3.0, 1.0, 2.0], [3.0, math.nan, 1.0, 2.0], [1.0, math.inf, 2.0],
-        [-math.inf, 1.0, 2.0],
-    ])
-    def test_non_finite_value_rejected(self, values):
-        # NaN has no place in a sort order: the first list gave 1.0 and the second nan.
-        bad = next(v for v in values if not math.isfinite(v))
-        with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
-            modified_median_threshold(values, 1, 2)
-
     def test_rank_scales_with_present_values(self):
         # a column with missing cells keeps the same normal fraction
-        values = list(range(100))
-        assert modified_median_threshold(values, 458, 699) == sorted(values)[
-            round(100 * 458 / 699) - 1
-        ]
+        pairs = [(v, 1) for v in range(100)]
+        assert counted_threshold(pairs, 458, 699) == round(100 * 458 / 699) - 1
 
 
 class TestSigmoidMass:
@@ -316,10 +304,12 @@ def test_accepted_table_gives_only_mass_rows(drawn):
 
 
 class TestFitBoundaries:
+    """The boundary fit: ``class_moments``' (lo, hi) per feature and class."""
+
     def test_single_record_per_class(self):
         rows = [(1.0, 5.0), (2.0, 6.0), (3.0, 7.0)]
-        model = fit_boundaries(class_moments(reference_class_columns(rows, [0, 1, 2])))
-        assert model.bounds[0] == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+        stats = class_moments(reference_class_columns(rows, [0, 1, 2]))
+        assert [(m.lo, m.hi) for m in stats[0]] == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError, match=r"^feature 0 class 1: min 2.0 exceeds max 1.0$"):
@@ -327,17 +317,17 @@ class TestFitBoundaries:
 
     def test_min_max_observed(self):
         rows = [(4.3,), (5.8,), (5.0,), (4.9,), (6.9,), (4.9,), (7.9,)]
-        model = fit_boundaries(class_moments(reference_class_columns(rows, [0, 0, 0, 1, 1, 2, 2])))
-        assert model.bounds[0] == ((4.3, 5.8), (4.9, 6.9), (4.9, 7.9))
+        stats = class_moments(reference_class_columns(rows, [0, 0, 0, 1, 1, 2, 2]))
+        assert [(m.lo, m.hi) for m in stats[0]] == [(4.3, 5.8), (4.9, 6.9), (4.9, 7.9)]
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_boundaries(class_moments(reference_class_columns([(1.0,), (2.0,)], [0, 1])))
+            class_moments(reference_class_columns([(1.0,), (2.0,)], [0, 1]))
 
     def test_identical_classes_identical_ranges(self):
         rows = [(1.0,), (2.0,)] * 3
-        model = fit_boundaries(class_moments(reference_class_columns(rows, [0, 0, 1, 1, 2, 2])))
-        assert model.bounds[0][0] == model.bounds[0][1]
+        stats = class_moments(reference_class_columns(rows, [0, 0, 1, 1, 2, 2]))
+        assert (stats[0][0].lo, stats[0][0].hi) == (stats[0][1].lo, stats[0][1].hi)
 
     def test_non_number_cell_is_not_a_missing_value(self):
         # Only a None cell becomes a ValueError; any other TypeError is re-raised.

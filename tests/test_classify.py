@@ -56,7 +56,7 @@ from dsfusion.classify import (
     train_binary_folds,
     train_three_class_folds,
 )
-from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, fuse_binary
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities
 
 from conftest import (
     exact_binary_fold,
@@ -383,6 +383,57 @@ def test_classify_binary_answers_every_finite_record(pairs):
     normal, abnormal = pred.mass.mass_bits(1), pred.mass.mass_bits(2)
     assert abs(normal + abnormal - 1.0) <= 1e-15
     assert abnormal >= normal if score > 0 else normal >= abnormal
+
+
+# The metamorphic relations of a wbcd model: WBCD's 1..10 cells and a threshold that may fall
+# on one of them, or a float between; an unfitted slot and a missing cell are drawn too.
+_WBCD_VALUE = st.one_of(st.integers(1, 10), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _wbcd_model_and_record(draw, missing=True):
+    width = draw(st.integers(1, 9))
+    fitted = draw(st.sets(st.integers(0, width - 1), min_size=1))
+    thresholds = draw(st.lists(_WBCD_VALUE.map(float), min_size=width, max_size=width))
+    model = BinaryModel(tuple(SigmoidBpa(t) if f in fitted else None
+                              for f, t in enumerate(thresholds)), 0.5)
+    cell = st.one_of(_WBCD_VALUE, st.none()) if missing else _WBCD_VALUE
+    return model, draw(st.lists(cell, min_size=width, max_size=width))
+
+
+@settings(max_examples=50)
+@given(case=_wbcd_model_and_record(), data=st.data())
+def test_classify_binary_raising_a_value_never_turns_abnormal_normal(case, data):
+    model, record = case
+    present = [f for f, _ in model.fitted if record[f] is not None]
+    assume(present and classify_binary(tuple(record), model).label == "abnormal")
+    f = data.draw(st.sampled_from(present), label="raised")
+    record[f] += data.draw(st.one_of(st.integers(0, 9), st.floats(0, 1e6)), label="by")
+    assert classify_binary(tuple(record), model).label == "abnormal"
+
+
+@settings(max_examples=50)
+@given(case=_wbcd_model_and_record(missing=False))
+def test_classify_binary_record_on_every_threshold_is_normal(case):
+    # Every fitted log-odds term is 0: an exact tie, which goes to normal at mass 1/2 each.
+    model, record = case
+    for f, threshold in model.fitted:
+        record[f] = threshold
+    pred = classify_binary(tuple(record), model)
+    assert pred.label == "normal"
+    assert (pred.mass.mass_bits(1), pred.mass.mass_bits(2)) == (0.5, 0.5)
+
+
+@settings(max_examples=50)
+@given(case=_wbcd_model_and_record(), data=st.data())
+def test_classify_binary_permuting_features_with_the_slots_keeps_label_and_mass(case, data):
+    model, record = case
+    order = data.draw(st.permutations(range(len(record))), label="order")
+    permuted = BinaryModel(tuple(model.bpas[i] for i in order), 0.5)
+    pred = classify_binary(tuple(record), model)
+    moved = classify_binary(tuple(record[i] for i in order), permuted)
+    assert moved.label == pred.label
+    assert _mass_bits(moved.mass) == _mass_bits(pred.mass)
 
 
 # Small integers tie often; ±1e308 overflows a sum midway; the rest fail the checked loop.
@@ -1480,7 +1531,7 @@ class TestEmailSaturatedInterval:
         assert all((entries[flags] is None) == (flags[:2] == (0, 0)) for flags in entries)
         message = (1e3, 0, 0, 0)
         with pytest.raises(TotalConflictError) as raised:
-            fuse_binary([email_signal_row(message, s, model) for s in (1, 2, 3)])
+            combine_binary(BINARY_FRAME, [email_signal_row(message, s, model) for s in (1, 2, 3)])
         with pytest.raises(TotalConflictError, match=f"^{re.escape(str(raised.value))}$"):
             classify_email(message, model)
         pred = classify_email((1e3, 1, 0, 0), model)  # the abnormal-only row, with no rival
@@ -1562,7 +1613,7 @@ class TestEmailTotalConflict:
     @pytest.mark.parametrize("interval", [0.0, 29.0, 31.0, 1e3])
     def test_raises_exactly_where_the_ordered_fold_does(self, interval):
         # ΠQ(a) = ΠQ(Θ) = 0, so 1 - K is ΠQ(n). Scan c ulp by ulp across the bound:
-        # classify_email raises exactly where fuse_binary does, with the same message.
+        # classify_email raises exactly where combine_binary does, with the same message.
         q_n = sum(email_signal_row((interval, 0, 0, 0), 1, email_model_default())[::2])
         start = 1.0 - (1.0 - self.C) / (0.8 * q_n)
         outcomes = set()
@@ -1578,7 +1629,8 @@ class TestEmailTotalConflict:
             )
             message = (interval, 0, 0, 0)
             try:
-                fuse_binary([email_signal_row(message, s, model) for s in (1, 2, 3, 4)])
+                rows = [email_signal_row(message, s, model) for s in (1, 2, 3, 4)]
+                combine_binary(BINARY_FRAME, rows)
             except TotalConflictError as exc:
                 outcomes.add("raises")
                 with pytest.raises(TotalConflictError, match=re.escape(str(exc))):

@@ -616,6 +616,14 @@ class TestMakeFolds:
         with pytest.raises(ValueError, match=f"^need at least 2 folds, got {k}$"):
             make_folds(10, k, 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "10"])
+    def test_fold_count_that_is_not_an_int_rejected(self, iris_dataset, k):
+        # Refused as FoldPlan refuses it, before range(k) can raise a bare TypeError.
+        with pytest.raises(ValueError, match=f"^need at least 2 folds, got {re.escape(repr(k))}$"):
+            make_folds(10, k, 0)
+        with pytest.raises(ValueError, match=f"^need at least 2 folds, got {re.escape(repr(k))}$"):
+            repeated_cv(iris_dataset, "iris", 1, k, 0)
+
     def test_exhaustive_partition(self):
         plan = make_folds(699, 10, 3)
         seen = sorted(i for f in range(10) for i in plan.test_indices(f))
@@ -669,7 +677,7 @@ class TestEvaluate:
         assert report.details
         for detail in report.details:
             assert detail["prediction"].label == detail["predicted"] != detail["truth"]
-            assert detail["trace"] == dict(detail["prediction"].trace)
+            assert set(detail) == {"id", "truth", "predicted", "prediction"}
 
     @pytest.mark.parametrize("task", ["wbcd", "iris"])
     def test_empty_training_fold_is_an_input_error(self, wbcd_dataset, iris_dataset, task):
@@ -687,7 +695,7 @@ class TestEvaluate:
         report = evaluate(dataset, "wbcd", folds=make_folds(11, 2, 0), subset=(0,))
         (detail,) = [d for d in report.details if d["id"] == 1]
         assert detail["predicted"] == "normal"
-        assert detail["trace"] == {"features": [], "fallback": "no-evidence"}
+        assert detail["prediction"].trace == {"features": [], "fallback": "no-evidence"}
 
     @pytest.mark.parametrize("seed", [7, 42, 123456])
     def test_subset_training_matches_full_training(self, wbcd_dataset, seed):

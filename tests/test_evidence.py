@@ -26,7 +26,7 @@ from dsfusion import (
     plausibility,
     vacuous_mass,
 )
-from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits, fuse_binary
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits
 
 from conftest import mass_to_frozensets, oracle_combine
 
@@ -331,7 +331,7 @@ class TestCombineBinary:
         with pytest.raises(TotalConflictError):
             combine_binary(binary, rows)
 
-    def test_total_conflict_bound_is_inclusive(self):
+    def test_total_conflict_bound_is_inclusive(self, binary):
         # K equals 1 - IDENTITY_TOL exactly, and the guard raises at K >= that
         # bound, in the pairwise rule and in the closed form alike.
         c = 1.0 - IDENTITY_TOL
@@ -339,19 +339,19 @@ class TestCombineBinary:
         with pytest.raises(TotalConflictError, match=re.escape(f"K={c!r}")):
             combine_bits({1: 1.0}, {2: c, 3: 1.0 - c})
         with pytest.raises(TotalConflictError, match=re.escape(f"K={c!r}")):
-            fuse_binary([(1.0, 0.0, 0.0), (0.0, c, 1.0 - c)])
+            combine_binary(binary, [(1.0, 0.0, 0.0), (0.0, c, 1.0 - c)])
         below = math.nextafter(c, 0.0)
         assert combine_bits({1: 1.0}, {2: below, 3: 1.0 - below})[1] == below
-        fuse_binary([(1.0, 0.0, 0.0), (0.0, below, 1.0 - below)])
+        combine_binary(binary, [(1.0, 0.0, 0.0), (0.0, below, 1.0 - below)])
 
-    def test_total_conflict_subtracts_the_theta_product(self):
+    def test_total_conflict_subtracts_the_theta_product(self, binary):
         # Rows (1 - a, 0, a) and (0, 1 - a, a) leave 1 - K = 2a - a² for a just over half the
         # bound's distance from 1: K rounds to the bound and raises, where adding a² (2.5e-25)
-        # would leave it one ulp below. binary_commonalities judges it, and fuse_binary through it.
+        # would leave it one ulp below. binary_commonalities judges it, combine_binary through it.
         bound = 1.0 - IDENTITY_TOL
         a = ((1.0 - bound) + 2.0**-54) / 2
         rows = [(1.0 - a, 0.0, a), (0.0, 1.0 - a, a)]
-        for fuse in (binary_commonalities, fuse_binary):
+        for fuse in (binary_commonalities, lambda rows: combine_binary(binary, rows)):
             with pytest.raises(TotalConflictError, match=re.escape(f"K={bound!r})")):
                 fuse(rows)
 
@@ -361,12 +361,16 @@ class TestCombineBinary:
         assert combined.mass_bits(3) == pytest.approx(0.4, abs=1e-15)
 
     def test_empty_rows_rejected(self, binary):
-        with pytest.raises(EvidenceError):
+        with pytest.raises(EvidenceError, match="^binary combination needs at least one row$"):
             combine_binary(binary, [])
 
     def test_three_label_frame_rejected(self):
-        with pytest.raises(EvidenceError):
+        with pytest.raises(EvidenceError, match="^binary combination needs a 2-label frame, got 3"):
             combine_binary(make_frame(["c1", "c2", "c3"]), [(0.5, 0.5, 0.0)])
+
+    def test_frame_size_checked_before_rows(self):
+        with pytest.raises(EvidenceError, match="^binary combination needs a 2-label frame, got 3"):
+            combine_binary(make_frame(["c1", "c2", "c3"]), [])
 
 
 class TestBeliefPlausibility:
