@@ -38,10 +38,10 @@ def result_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> str:
-    """One untraced ``bench/run.py`` run in ``tree``: its stdout."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
+    """One ``bench/run.py`` run in ``tree``, untraced unless ``trace`` is 1: its stdout."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds)]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: bench/run.py exited {proc.returncode}: {proc.stderr.strip()}")

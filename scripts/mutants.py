@@ -4,8 +4,10 @@ three-class, the binary classifier's shared predictions, the two-label
 conflict bound and the subset rule; of the training and harness code: the
 threshold's rank, clamp and walk, the feature pick's tie, the fold trainer's
 counts, the fold balance and the confusion counts; of the three-class
-assignments' range membership and exact re-decision of float ties; and of
-the WBCD loader's column pass, its per-line width check. Standard library only.
+assignments' range membership and exact re-decision of float ties; of the
+WBCD loader's column pass, its per-line width check; of Bel, Pl, the mass
+constructor's checks and the pairwise rule's normalisation; and of the
+readers' width, interval and finiteness checks. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -22,7 +24,7 @@ per mutant, so a rerun draws the same examples. The unmutated copy runs
 first, once per scope, and must pass.
 
 Usage: python scripts/mutants.py [--out MUTANTS.json]
-A whole run takes about three minutes on a 2-core machine.
+A whole run takes about six minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -71,6 +73,14 @@ HARNESS = Scope(DATA, ("tests/test_data.py",), "Fold or Evaluate")
 LOADER = Scope(DATA, ("tests/test_data.py",), "load_wbcd")
 # The range and nearest-mean assignments' tests.
 RANGES = Scope(BPA, ("tests/test_bpa.py",), "Boundary or boundary or Distance")
+# The evidence module's tests of Bel and Pl, of the mass constructor's checks, and of the
+# pairwise rule; the readers' tests of the three file layouts.
+BELIEF = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
+               "Belief or belief or plausibility or interval")
+MASSES = Scope(EVIDENCE, ("tests/test_evidence.py",), "MassConstruction")
+RULE = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
+             "Combine or normalization or oracle")
+READERS = Scope(DATA, ("tests/test_data.py",), "Load or load or Reader or Csv")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -144,6 +154,20 @@ MUTANTS = [
      "matrix[predicted][truths[i]] += 1", None),
     ("column-pass-width-unchecked", LOADER,
      'if lines and set(map(str.count, lines, repeat(","))) == {10}:', "if lines:", None),
+    ("belief-subset-flipped", BELIEF, "bits & ~a == 0", "bits & ~a != 0", None),
+    ("plausibility-complement", BELIEF, "if bits & a)", "if bits & ~a)", None),
+    ("mass-zero-kept", MASSES, "if value > 0:", "if value >= 0:", None),
+    ("mass-sum-bound-inclusive", MASSES, "abs(total - 1.0) > SUM_TOL",
+     "abs(total - 1.0) >= SUM_TOL",
+     "differs only where |total - 1| equals SUM_TOL = 1e-9, which no float total reaches: "
+     "within [0.5, 2] the difference is exact and a multiple of 2^-53, and 1e-9 is not one"),
+    ("combine-norm-one-minus-k", RULE, "norm = sum(acc.values())", "norm = 1.0 - k", None),
+    ("reader-width-unchecked", READERS,
+     'raise DataFormatError(f"{path}:{i}: expected {width} fields, got {len(fields)}")', "pass",
+     None),
+    ("email-interval-zero-refused", READERS, "interval < 0", "interval <= 0", None),
+    ("iris-non-finite-admitted", READERS,
+     'raise DataFormatError(f"{path}:{i}: features must be finite")', "pass", None),
 ]
 
 

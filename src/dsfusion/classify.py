@@ -74,11 +74,11 @@ def checked_subset(subset: Collection, allowed: Sequence[int], name: str) -> tup
     return tuple(sorted(subset))
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Prediction:
     """A label, the fused mass function behind it, and a decision trace.
 
-    The mass is ``build(frame, *args)``, kept in a slot filled on first read;
+    The mass is ``build(frame, *args)``, built on first read and kept;
     a module-level ``build`` and plain-data ``args`` keep it picklable. A
     prediction and its trace are read-only, so either may be shared.
     """
@@ -88,17 +88,14 @@ class Prediction:
     trace: Mapping[str, object]
     build: Callable[..., MassFunction] = field(repr=False)
     args: tuple = field(repr=False)
-    _mass: MassFunction | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.label not in self.frame.labels:
             raise ValueError(f"label {self.label!r} is not a frame singleton")
 
-    @property
+    @cached_property
     def mass(self) -> MassFunction:
-        if self._mass is None:
-            self._mass = self.build(self.frame, *self.args)
-        return self._mass
+        return self.build(self.frame, *self.args)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prediction):

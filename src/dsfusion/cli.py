@@ -164,22 +164,13 @@ def _email_arguments(p: argparse.ArgumentParser) -> None:
     source.add_argument("--data", type=Path, help="email CSV to evaluate")
     source.add_argument("--generate", action="store_true",
                         help="evaluate a freshly generated synthetic corpus")
-    p.add_argument("--save-data", type=Path,
-                   help="with --generate, also write the corpus CSV here")
     p.add_argument("--signals", default="1234", help="signal digits 1-4 to fuse (default 1234)")
     _common(p, cv=False, report=True)
 
 
 def _cmd_email(args, parser) -> int:
     signals = _parse_signals(args.signals, parser)
-    if args.save_data and not args.generate:
-        parser.error("--save-data writes a generated corpus and needs --generate")
-    if args.generate:
-        dataset = generate_email(args.seed)
-        if args.save_data:
-            write_email_csv(dataset, args.save_data)
-    else:
-        dataset = load_email(args.data)
+    dataset = generate_email(args.seed) if args.generate else load_email(args.data)
     report = evaluate(dataset, "email", subset=signals, seed=args.seed)
     worm_ids = {rid for rid, label in zip(dataset.ids, dataset.labels) if label == 1}
     missed = [rid for rid in report.misclassified if rid in worm_ids]
@@ -297,16 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in COMMANDS:  # build only this command's parser
-            parser = argparse.ArgumentParser(prog=f"dsfusion {argv[0]}")
-            _, add_arguments, _ = COMMANDS[argv[0]]
-            add_arguments(parser)
-            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        else:  # --help, no command or an unknown one: the whole tree lists the commands
-            parser = build_parser()
-            args = parser.parse_args(argv)
-        _, _, handler = COMMANDS[args.command]
-        return handler(args, parser)
+        if not argv or argv[0] not in COMMANDS:
+            # --help, no command or an unknown one: the whole tree lists the commands and exits.
+            build_parser().parse_args(argv)
+        _, add_arguments, handler = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"dsfusion {argv[0]}")  # only this command's
+        add_arguments(parser)
+        return handler(parser.parse_args(argv[1:]), parser)
     except SystemExit as exc:  # argparse, also parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     # DataFormatError is a ValueError, so it must be caught first.

@@ -168,13 +168,10 @@ def _wbcd_rows(path: str | Path, lines: list) -> tuple[list, list]:
     # Each line's features and label by the cell and class rules, in file order.
     rows, labels = [], []
     for i, fields in lines:
-        try:
-            features = tuple(map(_WBCD_CELLS.__getitem__, fields[1:10]))
-        except KeyError:  # another spelling: each cell by the rule, so "01" reads as 1
-            for raw in fields[1:10]:
-                if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
-                    raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
-            features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
+        for raw in fields[1:10]:  # each cell by the rule, so "01" reads as 1
+            if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
+                raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
+        features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
         label = _WBCD_CLASSES.get(fields[10])
         if label is None:
             raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")

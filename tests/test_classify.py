@@ -436,6 +436,42 @@ def test_classify_binary_permuting_features_with_the_slots_keeps_label_and_mass(
     assert _mass_bits(moved.mass) == _mass_bits(pred.mass)
 
 
+# The metamorphic relation of a three-class model: small integer ranges and means make
+# overlapping ranges, ties and records outside every range common.
+_SMALL = st.integers(0, 6).map(float)
+
+
+@st.composite
+def _three_class_model_and_record(draw):
+    width = draw(st.integers(1, 4))
+    bounds = tuple(tuple(tuple(sorted(draw(st.tuples(_SMALL, _SMALL)))) for _ in range(3))
+                   for _ in range(width))
+    means = tuple(tuple(draw(st.tuples(_SMALL, _SMALL, _SMALL))) for _ in range(width))
+    selected = {g: draw(st.integers(0, width - 1)) for g in (0b011, 0b101, 0b110, 0b111)}
+    model = ThreeClassModel(IRIS_FRAME, BoundaryModel(bounds), means, selected)
+    value = st.one_of(st.integers(-1, 7).map(float), st.floats(-1.0, 7.0))
+    return model, draw(st.lists(value, min_size=width, max_size=width))
+
+
+@settings(max_examples=100)
+@given(case=_three_class_model_and_record(), data=st.data())
+def test_classify_three_class_permuting_features_with_the_model_keeps_the_label(case, data):
+    model, record = case
+    order = data.draw(st.permutations(range(len(record))), label="order")
+    permuted = ThreeClassModel(
+        IRIS_FRAME, BoundaryModel(tuple(model.boundaries.bounds[i] for i in order)),
+        tuple(model.means[i] for i in order),
+        {g: order.index(f) for g, f in model.selected.items()},
+    )
+    pred = classify_three_class(record, model)
+    moved = classify_three_class([record[i] for i in order], permuted)
+    assert moved.label == pred.label
+    trace = dict(pred.trace)
+    if "feature" in trace:  # the selected feature's new position
+        trace["feature"] = order.index(trace["feature"])
+    assert moved.trace == trace
+
+
 # Small integers tie often; ±1e308 overflows a sum midway; the rest fail the checked loop.
 _BINARY_THRESHOLD = st.one_of(st.integers(-3, 10).map(float), st.floats(-1e6, 1e6),
                               st.sampled_from([1e308, -1e308, sys.float_info.max]))
@@ -1025,6 +1061,37 @@ class TestEmailModel:
 
 
 EMAIL_SUBSETS = [frozenset(c) for r in range(1, 5) for c in combinations((1, 2, 3, 4), r)]
+# The metamorphic relations of the stock email model, on each signal subset. Each flag's
+# 1-row is more abnormal than its 0-row, and past 30 s the interval row tends to the floor
+# row, the more abnormal end; intervals run past the saturation cutoff (about 739 s).
+STOCK_MODELS = {signals: replace(email_model_default(), signals=signals)
+                for signals in EMAIL_SUBSETS}
+_INTERVAL = st.one_of(st.integers(0, 1000).map(float), st.floats(0.0, 1e6),
+                      st.floats(25.0, 35.0))
+
+
+@settings(max_examples=150)
+@given(signals=st.sampled_from(EMAIL_SUBSETS), interval=_INTERVAL,
+       flags=st.lists(st.integers(0, 1), min_size=3, max_size=3), data=st.data())
+def test_classify_email_setting_a_flag_never_turns_abnormal_normal(signals, interval, flags, data):
+    model = STOCK_MODELS[signals]
+    assume(0 in flags and classify_email((interval, *flags), model).label == "abnormal")
+    j = data.draw(st.sampled_from([j for j, flag in enumerate(flags) if flag == 0]), label="set")
+    flags[j] = 1
+    assert classify_email((interval, *flags), model).label == "abnormal"
+
+
+@settings(max_examples=150)
+@given(signals=st.sampled_from([s for s in EMAIL_SUBSETS if 1 in s]),
+       intervals=st.lists(_INTERVAL, min_size=2, max_size=2),
+       flags=st.tuples(*[st.integers(0, 1)] * 3))
+def test_classify_email_a_longer_interval_never_turns_abnormal_normal(signals, intervals, flags):
+    model = STOCK_MODELS[signals]
+    shorter, longer = sorted(intervals)
+    assume(classify_email((shorter, *flags), model).label == "abnormal")
+    assert classify_email((longer, *flags), model).label == "abnormal"
+
+
 # Symmetric rows tie ΠQ(a) and ΠQ(n) exactly; the 2^-54 row ties them only
 # in floats (0.75 + 2^-54 rounds to 0.75), so an exact decision says abnormal.
 SYMMETRIC_ROW = (0.45, 0.45, 0.1)

@@ -24,6 +24,7 @@ from dsfusion import (
     train_binary,
     train_three_class,
 )
+from dsfusion import cli
 from dsfusion.cli import main, run
 from dsfusion.data import (
     EMAIL_HEADER,
@@ -376,16 +377,22 @@ class TestEmailCommand:
         assert err == "error: record ids must be unique, 12 repeats\n"
 
     def test_save_data_round_trip(self, capsys, tmp_path):
+        # generate-email writes the corpus that email --generate evaluates: the same stdout,
+        # but for the text report's runtime line.
         saved = tmp_path / "corpus.csv"
-        code, _, _ = run_cli(
-            capsys, "email", "--generate", "--seed", "3", "--save-data", str(saved)
-        )
+        assert run_cli(capsys, "generate-email", "--out", str(saved), "--seed", "3")[0] == 0
+
+        def email(*source):
+            code, out, _ = run_cli(capsys, "email", *source, "--seed", "3")
+            return code, re.sub(r"(?m)^runtime: .*\n", "", out)
+
+        code, out = email("--data", str(saved))
         assert code == 0
-        code2, out2, _ = run_cli(capsys, "email", "--data", str(saved), "--seed", "3")
-        assert code2 == 0
-        assert "worms detected: 42/42" in out2
+        assert "worms detected: 42/42" in out
+        assert email("--generate") == (code, out)
 
     def test_save_data_without_generate_exits_2(self, capsys, tmp_path):
+        # --save-data is not an option: generate-email is the one corpus writer.
         corpus, saved = tmp_path / "corpus.csv", tmp_path / "saved.csv"
         assert run_cli(capsys, "generate-email", "--out", str(corpus))[0] == 0
         code, out, err = run_cli(
@@ -393,7 +400,7 @@ class TestEmailCommand:
         )
         assert code == 2
         assert out == ""
-        assert "--save-data" in err
+        assert err.endswith(f"error: unrecognized arguments: --save-data {saved}\n")
         assert not saved.exists()
 
     def test_runs_as_a_module(self):
@@ -627,6 +634,23 @@ class TestUsage:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(capsys, "wbcd", "--data", str(WBCD_PATH), "--bogus")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["frobnicate"], ["--", "wbcd"], ["--seed", "7", "wbcd"],
+        ["--", "combine", "--frame", "a,b", "--mass", "a:1"],
+        ["-x", "combine", "--frame", "a,b", "--mass", "a:1"],
+    ], ids=lambda argv: " ".join(argv) or "none")
+    def test_no_command_first_exits_in_the_whole_tree(self, capsys, monkeypatch, argv):
+        # Only the whole tree's parser sees these, and it exits before any handler runs.
+        def refuse(args, parser):
+            raise AssertionError(f"a handler ran for {argv}")
+
+        for name, (help_line, add_arguments, _) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, name, (help_line, add_arguments, refuse))
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2)
+        assert "Traceback" not in out + err
+        assert (out if code == 0 else err).startswith("usage: dsfusion ")
 
     def test_help_lists_subcommands(self, capsys):
         code, out, err = run_cli(capsys, "--help")

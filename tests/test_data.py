@@ -430,6 +430,15 @@ class TestEmailCsv:
         with pytest.raises(DataFormatError):
             load_email(path)
 
+    @pytest.mark.parametrize("interval", ["0", "0.0"])
+    def test_zero_interval_is_the_least_one_kept(self, tmp_path, interval):
+        path = tmp_path / "zero.csv"
+        path.write_text(
+            "id,interval_seconds,spoofed,dangerous_attachment,benign_attachment,label\n"
+            f"1,{interval},0,0,0,normal\n"
+        )
+        assert load_email(path).rows == ((0.0, 0.0, 0.0, 0.0),)
+
     @pytest.mark.parametrize("interval", ["nan", "inf", "-inf"])
     def test_non_finite_interval_rejected(self, tmp_path, interval):
         path = tmp_path / "bad.csv"
@@ -1188,6 +1197,36 @@ class TestAblation:
         assert full.config["signals"] == "1234"
         assert three.config["signals"] == "234"
         assert 0 <= three.accuracy <= 1
+
+
+def _permuted(dataset, order):
+    return RecordSet(*(tuple(column[i] for i in order) for column in
+                       (dataset.ids, dataset.rows, dataset.labels)),
+                     dataset.feature_names, dataset.label_names)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_permuting_wbcd_records_with_their_folds_keeps_the_report(wbcd_dataset, data):
+    # Each record keeps its id and fold id: only the order in which they are listed changes.
+    folds = make_folds(len(wbcd_dataset), 10, data.draw(st.integers(0, 10**6), label="seed"))
+    subset = data.draw(st.sampled_from(ACCEPTANCE_SUBSETS), label="subset")
+    order = data.draw(st.permutations(range(len(wbcd_dataset))), label="order")
+    moved = FoldPlan(folds.k, tuple(folds.assignment[i] for i in order), folds.seed)
+    expected = evaluate(wbcd_dataset, "wbcd", folds=folds, subset=subset)
+    report = evaluate(_permuted(wbcd_dataset, order), "wbcd", folds=moved, subset=subset)
+    assert report_json(report, include_runtime=False) == report_json(expected, False)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10**6), signals=st.sampled_from([(1, 2, 3, 4), (1,), (2, 3, 4)]),
+       data=st.data())
+def test_permuting_email_records_keeps_the_report(seed, signals, data):
+    dataset = generate_email(seed)
+    order = data.draw(st.permutations(range(len(dataset))), label="order")
+    expected = evaluate(dataset, "email", subset=signals, seed=seed)
+    report = evaluate(_permuted(dataset, order), "email", subset=signals, seed=seed)
+    assert report_json(report, include_runtime=False) == report_json(expected, False)
 
 
 class TestRepeatedCv:

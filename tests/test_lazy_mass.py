@@ -158,15 +158,8 @@ class TestSharedSaturatedPrediction:
         assert shared.label == "abnormal"
 
 
-class TestSlottedPrediction:
-    """A prediction is one object with no instance dict: its mass sits in a slot that the
-    first read fills, and that ``replace`` leaves empty."""
-
-    def test_no_instance_dict(self, wbcd_dataset, iris_dataset):
-        for pred in one_of_each(wbcd_dataset, iris_dataset):
-            assert not hasattr(pred, "__dict__")
-            with pytest.raises(AttributeError):
-                pred.note = "kept"
+class TestCachedMass:
+    """A prediction keeps the mass that its first read builds; ``replace`` starts without it."""
 
     def test_replace_after_the_read_builds_its_own_mass(self, built, wbcd_dataset):
         # The bench's planted fault relabels with replace; new args must give a new mass.
@@ -185,7 +178,7 @@ class TestSlottedPrediction:
         assert built[0] == start + 3  # flipped's, the reference's and relabelled's
 
     @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
-    def test_a_clone_keeps_the_slot_as_it_was(self, built, wbcd_dataset, iris_dataset, clone):
+    def test_a_clone_keeps_the_mass_as_it_was(self, built, wbcd_dataset, iris_dataset, clone):
         for pred in one_of_each(wbcd_dataset, iris_dataset):
             unread = clone(pred)
             mass = pred.mass
