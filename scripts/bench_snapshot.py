@@ -9,7 +9,10 @@ that read 0 by name. It also times one tier-1 run (``python -m pytest -q``
 with ``src`` on the path) and records the Python version, CPU count, git
 SHA (and whether the tree had uncommitted changes), ``PYTHONDONTWRITEBYTECODE``
 and a census of each ``src/dsfusion`` module: docstring, comment, blank and
-other lines, which add up to the module's ``wc -l``.
+other lines, which add up to the module's ``wc -l``. Beside the census it
+records the SHA-256 of ``DIGESTS.json``, the report digests that
+``scripts/report_digest.py`` checks, so that a speed claim and a same-outputs
+claim name one tree.
 
 Usage: python scripts/bench_snapshot.py [--out BENCH_0.json] [--seconds S]
 ``--seconds`` is each bench run's length (default: ``BENCHMARK.json``'s
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import platform
@@ -58,9 +62,10 @@ def census(text: str) -> dict[str, int]:
 
 
 def snapshot(runs: dict[str, tuple[str, str]], tier1_seconds: float, env: dict,
-             modules: dict[str, str]) -> dict:
+             modules: dict[str, str], digests: bytes) -> dict:
     """The snapshot's JSON object, from each workload's (untraced, traced) ``bench/run.py``
-    stdouts, the tier-1 wall time, the environment and each module's source text."""
+    stdouts, the tier-1 wall time, the environment, each module's source text and the bytes
+    of ``DIGESTS.json``."""
     workloads = {}
     for name, (untraced, traced) in runs.items():
         plain, layers = result_line(untraced), result_line(traced)
@@ -75,9 +80,9 @@ def snapshot(runs: dict[str, tuple[str, str]], tier1_seconds: float, env: dict,
     per_module = {name: census(text) for name, text in modules.items()}
     totals = {kind: sum(c[kind] for c in per_module.values())
               for kind in ("docstring", "comment", "blank", "other", "total")}
-    return {"environment": env, "workloads": workloads,
-            "tier1_seconds": tier1_seconds, "src_census": {"modules": per_module,
-                                                           "totals": totals}}
+    return {"environment": env, "workloads": workloads, "tier1_seconds": tier1_seconds,
+            "src_census": {"modules": per_module, "totals": totals},
+            "digests_sha256": hashlib.sha256(digests).hexdigest()}
 
 
 def _git(*argv: str) -> str:
@@ -114,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     modules = {path.name: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "dsfusion").glob("*.py"))}
-    result = snapshot(runs, tier1_seconds, environment, modules)
+    result = snapshot(runs, tier1_seconds, environment, modules,
+                      (ROOT / "DIGESTS.json").read_bytes())
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Mutation check of the decision code: email and its saturation cutoff,
-three-class, the binary classifier's shared predictions, the two-label
-conflict bound and the subset rule; of the training and harness code: the
-threshold's rank, clamp and walk, the feature pick's tie, the fold trainer's
-counts, the fold balance and the confusion counts; of the three-class
-assignments' range membership and exact re-decision of float ties; of the
-WBCD loader's column pass, its per-line width check; of Bel, Pl, the mass
-constructor's checks and the pairwise rule's normalisation; and of the
-readers' width, interval and finiteness checks. Standard library only.
+three-class, the binary classifier's shared predictions and its tie rule, the
+two-label conflict bound and the subset rule; of the training and harness
+code: the threshold's rank, clamp and walk, the feature pick's tie, the fold
+trainer's counts, the fold balance and the confusion counts; of the
+three-class assignments' range membership and exact re-decision of float
+ties; of the binary mass builders' checks and clamp; of the WBCD loader's
+column pass, its per-line width check and its cell table; of Bel, Pl, the
+mass constructor's checks and the pairwise rule's normalisation; of the
+readers' width, interval, finiteness and digit-count checks; and of the CLI's
+feature, signal and mass spec parsers. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -43,6 +45,7 @@ PYTEST = ["-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
 COPIED = ("src", "tests", "data", "pyproject.toml")
 BPA, CLASSIFY = "src/dsfusion/bpa.py", "src/dsfusion/classify.py"
 EVIDENCE, DATA = "src/dsfusion/evidence.py", "src/dsfusion/data.py"
+CLI = "src/dsfusion/cli.py"
 
 
 class Scope(NamedTuple):
@@ -71,8 +74,11 @@ FOLDS = Scope(CLASSIFY, ("tests/test_classify.py",), "train or Train or fold")
 HARNESS = Scope(DATA, ("tests/test_data.py",), "Fold or Evaluate")
 # The WBCD loader's tests against the row-by-row reference.
 LOADER = Scope(DATA, ("tests/test_data.py",), "load_wbcd")
-# The range and nearest-mean assignments' tests.
+# The range and nearest-mean assignments' tests, and the binary mass builders' tests with
+# the model dumps' threshold checks.
 RANGES = Scope(BPA, ("tests/test_bpa.py",), "Boundary or boundary or Distance")
+BUILDERS = Scope(BPA, ("tests/test_bpa.py", "tests/test_classify.py"),
+                 "SigmoidMass or TableMass or threshold_rejected")
 # The evidence module's tests of Bel and Pl, of the mass constructor's checks, and of the
 # pairwise rule; the readers' tests of the three file layouts.
 BELIEF = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
@@ -81,6 +87,8 @@ MASSES = Scope(EVIDENCE, ("tests/test_evidence.py",), "MassConstruction")
 RULE = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
              "Combine or normalization or oracle")
 READERS = Scope(DATA, ("tests/test_data.py",), "Load or load or Reader or Csv")
+# The CLI's tests of the --features, --signals and --mass specs.
+PARSERS = Scope(CLI, ("tests/test_cli.py",), "feature or signal or digits or Combine or ablate")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -119,6 +127,8 @@ MUTANTS = [
     ("step1-empty-set", THREE_CLASS, "min(range(1, 8)", "min(range(8)", None),
     ("step1-tie-order", THREE_CLASS, "(-m[a], a.bit_count(), a)", "(-m[a], -a.bit_count(), -a)",
      None),
+    ("binary-tie-strict", BINARY, 'if score > 0 else "normal"', 'if score >= 0 else "normal"',
+     None),
     ("share-key-first-value", BINARY, "key = get(record)", "key = get(record)[:1]", None),
     ("share-store-before-decision", BINARY,
      "        pred = _binary_prediction(record, model)\n"
@@ -147,6 +157,28 @@ MUTANTS = [
      None),
     ("boundary-range-open", RANGES, "(lo0 <= value <= hi0)", "(lo0 < value <= hi0)", None),
     ("nearest-float-tie-kept", RANGES, "if len(tied) == 1:", "if tied:", None),
+    ("scaled-floor-ceiling-equal", BUILDERS, "0 <= self.floor < self.ceiling <= 1",
+     "0 <= self.floor <= self.ceiling <= 1", None),
+    ("scaled-floor-zero-refused", BUILDERS, "0 <= self.floor < self.ceiling",
+     "0 < self.floor < self.ceiling", None),
+    ("scaled-ceiling-one-refused", BUILDERS, "self.ceiling <= 1:", "self.ceiling < 1:", None),
+    ("scaled-theta-zero-admitted", BUILDERS, "if not 0 < self.theta_mass < 1:",
+     "if not 0 <= self.theta_mass < 1:", None),
+    ("scaled-ceiling-row-unchecked", BUILDERS, 'raise ValueError(f"ceiling row: {err}") from None',
+     "pass", None),
+    ("scaled-threshold-unchecked", BUILDERS,
+     'from None\n        if not math.isfinite(self.threshold):', "from None\n        if False:",
+     None),
+    ("table-row-count-open", BUILDERS, "if len(self.rows) != 2:", "if len(self.rows) < 2:", None),
+    ("table-row-unchecked", BUILDERS, 'raise ValueError(f"row {value}: {err}") from None', "pass",
+     None),
+    ("sigmoid-finite-unchecked", BUILDERS,
+     'raise ValueError(f"feature value must be finite, got {value}")\n    m_normal',
+     "pass\n    m_normal", None),
+    ("sigmoid-clamp-upper-dropped", BUILDERS, "min(max(m_normal, MASS_EPS), 1.0 - MASS_EPS)",
+     "max(m_normal, MASS_EPS)", None),
+    ("sigmoid-clamp-lower-flipped", BUILDERS, "min(max(m_normal, MASS_EPS), 1.0 - MASS_EPS)",
+     "min(min(m_normal, MASS_EPS), 1.0 - MASS_EPS)", None),
     ("fold-own-count-kept", FOLDS, "totals[v] - cells[v, fold]", "totals[v]", None),
     ("folds-extra-record", HARNESS, "1 if fold < extra else 0", "1 if fold <= extra else 0",
      None),
@@ -154,6 +186,12 @@ MUTANTS = [
      "matrix[predicted][truths[i]] += 1", None),
     ("column-pass-width-unchecked", LOADER,
      'if lines and set(map(str.count, lines, repeat(","))) == {10}:', "if lines:", None),
+    ("wbcd-cell-zeros-kept", READERS, 'raw.lstrip("0") if raw.isdigit()', "raw if raw.isdigit()",
+     None),
+    ("wbcd-cell-membership-flipped", READERS, "if cell not in _WBCD_CELLS:",
+     "if cell in _WBCD_CELLS:", None),
+    ("wbcd-cell-any-strip", READERS, 'raw.lstrip("0") if raw.isdigit() else raw', 'raw.lstrip("0")',
+     None),
     ("belief-subset-flipped", BELIEF, "bits & ~a == 0", "bits & ~a != 0", None),
     ("plausibility-complement", BELIEF, "if bits & a)", "if bits & ~a)", None),
     ("mass-zero-kept", MASSES, "if value > 0:", "if value >= 0:", None),
@@ -168,6 +206,38 @@ MUTANTS = [
     ("email-interval-zero-refused", READERS, "interval < 0", "interval <= 0", None),
     ("iris-non-finite-admitted", READERS,
      'raise DataFormatError(f"{path}:{i}: features must be finite")', "pass", None),
+    ("email-digit-guard-dropped", READERS, ' and len(v.lstrip("-")) <= digits for v', " for v",
+     None),
+    ("email-digit-guard-strict", READERS, 'len(v.lstrip("-")) <= digits',
+     'len(v.lstrip("-")) < digits', None),
+    ("email-digit-guard-sign-counted", READERS, 'len(v.lstrip("-")) <= digits', "len(v) <= digits",
+     None),
+    ("email-digit-limit-zero-kept", READERS, "sys.get_int_max_str_digits() or math.inf",
+     "sys.get_int_max_str_digits()", None),
+    ("features-non-ascii-admitted", PARSERS, "if not ch.isascii() or ch.upper()", "if ch.upper()",
+     None),
+    ("features-unknown-letter-unrefused", PARSERS,
+     'parser.error(f"unknown feature letter {ch!r} (use A-I)")', "pass", None),
+    ("features-subset-error-raised", PARSERS,
+     'as typed\n        parser.error(f"{spec!r}: {exc}")', "as typed\n        raise", None),
+    ("signals-non-ascii-admitted", PARSERS,
+     "if not (spec.isascii() and all(map(str.isdigit, spec))):",
+     "if not all(map(str.isdigit, spec)):", None),
+    ("signals-non-digit-unrefused", PARSERS,
+     'parser.error(f"signals must be digits 1-4, got {spec!r}")', "pass", None),
+    ("signals-subset-error-raised", PARSERS,
+     '"signal")\n    except ValueError as exc:\n        parser.error(f"{spec!r}: {exc}")',
+     '"signal")\n    except ValueError as exc:\n        raise', None),
+    ("mass-entry-colon-flipped", PARSERS, 'if ":" not in part:', 'if ":" in part:', None),
+    ("mass-entry-colon-unrefused", PARSERS,
+     'parser.error(f"bad mass entry {part!r}, expected subset:value")', "pass", None),
+    ("mass-underscore-admitted", PARSERS, 'if not value_spec.isascii() or "_" in value_spec:',
+     "if not value_spec.isascii():", None),
+    ("mass-non-ascii-admitted", PARSERS, 'if not value_spec.isascii() or "_" in value_spec:',
+     'if "_" in value_spec:', None),
+    ("mass-value-error-uncaught", PARSERS, "except (EvidenceError, ValueError) as exc:",
+     "except EvidenceError as exc:", None),
+    ("mass-sum-error-raised", PARSERS, 'parser.error(f"bad mass {spec!r}: {exc}")', "raise", None),
 ]
 
 

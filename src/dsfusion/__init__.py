@@ -28,9 +28,7 @@ from .bpa import (
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
-    boundary_mass,
     class_moments,
-    distance_mass,
     fsv,
     scaled_sigmoid_mass,
     select_feature,

@@ -1,12 +1,14 @@
 """Basic-probability-assignment builders and their training helpers.
 
-Four families of mass assignment are provided: a plain sigmoid around a
-trained threshold (binary frames), a scaled sigmoid with explicit floor,
-ceiling and ignorance mass, a lookup table for binary signals, and two
-three-class assignments driven by per-class value ranges and per-class
-means. Training helpers derive the thresholds, ranges, means and the
-feature-selection scores from labelled feature rows; the three-class ones
-read each feature's values per class, indexed ``[feature][class]``.
+Three mass builders cover the binary frame: a plain sigmoid around a
+trained threshold, a scaled sigmoid with explicit floor, ceiling and
+ignorance mass, and a lookup table for binary signals. The two three-class
+assignments, by per-class value ranges and by per-class means, are bit
+rows: :func:`boundary_bits` and :func:`nearest_mean` pick the focal set, and
+:func:`focal_row` gives its ``{bits: mass}`` row. Training helpers derive the
+thresholds, ranges, means and the feature-selection scores from labelled
+feature rows; the three-class ones read each feature's values per class,
+indexed ``[feature][class]``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .evidence import Frame, MassFunction, make_frame
+from .evidence import MassFunction, make_frame
 
 BINARY_LABELS = ("normal", "abnormal")
 BINARY_FRAME = make_frame(BINARY_LABELS)
@@ -315,27 +317,13 @@ def focal_row(bits: int, confidence: float) -> dict[int, float]:
 
 
 def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> int:
-    """The focal set of :func:`boundary_mass`: the classes whose range holds
-    the value, or else the class whose range is nearest."""
+    """The focal set of a boundary row: the classes whose range holds the
+    value, or else the class whose range is nearest."""
     (lo0, hi0), (lo1, hi1), (lo2, hi2) = class_bounds
     bits = (lo0 <= value <= hi0) | (lo1 <= value <= hi1) << 1 | (lo2 <= value <= hi2) << 2
     if bits == 0:
         bits = 1 << _nearest_class(value, class_bounds, lambda v, lo, hi: max(lo - v, v - hi))
     return bits
-
-
-def boundary_mass(
-    value: float, class_bounds: Sequence[tuple[float, float]], frame: Frame
-) -> MassFunction:
-    """Mass from range membership: which classes' observed range holds the value.
-
-    The membership set gets ``BOUNDARY_CONFIDENCE`` and the frame the
-    remainder; membership in every class collapses to total ignorance,
-    membership in none falls back to the class whose range is nearest.
-    """
-    if frame.size != 3 or len(class_bounds) != 3:
-        raise ValueError("boundary assignment is defined over exactly three classes")
-    return MassFunction(frame, focal_row(boundary_bits(value, class_bounds), BOUNDARY_CONFIDENCE))
 
 
 def _fsv(group: Sequence[Moments]) -> float:
@@ -405,14 +393,3 @@ def select_feature(stats: ClassMoments, classes: Sequence[int]) -> int:
 def nearest_mean(value: float, means: Sequence[float]) -> int:
     """The class whose mean is nearest to the value, ties to the lowest class."""
     return _nearest_class(value, [(mean,) for mean in means], lambda v, mean: abs(v - mean))
-
-
-def distance_mass(value: float, means: Sequence[float], frame: Frame) -> MassFunction:
-    """Mass ``DISTANCE_CONFIDENCE`` on the class whose mean is nearest to the
-    value; the rest on the frame.
-
-    Ties go to the lowest class index.
-    """
-    if frame.size != 3 or len(means) != 3:
-        raise ValueError("distance assignment is defined over exactly three classes")
-    return MassFunction(frame, focal_row(1 << nearest_mean(value, means), DISTANCE_CONFIDENCE))

@@ -284,34 +284,33 @@ def classify_binary(record: MaybeRow, model: BinaryModel) -> Prediction:
 
 
 def _binary_prediction(record: MaybeRow, model: BinaryModel) -> Prediction:
-    # classify_binary's decision of a record of the model's length: the one fsum, else the
-    # checked loop.
+    # classify_binary's decision of a record of the model's length: the score of the one fsum,
+    # else of the checked loop, then the one decision rule.
     trace, get, negated, _ = model.terms
     try:  # a None or a non-numeric value is a TypeError, inf and -inf a ValueError
         score = math.fsum((*get(record), *negated))
     except (TypeError, ValueError, OverflowError):  # the checked loop skips, raises or clamps
         score = math.nan
-    if math.isfinite(score):
-        label = "abnormal" if score > 0 else "normal"
-        return Prediction(label, BINARY_FRAME, trace, _score_mass, (score,))
-    used, terms = [], []
-    for f, threshold in model.fitted:
-        value = record[f]
-        if value is not None:
-            if not math.isfinite(value):
-                raise ValueError(f"feature value must be finite, got {value}")
-            used.append(f)
-            terms += (value, -threshold)
-    if not used:
-        trace = {"features": [], "fallback": "no-evidence"}
-        return Prediction("normal", BINARY_FRAME, trace, vacuous_mass, ())
-    try:
-        score = math.fsum(terms)
-    except OverflowError:
-        # Beyond the float range: logistic saturates past 709, so clamp the exact sum.
-        score = float(min(max(sum(map(Fraction, terms)), -1000), 1000))
+    if not math.isfinite(score):
+        used, terms = [], []
+        for f, threshold in model.fitted:
+            value = record[f]
+            if value is not None:
+                if not math.isfinite(value):
+                    raise ValueError(f"feature value must be finite, got {value}")
+                used.append(f)
+                terms += (value, -threshold)
+        if not used:
+            trace = {"features": [], "fallback": "no-evidence"}
+            return Prediction("normal", BINARY_FRAME, trace, vacuous_mass, ())
+        trace = {"features": used}
+        try:
+            score = math.fsum(terms)
+        except OverflowError:
+            # Beyond the float range: logistic saturates past 709, so clamp the exact sum.
+            score = float(min(max(sum(map(Fraction, terms)), -1000), 1000))
     label = "abnormal" if score > 0 else "normal"
-    return Prediction(label, BINARY_FRAME, {"features": used}, _score_mass, (score,))
+    return Prediction(label, BINARY_FRAME, trace, _score_mass, (score,))
 
 
 def _score_mass(frame: Frame, score: float) -> MassFunction:
@@ -465,9 +464,10 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     4 over the 7 focal sets). A record holds one value per model feature.
 
     The prediction keeps the focal sets in feature order and the nearest
-    class (None at step 1). Its mass, built on first read, folds the float
-    rows in that order, the rule and order of ``combine_all`` over
-    ``boundary_mass`` and then ``combine`` with ``distance_mass``.
+    class (None at step 1). Its mass, built on first read, folds their bit
+    rows (``focal_row`` at ``BOUNDARY_CONFIDENCE``, then at
+    ``DISTANCE_CONFIDENCE`` on the nearest class) in that order, the rule and
+    order of ``combine_all`` over the boundary rows and then ``combine``.
     """
     if len(record) != len(model.means):
         raise ValueError(f"record has {len(record)} values, model has {len(model.means)} features")

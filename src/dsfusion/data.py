@@ -15,6 +15,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 from collections import Counter
 from contextlib import suppress
@@ -168,14 +169,16 @@ def _wbcd_rows(path: str | Path, lines: list) -> tuple[list, list]:
     # Each line's features and label by the cell and class rules, in file order.
     rows, labels = [], []
     for i, fields in lines:
-        for raw in fields[1:10]:  # each cell by the rule, so "01" reads as 1
-            if raw != "?" and not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= 10):
+        features = []
+        for raw in fields[1:10]:  # a digit cell loses its leading zeros, so "01" reads as 1
+            cell = raw.lstrip("0") if raw.isdigit() else raw
+            if cell not in _WBCD_CELLS:
                 raise DataFormatError(f"{path}:{i}: feature {raw!r} is not an integer in 1..10")
-        features = tuple(None if raw == "?" else float(raw) for raw in fields[1:10])
+            features.append(_WBCD_CELLS[cell])
         label = _WBCD_CLASSES.get(fields[10])
         if label is None:
             raise DataFormatError(f"{path}:{i}: class code must be 2 or 4, got {fields[10]!r}")
-        rows.append(features)
+        rows.append(tuple(features))
         labels.append(label)
     return rows, labels
 
@@ -264,8 +267,10 @@ def _plain_number(value: float) -> str:
 def load_email(path: str | Path) -> RecordSet:
     """Load the email CSV layout written by :func:`write_email_csv`."""
     ids, rows, labels = [], [], []
+    digits = sys.get_int_max_str_digits() or math.inf  # int()'s limit; 0 means none
     for i, row in _read_rows(path, 6, EMAIL_HEADER):
-        if not all(map(_INTEGER.fullmatch, (row[0], *row[2:5]))):
+        integers = (row[0], *row[2:5])
+        if not all(_INTEGER.fullmatch(v) and len(v.lstrip("-")) <= digits for v in integers):
             raise DataFormatError(f"{path}:{i}: malformed numeric field")
         interval = float(row[1]) if _DECIMAL.fullmatch(row[1]) else math.nan
         if not math.isfinite(interval) or interval < 0:

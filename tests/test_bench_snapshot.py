@@ -1,5 +1,6 @@
 """``scripts/bench_snapshot.py``'s JSON, fed canned ``bench/run.py`` result lines: its keys,
-types, zero-valued per-layer metrics and line census. No benchmark runs and nothing is timed."""
+types, zero-valued per-layer metrics, line census and ``DIGESTS.json`` hash. No benchmark
+runs and nothing is timed."""
 
 import importlib.util
 import json
@@ -44,8 +45,10 @@ def test_snapshot_keys_and_types():
     runs = {"wbcd_cli": (stdout({"throughput_per_s": 2e5, "peak_rss_mb": 20.5}, failed=1),
                          stdout({"classify.us_per_record": 1.5, "bpa.cache_hit_ratio": 0.0}))}
     env = {"python": "3.11.7", "cpu_count": 2, "git_sha": "0" * 40}
-    result = bench_snapshot.snapshot(runs, 41.5, env, {"m.py": MODULE, "n.py": "x = 1\n"})
-    assert set(result) == {"environment", "workloads", "tier1_seconds", "src_census"}
+    result = bench_snapshot.snapshot(runs, 41.5, env, {"m.py": MODULE, "n.py": "x = 1\n"},
+                                     b'{"full": {}}\n')
+    assert set(result) == {"environment", "workloads", "tier1_seconds", "src_census",
+                           "digests_sha256"}
     assert result["environment"] == env and result["tier1_seconds"] == 41.5
     wbcd = result["workloads"]["wbcd_cli"]
     assert (wbcd["seed"], wbcd["attempted"], wbcd["failed"]) == (0, 40, 1)
@@ -61,7 +64,14 @@ def test_census_counts_each_line_once():
     assert counts["total"] == MODULE.count("\n")
 
 
+def test_digests_file_is_named_by_its_sha256():
+    # The SHA-256 of b"abc" (FIPS 180-2, appendix B.1).
+    result = bench_snapshot.snapshot({}, 0.0, {}, {}, b"abc")
+    assert result["digests_sha256"] == (
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
 def test_census_totals_add_up_over_modules():
-    result = bench_snapshot.snapshot({}, 0.0, {}, {"m.py": MODULE, "n.py": "x = 1\n"})
+    result = bench_snapshot.snapshot({}, 0.0, {}, {"m.py": MODULE, "n.py": "x = 1\n"}, b"")
     assert result["src_census"]["totals"] == {
         "docstring": 3, "comment": 1, "blank": 4, "other": 4, "total": 12}

@@ -15,14 +15,13 @@ from dsfusion import (
     BinaryModel,
     BoundaryModel,
     EmailModel,
+    MassFunction,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
     ThreeClassModel,
-    boundary_mass,
     class_moments,
     classifier_to_dict,
-    distance_mass,
     email_model_default,
     fsv,
     make_frame,
@@ -33,12 +32,16 @@ from dsfusion import (
 )
 from dsfusion import classify
 from dsfusion.bpa import (
+    BOUNDARY_CONFIDENCE,
+    DISTANCE_CONFIDENCE,
     DegenerateFeatureError,
     _nearest_class,
     binary_row_mass,
     boundary_bits,
     counted_threshold,
+    focal_row,
     moments,
+    nearest_mean,
     scaled_sigmoid_row,
     table_row,
 )
@@ -130,6 +133,11 @@ class TestSigmoidMass:
         assert m.mass_bits(1) == pytest.approx(1e-15)
         assert m.mass_bits(2) == 1.0 - 1e-15
 
+    def test_saturation_clamped_below_the_threshold(self):
+        m = sigmoid_mass(-10000.0, SigmoidBpa(0.0))
+        assert m.mass_bits(1) == 1.0 - 1e-15
+        assert m.mass_bits(2) == pytest.approx(1e-15)
+
     def test_masses_complement_exactly(self):
         for value in (0.0, 1.5, 4.0, 9.0, 700.0):
             m = sigmoid_mass(value, SigmoidBpa(5.0))
@@ -187,6 +195,7 @@ class TestScaledSigmoidMass:
     @pytest.mark.parametrize("args, abnormal", [
         ((30.0, 0.3, 0.7, 0.3 + 5e-13), "-4.99933427988708e-13"),
         ((1.0, 0.0, 0.995, 0.01), "-0.004999999999999996"),
+        ((30.0, 0.3, 1.0, 0.01), "-0.01"),
     ])
     def test_ceiling_row_must_be_a_mass(self, args, abnormal):
         # 0.3 + 5e-13 used to pass a 1e-12 slack on ceiling + theta_mass, and then
@@ -361,65 +370,53 @@ class TestFitBoundaries:
 
 
 class TestBoundaryMass:
+    # A boundary source is the bit row focal_row(boundary_bits(...), BOUNDARY_CONFIDENCE).
     def test_single_class_band(self):
-        m = boundary_mass(2.0, EXAMPLE_BOUNDS, THREE)
-        assert m.mass_bits(0b001) == 0.9
-        assert m.mass_bits(0b111) == pytest.approx(0.1)
+        assert boundary_bits(2.0, EXAMPLE_BOUNDS) == 0b001
+        row = focal_row(0b001, BOUNDARY_CONFIDENCE)
+        assert row == {0b001: 0.9, 0b111: pytest.approx(0.1)}
+        assert MassFunction(THREE, row).mass_bits(0b001) == 0.9
 
     def test_triple_overlap_is_total_ignorance(self):
-        m = boundary_mass(3.5, EXAMPLE_BOUNDS, THREE)
-        assert m.mass_bits(0b111) == 1.0
-        assert len(m) == 1
+        assert boundary_bits(3.5, EXAMPLE_BOUNDS) == 0b111
+        assert focal_row(0b111, BOUNDARY_CONFIDENCE) == {0b111: 1.0}
 
     def test_pair_band(self):
-        m = boundary_mass(4.2, EXAMPLE_BOUNDS, THREE)
-        assert m.mass_bits(0b110) == 0.9
+        assert boundary_bits(4.2, EXAMPLE_BOUNDS) == 0b110
 
     def test_below_all_ranges_goes_to_nearest(self):
-        m = boundary_mass(0.5, EXAMPLE_BOUNDS, THREE)
-        assert m.mass_bits(0b001) == 0.9
+        assert boundary_bits(0.5, EXAMPLE_BOUNDS) == 0b001
 
     def test_nearest_range_rounding_tie_decided_exactly(self):
         # The gaps 1 + 1e-20 and 1 - 1e-20 both round to 1.0; exactly, class 1 is nearer.
-        m = boundary_mass(1e-20, ((-2.0, -1.0), (1.0, 2.0), (5.0, 6.0)), THREE)
-        assert m.mass_bits(0b010) == 0.9
+        assert boundary_bits(1e-20, ((-2.0, -1.0), (1.0, 2.0), (5.0, 6.0))) == 0b010
+
+    def test_nearest_range_exact_tie_goes_to_lowest_class(self):
+        assert boundary_bits(0.0, ((-2.0, -1.0), (1.0, 2.0), (5.0, 6.0))) == 0b001
 
     def test_above_all_ranges_goes_to_nearest(self):
-        m = boundary_mass(7.0, EXAMPLE_BOUNDS, THREE)
-        assert m.mass_bits(0b100) == 0.9
+        assert boundary_bits(7.0, EXAMPLE_BOUNDS) == 0b100
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
-            boundary_mass(bad, EXAMPLE_BOUNDS, THREE)
-
-    def test_two_class_frame_rejected(self):
-        message = "^boundary assignment is defined over exactly three classes$"
-        with pytest.raises(ValueError, match=message):
-            boundary_mass(2.0, EXAMPLE_BOUNDS, BINARY_FRAME)
-        with pytest.raises(ValueError, match=message):
-            boundary_mass(2.0, EXAMPLE_BOUNDS[:2], THREE)
+            boundary_bits(bad, EXAMPLE_BOUNDS)
 
     def test_training_bounds_pair_band(self):
         # a width of 3.4 exceeds the middle class's maximum but fits the others
-        m = boundary_mass(3.4, TRAINING_BOUNDS[1], THREE)
-        assert m.mass_bits(0b101) == 0.9
-        assert m.mass_bits(0b111) == pytest.approx(0.1)
+        assert boundary_bits(3.4, TRAINING_BOUNDS[1]) == 0b101
+        assert focal_row(0b101, BOUNDARY_CONFIDENCE) == {0b101: 0.9, 0b111: pytest.approx(0.1)}
 
     @given(
         st.floats(min_value=-10, max_value=10),
         st.floats(min_value=0, max_value=5),
     )
     def test_enlarging_a_range_grows_membership(self, value, widen):
-        base = boundary_mass(value, EXAMPLE_BOUNDS, THREE)
         (lo, hi), b2, b3 = EXAMPLE_BOUNDS
-        widened = boundary_mass(value, ((lo - widen, hi + widen), b2, b3), THREE)
-        base_sets = {s.bits for s, _ in base.items() if s.bits != 0b111}
-        wide_sets = {s.bits for s, _ in widened.items() if s.bits != 0b111}
-        if lo - widen <= value <= hi + widen and base_sets and wide_sets:
-            # class 1 membership can only appear, never vanish
-            if any(bits & 0b001 for bits in base_sets):
-                assert any(bits & 0b001 for bits in wide_sets) or widened.mass_bits(0b111) == 1.0
+        widened = boundary_bits(value, ((lo - widen, hi + widen), b2, b3))
+        # class 1 membership can only appear, never vanish
+        if boundary_bits(value, EXAMPLE_BOUNDS) & 0b001 or lo - widen <= value <= hi + widen:
+            assert widened & 0b001
 
 
 class TestFsv:
@@ -597,43 +594,34 @@ class TestSelectFeature:
 
 
 class TestDistanceMass:
+    # A distance source is the bit row focal_row(1 << nearest_mean(...), DISTANCE_CONFIDENCE).
     MEANS = (1.0, 2.0, 3.0)
 
     def test_exact_mean_wins(self):
-        m = distance_mass(1.0, self.MEANS, THREE)
-        assert m.mass_bits(0b001) == 0.8
-        assert m.mass_bits(0b111) == pytest.approx(0.2)
+        assert nearest_mean(1.0, self.MEANS) == 0
+        row = focal_row(0b001, DISTANCE_CONFIDENCE)
+        assert row == {0b001: 0.8, 0b111: pytest.approx(0.2)}
+        assert MassFunction(THREE, row).mass_bits(0b001) == 0.8
 
     def test_nearest_mean_wins(self):
-        m = distance_mass(2.4, self.MEANS, THREE)
-        assert m.mass_bits(0b010) == 0.8
+        assert nearest_mean(2.4, self.MEANS) == 1
 
     def test_tie_goes_to_lowest_class(self):
-        m = distance_mass(2.0, (1.0, 3.0, 100.0), THREE)
-        assert m.mass_bits(0b001) == 0.8
+        assert nearest_mean(2.0, (1.0, 3.0, 100.0)) == 0
 
     def test_rounding_tie_decided_exactly(self):
         # |1e-20 - (-1)| and |1e-20 - 1| both round to 1.0; exactly, class 1 is nearer.
-        m = distance_mass(1e-20, (-1.0, 1.0, 5.0), THREE)
-        assert m.mass_bits(0b010) == 0.8
+        assert nearest_mean(1e-20, (-1.0, 1.0, 5.0)) == 1
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
-            distance_mass(bad, self.MEANS, THREE)
-
-    def test_two_class_frame_rejected(self):
-        message = "^distance assignment is defined over exactly three classes$"
-        with pytest.raises(ValueError, match=message):
-            distance_mass(2.0, self.MEANS, BINARY_FRAME)
-        with pytest.raises(ValueError, match=message):
-            distance_mass(2.0, self.MEANS[:2], THREE)
+            nearest_mean(bad, self.MEANS)
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_translation_invariance(self, shift):
-        m1 = distance_mass(2.4, self.MEANS, THREE)
-        m2 = distance_mass(2.4 + shift, tuple(v + shift for v in self.MEANS), THREE)
-        assert {s.bits for s, _ in m1.items()} == {s.bits for s, _ in m2.items()}
+        shifted = tuple(v + shift for v in self.MEANS)
+        assert nearest_mean(2.4 + shift, shifted) == nearest_mean(2.4, self.MEANS)
 
 
 # One model of every bpa kind.
@@ -710,8 +698,6 @@ def test_every_builder_output_is_normalized():
         sigmoid_mass(3.0, SigmoidBpa(5.0)),
         scaled_sigmoid_mass(12.0, ScaledSigmoidBpa(30.0, 0.3, 0.7, 0.01)),
         table_mass(0, TableBpa(((0.6, 0.39, 0.01), (0.4, 0.59, 0.01)))),
-        boundary_mass(3.4, TRAINING_BOUNDS[1], THREE),
-        distance_mass(2.4, (1.0, 2.0, 3.0), THREE),
     ]
     for m in outputs:
         assert abs(sum(v for _, v in m.items()) - 1.0) <= 1e-9

@@ -23,13 +23,13 @@ from dsfusion import (
     BINARY_FRAME,
     BoundaryModel,
     EmailModel,
+    MassFunction,
     Prediction,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
     ThreeClassModel,
     TotalConflictError,
-    boundary_mass,
     classifier_to_dict,
     classify_binary,
     classify_email,
@@ -37,7 +37,6 @@ from dsfusion import (
     combine,
     combine_all,
     combine_binary,
-    distance_mass,
     email_model_default,
     generate_email,
     make_folds,
@@ -48,7 +47,15 @@ from dsfusion import (
     vacuous_mass,
 )
 from dsfusion import classify
-from dsfusion.bpa import BOUNDARY_CONFIDENCE, logistic, saturation_cutoff
+from dsfusion.bpa import (
+    BOUNDARY_CONFIDENCE,
+    DISTANCE_CONFIDENCE,
+    boundary_bits,
+    focal_row,
+    logistic,
+    nearest_mean,
+    saturation_cutoff,
+)
 from dsfusion.classify import (
     BinaryModel,
     email_signal_mass,
@@ -871,19 +878,22 @@ def test_fold_models_match_train_three_class_on_the_fold_rows(data):
         assert isinstance(grouped, list) or expected == grouped
 
 
+def boundary_rows(record, model: ThreeClassModel):
+    """Each feature's boundary source as a mass function: its focal set's bit row."""
+    return [MassFunction(model.frame, focal_row(boundary_bits(v, bounds), BOUNDARY_CONFIDENCE))
+            for v, bounds in zip(record, model.boundaries.bounds)]
+
+
 def generic_three_class_mass(record, model: ThreeClassModel, trace):
     """The mass ``classify_three_class`` reports, through the generic evidence
-    algebra: ``combine_all`` of the public ``boundary_mass`` builders, then,
-    for a step-3 decision, ``combine`` with ``distance_mass`` on the traced
-    feature."""
-    frame = model.frame
-    step1 = combine_all(
-        [boundary_mass(v, bounds, frame) for v, bounds in zip(record, model.boundaries.bounds)]
-    )
+    algebra: ``combine_all`` of the boundary rows, then, for a step-3 decision,
+    ``combine`` with the distance row of the traced feature's nearest mean."""
+    step1 = combine_all(boundary_rows(record, model))
     if trace["decided"] == "step1":
         return step1
     feature = trace["feature"]
-    return combine(step1, distance_mass(record[feature], model.means[feature], frame))
+    nearest = nearest_mean(record[feature], model.means[feature])
+    return combine(step1, MassFunction(model.frame, focal_row(1 << nearest, DISTANCE_CONFIDENCE)))
 
 
 def _assert_three_class_exact(record, model):
@@ -971,7 +981,7 @@ def test_three_class_matches_exact_oracle_on_every_multiset_of_up_to_six_rows():
             # the leader of the float fold, which rounding can pick wrongly.
             group = trace.get("group", [label])
             exact = sum(1 << labels.index(name) for name in group)
-            fused = combine_all([boundary_mass(0, b, IRIS_FRAME) for b in model.boundaries.bounds])
+            fused = combine_all(boundary_rows(record, model))
             float_leader = oracle_three_class_candidate({h.bits: v for h, v in fused.items()})
             float_misses += float_leader != exact
     assert cases == 3 * 1715

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsfusion import (
@@ -483,6 +483,24 @@ def test_byte_order_mark_on_a_later_line_is_a_cell_error(tmp_path, capsys, comma
     assert err.startswith(f"error: {bad}:2: {message}")
 
 
+@pytest.mark.parametrize("command, column, message", [
+    ("wbcd", 2, "feature '1111"), ("email", 0, "malformed numeric field"),
+    ("email", 3, "malformed numeric field"),
+], ids=["wbcd-feature", "email-id", "email-flag"])
+def test_cell_past_the_int_digit_limit_exits_3_naming_its_line(tmp_path, capsys, command, column,
+                                                               message):
+    # int() refuses a 5,000-digit cell with a bare ValueError, which used to exit 4.
+    lines = _data_file(tmp_path, command).read_text().split("\n")
+    fields = lines[1].split(",")
+    fields[column] = "1" * 5000
+    lines[1] = ",".join(fields)
+    bad = tmp_path / "long.data"
+    bad.write_text("\n".join(lines))
+    code, out, err = run_cli(capsys, command, "--data", str(bad))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {bad}:2: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, runtime_lines", [
     (("wbcd", "--data", str(WBCD_PATH)), 1),
     (("wbcd", "--data", str(WBCD_PATH), "--format", "json"), 1),
@@ -572,10 +590,11 @@ class TestCombineCommand:
         assert "conflict" in err
 
     def test_unparseable_mass_exits_2(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "combine", "--frame", "a,b", "--mass", "a=0.5,b=0.5"
         )
         assert code == 2
+        assert err.endswith("error: bad mass entry 'a=0.5', expected subset:value\n")
 
     @pytest.mark.parametrize("others", [[], ["--mass", "a|b:1"]], ids=["alone", "fused"])
     def test_mass_summing_within_tolerance_above_one_gets_intervals(self, capsys, others):
@@ -904,3 +923,56 @@ def mass_specs(draw) -> str:
 def test_fuzz_combine_frame_and_masses(frame, masses, fmt):
     argv = ["combine", f"--frame={frame}", "--format", fmt, *(f"--mass={m}" for m in masses)]
     assert run_cli_quietly(*argv) in DOCUMENTED_EXITS
+
+
+# One cell of a shipped or generated data file, replaced by text drawn from digits, signs,
+# the decimal point and exponent, underscores, non-ASCII digits, NUL, a byte-order mark, CR
+# and blanks, or by a run of one such character long enough to pass int()'s digit limit.
+_CELL_ALPHABET = "0123456789+-.e_\u0665\uff15\x00\ufeff\r \t"
+_MUTANT_CELLS = st.one_of(
+    st.text(_CELL_ALPHABET, max_size=6000),
+    st.builds(lambda ch, n, tail: ch * n + tail, st.sampled_from(_CELL_ALPHABET),
+              st.integers(4000, 6000), st.text(_CELL_ALPHABET, max_size=2)),
+)
+# Each command's source file, its header line count and its argv after the path.
+_MUTATED = {"wbcd": (WBCD_PATH, 0, ("--folds", "2")), "iris": (IRIS_PATH, 0, ("--runs", "1")),
+            "email": (None, 1, ())}
+
+
+@pytest.fixture(scope="module")
+def mutation_sources(fuzz_dir):
+    email = fuzz_dir / "generated.csv"
+    write_email_csv(generate_email(3), email)
+    return {command: (path or email).read_text(encoding="utf-8").split("\n")
+            for command, (path, _, _) in _MUTATED.items()}
+
+
+@settings(max_examples=45, deadline=None)
+@given(command=st.sampled_from(sorted(_MUTATED)),
+       where=st.tuples(st.integers(0, 10**6), st.integers(0, 10)), cell=_MUTANT_CELLS)
+@example(command="wbcd", where=(3, 2), cell="1" * 5000)
+@example(command="wbcd", where=(3, 2), cell="0" * 5000 + "7")
+@example(command="email", where=(3, 0), cell="1" * 5000)
+@example(command="email", where=(3, 3), cell="1" * 5000)
+def test_one_mutated_cell_exits_0_or_3_naming_its_line(fuzz_dir, mutation_sources, command,
+                                                       where, cell):
+    lines, (_, header, flags) = mutation_sources[command][:], _MUTATED[command]
+    records = [i for i, line in enumerate(lines) if line.strip()][header:]
+    at = records[where[0] % len(records)]
+    fields = lines[at].split(",")
+    fields[where[1] % len(fields)] = cell
+    lines[at] = ",".join(fields)
+    path = fuzz_dir / f"mutated-{command}"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--data", str(path), *flags])
+    assert code in (0, 3), err.getvalue()[-300:]
+    if code == 3:
+        (line,) = err.getvalue().splitlines()
+        # A cell error names the file line (at or after the cell's, as a CR splits its line);
+        # the others are a repeated email id and a fold that cannot be trained.
+        named = re.match(rf"error: {re.escape(str(path))}:([0-9]+): ", line)
+        assert named and int(named[1]) > at or re.match(
+            r"error: (record ids must be unique|fold [0-9]+ of [0-9]+: cannot train)", line
+        ), line[:300]

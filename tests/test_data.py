@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -157,14 +158,19 @@ class TestLoadWbcd:
             load_wbcd(path)
 
 
-    @pytest.mark.parametrize("cell, value", [("01", 1.0), ("010", 10.0)])
+    @pytest.mark.parametrize("cell, value", [
+        ("01", 1.0), ("010", 10.0),
+        # past int()'s digit limit (sys.get_int_max_str_digits()), which the cell rule never meets
+        pytest.param("0" * 5000 + "7", 7.0, id="5001-chars"),
+    ])
     def test_leading_zero_cells_keep_their_value(self, tmp_path, cell, value):
         path = tmp_path / "zeros.data"
         path.write_text(f"123,5,1,1,1,2,1,3,1,1,2\n124,1,{cell},1,1,2,1,3,1,1,4\n")
         features = load_wbcd(path).rows[1]
         assert features[1] == value and type(features[1]) is float
 
-    @pytest.mark.parametrize("cell", ["0", "00", "0?", "?0", "11"])
+    @pytest.mark.parametrize("cell", ["0", "00", "0?", "?0", "11",
+                                      pytest.param("1" * 5000, id="5000-digits")])
     def test_bad_cell_names_its_line(self, tmp_path, cell):
         path = tmp_path / "bad.data"
         path.write_text(f"123,5,1,1,1,2,1,3,1,1,2\n124,5,1,1,{cell},2,1,3,1,1,4\n")
@@ -460,6 +466,41 @@ class TestEmailCsv:
         path.write_text(",".join(EMAIL_HEADER) + "\n" + row + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_email(path)
+
+    @pytest.mark.parametrize("row", ["{long},5,0,0,0,normal", "1,5,{long},0,0,normal",
+                                     "1,5,0,0,-{long},normal"], ids=["id", "flag", "negative"])
+    def test_integer_past_the_int_digit_limit_names_its_line(self, tmp_path, row):
+        # int() refuses more than sys.get_int_max_str_digits() digits with a bare ValueError.
+        path = tmp_path / "long.csv"
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(",".join(EMAIL_HEADER) + "\n1,5,0,0,0,normal\n" + row.format(long=long)
+                        + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:3: malformed numeric"):
+            load_email(path)
+
+    def test_integers_at_the_int_digit_limit_load(self, tmp_path):
+        # The sign is no digit, and leading zeros are: "-0…0" of that many zeros is flag 0.
+        digits = sys.get_int_max_str_digits()
+        path = tmp_path / "limit.csv"
+        path.write_text(",".join(EMAIL_HEADER) + f"\n{'9' * digits},5,-{'0' * digits},0,1,worm\n")
+        dataset = load_email(path)
+        assert (dataset.ids, dataset.rows) == ((int("9" * digits),), ((5.0, 0.0, 0.0, 1.0),))
+
+    @pytest.mark.parametrize("limit, loads", [(640, False), (641, True), (0, True)])
+    def test_digit_limit_is_the_interpreters(self, tmp_path, limit, loads):
+        # A 641-digit id: refused under a limit of 640, read under 641 or 0 (no limit).
+        path = tmp_path / "limit.csv"
+        path.write_text(",".join(EMAIL_HEADER) + f"\n{'7' * 641},5,0,0,0,normal\n")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            if loads:
+                assert load_email(path).ids == (int("7" * 641),)
+            else:
+                with pytest.raises(DataFormatError, match="malformed numeric field"):
+                    load_email(path)
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_exponent_interval_round_trips(self, tmp_path):
         # repr writes an interval under 1e-4 with an exponent.
