@@ -12,12 +12,15 @@ and a census of each ``src/dsfusion`` module: docstring, comment, blank and
 other lines, which add up to the module's ``wc -l``. Beside the census it
 records the SHA-256 of ``DIGESTS.json``, the report digests that
 ``scripts/report_digest.py`` checks, so that a speed claim and a same-outputs
-claim name one tree.
+claim name one tree. Last, it times whole processes, interpreter start and
+imports included: ``python -c pass``, the CLI's import and the CLI runs in
+``PROCESSES``, over 11 rounds that each run every one once in turn, and
+records each one's best and median in ms.
 
 Usage: python scripts/bench_snapshot.py [--out BENCH_0.json] [--seconds S]
 ``--seconds`` is each bench run's length (default: ``BENCHMARK.json``'s
 ``run_seconds``). At 20 s a snapshot takes about three minutes on a 2-core
-machine.
+machine, and the process rounds about 15 s more.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -38,6 +42,19 @@ from bench_pairs import result_line, run_bench
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+PROCESS_ROUNDS = 11
+CLI = [sys.executable, "-m", "dsfusion.cli"]
+WBCD, IRIS = ["--data", "data/breast-cancer-wisconsin.data"], ["--data", "data/iris.data"]
+# Each timed process, run from the repo root with src on the path.
+PROCESSES = {
+    "python -c pass": [sys.executable, "-c", "pass"],
+    "import dsfusion.cli": [sys.executable, "-c", "import dsfusion.cli"],
+    "wbcd": [*CLI, "wbcd", *WBCD],
+    "wbcd --ablate": [*CLI, "wbcd", *WBCD, "--ablate", "A,D,I,ADI,BCF,ABCDEFGHI"],
+    "iris --runs 10": [*CLI, "iris", *IRIS, "--runs", "10"],
+    "email --generate": [*CLI, "email", "--generate"],
+    "combine": [*CLI, "combine", "--frame", "a,b", "--mass", "a:0.6,b:0.4"],
+}
 
 
 def census(text: str) -> dict[str, int]:
@@ -61,11 +78,22 @@ def census(text: str) -> dict[str, int]:
     return counts
 
 
+def process_wall_ms(processes: dict[str, list[str]], rounds: int, timer) -> dict:
+    """Best and median wall time in ms of each process over ``rounds`` rounds, each round
+    timing every process once in turn; ``timer(argv)`` gives one run's seconds."""
+    seconds = {name: [] for name in processes}
+    for _ in range(rounds):
+        for name, argv in processes.items():
+            seconds[name].append(timer(argv))
+    return {name: {"best_ms": min(times) * 1e3, "median_ms": statistics.median(times) * 1e3,
+                   "rounds": rounds} for name, times in seconds.items()}
+
+
 def snapshot(runs: dict[str, tuple[str, str]], tier1_seconds: float, env: dict,
-             modules: dict[str, str], digests: bytes) -> dict:
+             modules: dict[str, str], digests: bytes, processes: dict) -> dict:
     """The snapshot's JSON object, from each workload's (untraced, traced) ``bench/run.py``
-    stdouts, the tier-1 wall time, the environment, each module's source text and the bytes
-    of ``DIGESTS.json``."""
+    stdouts, the tier-1 wall time, the environment, each module's source text, the bytes
+    of ``DIGESTS.json`` and the process wall times of :func:`process_wall_ms`."""
     workloads = {}
     for name, (untraced, traced) in runs.items():
         plain, layers = result_line(untraced), result_line(traced)
@@ -82,7 +110,7 @@ def snapshot(runs: dict[str, tuple[str, str]], tier1_seconds: float, env: dict,
               for kind in ("docstring", "comment", "blank", "other", "total")}
     return {"environment": env, "workloads": workloads, "tier1_seconds": tier1_seconds,
             "src_census": {"modules": per_module, "totals": totals},
-            "digests_sha256": hashlib.sha256(digests).hexdigest()}
+            "digests_sha256": hashlib.sha256(digests).hexdigest(), "process_wall_ms": processes}
 
 
 def _git(*argv: str) -> str:
@@ -119,8 +147,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     modules = {path.name: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "dsfusion").glob("*.py"))}
+
+    def timer(argv: list[str]) -> float:
+        start = time.perf_counter()
+        subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=True)
+        return time.perf_counter() - start
+
+    processes = process_wall_ms(PROCESSES, PROCESS_ROUNDS, timer)
     result = snapshot(runs, tier1_seconds, environment, modules,
-                      (ROOT / "DIGESTS.json").read_bytes())
+                      (ROOT / "DIGESTS.json").read_bytes(), processes)
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

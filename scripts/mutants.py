@@ -8,8 +8,10 @@ three-class assignments' range membership and exact re-decision of float
 ties; of the binary mass builders' checks and clamp; of the WBCD loader's
 column pass, its per-line width check and its cell table; of Bel, Pl, the
 mass constructor's checks and the pairwise rule's normalisation; of the
-readers' width, interval, finiteness and digit-count checks; and of the CLI's
-feature, signal and mass spec parsers. Standard library only.
+readers' width, interval, finiteness and digit-count checks; of the fold
+plan's checks and the report's csv and text branches; of the pairwise rule's
+intersection loop; and of the CLI's feature, signal and mass spec parsers,
+its --runs and --folds checks and its exit codes. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -19,14 +21,16 @@ how many, and each survivor's file:line, test files and selection (the
 ``command`` is the pytest call before them). A survivor that no
 test can kill (the mutant behaves as the original on every input) carries
 the reason in its entry; any other survivor is a gap in the tests, and
-the script exits 1 until a test closes it.
+the script exits 1 until a test closes it. Each killed mutant runs once
+more with the Hypothesis relations (``RELATIONS``) deselected, and the
+mutants that survive that run are listed as killed only by the relations.
 
 The tests run with ``--hypothesis-seed 0`` and a fresh example database
 per mutant, so a rerun draws the same examples. The unmutated copy runs
-first, once per scope, and must pass.
+first, once per scope with and without the relations, and must pass.
 
 Usage: python scripts/mutants.py [--out MUTANTS.json]
-A whole run takes about six minutes on a 2-core machine.
+A whole run takes about twelve minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ COPIED = ("src", "tests", "data", "pyproject.toml")
 BPA, CLASSIFY = "src/dsfusion/bpa.py", "src/dsfusion/classify.py"
 EVIDENCE, DATA = "src/dsfusion/evidence.py", "src/dsfusion/data.py"
 CLI = "src/dsfusion/cli.py"
+
+
+# The Hypothesis relations: metamorphic properties of the classifiers and of the harness.
+RELATIONS = "raising or every_threshold or permuting or setting_a_flag or longer_interval"
 
 
 class Scope(NamedTuple):
@@ -87,8 +95,11 @@ MASSES = Scope(EVIDENCE, ("tests/test_evidence.py",), "MassConstruction")
 RULE = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
              "Combine or normalization or oracle")
 READERS = Scope(DATA, ("tests/test_data.py",), "Load or load or Reader or Csv")
-# The CLI's tests of the --features, --signals and --mass specs.
+# The CLI's tests of the --features, --signals and --mass specs, and of its exit codes.
 PARSERS = Scope(CLI, ("tests/test_cli.py",), "feature or signal or digits or Combine or ablate")
+EXITS = Scope(CLI, ("tests/test_cli.py",), "exit or usage")
+# The report renderer's tests.
+REPORTS = Scope(DATA, ("tests/test_data.py",), "Reports")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -238,13 +249,45 @@ MUTANTS = [
     ("mass-value-error-uncaught", PARSERS, "except (EvidenceError, ValueError) as exc:",
      "except EvidenceError as exc:", None),
     ("mass-sum-error-raised", PARSERS, 'parser.error(f"bad mass {spec!r}: {exc}")', "raise", None),
+    ("exit-data-format-compute", EXITS, "except (OSError, DataFormatError) as exc:",
+     "except OSError as exc:", None),
+    ("exit-os-error-dropped", EXITS, "except (OSError, DataFormatError) as exc:",
+     "except DataFormatError as exc:", None),
+    ("exit-non-int-code-zero", EXITS, "isinstance(exc.code, int) else USAGE_EXIT",
+     "isinstance(exc.code, int) else 0", None),
+    ("iris-zero-runs-admitted", EXITS, "if args.runs < 1:", "if args.runs < 0:", None),
+    ("wbcd-one-fold-admitted", EXITS, 'or --features")\n    if args.folds < 2:',
+     'or --features")\n    if args.folds < 1:', None),
+    ("iris-one-fold-admitted", EXITS, 'at least 1")\n    if args.folds < 2:',
+     'at least 1")\n    if args.folds < 1:', None),
+    ("report-csv-folds-from-one", REPORTS, "enumerate(report.per_fold))",
+     "enumerate(report.per_fold, 1))", None),
+    ("report-text-as-json", REPORTS, 'if fmt == "text":\n        return report_text(report)',
+     'if fmt == "text":\n        return report_json(report) + "\\n"', None),
+    ("fold-plan-k-bool-admitted", HARNESS, "if type(self.k) is not int or",
+     "if not isinstance(self.k, int) or", None),
+    ("fold-plan-k-zero-admitted", HARNESS, "or self.k < 1:", "or self.k < 0:", None),
+    ("fold-plan-id-bool-admitted", HARNESS, "if type(g) is not int or not 0 <= g < self.k:",
+     "if not isinstance(g, int) or not 0 <= g < self.k:", None),
+    ("fold-plan-id-k-admitted", HARNESS, "not 0 <= g < self.k:", "not 0 <= g <= self.k:", None),
+    ("fold-plan-empty-fold-admitted", HARNESS, "if min(sizes) < 1 or", "if min(sizes) < 0 or",
+     None),
+    ("fold-plan-unbalanced-admitted", HARNESS, "max(sizes) - min(sizes) > 1",
+     "max(sizes) - min(sizes) > 2", None),
+    ("combine-empty-intersection-kept", RULE, "if inter:", "if not inter:", None),
+    ("combine-conflict-last-product", RULE, "k += vb * vc", "k = vb * vc", None),
 ]
 
 
-def run_tests(copy: Path, scope: Scope) -> int:
+def selection(scope: Scope, relations: bool = True) -> str:
+    return scope.select if relations else f"({scope.select}) and not ({RELATIONS})"
+
+
+def run_tests(copy: Path, scope: Scope, relations: bool = True) -> int:
     # The copy's pyproject.toml puts its own src/ first on the tests' import path.
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    argv = [sys.executable, "-m", "pytest", *scope.tests, *PYTEST, "-k", scope.select]
+    argv = [sys.executable, "-m", "pytest", *scope.tests, *PYTEST,
+            "-k", selection(scope, relations)]
     return subprocess.run(argv, cwd=copy, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
@@ -262,11 +305,12 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 shutil.copy2(src, copy / name)
         for scope in dict.fromkeys(scope for _, scope, *_ in MUTANTS):
-            if run_tests(copy, scope) != 0:
-                print(f"the unmutated copy fails {' '.join(scope.tests)} -k {scope.select!r}",
-                      file=sys.stderr)
-                return 2
-        survivors, killed = [], 0
+            for relations in (True, False):
+                if run_tests(copy, scope, relations) != 0:
+                    print(f"the unmutated copy fails {' '.join(scope.tests)} "
+                          f"-k {selection(scope, relations)!r}", file=sys.stderr)
+                    return 2
+        survivors, killed, relations_only = [], 0, []
         for name, scope, old, new, equivalent in MUTANTS:
             target = scope.target
             original = (ROOT / target).read_text(encoding="utf-8")
@@ -278,18 +322,24 @@ def main(argv: list[str] | None = None) -> int:
             (copy / target).write_text(original.replace(old, new), encoding="utf-8")
             try:
                 died = run_tests(copy, scope) != 0
+                # A killed mutant runs again without the relations: does another test kill it?
+                only_relations = died and run_tests(copy, scope, relations=False) == 0
             finally:
                 (copy / target).write_text(original, encoding="utf-8")
             if died:
                 killed += 1
-                print(f"killed   {name}", flush=True)
+                if only_relations:
+                    relations_only.append(name)
+                print(f"killed   {name}{' (only by the relations)' * only_relations}",
+                      flush=True)
                 continue
             print(f"SURVIVED {name} ({target}:{line})", flush=True)
             survivors.append({"id": name, "where": f"{target}:{line}", "tests": list(scope.tests),
                               "select": scope.select, "from": old.strip(), "to": new.strip(),
                               "equivalent": equivalent})
     result = {"command": ["python", "-m", "pytest", *PYTEST], "killed": killed,
-              "total": len(MUTANTS), "survivors": survivors}
+              "total": len(MUTANTS), "survivors": survivors, "relations": RELATIONS,
+              "killed_only_by_relations": relations_only}
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     open_gaps = [s["id"] for s in survivors if s["equivalent"] is None]
     print(f"{killed} of {len(MUTANTS)} mutants killed; wrote {args.out}")

@@ -16,7 +16,6 @@ from .evidence import (
     combine_all,
     combine_binary,
     combine_with_conflict,
-    conflict,
     make_frame,
     make_mass,
     plausibility,
@@ -29,11 +28,8 @@ from .bpa import (
     SigmoidBpa,
     TableBpa,
     class_moments,
-    fsv,
-    scaled_sigmoid_mass,
     select_feature,
     sigmoid_mass,
-    table_mass,
 )
 from .classify import (
     BinaryModel,

@@ -1,14 +1,16 @@
 """Basic-probability-assignment builders and their training helpers.
 
-Three mass builders cover the binary frame: a plain sigmoid around a
-trained threshold, a scaled sigmoid with explicit floor, ceiling and
-ignorance mass, and a lookup table for binary signals. The two three-class
-assignments, by per-class value ranges and by per-class means, are bit
-rows: :func:`boundary_bits` and :func:`nearest_mean` pick the focal set, and
-:func:`focal_row` gives its ``{bits: mass}`` row. Training helpers derive the
-thresholds, ranges, means and the feature-selection scores from labelled
-feature rows; the three-class ones read each feature's values per class,
-indexed ``[feature][class]``.
+A binary-frame source is a (m_normal, m_abnormal, m_theta) row: a plain
+sigmoid around a trained threshold (:func:`sigmoid_mass` builds its mass
+function), a scaled sigmoid with floor, ceiling and ignorance mass
+(:func:`scaled_sigmoid_row`), or a lookup table for binary signals
+(:func:`table_row`); :func:`binary_row_mass` checks a row and gives its mass
+function. The two three-class assignments, by per-class value ranges and by
+per-class means, are bit rows: :func:`boundary_bits` and :func:`nearest_mean`
+pick the focal set, and :func:`focal_row` gives its ``{bits: mass}`` row.
+Training helpers derive the thresholds, ranges, means and the
+feature-selection scores from labelled feature rows; the three-class ones
+read each feature's values per class, indexed ``[feature][class]``.
 """
 
 from __future__ import annotations
@@ -234,9 +236,9 @@ def binary_row_mass(row: MassRow) -> MassFunction:
     return MassFunction(BINARY_FRAME, {1: m_normal, 2: m_abnormal, 3: m_theta})
 
 
-# The classifiers fuse rows directly, so these caches serve only the public
-# mass builders. The sigmoid saturates outside a narrow band, so keying the
-# scaled one on the computed row keeps it small.
+# Nothing in the package calls these caches: the classifiers fuse rows directly. They stay
+# because the benchmark's tracing reads their cache_info() for bpa.cache_hit_ratio, which
+# reads 0 hits and 0 misses on every workload; they go when that metric does.
 _scaled_mass_cached = lru_cache(maxsize=8192)(binary_row_mass)
 _table_mass_cached = lru_cache(maxsize=None)(binary_row_mass)
 
@@ -248,27 +250,18 @@ def _scaled_row(s: float, bpa: ScaledSigmoidBpa) -> MassRow:
 
 
 def scaled_sigmoid_row(value: float, bpa: ScaledSigmoidBpa) -> MassRow:
-    """The row of :func:`scaled_sigmoid_mass`, without building the mass function."""
+    """The scaled sigmoid's row for a non-negative signal value: between the floor and
+    the ceiling, with fixed ignorance mass."""
     if not value >= 0:
         raise ValueError(f"signal value must be non-negative, got {value}")
     return _scaled_row(logistic(bpa.threshold - value), bpa)
 
 
-def scaled_sigmoid_mass(value: float, bpa: ScaledSigmoidBpa) -> MassFunction:
-    """Sigmoid mass between floor and ceiling, with fixed ignorance mass."""
-    return _scaled_mass_cached(scaled_sigmoid_row(value, bpa))
-
-
 def table_row(signal_value: float, bpa: TableBpa) -> MassRow:
-    """The row of :func:`table_mass`, without building the mass function."""
+    """The table's row for a binary signal value, 0 or 1."""
     if signal_value not in (0, 1):
         raise ValueError(f"binary signal value must be 0 or 1, got {signal_value!r}")
     return bpa.rows[int(signal_value)]
-
-
-def table_mass(signal_value: float, bpa: TableBpa) -> MassFunction:
-    """Exact row lookup for a binary signal."""
-    return _table_mass_cached(table_row(signal_value, bpa))
 
 
 def class_moments(columns: Columns) -> ClassMoments:
@@ -327,8 +320,9 @@ def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> 
 
 
 def _fsv(group: Sequence[Moments]) -> float:
-    # The feature-selection value from the classes' moments. The union's M2
-    # pools theirs (Chan, Golub & LeVeque 1979): Σ M2_c + Σ n_c (mean_c - mean_u)².
+    # The feature-selection value: the product of the classes' sample sds over the union's sd,
+    # smaller being better. The union's M2 pools theirs (Chan, Golub & LeVeque 1979):
+    # Σ M2_c + Σ n_c (mean_c - mean_u)².
     if len(group) < 2:
         raise ValueError("feature selection needs at least two classes")
     first = group[0].lo
@@ -355,17 +349,6 @@ def _fsv(group: Sequence[Moments]) -> float:
     if union_sd == 0:
         raise DegenerateFeatureError("pooled spread underflows to 0; feature carries no signal")
     return numerator / union_sd
-
-
-def fsv(grouped: Sequence[Sequence[float]]) -> float:
-    """Feature-selection value: product of per-class sample sds over the union sd.
-
-    Smaller is better: tight classes that pool into a spread-out union
-    separate well on this feature. A class whose values are all equal has
-    sd exactly 0, and a feature whose values are all equal across the
-    classes is degenerate (:class:`DegenerateFeatureError`).
-    """
-    return _fsv([moments(values) for values in grouped])
 
 
 def select_feature(stats: ClassMoments, classes: Sequence[int]) -> int:

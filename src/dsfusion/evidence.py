@@ -75,10 +75,6 @@ class Frame:
     def singleton(self, label: str) -> "HypothesisSet":
         return HypothesisSet(self, self.bit_for(label))
 
-    def theta(self) -> "HypothesisSet":
-        """The whole frame as a hypothesis set (total ignorance)."""
-        return HypothesisSet(self, self.full_mask)
-
     def labels_of(self, bits: int) -> tuple[str, ...]:
         return tuple(lab for i, lab in enumerate(self.labels) if bits >> i & 1)
 
@@ -201,25 +197,6 @@ def vacuous_mass(frame: Frame) -> MassFunction:
     return MassFunction(frame, {frame.full_mask: 1.0})
 
 
-def _intersect(
-    left: Mapping[int, float], right: Mapping[int, float]
-) -> tuple[dict[int, float], float]:
-    # Product masses accumulated on each nonempty intersection, and the
-    # conflict K: the product mass falling on empty intersections.
-    acc: dict[int, float] = {}
-    k = 0.0
-    right_items = right.items()
-    for b, vb in left.items():
-        for c, vc in right_items:
-            inter = b & c
-            if inter:
-                # 0 + x is x exactly, and keeps exact (Fraction) masses exact.
-                acc[inter] = acc.get(inter, 0) + vb * vc
-            else:
-                k += vb * vc
-    return acc, k
-
-
 def _refuse_total_conflict(k: float) -> None:
     # The one bound on the conflict K, for the pairwise rule and the closed form alike.
     if k >= 1.0 - IDENTITY_TOL:
@@ -238,18 +215,22 @@ def combine_bits(
     K reaches 1, where the rule is undefined. This is the one
     implementation of the rule; ``combine`` wraps it.
     """
-    acc, k = _intersect(left, right)
+    acc: dict[int, float] = {}
+    k = 0.0
+    right_items = right.items()
+    for b, vb in left.items():
+        for c, vc in right_items:
+            inter = b & c
+            if inter:
+                # 0 + x is x exactly, and keeps exact (Fraction) masses exact.
+                acc[inter] = acc.get(inter, 0) + vb * vc
+            else:
+                k += vb * vc
     _refuse_total_conflict(k)
     # The kept products sum to 1 - K; their own sum keeps the result
     # normalized when K is near 1, where 1.0 - k has lost most digits.
     norm = sum(acc.values())
     return {bits: v / norm for bits, v in acc.items()}, k
-
-
-def conflict(m1: MassFunction, m2: MassFunction) -> float:
-    """The conflict mass K: total product mass falling on empty intersections."""
-    _require_same_frame(m1.frame, m2.frame)
-    return _intersect(m1._masses, m2._masses)[1]
 
 
 def combine_with_conflict(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:

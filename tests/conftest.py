@@ -22,13 +22,12 @@ from dsfusion import (
     RecordSet,
     ThreeClassModel,
     combine_binary,
-    fsv,
     load_iris,
     load_wbcd,
     vacuous_mass,
 )
 from dsfusion import data as data_module
-from dsfusion.bpa import DegenerateFeatureError, logistic
+from dsfusion.bpa import DegenerateFeatureError, _fsv, logistic, moments
 from dsfusion.classify import email_signal_row
 from dsfusion.data import WBCD_FEATURES
 
@@ -214,12 +213,18 @@ def reference_class_columns(rows, labels) -> list[list[list[float]]]:
     return [[list(columns[f]) for columns in per_class] for f in range(n_features)]
 
 
+def grouped_fsv(grouped) -> float:
+    """The feature-selection value of lists of values, one list per class: ``bpa._fsv`` of
+    each list's ``moments``."""
+    return _fsv([moments(values) for values in grouped])
+
+
 def reference_three_class(rows, labels, frame: Frame) -> ThreeClassModel:
     """The three-class model by per-record scans, without the grouped trainer.
 
     Every (feature, class) pair filters the rows anew for its observed
     (min, max) and its mean sum/len. Each class group's feature is the
-    argmin of the public ``fsv`` over the features, each filtered anew,
+    argmin of ``grouped_fsv`` over the features, each filtered anew,
     skipping degenerate features; ties go to the lowest feature index.
     """
     n_features = len(rows[0])
@@ -237,7 +242,7 @@ def reference_three_class(rows, labels, frame: Frame) -> ThreeClassModel:
         for f in range(n_features):
             grouped = [[row[f] for row, label in zip(rows, labels) if label == c] for c in group]
             try:
-                scores.append((fsv(grouped), f))
+                scores.append((grouped_fsv(grouped), f))
             except DegenerateFeatureError:
                 continue
         if not scores:

@@ -13,7 +13,8 @@ fail here first when a change removes what the harness reads:
   ``test_indices`` and take their order as the training order.
 - ``bench/run.py:302`` (``plant_wrong_label``) rebinds
   ``data.classify_binary``, and the ``wbcd`` check must see every label
-  it flips, so ``evaluate`` looks the classifier up per record.
+  it flips, so ``evaluate`` looks the classifier up in the module when it
+  is called, after the bench has rebound it, and uses it for every record.
 - ``bench/workloads.py:323`` (``IrisCv._check_labels``) reads each
   ``"predicted"`` of an iris report's ``details`` through
   ``getattr(out, "details", ())``, so without them it checks nothing.

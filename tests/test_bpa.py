@@ -23,12 +23,9 @@ from dsfusion import (
     class_moments,
     classifier_to_dict,
     email_model_default,
-    fsv,
     make_frame,
-    scaled_sigmoid_mass,
     select_feature,
     sigmoid_mass,
-    table_mass,
 )
 from dsfusion import classify
 from dsfusion.bpa import (
@@ -46,7 +43,7 @@ from dsfusion.bpa import (
     table_row,
 )
 
-from conftest import reference_class_columns
+from conftest import grouped_fsv, reference_class_columns
 
 THREE = make_frame(["c1", "c2", "c3"])
 
@@ -157,20 +154,22 @@ class TestScaledSigmoidMass:
     BPA = ScaledSigmoidBpa(threshold=30.0, floor=0.3, ceiling=0.7, theta_mass=0.01)
 
     def test_midpoint(self):
-        m = scaled_sigmoid_mass(30.0, self.BPA)
+        m = binary_row_mass(scaled_sigmoid_row(30.0, self.BPA))
         assert m.mass_bits(1) == pytest.approx(0.5, abs=1e-12)
         assert m.mass_bits(2) == pytest.approx(0.49, abs=1e-12)
         assert m.mass_bits(3) == pytest.approx(0.01, abs=1e-12)
 
     def test_short_interval_hits_ceiling(self):
-        assert scaled_sigmoid_mass(0.0, self.BPA).mass_bits(1) == pytest.approx(0.7, abs=1e-9)
+        m = binary_row_mass(scaled_sigmoid_row(0.0, self.BPA))
+        assert m.mass_bits(1) == pytest.approx(0.7, abs=1e-9)
 
     def test_long_interval_hits_floor(self):
-        assert scaled_sigmoid_mass(94665.0, self.BPA).mass_bits(1) == pytest.approx(0.3, abs=1e-9)
+        m = binary_row_mass(scaled_sigmoid_row(94665.0, self.BPA))
+        assert m.mass_bits(1) == pytest.approx(0.3, abs=1e-9)
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
-            scaled_sigmoid_mass(-1.0, self.BPA)
+            binary_row_mass(scaled_sigmoid_row(-1.0, self.BPA))
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -206,7 +205,7 @@ class TestScaledSigmoidMass:
 
     @given(st.floats(min_value=0, max_value=1e6))
     def test_stays_between_floor_and_ceiling(self, value):
-        m = scaled_sigmoid_mass(value, self.BPA)
+        m = binary_row_mass(scaled_sigmoid_row(value, self.BPA))
         assert 0.3 - 1e-12 <= m.mass_bits(1) <= 0.7 + 1e-12
         if abs(value - 30.0) < 25:
             assert 0.3 < m.mass_bits(1) < 0.7
@@ -218,20 +217,20 @@ class TestTableMass:
     BENIGN = TableBpa(((0.6, 0.39, 0.01), (0.4, 0.59, 0.01)))
 
     def test_spoofed_row(self):
-        m = table_mass(1, self.SPOOFED)
+        m = binary_row_mass(table_row(1, self.SPOOFED))
         assert (m.mass_bits(1), m.mass_bits(2), m.mass_bits(3)) == (0.1, 0.89, 0.01)
 
     def test_dangerous_row(self):
-        m = table_mass(0, self.DANGEROUS)
+        m = binary_row_mass(table_row(0, self.DANGEROUS))
         assert (m.mass_bits(1), m.mass_bits(2), m.mass_bits(3)) == (0.8, 0.19, 0.01)
 
     def test_benign_row(self):
-        m = table_mass(1, self.BENIGN)
+        m = binary_row_mass(table_row(1, self.BENIGN))
         assert (m.mass_bits(1), m.mass_bits(2), m.mass_bits(3)) == (0.4, 0.59, 0.01)
 
     def test_non_binary_value_rejected(self):
         with pytest.raises(ValueError):
-            table_mass(2, self.SPOOFED)
+            binary_row_mass(table_row(2, self.SPOOFED))
 
     @pytest.mark.parametrize(
         "row, bad", [((1.2, -0.2, 0.0), -0.2), ((0.5, 0.5, math.nan), math.nan)],
@@ -421,39 +420,39 @@ class TestBoundaryMass:
 
 class TestFsv:
     def test_separated_classes(self):
-        value = fsv([[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
+        value = grouped_fsv([[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
         assert value == pytest.approx(1.0 / math.sqrt(58 / 5), abs=1e-9)
 
     def test_zero_spread_class_gives_zero(self):
-        assert fsv([[5.0, 5.0, 5.0], [9.0, 9.0, 9.0]]) == 0.0
+        assert grouped_fsv([[5.0, 5.0, 5.0], [9.0, 9.0, 9.0]]) == 0.0
 
     def test_identical_classes_pool(self):
         union = [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
         mean = sum(union) / 6
         union_sd = math.sqrt(sum((v - mean) ** 2 for v in union) / 5)
-        assert fsv([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]) == pytest.approx(1.0 / union_sd)
+        assert grouped_fsv([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]) == pytest.approx(1.0 / union_sd)
 
     def test_degenerate_union_rejected(self):
         with pytest.raises(DegenerateFeatureError):
-            fsv([[2.0, 2.0], [2.0, 2.0]])
+            grouped_fsv([[2.0, 2.0], [2.0, 2.0]])
 
     def test_pooled_spread_underflow_rejected(self):
         # The values differ, so the feature is not constant, but its squared spread underflows.
         message = "^pooled spread underflows to 0; feature carries no signal$"
         with pytest.raises(DegenerateFeatureError, match=message):
-            fsv([[0.0, 1e-200], [0.0, 1e-200]])
+            grouped_fsv([[0.0, 1e-200], [0.0, 1e-200]])
 
     @pytest.mark.parametrize("value", [0.1, 1.1, 2.0])
     def test_identical_values_are_degenerate_at_any_value(self, value):
         # The float mean of [0.1] * 3 is not 0.1, so a two-pass sd is not 0.
         with pytest.raises(DegenerateFeatureError):
-            fsv([[value] * 3, [value] * 3])
+            grouped_fsv([[value] * 3, [value] * 3])
         with pytest.raises(DegenerateFeatureError):
-            fsv([[value] * 2, [value] * 4, [value] * 3])
+            grouped_fsv([[value] * 2, [value] * 4, [value] * 3])
 
     def test_constant_classes_have_exactly_zero_sd(self):
-        assert fsv([[0.1] * 3, [0.2] * 3]) == 0.0
-        assert fsv([[0.1] * 3, [0.2, 0.3, 0.4]]) == 0.0
+        assert grouped_fsv([[0.1] * 3, [0.2] * 3]) == 0.0
+        assert grouped_fsv([[0.1] * 3, [0.2, 0.3, 0.4]]) == 0.0
         assert moments([0.1] * 3).sd == 0.0
 
     def test_squares_are_products(self):
@@ -496,9 +495,9 @@ class TestFsv:
         ([[1.0, 2.0], [3.0, math.inf]], "inf"),
     ])
     def test_non_finite_value_rejected(self, grouped, bad):
-        # fsv([[1.0, nan], [2.0, 3.0]]) used to return nan.
+        # The score of [[1.0, nan], [2.0, 3.0]] used to be nan.
         with pytest.raises(ValueError, match=f"^feature value must be finite, got {bad}$"):
-            fsv(grouped)
+            grouped_fsv(grouped)
 
     @pytest.mark.parametrize("value", [0.1, 0.7, 1.1])
     def test_constant_class_mean_is_its_value(self, value):
@@ -508,9 +507,9 @@ class TestFsv:
 
     def test_class_size_minimums(self):
         with pytest.raises(ValueError):
-            fsv([[1.0], [2.0, 3.0]])
+            grouped_fsv([[1.0], [2.0, 3.0]])
         with pytest.raises(ValueError):
-            fsv([[1.0, 2.0]])
+            grouped_fsv([[1.0, 2.0]])
 
     @given(
         st.lists(
@@ -529,24 +528,26 @@ class TestFsv:
         union = [v for values in grouped for v in values]
         if min(union) == max(union):
             with pytest.raises(DegenerateFeatureError):
-                fsv(grouped)
+                grouped_fsv(grouped)
             return
         union_sd = sd(union)
         assume(union_sd > 1e-3)
         expected = math.prod(0.0 if min(v) == max(v) else sd(v) for v in grouped) / union_sd
-        assert fsv(grouped) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+        assert grouped_fsv(grouped) == pytest.approx(expected, rel=1e-9, abs=1e-300)
 
     @given(st.floats(min_value=-100, max_value=100))
     def test_translation_invariance(self, shift):
-        base = fsv([[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
-        shifted = fsv([[v + shift for v in (1.0, 2.0, 3.0)], [v + shift for v in (7.0, 8.0, 9.0)]])
+        base = grouped_fsv([[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
+        shifted = grouped_fsv([[v + shift for v in (1.0, 2.0, 3.0)],
+                               [v + shift for v in (7.0, 8.0, 9.0)]])
         assert shifted == pytest.approx(base, rel=1e-9)
 
     @given(st.floats(min_value=0.1, max_value=10))
     def test_scaling_power_law(self, scale):
         # n classes scale the ratio by |lambda|^(n-1)
-        base = fsv([[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
-        scaled = fsv([[v * scale for v in (1.0, 2.0, 3.0)], [v * scale for v in (7.0, 8.0, 9.0)]])
+        base = grouped_fsv([[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
+        scaled = grouped_fsv([[v * scale for v in (1.0, 2.0, 3.0)],
+                              [v * scale for v in (7.0, 8.0, 9.0)]])
         assert scaled == pytest.approx(base * scale, rel=1e-9)
 
 
@@ -696,8 +697,8 @@ class TestSerialization:
 def test_every_builder_output_is_normalized():
     outputs = [
         sigmoid_mass(3.0, SigmoidBpa(5.0)),
-        scaled_sigmoid_mass(12.0, ScaledSigmoidBpa(30.0, 0.3, 0.7, 0.01)),
-        table_mass(0, TableBpa(((0.6, 0.39, 0.01), (0.4, 0.59, 0.01)))),
+        binary_row_mass(scaled_sigmoid_row(12.0, ScaledSigmoidBpa(30.0, 0.3, 0.7, 0.01))),
+        binary_row_mass(table_row(0, TableBpa(((0.6, 0.39, 0.01), (0.4, 0.59, 0.01))))),
     ]
     for m in outputs:
         assert abs(sum(v for _, v in m.items()) - 1.0) <= 1e-9
@@ -726,7 +727,7 @@ def test_m2_terms_are_correctly_rounded_squares(values):
 @example([[3.6, 5.1, 9.7], [0.3, 1.7, 0.3]])
 def test_pooled_terms_are_correctly_rounded_squares(grouped):
     try:
-        value = fsv(grouped)
+        value = grouped_fsv(grouped)
     except DegenerateFeatureError:
         return
     group = [moments(values) for values in grouped]

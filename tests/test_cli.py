@@ -18,7 +18,7 @@ from dsfusion import (
     classifier_to_dict,
     combine,
     combine_all,
-    conflict,
+    combine_with_conflict,
     make_frame,
     make_mass,
     train_binary,
@@ -577,7 +577,7 @@ class TestCombineCommand:
         ]
         head = combine_all(masses[:2])
         payload = json.loads(out)
-        assert payload["conflict"] == conflict(head, masses[2])
+        assert payload["conflict"] == combine_with_conflict(head, masses[2])[1]
         expected = combine(head, masses[2])
         assert payload["combined"] == {frame.describe(s.bits): v for s, v in expected.items()}
 
@@ -670,6 +670,14 @@ class TestUsage:
         assert code in (0, 2)
         assert "Traceback" not in out + err
         assert (out if code == 0 else err).startswith("usage: dsfusion ")
+
+    def test_a_non_int_exit_code_is_a_usage_error(self, capsys, monkeypatch):
+        def stop(args, parser):
+            raise SystemExit("stop")
+
+        help_line, add_arguments, _ = cli.COMMANDS["combine"]
+        monkeypatch.setitem(cli.COMMANDS, "combine", (help_line, add_arguments, stop))
+        assert run_cli(capsys, "combine", "--frame", "a,b", "--mass", "a:1")[0] == 2
 
     def test_help_lists_subcommands(self, capsys):
         code, out, err = run_cli(capsys, "--help")

@@ -640,6 +640,7 @@ class TestMakeFolds:
         ((0, -1), "fold id -1 outside 0..1"),
         ((0, 0, 0, 1), "fold sizes [3, 1] are not balanced"),
         ((0, 0), "fold sizes [2, 0] are not balanced"),
+        ((0,), "fold sizes [1, 0] are not balanced"),  # an empty fold within one of the rest
         ((0, 1.5), "fold id 1.5 is not an int"),
         ((0, True), "fold id True is not an int"),
         ((0, 1, True), "fold id True is not an int"),  # counted under the key 1
@@ -649,8 +650,8 @@ class TestMakeFolds:
         ((0, 2, 1.5), "fold id 2 outside 0..1"),  # the first bad id in assignment order
         ((0, 1.5, 2), "fold id 1.5 is not an int"),
         ((0, [1]), "fold id [1] is not an int"),  # checked before the ids are counted
-    ], ids=["id-past-last", "id-negative", "sizes-3-1", "sizes-2-0", "id-float", "id-bool",
-            "id-bool-counted-as-1", "id-float-counted-as-1", "id-str", "id-none",
+    ], ids=["id-past-last", "id-negative", "sizes-3-1", "sizes-2-0", "sizes-1-0", "id-float",
+            "id-bool", "id-bool-counted-as-1", "id-float-counted-as-1", "id-str", "id-none",
             "first-bad-outside", "first-bad-float", "id-unhashable"])
     def test_malformed_fold_plan_rejected(self, assignment, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1298,11 +1299,15 @@ class TestReports:
         report = evaluate(iris_dataset, "iris", folds=folds)
         lines = render_report(report, "csv").strip().splitlines()
         assert len(lines) == folds.k + 1
+        # One row per fold, numbered from 0, with CRLF line ends.
+        rows = [f"{fold},{acc!r}\r\n" for fold, acc in enumerate(report.per_fold)]
+        assert render_report(report, "csv") == "fold,accuracy\r\n" + "".join(rows)
 
     def test_text_contains_misclassified_traces(self, tmp_path, iris_dataset):
         folds = make_folds(len(iris_dataset), 10, 42)
         report = evaluate(iris_dataset, "iris", folds=folds)
-        text = report_text(report)
+        text = render_report(report, "text")
+        assert text == report_text(report)
         for rid in report.misclassified:
             assert str(rid) in text
         assert "classified as" in text

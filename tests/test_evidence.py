@@ -20,7 +20,6 @@ from dsfusion import (
     combine_all,
     combine_binary,
     combine_with_conflict,
-    conflict,
     make_frame,
     make_mass,
     plausibility,
@@ -112,7 +111,7 @@ class TestFrame:
     def test_hypothesis_set_renders_as_its_labels(self):
         frame = make_frame(["a", "b", "c"])
         assert str(frame.subset(["a", "c"])) == "a|c"
-        assert str(frame.theta()) == "Θ"
+        assert str(frame.subset(frame.labels)) == "Θ"
 
 
 class TestMassConstruction:
@@ -184,12 +183,12 @@ class TestMassConstruction:
 class TestVacuous:
     def test_two_element(self, binary):
         m = vacuous_mass(binary)
-        assert m.mass(binary.theta()) == 1.0
+        assert m.mass(binary.subset(binary.labels)) == 1.0
         assert len(m) == 1
 
     def test_three_element(self):
         frame = make_frame(["a", "b", "c"])
-        assert vacuous_mass(frame).mass(frame.theta()) == 1.0
+        assert vacuous_mass(frame).mass(frame.subset(frame.labels)) == 1.0
 
     def test_belief_of_proper_subset_is_zero(self, binary):
         m = vacuous_mass(binary)
@@ -199,20 +198,21 @@ class TestVacuous:
 class TestConflict:
     def test_witness_conflict(self, witnesses):
         _, m1, m2 = witnesses
-        assert conflict(m1, m2) == pytest.approx(0.99, abs=1e-12)
+        assert combine_with_conflict(m1, m2)[1] == pytest.approx(0.99, abs=1e-12)
 
     def test_vacuous_conflict_is_zero(self, binary):
-        assert conflict(vacuous_mass(binary), vacuous_mass(binary)) == 0.0
+        assert combine_with_conflict(vacuous_mass(binary), vacuous_mass(binary))[1] == 0.0
 
     def test_binary_point_three_nine(self, binary):
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         m1 = make_mass(binary, [(n, 0.6), (a, 0.3), (t, 0.1)])
         m2 = make_mass(binary, [(n, 0.5), (a, 0.4), (t, 0.1)])
-        assert conflict(m1, m2) == pytest.approx(0.39, abs=1e-12)
+        assert combine_with_conflict(m1, m2)[1] == pytest.approx(0.39, abs=1e-12)
 
     def test_frame_mismatch(self, binary, witnesses):
         with pytest.raises(FrameMismatchError):
-            conflict(vacuous_mass(binary), witnesses[1])
+            combine_with_conflict(vacuous_mass(binary), witnesses[1])
 
 
 class TestCombine:
@@ -223,14 +223,16 @@ class TestCombine:
         assert len(combined) == 1
 
     def test_vacuous_is_identity(self, binary):
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         m = make_mass(binary, [(n, 0.6), (a, 0.3), (t, 0.1)])
         combined = combine(m, vacuous_mass(binary))
         for subset in (n, a, t):
             assert combined.mass(subset) == pytest.approx(m.mass(subset), abs=1e-12)
 
     def test_binary_example_values(self, binary):
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         m1 = make_mass(binary, [(n, 0.6), (a, 0.3), (t, 0.1)])
         m2 = make_mass(binary, [(n, 0.5), (a, 0.4), (t, 0.1)])
         combined = combine(m1, m2)
@@ -255,12 +257,13 @@ class TestCombine:
         assert (len(combined), str(combined)) == (len(focal), rendered)
 
     def test_agrees_with_oracle(self, binary):
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         m1 = make_mass(binary, [(n, 0.6), (a, 0.3), (t, 0.1)])
         m2 = make_mass(binary, [(n, 0.5), (a, 0.4), (t, 0.1)])
         expected, k = oracle_combine(mass_to_frozensets(m1), mass_to_frozensets(m2))
         combined = mass_to_frozensets(combine(m1, m2))
-        assert k == pytest.approx(conflict(m1, m2), abs=1e-12)
+        assert k == pytest.approx(combine_with_conflict(m1, m2)[1], abs=1e-12)
         assert combined == pytest.approx(expected, abs=1e-12)
 
 
@@ -275,8 +278,9 @@ class TestCombineAll:
 
     def test_order_independence(self):
         frame = make_frame(["c1", "c2", "c3"])
-        pair23 = make_mass(frame, [(frame.subset(["c2", "c3"]), 0.9), (frame.theta(), 0.1)])
-        pair13 = make_mass(frame, [(frame.subset(["c1", "c3"]), 0.9), (frame.theta(), 0.1)])
+        theta = frame.subset(frame.labels)
+        pair23 = make_mass(frame, [(frame.subset(["c2", "c3"]), 0.9), (theta, 0.1)])
+        pair13 = make_mass(frame, [(frame.subset(["c1", "c3"]), 0.9), (theta, 0.1)])
         results = []
         for position in range(5):
             masses = [pair23] * 4
@@ -290,19 +294,21 @@ class TestCombineAll:
         # one dissenting pair among three agreeing pairs concentrates mass
         # on the shared class
         frame = make_frame(["c1", "c2", "c3"])
-        pair23 = make_mass(frame, [(frame.subset(["c2", "c3"]), 0.9), (frame.theta(), 0.1)])
-        pair13 = make_mass(frame, [(frame.subset(["c1", "c3"]), 0.9), (frame.theta(), 0.1)])
+        theta = frame.subset(frame.labels)
+        pair23 = make_mass(frame, [(frame.subset(["c2", "c3"]), 0.9), (theta, 0.1)])
+        pair13 = make_mass(frame, [(frame.subset(["c1", "c3"]), 0.9), (theta, 0.1)])
         combined = combine_all([pair23, pair13, pair23, pair23])
         assert combined.mass(frame.singleton("c3")) == pytest.approx(0.8991, abs=1e-9)
         assert combined.mass(frame.subset(["c2", "c3"])) == pytest.approx(0.0999, abs=1e-9)
         assert combined.mass(frame.subset(["c1", "c3"])) == pytest.approx(0.0009, abs=1e-9)
-        assert combined.mass(frame.theta()) == pytest.approx(0.0001, abs=1e-9)
+        assert combined.mass(theta) == pytest.approx(0.0001, abs=1e-9)
 
 
     def test_heavy_conflict_stays_normalized(self, binary):
         # K comes within ~1e-7 of 1 at every step, where 1 - K keeps few
         # correct digits; the fused masses must still sum to 1.
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         to_normal = make_mass(binary, [(n, 1 - 1e-7), (t, 1e-7)])
         to_abnormal = make_mass(binary, [(a, 1 - 1e-7), (t, 1e-7)])
         combined = combine_all([to_normal, to_abnormal, to_normal, to_abnormal])
@@ -313,7 +319,8 @@ class TestCombineAll:
 
 class TestCombineBinary:
     def test_matches_combine_example(self, binary):
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         combined = combine_binary(binary, [(0.6, 0.3, 0.1), (0.5, 0.4, 0.1)])
         assert combined.mass(n) == pytest.approx(0.41 / 0.61, abs=1e-15)
         assert combined.mass(a) == pytest.approx(0.19 / 0.61, abs=1e-15)
@@ -376,7 +383,7 @@ class TestCombineBinary:
 class TestBeliefPlausibility:
     def test_belief_of_theta_is_one(self, witnesses):
         frame, m1, _ = witnesses
-        assert belief(m1, frame.theta()) == pytest.approx(1.0, abs=1e-12)
+        assert belief(m1, frame.subset(frame.labels)) == pytest.approx(1.0, abs=1e-12)
 
     def test_belief_sums_subsets(self):
         frame = make_frame(["c1", "c2", "c3"])
@@ -385,7 +392,7 @@ class TestBeliefPlausibility:
 
     def test_plausibility_of_theta(self, binary):
         m = vacuous_mass(binary)
-        assert plausibility(m, binary.theta()) == 1.0
+        assert plausibility(m, binary.subset(binary.labels)) == 1.0
 
     def test_vacuous_interval_is_total_ignorance(self, binary):
         m = vacuous_mass(binary)
@@ -395,7 +402,8 @@ class TestBeliefPlausibility:
             assert iv.pl == 1.0
 
     def test_plausibility_complement_identity(self, binary):
-        n, a, t = binary.singleton("normal"), binary.singleton("abnormal"), binary.theta()
+        n, a = binary.singleton("normal"), binary.singleton("abnormal")
+        t = binary.subset(binary.labels)
         m = MassFunction(binary, {1: 0.41 / 0.61, 2: 0.19 / 0.61, 3: 0.01 / 0.61})
         assert plausibility(m, n) == pytest.approx(1.0 - belief(m, a), abs=1e-12)
         assert plausibility(m, n) == pytest.approx(0.68852, abs=1e-5)
