@@ -38,6 +38,11 @@ STDOUT_CASES = {
     "email_json.out": ["email", "--generate", "--seed", "7", "--format", "json"],
     "email_134_text.out": ["email", "--generate", "--seed", "7", "--signals", "134",
                            "--format", "text"],
+    "combine_text.out": ["combine", "--frame", "Jon,Mary,Mike", "--mass", "Jon:0.9,Mary:0.1",
+                         "--mass", "Mike:0.9,Mary:0.1"],
+    # b and c hold no mass after the fold, so their intervals print the int 0.
+    "combine_json.out": ["combine", "--frame", "a,b,c", "--mass", "a:0.6,a|b:0.4",
+                         "--mass", "a:0.5,a|b:0.3,a|c:0.2", "--format", "json"],
     "help.out": ["--help"],
     **{f"help_{name}.out": [name, "--help"]
        for name in ("wbcd", "iris", "email", "generate-email", "combine")},
@@ -45,6 +50,7 @@ STDOUT_CASES = {
 # The stderr of a usage error, with its exit code.
 STDERR_CASES = {
     "unknown_command.err": (["frobnicate"], 2),
+    "combine_unknown_label.err": (["combine", "--frame", "a,b", "--mass", "x:1.0"], 2),
 }
 MODEL_CASES = {
     "wbcd_model.json": ["wbcd", "--data", WBCD, "--ablate", "A"],
