@@ -7,11 +7,12 @@ trainer's counts, the fold balance and the confusion counts; of the
 three-class assignments' range membership and exact re-decision of float
 ties; of the binary mass builders' checks and clamp; of the WBCD loader's
 column pass, its per-line width check and its cell table; of Bel, Pl, the
-mass constructor's checks and the pairwise rule's normalisation; of the
-readers' width, interval, finiteness and digit-count checks; of the fold
-plan's checks and the report's csv and text branches; of the pairwise rule's
-intersection loop; and of the CLI's feature, signal and mass spec parsers,
-its --runs and --folds checks and its exit codes. Standard library only.
+mass constructor's checks, Frame.bits' label checks and the pairwise rule's
+normalisation; of the readers' width, interval, finiteness and digit-count
+checks; of the fold plan's checks and the report's csv and text branches; of
+the pairwise rule's intersection loop; and of the CLI's feature, signal and
+mass spec parsers, its --runs and --folds checks and its exit codes. Standard
+library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -30,14 +31,17 @@ per mutant, so a rerun draws the same examples. The unmutated copy runs
 first, once per scope with and without the relations, and must pass.
 
 Usage: python scripts/mutants.py [--out MUTANTS.json]
-A whole run takes about twelve minutes on a 2-core machine.
+A whole run takes about twelve minutes on a 2-core machine. A SIGTERM stops
+it like an exception: the running pytest is killed and the copy is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -92,6 +96,8 @@ BUILDERS = Scope(BPA, ("tests/test_bpa.py", "tests/test_classify.py"),
 BELIEF = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
                "Belief or belief or plausibility or interval")
 MASSES = Scope(EVIDENCE, ("tests/test_evidence.py",), "MassConstruction")
+# The frame's tests, Frame.bits' included, and the combine command's.
+LABELS = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_cli.py"), "Frame or Combine")
 RULE = Scope(EVIDENCE, ("tests/test_evidence.py", "tests/test_evidence_properties.py"),
              "Combine or normalization or oracle")
 READERS = Scope(DATA, ("tests/test_data.py",), "Load or load or Reader or Csv")
@@ -206,6 +212,12 @@ MUTANTS = [
     ("belief-subset-flipped", BELIEF, "bits & ~a == 0", "bits & ~a != 0", None),
     ("plausibility-complement", BELIEF, "if bits & a)", "if bits & ~a)", None),
     ("mass-zero-kept", MASSES, "if value > 0:", "if value >= 0:", None),
+    ("mass-key-type-unchecked", MASSES, "if type(bits) is not int:", "if False:", None),
+    ("mass-key-bool-admitted", MASSES, "if type(bits) is not int:",
+     "if not isinstance(bits, int):", None),
+    ("frame-bits-unknown-admitted", LABELS,
+     'raise EvidenceError(f"label {lab!r} not in frame {self.labels}")', "pass", None),
+    ("frame-bits-empty-admitted", LABELS, "if not bits:", "if False:", None),
     ("mass-sum-bound-inclusive", MASSES, "abs(total - 1.0) > SUM_TOL",
      "abs(total - 1.0) >= SUM_TOL",
      "differs only where |total - 1| equals SUM_TOL = 1e-9, which no float total reaches: "
@@ -292,11 +304,24 @@ def run_tests(copy: Path, scope: Scope, relations: bool = True) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
+@contextlib.contextmanager
+def sigterm_exits():
+    """Raise SystemExit on SIGTERM inside the block, so that the blocks it encloses unwind."""
+    def stop(signum, _frame):
+        raise SystemExit(128 + signum)
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
+    # subprocess.run kills its pytest on the way out, and the directory is removed.
+    with sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for name in COPIED:
             src = ROOT / name

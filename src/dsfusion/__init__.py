@@ -3,21 +3,17 @@ benchmarks: a bitmask-backed evidence core, mass-assignment builders, three
 fusion classifiers, and a cross-validation harness with a CLI."""
 
 from .evidence import (
-    BeliefInterval,
     EvidenceError,
     Frame,
     FrameMismatchError,
-    HypothesisSet,
     MassFunction,
     TotalConflictError,
     belief,
-    belief_interval,
     combine,
     combine_all,
     combine_binary,
     combine_with_conflict,
     make_frame,
-    make_mass,
     plausibility,
     vacuous_mass,
 )

@@ -34,11 +34,12 @@ from .data import (
 )
 from .evidence import (
     EvidenceError,
-    belief_interval,
+    MassFunction,
+    belief,
     combine_all,
     combine_with_conflict,
     make_frame,
-    make_mass,
+    plausibility,
 )
 
 USAGE_EXIT = 2
@@ -206,23 +207,23 @@ def _cmd_generate_email(args, parser) -> int:
 
 
 def _parse_mass_spec(spec: str, frame, parser: argparse.ArgumentParser):
-    entries = []
+    masses: dict[int, float] = {}
     for part in spec.split(","):
         if ":" not in part:
             parser.error(f"bad mass entry {part!r}, expected subset:value")
         subset_spec, _, value_spec = part.rpartition(":")
         labels = [lab.strip() for lab in subset_spec.split("|")]
         try:
-            subset = frame.subset(labels)
+            bits = frame.bits(labels)
             # float() also reads non-ASCII digits and an _ between digits.
             if not value_spec.isascii() or "_" in value_spec:
                 raise ValueError(f"mass value {value_spec!r} is not a plain ASCII number")
             value = float(value_spec)
         except (EvidenceError, ValueError) as exc:
             parser.error(f"bad mass entry {part!r}: {exc}")
-        entries.append((subset, value))
+        masses[bits] = masses.get(bits, 0.0) + value  # a repeated set's values add up
     try:
-        return make_mass(frame, entries)
+        return MassFunction(frame, masses)
     except EvidenceError as exc:
         parser.error(f"bad mass {spec!r}: {exc}")
 
@@ -245,23 +246,20 @@ def _cmd_combine(args, parser) -> int:
         combined, final_k = combine_with_conflict(combine_all(masses[:-1]), masses[-1])
     else:
         final_k, combined = 0.0, masses[0]
-    intervals = {
-        label: belief_interval(combined, frame.singleton(label)) for label in frame.labels
-    }
+    intervals = {label: (belief(combined, 1 << i), plausibility(combined, 1 << i))
+                 for i, label in enumerate(frame.labels)}
     if args.format == "json":
         payload = {
-            "combined": {frame.describe(s.bits): v for s, v in combined.items()},
+            "combined": {frame.describe(bits): v for bits, v in combined.items()},
             "conflict": final_k,
-            "intervals": {
-                label: {"bel": iv.bel, "pl": iv.pl} for label, iv in intervals.items()
-            },
+            "intervals": {label: {"bel": bel, "pl": pl} for label, (bel, pl) in intervals.items()},
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"combined: {combined}")
         print(f"K (final step): {final_k:.6g}")
-        for label, iv in intervals.items():
-            print(f"  {label}: [{iv.bel:.6g}, {iv.pl:.6g}]")
+        for label, (bel, pl) in intervals.items():
+            print(f"  {label}: [{bel:.6g}, {pl:.6g}]")
     return 0
 
 

@@ -13,8 +13,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_FRAME_SIZE = 16
 
-# SUM_TOL is the one tolerance on a mass's sum (bpa model rows included) and on how far
-# Bel and Pl may leave [0, 1]; IDENTITY_TOL guards only total conflict, K within it of 1.
+# SUM_TOL is the one tolerance on a mass's sum (bpa model rows included); IDENTITY_TOL
+# guards only total conflict, K within it of 1.
 SUM_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
@@ -60,20 +60,16 @@ class Frame:
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
-    def bit_for(self, label: str) -> int:
-        try:
-            return 1 << self.labels.index(label)
-        except ValueError:
-            raise EvidenceError(f"label {label!r} not in frame {self.labels}") from None
-
-    def subset(self, labels: Iterable[str]) -> "HypothesisSet":
-        bits = 0
-        for lab in labels:
-            bits |= self.bit_for(lab)
-        return HypothesisSet(self, bits)
-
-    def singleton(self, label: str) -> "HypothesisSet":
-        return HypothesisSet(self, self.bit_for(label))
+    def bits(self, labels: Iterable[str]) -> int:
+        """The bitmask of a nonempty set of this frame's labels."""
+        wanted = list(labels)
+        for lab in wanted:
+            if lab not in self.labels:
+                raise EvidenceError(f"label {lab!r} not in frame {self.labels}")
+        bits = sum(1 << i for i, lab in enumerate(self.labels) if lab in wanted)
+        if not bits:
+            raise EvidenceError("a hypothesis set needs at least one label")
+        return bits
 
     def labels_of(self, bits: int) -> tuple[str, ...]:
         return tuple(lab for i, lab in enumerate(self.labels) if bits >> i & 1)
@@ -89,45 +85,15 @@ def make_frame(labels: Sequence[str]) -> Frame:
     return Frame(tuple(labels))
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
-    """A nonempty subset of a frame, encoded as a bitmask."""
-
-    frame: Frame
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.bits <= self.frame.full_mask:
-            raise EvidenceError(
-                f"hypothesis bits {self.bits:#x} outside frame of size {self.frame.size}"
-            )
-
-    def __str__(self) -> str:
-        return self.frame.describe(self.bits)
-
-
-@dataclass(frozen=True)
-class BeliefInterval:
-    """The [Bel, Pl] support interval for one hypothesis set."""
-
-    bel: float
-    pl: float
-
-    def __post_init__(self) -> None:
-        if not (-SUM_TOL <= self.bel and self.pl <= 1 + SUM_TOL):
-            raise EvidenceError(f"interval [{self.bel}, {self.pl}] outside [0, 1]")
-        if self.bel > self.pl + SUM_TOL:
-            raise EvidenceError(f"belief {self.bel} exceeds plausibility {self.pl}")
-
-
 @dataclass(frozen=True, repr=False)
 class MassFunction:
     """A basic probability assignment: positive masses over nonempty subsets.
 
-    Invariants enforced at construction: no mass on the empty set, every
-    stored mass is positive, and the masses sum to 1 within ``SUM_TOL``;
-    zero masses are dropped. Every mass function is built here, the
-    combination rules' results included. Instances are immutable; all
+    Focal sets are int bitmasks (``Frame.bits`` names one). Invariants
+    enforced at construction: every key is an int naming a nonempty subset,
+    every stored mass is positive, and the masses sum to 1 within
+    ``SUM_TOL``; zero masses are dropped. Every mass function is built here,
+    the combination rules' results included. Instances are immutable; all
     operations return new values.
     """
 
@@ -139,6 +105,8 @@ class MassFunction:
         masses: dict[int, float] = {}
         total = 0.0
         for bits, value in self._masses.items():
+            if type(bits) is not int:  # a bool is refused too
+                raise EvidenceError(f"focal set {bits!r} is not an int bitmask")
             if not 0 < bits <= full:
                 raise EvidenceError(
                     f"mass on invalid subset bits {bits:#x} for frame of size {self.frame.size}"
@@ -152,13 +120,8 @@ class MassFunction:
             raise EvidenceError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")
         object.__setattr__(self, "_masses", masses)
 
-    def items(self) -> Iterator[tuple[HypothesisSet, float]]:
-        for bits, value in self._masses.items():
-            yield HypothesisSet(self.frame, bits), value
-
-    def mass(self, subset: HypothesisSet) -> float:
-        _require_same_frame(self.frame, subset.frame)
-        return self._masses.get(subset.bits, 0.0)
+    def items(self) -> Iterator[tuple[int, float]]:
+        return iter(self._masses.items())
 
     def mass_bits(self, bits: int) -> float:
         return self._masses.get(bits, 0.0)
@@ -177,19 +140,6 @@ class MassFunction:
 def _require_same_frame(a: Frame, b: Frame) -> None:
     if a is not b and a != b:
         raise FrameMismatchError(f"frames differ: {a.labels} vs {b.labels}")
-
-
-def make_mass(frame: Frame, entries: Iterable[tuple[HypothesisSet, float]]) -> MassFunction:
-    """Build a mass function from (subset, value) pairs.
-
-    Values must sum to 1 within ``SUM_TOL``; the empty set and negative
-    values are rejected, zero-mass entries are dropped.
-    """
-    bit_masses: dict[int, float] = {}
-    for subset, value in entries:
-        _require_same_frame(frame, subset.frame)
-        bit_masses[subset.bits] = bit_masses.get(subset.bits, 0.0) + value
-    return MassFunction(frame, bit_masses)
 
 
 def vacuous_mass(frame: Frame) -> MassFunction:
@@ -293,20 +243,16 @@ def combine_binary(frame: Frame, rows: Sequence[tuple[float, float, float]]) -> 
     return MassFunction(frame, {1: (q0 - qt) / norm, 2: (q1 - qt) / norm, 3: qt / norm})
 
 
-def belief(m: MassFunction, subset: HypothesisSet) -> float:
-    """Bel(A): total mass of the nonempty subsets of A."""
-    _require_same_frame(m.frame, subset.frame)
-    a = subset.bits
+def belief(m: MassFunction, a: int) -> float:
+    """Bel(A) of the mask A: total mass of the nonempty subsets of A.
+
+    Bel sums a subset of Pl's terms, all positive, and Pl a subset of the
+    masses, so 0 <= Bel(A) <= Pl(A) <= 1 + ``SUM_TOL`` holds exactly. Both
+    are the int 0 when no term is summed.
+    """
     return sum(v for bits, v in m._masses.items() if bits & ~a == 0)
 
 
-def plausibility(m: MassFunction, subset: HypothesisSet) -> float:
-    """Pl(A): total mass of the sets intersecting A, i.e. 1 - Bel(not A)."""
-    _require_same_frame(m.frame, subset.frame)
-    a = subset.bits
+def plausibility(m: MassFunction, a: int) -> float:
+    """Pl(A) of the mask A: total mass of the sets intersecting A, i.e. 1 - Bel(not A)."""
     return sum(v for bits, v in m._masses.items() if bits & a)
-
-
-def belief_interval(m: MassFunction, subset: HypothesisSet) -> BeliefInterval:
-    """The [Bel, Pl] interval for one hypothesis set."""
-    return BeliefInterval(belief(m, subset), plausibility(m, subset))

@@ -16,7 +16,6 @@ from dsfusion import (
     BoundaryModel,
     DataFormatError,
     Frame,
-    HypothesisSet,
     MassFunction,
     Prediction,
     RecordSet,
@@ -104,8 +103,8 @@ def reference_classify_binary(record, model) -> Prediction:
 def mass_to_frozensets(m: MassFunction) -> dict[frozenset, float]:
     """Re-encode a mass function as frozensets of label indices."""
     out = {}
-    for subset, value in m.items():
-        out[frozenset(i for i in range(m.frame.size) if subset.bits >> i & 1)] = value
+    for bits, value in m.items():
+        out[frozenset(i for i in range(m.frame.size) if bits >> i & 1)] = value
     return out
 
 
@@ -319,5 +318,6 @@ def random_mass(frame: Frame, rng: random.Random) -> MassFunction:
     return MassFunction(frame, {bits: w / total for bits, w in enumerate(weights, start=1)})
 
 
-def subsets_of(frame: Frame) -> list[HypothesisSet]:
-    return [HypothesisSet(frame, bits) for bits in range(1, frame.full_mask + 1)]
+def subsets_of(frame: Frame) -> list[int]:
+    """The mask of every nonempty subset of the frame."""
+    return list(range(1, frame.full_mask + 1))

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsfusion import (
+    MassFunction,
     classifier_to_dict,
     combine,
     combine_all,
     combine_with_conflict,
     make_frame,
-    make_mass,
     train_binary,
     train_three_class,
 )
@@ -562,6 +562,15 @@ class TestCombineCommand:
         assert payload["combined"]["a|b"] == pytest.approx(0.5)
         assert payload["intervals"]["c"]["bel"] == pytest.approx(0.3)
 
+    def test_values_of_a_repeated_set_add_up(self, capsys):
+        # b|a names the set a|b does; each set's values are summed before the mass is checked.
+        code, out, _ = run_cli(
+            capsys, "combine", "--frame", "a,b,c",
+            "--mass", "a:0.3,a|b:0.1,a:0.3,b|a:0.2,c:0.1", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["combined"] == {"a": 0.6, "a|b": 0.1 + 0.2, "c": 0.1}
+
     def test_final_conflict_matches_the_pairwise_rule(self, capsys):
         specs = ["a:0.5,b:0.3,a|b|c:0.2", "b|c:0.6,a:0.3,a|b|c:0.1", "c:0.7,a|b:0.2,a|b|c:0.1"]
         argv = ["combine", "--frame", "a,b,c", "--format", "json"]
@@ -571,15 +580,15 @@ class TestCombineCommand:
         assert code == 0
         frame = make_frame(["a", "b", "c"])
         masses = [
-            make_mass(frame, [(frame.subset(part.rpartition(":")[0].split("|")),
-                               float(part.rpartition(":")[2])) for part in spec.split(",")])
+            MassFunction(frame, {frame.bits(part.rpartition(":")[0].split("|")):
+                                 float(part.rpartition(":")[2]) for part in spec.split(",")})
             for spec in specs
         ]
         head = combine_all(masses[:2])
         payload = json.loads(out)
         assert payload["conflict"] == combine_with_conflict(head, masses[2])[1]
         expected = combine(head, masses[2])
-        assert payload["combined"] == {frame.describe(s.bits): v for s, v in expected.items()}
+        assert payload["combined"] == {frame.describe(bits): v for bits, v in expected.items()}
 
     def test_total_conflict_exits_4(self, capsys):
         code, _, err = run_cli(

@@ -56,9 +56,7 @@ def same_frame(m1, m2):
 
 def entrywise_close(m1, m2, tol):
     keys = set(dict(m1.items())) | set(dict(m2.items()))
-    bits1 = {s.bits: v for s, v in m1.items()}
-    bits2 = {s.bits: v for s, v in m2.items()}
-    return all(abs(bits1.get(s.bits, 0.0) - bits2.get(s.bits, 0.0)) <= tol for s in keys)
+    return all(abs(m1.mass_bits(bits) - m2.mass_bits(bits)) <= tol for bits in keys)
 
 
 @given(m=masses(min_theta=0.01))

@@ -1,8 +1,12 @@
 """``scripts/mutants.py``'s mutations still apply: each anchor occurs exactly once in the
 file it mutates, so an edit that moves one fails here, not only when the script runs.
-Reads text only; no mutant is run."""
+Also checks that a SIGTERM unwinds the script's temporary copy. Reads text only; no
+mutant is run and no process is started."""
 
 import importlib.util
+import os
+import signal
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,14 @@ def test_anchor_occurs_once_in_its_target(name, scope, old, new, equivalent):
     target = (ROOT / scope.target).read_text(encoding="utf-8")
     assert target.count(old) == 1, f"{name}: {old!r} occurs {target.count(old)} times"
     assert new != old
+
+
+def test_sigterm_removes_the_temporary_copy(tmp_path):
+    previous = signal.getsignal(signal.SIGTERM)
+    with pytest.raises(SystemExit) as stopped:
+        with mutants.sigterm_exits(), tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            (Path(tmp) / "src").mkdir()
+            os.kill(os.getpid(), signal.SIGTERM)
+    assert stopped.value.code == 128 + signal.SIGTERM
+    assert not Path(tmp).exists()
+    assert signal.getsignal(signal.SIGTERM) is previous
