@@ -10,9 +10,11 @@ column pass, its per-line width check and its cell table; of Bel, Pl, the
 mass constructor's checks, Frame.bits' label checks and the pairwise rule's
 normalisation; of the readers' width, interval, finiteness and digit-count
 checks; of the fold plan's checks and the report's csv and text branches; of
-the pairwise rule's intersection loop; and of the CLI's feature, signal and
-mass spec parsers, its --runs and --folds checks and its exit codes. Standard
-library only.
+the pairwise rule's intersection loop; of the three-class mass's distance row
+and norm, the fold trainers' input check and the three-class trainer's
+grouping; of evaluate's per-fold loop and repeated_cv's seeds; and of the
+CLI's feature, signal and mass spec parsers, its --runs and --folds checks,
+its exit codes, its report writer and its model dump. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -106,6 +108,11 @@ PARSERS = Scope(CLI, ("tests/test_cli.py",), "feature or signal or digits or Com
 EXITS = Scope(CLI, ("tests/test_cli.py",), "exit or usage")
 # The report renderer's tests.
 REPORTS = Scope(DATA, ("tests/test_data.py",), "Reports")
+# The harness's evaluation and repeated cross-validation tests, with the report renderer's.
+EVALUATE = Scope(DATA, ("tests/test_data.py",), "Evaluate or RepeatedCv or Reports")
+# The CLI's tests of the report on stdout and in --out, of the runtime line and of the dump.
+EMIT = Scope(CLI, ("tests/test_cli.py",),
+             "out_file or out_payload or runtime or dump_model or writes_no_model")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -144,6 +151,9 @@ MUTANTS = [
     ("step1-empty-set", THREE_CLASS, "min(range(1, 8)", "min(range(8)", None),
     ("step1-tie-order", THREE_CLASS, "(-m[a], a.bit_count(), a)", "(-m[a], -a.bit_count(), -a)",
      None),
+    ("distance-ratio", THREE_CLASS, "5 if b | c == c", "4 if b | c == c", None),
+    ("distance-subset-flipped", THREE_CLASS, "b | c == c", "b & c == c", None),
+    ("mass-norm-keeps-conflict", THREE_CLASS, "norm = sum(m) - m[0]", "norm = sum(m)", None),
     ("binary-tie-strict", BINARY, 'if score > 0 else "normal"', 'if score >= 0 else "normal"',
      None),
     ("share-key-first-value", BINARY, "key = get(record)", "key = get(record)[:1]", None),
@@ -197,6 +207,15 @@ MUTANTS = [
     ("sigmoid-clamp-lower-flipped", BUILDERS, "min(max(m_normal, MASS_EPS), 1.0 - MASS_EPS)",
      "min(min(m_normal, MASS_EPS), 1.0 - MASS_EPS)", None),
     ("fold-own-count-kept", FOLDS, "totals[v] - cells[v, fold]", "totals[v]", None),
+    ("fold-arity-labels-unchecked", FOLDS, "if len(rows) != len(labels):", "if False:", None),
+    ("fold-arity-fold-ids-unchecked", FOLDS, "if len(held_out) != len(rows):", "if False:", None),
+    ("fold-arity-ragged-admitted", FOLDS, "if len(set(map(len, rows))) > 1:",
+     "if len(set(map(len, rows))) > 2:", None),
+    ("class-rows-complement", FOLDS, "compress(rows, map(eq, labels", "compress(rows, map(ne, labels",
+     None),
+    ("class-homes-of-class-0", FOLDS, "compress(held_out, map(eq, labels, repeat(c))",
+     "compress(held_out, map(eq, labels, repeat(0))", None),
+    ("class-fold-kept-only", FOLDS, "map(ne, g, repeat(fold))", "map(eq, g, repeat(fold))", None),
     ("folds-extra-record", HARNESS, "1 if fold < extra else 0", "1 if fold <= extra else 0",
      None),
     ("confusion-transposed", HARNESS, "matrix[truths[i]][predicted] += 1",
@@ -286,6 +305,26 @@ MUTANTS = [
      None),
     ("fold-plan-unbalanced-admitted", HARNESS, "max(sizes) - min(sizes) > 1",
      "max(sizes) - min(sizes) > 2", None),
+    ("evaluate-fold-named-from-zero", EVALUATE, 'f"fold {fold + 1} of {folds.k}"',
+     'f"fold {fold} of {folds.k}"', None),
+    ("evaluate-details-reversed", EVALUATE, "details.append({", "details.insert(0, {", None),
+    ("evaluate-detail-truth-predicted", EVALUATE, '"truth": labels[truths[i]]',
+     '"truth": pred.label', None),
+    ("evaluate-prediction-slot", EVALUATE, "predictions[i] = pred", "predictions[-1 - i] = pred",
+     None),
+    ("repeated-cv-one-seed", EVALUATE, "k, seed + i))", "k, seed))", None),
+    ("repeated-cv-seeds-shifted", EVALUATE, "k, seed + i))", "k, seed + i + 1))", None),
+    ("emit-stdout-dropped", EMIT, 'print(text, end="")', "pass", None),
+    ("emit-out-skipped", EMIT, "    if args.out:\n        args.out.write_bytes",
+     "    if False:\n        args.out.write_bytes", None),
+    ("emit-out-stripped", EMIT, 'args.out.write_bytes(text.encode("utf-8"))',
+     'args.out.write_bytes(text.strip().encode("utf-8"))', None),
+    ("emit-runtime-to-stdout", EMIT, 'runtime_seconds:.3f} s", file=sys.stderr)',
+     'runtime_seconds:.3f} s")', None),
+    ("dump-model-holds-out-everything", EMIT, 'fit(None, "the model dump")',
+     'fit(0, "the model dump")', None),
+    ("dump-model-first-feature", EMIT, "(0,) * len(dataset), spec.default(dataset))",
+     "(0,) * len(dataset), spec.default(dataset)[:1])", None),
     ("combine-empty-intersection-kept", RULE, "if inter:", "if not inter:", None),
     ("combine-conflict-last-product", RULE, "k += vb * vc", "k = vb * vc", None),
 ]

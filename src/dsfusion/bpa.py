@@ -6,8 +6,8 @@ function), a scaled sigmoid with floor, ceiling and ignorance mass
 (:func:`scaled_sigmoid_row`), or a lookup table for binary signals
 (:func:`table_row`); :func:`binary_row_mass` checks a row and gives its mass
 function. The two three-class assignments, by per-class value ranges and by
-per-class means, are bit rows: :func:`boundary_bits` and :func:`nearest_mean`
-pick the focal set, and :func:`focal_row` gives its ``{bits: mass}`` row.
+per-class means, put their mass on one focal set, which :func:`boundary_bits`
+and :func:`nearest_mean` pick; the classifier states their rows.
 Training helpers derive the thresholds, ranges, means and the
 feature-selection scores from labelled feature rows; the three-class ones
 read each feature's values per class, indexed ``[feature][class]``.
@@ -38,13 +38,6 @@ LOGISTIC_SATURATION = 709  # past this |x|, logistic is exactly 0 or 1: math.exp
 MassRow = tuple[float, float, float]
 # Training values grouped by feature, then by class 0..2.
 Columns = list[list[Sequence[float]]]
-
-# The whole three-class frame as a bitmask.
-THREE_CLASS_FULL = 0b111
-
-# The mass the three-class assignments put on their focal set; the rest is on the frame.
-BOUNDARY_CONFIDENCE = 0.9
-DISTANCE_CONFIDENCE = 0.8
 
 
 class DegenerateFeatureError(ValueError):
@@ -299,14 +292,6 @@ def _nearest_class(value: float, refs: Sequence[tuple[float, ...]], gap: Callabl
         return tied[0]
     exact = Fraction(value)
     return min(tied, key=lambda c: (gap(exact, *map(Fraction, refs[c])), c))
-
-
-def focal_row(bits: int, confidence: float) -> dict[int, float]:
-    """The ``{bits: mass}`` of a three-class source with focal set ``bits``: ``confidence``
-    on it and the rest on the frame, or 1.0 on the frame itself."""
-    if bits == THREE_CLASS_FULL:
-        return {THREE_CLASS_FULL: 1.0}
-    return {bits: confidence, THREE_CLASS_FULL: 1 - confidence}
 
 
 def boundary_bits(value: float, class_bounds: Sequence[tuple[float, float]]) -> int:

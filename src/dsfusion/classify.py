@@ -24,8 +24,6 @@ from typing import Callable, Sequence
 
 from .bpa import (
     BINARY_FRAME,
-    BOUNDARY_CONFIDENCE,
-    DISTANCE_CONFIDENCE,
     BoundaryModel,
     MassRow,
     ScaledSigmoidBpa,
@@ -35,7 +33,6 @@ from .bpa import (
     boundary_bits,
     class_moments,
     counted_threshold,
-    focal_row,
     logistic,
     nearest_mean,
     saturation_cutoff,
@@ -49,7 +46,6 @@ from .evidence import (
     TotalConflictError,
     binary_commonalities,
     combine_binary,
-    combine_bits,
     vacuous_mass,
 )
 
@@ -405,21 +401,24 @@ def train_three_class_folds(
 
 
 def _three_class_mass(frame: Frame, focal_sets: Sequence[int], nearest: int | None) -> MassFunction:
-    # Dempster's fold of the boundary rows on ``focal_sets`` in order, then of the distance
-    # row on class ``nearest`` if given: the rule and order of ``combine_all`` and ``combine``.
-    fused = focal_row(focal_sets[0], BOUNDARY_CONFIDENCE)
-    for bits in focal_sets[1:]:
-        fused = combine_bits(fused, focal_row(bits, BOUNDARY_CONFIDENCE))[0]
-    if nearest is not None:
-        fused = combine_bits(fused, focal_row(1 << nearest, DISTANCE_CONFIDENCE))[0]
-    return MassFunction(frame, fused)
+    # Dempster's rule of the rows ``_fused_masses`` states: each unnormalised mass over 1 - K,
+    # both at the integers' scale. int / int is correctly rounded, so each is rounded once.
+    m = _fused_masses(focal_sets, nearest)
+    norm = sum(m) - m[0]
+    return MassFunction(frame, {a: m[a] / norm for a in range(1, 8)})
 
 
-def _fused_masses(key: Sequence[int]) -> list[int]:
-    # Every unnormalised mass m[A], ∅ included, of the boundary rows on focal sets ``key``, as
-    # integers of one positive scale q[0]: the Möbius inversion of the scaled commonalities q
-    # (see classify_three_class). m[0] / q[0] is the conflict K.
+def _fused_masses(key: Sequence[int], nearest: int | None = None) -> list[int]:
+    # Every unnormalised mass m[A], ∅ included, of the boundary rows on focal sets ``key`` and,
+    # if given, the distance row on class ``nearest``, as integers of one positive scale
+    # sum(m): the Möbius inversion of the scaled commonalities q (see classify_three_class).
+    # m[0] / sum(m) is the conflict K. A boundary row {S: 9/10, Θ: 1/10}, scaled by 10, has
+    # commonality 10 on each subset of S and 1 elsewhere; the distance row {c: 4/5, Θ: 1/5},
+    # scaled by 5, has 5 on ∅ and {c} and 1 elsewhere.
     q = [10 ** sum(b & s == b for s in key) for b in range(8)]
+    if nearest is not None:
+        c = 1 << nearest
+        q = [q[b] * (5 if b | c == c else 1) for b in range(8)]
     return [sum((-1) ** (b ^ a).bit_count() * q[b] for b in range(8) if b & a == a)
             for a in range(8)]
 
@@ -464,10 +463,11 @@ def classify_three_class(record: Sequence[float], model: ThreeClassModel) -> Pre
     4 over the 7 focal sets). A record holds one value per model feature.
 
     The prediction keeps the focal sets in feature order and the nearest
-    class (None at step 1). Its mass, built on first read, folds their bit
-    rows (``focal_row`` at ``BOUNDARY_CONFIDENCE``, then at
-    ``DISTANCE_CONFIDENCE`` on the nearest class) in that order, the rule and
-    order of ``combine_all`` over the boundary rows and then ``combine``.
+    class (None at step 1). Its mass, built on first read, is the exact
+    Dempster fold of the boundary rows and, at step 3, the distance row,
+    rounded once: each of ``_fused_masses``' integers over their 1 - K, in
+    one int division. So the mass reads the label's order: at step 1 its leader is the
+    candidate, at step 3 the label has the greatest singleton mass.
     """
     if len(record) != len(model.means):
         raise ValueError(f"record has {len(record)} values, model has {len(model.means)} features")

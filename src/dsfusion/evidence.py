@@ -153,41 +153,31 @@ def _refuse_total_conflict(k: float) -> None:
         raise TotalConflictError(f"total conflict between sources (K={k!r})")
 
 
-def combine_bits(
-    left: Mapping[int, float], right: Mapping[int, float]
-) -> tuple[dict[int, float], float]:
-    """Dempster's rule on ``{bits: mass}`` dicts: the fused masses and the conflict K.
+def combine_with_conflict(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
+    """``combine`` and the conflict K of the same pair, from one fold.
 
     Every product lands on the intersection of its two focal sets; the
     products on empty intersections sum to K and the rest are renormalised.
-    The fused dict lists focal sets in the order the products first reach
-    them (``left`` outer, ``right`` inner). Raises TotalConflictError when
-    K reaches 1, where the rule is undefined. This is the one
-    implementation of the rule; ``combine`` wraps it.
+    The fused mass lists focal sets in the order the products first reach
+    them (``m1`` outer, ``m2`` inner). This is the one implementation of
+    the rule.
     """
+    _require_same_frame(m1.frame, m2.frame)
     acc: dict[int, float] = {}
     k = 0.0
-    right_items = right.items()
-    for b, vb in left.items():
+    right_items = m2._masses.items()
+    for b, vb in m1._masses.items():
         for c, vc in right_items:
             inter = b & c
             if inter:
-                # 0 + x is x exactly, and keeps exact (Fraction) masses exact.
-                acc[inter] = acc.get(inter, 0) + vb * vc
+                acc[inter] = acc.get(inter, 0.0) + vb * vc
             else:
                 k += vb * vc
     _refuse_total_conflict(k)
     # The kept products sum to 1 - K; their own sum keeps the result
     # normalized when K is near 1, where 1.0 - k has lost most digits.
     norm = sum(acc.values())
-    return {bits: v / norm for bits, v in acc.items()}, k
-
-
-def combine_with_conflict(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
-    """``combine`` and the conflict K of the same pair, from one fold."""
-    _require_same_frame(m1.frame, m2.frame)
-    masses, k = combine_bits(m1._masses, m2._masses)
-    return MassFunction(m1.frame, masses), k
+    return MassFunction(m1.frame, {bits: v / norm for bits, v in acc.items()}), k
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -248,11 +238,11 @@ def belief(m: MassFunction, a: int) -> float:
 
     Bel sums a subset of Pl's terms, all positive, and Pl a subset of the
     masses, so 0 <= Bel(A) <= Pl(A) <= 1 + ``SUM_TOL`` holds exactly. Both
-    are the int 0 when no term is summed.
+    are 0.0 when no term is summed.
     """
-    return sum(v for bits, v in m._masses.items() if bits & ~a == 0)
+    return sum((v for bits, v in m._masses.items() if bits & ~a == 0), 0.0)
 
 
 def plausibility(m: MassFunction, a: int) -> float:
     """Pl(A) of the mask A: total mass of the sets intersecting A, i.e. 1 - Bel(not A)."""
-    return sum(v for bits, v in m._masses.items() if bits & a)
+    return sum((v for bits, v in m._masses.items() if bits & a), 0.0)

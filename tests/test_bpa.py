@@ -15,7 +15,6 @@ from dsfusion import (
     BinaryModel,
     BoundaryModel,
     EmailModel,
-    MassFunction,
     ScaledSigmoidBpa,
     SigmoidBpa,
     TableBpa,
@@ -29,14 +28,11 @@ from dsfusion import (
 )
 from dsfusion import classify
 from dsfusion.bpa import (
-    BOUNDARY_CONFIDENCE,
-    DISTANCE_CONFIDENCE,
     DegenerateFeatureError,
     _nearest_class,
     binary_row_mass,
     boundary_bits,
     counted_threshold,
-    focal_row,
     moments,
     nearest_mean,
     scaled_sigmoid_row,
@@ -369,16 +365,12 @@ class TestFitBoundaries:
 
 
 class TestBoundaryMass:
-    # A boundary source is the bit row focal_row(boundary_bits(...), BOUNDARY_CONFIDENCE).
+    # A boundary source puts its mass on the focal set boundary_bits picks.
     def test_single_class_band(self):
         assert boundary_bits(2.0, EXAMPLE_BOUNDS) == 0b001
-        row = focal_row(0b001, BOUNDARY_CONFIDENCE)
-        assert row == {0b001: 0.9, 0b111: pytest.approx(0.1)}
-        assert MassFunction(THREE, row).mass_bits(0b001) == 0.9
 
     def test_triple_overlap_is_total_ignorance(self):
         assert boundary_bits(3.5, EXAMPLE_BOUNDS) == 0b111
-        assert focal_row(0b111, BOUNDARY_CONFIDENCE) == {0b111: 1.0}
 
     def test_pair_band(self):
         assert boundary_bits(4.2, EXAMPLE_BOUNDS) == 0b110
@@ -404,7 +396,6 @@ class TestBoundaryMass:
     def test_training_bounds_pair_band(self):
         # a width of 3.4 exceeds the middle class's maximum but fits the others
         assert boundary_bits(3.4, TRAINING_BOUNDS[1]) == 0b101
-        assert focal_row(0b101, BOUNDARY_CONFIDENCE) == {0b101: 0.9, 0b111: pytest.approx(0.1)}
 
     @given(
         st.floats(min_value=-10, max_value=10),
@@ -595,14 +586,11 @@ class TestSelectFeature:
 
 
 class TestDistanceMass:
-    # A distance source is the bit row focal_row(1 << nearest_mean(...), DISTANCE_CONFIDENCE).
+    # A distance source puts its mass on the class nearest_mean picks.
     MEANS = (1.0, 2.0, 3.0)
 
     def test_exact_mean_wins(self):
         assert nearest_mean(1.0, self.MEANS) == 0
-        row = focal_row(0b001, DISTANCE_CONFIDENCE)
-        assert row == {0b001: 0.8, 0b111: pytest.approx(0.2)}
-        assert MassFunction(THREE, row).mass_bits(0b001) == 0.8
 
     def test_nearest_mean_wins(self):
         assert nearest_mean(2.4, self.MEANS) == 1

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -48,10 +48,7 @@ from dsfusion import (
 )
 from dsfusion import classify
 from dsfusion.bpa import (
-    BOUNDARY_CONFIDENCE,
-    DISTANCE_CONFIDENCE,
     boundary_bits,
-    focal_row,
     logistic,
     nearest_mean,
     saturation_cutoff,
@@ -613,14 +610,14 @@ class TestClassifyThreeClass:
     def test_exact_step1_tie_goes_to_lower_bitmask(self):
         # Every value lies below every range. Features 0 and 2 point to the
         # nearest range's class Setosa, features 1 and 3 to Versicolour, so
-        # their masses tie exactly; the float fold puts Versicolour one ulp ahead.
+        # their masses tie exactly, and the label's order sends the tie to Setosa.
         bounds = (((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)), ((0.5, 0.5), (0.0, 0.0), (0.0, 0.0))) * 2
         model = ThreeClassModel(
             IRIS_FRAME, BoundaryModel(bounds), ((0.0, 0.0, 0.0),) * 4,
             {0b011: 0, 0b101: 0, 0b110: 0, 0b111: 0},
         )
         pred = classify_three_class((-1.0, -1.0, -1.0, -1.0), model)
-        assert pred.mass.mass_bits(0b010) > pred.mass.mass_bits(0b001)
+        assert pred.mass.mass_bits(0b010) == pred.mass.mass_bits(0b001)
         assert (pred.label, pred.trace) == ("Setosa", {"decided": "step1"})
 
     def test_pair_candidate_uses_group_feature(self):
@@ -878,30 +875,84 @@ def test_fold_models_match_train_three_class_on_the_fold_rows(data):
         assert isinstance(grouped, list) or expected == grouped
 
 
+def _float_row(bits, confidence):
+    # A three-class source's float {bits: mass}: ``confidence`` on its focal set, the rest on
+    # the frame, or 1.0 on the frame itself.
+    return {0b111: 1.0} if bits == 0b111 else {bits: confidence, 0b111: 1 - confidence}
+
+
 def boundary_rows(record, model: ThreeClassModel):
-    """Each feature's boundary source as a mass function: its focal set's bit row."""
-    return [MassFunction(model.frame, focal_row(boundary_bits(v, bounds), BOUNDARY_CONFIDENCE))
+    """Each feature's boundary source as a float mass function: 0.9 on its focal set."""
+    return [MassFunction(model.frame, _float_row(boundary_bits(v, bounds), 0.9))
             for v, bounds in zip(record, model.boundaries.bounds)]
 
 
 def generic_three_class_mass(record, model: ThreeClassModel, trace):
     """The mass ``classify_three_class`` reports, through the generic evidence
-    algebra: ``combine_all`` of the boundary rows, then, for a step-3 decision,
-    ``combine`` with the distance row of the traced feature's nearest mean."""
+    algebra on float rows: ``combine_all`` of the boundary rows, then, for a
+    step-3 decision, ``combine`` with the distance row (0.8 on the traced
+    feature's nearest mean). It rounds at every step, so it is only close."""
     step1 = combine_all(boundary_rows(record, model))
     if trace["decided"] == "step1":
         return step1
     feature = trace["feature"]
     nearest = nearest_mean(record[feature], model.means[feature])
-    return combine(step1, MassFunction(model.frame, focal_row(1 << nearest, DISTANCE_CONFIDENCE)))
+    return combine(step1, MassFunction(model.frame, _float_row(1 << nearest, 0.8)))
+
+
+def _conjunctive(left, right):
+    # Dempster's rule without the normalisation: every product on its intersection, ∅ included.
+    fused = {}
+    for a, u in left.items():
+        for b, v in right.items():
+            fused[a & b] = fused.get(a & b, 0) + u * v
+    return fused
+
+
+def _exact_unnormalised(key, nearest):
+    # The exact unnormalised combination, ∅ included, of the boundary rows {S: 9/10, Θ: 1/10}
+    # on the focal sets ``key`` (the frame itself: vacuous) and, if given, the distance row
+    # {c: 4/5, Θ: 1/5} on class ``nearest``. The rule is exact, so the rows' order is free.
+    full = 0b111
+    rows = [{full: 1} if bits == full else {bits: Fraction(9, 10), full: Fraction(1, 10)}
+            for bits in key]
+    if nearest is not None:
+        rows.append({1 << nearest: Fraction(4, 5), full: Fraction(1, 5)})
+    return reduce(_conjunctive, rows, {full: Fraction(1)})
+
+
+@cache
+def _exact_fold(key, nearest):
+    # That combination normalised: Dempster's rule, each mass rounded once.
+    fused = _exact_unnormalised(key, nearest)
+    k = fused.pop(0, 0)
+    return {bits: float(v / (1 - k)) for bits, v in fused.items()}
+
+
+def exact_three_class_mass(record, model: ThreeClassModel, trace):
+    """The ``{bits: mass}`` ``classify_three_class`` reports: the exact fold of the
+    rows ``generic_three_class_mass`` folds in floats, each mass rounded once."""
+    focal_sets = [boundary_bits(v, bounds) for v, bounds in zip(record, model.boundaries.bounds)]
+    nearest = None
+    if trace["decided"] == "step3":
+        feature = trace["feature"]
+        nearest = nearest_mean(record[feature], model.means[feature])
+    return _exact_fold(tuple(sorted(focal_sets)), nearest)
+
+
+def assert_close_masses(mass, reference, tol=1e-12):
+    """The same focal sets, each mass within ``tol`` of the reference's."""
+    got, want = dict(mass.items()), dict(reference.items())
+    assert got.keys() == want.keys()
+    assert all(abs(got[bits] - want[bits]) <= tol for bits in got), (got, want)
 
 
 def _assert_three_class_exact(record, model):
     pred = classify_three_class(record, model)
     assert (pred.label, dict(pred.trace)) == oracle_three_class(record, model)
-    generic = generic_three_class_mass(record, model, pred.trace)
-    # ==, not approx: the same products, summed and divided in the same order.
-    assert list(pred.mass.items()) == list(generic.items())
+    # ==, not approx: the exact fold, rounded once; the generic float fold is only close.
+    assert dict(pred.mass.items()) == exact_three_class_mass(record, model, pred.trace)
+    assert_close_masses(pred.mass, generic_three_class_mass(record, model, pred.trace))
 
 
 def test_three_class_matches_exact_oracle_and_generic_fold_on_iris(iris_dataset):
@@ -1001,31 +1052,50 @@ def test_three_class_decision_is_keyed_on_the_multiset_of_focal_sets():
     assert classify._step1.cache_info().currsize == 1
 
 
-def _conjunctive(left, right):
-    # Dempster's rule without the normalisation: every product on its intersection, ∅ included.
-    fused = {}
-    for a, u in left.items():
-        for b, v in right.items():
-            fused[a & b] = fused.get(a & b, 0) + u * v
-    return fused
-
-
 def test_three_class_integer_masses_are_the_exact_unnormalised_combination():
-    # Step 1's integer masses over Q(∅) = 10^n are the exact unnormalised combination of the
-    # boundary rows at every A, ∅ included: m(∅) / Q(∅) is the conflict K. The rows take the
-    # confidence the reported mass uses, so a change to it that the integers miss fails here.
-    full, cases = 0b111, 0
-    confidence = Fraction(str(BOUNDARY_CONFIDENCE))
+    # The integer masses over their sum are the exact unnormalised combination of the boundary
+    # rows {S: 9/10, Θ: 1/10} and, at step 3, the distance row {c: 4/5, Θ: 1/5}, at every A, ∅
+    # included, so m(∅) / sum(m) is the conflict K. Step 1's scale is Q(∅) = 10^n. The reported
+    # mass is that combination normalised, each mass rounded once.
+    cases = 0
     for n in range(1, 7):
         for key in combinations_with_replacement(range(1, 8), n):
-            exact = {full: Fraction(1)}
-            for bits in key:
-                row = {bits: confidence, full: 1 - confidence} if bits != full else {full: 1}
-                exact = _conjunctive(exact, row)
-            masses = classify._fused_masses(key)
-            assert [Fraction(m, 10**n) for m in masses] == [exact.get(a, 0) for a in range(8)]
-            cases += 1
-    assert cases == 1715
+            for nearest in (None, 0, 1, 2):
+                exact = _exact_unnormalised(key, nearest)
+                masses = classify._fused_masses(key, nearest)
+                scale = sum(masses)
+                assert scale == 10**n * (1 if nearest is None else 5)
+                assert [Fraction(m, scale) for m in masses] == [exact.get(a, 0) for a in range(8)]
+                assert Fraction(masses[0], scale) == exact.get(0, 0)  # K
+                reported = classify._three_class_mass(IRIS_FRAME, key, nearest)
+                assert dict(reported.items()) == _exact_fold(key, nearest)
+                cases += 1
+    assert cases == 4 * 1715
+
+
+def test_three_class_mass_leads_with_the_decision():
+    # The step-1 mass, read by the label's order (the least (−m(A), |A|, A) other than Θ), leads
+    # with the candidate on every key: at step 1 it is the prediction's mass, at step 3 the same
+    # build without the distance row. At step 3 the label has the unique greatest belief.
+    keys = step3 = 0
+    for n in range(1, 7):
+        for key in combinations_with_replacement(range(1, 8), n):
+            record = (0,) * n
+            pred = classify_three_class(record, _model_with_rows(key, 0))
+            group = pred.trace.get("group", [pred.label])
+            step1 = pred.mass if pred.trace["decided"] == "step1" else classify._three_class_mass(
+                IRIS_FRAME, key, None)
+            assert oracle_three_class_candidate(dict(step1.items())) == IRIS_FRAME.bits(group)
+            keys += 1
+            if pred.trace["decided"] == "step1":
+                continue
+            for nearest in range(3):
+                pred = classify_three_class(record, _model_with_rows(key, nearest))
+                assert pred.label == IRIS_FRAME.labels[nearest]
+                beliefs = [pred.mass.mass_bits(1 << c) for c in range(3)]
+                assert sorted(beliefs)[1] < beliefs[nearest] == max(beliefs)
+                step3 += 1
+    assert (keys, step3) == (1715, 324)
 
 
 class TestEmailModel:

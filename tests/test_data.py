@@ -724,11 +724,17 @@ class TestEvaluate:
     @pytest.mark.parametrize("task", ["wbcd", "iris"])
     def test_details_carry_their_predictions(self, wbcd_dataset, iris_dataset, task):
         dataset = wbcd_dataset if task == "wbcd" else iris_dataset
-        report = evaluate(dataset, task, folds=make_folds(len(dataset), 10, 42))
+        folds = make_folds(len(dataset), 10, 42)
+        report = evaluate(dataset, task, folds=folds)
         assert report.details
         for detail in report.details:
             assert detail["prediction"].label == detail["predicted"] != detail["truth"]
             assert set(detail) == {"id", "truth", "predicted", "prediction"}
+        # In fold order, and in record order within a fold: the order the text report lists.
+        truths = [dataset.label_names[c] for c in dataset.labels]
+        expected = [(dataset.ids[i], truths[i]) for fold in range(folds.k)
+                    for i in folds.test_indices(fold) if report.predictions[i].label != truths[i]]
+        assert [(d["id"], d["truth"]) for d in report.details] == expected
 
     @pytest.mark.parametrize("task", ["wbcd", "iris"])
     def test_empty_training_fold_is_an_input_error(self, wbcd_dataset, iris_dataset, task):

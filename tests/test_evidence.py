@@ -21,7 +21,7 @@ from dsfusion import (
     plausibility,
     vacuous_mass,
 )
-from dsfusion.evidence import IDENTITY_TOL, binary_commonalities, combine_bits
+from dsfusion.evidence import IDENTITY_TOL, binary_commonalities
 
 from conftest import mass_to_frozensets, oracle_combine
 
@@ -345,11 +345,14 @@ class TestCombineBinary:
         c = 1.0 - IDENTITY_TOL
         assert 1.0 - (1.0 - c) == c
         with pytest.raises(TotalConflictError, match=re.escape(f"K={c!r}")):
-            combine_bits({1: 1.0}, {2: c, 3: 1.0 - c})
+            combine_with_conflict(MassFunction(binary, {1: 1.0}),
+                                  MassFunction(binary, {2: c, 3: 1.0 - c}))
         with pytest.raises(TotalConflictError, match=re.escape(f"K={c!r}")):
             combine_binary(binary, [(1.0, 0.0, 0.0), (0.0, c, 1.0 - c)])
         below = math.nextafter(c, 0.0)
-        assert combine_bits({1: 1.0}, {2: below, 3: 1.0 - below})[1] == below
+        certain = MassFunction(binary, {1: 1.0})
+        near = MassFunction(binary, {2: below, 3: 1.0 - below})
+        assert combine_with_conflict(certain, near)[1] == below
         combine_binary(binary, [(1.0, 0.0, 0.0), (0.0, below, 1.0 - below)])
 
     def test_total_conflict_subtracts_the_theta_product(self, binary):
@@ -400,6 +403,13 @@ class TestBeliefPlausibility:
         for label in binary.labels:
             assert belief(m, binary.bits([label])) == 0.0
             assert plausibility(m, binary.bits([label])) == 1.0
+
+    def test_an_empty_sum_is_the_float_zero(self):
+        # b and c hold no mass, so Bel(b), Bel(c) and Pl(c) sum no term: 0.0, not the int 0.
+        frame = make_frame(["a", "b", "c"])
+        m = MassFunction(frame, {0b001: 0.88, 0b011: 0.12})
+        empty = [belief(m, 0b010), belief(m, 0b100), plausibility(m, 0b100)]
+        assert [(type(v), v) for v in empty] == [(float, 0.0)] * 3
 
     def test_plausibility_complement_identity(self, binary):
         n, a = binary.bits(["normal"]), binary.bits(["abnormal"])

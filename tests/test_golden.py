@@ -40,7 +40,7 @@ STDOUT_CASES = {
                            "--format", "text"],
     "combine_text.out": ["combine", "--frame", "Jon,Mary,Mike", "--mass", "Jon:0.9,Mary:0.1",
                          "--mass", "Mike:0.9,Mary:0.1"],
-    # b and c hold no mass after the fold, so their intervals print the int 0.
+    # b and c hold no mass after the fold, so their intervals print 0.0.
     "combine_json.out": ["combine", "--frame", "a,b,c", "--mass", "a:0.6,a|b:0.4",
                          "--mass", "a:0.5,a|b:0.3,a|c:0.2", "--format", "json"],
     "help.out": ["--help"],

@@ -1,7 +1,7 @@
 """The classifiers decide on scalars and build a prediction's mass function
 only when it is read: how many masses get built, that the deferred mass
-equals the eagerly built reference bit for bit, and that predictions
-pickle and copy before and after the read."""
+equals its reference bit for bit (for three classes, the exact fold rounded
+once), and that predictions pickle and copy before and after the read."""
 
 import copy
 import math
@@ -33,7 +33,12 @@ from dsfusion.bpa import logistic
 from dsfusion.classify import email_signal_row
 from dsfusion.data import report_text
 
-from test_classify import _model_with_rows, generic_three_class_mass
+from test_classify import (
+    _model_with_rows,
+    assert_close_masses,
+    exact_three_class_mass,
+    generic_three_class_mass,
+)
 from test_data import ACCEPTANCE_SUBSETS
 
 IRIS_FRAME = make_frame(["Setosa", "Versicolour", "Virginica"])
@@ -210,8 +215,9 @@ def test_binary_records_share_their_model_trace(wbcd_dataset):
 
 
 class TestDeferredMassIsExact:
-    """The deferred mass equals the one the classifiers used to build
-    eagerly: the same floats under the same keys, in the same order."""
+    """The deferred mass equals its reference: for the binary frame the mass
+    the classifiers used to build eagerly, the same floats under the same keys
+    in the same order; for three classes the exact fold, each mass rounded once."""
 
     def test_wbcd_acceptance_subsets(self, wbcd_dataset):
         folds = make_folds(len(wbcd_dataset), 10, 42)
@@ -257,8 +263,10 @@ class TestDeferredMassIsExact:
                                           IRIS_FRAME)
                 for i in folds.test_indices(fold):
                     pred = classify_three_class(rows[i], model)
+                    exact = exact_three_class_mass(rows[i], model, pred.trace)
+                    assert dict(pred.mass.items()) == exact
                     eager = generic_three_class_mass(rows[i], model, pred.trace)
-                    assert list(pred.mass._masses.items()) == list(eager._masses.items())
+                    assert_close_masses(pred.mass, eager)
 
 
 class TestPortability:
@@ -285,15 +293,16 @@ class TestPortability:
 ], ids=["step1-vacuous", "step3-all-vacuous", "step1-pairs", "step3-pair", "step3-three"])
 @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
 def test_three_class_mass_rebuilt_from_focal_sets(focal_sets, nearest, decided, clone):
-    # The prediction keeps each feature's focal set and the nearest class;
-    # the mass rebuilt from them after a round trip is the generic fold's.
+    # The prediction keeps each feature's focal set and the nearest class; the mass rebuilt
+    # from them after a round trip is the exact fold, rounded once, and near the generic fold.
     model = _model_with_rows(focal_sets, nearest)
     record = (0,) * len(focal_sets)
     pred = classify_three_class(record, model)
     assert pred.trace["decided"] == decided
     assert pred.args == (focal_sets, nearest if decided == "step3" else None)
-    eager = generic_three_class_mass(record, model, pred.trace)
-    assert list(clone(pred).mass.items()) == list(eager.items())
+    rebuilt = clone(pred).mass
+    assert dict(rebuilt.items()) == exact_three_class_mass(record, model, pred.trace)
+    assert_close_masses(rebuilt, generic_three_class_mass(record, model, pred.trace))
 
 
 def test_total_conflict_raises_when_classifying():
