@@ -43,6 +43,10 @@ STDOUT_CASES = {
     # b and c hold no mass after the fold, so their intervals print 0.0.
     "combine_json.out": ["combine", "--frame", "a,b,c", "--mass", "a:0.6,a|b:0.4",
                          "--mass", "a:0.5,a|b:0.3,a|c:0.2", "--format", "json"],
+    # Three masses: the fold's last step reports its own conflict K.
+    "combine_three_json.out": ["combine", "--frame", "a,b,c", "--mass", "a:0.6,a|b:0.4",
+                               "--mass", "a:0.5,a|b:0.3,a|c:0.2", "--mass", "b:0.2,a|b|c:0.8",
+                               "--format", "json"],
     "help.out": ["--help"],
     **{f"help_{name}.out": [name, "--help"]
        for name in ("wbcd", "iris", "email", "generate-email", "combine")},
