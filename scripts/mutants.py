@@ -12,9 +12,12 @@ normalisation; of the readers' width, interval, finiteness and digit-count
 checks; of the fold plan's checks and the report's csv and text branches; of
 the pairwise rule's intersection loop; of the three-class mass's distance row
 and norm, the fold trainers' input check and the three-class trainer's
-grouping; of evaluate's per-fold loop and repeated_cv's seeds; and of the
-CLI's feature, signal and mass spec parsers, its --runs and --folds checks,
-its exit codes, its report writer and its model dump. Standard library only.
+grouping; of evaluate's per-fold loop and repeated_cv's seeds; of the
+training count a fold's error names, the binary classifier's checked loop and
+the classifier dump's unfitted-slot check; and of the CLI's feature, signal
+and mass spec parsers, its --runs and --folds checks, its exit codes, its
+report writer, its model dump, the iris summary's mean and sd, and the
+combine command's fold and writers. Standard library only.
 
 Applies each mutation in ``MUTANTS`` (one token changed in the source file
 its entry's scope names) to a temporary copy of the repository, runs the
@@ -24,16 +27,14 @@ how many, and each survivor's file:line, test files and selection (the
 ``command`` is the pytest call before them). A survivor that no
 test can kill (the mutant behaves as the original on every input) carries
 the reason in its entry; any other survivor is a gap in the tests, and
-the script exits 1 until a test closes it. Each killed mutant runs once
-more with the Hypothesis relations (``RELATIONS``) deselected, and the
-mutants that survive that run are listed as killed only by the relations.
+the script exits 1 until a test closes it. Each mutant runs pytest once.
 
 The tests run with ``--hypothesis-seed 0`` and a fresh example database
 per mutant, so a rerun draws the same examples. The unmutated copy runs
-first, once per scope with and without the relations, and must pass.
+first, once per scope, and must pass.
 
 Usage: python scripts/mutants.py [--out MUTANTS.json]
-A whole run takes about twelve minutes on a 2-core machine. A SIGTERM stops
+A whole run takes about nine minutes on a 2-core machine. A SIGTERM stops
 it like an exception: the running pytest is killed and the copy is removed.
 """
 
@@ -56,10 +57,6 @@ COPIED = ("src", "tests", "data", "pyproject.toml")
 BPA, CLASSIFY = "src/dsfusion/bpa.py", "src/dsfusion/classify.py"
 EVIDENCE, DATA = "src/dsfusion/evidence.py", "src/dsfusion/data.py"
 CLI = "src/dsfusion/cli.py"
-
-
-# The Hypothesis relations: metamorphic properties of the classifiers and of the harness.
-RELATIONS = "raising or every_threshold or permuting or setting_a_flag or longer_interval"
 
 
 class Scope(NamedTuple):
@@ -113,6 +110,11 @@ EVALUATE = Scope(DATA, ("tests/test_data.py",), "Evaluate or RepeatedCv or Repor
 # The CLI's tests of the report on stdout and in --out, of the runtime line and of the dump.
 EMIT = Scope(CLI, ("tests/test_cli.py",),
              "out_file or out_payload or runtime or dump_model or writes_no_model")
+# The iris command's tests; the combine command's tests with its golden files.
+IRIS = Scope(CLI, ("tests/test_cli.py",), "IrisCommand")
+COMBINE = Scope(CLI, ("tests/test_cli.py", "tests/test_golden.py"), "combine")
+# The classifier dump's tests.
+DUMP = Scope(CLASSIFY, ("tests/test_classify.py",), "Serialization")
 
 # (id, scope, text found exactly once in the scope's target, its replacement, why no test can
 # kill it or None).
@@ -327,18 +329,47 @@ MUTANTS = [
      "(0,) * len(dataset), spec.default(dataset)[:1])", None),
     ("combine-empty-intersection-kept", RULE, "if inter:", "if not inter:", None),
     ("combine-conflict-last-product", RULE, "k += vb * vc", "k = vb * vc", None),
+    ("fit-count-all-records", HARNESS, "n = len(held_out) - held_out.count(fold)",
+     "n = len(held_out)", None),
+    ("fit-count-fold-0", HARNESS, "held_out.count(fold)", "held_out.count(0)", None),
+    ("iris-text-mean-sd-swapped", IRIS, "{accuracy.mean * 100:.2f}% ± {accuracy.sd * 100:.2f}%",
+     "{accuracy.sd * 100:.2f}% ± {accuracy.mean * 100:.2f}%", None),
+    ("iris-json-mean-as-sd", IRIS, '"mean_accuracy": accuracy.mean,',
+     '"mean_accuracy": accuracy.sd,', None),
+    ("iris-json-sd-as-mean", IRIS, '"sd": accuracy.sd,', '"sd": accuracy.mean,', None),
+    ("combine-loop-k-dropped", COMBINE, "combined, final_k = combine_with_conflict(combined, m)",
+     "combined = combine_with_conflict(combined, m)[0]", None),
+    ("combine-loop-first-pair-only", COMBINE, "for m in rest:", "for m in rest[:1]:", None),
+    ("combine-format-flipped", COMBINE, 'if args.format == "json":\n        payload',
+     'if args.format != "json":\n        payload', None),
+    ("combine-json-keys-as-bits", COMBINE, '"combined": {frame.describe(bits): v',
+     '"combined": {str(bits): v', None),
+    ("combine-json-conflict-zero", COMBINE, '"conflict": final_k,', '"conflict": 0.0,', None),
+    ("combine-json-bel-pl-swapped", COMBINE, '{"bel": bel, "pl": pl}', '{"bel": pl, "pl": bel}',
+     None),
+    ("combine-text-mass-repr", COMBINE, 'print(f"combined: {combined}")',
+     'print(f"combined: {combined!r}")', None),
+    ("combine-text-interval-swapped", COMBINE, "[{bel:.6g}, {pl:.6g}]", "[{pl:.6g}, {bel:.6g}]",
+     None),
+    ("binary-loop-none-used", BINARY,
+     "            if value is not None:\n                if not math.isfinite(value):",
+     "            if True:\n                if not math.isfinite(value):", None),
+    ("binary-loop-non-finite-admitted", BINARY,
+     'raise ValueError(f"feature value must be finite, got {value}")\n                used',
+     "pass\n                used", None),
+    ("binary-loop-clamp-upper-dropped", BINARY, "min(max(sum(map(Fraction, terms)), -1000), 1000)",
+     "max(sum(map(Fraction, terms)), -1000)", None),
+    ("binary-loop-clamp-lower-dropped", BINARY, "min(max(sum(map(Fraction, terms)), -1000), 1000)",
+     "min(sum(map(Fraction, terms)), 1000)", None),
+    ("dump-unfitted-slot-admitted", DUMP,
+     "if isinstance(model, BinaryModel) and None in model.bpas:", "if False:", None),
 ]
 
 
-def selection(scope: Scope, relations: bool = True) -> str:
-    return scope.select if relations else f"({scope.select}) and not ({RELATIONS})"
-
-
-def run_tests(copy: Path, scope: Scope, relations: bool = True) -> int:
+def run_tests(copy: Path, scope: Scope) -> int:
     # The copy's pyproject.toml puts its own src/ first on the tests' import path.
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    argv = [sys.executable, "-m", "pytest", *scope.tests, *PYTEST,
-            "-k", selection(scope, relations)]
+    argv = [sys.executable, "-m", "pytest", *scope.tests, *PYTEST, "-k", scope.select]
     return subprocess.run(argv, cwd=copy, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
@@ -369,12 +400,11 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 shutil.copy2(src, copy / name)
         for scope in dict.fromkeys(scope for _, scope, *_ in MUTANTS):
-            for relations in (True, False):
-                if run_tests(copy, scope, relations) != 0:
-                    print(f"the unmutated copy fails {' '.join(scope.tests)} "
-                          f"-k {selection(scope, relations)!r}", file=sys.stderr)
-                    return 2
-        survivors, killed, relations_only = [], 0, []
+            if run_tests(copy, scope) != 0:
+                print(f"the unmutated copy fails {' '.join(scope.tests)} -k {scope.select!r}",
+                      file=sys.stderr)
+                return 2
+        survivors, killed = [], 0
         for name, scope, old, new, equivalent in MUTANTS:
             target = scope.target
             original = (ROOT / target).read_text(encoding="utf-8")
@@ -386,24 +416,18 @@ def main(argv: list[str] | None = None) -> int:
             (copy / target).write_text(original.replace(old, new), encoding="utf-8")
             try:
                 died = run_tests(copy, scope) != 0
-                # A killed mutant runs again without the relations: does another test kill it?
-                only_relations = died and run_tests(copy, scope, relations=False) == 0
             finally:
                 (copy / target).write_text(original, encoding="utf-8")
             if died:
                 killed += 1
-                if only_relations:
-                    relations_only.append(name)
-                print(f"killed   {name}{' (only by the relations)' * only_relations}",
-                      flush=True)
+                print(f"killed   {name}", flush=True)
                 continue
             print(f"SURVIVED {name} ({target}:{line})", flush=True)
             survivors.append({"id": name, "where": f"{target}:{line}", "tests": list(scope.tests),
                               "select": scope.select, "from": old.strip(), "to": new.strip(),
                               "equivalent": equivalent})
     result = {"command": ["python", "-m", "pytest", *PYTEST], "killed": killed,
-              "total": len(MUTANTS), "survivors": survivors, "relations": RELATIONS,
-              "killed_only_by_relations": relations_only}
+              "total": len(MUTANTS), "survivors": survivors}
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     open_gaps = [s["id"] for s in survivors if s["equivalent"] is None]
     print(f"{killed} of {len(MUTANTS)} mutants killed; wrote {args.out}")

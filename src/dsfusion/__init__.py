@@ -10,7 +10,6 @@ from .evidence import (
     TotalConflictError,
     belief,
     combine,
-    combine_all,
     combine_binary,
     combine_with_conflict,
     make_frame,

@@ -36,7 +36,6 @@ from .evidence import (
     EvidenceError,
     MassFunction,
     belief,
-    combine_all,
     combine_with_conflict,
     make_frame,
     plausibility,
@@ -241,11 +240,10 @@ def _cmd_combine(args, parser) -> int:
         frame = make_frame(labels)
     except EvidenceError as exc:
         parser.error(f"bad frame: {exc}")
-    masses = [_parse_mass_spec(spec, frame, parser) for spec in args.mass]
-    if len(masses) > 1:
-        combined, final_k = combine_with_conflict(combine_all(masses[:-1]), masses[-1])
-    else:
-        final_k, combined = 0.0, masses[0]
+    combined, *rest = [_parse_mass_spec(spec, frame, parser) for spec in args.mass]
+    final_k = 0.0
+    for m in rest:
+        combined, final_k = combine_with_conflict(combined, m)
     intervals = {label: (belief(combined, 1 << i), plausibility(combined, 1 << i))
                  for i, label in enumerate(frame.labels)}
     if args.format == "json":

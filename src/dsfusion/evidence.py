@@ -137,11 +137,6 @@ class MassFunction:
         return f"MassFunction({self})"
 
 
-def _require_same_frame(a: Frame, b: Frame) -> None:
-    if a is not b and a != b:
-        raise FrameMismatchError(f"frames differ: {a.labels} vs {b.labels}")
-
-
 def vacuous_mass(frame: Frame) -> MassFunction:
     """Total ignorance: all mass on the whole frame."""
     return MassFunction(frame, {frame.full_mask: 1.0})
@@ -162,7 +157,8 @@ def combine_with_conflict(m1: MassFunction, m2: MassFunction) -> tuple[MassFunct
     them (``m1`` outer, ``m2`` inner). This is the one implementation of
     the rule.
     """
-    _require_same_frame(m1.frame, m2.frame)
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
+        raise FrameMismatchError(f"frames differ: {m1.frame.labels} vs {m2.frame.labels}")
     acc: dict[int, float] = {}
     k = 0.0
     right_items = m2._masses.items()
@@ -187,16 +183,6 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     rule is undefined.
     """
     return combine_with_conflict(m1, m2)[0]
-
-
-def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
-    """Left fold of ``combine`` over a nonempty sequence of mass functions."""
-    if not masses:
-        raise EvidenceError("combine_all needs at least one mass function")
-    result = masses[0]
-    for m in masses[1:]:
-        result = combine(result, m)
-    return result
 
 
 def binary_commonalities(rows: Iterable[Sequence[float]]) -> tuple[float, float, float]:

@@ -124,26 +124,37 @@ def oracle_combine(
     return {s: v / (1.0 - k) for s, v in acc.items()}, k
 
 
-def exact_binary_fold(rows) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
-    """Exact pairwise Dempster fold of (m_0, m_1, m_theta) rows on two labels.
+def exact_unnormalised(rows) -> dict[int, Fraction]:
+    """The exact conjunctive combination of a nonempty sequence of ``{bits: mass}`` rows.
 
-    The float rows are taken as exact rationals and combined one source at
-    a time (intersect, drop the conflict, renormalize) in Fraction
-    arithmetic, with no commonality shortcut. Returns the fused masses and
-    1 - K, the product of the step normalizers (0 under total conflict).
+    Each mass is taken as an exact rational, and every product of one mass
+    per row lands on the intersection of their focal sets, the empty set
+    (key 0) included. Dempster's rule is this combination with key 0 dropped
+    and the rest divided by their sum; that sum is 1 - K when every row sums
+    to exactly 1, which the rationals of a float row need not do.
     """
-    n, a, t = (Fraction(v) for v in rows[0])
+    first, *rest = [{bits: Fraction(v) for bits, v in row.items()} for row in rows]
+    fused = first
+    for row in rest:
+        product: dict[int, Fraction] = {}
+        for a, u in fused.items():
+            for b, v in row.items():
+                product[a & b] = product.get(a & b, 0) + u * v
+        fused = product
+    return fused
+
+
+def exact_binary_fold(rows) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
+    """Exact Dempster fold of (m_0, m_1, m_theta) rows on two labels, with no
+    commonality shortcut. Returns the fused masses and the sum of the nonempty
+    products, the 1 - K of the pairwise fold's step normalizers (0 under total
+    conflict)."""
+    fused = exact_unnormalised([{1: m0, 2: m1, 3: mt} for m0, m1, mt in rows])
+    n, a, t = (fused.get(bits, Fraction(0)) for bits in (1, 2, 3))
     one_minus_k = n + a + t
-    n, a, t = n / one_minus_k, a / one_minus_k, t / one_minus_k
-    for row in rows[1:]:
-        bn, ba, bt = (Fraction(v) for v in row)
-        n, a, t = n * bn + n * bt + t * bn, a * ba + a * bt + t * ba, t * bt
-        norm = n + a + t
-        one_minus_k *= norm
-        if norm == 0:
-            return (n, a, t), one_minus_k
-        n, a, t = n / norm, a / norm, t / norm
-    return (n, a, t), one_minus_k
+    if one_minus_k == 0:
+        return (n, a, t), one_minus_k
+    return (n / one_minus_k, a / one_minus_k, t / one_minus_k), one_minus_k
 
 
 def oracle_binary_labels(dataset, features, folds, ties_abnormal=False) -> dict[int, int]:
@@ -250,17 +261,6 @@ def reference_three_class(rows, labels, frame: Frame) -> ThreeClassModel:
     return ThreeClassModel(frame, BoundaryModel(tuple(bounds)), tuple(means), selected)
 
 
-def _exact_dempster(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    # Intersect, drop the products on the empty set, renormalize; no rounding.
-    acc: dict[int, Fraction] = {}
-    for sa, va in a.items():
-        for sb, vb in b.items():
-            if sa & sb:
-                acc[sa & sb] = acc.get(sa & sb, Fraction(0)) + va * vb
-    norm = sum(acc.values())
-    return {bits: v / norm for bits, v in acc.items()}
-
-
 def oracle_three_class_candidate(step1: dict) -> int:
     """The step-1 candidate of a ``{bits: mass}`` fold: the focal set of greatest
     mass other than the frame, ties to smaller cardinality, then lower bitmask; the
@@ -288,15 +288,17 @@ def oracle_three_class(record, model: ThreeClassModel) -> tuple[str, dict]:
       belief (its own mass) wins, ties to the lowest class.
     """
     full = 0b111
-    step1 = {full: Fraction(1)}
+    rows = []
     for value, class_bounds in zip(record, model.boundaries.bounds):
         v = Fraction(value)
         bits = sum(1 << c for c, (lo, hi) in enumerate(class_bounds) if lo <= v <= hi)
         if bits == 0:
             gaps = [max(Fraction(lo) - v, v - Fraction(hi)) for lo, hi in class_bounds]
             bits = 1 << min(range(3), key=lambda c: (gaps[c], c))
-        row = {full: Fraction(1)} if bits == full else {bits: Fraction(9, 10), full: Fraction(1, 10)}
-        step1 = _exact_dempster(step1, row)
+        rows.append({full: 1} if bits == full else {bits: Fraction(9, 10), full: Fraction(1, 10)})
+    # Unnormalised masses rank as the normalised ones do: they differ by the factor 1 - K > 0.
+    step1 = exact_unnormalised(rows)
+    step1.pop(0, None)
     candidate = oracle_three_class_candidate(step1)
     labels = model.frame.labels
     if candidate.bit_count() == 1:
@@ -305,7 +307,7 @@ def oracle_three_class(record, model: ThreeClassModel) -> tuple[str, dict]:
     v = Fraction(record[feature])
     diffs = [abs(v - Fraction(mean)) for mean in model.means[feature]]
     nearest = min(range(3), key=lambda c: (diffs[c], c))
-    final = _exact_dempster(step1, {1 << nearest: Fraction(8, 10), full: Fraction(2, 10)})
+    final = exact_unnormalised([step1, {1 << nearest: Fraction(8, 10), full: Fraction(2, 10)}])
     winner = min(range(3), key=lambda c: (-final.get(1 << c, Fraction(0)), c))
     group = [labels[c] for c in range(3) if candidate >> c & 1]
     return labels[winner], {"decided": "step3", "feature": feature, "group": group}

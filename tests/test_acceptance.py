@@ -20,7 +20,6 @@ from dsfusion import (
     classify_email,
     classify_three_class,
     combine,
-    combine_all,
     combine_with_conflict,
     email_model_default,
     evaluate,

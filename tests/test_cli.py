@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ from dsfusion import (
     MassFunction,
     classifier_to_dict,
     combine,
-    combine_all,
     combine_with_conflict,
     make_frame,
     train_binary,
@@ -244,13 +244,20 @@ class TestIrisCommand:
 
     def test_out_payload(self, capsys, tmp_path):
         out_path = tmp_path / "iris.json"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys, "iris", "--data", str(IRIS_PATH), "--runs", "2", "--out", str(out_path)
         )
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["config"]["runs"] == 2
         assert len(payload["runs_detail"]) == 2
+        # The summary, on stdout and in the payload, is the mean and sample sd of the runs.
+        accuracies = [run["accuracy"] for run in payload["runs_detail"]]
+        mean, sd = statistics.mean(accuracies), statistics.stdev(accuracies)
+        assert 0 < sd < mean
+        assert payload["mean_accuracy"] == pytest.approx(mean, rel=1e-12)
+        assert payload["sd"] == pytest.approx(sd, rel=1e-12)
+        assert f"accuracy: {mean * 100:.2f}% ± {sd * 100:.2f}%\n" in out
 
 
     @pytest.mark.parametrize(
@@ -545,12 +552,12 @@ class TestCombineCommand:
         assert "0.99" in out
 
     def test_single_mass_echoed(self, capsys):
+        # a|b keeps Bel(a) < Pl(a), so the text shows each interval's order, [Bel, Pl].
         code, out, _ = run_cli(
-            capsys, "combine", "--frame", "a,b", "--mass", "a:0.6,b:0.4"
+            capsys, "combine", "--frame", "a,b", "--mass", "a:0.6,a|b:0.4"
         )
         assert code == 0
-        assert "a:0.6" in out
-        assert "K (final step): 0" in out
+        assert out == "combined: {a:0.6, Θ:0.4}\nK (final step): 0\n  a: [0.6, 1]\n  b: [0, 0.4]\n"
 
     def test_union_subsets(self, capsys):
         code, out, _ = run_cli(
@@ -584,7 +591,7 @@ class TestCombineCommand:
                                  float(part.rpartition(":")[2]) for part in spec.split(",")})
             for spec in specs
         ]
-        head = combine_all(masses[:2])
+        head = combine(*masses[:2])
         payload = json.loads(out)
         assert payload["conflict"] == combine_with_conflict(head, masses[2])[1]
         expected = combine(head, masses[2])

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+from functools import reduce
 
 import pytest
 
@@ -14,7 +15,6 @@ from dsfusion import (
     TotalConflictError,
     belief,
     combine,
-    combine_all,
     combine_binary,
     combine_with_conflict,
     make_frame,
@@ -269,14 +269,6 @@ class TestCombine:
 
 
 class TestCombineAll:
-    def test_single_element_returned(self, binary):
-        m = vacuous_mass(binary)
-        assert combine_all([m]) is m
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(EvidenceError):
-            combine_all([])
-
     def test_order_independence(self):
         frame = make_frame(["c1", "c2", "c3"])
         theta = frame.bits(frame.labels)
@@ -286,7 +278,7 @@ class TestCombineAll:
         for position in range(5):
             masses = [pair23] * 4
             masses.insert(position, pair13)
-            results.append(combine_all(masses))
+            results.append(reduce(combine, masses))
         for other in results[1:]:
             for subset, value in results[0].items():
                 assert other.mass_bits(subset) == pytest.approx(value, abs=1e-9)
@@ -298,7 +290,7 @@ class TestCombineAll:
         theta = frame.bits(frame.labels)
         pair23 = MassFunction(frame, {frame.bits(["c2", "c3"]): 0.9, theta: 0.1})
         pair13 = MassFunction(frame, {frame.bits(["c1", "c3"]): 0.9, theta: 0.1})
-        combined = combine_all([pair23, pair13, pair23, pair23])
+        combined = reduce(combine, [pair23, pair13, pair23, pair23])
         assert combined.mass_bits(frame.bits(["c3"])) == pytest.approx(0.8991, abs=1e-9)
         assert combined.mass_bits(frame.bits(["c2", "c3"])) == pytest.approx(0.0999, abs=1e-9)
         assert combined.mass_bits(frame.bits(["c1", "c3"])) == pytest.approx(0.0009, abs=1e-9)
@@ -312,7 +304,7 @@ class TestCombineAll:
         t = binary.bits(binary.labels)
         to_normal = MassFunction(binary, {n: 1 - 1e-7, t: 1e-7})
         to_abnormal = MassFunction(binary, {a: 1 - 1e-7, t: 1e-7})
-        combined = combine_all([to_normal, to_abnormal, to_normal, to_abnormal])
+        combined = reduce(combine, [to_normal, to_abnormal, to_normal, to_abnormal])
         assert combined.mass_bits(n) == pytest.approx(0.5, abs=1e-12)
         assert combined.mass_bits(a) == pytest.approx(0.5, abs=1e-12)
         assert abs(sum(value for _, value in combined.items()) - 1.0) <= 1e-12

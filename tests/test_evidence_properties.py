@@ -6,6 +6,8 @@ identity, interval ordering, agreement with a naive double-loop oracle,
 and the no-total-conflict guarantee once both sources keep ignorance mass.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,6 @@ from dsfusion import (
     TotalConflictError,
     belief,
     combine,
-    combine_all,
     combine_binary,
     combine_with_conflict,
     make_frame,
@@ -164,7 +165,7 @@ def test_combine_binary_matches_pairwise_combine(rows):
     _, one_minus_k = exact_binary_fold(rows)
     assume(one_minus_k > 1e-3)
     masses = [MassFunction(BINARY_FRAME, {1: m0, 2: m1, 3: mt}) for m0, m1, mt in rows]
-    expected = combine_all(masses)
+    expected = reduce(combine, masses)
     fused = combine_binary(BINARY_FRAME, rows)
     for bits in (1, 2, 3):
         assert abs(fused.mass_bits(bits) - expected.mass_bits(bits)) <= 1e-12

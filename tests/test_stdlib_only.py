@@ -64,13 +64,13 @@ def test_private_import_check_sees_relative_and_absolute_imports(tmp_path):
     module.write_text(
         "from __future__ import annotations\n"
         "from ._private import _hidden\n"
-        "from .evidence import Frame, _require_same_frame\n"
+        "from .evidence import Frame, _refuse_total_conflict\n"
         "from dsfusion.bpa import _nearest_class\n"
         "from . import _module\n"
     )
     assert private_sibling_imports(module) == {
         ("example.py", "_private", "_hidden"),
-        ("example.py", "evidence", "_require_same_frame"),
+        ("example.py", "evidence", "_refuse_total_conflict"),
         ("example.py", "bpa", "_nearest_class"),
         ("example.py", "", "_module"),
     }
